@@ -12,6 +12,7 @@ from .beams import AiryParams, BeamWeights, Codebook, airy_weights, build_codebo
 from .channels import (
     ChannelMatrix,
     beam_column,
+    diffraction_channel,
     effective_channel_diffraction,
     effective_channel_greens,
     greens_channel,

@@ -36,6 +36,7 @@ __all__ = [
     "Codebook",
     "traditional_focus",
     "airy_weights",
+    "airy_weight_rows",
     "build_codebook",
 ]
 
@@ -115,6 +116,23 @@ def traditional_focus(
     return BeamWeights(weights=w, kind="traditional", target=target)
 
 
+def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, designs) -> np.ndarray:
+    """Cubic-phase weights for many designs at once: row c (of a C x N
+    array) holds the weights of designs[c], as documented in airy_weights.
+
+    Each design's row is computed with the same elementwise operations
+    whatever the batch, so it matches airy_weights bit for bit.
+    """
+    xs = np.asarray(array.element_x())
+    k0 = carrier.wavenumber
+    lam = carrier.wavelength
+    focal = np.array([[p.focal] for p in designs])
+    steer = np.array([[k0 * math.sin(p.launch_angle)] for p in designs])
+    cubic = np.array([[(2.0 * math.pi / (3.0 * lam)) * p.bending] for p in designs])
+    phase = k0 * xs**2 / (2.0 * focal) - steer * xs + cubic * (xs / focal) ** 3
+    return np.exp(1j * phase) / math.sqrt(array.n)
+
+
 def airy_weights(
     array: ArrayGeometry, carrier: Carrier, params: AiryParams
 ) -> BeamWeights:
@@ -127,15 +145,7 @@ def airy_weights(
     steers the launch direction, and the cubic term curves the trajectory:
     negative bending accelerates the lobe toward -x past the focal region.
     """
-    xs = np.asarray(array.element_x())
-    k0 = carrier.wavenumber
-    lam = carrier.wavelength
-    phase = (
-        k0 * xs**2 / (2.0 * params.focal)
-        - k0 * math.sin(params.launch_angle) * xs
-        + (2.0 * math.pi / (3.0 * lam)) * params.bending * (xs / params.focal) ** 3
-    )
-    w = np.exp(1j * phase) / math.sqrt(array.n)
+    w = airy_weight_rows(array, carrier, (params,))[0]
     return BeamWeights(weights=w, kind="airy", params=params)
 
 

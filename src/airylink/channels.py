@@ -1,13 +1,16 @@
 """Channel construction: free-space Green's model and diffraction model.
 
-Two routes to a channel matrix, kept deliberately independent so each can
-check the other:
+Both models produce a K x N physical matrix (users x array elements), and
+every effective channel is that matrix times the analog codebook,
+H_eff = H_phys @ W_RF:
 
 * the Green's model writes each element->user coefficient in closed form,
   lambda/(4 pi r) e^{-j k0 r}, valid only with nothing in the way;
-* the diffraction model launches each analog beam as an aperture field and
-  runs it through the wave-optics cascade (propagate, mask at the knife
-  edge, propagate, sample at the user).
+* the diffraction model builds row k by running the wave-optics cascade
+  (launch filter, propagate, mask at the knife edge, propagate, sample at
+  the user) transposed, from user k back to the element positions. The
+  forward cascade in `propagation` stays as the independent oracle that
+  this operator is tested against.
 
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so a single complex calibration
@@ -20,24 +23,20 @@ SINR values comparable across the two.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AirylinkError, ConfigError, ModelMismatchError
+from .errors import AirylinkError, ConfigError, GridError, ModelMismatchError
 from .geometry import ScenarioConfig
-from .propagation import (
-    ComplexField,
-    apply_mask,
-    launch_aperture,
-    propagate_angular_spectrum,
-    sample_field,
-)
+from .propagation import cascade_transpose, element_bins, sample_field_transpose
 
 __all__ = [
     "ChannelMatrix",
     "greens_channel",
+    "diffraction_channel",
+    "beam_responses",
+    "effective_channel",
     "effective_channel_greens",
     "beam_column",
     "effective_channel_diffraction",
@@ -99,6 +98,32 @@ def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
     return ChannelMatrix(np.vstack(rows), model=GREENS_FREE_SPACE, kind="physical")
 
 
+def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
+    """Per-user response of many beams at once: row c of the C x K result is
+    scale * H_phys @ weights[c] for the C x N weight rows.
+
+    The sum over elements runs in einsum's fixed order on contiguous rows,
+    so a beam gets the same bits whether it is scored alone or in a batch
+    (a BLAS product may switch between gemv and gemm and reorder the sum).
+    """
+    rows = np.ascontiguousarray(weights, dtype=complex)
+    return scale * np.einsum("kn,cn->ck", h_phys, rows)
+
+
+def effective_channel(
+    h_phys: ChannelMatrix, w_rf, scale: complex = 1.0 + 0.0j
+) -> ChannelMatrix:
+    """Effective channel scale * H_phys @ W_RF of a diffraction-model
+    physical matrix, one column per beam, summed as in beam_responses."""
+    w = np.asarray(w_rf, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != h_phys.entries.shape[1]:
+        raise AirylinkError(
+            f"beam matrix shape {w.shape} does not match {h_phys.entries.shape[1]} elements"
+        )
+    entries = beam_responses(h_phys.entries, w.T, scale).T
+    return ChannelMatrix(entries, model=h_phys.model, kind="effective")
+
+
 def effective_channel_greens(h_phys: ChannelMatrix, w_rf: np.ndarray) -> ChannelMatrix:
     """Effective (per-beam) channel: plain product of the physical matrix
     with the N x K analog beam matrix."""
@@ -110,31 +135,6 @@ def effective_channel_greens(h_phys: ChannelMatrix, w_rf: np.ndarray) -> Channel
             f"beam matrix shape {w.shape} does not match {h_phys.entries.shape[1]} elements"
         )
     return ChannelMatrix(h_phys.entries @ w, model=h_phys.model, kind="effective")
-
-
-def _propagate_beam_to_depths(
-    scenario: ScenarioConfig, launch: ComplexField, depths
-) -> dict:
-    """Carry one launched beam to each distinct user depth.
-
-    The field at the obstacle plane is masked once and reused for every
-    depth beyond it.
-    """
-    lam = scenario.carrier.wavelength
-    obstacle = scenario.obstacle
-    fields = {}
-    masked = None
-    for depth in depths:
-        if obstacle is None or depth <= obstacle.depth:
-            fields[depth] = propagate_angular_spectrum(launch, depth - launch.depth, lam)
-        else:
-            if masked is None:
-                at_obstacle = propagate_angular_spectrum(
-                    launch, obstacle.depth - launch.depth, lam
-                )
-                masked = apply_mask(at_obstacle, obstacle)
-            fields[depth] = propagate_angular_spectrum(masked, depth - obstacle.depth, lam)
-    return fields
 
 
 def _amplitude_conversion(wavelength: float, depth: float) -> float:
@@ -150,16 +150,17 @@ def _amplitude_conversion(wavelength: float, depth: float) -> float:
     return wavelength**1.5 / (4.0 * math.pi * math.sqrt(depth))
 
 
-def beam_column(
-    scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j
-) -> np.ndarray:
-    """Per-user complex response of one analog beam (length-K column).
+def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
+    """Wave-optics physical channel (K x N, uncalibrated).
 
-    This is the diffraction model for a single beam: launch the weights as
-    an aperture field, run the knife-edge cascade once per distinct user
-    depth, sample at each user, convert each sample to the closed-form
-    amplitude convention for its depth, and scale by the cross-model
-    calibration.
+    Row k maps element weights to user k's sample of the launched,
+    knife-edge-diffracted field, converted to the closed-form amplitude
+    convention. It is built by running the cascade transposed from user k
+    back to the aperture: interpolation weights at the user, the two
+    propagation legs and the mask in reverse (one leg when the user sits at
+    or before the obstacle plane), the launch filter, then a gather at the
+    element bins divided by dx -- the transpose of the unit-area spikes that
+    embed_aperture deposits.
     """
     half = scenario.grid.interior_half_width
     for u in scenario.users:
@@ -168,53 +169,48 @@ def beam_column(
                 f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
                 f"(|x| < {half:.4e} m)"
             )
+    grid = scenario.grid
     lam = scenario.carrier.wavelength
-    launch = launch_aperture(
-        np.asarray(weights, dtype=complex), scenario.array, scenario.grid, lam
-    )
-    depths = sorted({u.z for u in scenario.users})
-    fields = _propagate_beam_to_depths(scenario, launch, depths)
-    return scale * np.array(
-        [
-            _amplitude_conversion(lam, u.z) * sample_field(fields[u.z], u.x)
-            for u in scenario.users
-        ]
-    )
+    bins = element_bins(scenario.array, grid)
+    rows = []
+    for u in scenario.users:
+        probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
+        back = cascade_transpose(probe, grid, scenario.obstacle, u.z, lam)
+        rows.append(back[bins] / grid.dx)
+    return ChannelMatrix(np.vstack(rows), model=FRESNEL_DIFFRACTION, kind="physical")
+
+
+def beam_column(
+    scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j
+) -> np.ndarray:
+    """Per-user complex response of one analog beam (length-K column):
+    scale * H_phys @ weights with H_phys = diffraction_channel(scenario)."""
+    w = np.asarray(weights, dtype=complex)
+    if w.shape != (scenario.array.n,):
+        raise GridError(f"expected {scenario.array.n} weights, got shape {w.shape}")
+    h_phys = diffraction_channel(scenario).entries
+    return beam_responses(h_phys, w[None, :], scale)[0]
 
 
 def effective_channel_diffraction(
     scenario: ScenarioConfig,
     w_rf: np.ndarray,
     scale: complex = 1.0 + 0.0j,
-    workers: int | None = None,
 ) -> ChannelMatrix:
-    """Wave-optics effective channel.
+    """Wave-optics effective channel, scale * H_phys @ W_RF.
 
     Entry (k, j) is the complex field that beam column j produces at user
     k's position after the launch filter and the knife-edge cascade,
     multiplied by the cross-model calibration `scale` (see
-    remark1_calibration; pass 1 for the raw uncalibrated field).
-
-    Beam columns are independent and may be propagated concurrently
-    (`workers` > 1); results are assembled by column index so the output
-    never depends on scheduling.
+    remark1_calibration; pass 1 for the raw uncalibrated field). Column j
+    equals beam_column(scenario, w_rf[:, j], scale) bit for bit.
     """
     w = np.asarray(w_rf, dtype=complex)
     if w.ndim != 2 or w.shape[0] != scenario.array.n:
         raise AirylinkError(
             f"beam matrix shape {w.shape} does not match {scenario.array.n} elements"
         )
-
-    def column(j: int) -> np.ndarray:
-        return beam_column(scenario, w[:, j], scale)
-
-    n_beams = w.shape[1]
-    if workers is not None and workers > 1 and n_beams > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cols = list(pool.map(column, range(n_beams)))
-    else:
-        cols = [column(j) for j in range(n_beams)]
-    return ChannelMatrix(np.column_stack(cols), model=FRESNEL_DIFFRACTION, kind="effective")
+    return effective_channel(diffraction_channel(scenario), w, scale)
 
 
 def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .experiments import (
     run_robustness_sweep,
     run_shadow_scan,
 )
-from .geometry import GridSpec, ScenarioConfig, fraunhofer_distance, geometric_angle
+from .geometry import ScenarioConfig, fraunhofer_distance, geometric_angle
 
 __all__ = ["main"]
 
@@ -42,28 +43,21 @@ def _common_flags(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
     p.add_argument("--config", required=True, help="scenario config file")
     if needs_out:
         p.add_argument("--out", required=True, help="output directory for CSVs")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads for sweep points (default: CPU count)")
     p.add_argument("--step", type=float, default=None,
                    help="sweep step override (lambda units; degrees for mixed-opt)")
     p.add_argument("--nx", type=int, default=None,
                    help="override grid sample count (power of two)")
 
 
+def _workers_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker threads for sweep points (default: CPU count)")
+
+
 def _load(args) -> ScenarioConfig:
     scenario = load_scenario(args.config)
     if args.nx is not None:
-        g = scenario.grid
-        scenario = ScenarioConfig(
-            carrier=scenario.carrier,
-            array=scenario.array,
-            users=scenario.users,
-            grid=GridSpec(nx=args.nx, window=g.window, apod_width=g.apod_width),
-            obstacle=scenario.obstacle,
-            noise_power=scenario.noise_power,
-            tx_power=scenario.tx_power,
-            rzf_epsilon=scenario.rzf_epsilon,
-        )
+        scenario = replace(scenario, grid=replace(scenario.grid, nx=args.nx))
         validate_scenario(scenario)
     return scenario
 
@@ -137,7 +131,7 @@ def _cmd_shadow(args) -> int:
 
 def _cmd_mixed_opt(args) -> int:
     scenario = _load(args)
-    kwargs = {"workers": args.workers, "eta": args.eta}
+    kwargs = {"eta": args.eta}
     if args.step is not None:
         kwargs["dtheta_step_deg"] = args.step
     result = run_mixed_optimization(scenario, **kwargs)
@@ -254,7 +248,7 @@ def _cmd_validate(args) -> int:
 
     scenario = _load(args)
     lam = scenario.carrier.wavelength
-    bare = GridSpec(nx=scenario.grid.nx, window=scenario.grid.window, apod_width=0.0)
+    bare = replace(scenario.grid, apod_width=0.0)
     rng = npr.default_rng(2026)
     checks = []
 
@@ -303,10 +297,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("baseline", help="free-space lateral scan of user 2")
     _common_flags(p)
+    _workers_flag(p)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("shadow", help="obstructed scan: traditional vs curved codebook")
     _common_flags(p)
+    _workers_flag(p)
     p.set_defaults(fn=_cmd_shadow)
 
     p = sub.add_parser("mixed-opt", help="curved-beam parameter search + diagnostics")
@@ -317,6 +313,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("robustness", help="positioning-error sweep with frozen beams")
     _common_flags(p)
+    _workers_flag(p)
     p.set_defaults(fn=_cmd_robustness)
 
     p = sub.add_parser("fieldmap", help="intensity map of one beam over depth")

@@ -16,8 +16,10 @@ Each runner turns one scenario family into a tabular sweep:
                      bright user, and measure how each strategy degrades.
 
 Every runner is pure given its config: identical inputs produce identical
-outputs (and therefore byte-identical CSVs downstream). Sweep points are
-independent, so they run on a thread pool and are reassembled by index.
+outputs (and therefore byte-identical CSVs downstream). The scan and
+robustness sweep points are independent, so they run on a thread pool and
+are reassembled by index; the mixed-optimization angle sweep runs serially
+on one precomputed channel matrix.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import numpy as np
 
 from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
 from .channels import (
-    FRESNEL_DIFFRACTION,
     ChannelMatrix,
-    beam_column,
+    diffraction_channel,
+    effective_channel,
     effective_channel_greens,
-    effective_channel_diffraction,
     greens_channel,
     remark1_calibration,
 )
@@ -229,10 +230,11 @@ def run_shadow_scan(
         u2 = scenario.users[1]
         moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
         s = scenario.with_users((scenario.users[0], moved))
+        h_phys = diffraction_channel(s)
         out = {}
         for name, strategy in (("trad_all", "trad_all"), ("airy_geo", "airy_geo")):
             book = build_codebook(s, strategy, airy_params=geo_params)
-            h_eff = effective_channel_diffraction(s, book.matrix, scale=scale)
+            h_eff = effective_channel(h_phys, book.matrix, scale)
             out[name] = _metrics_for(s, h_eff, book.matrix)
         return out
 
@@ -243,28 +245,11 @@ def run_shadow_scan(
     )
 
 
-def _mixed_record(
-    scenario: ScenarioConfig,
-    params: AiryParams,
-    fixed_h2: np.ndarray,
-    w2: np.ndarray,
-    scale: complex,
-) -> MetricsRecord:
-    """Metrics for [curved beam for user 1, fixed traditional for user 2]."""
-    w1 = airy_weights(scenario.array, scenario.carrier, params)
-    h1 = beam_column(scenario, w1.weights, scale)
-    h_eff = ChannelMatrix(
-        np.column_stack([h1, fixed_h2]), model=FRESNEL_DIFFRACTION, kind="effective"
-    )
-    return _metrics_for(scenario, h_eff, np.column_stack([w1.weights, w2]))
-
-
 def run_mixed_optimization(
     scenario: ScenarioConfig,
     grids: SearchGrids | None = None,
     eta: float = 0.4,
     dtheta_step_deg: float = 0.1,
-    workers: int | None = None,
 ) -> MixedOptimizationResult:
     """Search the curved-beam parameters for the shadowed user, then
     characterize the winner: an angle-offset sweep at the winning
@@ -273,11 +258,11 @@ def run_mixed_optimization(
     if grids is None:
         grids = default_search_grids()
     scale, residual = remark1_calibration(scenario.without_obstacle())
-    outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale, workers=workers)
+    outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
-    fixed_h2 = beam_column(scenario, w2, scale)
+    h_phys = diffraction_channel(scenario)
 
     # Angle-offset diagnostic around the winner, at the winning (bending, focal).
     lo = math.degrees(grids.coarse_dtheta[0])
@@ -290,13 +275,15 @@ def run_mixed_optimization(
             focal=outcome.best_params.focal,
             launch_angle=theta_geo + math.radians(dtheta_deg),
         )
-        return {"airy_best_bf": _mixed_record(scenario, params, fixed_h2, w2, scale)}
+        w1 = airy_weights(scenario.array, scenario.carrier, params).weights
+        w_rf = np.column_stack([w1, w2])
+        h_eff = effective_channel(h_phys, w_rf, scale)
+        return {"airy_best_bf": _metrics_for(scenario, h_eff, w_rf)}
 
-    records = _pool_map(point, dthetas, workers)
     sweep = SweepResult(
         sweep_variable="dtheta_deg",
         strategies=("airy_best_bf",),
-        points=tuple(zip(dthetas, records)),
+        points=tuple((d, point(d)) for d in dthetas),
     )
 
     cut = _field_cut(
@@ -391,9 +378,10 @@ def run_robustness_sweep(
         u2 = scenario.users[1]
         moved = UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label)
         s = scenario.with_users((scenario.users[0], moved))
+        h_phys = diffraction_channel(s)
         out = {}
         for name in strategies:
-            h_eff = effective_channel_diffraction(s, books[name], scale=scale)
+            h_eff = effective_channel(h_phys, books[name], scale)
             out[name] = _metrics_for(s, h_eff, books[name])
         return out
 

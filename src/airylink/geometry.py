@@ -13,7 +13,7 @@ edge included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 
@@ -165,29 +165,11 @@ class ScenarioConfig:
 
     def with_users(self, users: tuple[UserPosition, ...]) -> "ScenarioConfig":
         """Copy of this scenario with a different user list."""
-        return ScenarioConfig(
-            carrier=self.carrier,
-            array=self.array,
-            users=users,
-            grid=self.grid,
-            obstacle=self.obstacle,
-            noise_power=self.noise_power,
-            tx_power=self.tx_power,
-            rzf_epsilon=self.rzf_epsilon,
-        )
+        return replace(self, users=users)
 
     def without_obstacle(self) -> "ScenarioConfig":
         """Copy of this scenario with the obstacle removed (free space)."""
-        return ScenarioConfig(
-            carrier=self.carrier,
-            array=self.array,
-            users=self.users,
-            grid=self.grid,
-            obstacle=None,
-            noise_power=self.noise_power,
-            tx_power=self.tx_power,
-            rzf_epsilon=self.rzf_epsilon,
-        )
+        return replace(self, obstacle=None)
 
 
 def fraunhofer_distance(array: ArrayGeometry, carrier: Carrier) -> float:

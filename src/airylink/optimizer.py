@@ -12,24 +12,27 @@ Stage 1 exhaustively scans a coarse grid (loop order: bending outer, focal
 middle, angle inner; first-found wins ties via strict > improvement).
 Stage 2 re-scans a refined grid spanning +/- fine_span coarse steps around
 the stage-1 incumbent on every axis at fine_refine_factor x resolution.
-Identical inputs always produce the identical outcome and trace, including
-under concurrent evaluation, because the reduction replays the sequential
-loop order.
+Identical inputs always produce the identical outcome and trace.
+
+The diffraction channel is linear in the beam weights, so the search builds
+the K x N physical matrix once and scores candidates in fixed-size chunks:
+one array of cubic weights, one product with the matrix, one batched RZF
+and metrics pass. A candidate gets the same bits in any chunk as it does
+alone through evaluate_candidate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import AiryParams, airy_weights, traditional_focus
-from .channels import FRESNEL_DIFFRACTION, ChannelMatrix, beam_column
+from .beams import AiryParams, airy_weight_rows, traditional_focus
+from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import GridSpec, ScenarioConfig, geometric_angle
-from .precoding import link_metrics, rzf_precoder
+from .precoding import batch_sum_rates
 
 __all__ = [
     "SearchGrids",
@@ -46,6 +49,11 @@ __all__ = [
 # the focal region placed a little beyond the obstacle plane.
 GEO_BENDING = -25.0
 GEO_FOCAL = 1.75
+
+# Candidates scored per batch. Larger chunks buy little speed and raise
+# peak memory: scoring all 1617 coarse candidates as one batch lifts the
+# peak RSS of a default mixed-opt run from about 44 MB to 56 MB.
+_CHUNK = 128
 
 
 def default_search_grids() -> "SearchGrids":
@@ -123,6 +131,38 @@ def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
     )
 
 
+def _score_chunk(
+    scenario: ScenarioConfig,
+    h_phys: np.ndarray,
+    designs,
+    w2: np.ndarray,
+    h2: np.ndarray,
+    scale: complex,
+) -> tuple:
+    """Score cubic-beam designs for the shadowed user against the fixed
+    bright-user beam (w2, with effective column h2). Returns the sum rates
+    and |h11|^2 values as arrays, one entry per design."""
+    w1 = airy_weight_rows(scenario.array, scenario.carrier, designs)
+    h1 = beam_responses(h_phys, w1, scale)
+    h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
+    w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
+    rates = batch_sum_rates(
+        h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
+    )
+    bad = np.isnan(rates)
+    if bad.any():
+        raise AirylinkError(f"candidate {designs[np.argmax(bad)]} produced a NaN sum rate")
+    # Per-candidate scalar abs and square, exactly as |beam_column(w)[0]|^2
+    # evaluates them; the array forms may round the last bit differently.
+    h11_power = np.array([abs(h) ** 2 for h in h1[:, 0]])
+    return rates, h11_power
+
+
+def _check_two_users(scenario: ScenarioConfig) -> None:
+    if scenario.k != 2:
+        raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
+
+
 def evaluate_candidate(
     scenario: ScenarioConfig,
     params: AiryParams,
@@ -131,25 +171,17 @@ def evaluate_candidate(
 ) -> tuple:
     """Score one cubic-beam design for the shadowed user.
 
-    Builds the candidate beam, propagates it through the obstacle cascade
-    to get the first effective-channel column, pairs it with the
-    precomputed bright-user column, and runs the full precoding + metrics
-    stack. Returns (sum_rate, |h11|^2).
+    Builds the candidate beam, maps it through the diffraction channel to
+    get the first effective-channel column, pairs it with the precomputed
+    bright-user column, and runs the full precoding + metrics stack.
+    Returns (sum_rate, |h11|^2). This is the search's chunk scorer run on
+    a chunk of one.
     """
-    if scenario.k != 2:
-        raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
-    w1 = airy_weights(scenario.array, scenario.carrier, params)
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    h1 = beam_column(scenario, w1.weights, scale)
-    h_eff = ChannelMatrix(
-        np.column_stack([h1, fixed_h2]), model=FRESNEL_DIFFRACTION, kind="effective"
-    )
-    w_rf = np.column_stack([w1.weights, w2.weights])
-    pre = rzf_precoder(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon)
-    rec = link_metrics(h_eff, pre, scenario.noise_power)
-    if math.isnan(rec.sum_rate):
-        raise AirylinkError(f"candidate {params} produced a NaN sum rate")
-    return rec.sum_rate, float(abs(h1[0]) ** 2)
+    _check_two_users(scenario)
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    h_phys = diffraction_channel(scenario).entries
+    rates, h11_power = _score_chunk(scenario, h_phys, (params,), w2, fixed_h2, scale)
+    return float(rates[0]), float(h11_power[0])
 
 
 def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
@@ -164,38 +196,29 @@ def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
     return [center + i * fine_step for i in range(-n, n + 1)]
 
 
-def _scan(
-    candidates: list,
-    evaluate,
-    threshold: float,
-    stage: str,
-    workers: int | None,
-):
-    """Evaluate candidates and reduce to the best feasible one.
+def _scan(candidates: list, score, threshold: float, stage: str):
+    """Score candidates chunk by chunk and reduce to the best feasible one.
 
-    Evaluation may be concurrent; the reduction walks results in candidate
-    (= loop) order with strict improvement, so ties resolve exactly as the
-    sequential nested loops would.
+    The reduction walks results in candidate (= loop) order with strict
+    improvement, so ties resolve exactly as the sequential nested loops
+    would.
     """
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(c) for c in candidates]
-
     best = None  # (rate, params-tuple)
     trace = []
     rejected = 0
     max_h11 = 0.0
-    for (b, f, dt), (rate, h11_power) in zip(candidates, results):
-        max_h11 = max(max_h11, h11_power)
-        feasible = h11_power >= threshold
-        trace.append(TraceEntry(b, f, dt, h11_power, rate, feasible, stage))
-        if not feasible:
-            rejected += 1
-            continue
-        if best is None or rate > best[0]:
-            best = (rate, (b, f, dt))
+    for start in range(0, len(candidates), _CHUNK):
+        chunk = candidates[start:start + _CHUNK]
+        rates, h11s = score(chunk)
+        for (b, f, dt), rate, h11_power in zip(chunk, rates.tolist(), h11s.tolist()):
+            max_h11 = max(max_h11, h11_power)
+            feasible = h11_power >= threshold
+            trace.append(TraceEntry(b, f, dt, h11_power, rate, feasible, stage))
+            if not feasible:
+                rejected += 1
+                continue
+            if best is None or rate > best[0]:
+                best = (rate, (b, f, dt))
     return best, trace, rejected, max_h11
 
 
@@ -204,7 +227,6 @@ def coarse_to_fine_search(
     grids: SearchGrids,
     eta: float = 0.4,
     scale: complex = 1.0 + 0.0j,
-    workers: int | None = None,
 ) -> SearchOutcome:
     """Run the two-stage constrained search for the shadowed user's beam.
 
@@ -216,21 +238,27 @@ def coarse_to_fine_search(
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     if scenario.obstacle is None:
         raise ConfigError("the search is defined for an obstructed scenario")
+    _check_two_users(scenario)
     theta_geo = geometric_angle(scenario.users[0])
 
-    # The bright user's column never changes; build it once.
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    fixed_h2 = beam_column(scenario, w2.weights, scale)
+    # The channel matrix and the bright user's column never change; build
+    # them once.
+    h_phys = diffraction_channel(scenario).entries
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    fixed_h2 = beam_responses(h_phys, w2[None, :], scale)[0]
 
-    def evaluate(cand):
-        b, f, dt = cand
-        params = AiryParams(bending=b, focal=f, launch_angle=theta_geo + dt)
-        return evaluate_candidate(scenario, params, fixed_h2, scale)
+    def score(cands):
+        designs = [
+            AiryParams(bending=b, focal=f, launch_angle=theta_geo + dt)
+            for b, f, dt in cands
+        ]
+        return _score_chunk(scenario, h_phys, designs, w2, fixed_h2, scale)
 
     # Stage 0: constraint threshold from the geometric design's own gain.
-    _, h11_geo = evaluate_candidate(
-        scenario, geometric_baseline_params(scenario), fixed_h2, scale
+    _, h11_geo = _score_chunk(
+        scenario, h_phys, (geometric_baseline_params(scenario),), w2, fixed_h2, scale
     )
+    h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
 
     coarse = [
@@ -239,7 +267,7 @@ def coarse_to_fine_search(
         for f in grids.coarse_focal
         for dt in grids.coarse_dtheta
     ]
-    best, trace, rejected, max_h11 = _scan(coarse, evaluate, tau, "coarse", workers)
+    best, trace, rejected, max_h11 = _scan(coarse, score, tau, "coarse")
     evaluations = len(coarse)
     if best is None:
         raise InfeasibleSearchError(
@@ -262,7 +290,7 @@ def coarse_to_fine_search(
             for f in _fine_axis(grids.coarse_focal, f0, grids.fine_span, grids.fine_refine_factor)
             for dt in _fine_axis(grids.coarse_dtheta, dt0, grids.fine_span, grids.fine_refine_factor)
         ]
-        fine_best, fine_trace, fine_rejected, _ = _scan(fine, evaluate, tau, "fine", workers)
+        fine_best, fine_trace, fine_rejected, _ = _scan(fine, score, tau, "fine")
         evaluations += len(fine)
         rejected += fine_rejected
         trace.extend(fine_trace)

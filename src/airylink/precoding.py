@@ -11,6 +11,11 @@ every user sees the same post-precoding gain and the common SINR is
 |alpha|^2 / noise_power. The condition number of the effective channel is
 the diagnostic that predicts when that inversion becomes power-hungry:
 near-parallel user columns push sigma_min toward zero and alpha collapses.
+
+The arithmetic runs over a leading candidate axis so the beam search can
+score many designs per call; rzf_precoder and link_metrics are batch-of-one
+views of the same routines, so a candidate gets the same bits alone or in a
+batch.
 """
 
 from __future__ import annotations
@@ -23,7 +28,13 @@ import numpy as np
 from .errors import AirylinkError, SingularChannelError
 from .channels import ChannelMatrix
 
-__all__ = ["PrecodingResult", "MetricsRecord", "rzf_precoder", "link_metrics"]
+__all__ = [
+    "PrecodingResult",
+    "MetricsRecord",
+    "rzf_precoder",
+    "link_metrics",
+    "batch_sum_rates",
+]
 
 # Relative sigma_min below which an epsilon = 0 inversion is refused.
 _SINGULAR_RCOND = 1e-13
@@ -60,6 +71,79 @@ class MetricsRecord:
     singular: bool = False
 
 
+def _stack(matrix) -> np.ndarray:
+    """One matrix as a contiguous batch of one, the layout the batched
+    routines see for every candidate of a larger batch."""
+    return np.ascontiguousarray(np.asarray(matrix, dtype=complex)[None])
+
+
+def _frobenius_sq(m: np.ndarray) -> np.ndarray:
+    """||m_c||_F^2 for every matrix of a batch."""
+    return (m.real**2 + m.imag**2).sum(axis=(-2, -1))
+
+
+def _rzf_batch(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
+               sigma: np.ndarray) -> tuple:
+    """RZF over a leading candidate axis: h is C x K x K, w is C x N x K and
+    sigma the C x K singular values of h. Returns (W_BB, alpha, achieved
+    power), one entry per candidate; raises for the first candidate whose
+    inversion or power normalization is impossible."""
+    k = h.shape[-1]
+    if epsilon == 0.0:
+        bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
+        if bad.any():
+            raise SingularChannelError(
+                "effective channel is numerically singular; zero-forcing would "
+                "divide by a vanishing singular value (use epsilon > 0 or change geometry)",
+                sigma_min=float(sigma[np.argmax(bad), -1]),
+            )
+    h_herm = np.conj(h).swapaxes(-1, -2)
+    gram = h @ h_herm + epsilon * np.eye(k)
+    w_tilde = h_herm @ np.linalg.inv(gram)
+
+    norm_sq = _frobenius_sq(w @ w_tilde)
+    zero = norm_sq == 0.0
+    if zero.any():
+        raise SingularChannelError(
+            "precoder is identically zero; cannot normalize transmit power",
+            sigma_min=float(sigma[np.argmax(zero), -1]),
+        )
+    alpha = np.sqrt(tx_power / norm_sq)
+    w_bb = alpha[:, None, None] * w_tilde
+    return w_bb, alpha, _frobenius_sq(w @ w_bb)
+
+
+def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
+                   sigma: np.ndarray) -> dict:
+    """Link metrics over a leading candidate axis (see MetricsRecord)."""
+    singular = sigma[:, -1] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(singular, math.inf, sigma[:, 0] / sigma[:, -1])
+        alpha_power = alpha**2
+        sinr = alpha_power / noise_power
+        sinr_db = np.where(sinr > 0, 10.0 * np.log10(sinr), -math.inf)
+        coupling_db = 10.0 * np.log10(np.abs(h) ** 2)
+    return {
+        "condition_number": kappa,
+        "singular": singular,
+        "alpha_power": alpha_power,
+        "common_sinr_db": sinr_db,
+        "sum_rate": h.shape[-1] * np.log2(1.0 + sinr),
+        "coupling_db": coupling_db,
+    }
+
+
+def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
+                    noise_power: float) -> np.ndarray:
+    """Post-RZF sum rate of every candidate in a batch: h is C x K x K
+    effective channels, w the C x N x K analog matrices (both contiguous).
+    Candidate c gets exactly the bits that rzf_precoder followed by
+    link_metrics give it alone."""
+    sigma = np.linalg.svd(h, compute_uv=False)
+    _, alpha, _ = _rzf_batch(h, w, tx_power, epsilon, sigma)
+    return _metrics_batch(h, alpha, noise_power, sigma)["sum_rate"]
+
+
 def rzf_precoder(
     h_eff: ChannelMatrix, w_rf: np.ndarray, tx_power: float, epsilon: float
 ) -> PrecodingResult:
@@ -70,36 +154,19 @@ def rzf_precoder(
         raise AirylinkError(f"epsilon must be nonnegative, got {epsilon}")
     if tx_power <= 0:
         raise AirylinkError(f"tx_power must be positive, got {tx_power}")
-    h = h_eff.entries
-    k = h.shape[0]
-    w = np.asarray(w_rf, dtype=complex)
-    if w.shape[1] != k:
-        raise AirylinkError(f"analog matrix has {w.shape[1]} beams, channel expects {k}")
+    h = _stack(h_eff.entries)
+    k = h.shape[-1]
+    w = _stack(w_rf)
+    if w.shape[-1] != k:
+        raise AirylinkError(f"analog matrix has {w.shape[-1]} beams, channel expects {k}")
 
     sigma = np.linalg.svd(h, compute_uv=False)
-    if epsilon == 0.0 and sigma[-1] <= _SINGULAR_RCOND * sigma[0]:
-        raise SingularChannelError(
-            "effective channel is numerically singular; zero-forcing would "
-            "divide by a vanishing singular value (use epsilon > 0 or change geometry)",
-            sigma_min=float(sigma[-1]),
-        )
-    gram = h @ h.conj().T + epsilon * np.eye(k)
-    w_tilde = h.conj().T @ np.linalg.inv(gram)
-
-    norm_sq = float(np.linalg.norm(w @ w_tilde, "fro") ** 2)
-    if norm_sq == 0.0:
-        raise SingularChannelError(
-            "precoder is identically zero; cannot normalize transmit power",
-            sigma_min=float(sigma[-1]),
-        )
-    alpha = math.sqrt(tx_power / norm_sq)
-    w_bb = alpha * w_tilde
-    achieved = float(np.linalg.norm(w @ w_bb, "fro") ** 2)
+    w_bb, alpha, achieved = _rzf_batch(h, w, tx_power, epsilon, sigma)
     return PrecodingResult(
-        baseband=w_bb,
-        alpha=alpha,
-        product_check=h @ w_bb,
-        achieved_power=achieved,
+        baseband=w_bb[0],
+        alpha=float(alpha[0]),
+        product_check=h[0] @ w_bb[0],
+        achieved_power=float(achieved[0]),
     )
 
 
@@ -109,29 +176,19 @@ def link_metrics(
     """Condition number, common SINR, sum rate, and coupling powers."""
     if noise_power <= 0:
         raise AirylinkError(f"noise_power must be positive, got {noise_power}")
-    h = h_eff.entries
-    k = h.shape[0]
+    h = _stack(h_eff.entries)
+    k = h.shape[-1]
     if precoding.baseband.shape != (k, k):
         raise AirylinkError("precoder and channel dimensions disagree")
 
     sigma = np.linalg.svd(h, compute_uv=False)
-    singular = sigma[-1] == 0.0
-    kappa = math.inf if singular else float(sigma[0] / sigma[-1])
-
-    alpha_power = precoding.alpha**2
-    sinr = alpha_power / noise_power
-    sinr_db = 10.0 * math.log10(sinr) if sinr > 0 else -math.inf
-    sum_rate = k * math.log2(1.0 + sinr)
-
-    with np.errstate(divide="ignore"):
-        coupling_db = 10.0 * np.log10(np.abs(h) ** 2)
-
+    m = _metrics_batch(h, np.array([precoding.alpha]), noise_power, sigma)
     return MetricsRecord(
-        condition_number=kappa,
-        singular_values=tuple(float(s) for s in sigma),
-        alpha_power=float(alpha_power),
-        common_sinr_db=float(sinr_db),
-        sum_rate=float(sum_rate),
-        coupling_db=coupling_db,
-        singular=singular,
+        condition_number=float(m["condition_number"][0]),
+        singular_values=tuple(float(s) for s in sigma[0]),
+        alpha_power=float(m["alpha_power"][0]),
+        common_sinr_db=float(m["common_sinr_db"][0]),
+        sum_rate=float(m["sum_rate"][0]),
+        coupling_db=m["coupling_db"][0],
+        singular=bool(m["singular"][0]),
     )

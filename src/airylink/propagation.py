@@ -44,6 +44,9 @@ __all__ = [
     "apply_mask",
     "propagate_blocked",
     "sample_field",
+    "sample_field_transpose",
+    "cascade_transpose",
+    "element_bins",
     "launch_aperture",
     "IntensityMap",
     "intensity_map",
@@ -55,6 +58,8 @@ __all__ = [
 # killing the super-Nyquist replicas of nearest-bin element deposition.
 LAUNCH_CUTOFF_SINE = 0.5
 _LAUNCH_ORDER = 8
+# Super-Gaussian exponent of the boundary absorber.
+_APOD_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,23 @@ def _apodization(grid: GridSpec) -> np.ndarray | None:
     w = 0.5 * grid.apod_width
     window = np.ones(grid.nx)
     border = x > x0
-    window[border] = np.exp(-(((x[border] - x0) / w) ** _LAUNCH_ORDER))
+    window[border] = np.exp(-(((x[border] - x0) / w) ** _APOD_ORDER))
     return window
+
+
+def element_bins(array: ArrayGeometry, grid: GridSpec) -> list[int]:
+    """Grid index nearest to each element; raises GridError for an element
+    outside the usable window."""
+    half = grid.interior_half_width
+    bins = []
+    for idx, ex in enumerate(array.element_x()):
+        if abs(ex) >= half:
+            raise GridError(
+                f"element {idx} at x={ex:.4e} m falls outside the usable window "
+                f"(|x| < {half:.4e} m)"
+            )
+        bins.append(int(round(ex / grid.dx)) + grid.nx // 2)
+    return bins
 
 
 def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexField:
@@ -110,21 +130,31 @@ def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexFiel
     w = np.asarray(weights, dtype=complex)
     if w.shape != (array.n,):
         raise GridError(f"expected {array.n} weights, got shape {w.shape}")
-    half = grid.interior_half_width
     samples = np.zeros(grid.nx, dtype=complex)
-    for idx, (ex, wn) in enumerate(zip(array.element_x(), w)):
-        if abs(ex) >= half:
-            raise GridError(
-                f"element {idx} at x={ex:.4e} m falls outside the usable window "
-                f"(|x| < {half:.4e} m)"
-            )
-        bin_ = int(round(ex / grid.dx)) + grid.nx // 2
+    for bin_, wn in zip(element_bins(array, grid), w):
         samples[bin_] += wn / grid.dx
     return ComplexField(samples=samples, grid=grid, depth=0.0)
 
 
-def band_limit(field: ComplexField, cutoff_sine: float = LAUNCH_CUTOFF_SINE,
-               wavelength: float | None = None) -> ComplexField:
+def _launch_filter(grid: GridSpec, wavelength: float, cutoff_sine: float) -> np.ndarray:
+    sine = np.abs(wavelength * grid_fx(grid))
+    return np.exp(-((sine / cutoff_sine) ** _LAUNCH_ORDER))
+
+
+def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
+    return np.exp(1j * math.pi * wavelength * distance * grid_fx(grid) ** 2)
+
+
+def _clear_side(grid: GridSpec, obstacle: KnifeEdgeObstacle) -> np.ndarray:
+    """Boolean mask of the samples the knife edge lets through."""
+    x = grid_x(grid)
+    if obstacle.blocked_side == "below_edge":
+        return x > obstacle.edge_x
+    return x < obstacle.edge_x
+
+
+def band_limit(field: ComplexField, wavelength: float,
+               cutoff_sine: float = LAUNCH_CUTOFF_SINE) -> ComplexField:
     """Launch-side angular acceptance filter.
 
     Nearest-bin spikes are spectrally white: most of their energy lies at
@@ -134,14 +164,9 @@ def band_limit(field: ComplexField, cutoff_sine: float = LAUNCH_CUTOFF_SINE,
     angular range (8th-order super-Gaussian in |lambda f_x|, cutoff at
     `cutoff_sine`) and is applied once when a codebook column is launched --
     the propagator itself stays exactly unitary.
-
-    `wavelength` defaults to 16*dx (the package default grid has dx =
-    lambda/16); pass it explicitly for non-default grids.
     """
-    lam = 16.0 * field.grid.dx if wavelength is None else wavelength
     spectrum = np.fft.fft(field.samples)
-    sine = np.abs(lam * grid_fx(field.grid))
-    spectrum *= np.exp(-((sine / cutoff_sine) ** _LAUNCH_ORDER))
+    spectrum *= _launch_filter(field.grid, wavelength, cutoff_sine)
     return ComplexField(np.fft.ifft(spectrum), field.grid, field.depth)
 
 
@@ -159,8 +184,7 @@ def propagate_angular_spectrum(
     if distance < 0:
         raise AirylinkError(f"propagation distance must be nonnegative, got {distance}")
     k0 = 2.0 * math.pi / wavelength
-    fx = grid_fx(field.grid)
-    tf = np.exp(1j * math.pi * wavelength * distance * fx**2)
+    tf = _transfer_function(field.grid, distance, wavelength)
     out = np.fft.ifft(np.fft.fft(field.samples) * tf)
     out *= np.exp(-1j * k0 * distance)
     apod = _apodization(field.grid)
@@ -176,21 +200,29 @@ def propagate_direct_fresnel(
 
     E(x) = sqrt(j/(lambda z)) e^{-j k0 z} * sum E0(x') e^{-j k0 (x-x')^2/(2z)} dx'
 
-    O(Nx^2); evaluated in row blocks to bound memory.
+    O(Nx^2) and FFT-free. On a uniform grid the kernel depends only on the
+    index difference i - j, so its 2 Nx - 1 distinct values are computed
+    once and row i of the kernel is gathered as a contiguous slice of them
+    (reversed, so it meets the reversed field); rows go in blocks to bound
+    memory.
     """
     if distance <= 0:
         raise AirylinkError("direct Fresnel quadrature needs distance > 0; use the field as-is for z=0")
     grid = field.grid
+    nx = grid.nx
     k0 = 2.0 * math.pi / wavelength
-    x = grid_x(grid)
     pref = np.sqrt(1j / (wavelength * distance)) * np.exp(-1j * k0 * distance) * grid.dx
-    out = np.empty(grid.nx, dtype=complex)
+    offsets = np.arange(-(nx - 1), nx) * grid.dx
+    # values[m + nx - 1] is the kernel at x_i - x_j = m dx, so row i of the
+    # kernel, reversed, is values[i : i + nx].
+    values = np.exp(-1j * k0 * offsets**2 / (2.0 * distance))
+    rows = np.lib.stride_tricks.sliding_window_view(values, nx)
+    reversed_samples = field.samples[::-1]
+    out = np.empty(nx, dtype=complex)
     block = 256
-    for start in range(0, grid.nx, block):
-        stop = min(start + block, grid.nx)
-        diff = x[start:stop, None] - x[None, :]
-        kernel = np.exp(-1j * k0 * diff**2 / (2.0 * distance))
-        out[start:stop] = kernel @ field.samples
+    for start in range(0, nx, block):
+        stop = min(start + block, nx)
+        out[start:stop] = np.ascontiguousarray(rows[start:stop]) @ reversed_samples
     out *= pref
     apod = _apodization(grid)
     if apod is not None:
@@ -205,11 +237,7 @@ def apply_mask(field: ComplexField, obstacle: KnifeEdgeObstacle) -> ComplexField
             f"mask applied at depth {field.depth:.6e} m but the obstacle sits at "
             f"{obstacle.depth:.6e} m; propagate to the obstacle plane first"
         )
-    x = grid_x(field.grid)
-    if obstacle.blocked_side == "below_edge":
-        keep = x > obstacle.edge_x
-    else:
-        keep = x < obstacle.edge_x
+    keep = _clear_side(field.grid, obstacle)
     return ComplexField(np.where(keep, field.samples, 0.0 + 0.0j), field.grid, field.depth)
 
 
@@ -235,18 +263,70 @@ def propagate_blocked(
     return propagate_angular_spectrum(masked, target_depth - obstacle.depth, wavelength)
 
 
-def sample_field(field: ComplexField, x: float) -> complex:
-    """Linear interpolation of the field at transverse position x (meters)."""
-    half = field.grid.interior_half_width
+def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
+    """Lower sample index and fractional offset of position x."""
+    half = grid.interior_half_width
     if abs(x) >= half:
         raise AirylinkError(
             f"sample point x={x:.4e} m outside the usable window (|x| < {half:.4e} m)"
         )
-    pos = x / field.grid.dx + field.grid.nx // 2
+    pos = x / grid.dx + grid.nx // 2
     low = int(math.floor(pos))
-    frac = pos - low
+    return low, pos - low
+
+
+def sample_field(field: ComplexField, x: float) -> complex:
+    """Linear interpolation of the field at transverse position x (meters)."""
+    low, frac = _interpolation(field.grid, x)
     s = field.samples
     return complex((1.0 - frac) * s[low] + frac * s[low + 1])
+
+
+def sample_field_transpose(grid: GridSpec, x: float) -> np.ndarray:
+    """The row vector that sample_field applies: sample_field(f, x) equals
+    sample_field_transpose(f.grid, x) @ f.samples."""
+    low, frac = _interpolation(grid, x)
+    probe = np.zeros(grid.nx, dtype=complex)
+    probe[low] = 1.0 - frac
+    probe[low + 1] = frac
+    return probe
+
+
+def cascade_transpose(
+    probe: np.ndarray,
+    grid: GridSpec,
+    obstacle: KnifeEdgeObstacle | None,
+    target_depth: float,
+    wavelength: float,
+) -> np.ndarray:
+    """Transpose of the launch cascade, band_limit then propagate_blocked from
+    depth 0 to `target_depth`, seen as a linear map on the aperture samples.
+
+    `probe` lives on the target plane and the result on the aperture plane:
+    for any aperture samples a, probe @ cascade(a) == result @ a. Each leg
+    ifft(fft(.) * H) transposes to fft(ifft(.) * H) because the DFT matrix is
+    symmetric; the phase, absorber and mask are diagonal and transpose to
+    themselves. The launch filter shares one FFT pair with the first leg.
+    """
+    if target_depth <= 0:
+        raise AirylinkError(f"target depth must be positive, got {target_depth}")
+    k0 = 2.0 * math.pi / wavelength
+    apod = _apodization(grid)
+
+    def leg(v: np.ndarray, distance: float, spectral: np.ndarray) -> np.ndarray:
+        v = v * np.exp(-1j * k0 * distance)
+        if apod is not None:
+            v = v * apod
+        return np.fft.fft(np.fft.ifft(v) * spectral)
+
+    launch = _launch_filter(grid, wavelength, LAUNCH_CUTOFF_SINE)
+    v = np.asarray(probe, dtype=complex)
+    if obstacle is None or target_depth <= obstacle.depth:
+        return leg(v, target_depth, _transfer_function(grid, target_depth, wavelength) * launch)
+    second = target_depth - obstacle.depth
+    v = leg(v, second, _transfer_function(grid, second, wavelength))
+    v = np.where(_clear_side(grid, obstacle), v, 0.0 + 0.0j)
+    return leg(v, obstacle.depth, _transfer_function(grid, obstacle.depth, wavelength) * launch)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def robustness_result(mixed_scenario):
 @pytest.fixture(scope="session")
 def mixed_opt_result(mixed_scenario):
     """The full coarse-to-fine search plus diagnostics (the slow fixture)."""
-    return run_mixed_optimization(mixed_scenario, workers=4)
+    return run_mixed_optimization(mixed_scenario)
 
 
 @pytest.fixture()

