@@ -153,6 +153,8 @@ def _metrics_for(scenario: ScenarioConfig, h_eff: ChannelMatrix,
 def _sweep_values(start: float, stop: float, step: float) -> list:
     """Inclusive arithmetic progression built from integer multiples, so the
     endpoint lands exactly and values are reproducible bit for bit."""
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"sweep step must be a positive finite number, got {step}")
     n = round((stop - start) / step)
     if not math.isclose(start + n * step, stop, rel_tol=0, abs_tol=1e-9 * abs(step)):
         raise ConfigError(
@@ -257,17 +259,18 @@ def run_mixed_optimization(
     comparing the winner against the geometric design."""
     if grids is None:
         grids = default_search_grids()
+    # Angle-offset diagnostic around the winner, at the winning (bending,
+    # focal); its axis is checked before the search runs.
+    lo = math.degrees(grids.coarse_dtheta[0])
+    hi = math.degrees(grids.coarse_dtheta[-1])
+    dthetas = _sweep_values(lo, hi, dtheta_step_deg)
+
     scale, residual = remark1_calibration(scenario.without_obstacle())
     outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
     h_phys = diffraction_channel(scenario)
-
-    # Angle-offset diagnostic around the winner, at the winning (bending, focal).
-    lo = math.degrees(grids.coarse_dtheta[0])
-    hi = math.degrees(grids.coarse_dtheta[-1])
-    dthetas = _sweep_values(lo, hi, dtheta_step_deg)
 
     def point(dtheta_deg: float):
         params = AiryParams(

@@ -81,6 +81,19 @@ def _open_csv(path):
     return f, csv.writer(f, lineterminator="\n")
 
 
+def _write_float_rows(f, matrix) -> None:
+    """Write a 2-D float matrix as CSV lines, one row at a time.
+
+    '%.12g' gives every finite float, inf and nan the same text as fmt, so
+    each line matches what csv.writer would write from fmt(float(v)) cells.
+    Rows are converted one by one; the whole matrix never becomes one list.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    line = ",".join(["%.12g"] * matrix.shape[1]) + "\n"
+    for row in matrix:
+        f.write(line % tuple(row.tolist()))
+
+
 def _metrics_row(tag: str, value: float, rec: MetricsRecord) -> list:
     k = rec.coupling_db.shape[0]
     sigma_max, sigma_min = rec.singular_values[0], rec.singular_values[-1]
@@ -168,10 +181,8 @@ def write_channel_csv(path, matrix: ChannelMatrix, scenario: ScenarioConfig) -> 
 def write_intensity_map(path, imap: IntensityMap, scenario: ScenarioConfig) -> None:
     """Plain dB matrix (rows = depth, columns = x) plus a .meta sidecar."""
     path = Path(path)
-    f, w = _open_csv(path)
-    with f:
-        for row in imap.db:
-            w.writerow(fmt(float(v)) for v in row)
+    with path.open("w", newline="") as f:
+        _write_float_rows(f, imap.db)
     grid = scenario.grid
     meta = {
         "grid": {
@@ -213,9 +224,7 @@ def write_codebook_csv(path, book: Codebook) -> None:
     f, w = _open_csv(path)
     with f:
         w.writerow([f"beam_{j + 1}_phase_rad" for j in range(len(book.beams))])
-        phases = np.column_stack([b.phases for b in book.beams])
-        for row in phases:
-            w.writerow(fmt(float(v)) for v in row)
+        _write_float_rows(f, np.column_stack([b.phases for b in book.beams]))
 
 
 def write_field_cut_csv(path, cut: FieldCut) -> None:

@@ -181,16 +181,25 @@ def propagate_angular_spectrum(
 ) -> ComplexField:
     """Fresnel propagation by FFT: transform, multiply by
     exp(-j k0 z) exp(+j pi lambda z f^2), transform back, apodize."""
+    out = _propagate_spectrum(np.fft.fft(field.samples), field.grid, distance,
+                              wavelength, _apodization(field.grid))
+    return ComplexField(out, field.grid, field.depth + distance)
+
+
+def _propagate_spectrum(spectrum: np.ndarray, grid: GridSpec, distance: float,
+                        wavelength: float, apod: np.ndarray | None) -> np.ndarray:
+    """The second half of propagate_angular_spectrum: the samples at
+    `distance` from a field whose FFT is `spectrum`, with `apod` the grid's
+    absorber. Callers that propagate one field to many depths transform it
+    once and pass the window once."""
     if distance < 0:
         raise AirylinkError(f"propagation distance must be nonnegative, got {distance}")
     k0 = 2.0 * math.pi / wavelength
-    tf = _transfer_function(field.grid, distance, wavelength)
-    out = np.fft.ifft(np.fft.fft(field.samples) * tf)
+    out = np.fft.ifft(spectrum * _transfer_function(grid, distance, wavelength))
     out *= np.exp(-1j * k0 * distance)
-    apod = _apodization(field.grid)
     if apod is not None:
         out = out * apod
-    return ComplexField(out, field.grid, field.depth + distance)
+    return out
 
 
 def propagate_direct_fresnel(
@@ -351,18 +360,38 @@ def intensity_map(
     floor_db: float = -60.0,
 ) -> IntensityMap:
     """Propagated |E|^2 in dB over a list of depths (rows), normalized so the
-    global maximum is exactly 0 dB and clipped at `floor_db`."""
+    global maximum is exactly 0 dB and clipped at `floor_db`.
+
+    Row i is |propagate_blocked(aperture, obstacle, depths[i], wavelength)|^2
+    bit for bit, but the cascade runs once: the aperture spectrum and the
+    masked obstacle-plane spectrum are each taken once, so every depth costs
+    one inverse FFT.
+    """
     depths = [float(d) for d in depths]
     if not depths:
         raise AirylinkError("intensity_map needs at least one depth")
     if any(d <= 0 for d in depths):
         raise AirylinkError("all depths must be positive")
-    if sorted(depths) != depths:
+    if any(b <= a for a, b in zip(depths, depths[1:])):
         raise AirylinkError("depths must be strictly increasing")
-    rows = np.empty((len(depths), aperture.grid.nx))
+    grid = aperture.grid
+    apod = _apodization(grid)
+    spectrum = np.fft.fft(aperture.samples)
+    if obstacle is not None and depths[-1] > obstacle.depth:
+        at_obstacle = propagate_angular_spectrum(
+            aperture, obstacle.depth - aperture.depth, wavelength
+        )
+        masked_spectrum = np.fft.fft(apply_mask(at_obstacle, obstacle).samples)
+    rows = np.empty((len(depths), grid.nx))
     for i, depth in enumerate(depths):
-        out = propagate_blocked(aperture, obstacle, depth, wavelength)
-        rows[i] = np.abs(out.samples) ** 2
+        # Same boundary rule as propagate_blocked: a depth at or before the
+        # obstacle plane is propagated unmasked.
+        if obstacle is None or depth <= obstacle.depth:
+            out = _propagate_spectrum(spectrum, grid, depth - aperture.depth, wavelength, apod)
+        else:
+            out = _propagate_spectrum(masked_spectrum, grid, depth - obstacle.depth,
+                                      wavelength, apod)
+        rows[i] = np.abs(out) ** 2
     peak = float(rows.max())
     if peak <= 0:
         raise AirylinkError("field is identically zero; cannot normalize the map")

@@ -58,6 +58,25 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "lambda/4" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "0"],
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "-2"],
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "nan"],
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "inf"],
+        ["baseline", "--config", BASELINE, "--step", "0"],
+        ["shadow", "--config", SHADOW, "--step", "0"],
+        ["robustness", "--config", MIXED, "--step", "0"],
+        ["mixed-opt", "--config", MIXED, "--step", "0"],
+    ], ids=["fieldmap-0", "fieldmap-neg", "fieldmap-nan", "fieldmap-inf",
+            "baseline", "shadow", "robustness", "mixed-opt"])
+    def test_bad_sweep_step_is_a_config_error(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "sweep step" in err
+        assert not list(tmp_path.iterdir())
+
     def test_fieldmap_rejects_unknown_strategy(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["fieldmap", "--config", SHADOW, "--out", str(tmp_path),

@@ -1,11 +1,19 @@
 """Deterministic file output: formatting, hashing, and the CSV writers."""
 
+import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from airylink import ChannelMatrix, MetricsRecord, SweepResult, build_codebook
+from airylink import (
+    ChannelMatrix,
+    IntensityMap,
+    MetricsRecord,
+    SweepResult,
+    build_codebook,
+)
 from airylink.channels import GREENS_FREE_SPACE
 from airylink.io import (
     fmt,
@@ -152,6 +160,74 @@ class TestWriteIntensityMap:
         assert "[grid]" in meta and "[map]" in meta and "[depths]" in meta
         assert "rows = 2" in meta
         assert meta.count("z_m = ") == 2
+
+
+def per_cell_csv(path, matrix, header=None) -> bytes:
+    """The float-matrix writer the row formatter replaced: csv.writer with
+    fmt(float(v)) per cell. Returns the bytes it writes to `path`."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        if header is not None:
+            w.writerow(header)
+        for row in matrix:
+            w.writerow(fmt(float(v)) for v in row)
+    return path.read_bytes()
+
+
+def awkward_matrix() -> np.ndarray:
+    """Signed zeros, the dB floor, both sides of a 12-digit rounding
+    boundary that carries into a new decade, extreme magnitudes and the
+    non-finite values."""
+    boundary = 9.999999999995
+    cells = [0.0, -0.0, -60.0, np.nextafter(boundary, 0.0), np.nextafter(boundary, 20.0),
+             -np.nextafter(boundary, 0.0), 1e-300, 5e-324, 1.0e16, 123456789012.5,
+             math.inf, -math.inf, math.nan, -3.14159265358979, 0.1, 2.0 / 3.0]
+    return np.array(cells).reshape(4, 4)
+
+
+class TestFloatRowsMatchPerCellWriter:
+    def test_awkward_values_in_a_map(self, tmp_path, baseline_scenario):
+        matrix = awkward_matrix()
+        imap = IntensityMap(db=matrix, depths=(1.0, 2.0, 3.0, 4.0), peak=1.0,
+                            floor_db=-60.0)
+        write_intensity_map(tmp_path / "map.csv", imap, baseline_scenario)
+        expected = per_cell_csv(tmp_path / "ref.csv", matrix)
+        assert expected.startswith(b"0,-0,-60,9.99999999999\n10,")
+        assert b",inf,-inf\nnan," in expected
+        assert (tmp_path / "map.csv").read_bytes() == expected
+
+    def test_awkward_values_in_a_codebook(self, tmp_path):
+        matrix = awkward_matrix()
+        book = SimpleNamespace(beams=[SimpleNamespace(phases=matrix[:, j])
+                                      for j in range(matrix.shape[1])])
+        write_codebook_csv(tmp_path / "book.csv", book)
+        header = [f"beam_{j + 1}_phase_rad" for j in range(matrix.shape[1])]
+        expected = per_cell_csv(tmp_path / "ref.csv", matrix, header)
+        assert (tmp_path / "book.csv").read_bytes() == expected
+
+    def test_real_codebook(self, tmp_path, shadow_scenario):
+        from airylink import geometric_baseline_params
+
+        book = build_codebook(shadow_scenario, "mixed",
+                              airy_params=geometric_baseline_params(shadow_scenario))
+        write_codebook_csv(tmp_path / "book.csv", book)
+        header = [f"beam_{j + 1}_phase_rad" for j in range(len(book.beams))]
+        phases = np.column_stack([b.phases for b in book.beams])
+        expected = per_cell_csv(tmp_path / "ref.csv", phases, header)
+        assert (tmp_path / "book.csv").read_bytes() == expected
+
+    def test_shadow_fieldmap(self, tmp_path, shadow_scenario):
+        import dataclasses
+
+        from airylink import run_fieldmap
+
+        grid = dataclasses.replace(shadow_scenario.grid, nx=1024)
+        scenario = dataclasses.replace(shadow_scenario, grid=grid)
+        imap = run_fieldmap(scenario, "airy_geo")
+        assert imap.db.shape == (196, 1024)
+        write_intensity_map(tmp_path / "map.csv", imap, scenario)
+        expected = per_cell_csv(tmp_path / "ref.csv", imap.db)
+        assert (tmp_path / "map.csv").read_bytes() == expected
 
 
 class TestWriteTraceCsv:

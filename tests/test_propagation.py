@@ -381,11 +381,46 @@ class TestIntensityMap:
         m = intensity_map(f, None, [100 * lam], lam, floor_db=-40.0)
         assert m.db.min() == -40.0
 
-    @pytest.mark.parametrize("depths", [[], [-1.0], [2.0, 1.0]])
+    @pytest.mark.parametrize("depths", [[], [-1.0], [2.0, 1.0], [1.0, 1.0]])
     def test_bad_depth_lists_rejected(self, grid_std, array64, lam, depths):
         f = launch_aperture(np.ones(64, dtype=complex), array64, grid_std, lam)
         with pytest.raises(AirylinkError):
             intensity_map(f, None, depths, lam)
+
+
+class TestIntensityMapCascade:
+    """intensity_map runs the blocked cascade once per map in the spectral
+    domain; the oracle is the per-depth propagate_blocked call it replaced.
+    Both sides go through the same unclipped dB normalization, and every row
+    must match bit for bit."""
+
+    @staticmethod
+    def per_depth_map(aperture, obstacle, depths, lam):
+        rows = np.array([np.abs(propagate_blocked(aperture, obstacle, d, lam).samples) ** 2
+                         for d in depths])
+        peak = float(rows.max())
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(rows / peak), peak
+
+    @pytest.mark.parametrize("blocked", [True, False], ids=["obstacle", "no_obstacle"])
+    def test_rows_match_propagate_blocked(self, shadow_scenario, lam, blocked):
+        from airylink import build_codebook
+
+        book = build_codebook(shadow_scenario, "trad_all")
+        f = launch_aperture(book.beams[0].weights, shadow_scenario.array,
+                            shadow_scenario.grid, lam)
+        obstacle = shadow_scenario.obstacle if blocked else None
+        edge = shadow_scenario.obstacle.depth
+        # before the obstacle, exactly on its plane (propagated unmasked),
+        # and after it
+        depths = [10 * lam, edge - 0.5 * lam, edge, edge + lam / 16,
+                  250 * lam, 400 * lam]
+        m = intensity_map(f, obstacle, depths, lam, floor_db=-np.inf)
+        db, peak = self.per_depth_map(f, obstacle, depths, lam)
+        assert m.peak == peak
+        assert m.depths == tuple(depths)
+        for i in range(len(depths)):
+            assert np.array_equal(m.db[i], db[i]), f"row {i} at depth {depths[i]!r}"
 
 
 class TestShadowZone:
