@@ -29,7 +29,12 @@ import numpy as np
 
 from .errors import AirylinkError, ConfigError, GridError, ModelMismatchError
 from .geometry import ScenarioConfig
-from .propagation import cascade_transpose, element_bins, sample_field_transpose
+from .propagation import (
+    CascadeFactors,
+    cascade_transpose,
+    element_bins,
+    sample_field_transpose,
+)
 
 __all__ = [
     "ChannelMatrix",
@@ -150,8 +155,10 @@ def _amplitude_conversion(wavelength: float, depth: float) -> float:
     return wavelength**1.5 / (4.0 * math.pi * math.sqrt(depth))
 
 
-def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
-    """Wave-optics physical channel (K x N, uncalibrated).
+def _channel_builder(scenario: ScenarioConfig):
+    """The diffraction channel of the scenario's grid, array, obstacle and
+    wavelength as a function of the users: users -> K x N ChannelMatrix
+    (uncalibrated).
 
     Row k maps element weights to user k's sample of the launched,
     knife-edge-diffracted field, converted to the closed-form amplitude
@@ -161,23 +168,39 @@ def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
     or before the obstacle plane), the launch filter, then a gather at the
     element bins divided by dx -- the transpose of the unit-area spikes that
     embed_aperture deposits.
+
+    A builder makes each cascade factor once and keeps finished rows by the
+    user's (x, z), so a sweep that moves one user builds the other user's
+    row once. It lives for one experiment call; nothing outlives it.
     """
-    half = scenario.grid.interior_half_width
-    for u in scenario.users:
-        if abs(u.x) >= half:
-            raise ConfigError(
-                f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
-                f"(|x| < {half:.4e} m)"
-            )
-    grid = scenario.grid
-    lam = scenario.carrier.wavelength
+    grid, obstacle, lam = scenario.grid, scenario.obstacle, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)
-    rows = []
-    for u in scenario.users:
-        probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
-        back = cascade_transpose(probe, grid, scenario.obstacle, u.z, lam)
-        rows.append(back[bins] / grid.dx)
-    return ChannelMatrix(np.vstack(rows), model=FRESNEL_DIFFRACTION, kind="physical")
+    factors = CascadeFactors(grid, lam)
+    rows = {}
+
+    def channel(users) -> ChannelMatrix:
+        half = grid.interior_half_width
+        for u in users:
+            if abs(u.x) >= half:
+                raise ConfigError(
+                    f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
+                    f"(|x| < {half:.4e} m)"
+                )
+        for u in users:
+            if (u.x, u.z) not in rows:
+                probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
+                back = cascade_transpose(probe, factors, obstacle, u.z)
+                rows[(u.x, u.z)] = back[bins] / grid.dx
+        entries = np.vstack([rows[(u.x, u.z)] for u in users])
+        return ChannelMatrix(entries, model=FRESNEL_DIFFRACTION, kind="physical")
+
+    return channel
+
+
+def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
+    """Wave-optics physical channel (K x N, uncalibrated) of the scenario's
+    users; see _channel_builder."""
+    return _channel_builder(scenario)(scenario.users)
 
 
 def beam_column(

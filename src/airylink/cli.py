@@ -49,17 +49,16 @@ def _common_flags(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
                    help="override grid sample count (power of two)")
 
 
-def _workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads for sweep points (default: CPU count)")
-
-
 def _load(args) -> ScenarioConfig:
     scenario = load_scenario(args.config)
     if args.nx is not None:
         scenario = replace(scenario, grid=replace(scenario.grid, nx=args.nx))
         validate_scenario(scenario)
     return scenario
+
+
+def _step_override(args) -> dict:
+    return {} if args.step is None else {"step_lambda": args.step}
 
 
 def _report(paths) -> None:
@@ -69,10 +68,7 @@ def _report(paths) -> None:
 
 def _cmd_baseline(args) -> int:
     scenario = _load(args)
-    kwargs = {"workers": args.workers}
-    if args.step is not None:
-        kwargs["step_lambda"] = args.step
-    sweep = run_baseline_scan(scenario, **kwargs)
+    sweep = run_baseline_scan(scenario, **_step_override(args))
     out = Path(args.out)
     paths = aio.write_sweep_csv(out, "baseline_vs_x2", sweep, scenario)
 
@@ -100,10 +96,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_shadow(args) -> int:
     scenario = _load(args)
-    kwargs = {"workers": args.workers}
-    if args.step is not None:
-        kwargs["step_lambda"] = args.step
-    sweep = run_shadow_scan(scenario, **kwargs)
+    sweep = run_shadow_scan(scenario, **_step_override(args))
     out = Path(args.out)
     paths = aio.write_sweep_csv(out, "shadow_vs_x2", sweep, scenario)
 
@@ -127,6 +120,25 @@ def _cmd_shadow(args) -> int:
     })
     _report(paths + [angle_path, out / "shadow.meta"])
     return 0
+
+
+def _fine_edge_flags(search, theta_geo: float) -> dict:
+    """Per search axis, whether the winner sits on the edge of the fine
+    stage: its coordinate equals the minimum or maximum of that axis among
+    the fine-stage trace entries (false when there was no fine stage). A
+    winner on the edge may have a better neighbour outside the grid."""
+    fine = [e for e in search.trace if e.stage == "fine"]
+    best = search.best_params
+    axes = (
+        ("bending", best.bending, [e.bending for e in fine]),
+        ("focal", best.focal, [e.focal for e in fine]),
+        # The winner's launch angle is theta_geo + its trace offset, exactly.
+        ("dtheta", best.launch_angle, [theta_geo + e.dtheta for e in fine]),
+    )
+    return {
+        f"{name}_on_fine_edge": bool(axis) and value in (min(axis), max(axis))
+        for name, value, axis in axes
+    }
 
 
 def _cmd_mixed_opt(args) -> int:
@@ -160,6 +172,7 @@ def _cmd_mixed_opt(args) -> int:
             "threshold": result.search.threshold,
             "evaluations": result.search.evaluations,
             "rejected_by_constraint": result.search.rejected_by_constraint,
+            **_fine_edge_flags(result.search, theta_geo),
         },
         "calibration": {
             "scale_re": result.calibration_scale.real,
@@ -179,10 +192,7 @@ def _cmd_mixed_opt(args) -> int:
 
 def _cmd_robustness(args) -> int:
     scenario = _load(args)
-    kwargs = {"workers": args.workers}
-    if args.step is not None:
-        kwargs["step_lambda"] = args.step
-    sweep = run_robustness_sweep(scenario, **kwargs)
+    sweep = run_robustness_sweep(scenario, **_step_override(args))
     out = Path(args.out)
     paths = aio.write_sweep_csv(out, "robustness_vs_dx2", sweep, scenario)
 
@@ -297,12 +307,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("baseline", help="free-space lateral scan of user 2")
     _common_flags(p)
-    _workers_flag(p)
     p.set_defaults(fn=_cmd_baseline)
 
     p = sub.add_parser("shadow", help="obstructed scan: traditional vs curved codebook")
     _common_flags(p)
-    _workers_flag(p)
     p.set_defaults(fn=_cmd_shadow)
 
     p = sub.add_parser("mixed-opt", help="curved-beam parameter search + diagnostics")
@@ -313,7 +321,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("robustness", help="positioning-error sweep with frozen beams")
     _common_flags(p)
-    _workers_flag(p)
     p.set_defaults(fn=_cmd_robustness)
 
     p = sub.add_parser("fieldmap", help="intensity map of one beam over depth")

@@ -16,17 +16,16 @@ Each runner turns one scenario family into a tabular sweep:
                      bright user, and measure how each strategy degrades.
 
 Every runner is pure given its config: identical inputs produce identical
-outputs (and therefore byte-identical CSVs downstream). The scan and
-robustness sweep points are independent, so they run on a thread pool and
-are reassembled by index; the mixed-optimization angle sweep runs serially
-on one precomputed channel matrix.
+outputs (and therefore byte-identical CSVs downstream). Sweep points run
+serially, in sweep order. The shadow scan and the robustness sweep build
+their diffraction channels through one channel builder per call, so the
+cascade factors and the fixed user's row are built once per sweep; the
+mixed-optimization angle sweep runs on one precomputed channel matrix.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ import numpy as np
 from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
 from .channels import (
     ChannelMatrix,
+    _channel_builder,
     diffraction_channel,
     effective_channel,
     effective_channel_greens,
@@ -163,21 +163,11 @@ def _sweep_values(start: float, stop: float, step: float) -> list:
     return [start + i * step for i in range(n + 1)]
 
 
-def _pool_map(fn, items, workers: int | None):
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
-
-
 def run_baseline_scan(
     scenario: ScenarioConfig,
     step_lambda: float = 0.5,
     start_lambda: float = -15.0,
     stop_lambda: float = 10.0,
-    workers: int | None = None,
 ) -> SweepResult:
     """Free-space two-user scan: user 2 slides along x at fixed depth.
 
@@ -199,8 +189,7 @@ def run_baseline_scan(
         h_eff = effective_channel_greens(greens_channel(s), book.matrix)
         return _metrics_for(s, h_eff, book.matrix)
 
-    records = _pool_map(point, xs, workers)
-    points = tuple((x, {"trad_all": r}) for x, r in zip(xs, records))
+    points = tuple((x, {"trad_all": point(x)}) for x in xs)
     return SweepResult(sweep_variable="x2_lambda", strategies=("trad_all",), points=points)
 
 
@@ -209,7 +198,6 @@ def run_shadow_scan(
     step_lambda: float = 0.5,
     start_lambda: float = -15.0,
     stop_lambda: float = -1.0,
-    workers: int | None = None,
     geo_params: AiryParams | None = None,
 ) -> SweepResult:
     """Blocked two-user scan comparing traditional and curved codebooks.
@@ -227,12 +215,13 @@ def run_shadow_scan(
         geo_params = geometric_baseline_params(scenario)
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
+    channel = _channel_builder(scenario)
 
     def point(x2_lambda: float):
         u2 = scenario.users[1]
         moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
         s = scenario.with_users((scenario.users[0], moved))
-        h_phys = diffraction_channel(s)
+        h_phys = channel(s.users)
         out = {}
         for name, strategy in (("trad_all", "trad_all"), ("airy_geo", "airy_geo")):
             book = build_codebook(s, strategy, airy_params=geo_params)
@@ -240,8 +229,7 @@ def run_shadow_scan(
             out[name] = _metrics_for(s, h_eff, book.matrix)
         return out
 
-    records = _pool_map(point, xs, workers)
-    points = tuple((x, recs) for x, recs in zip(xs, records))
+    points = tuple((x, point(x)) for x in xs)
     return SweepResult(
         sweep_variable="x2_lambda", strategies=("trad_all", "airy_geo"), points=points
     )
@@ -353,7 +341,6 @@ def run_robustness_sweep(
     scenario: ScenarioConfig,
     step_lambda: float = 0.25,
     span_lambda: float = 3.0,
-    workers: int | None = None,
 ) -> SweepResult:
     """Positioning-error sweep: all beams stay designed for the nominal
     user positions while the bright user's true position is displaced by
@@ -376,23 +363,23 @@ def run_robustness_sweep(
     }
     strategies = ("trad_all", "airy_geo", "airy_opt")
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
+    channel = _channel_builder(scenario)
 
     def point(dx_lambda: float):
         u2 = scenario.users[1]
         moved = UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label)
         s = scenario.with_users((scenario.users[0], moved))
-        h_phys = diffraction_channel(s)
+        h_phys = channel(s.users)
         out = {}
         for name in strategies:
             h_eff = effective_channel(h_phys, books[name], scale)
             out[name] = _metrics_for(s, h_eff, books[name])
         return out
 
-    records = _pool_map(point, dxs, workers)
     return SweepResult(
         sweep_variable="dx2_lambda",
         strategies=strategies,
-        points=tuple(zip(dxs, records)),
+        points=tuple((dx, point(dx)) for dx in dxs),
     )
 
 

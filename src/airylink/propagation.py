@@ -45,6 +45,7 @@ __all__ = [
     "propagate_blocked",
     "sample_field",
     "sample_field_transpose",
+    "CascadeFactors",
     "cascade_transpose",
     "element_bins",
     "launch_aperture",
@@ -301,15 +302,37 @@ def sample_field_transpose(grid: GridSpec, x: float) -> np.ndarray:
     return probe
 
 
+class CascadeFactors:
+    """The diagonal factors of the launch cascade on one grid at one
+    wavelength: the absorber, the launch filter and one spectral factor per
+    leg, each built on first use and kept only as long as the object, so a
+    caller that runs the cascade for many users builds each factor once."""
+
+    def __init__(self, grid: GridSpec, wavelength: float):
+        self.grid, self.wavelength = grid, wavelength
+        self.apod = _apodization(grid)
+        self.launch = _launch_filter(grid, wavelength, LAUNCH_CUTOFF_SINE)
+        self._spectral = {}
+
+    def spectral(self, distance: float, launch: bool) -> np.ndarray:
+        """H(distance), times the launch filter for the leg that ends at the
+        aperture."""
+        key = (distance, launch)
+        if key not in self._spectral:
+            h = _transfer_function(self.grid, distance, self.wavelength)
+            self._spectral[key] = h * self.launch if launch else h
+        return self._spectral[key]
+
+
 def cascade_transpose(
     probe: np.ndarray,
-    grid: GridSpec,
+    factors: CascadeFactors,
     obstacle: KnifeEdgeObstacle | None,
     target_depth: float,
-    wavelength: float,
 ) -> np.ndarray:
     """Transpose of the launch cascade, band_limit then propagate_blocked from
-    depth 0 to `target_depth`, seen as a linear map on the aperture samples.
+    depth 0 to `target_depth`, seen as a linear map on the aperture samples
+    of `factors.grid` at `factors.wavelength`.
 
     `probe` lives on the target plane and the result on the aperture plane:
     for any aperture samples a, probe @ cascade(a) == result @ a. Each leg
@@ -319,23 +342,20 @@ def cascade_transpose(
     """
     if target_depth <= 0:
         raise AirylinkError(f"target depth must be positive, got {target_depth}")
-    k0 = 2.0 * math.pi / wavelength
-    apod = _apodization(grid)
+    k0 = 2.0 * math.pi / factors.wavelength
 
-    def leg(v: np.ndarray, distance: float, spectral: np.ndarray) -> np.ndarray:
+    def leg(v: np.ndarray, distance: float, launch: bool) -> np.ndarray:
         v = v * np.exp(-1j * k0 * distance)
-        if apod is not None:
-            v = v * apod
-        return np.fft.fft(np.fft.ifft(v) * spectral)
+        if factors.apod is not None:
+            v = v * factors.apod
+        return np.fft.fft(np.fft.ifft(v) * factors.spectral(distance, launch))
 
-    launch = _launch_filter(grid, wavelength, LAUNCH_CUTOFF_SINE)
     v = np.asarray(probe, dtype=complex)
     if obstacle is None or target_depth <= obstacle.depth:
-        return leg(v, target_depth, _transfer_function(grid, target_depth, wavelength) * launch)
-    second = target_depth - obstacle.depth
-    v = leg(v, second, _transfer_function(grid, second, wavelength))
-    v = np.where(_clear_side(grid, obstacle), v, 0.0 + 0.0j)
-    return leg(v, obstacle.depth, _transfer_function(grid, obstacle.depth, wavelength) * launch)
+        return leg(v, target_depth, launch=True)
+    v = leg(v, target_depth - obstacle.depth, launch=False)
+    v = np.where(_clear_side(factors.grid, obstacle), v, 0.0 + 0.0j)
+    return leg(v, obstacle.depth, launch=True)
 
 
 @dataclass(frozen=True)

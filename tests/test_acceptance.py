@@ -189,7 +189,7 @@ class TestFoundations:
 
 class TestFigureLevel:
     def test_criterion_07_condition_number_peak(self, baseline_scenario, lam):
-        sweep = run_baseline_scan(baseline_scenario, workers=4)
+        sweep = run_baseline_scan(baseline_scenario)
         kappa = sweep.series("trad_all", "condition_number")
         peak_x = float(sweep.values[int(np.argmax(kappa))])
         peak = float(kappa.max())
@@ -203,7 +203,7 @@ class TestFigureLevel:
     def test_criterion_08_angular_window(self, baseline_scenario):
         sweep = run_baseline_scan(
             baseline_scenario, step_lambda=1.0, start_lambda=-40.0,
-            stop_lambda=40.0, workers=4)
+            stop_lambda=40.0)
         ue1 = baseline_scenario.users[0]
         z2 = baseline_scenario.users[1].z
         lam = baseline_scenario.carrier.wavelength

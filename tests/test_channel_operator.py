@@ -2,8 +2,9 @@
 
 The operator is built by running the cascade transposed; the forward
 per-beam cascade (launch, blocked propagation, sampling) is its oracle.
-The search scores candidates in chunks, and a candidate must get the same
-bits there as it does alone.
+A channel builder reused across a sweep must give every row the bits of a
+row built with fresh factors. The search scores candidates in chunks, and
+a candidate must get the same bits there as it does alone.
 """
 
 import math
@@ -28,9 +29,18 @@ from airylink import (
     sample_field,
     traditional_focus,
 )
-from airylink.channels import FRESNEL_DIFFRACTION, _amplitude_conversion
+from airylink.channels import FRESNEL_DIFFRACTION, _amplitude_conversion, _channel_builder
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, _score_chunk
+from airylink.propagation import (
+    LAUNCH_CUTOFF_SINE,
+    _apodization,
+    _clear_side,
+    _launch_filter,
+    _transfer_function,
+    element_bins,
+    sample_field_transpose,
+)
 
 
 def cascade_responses(scenario, w) -> np.ndarray:
@@ -74,6 +84,64 @@ class TestOperatorOracle:
                  UserPosition(-6 * lam, 300 * lam, "lit"))
         scenario = replace(shadow_scenario, users=users, obstacle=obstacle)
         assert_matches_cascade(scenario, rng)
+
+
+def fresh_row(scenario, user) -> np.ndarray:
+    """One operator row with every cascade factor built afresh for it: the
+    transposed cascade as it ran before rows shared their factors."""
+    grid, lam, obstacle = scenario.grid, scenario.carrier.wavelength, scenario.obstacle
+    k0 = 2.0 * math.pi / lam
+    apod = _apodization(grid)
+
+    def leg(v, distance, spectral):
+        v = v * np.exp(-1j * k0 * distance)
+        if apod is not None:
+            v = v * apod
+        return np.fft.fft(np.fft.ifft(v) * spectral)
+
+    launch = _launch_filter(grid, lam, LAUNCH_CUTOFF_SINE)
+    v = _amplitude_conversion(lam, user.z) * sample_field_transpose(grid, user.x)
+    if obstacle is None or user.z <= obstacle.depth:
+        back = leg(v, user.z, _transfer_function(grid, user.z, lam) * launch)
+    else:
+        second = user.z - obstacle.depth
+        v = leg(v, second, _transfer_function(grid, second, lam))
+        v = np.where(_clear_side(grid, obstacle), v, 0.0 + 0.0j)
+        back = leg(v, obstacle.depth,
+                   _transfer_function(grid, obstacle.depth, lam) * launch)
+    return back[element_bins(scenario.array, grid)] / grid.dx
+
+
+class TestChannelBuilder:
+    @pytest.mark.parametrize("name", ["baseline_scenario", "shadow_scenario",
+                                      "mixed_scenario"])
+    def test_sweep_rows_match_fresh_rows(self, name, request, lam):
+        """The fixed user, the moved user and a return to an earlier
+        position (a memo hit), all from one builder. In the mixed scenario
+        the bright user's second leg (150 wavelengths) equals the first
+        leg's distance, so a factor kept by distance alone would mix the
+        launch filter into it."""
+        scenario = request.getfixturevalue(name)
+        fixed, mover = scenario.users
+        channel = _channel_builder(scenario)
+        for dx in (0.0, -2.5 * lam, 1.25 * lam, 0.0):
+            moved = UserPosition(mover.x + dx, mover.z, mover.label)
+            h = channel((fixed, moved)).entries
+            assert np.array_equal(h[0], fresh_row(scenario, fixed))
+            assert np.array_equal(h[1], fresh_row(scenario, moved))
+        fresh = np.vstack([fresh_row(scenario, u) for u in scenario.users])
+        assert np.array_equal(diffraction_channel(scenario).entries, fresh)
+
+    def test_users_at_before_and_behind_the_obstacle(self, shadow_scenario, lam):
+        depth = shadow_scenario.obstacle.depth
+        users = (UserPosition(-3 * lam, depth, "at_edge_plane"),
+                 UserPosition(4 * lam, 90 * lam, "in_front"),
+                 UserPosition(-6 * lam, 2 * depth, "behind"))
+        channel = _channel_builder(shadow_scenario)
+        for order in (users, users[::-1]):
+            h = channel(order).entries
+            for row, u in zip(h, order):
+                assert np.array_equal(row, fresh_row(shadow_scenario, u))
 
 
 class TestBatchInvariance:

@@ -175,7 +175,7 @@ class TestEffectiveDiffraction:
             assert np.array_equal(eff.entries[:, j],
                                   beam_column(baseline_scenario, w[:, j]))
 
-    def test_thread_pool_is_deterministic(self, baseline_scenario):
+    def test_repeat_builds_are_bit_identical(self, baseline_scenario):
         w = build_codebook(baseline_scenario, "trad_all").matrix
         seq = effective_channel_diffraction(baseline_scenario, w)
         par = effective_channel_diffraction(baseline_scenario, w)

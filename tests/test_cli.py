@@ -77,6 +77,17 @@ class TestArgumentHandling:
         assert "sweep step" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--config", BASELINE],
+        ["shadow", "--config", SHADOW],
+        ["robustness", "--config", MIXED],
+    ], ids=["baseline", "shadow", "robustness"])
+    def test_workers_flag_is_gone(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path), "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert not list(tmp_path.iterdir())
+
     def test_fieldmap_rejects_unknown_strategy(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["fieldmap", "--config", SHADOW, "--out", str(tmp_path),
@@ -222,3 +233,19 @@ class TestMixedOptCommand:
         cut_header, cut_rows = read_rows(cut)
         assert cut_header == ["x_m", "reference_db", "tuned_db"]
         assert len(cut_rows) > 100
+
+    def test_meta_flags_winner_on_fine_grid_edge(self, tmp_path):
+        """The seed winner (-5, 2.05 m, +1.3 deg) sits on the bending edge of
+        its fine grid (-15..-5) and inside the focal and angle axes."""
+        rc = main(["mixed-opt", "--config", MIXED, "--out", str(tmp_path),
+                   "--step", "1.0"])
+        assert rc == 0
+        lines = (tmp_path / "mixed_opt.meta").read_text().splitlines()
+        fields = dict(line.split(" = ", 1) for line in lines if " = " in line)
+        flags = {k: fields[f"{k}_on_fine_edge"] for k in ("bending", "focal", "dtheta")}
+        assert flags == {"bending": "true", "focal": "false", "dtheta": "false"}
+
+        header, rows = read_rows(tmp_path / "search_trace.csv")
+        fine = [r for r in rows if r[header.index("stage")] == "fine"]
+        bendings = [float(r[header.index("bending")]) for r in fine]
+        assert (min(bendings), max(bendings)) == (-15.0, float(fields["best_bending"]))

@@ -24,6 +24,7 @@ from airylink import (
     launch_aperture,
     run_baseline_scan,
     run_fieldmap,
+    run_shadow_scan,
     traditional_focus,
 )
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
@@ -106,6 +107,26 @@ class TestShadowScan:
         assert trad[at_edge][0] > trad.min() + 3.0
         gap = airy - trad
         assert gap[at_edge][0] < gap.max() - 3.0
+
+
+    def test_no_cache_outlives_a_call(self, shadow_scenario, monkeypatch):
+        """Two scans in one process cost the same FFTs: two one-leg
+        calibration rows, the fixed user's two-leg row once, and one
+        two-leg row per point for the moving user."""
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            sweep = run_shadow_scan(shadow_scenario, step_lambda=3.5)
+            counts.append(len(calls))
+        assert counts == [2 + 2 + 2 * len(sweep.points)] * 2
 
 
 class TestMixedOptimization:

@@ -169,7 +169,7 @@ class TestCoarseToFineSearch:
         assert all(e.h11_power >= outcome.threshold for e in feasible)
         assert outcome.best_rate == max(e.rate for e in feasible)
 
-    def test_search_is_deterministic_and_thread_invariant(self, mixed_scenario):
+    def test_search_is_deterministic(self, mixed_scenario):
         grids = SearchGrids(coarse_bending=(-30.0, -25.0),
                             coarse_focal=(GEO_FOCAL,),
                             coarse_dtheta=(0.0, math.radians(0.5)),
@@ -178,7 +178,7 @@ class TestCoarseToFineSearch:
         b = coarse_to_fine_search(mixed_scenario, grids)
         c = coarse_to_fine_search(mixed_scenario, grids)
         assert a == b
-        assert a == c  # thread pool must not change the arithmetic or order
+        assert a == c
 
     def test_infeasible_threshold_raises(self, mixed_scenario):
         """A hopeless single candidate (strong bend, short focal, steered
