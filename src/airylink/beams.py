@@ -16,7 +16,7 @@ All element positions are evaluated in meters; the cubic coefficient
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,46 +165,33 @@ def build_codebook(
         when the scenario has no shadowed user (there is nothing for the
         curved beam to do).
     """
-    if strategy == "trad_all":
-        beams = [
-            traditional_focus(scenario.array, scenario.carrier, u)
-            for u in scenario.users
-        ]
-        return Codebook(tuple(beams))
-
-    if strategy == "airy_geo":
-        if airy_params is None:
-            raise ConfigError("airy_geo strategy needs airy_params for (bending, focal)")
-        beams = []
-        for u in scenario.users:
-            aimed = AiryParams(
-                bending=airy_params.bending,
-                focal=airy_params.focal,
-                launch_angle=geometric_angle(u),
-            )
-            beams.append(airy_weights(scenario.array, scenario.carrier, aimed))
-        return Codebook(tuple(beams))
-
+    if strategy not in ("trad_all", "airy_geo", "mixed"):
+        raise ConfigError(f"unknown codebook strategy {strategy!r}")
+    if strategy != "trad_all" and airy_params is None:
+        raise ConfigError(f"{strategy} strategy needs airy_params for the curved beam")
+    shadowed = [False] * scenario.k
     if strategy == "mixed":
-        if airy_params is None:
-            raise ConfigError("mixed strategy needs airy_params for the shadowed user")
         if scenario.obstacle is None:
             raise ConfigError("mixed strategy needs an obstacle; no user can be shadowed")
-        flags = [
+        shadowed = [
             classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
             for u in scenario.users
         ]
-        if not any(flags):
+        if not any(shadowed):
             raise ConfigError(
                 "mixed strategy requires at least one shadowed user; "
                 "all users have line of sight"
             )
-        beams = []
-        for u, shadowed in zip(scenario.users, flags):
-            if shadowed:
-                beams.append(airy_weights(scenario.array, scenario.carrier, airy_params))
-            else:
-                beams.append(traditional_focus(scenario.array, scenario.carrier, u))
-        return Codebook(tuple(beams))
+    return Codebook(tuple(_user_beam(scenario, strategy, u, airy_params, s)
+                          for u, s in zip(scenario.users, shadowed)))
 
-    raise ConfigError(f"unknown codebook strategy {strategy!r}")
+
+def _user_beam(scenario: ScenarioConfig, strategy: str, user: UserPosition,
+               airy_params: AiryParams | None = None, shadowed: bool = False) -> BeamWeights:
+    """One user's column of a build_codebook strategy (checked there), so a
+    sweep that moves one user rebuilds only that user's column."""
+    if strategy == "airy_geo":
+        airy_params = replace(airy_params, launch_angle=geometric_angle(user))
+    elif not shadowed:
+        return traditional_focus(scenario.array, scenario.carrier, user)
+    return airy_weights(scenario.array, scenario.carrier, airy_params)

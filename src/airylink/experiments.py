@@ -16,25 +16,29 @@ Each runner turns one scenario family into a tabular sweep:
                      bright user, and measure how each strategy degrades.
 
 Every runner is pure given its config: identical inputs produce identical
-outputs (and therefore byte-identical CSVs downstream). Sweep points run
-serially, in sweep order. The shadow scan and the robustness sweep build
-their diffraction channels through one channel builder per call, so the
-cascade factors and the fixed user's row are built once per sweep; the
-mixed-optimization angle sweep runs on one precomputed channel matrix.
+outputs (and therefore byte-identical CSVs downstream). A sweep first
+builds the effective channel and analog matrix of every (point x strategy)
+pair, in sweep order, and then scores them all in one batched SVD + RZF +
+metrics pass (precoding.batch_metrics), the scorer the beam search uses;
+each MetricsRecord is one row of that batch. The fixed user's beams are
+built once per sweep. The shadow scan and the robustness sweep build their
+diffraction channels through one channel builder per call, so the cascade
+factors and the fixed user's row are built once per sweep; the
+mixed-optimization angle sweep runs on the channel matrix that the search
+returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
+from .beams import (AiryParams, _user_beam, airy_weight_rows, airy_weights,
+                    build_codebook, traditional_focus)
 from .channels import (
-    ChannelMatrix,
     _channel_builder,
-    diffraction_channel,
     effective_channel,
     effective_channel_greens,
     greens_channel,
@@ -49,7 +53,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import MetricsRecord, link_metrics, rzf_precoder
+from .precoding import MetricsRecord, batch_metrics, metrics_row
 from .propagation import (
     IntensityMap,
     grid_x,
@@ -142,12 +146,22 @@ def _assert_point_invariants(scenario: ScenarioConfig, achieved_power: float,
         )
 
 
-def _metrics_for(scenario: ScenarioConfig, h_eff: ChannelMatrix,
-                 w_rf: np.ndarray) -> MetricsRecord:
-    pre = rzf_precoder(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon)
-    rec = link_metrics(h_eff, pre, scenario.noise_power)
-    _assert_point_invariants(scenario, pre.achieved_power, rec)
-    return rec
+def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tuple,
+                  values: list, h_eff, w_rf) -> SweepResult:
+    """Score a whole sweep in one batch: h_eff and w_rf hold one effective
+    channel (K x K) and analog matrix (N x K) per (value, strategy) pair,
+    value-major, strategies in order. Every point's invariants are checked."""
+    h = np.ascontiguousarray(h_eff, dtype=complex)
+    m, sigma, achieved = batch_metrics(
+        h, np.ascontiguousarray(w_rf, dtype=complex),
+        scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power,
+    )
+    records = [metrics_row(m, sigma, c) for c in range(len(h))]
+    for rec, power in zip(records, achieved):
+        _assert_point_invariants(scenario, power, rec)
+    rows = iter(records)
+    points = tuple((v, {name: next(rows) for name in strategies}) for v in values)
+    return SweepResult(sweep_variable=sweep_variable, strategies=strategies, points=points)
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list:
@@ -172,7 +186,8 @@ def run_baseline_scan(
     """Free-space two-user scan: user 2 slides along x at fixed depth.
 
     Uses the closed-form channel model throughout (no obstacle allowed)
-    with the all-traditional codebook rebuilt at every scan position.
+    with the all-traditional codebook; only user 2's beam is rebuilt at
+    each scan position.
     """
     if scenario.obstacle is not None:
         raise ConfigError("baseline scan is a free-space experiment; remove the obstacle")
@@ -180,17 +195,16 @@ def run_baseline_scan(
         raise ConfigError(f"baseline scan expects exactly 2 users, got {scenario.k}")
     lam = scenario.carrier.wavelength
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
-
-    def point(x2_lambda: float):
-        u2 = scenario.users[1]
+    u1, u2 = scenario.users
+    w1 = _user_beam(scenario, "trad_all", u1).weights
+    h_eff, w_rf = [], []
+    for x2_lambda in xs:
         moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
-        s = scenario.with_users((scenario.users[0], moved))
-        book = build_codebook(s, "trad_all")
-        h_eff = effective_channel_greens(greens_channel(s), book.matrix)
-        return _metrics_for(s, h_eff, book.matrix)
-
-    points = tuple((x, {"trad_all": point(x)}) for x in xs)
-    return SweepResult(sweep_variable="x2_lambda", strategies=("trad_all",), points=points)
+        w = np.column_stack([w1, _user_beam(scenario, "trad_all", moved).weights])
+        h_phys = greens_channel(scenario.with_users((u1, moved)))
+        h_eff.append(effective_channel_greens(h_phys, w).entries)
+        w_rf.append(w)
+    return _scored_sweep(scenario, "x2_lambda", ("trad_all",), xs, h_eff, w_rf)
 
 
 def run_shadow_scan(
@@ -216,23 +230,18 @@ def run_shadow_scan(
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     channel = _channel_builder(scenario)
-
-    def point(x2_lambda: float):
-        u2 = scenario.users[1]
+    strategies = ("trad_all", "airy_geo")
+    u1, u2 = scenario.users
+    fixed = {name: _user_beam(scenario, name, u1, geo_params).weights for name in strategies}
+    h_eff, w_rf = [], []
+    for x2_lambda in xs:
         moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
-        s = scenario.with_users((scenario.users[0], moved))
-        h_phys = channel(s.users)
-        out = {}
-        for name, strategy in (("trad_all", "trad_all"), ("airy_geo", "airy_geo")):
-            book = build_codebook(s, strategy, airy_params=geo_params)
-            h_eff = effective_channel(h_phys, book.matrix, scale)
-            out[name] = _metrics_for(s, h_eff, book.matrix)
-        return out
-
-    points = tuple((x, point(x)) for x in xs)
-    return SweepResult(
-        sweep_variable="x2_lambda", strategies=("trad_all", "airy_geo"), points=points
-    )
+        h_phys = channel((u1, moved))
+        for name in strategies:
+            w = np.column_stack([fixed[name], _user_beam(scenario, name, moved, geo_params).weights])
+            h_eff.append(effective_channel(h_phys, w, scale).entries)
+            w_rf.append(w)
+    return _scored_sweep(scenario, "x2_lambda", strategies, xs, h_eff, w_rf)
 
 
 def run_mixed_optimization(
@@ -257,25 +266,13 @@ def run_mixed_optimization(
     outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
+    designs = [replace(outcome.best_params, launch_angle=theta_geo + math.radians(d))
+               for d in dthetas]
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
-    h_phys = diffraction_channel(scenario)
-
-    def point(dtheta_deg: float):
-        params = AiryParams(
-            bending=outcome.best_params.bending,
-            focal=outcome.best_params.focal,
-            launch_angle=theta_geo + math.radians(dtheta_deg),
-        )
-        w1 = airy_weights(scenario.array, scenario.carrier, params).weights
-        w_rf = np.column_stack([w1, w2])
-        h_eff = effective_channel(h_phys, w_rf, scale)
-        return {"airy_best_bf": _metrics_for(scenario, h_eff, w_rf)}
-
-    sweep = SweepResult(
-        sweep_variable="dtheta_deg",
-        strategies=("airy_best_bf",),
-        points=tuple((d, point(d)) for d in dthetas),
-    )
+    w_rf = [np.column_stack([w1, w2])
+            for w1 in airy_weight_rows(scenario.array, scenario.carrier, designs)]
+    h_eff = [effective_channel(outcome.h_phys, w, scale).entries for w in w_rf]
+    sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
 
     cut = _field_cut(
         scenario,
@@ -364,23 +361,14 @@ def run_robustness_sweep(
     strategies = ("trad_all", "airy_geo", "airy_opt")
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
     channel = _channel_builder(scenario)
-
-    def point(dx_lambda: float):
-        u2 = scenario.users[1]
+    u1, u2 = scenario.users
+    h_eff = []
+    for dx_lambda in dxs:
         moved = UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label)
-        s = scenario.with_users((scenario.users[0], moved))
-        h_phys = channel(s.users)
-        out = {}
-        for name in strategies:
-            h_eff = effective_channel(h_phys, books[name], scale)
-            out[name] = _metrics_for(s, h_eff, books[name])
-        return out
-
-    return SweepResult(
-        sweep_variable="dx2_lambda",
-        strategies=strategies,
-        points=tuple((dx, point(dx)) for dx in dxs),
-    )
+        h_phys = channel((u1, moved))
+        h_eff += [effective_channel(h_phys, books[name], scale).entries for name in strategies]
+    w_rf = [books[name] for _ in dxs for name in strategies]
+    return _scored_sweep(scenario, "dx2_lambda", strategies, dxs, h_eff, w_rf)
 
 
 def run_fieldmap(

@@ -17,22 +17,23 @@ Identical inputs always produce the identical outcome and trace.
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks:
 one array of cubic weights, one product with the matrix, one batched RZF
-and metrics pass. A candidate gets the same bits in any chunk as it does
-alone through evaluate_candidate.
+and metrics pass (precoding.batch_metrics, which also scores every sweep).
+A candidate gets the same bits in any chunk as alone through
+evaluate_candidate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beams import AiryParams, airy_weight_rows, traditional_focus
-from .channels import beam_responses, diffraction_channel
+from .channels import ChannelMatrix, beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import GridSpec, ScenarioConfig, geometric_angle
-from .precoding import batch_sum_rates
+from .precoding import batch_metrics
 
 __all__ = [
     "SearchGrids",
@@ -119,6 +120,9 @@ class SearchOutcome:
     evaluations: int
     rejected_by_constraint: int
     trace: tuple
+    # The physical channel the candidates were scored on, for callers that
+    # evaluate more beams on the same scenario.
+    h_phys: ChannelMatrix = field(compare=False, repr=False)
 
 
 def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
@@ -146,9 +150,9 @@ def _score_chunk(
     h1 = beam_responses(h_phys, w1, scale)
     h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
-    rates = batch_sum_rates(
+    rates = batch_metrics(
         h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
-    )
+    )[0]["sum_rate"]
     bad = np.isnan(rates)
     if bad.any():
         raise AirylinkError(f"candidate {designs[np.argmax(bad)]} produced a NaN sum rate")
@@ -163,24 +167,30 @@ def _check_two_users(scenario: ScenarioConfig) -> None:
         raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
 
 
+def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -> tuple:
+    """The bright user's traditional beam w2 and its effective column
+    scale * H_phys @ w2."""
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    return w2, beam_responses(h_phys, w2[None, :], scale)[0]
+
+
 def evaluate_candidate(
     scenario: ScenarioConfig,
     params: AiryParams,
-    fixed_h2: np.ndarray,
     scale: complex = 1.0 + 0.0j,
 ) -> tuple:
     """Score one cubic-beam design for the shadowed user.
 
-    Builds the candidate beam, maps it through the diffraction channel to
-    get the first effective-channel column, pairs it with the precomputed
-    bright-user column, and runs the full precoding + metrics stack.
-    Returns (sum_rate, |h11|^2). This is the search's chunk scorer run on
-    a chunk of one.
+    Builds the diffraction channel, maps the candidate beam through it to
+    get the first effective-channel column, pairs it with the bright
+    user's column, and runs the full precoding + metrics stack. Returns
+    (sum_rate, |h11|^2). This is the search's chunk scorer run on a chunk
+    of one.
     """
     _check_two_users(scenario)
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
     h_phys = diffraction_channel(scenario).entries
-    rates, h11_power = _score_chunk(scenario, h_phys, (params,), w2, fixed_h2, scale)
+    w2, h2 = _bright_beam(scenario, h_phys, scale)
+    rates, h11_power = _score_chunk(scenario, h_phys, (params,), w2, h2, scale)
     return float(rates[0]), float(h11_power[0])
 
 
@@ -243,20 +253,20 @@ def coarse_to_fine_search(
 
     # The channel matrix and the bright user's column never change; build
     # them once.
-    h_phys = diffraction_channel(scenario).entries
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
-    fixed_h2 = beam_responses(h_phys, w2[None, :], scale)[0]
+    channel = diffraction_channel(scenario)
+    h_phys = channel.entries
+    w2, h2 = _bright_beam(scenario, h_phys, scale)
 
     def score(cands):
         designs = [
             AiryParams(bending=b, focal=f, launch_angle=theta_geo + dt)
             for b, f, dt in cands
         ]
-        return _score_chunk(scenario, h_phys, designs, w2, fixed_h2, scale)
+        return _score_chunk(scenario, h_phys, designs, w2, h2, scale)
 
     # Stage 0: constraint threshold from the geometric design's own gain.
     _, h11_geo = _score_chunk(
-        scenario, h_phys, (geometric_baseline_params(scenario),), w2, fixed_h2, scale
+        scenario, h_phys, (geometric_baseline_params(scenario),), w2, h2, scale
     )
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
@@ -306,6 +316,7 @@ def coarse_to_fine_search(
         evaluations=evaluations,
         rejected_by_constraint=rejected,
         trace=tuple(trace),
+        h_phys=channel,
     )
 
 

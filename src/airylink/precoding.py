@@ -12,10 +12,11 @@ every user sees the same post-precoding gain and the common SINR is
 the diagnostic that predicts when that inversion becomes power-hungry:
 near-parallel user columns push sigma_min toward zero and alpha collapses.
 
-The arithmetic runs over a leading candidate axis so the beam search can
-score many designs per call; rzf_precoder and link_metrics are batch-of-one
-views of the same routines, so a candidate gets the same bits alone or in a
-batch.
+The arithmetic runs over a leading candidate axis: the beam search and
+every sweep score all their channels in one batch_metrics call each, and
+rzf_precoder and link_metrics are batch-of-one views of the same routines
+(metrics_row builds every MetricsRecord), so a channel gets the same bits
+alone or in a batch.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ __all__ = [
     "MetricsRecord",
     "rzf_precoder",
     "link_metrics",
-    "batch_sum_rates",
+    "batch_metrics",
+    "metrics_row",
 ]
 
 # Relative sigma_min below which an epsilon = 0 inversion is refused.
@@ -133,15 +135,29 @@ def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
     }
 
 
-def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
-                    noise_power: float) -> np.ndarray:
-    """Post-RZF sum rate of every candidate in a batch: h is C x K x K
+def batch_metrics(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
+                  noise_power: float) -> tuple:
+    """Post-RZF metrics of every candidate in a batch: h is C x K x K
     effective channels, w the C x N x K analog matrices (both contiguous).
-    Candidate c gets exactly the bits that rzf_precoder followed by
+    Returns (metrics of _metrics_batch, singular values, achieved power);
+    candidate c gets exactly the bits that rzf_precoder followed by
     link_metrics give it alone."""
     sigma = np.linalg.svd(h, compute_uv=False)
-    _, alpha, _ = _rzf_batch(h, w, tx_power, epsilon, sigma)
-    return _metrics_batch(h, alpha, noise_power, sigma)["sum_rate"]
+    _, alpha, achieved = _rzf_batch(h, w, tx_power, epsilon, sigma)
+    return _metrics_batch(h, alpha, noise_power, sigma), sigma, achieved
+
+
+def metrics_row(m: dict, sigma: np.ndarray, c: int) -> MetricsRecord:
+    """Row c of a metrics batch as a MetricsRecord."""
+    return MetricsRecord(
+        condition_number=float(m["condition_number"][c]),
+        singular_values=tuple(float(s) for s in sigma[c]),
+        alpha_power=float(m["alpha_power"][c]),
+        common_sinr_db=float(m["common_sinr_db"][c]),
+        sum_rate=float(m["sum_rate"][c]),
+        coupling_db=m["coupling_db"][c],
+        singular=bool(m["singular"][c]),
+    )
 
 
 def rzf_precoder(
@@ -183,12 +199,4 @@ def link_metrics(
 
     sigma = np.linalg.svd(h, compute_uv=False)
     m = _metrics_batch(h, np.array([precoding.alpha]), noise_power, sigma)
-    return MetricsRecord(
-        condition_number=float(m["condition_number"][0]),
-        singular_values=tuple(float(s) for s in sigma[0]),
-        alpha_power=float(m["alpha_power"][0]),
-        common_sinr_db=float(m["common_sinr_db"][0]),
-        sum_rate=float(m["sum_rate"][0]),
-        coupling_db=m["coupling_db"][0],
-        singular=bool(m["singular"][0]),
-    )
+    return metrics_row(m, sigma, 0)

@@ -160,7 +160,7 @@ class TestBatchInvariance:
         rates, h11 = _score_chunk(mixed_scenario, h_phys, designs, w2,
                                   fixed_h2, scale)
         for i in range(_CHUNK):
-            alone = evaluate_candidate(mixed_scenario, designs[i], fixed_h2, scale)
+            alone = evaluate_candidate(mixed_scenario, designs[i], scale)
             assert alone == (rates[i], h11[i])
 
 

@@ -6,27 +6,43 @@ their structure and the frozen landmark values.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import airylink.beams
+import airylink.channels
+import airylink.experiments
 from airylink import (
     AiryParams,
     AirylinkError,
     ConfigError,
     MetricsRecord,
+    SearchGrids,
+    SingularChannelError,
     SweepResult,
-    beam_column,
+    UserPosition,
+    airy_weights,
     build_codebook,
+    diffraction_channel,
+    effective_channel_greens,
     evaluate_candidate,
     geometric_baseline_params,
+    greens_channel,
     intensity_map,
     launch_aperture,
+    link_metrics,
+    remark1_calibration,
     run_baseline_scan,
     run_fieldmap,
+    run_mixed_optimization,
+    run_robustness_sweep,
     run_shadow_scan,
+    rzf_precoder,
     traditional_focus,
 )
+from airylink.channels import effective_channel
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
 from airylink.geometry import geometric_angle
 
@@ -215,13 +231,10 @@ class TestMixedOptimization:
     def test_published_design_beats_geometric(self, mixed_scenario,
                                               mixed_opt_result):
         scale = mixed_opt_result.calibration_scale
-        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1])
-        fixed_h2 = beam_column(mixed_scenario, w2.weights, scale)
         rate_pub, _ = evaluate_candidate(
-            mixed_scenario, _published_opt_params(mixed_scenario), fixed_h2, scale)
+            mixed_scenario, _published_opt_params(mixed_scenario), scale)
         rate_geo, _ = evaluate_candidate(
-            mixed_scenario, geometric_baseline_params(mixed_scenario), fixed_h2, scale)
+            mixed_scenario, geometric_baseline_params(mixed_scenario), scale)
         assert rate_pub > rate_geo
 
 
@@ -290,3 +303,198 @@ class TestFieldmap:
                                [d * lam for d in (50.0, 150.0, 250.0, 350.0)],
                                lam)
         assert np.array_equal(m.db, manual.db)
+
+
+def per_point_record(scenario, h_eff, w_rf) -> MetricsRecord:
+    """The per-point scoring the sweeps used before they were batched:
+    rzf_precoder, then link_metrics, on one channel."""
+    pre = rzf_precoder(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon)
+    return link_metrics(h_eff, pre, scenario.noise_power)
+
+
+def assert_same_records(sweep, expected):
+    """expected[i][strategy] is the per-point record of sweep point i;
+    every field must match exactly."""
+    assert len(sweep.points) == len(expected)
+    for (value, recs), want in zip(sweep.points, expected):
+        assert set(recs) == set(want)
+        for name in sweep.strategies:
+            for f in fields(MetricsRecord):
+                got, ref = getattr(recs[name], f.name), getattr(want[name], f.name)
+                if isinstance(ref, np.ndarray):
+                    assert np.array_equal(got, ref), (value, name, f.name)
+                else:
+                    assert got == ref, (value, name, f.name)
+
+
+def moved_second_user(scenario, x):
+    u1, u2 = scenario.users
+    return scenario.with_users((u1, UserPosition(x=x, z=u2.z, label=u2.label)))
+
+
+def count_calls(monkeypatch, owner, name, log, key=lambda *a, **k: 1):
+    """Replace owner.name by a wrapper that appends key(args) to log."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def small_grids():
+    """A 2-candidate search box whose angle sweep has 21 points."""
+    return SearchGrids(coarse_bending=(-25.0,), coarse_focal=(1.75,),
+                       coarse_dtheta=(math.radians(-1.0), math.radians(1.0)))
+
+
+class TestOneMetricsPath:
+    """Every sweep scores all of its points in one batched pass; the
+    records must equal the old per-point rzf_precoder -> link_metrics
+    path bit for bit."""
+
+    def test_baseline_matches_per_point_scoring(self, baseline_scenario, lam):
+        sweep = run_baseline_scan(baseline_scenario)
+        expected = []
+        for x in sweep.values:
+            s = moved_second_user(baseline_scenario, x * lam)
+            book = build_codebook(s, "trad_all").matrix
+            h_eff = effective_channel_greens(greens_channel(s), book)
+            expected.append({"trad_all": per_point_record(s, h_eff, book)})
+        assert_same_records(sweep, expected)
+
+    def test_shadow_matches_per_point_scoring(self, shadow_scenario, shadow_sweep, lam):
+        scale, _ = remark1_calibration(shadow_scenario.without_obstacle())
+        geo = geometric_baseline_params(shadow_scenario)
+        expected = []
+        for x in shadow_sweep.values:
+            s = moved_second_user(shadow_scenario, x * lam)
+            h_phys = diffraction_channel(s)
+            point = {}
+            for name in ("trad_all", "airy_geo"):
+                book = build_codebook(s, name, airy_params=geo).matrix
+                h_eff = effective_channel(h_phys, book, scale)
+                point[name] = per_point_record(s, h_eff, book)
+            expected.append(point)
+        assert_same_records(shadow_sweep, expected)
+
+    def test_robustness_matches_per_point_scoring(self, mixed_scenario,
+                                                  robustness_result, lam):
+        scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
+        books = {
+            "trad_all": build_codebook(mixed_scenario, "trad_all").matrix,
+            "airy_geo": build_codebook(
+                mixed_scenario, "mixed",
+                airy_params=geometric_baseline_params(mixed_scenario)).matrix,
+            "airy_opt": build_codebook(
+                mixed_scenario, "mixed",
+                airy_params=_published_opt_params(mixed_scenario)).matrix,
+        }
+        x2 = mixed_scenario.users[1].x
+        expected = []
+        for dx in robustness_result.values:
+            s = moved_second_user(mixed_scenario, x2 + dx * lam)
+            h_phys = diffraction_channel(s)
+            expected.append({
+                name: per_point_record(s, effective_channel(h_phys, book, scale), book)
+                for name, book in books.items()
+            })
+        assert_same_records(robustness_result, expected)
+
+    def test_angle_sweep_matches_per_point_scoring(self, mixed_scenario,
+                                                   mixed_opt_result):
+        scale = mixed_opt_result.calibration_scale
+        best = mixed_opt_result.search.best_params
+        theta_geo = geometric_angle(mixed_scenario.users[0])
+        h_phys = diffraction_channel(mixed_scenario)
+        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
+                               mixed_scenario.users[1]).weights
+        expected = []
+        for d in mixed_opt_result.dtheta_sweep.values:
+            params = AiryParams(best.bending, best.focal,
+                                theta_geo + math.radians(d))
+            w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier,
+                              params).weights
+            w_rf = np.column_stack([w1, w2])
+            h_eff = effective_channel(h_phys, w_rf, scale)
+            expected.append({"airy_best_bf": per_point_record(mixed_scenario,
+                                                              h_eff, w_rf)})
+        assert_same_records(mixed_opt_result.dtheta_sweep, expected)
+
+    @pytest.mark.parametrize("run, fixture", [
+        (run_baseline_scan, "baseline_scenario"),
+        (run_shadow_scan, "shadow_scenario"),
+        (run_robustness_sweep, "mixed_scenario"),
+    ])
+    def test_one_svd_per_sweep(self, run, fixture, request, monkeypatch):
+        """One SVD call scores the whole sweep: a batch of every (point x
+        strategy) channel."""
+        shapes = []
+        count_calls(monkeypatch, np.linalg, "svd", shapes,
+                    key=lambda a, *rest, **kw: np.shape(a))
+        sweep = run(request.getfixturevalue(fixture))
+        assert shapes == [(len(sweep.points) * len(sweep.strategies), 2, 2)]
+
+    def test_one_svd_for_the_angle_sweep(self, mixed_scenario, monkeypatch):
+        """Outside the search, whose chunks make their own SVD calls, the
+        mixed optimization makes one: the whole angle sweep."""
+        in_search = []
+        shapes = []
+        search = airylink.experiments.coarse_to_fine_search
+
+        def traced_search(*args, **kwargs):
+            in_search.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                in_search.pop()
+
+        monkeypatch.setattr(airylink.experiments, "coarse_to_fine_search",
+                            traced_search)
+        count_calls(monkeypatch, np.linalg, "svd", shapes,
+                    key=lambda a, *rest, **kw: None if in_search else np.shape(a))
+        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        outside = [shape for shape in shapes if shape is not None]
+        assert len(shapes) > len(outside)
+        assert outside == [(len(result.dtheta_sweep.points), 2, 2)]
+
+    def test_mixed_optimization_builds_each_row_once(self, mixed_scenario,
+                                                     monkeypatch):
+        """Two calibration rows and the two rows of the obstructed channel,
+        which the search and the angle sweep share."""
+        calls = []
+        count_calls(monkeypatch, airylink.channels, "cascade_transpose", calls)
+        run_mixed_optimization(mixed_scenario, grids=small_grids())
+        assert len(calls) == 4
+
+    def test_fixed_user_beams_built_once_per_sweep(self, shadow_scenario,
+                                                   baseline_scenario, monkeypatch):
+        """Calibration builds two traditional beams; the fixed user then
+        gets one beam per strategy and the moving user one per point and
+        strategy."""
+        trad, airy = [], []
+        count_calls(monkeypatch, airylink.beams, "traditional_focus", trad)
+        count_calls(monkeypatch, airylink.beams, "airy_weights", airy)
+        n = len(run_shadow_scan(shadow_scenario, step_lambda=3.5).points)
+        assert (len(trad), len(airy)) == (2 + 1 + n, 1 + n)
+        trad.clear()
+        n = len(run_baseline_scan(baseline_scenario, step_lambda=5.0).points)
+        assert len(trad) == 1 + n
+
+    @pytest.mark.parametrize("run, fixture", [
+        (run_baseline_scan, "baseline_scenario"),
+        (run_shadow_scan, "shadow_scenario"),
+    ])
+    def test_zero_forcing_on_coinciding_users_raises(self, run, fixture,
+                                                     request, lam):
+        """With epsilon = 0, the scan point where user 2 passes user 1
+        (moved to x = -5 lambda at user 2's depth) has a rank-one channel;
+        the batch must still refuse it. Every other point of these scans
+        has kappa below 4e3."""
+        scenario = request.getfixturevalue(fixture)
+        u1, u2 = scenario.users
+        users = (UserPosition(-5.0 * lam, u2.z, u1.label), u2)
+        singular = replace(scenario, users=users, rzf_epsilon=0.0)
+        with pytest.raises(SingularChannelError):
+            run(singular)

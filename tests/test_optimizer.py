@@ -82,17 +82,16 @@ class TestGeometricBaseline:
 
 
 class TestEvaluateCandidate:
-    def test_requires_two_users(self, mixed_scenario, fixed_h2):
+    def test_requires_two_users(self, mixed_scenario):
         solo = mixed_scenario.with_users((mixed_scenario.users[0],))
         with pytest.raises(ConfigError, match="2 users"):
-            evaluate_candidate(solo, geometric_baseline_params(mixed_scenario),
-                               fixed_h2)
+            evaluate_candidate(solo, geometric_baseline_params(mixed_scenario))
 
-    def test_h11_matches_direct_beam_column(self, mixed_scenario, fixed_h2):
+    def test_h11_matches_direct_beam_column(self, mixed_scenario):
         from airylink import airy_weights
 
         params = geometric_baseline_params(mixed_scenario)
-        _, h11_power = evaluate_candidate(mixed_scenario, params, fixed_h2)
+        _, h11_power = evaluate_candidate(mixed_scenario, params)
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
         expected = abs(beam_column(mixed_scenario, w1.weights)[0]) ** 2
         assert h11_power == expected
@@ -105,7 +104,7 @@ class TestEvaluateCandidate:
         from airylink.channels import FRESNEL_DIFFRACTION
 
         params = geometric_baseline_params(mixed_scenario)
-        rate, _ = evaluate_candidate(mixed_scenario, params, fixed_h2)
+        rate, _ = evaluate_candidate(mixed_scenario, params)
 
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
@@ -121,15 +120,14 @@ class TestEvaluateCandidate:
 
 
 class TestCoarseToFineSearch:
-    def test_singleton_grids_return_the_geo_point(self, mixed_scenario, fixed_h2):
+    def test_singleton_grids_return_the_geo_point(self, mixed_scenario):
         outcome = coarse_to_fine_search(mixed_scenario, singleton_grids())
         assert outcome.evaluations == 1  # fine stage skipped entirely
         assert len(outcome.trace) == 1
         assert outcome.trace[0].stage == "coarse"
         assert outcome.best_params == geometric_baseline_params(mixed_scenario)
         rate, _ = evaluate_candidate(mixed_scenario,
-                                     geometric_baseline_params(mixed_scenario),
-                                     fixed_h2)
+                                     geometric_baseline_params(mixed_scenario))
         assert outcome.best_rate == rate
 
     def test_threshold_is_eta_times_geo_gain(self, mixed_scenario):
