@@ -10,7 +10,10 @@ Two beam families, both phase-only with uniform 1/sqrt(N) amplitude:
   straight ray, which is what lets energy hook around a knife edge.
 
 All element positions are evaluated in meters; the cubic coefficient
-`bending` is dimensionless and `focal` is a length.
+`bending` is dimensionless and `focal` is a length. airy_weight_rows builds
+many cubic beams from parameter columns at once (the search's chunks, the
+angle sweep); check_airy_columns holds the parameter rules that AiryParams
+and the search's up-front box check share.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .geometry import (
 
 __all__ = [
     "AiryParams",
+    "check_airy_columns",
     "BeamWeights",
     "Codebook",
     "traditional_focus",
@@ -41,6 +45,19 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+
+
+def check_airy_columns(focal=(), launch_angle=()) -> None:
+    """The cubic-beam parameter rules: every focal length positive, every
+    launch angle inside |theta| < pi/2. Raises ConfigError for the first
+    value that breaks them. AiryParams checks one design with it; the
+    search checks whole grid axes before it scores any candidate."""
+    for f in focal:
+        if not f > 0:
+            raise ConfigError(f"focal length must be positive, got {f}")
+    for theta in launch_angle:
+        if not abs(theta) < math.pi / 2:
+            raise ConfigError(f"launch angle must satisfy |theta| < pi/2, got {theta} rad")
 
 
 @dataclass(frozen=True)
@@ -53,12 +70,7 @@ class AiryParams:
     launch_angle: float = 0.0
 
     def __post_init__(self):
-        if not self.focal > 0:
-            raise ConfigError(f"focal length must be positive, got {self.focal}")
-        if not abs(self.launch_angle) < math.pi / 2:
-            raise ConfigError(
-                f"launch angle must satisfy |theta| < pi/2, got {self.launch_angle} rad"
-            )
+        check_airy_columns((self.focal,), (self.launch_angle,))
 
     def with_angle_offset(self, delta: float) -> "AiryParams":
         return AiryParams(self.bending, self.focal, self.launch_angle + delta)
@@ -110,26 +122,42 @@ def traditional_focus(
     """
     if not target.z > 0:
         raise ConfigError(f"focus target must lie in front of the array (z > 0), got z={target.z}")
-    xs = np.asarray(array.element_x())
+    xs = array.element_x()
     r = np.hypot(xs - target.x, target.z)
     w = np.exp(1j * carrier.wavenumber * r) / math.sqrt(array.n)
     return BeamWeights(weights=w, kind="traditional", target=target)
 
 
-def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, designs) -> np.ndarray:
+def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
+                     launch_angle) -> np.ndarray:
     """Cubic-phase weights for many designs at once: row c (of a C x N
-    array) holds the weights of designs[c], as documented in airy_weights.
+    array) holds the weights of design (bending[c], focal[c],
+    launch_angle[c]), as documented in airy_weights. The columns are taken
+    as given; check_airy_columns holds the rules they must meet.
 
-    Each design's row is computed with the same elementwise operations
-    whatever the batch, so it matches airy_weights bit for bit.
+    The lens and cubic terms depend on (bending, focal) only, so they are
+    computed once per distinct pair and gathered; the
+    steering term is k0 sin(theta) per design. Every row goes through the
+    same elementwise operations, (lens - steer x) + bend, whatever the
+    batch, so it matches airy_weights bit for bit.
     """
-    xs = np.asarray(array.element_x())
+    xs = array.element_x()
     k0 = carrier.wavenumber
     lam = carrier.wavelength
-    focal = np.array([[p.focal] for p in designs])
-    steer = np.array([[k0 * math.sin(p.launch_angle)] for p in designs])
-    cubic = np.array([[(2.0 * math.pi / (3.0 * lam)) * p.bending] for p in designs])
-    phase = k0 * xs**2 / (2.0 * focal) - steer * xs + cubic * (xs / focal) ** 3
+    # Distinct (bending, focal) pairs in order of first appearance, keyed by
+    # their float64 bit patterns; inverse[c] is design c's pair.
+    pairs = np.column_stack([np.asarray(bending, dtype=float),
+                             np.asarray(focal, dtype=float)])
+    index = {}
+    inverse = [index.setdefault(key, len(index))
+               for key in map(tuple, pairs.view(np.int64).tolist())]
+    distinct = np.array(list(index), dtype=np.int64).view(np.float64)
+    pair_focal = distinct[:, 1:]
+    pair_cubic = (2.0 * math.pi / (3.0 * lam)) * distinct[:, :1]
+    lens = k0 * xs**2 / (2.0 * pair_focal)
+    bend = pair_cubic * (xs / pair_focal) ** 3
+    steer = np.array([[k0 * math.sin(theta)] for theta in launch_angle])
+    phase = (lens[inverse] - steer * xs) + bend[inverse]
     return np.exp(1j * phase) / math.sqrt(array.n)
 
 
@@ -145,7 +173,8 @@ def airy_weights(
     steers the launch direction, and the cubic term curves the trajectory:
     negative bending accelerates the lobe toward -x past the focal region.
     """
-    w = airy_weight_rows(array, carrier, (params,))[0]
+    w = airy_weight_rows(array, carrier, (params.bending,), (params.focal,),
+                         (params.launch_angle,))[0]
     return BeamWeights(weights=w, kind="airy", params=params)
 
 

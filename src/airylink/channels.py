@@ -95,7 +95,7 @@ def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
         )
     lam = scenario.carrier.wavelength
     k0 = scenario.carrier.wavenumber
-    xs = np.asarray(scenario.array.element_x())
+    xs = scenario.array.element_x()
     rows = []
     for u in scenario.users:
         r = np.hypot(xs - u.x, u.z)

@@ -105,12 +105,9 @@ def _cmd_shadow(args) -> int:
     theta1 = math.degrees(geometric_angle(scenario.users[0]))
     z2 = scenario.users[1].z
     angle_path = out / "shadow_angles.csv"
-    f, w = aio._open_csv(angle_path)
-    with f:
-        w.writerow(["x2_lambda", "theta1_deg", "theta2_deg"])
-        for x, _recs in sweep.points:
-            theta2 = math.degrees(math.atan2(x * lam, z2))
-            w.writerow([aio.fmt(float(x)), aio.fmt(theta1), aio.fmt(theta2)])
+    aio.write_table(angle_path, ["x2_lambda", "theta1_deg", "theta2_deg"], [
+        (x, theta1, math.degrees(math.atan2(x * lam, z2))) for x, _recs in sweep.points
+    ])
     aio.write_metadata(out / "shadow.meta", {
         "run": {
             "command": "shadow",
@@ -200,24 +197,17 @@ def _cmd_robustness(args) -> int:
     values = list(sweep.values)
     rates = {s: sweep.series(s, "sum_rate") for s in sweep.strategies}
     wc_path = out / "robustness_worst_case.csv"
-    f, w = aio._open_csv(wc_path)
-    with f:
-        w.writerow(["abs_dx2_lambda"] + [f"worst_rate_{s}" for s in sweep.strategies])
-        mags = sorted({abs(v) for v in values})
-        for a in mags:
-            idx = [i for i, v in enumerate(values) if abs(v) == a]
-            row = [aio.fmt(float(a))]
-            row += [aio.fmt(float(min(rates[s][i] for i in idx))) for s in sweep.strategies]
-            w.writerow(row)
+    worst = []
+    for a in sorted({abs(v) for v in values}):
+        idx = [i for i, v in enumerate(values) if abs(v) == a]
+        worst.append([a] + [min(rates[s][i] for i in idx) for s in sweep.strategies])
+    aio.write_table(wc_path, ["abs_dx2_lambda"] + [f"worst_rate_{s}" for s in sweep.strategies],
+                    worst)
     gain_path = out / "robustness_gain.csv"
-    f, w = aio._open_csv(gain_path)
-    with f:
-        others = [s for s in sweep.strategies if s != "trad_all"]
-        w.writerow(["dx2_lambda"] + [f"gain_{s}_vs_trad" for s in others])
-        for i, v in enumerate(values):
-            row = [aio.fmt(float(v))]
-            row += [aio.fmt(float(rates[s][i] - rates["trad_all"][i])) for s in others]
-            w.writerow(row)
+    others = [s for s in sweep.strategies if s != "trad_all"]
+    aio.write_table(gain_path, ["dx2_lambda"] + [f"gain_{s}_vs_trad" for s in others], [
+        [v] + [rates[s][i] - rates["trad_all"][i] for s in others] for i, v in enumerate(values)
+    ])
     aio.write_metadata(out / "robustness.meta", {
         "run": {
             "command": "robustness",

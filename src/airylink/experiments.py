@@ -31,12 +31,12 @@ returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import (AiryParams, _user_beam, airy_weight_rows, airy_weights,
-                    build_codebook, traditional_focus)
+                    build_codebook, check_airy_columns, traditional_focus)
 from .channels import (
     _channel_builder,
     effective_channel,
@@ -53,7 +53,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import MetricsRecord, batch_metrics, metrics_row
+from .precoding import MetricsRecord, achieved_power, batch_metrics, metrics_row
 from .propagation import (
     IntensityMap,
     grid_x,
@@ -132,10 +132,10 @@ class MixedOptimizationResult:
     calibration_residual: float
 
 
-def _assert_point_invariants(scenario: ScenarioConfig, achieved_power: float,
+def _assert_point_invariants(scenario: ScenarioConfig, power: float,
                              record: MetricsRecord) -> None:
     """Inline invariants every sweep point must satisfy (CLI exit gate)."""
-    rel = abs(achieved_power - scenario.tx_power) / scenario.tx_power
+    rel = abs(power - scenario.tx_power) / scenario.tx_power
     if rel > _POWER_RTOL:
         raise AirylinkError(
             f"power normalization violated: |W_RF W_BB|_F^2 off by {rel:.3e} relative"
@@ -152,12 +152,12 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
     channel (K x K) and analog matrix (N x K) per (value, strategy) pair,
     value-major, strategies in order. Every point's invariants are checked."""
     h = np.ascontiguousarray(h_eff, dtype=complex)
-    m, sigma, achieved = batch_metrics(
-        h, np.ascontiguousarray(w_rf, dtype=complex),
-        scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power,
+    w = np.ascontiguousarray(w_rf, dtype=complex)
+    m, sigma, w_bb = batch_metrics(
+        h, w, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
     )
     records = [metrics_row(m, sigma, c) for c in range(len(h))]
-    for rec, power in zip(records, achieved):
+    for rec, power in zip(records, achieved_power(w, w_bb)):
         _assert_point_invariants(scenario, power, rec)
     rows = iter(records)
     points = tuple((v, {name: next(rows) for name in strategies}) for v in values)
@@ -266,11 +266,13 @@ def run_mixed_optimization(
     outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
-    designs = [replace(outcome.best_params, launch_angle=theta_geo + math.radians(d))
-               for d in dthetas]
+    best = outcome.best_params
+    angles = [theta_geo + math.radians(d) for d in dthetas]
+    check_airy_columns(launch_angle=angles)
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
-    w_rf = [np.column_stack([w1, w2])
-            for w1 in airy_weight_rows(scenario.array, scenario.carrier, designs)]
+    rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
+                            [best.focal] * len(angles), angles)
+    w_rf = [np.column_stack([w1, w2]) for w1 in rows]
     h_eff = [effective_channel(outcome.h_phys, w, scale).entries for w in w_rf]
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
 

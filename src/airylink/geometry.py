@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConfigError
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -52,11 +54,15 @@ class ArrayGeometry:
             raise ConfigError(f"array needs at least one element, got n={self.n}")
         if self.spacing <= 0:
             raise ConfigError(f"element spacing must be positive, got {self.spacing}")
-
-    def element_x(self) -> list[float]:
-        """Element x coordinates in meters, symmetric about 0 (sum is exactly 0)."""
         c = 0.5 * (self.n + 1)
-        return [(i - c) * self.spacing for i in range(1, self.n + 1)]
+        xs = np.array([(i - c) * self.spacing for i in range(1, self.n + 1)], dtype=float)
+        xs.flags.writeable = False
+        object.__setattr__(self, "_element_x", xs)
+
+    def element_x(self) -> np.ndarray:
+        """Element x coordinates in meters, symmetric about 0 (sum is exactly
+        0), as one read-only float64 array built once per geometry."""
+        return self._element_x
 
     @property
     def aperture(self) -> float:

@@ -12,7 +12,6 @@ scenario files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from pathlib import Path
@@ -24,12 +23,12 @@ from .channels import ChannelMatrix
 from .experiments import FieldCut, SweepResult
 from .geometry import ScenarioConfig
 from .optimizer import SearchOutcome
-from .precoding import MetricsRecord
 from .propagation import IntensityMap
 
 __all__ = [
     "fmt",
     "scenario_hash",
+    "write_table",
     "write_sweep_csv",
     "write_channel_csv",
     "write_intensity_map",
@@ -76,54 +75,28 @@ def scenario_hash(scenario: ScenarioConfig) -> str:
     return digest[:12]
 
 
-def _open_csv(path):
-    f = Path(path).open("w", newline="")
-    return f, csv.writer(f, lineterminator="\n")
-
-
-def _write_float_rows(f, matrix) -> None:
-    """Write a 2-D float matrix as CSV lines, one row at a time.
+def _write_float_rows(f, matrix, lead: str = "") -> None:
+    """Write a 2-D float matrix as CSV lines, one row at a time, each line
+    prefixed with the literal text `lead`.
 
     '%.12g' gives every finite float, inf and nan the same text as fmt, so
     each line matches what csv.writer would write from fmt(float(v)) cells.
     Rows are converted one by one; the whole matrix never becomes one list.
     """
     matrix = np.asarray(matrix, dtype=float)
-    line = ",".join(["%.12g"] * matrix.shape[1]) + "\n"
+    line = lead.replace("%", "%%") + ",".join(["%.12g"] * matrix.shape[1]) + "\n"
     for row in matrix:
         f.write(line % tuple(row.tolist()))
 
 
-def _metrics_row(tag: str, value: float, rec: MetricsRecord) -> list:
-    k = rec.coupling_db.shape[0]
-    sigma_max, sigma_min = rec.singular_values[0], rec.singular_values[-1]
-    row = [
-        tag,
-        fmt(value),
-        fmt(rec.condition_number),
-        fmt(sigma_max),
-        fmt(sigma_min),
-        fmt(rec.alpha_power),
-        fmt(rec.common_sinr_db),
-        fmt(rec.sum_rate),
-    ]
-    row.extend(fmt(float(rec.coupling_db[i, j])) for i in range(k) for j in range(k))
-    return row
-
-
-def _metrics_header(sweep_variable: str, k: int) -> list:
-    head = [
-        "scenario",
-        sweep_variable,
-        "kappa",
-        "sigma_max",
-        "sigma_min",
-        "alpha_power",
-        "sinr_db",
-        "sum_rate",
-    ]
-    head.extend(f"coupling_db_{i + 1}{j + 1}" for i in range(k) for j in range(k))
-    return head
+def write_table(path, header, matrix, lead: str = "") -> None:
+    """CSV table: one header line (plain names, joined by commas), then one
+    line of %.12g cells per row of the 2-D float `matrix`, each prefixed
+    with the literal text `lead`. The bytes equal those of csv.writer fed
+    fmt(float(v)) cells, for names and lead text that need no quoting."""
+    with Path(path).open("w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        _write_float_rows(f, matrix, lead)
 
 
 def write_sweep_csv(out_dir, stem: str, sweep: SweepResult,
@@ -138,14 +111,19 @@ def write_sweep_csv(out_dir, stem: str, sweep: SweepResult,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     k = next(iter(sweep.points[0][1].values())).coupling_db.shape[0]
+    header = ["scenario", sweep.sweep_variable, "kappa", "sigma_max", "sigma_min",
+              "alpha_power", "sinr_db", "sum_rate"]
+    header += [f"coupling_db_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
     written = []
     for strategy in sweep.strategies:
+        rows = []
+        for value, recs in sweep.points:
+            rec = recs[strategy]
+            rows.append([value, rec.condition_number, rec.singular_values[0],
+                         rec.singular_values[-1], rec.alpha_power, rec.common_sinr_db,
+                         rec.sum_rate, *rec.coupling_db.ravel().tolist()])
         path = out_dir / f"{stem}_{strategy}.csv"
-        f, w = _open_csv(path)
-        with f:
-            w.writerow(_metrics_header(sweep.sweep_variable, k))
-            for value, recs in sweep.points:
-                w.writerow(_metrics_row(tag, value, recs[strategy]))
+        write_table(path, header, rows, lead=tag + ",")
         written.append(path)
     return written
 
@@ -154,18 +132,9 @@ def write_channel_csv(path, matrix: ChannelMatrix, scenario: ScenarioConfig) -> 
     """Channel matrix with interleaved re/im columns plus a .meta sidecar."""
     path = Path(path)
     rows, cols = matrix.entries.shape
-    f, w = _open_csv(path)
-    with f:
-        head = []
-        for j in range(cols):
-            head.extend((f"h_{j + 1}_re", f"h_{j + 1}_im"))
-        w.writerow(head)
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                row.extend((fmt(float(matrix.entries[i, j].real)),
-                            fmt(float(matrix.entries[i, j].imag))))
-            w.writerow(row)
+    header = [f"h_{j + 1}_{part}" for j in range(cols) for part in ("re", "im")]
+    # A complex128 row viewed as float64 is its re, im pairs in column order.
+    write_table(path, header, np.ascontiguousarray(matrix.entries, dtype=complex).view(float))
     write_metadata(
         path.with_suffix(path.suffix + ".meta"),
         {"channel": {
@@ -203,37 +172,27 @@ def write_intensity_map(path, imap: IntensityMap, scenario: ScenarioConfig) -> N
 
 def write_trace_csv(path, outcome: SearchOutcome) -> None:
     """Full search trace, one evaluated candidate per row."""
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(["bending", "focal_m", "dtheta_deg", "h11_power", "feasible",
-                    "rate", "stage"])
+    # One %-template per line: %.12g renders each float (and each int of up
+    # to 12 digits, as a custom grid axis may hold) as fmt does, and the
+    # verdict is written as fmt writes a bool.
+    line = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%s\n"
+    with Path(path).open("w", newline="") as f:
+        f.write("bending,focal_m,dtheta_deg,h11_power,feasible,rate,stage\n")
         for t in outcome.trace:
-            w.writerow([
-                fmt(t.bending),
-                fmt(t.focal),
-                fmt(math.degrees(t.dtheta)),
-                fmt(t.h11_power),
-                fmt(t.feasible),
-                fmt(t.rate),
-                t.stage,
-            ])
+            f.write(line % (t.bending, t.focal, math.degrees(t.dtheta), t.h11_power,
+                            "true" if t.feasible else "false", t.rate, t.stage))
 
 
 def write_codebook_csv(path, book: Codebook) -> None:
     """Per-element phases in radians, one column per beam."""
-    f, w = _open_csv(path)
-    with f:
-        w.writerow([f"beam_{j + 1}_phase_rad" for j in range(len(book.beams))])
-        _write_float_rows(f, np.column_stack([b.phases for b in book.beams]))
+    write_table(path, [f"beam_{j + 1}_phase_rad" for j in range(len(book.beams))],
+                np.column_stack([b.phases for b in book.beams]))
 
 
 def write_field_cut_csv(path, cut: FieldCut) -> None:
     """Transverse dB profiles of the two compared beams at the cut depth."""
-    f, w = _open_csv(path)
-    with f:
-        w.writerow(["x_m", "reference_db", "tuned_db"])
-        for x, a, b in zip(cut.xs, cut.db_reference, cut.db_tuned):
-            w.writerow([fmt(float(x)), fmt(float(a)), fmt(float(b))])
+    write_table(path, ["x_m", "reference_db", "tuned_db"],
+                np.column_stack([cut.xs, cut.db_reference, cut.db_tuned]))
 
 
 def write_metadata(path, sections: dict) -> None:

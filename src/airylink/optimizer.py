@@ -14,12 +14,21 @@ Stage 2 re-scans a refined grid spanning +/- fine_span coarse steps around
 the stage-1 incumbent on every axis at fine_refine_factor x resolution.
 Identical inputs always produce the identical outcome and trace.
 
+The search box is checked before anything is scored, with AiryParams' own
+rules (beams.check_airy_columns): SearchGrids rejects a coarse focal length
+<= 0, the search rejects a coarse launch angle theta_geo + dtheta outside
+|theta| < pi/2 before stage 0, and each fine axis is checked when it is
+built, before stage 2 scores any candidate.
+
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks:
-one array of cubic weights, one product with the matrix, one batched RZF
-and metrics pass (precoding.batch_metrics, which also scores every sweep).
-A candidate gets the same bits in any chunk as alone through
-evaluate_candidate.
+one array of cubic weights built from the (bending, focal, launch angle)
+columns (no AiryParams per candidate; lens and cubic rows once per distinct
+(bending, focal) pair), one product with the matrix, one batched RZF and
+metrics pass (precoding.batch_metrics, which also scores every sweep). The
+search only ranks rates, so it never forms the realized power
+||W_RF W_BB||_F^2. A candidate gets the same bits in any chunk as alone
+through evaluate_candidate.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import AiryParams, airy_weight_rows, traditional_focus
+from .beams import AiryParams, airy_weight_rows, check_airy_columns, traditional_focus
 from .channels import ChannelMatrix, beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import GridSpec, ScenarioConfig, geometric_angle
@@ -90,6 +99,7 @@ class SearchGrids:
                 raise ConfigError(f"{name} must not be empty")
             if list(axis) != sorted(axis):
                 raise ConfigError(f"{name} must be sorted ascending")
+        check_airy_columns(focal=self.coarse_focal)
         if self.fine_refine_factor < 2:
             raise ConfigError(
                 f"fine_refine_factor must be >= 2, got {self.fine_refine_factor}"
@@ -144,9 +154,10 @@ def _score_chunk(
     scale: complex,
 ) -> tuple:
     """Score cubic-beam designs for the shadowed user against the fixed
-    bright-user beam (w2, with effective column h2). Returns the sum rates
-    and |h11|^2 values as arrays, one entry per design."""
-    w1 = airy_weight_rows(scenario.array, scenario.carrier, designs)
+    bright-user beam (w2, with effective column h2). `designs` holds the
+    (bending, focal, launch angle) columns of airy_weight_rows. Returns the
+    sum rates and |h11|^2 values as arrays, one entry per design."""
+    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
     h1 = beam_responses(h_phys, w1, scale)
     h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
@@ -155,11 +166,20 @@ def _score_chunk(
     )[0]["sum_rate"]
     bad = np.isnan(rates)
     if bad.any():
-        raise AirylinkError(f"candidate {designs[np.argmax(bad)]} produced a NaN sum rate")
+        c = int(np.argmax(bad))
+        raise AirylinkError(
+            f"candidate (bending, focal, launch angle) = "
+            f"{tuple(column[c] for column in designs)} produced a NaN sum rate"
+        )
     # Per-candidate scalar abs and square, exactly as |beam_column(w)[0]|^2
     # evaluates them; the array forms may round the last bit differently.
     h11_power = np.array([abs(h) ** 2 for h in h1[:, 0]])
     return rates, h11_power
+
+
+def _one_design(params: AiryParams) -> tuple:
+    """One design as the one-row parameter columns _score_chunk takes."""
+    return (params.bending,), (params.focal,), (params.launch_angle,)
 
 
 def _check_two_users(scenario: ScenarioConfig) -> None:
@@ -190,7 +210,7 @@ def evaluate_candidate(
     _check_two_users(scenario)
     h_phys = diffraction_channel(scenario).entries
     w2, h2 = _bright_beam(scenario, h_phys, scale)
-    rates, h11_power = _score_chunk(scenario, h_phys, (params,), w2, h2, scale)
+    rates, h11_power = _score_chunk(scenario, h_phys, _one_design(params), w2, h2, scale)
     return float(rates[0]), float(h11_power[0])
 
 
@@ -250,6 +270,7 @@ def coarse_to_fine_search(
         raise ConfigError("the search is defined for an obstructed scenario")
     _check_two_users(scenario)
     theta_geo = geometric_angle(scenario.users[0])
+    check_airy_columns(launch_angle=[theta_geo + dt for dt in grids.coarse_dtheta])
 
     # The channel matrix and the bright user's column never change; build
     # them once.
@@ -258,15 +279,13 @@ def coarse_to_fine_search(
     w2, h2 = _bright_beam(scenario, h_phys, scale)
 
     def score(cands):
-        designs = [
-            AiryParams(bending=b, focal=f, launch_angle=theta_geo + dt)
-            for b, f, dt in cands
-        ]
-        return _score_chunk(scenario, h_phys, designs, w2, h2, scale)
+        bending, focal, dtheta = zip(*cands)
+        launch = [theta_geo + dt for dt in dtheta]
+        return _score_chunk(scenario, h_phys, (bending, focal, launch), w2, h2, scale)
 
     # Stage 0: constraint threshold from the geometric design's own gain.
     _, h11_geo = _score_chunk(
-        scenario, h_phys, (geometric_baseline_params(scenario),), w2, h2, scale
+        scenario, h_phys, _one_design(geometric_baseline_params(scenario)), w2, h2, scale
     )
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
@@ -293,13 +312,13 @@ def coarse_to_fine_search(
         or len(grids.coarse_dtheta) > 1
     )
     if axes_refinable:
+        span, refine = grids.fine_span, grids.fine_refine_factor
         b0, f0, dt0 = best[1]
-        fine = [
-            (b, f, dt)
-            for b in _fine_axis(grids.coarse_bending, b0, grids.fine_span, grids.fine_refine_factor)
-            for f in _fine_axis(grids.coarse_focal, f0, grids.fine_span, grids.fine_refine_factor)
-            for dt in _fine_axis(grids.coarse_dtheta, dt0, grids.fine_span, grids.fine_refine_factor)
-        ]
+        fine_b = _fine_axis(grids.coarse_bending, b0, span, refine)
+        fine_f = _fine_axis(grids.coarse_focal, f0, span, refine)
+        fine_dt = _fine_axis(grids.coarse_dtheta, dt0, span, refine)
+        check_airy_columns(fine_f, [theta_geo + dt for dt in fine_dt])
+        fine = [(b, f, dt) for b in fine_b for f in fine_f for dt in fine_dt]
         fine_best, fine_trace, fine_rejected, _ = _scan(fine, score, tau, "fine")
         evaluations += len(fine)
         rejected += fine_rejected

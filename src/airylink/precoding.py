@@ -16,7 +16,9 @@ The arithmetic runs over a leading candidate axis: the beam search and
 every sweep score all their channels in one batch_metrics call each, and
 rzf_precoder and link_metrics are batch-of-one views of the same routines
 (metrics_row builds every MetricsRecord), so a channel gets the same bits
-alone or in a batch.
+alone or in a batch. The realized power ||W_RF W_BB||_F^2 is its own step
+(achieved_power): the sweeps check it at every point and rzf_precoder
+reports it, while the beam search, which only ranks rates, skips it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "rzf_precoder",
     "link_metrics",
     "batch_metrics",
+    "achieved_power",
     "metrics_row",
 ]
 
@@ -87,9 +90,9 @@ def _frobenius_sq(m: np.ndarray) -> np.ndarray:
 def _rzf_batch(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
                sigma: np.ndarray) -> tuple:
     """RZF over a leading candidate axis: h is C x K x K, w is C x N x K and
-    sigma the C x K singular values of h. Returns (W_BB, alpha, achieved
-    power), one entry per candidate; raises for the first candidate whose
-    inversion or power normalization is impossible."""
+    sigma the C x K singular values of h. Returns (W_BB, alpha), one entry
+    per candidate; raises for the first candidate whose inversion or power
+    normalization is impossible."""
     k = h.shape[-1]
     if epsilon == 0.0:
         bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
@@ -111,8 +114,14 @@ def _rzf_batch(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
             sigma_min=float(sigma[np.argmax(zero), -1]),
         )
     alpha = np.sqrt(tx_power / norm_sq)
-    w_bb = alpha[:, None, None] * w_tilde
-    return w_bb, alpha, _frobenius_sq(w @ w_bb)
+    return alpha[:, None, None] * w_tilde, alpha
+
+
+def achieved_power(w: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
+    """Transmit power ||W_RF W_BB||_F^2 actually realized by every candidate
+    of a batch. Only callers that check or report it compute it; the beam
+    search does not."""
+    return _frobenius_sq(w @ w_bb)
 
 
 def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
@@ -139,12 +148,12 @@ def batch_metrics(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
                   noise_power: float) -> tuple:
     """Post-RZF metrics of every candidate in a batch: h is C x K x K
     effective channels, w the C x N x K analog matrices (both contiguous).
-    Returns (metrics of _metrics_batch, singular values, achieved power);
-    candidate c gets exactly the bits that rzf_precoder followed by
-    link_metrics give it alone."""
+    Returns (metrics of _metrics_batch, singular values, W_BB); candidate c
+    gets exactly the bits that rzf_precoder followed by link_metrics give it
+    alone, and achieved_power(w, W_BB) is rzf_precoder's achieved power."""
     sigma = np.linalg.svd(h, compute_uv=False)
-    _, alpha, achieved = _rzf_batch(h, w, tx_power, epsilon, sigma)
-    return _metrics_batch(h, alpha, noise_power, sigma), sigma, achieved
+    w_bb, alpha = _rzf_batch(h, w, tx_power, epsilon, sigma)
+    return _metrics_batch(h, alpha, noise_power, sigma), sigma, w_bb
 
 
 def metrics_row(m: dict, sigma: np.ndarray, c: int) -> MetricsRecord:
@@ -177,12 +186,12 @@ def rzf_precoder(
         raise AirylinkError(f"analog matrix has {w.shape[-1]} beams, channel expects {k}")
 
     sigma = np.linalg.svd(h, compute_uv=False)
-    w_bb, alpha, achieved = _rzf_batch(h, w, tx_power, epsilon, sigma)
+    w_bb, alpha = _rzf_batch(h, w, tx_power, epsilon, sigma)
     return PrecodingResult(
         baseband=w_bb[0],
         alpha=float(alpha[0]),
         product_check=h[0] @ w_bb[0],
-        achieved_power=float(achieved[0]),
+        achieved_power=float(achieved_power(w, w_bb)[0]),
     )
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from airylink import AiryParams, ScenarioConfig, traditional_focus
+from airylink import ScenarioConfig, traditional_focus
 from airylink.beams import airy_weight_rows
 from airylink.geometry import BlockedSide, geometric_angle
 from airylink.optimizer import SearchGrids, geometric_baseline_params
@@ -124,8 +124,9 @@ def fine_steps(grids: SearchGrids) -> tuple:
 
 def _sum_rates(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray):
     """Post-RZF sum rate and |h11|^2 of each cubic design for user 0 paired
-    with the bright user's fixed beam w2."""
-    w1 = airy_weight_rows(scenario.array, scenario.carrier, designs)
+    with the bright user's fixed beam w2; `designs` holds the (bending,
+    focal, launch angle) columns."""
+    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
     h = np.einsum("kn,cnj->ckj", h_phys, w_rf)
     h_herm = np.conj(h).swapaxes(-1, -2)
@@ -144,11 +145,13 @@ def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray,
     step and keep the better of the two."""
     theta_geo = geometric_angle(scenario.users[0])
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
-    _, h11_geo = _sum_rates(scenario, h_phys, [geometric_baseline_params(scenario)], w2)
+    geo = geometric_baseline_params(scenario)
+    _, h11_geo = _sum_rates(scenario, h_phys, ([geo.bending], [geo.focal], [geo.launch_angle]), w2)
     floor = eta * h11_geo[0]
 
     def best_of(cands):
-        designs = [AiryParams(b, f, theta_geo + dt) for b, f, dt in cands]
+        bending, focal, dtheta = zip(*cands)
+        designs = (bending, focal, [theta_geo + dt for dt in dtheta])
         rate, h11 = _sum_rates(scenario, h_phys, designs, w2)
         rate = np.where(h11 >= floor, rate, -np.inf)
         i = int(np.argmax(rate))

@@ -20,6 +20,7 @@ from airylink import (
     sample_field,
     traditional_focus,
 )
+from airylink.beams import airy_weight_rows
 from airylink.geometry import GridSpec, geometric_angle
 from airylink.propagation import grid_x
 
@@ -42,6 +43,53 @@ class TestAiryParams:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigError):
             AiryParams(**kwargs)
+
+
+def one_design_row(array, carrier, bending, focal, theta) -> np.ndarray:
+    """The cubic-phase expression airy_weight_rows replaced, on a batch of
+    one design: every term per candidate, the steering from math.sin."""
+    xs = np.asarray(array.element_x())
+    k0 = carrier.wavenumber
+    focal = np.array([[focal]])
+    steer = np.array([[k0 * math.sin(theta)]])
+    cubic = np.array([[(2.0 * math.pi / (3.0 * carrier.wavelength)) * bending]])
+    phase = k0 * xs**2 / (2.0 * focal) - steer * xs + cubic * (xs / focal) ** 3
+    return (np.exp(1j * phase) / math.sqrt(array.n))[0]
+
+
+class TestAiryWeightRows:
+    def test_repeated_pairs_keep_every_rows_bits(self, array64, carrier):
+        """Interleaved and repeated (bending, focal) pairs, signed zeros and
+        int parameters: each row equals the one-design expression bit for
+        bit, whatever its neighbours."""
+        pairs = [(-25.0, 1.75), (-60, 1), (-25.0, 1.75), (0.0, 2.5), (-60.0, 1.0),
+                 (-0.0, 2.5), (25.0, 1.75), (-25.0, 1.0), (0.0, 2.5), (-25.0, 1.75)]
+        thetas = [math.radians(-5.0 + 1.1 * i) for i in range(len(pairs))]
+        bending, focal = zip(*pairs)
+        rows = airy_weight_rows(array64, carrier, bending, focal, thetas)
+        assert rows.shape == (len(pairs), 64)
+        for row, (b, f), theta in zip(rows, pairs, thetas):
+            old = one_design_row(array64, carrier, b, f, theta)
+            assert np.array_equal(row, old)
+            assert row.tobytes() == old.tobytes()
+
+    def test_a_search_chunk_matches_row_by_row(self, array64, carrier):
+        """The loop order of a search chunk (angle innermost) over several
+        coarse (bending, focal) pairs."""
+        cands = [(b, f, math.radians(dt))
+                 for b in (-60.0, -55.0) for f in (1.0, 1.25, 1.5)
+                 for dt in (-5.0, -0.5, 0.0, 4.5)]
+        bending, focal, thetas = zip(*cands)
+        rows = airy_weight_rows(array64, carrier, bending, focal, thetas)
+        for row, (b, f, theta) in zip(rows, cands):
+            assert np.array_equal(row, one_design_row(array64, carrier, b, f, theta))
+
+    def test_airy_weights_is_a_row_of_one(self, array64, carrier):
+        params = AiryParams(-44.0, 1.5, math.radians(-2.9))
+        w = airy_weights(array64, carrier, params)
+        rows = airy_weight_rows(array64, carrier, [params.bending], [params.focal],
+                                [params.launch_angle])
+        assert np.array_equal(w.weights, rows[0])
 
 
 class TestBeamWeights:

@@ -157,7 +157,9 @@ class TestBatchInvariance:
                                mixed_scenario.users[1]).weights
         fixed_h2 = beam_column(mixed_scenario, w2, scale)
         h_phys = diffraction_channel(mixed_scenario).entries
-        rates, h11 = _score_chunk(mixed_scenario, h_phys, designs, w2,
+        columns = ([p.bending for p in designs], [p.focal for p in designs],
+                   [p.launch_angle for p in designs])
+        rates, h11 = _score_chunk(mixed_scenario, h_phys, columns, w2,
                                   fixed_h2, scale)
         for i in range(_CHUNK):
             alone = evaluate_candidate(mixed_scenario, designs[i], scale)

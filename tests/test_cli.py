@@ -6,12 +6,16 @@ shell user would observe them.  The bundled example configs under
 ``configs/`` serve as inputs.
 """
 
+import csv
 import math
 from pathlib import Path
 
 import pytest
 
+from airylink import load_scenario, run_robustness_sweep, run_shadow_scan
 from airylink.cli import main
+from airylink.geometry import geometric_angle
+from airylink.io import fmt
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BASELINE = str(CONFIGS / "baseline.cfg")
@@ -184,6 +188,51 @@ class TestRobustnessCommand:
                             "gain_airy_opt_vs_trad"]
         assert [float(r[0]) for r in g_rows] == [-3.0, -1.5, 0.0, 1.5, 3.0]
         assert (tmp_path / "robustness.meta").exists()
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """The csv.writer + per-cell fmt writer the CLI tables used before they
+    went through io.write_table."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([fmt(float(v)) for v in row] for row in rows)
+    return Path(path).read_bytes()
+
+
+class TestTablesMatchCsvWriter:
+    def test_shadow_angles(self, tmp_path):
+        assert main(["shadow", "--config", SHADOW, "--out", str(tmp_path),
+                     "--step", "3.5"]) == 0
+        scenario = load_scenario(SHADOW)
+        sweep = run_shadow_scan(scenario, step_lambda=3.5)
+        lam, z2 = scenario.carrier.wavelength, scenario.users[1].z
+        theta1 = math.degrees(geometric_angle(scenario.users[0]))
+        expected = csv_writer_bytes(
+            tmp_path / "old.csv", ["x2_lambda", "theta1_deg", "theta2_deg"],
+            [(x, theta1, math.degrees(math.atan2(x * lam, z2))) for x in sweep.values])
+        assert (tmp_path / "shadow_angles.csv").read_bytes() == expected
+
+    def test_robustness_tables(self, tmp_path):
+        assert main(["robustness", "--config", MIXED, "--out", str(tmp_path),
+                     "--step", "1.5"]) == 0
+        sweep = run_robustness_sweep(load_scenario(MIXED), step_lambda=1.5)
+        values = list(sweep.values)
+        rates = {s: sweep.series(s, "sum_rate") for s in sweep.strategies}
+        worst = [[a] + [min(rates[s][i] for i, v in enumerate(values) if abs(v) == a)
+                        for s in sweep.strategies]
+                 for a in sorted({abs(v) for v in values})]
+        expected = csv_writer_bytes(
+            tmp_path / "old_wc.csv",
+            ["abs_dx2_lambda"] + [f"worst_rate_{s}" for s in sweep.strategies], worst)
+        assert (tmp_path / "robustness_worst_case.csv").read_bytes() == expected
+        others = [s for s in sweep.strategies if s != "trad_all"]
+        gains = [[v] + [rates[s][i] - rates["trad_all"][i] for s in others]
+                 for i, v in enumerate(values)]
+        expected = csv_writer_bytes(
+            tmp_path / "old_gain.csv",
+            ["dx2_lambda"] + [f"gain_{s}_vs_trad" for s in others], gains)
+        assert (tmp_path / "robustness_gain.csv").read_bytes() == expected
 
 
 class TestFieldmapCommand:

@@ -436,6 +436,26 @@ class TestOneMetricsPath:
         sweep = run(request.getfixturevalue(fixture))
         assert shapes == [(len(sweep.points) * len(sweep.strategies), 2, 2)]
 
+    @pytest.mark.parametrize("run, fixture, step", [
+        (run_baseline_scan, "baseline_scenario", 5.0),
+        (run_shadow_scan, "shadow_scenario", 3.5),
+        (run_robustness_sweep, "mixed_scenario", 1.5),
+    ])
+    def test_perturbed_achieved_power_fails_the_sweep(self, run, fixture, step,
+                                                      request, monkeypatch):
+        """The sweeps still compute ||W_RF W_BB||_F^2 and check it at every
+        point: a 1e-6 error at the last point alone stops the sweep."""
+        power = airylink.experiments.achieved_power
+
+        def perturbed(w, w_bb):
+            p = power(w, w_bb)
+            p[-1] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(airylink.experiments, "achieved_power", perturbed)
+        with pytest.raises(AirylinkError, match="power normalization"):
+            run(request.getfixturevalue(fixture), step_lambda=step)
+
     def test_one_svd_for_the_angle_sweep(self, mixed_scenario, monkeypatch):
         """Outside the search, whose chunks make their own SVD calls, the
         mixed optimization makes one: the whole angle sweep."""

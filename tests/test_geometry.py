@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from airylink import (
@@ -50,6 +51,18 @@ class TestArrayGeometry:
         xs = array64.element_x()
         for a, b in zip(xs, xs[1:]):
             assert b - a == pytest.approx(array64.spacing, rel=1e-12)
+
+    def test_positions_are_one_read_only_array(self, array64):
+        """Built once per geometry from the list expression it replaced, so
+        the values keep their bits; callers cannot change them."""
+        xs = array64.element_x()
+        assert xs is array64.element_x()
+        assert xs.dtype == np.float64 and not xs.flags.writeable
+        c = 0.5 * (array64.n + 1)
+        old = [(i - c) * array64.spacing for i in range(1, array64.n + 1)]
+        assert xs.tobytes() == np.array(old).tobytes()
+        with pytest.raises(ValueError):
+            xs[0] = 0.0
 
     def test_odd_count_has_center_element(self):
         xs = ArrayGeometry(n=5, spacing=0.01).element_x()

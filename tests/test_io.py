@@ -15,6 +15,7 @@ from airylink import (
     build_codebook,
 )
 from airylink.channels import GREENS_FREE_SPACE
+from airylink.optimizer import TraceEntry
 from airylink.io import (
     fmt,
     scenario_hash,
@@ -228,6 +229,122 @@ class TestFloatRowsMatchPerCellWriter:
         write_intensity_map(tmp_path / "map.csv", imap, scenario)
         expected = per_cell_csv(tmp_path / "ref.csv", imap.db)
         assert (tmp_path / "map.csv").read_bytes() == expected
+
+
+def csv_writer_bytes(path, header, rows) -> bytes:
+    """What csv.writer writes for a header and rows of text cells."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def old_trace_csv(path, outcome) -> bytes:
+    """The csv.writer + per-cell fmt trace writer that the row template
+    replaced."""
+    return csv_writer_bytes(
+        path, ["bending", "focal_m", "dtheta_deg", "h11_power", "feasible", "rate", "stage"],
+        [[fmt(t.bending), fmt(t.focal), fmt(math.degrees(t.dtheta)), fmt(t.h11_power),
+          fmt(t.feasible), fmt(t.rate), t.stage] for t in outcome.trace])
+
+
+def old_field_cut_csv(path, cut) -> bytes:
+    return csv_writer_bytes(
+        path, ["x_m", "reference_db", "tuned_db"],
+        [[fmt(float(x)), fmt(float(a)), fmt(float(b))]
+         for x, a, b in zip(cut.xs, cut.db_reference, cut.db_tuned)])
+
+
+def old_sweep_csv(out_dir, stem, sweep, scenario) -> list:
+    tag = scenario_hash(scenario)
+    k = next(iter(sweep.points[0][1].values())).coupling_db.shape[0]
+    header = ["scenario", sweep.sweep_variable, "kappa", "sigma_max", "sigma_min",
+              "alpha_power", "sinr_db", "sum_rate"]
+    header += [f"coupling_db_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
+    out = []
+    for strategy in sweep.strategies:
+        rows = []
+        for value, recs in sweep.points:
+            rec = recs[strategy]
+            rows.append([tag, fmt(value), fmt(rec.condition_number),
+                         fmt(rec.singular_values[0]), fmt(rec.singular_values[-1]),
+                         fmt(rec.alpha_power), fmt(rec.common_sinr_db), fmt(rec.sum_rate)]
+                        + [fmt(float(rec.coupling_db[i, j]))
+                           for i in range(k) for j in range(k)])
+        out.append(csv_writer_bytes(out_dir / f"old_{stem}_{strategy}.csv", header, rows))
+    return out
+
+
+# Signed zero, a huge value, both sides of a 12-digit rounding boundary
+# that carries into a new decade, and the non-finite values.
+EDGE = [-0.0, 1e16, 9.999999999995, np.nextafter(9.999999999995, 0.0),
+        math.inf, -math.inf, math.nan, 0.1, -123456789012.5]
+
+
+class TestTemplateWritersMatchCsvWriter:
+    def test_real_mixed_opt_outputs(self, tmp_path, mixed_scenario, mixed_opt_result):
+        search = mixed_opt_result.search
+        write_trace_csv(tmp_path / "trace.csv", search)
+        assert (tmp_path / "trace.csv").read_bytes() \
+            == old_trace_csv(tmp_path / "old_trace.csv", search)
+        cut = mixed_opt_result.field_cut
+        write_field_cut_csv(tmp_path / "cut.csv", cut)
+        assert (tmp_path / "cut.csv").read_bytes() \
+            == old_field_cut_csv(tmp_path / "old_cut.csv", cut)
+        sweep = mixed_opt_result.dtheta_sweep
+        paths = write_sweep_csv(tmp_path, "dtheta", sweep, mixed_scenario)
+        expected = old_sweep_csv(tmp_path, "dtheta", sweep, mixed_scenario)
+        assert [p.read_bytes() for p in paths] == expected
+
+    def test_edge_values_in_a_trace(self, tmp_path):
+        """Int grid axes (as a custom SearchGrids may hold) and awkward
+        measured values in every numeric column."""
+        trace = [TraceEntry(-60, 2, 0, 1e16, math.inf, True, "coarse"),
+                 TraceEntry(-0.0, 1.75, -0.0, 9.999999999995, -math.inf, False, "coarse")]
+        trace += [TraceEntry(v, 1.0, math.radians(0.5), v, v, bool(v > 0), "fine") for v in EDGE]
+        outcome = SimpleNamespace(trace=tuple(trace))
+        write_trace_csv(tmp_path / "trace.csv", outcome)
+        expected = old_trace_csv(tmp_path / "old.csv", outcome)
+        assert b"\n-60,2,0,1e+16,true,inf,coarse\n" in expected
+        assert b"\nnan,1,0.5,nan,false,nan,fine\n" in expected
+        assert (tmp_path / "trace.csv").read_bytes() == expected
+
+    def test_edge_values_in_a_field_cut(self, tmp_path):
+        column = np.array(EDGE)
+        cut = SimpleNamespace(xs=column, db_reference=column[::-1].copy(),
+                              db_tuned=np.roll(column, 3))
+        write_field_cut_csv(tmp_path / "cut.csv", cut)
+        expected = old_field_cut_csv(tmp_path / "old.csv", cut)
+        assert b"\n-0,-123456789012,nan\n" in expected
+        assert (tmp_path / "cut.csv").read_bytes() == expected
+
+    def test_edge_values_in_a_sweep(self, tmp_path, baseline_scenario):
+        def rec(v):
+            return MetricsRecord(condition_number=math.inf, singular_values=(1e16, -0.0),
+                                 alpha_power=9.999999999995, common_sinr_db=-math.inf,
+                                 sum_rate=v, coupling_db=np.array([[v, -0.0], [1e16, v]]),
+                                 singular=True)
+
+        sweep = SweepResult(sweep_variable="x2_lambda", strategies=("a", "b"), points=tuple(
+            (x, {"a": rec(v), "b": rec(-v)}) for x, v in zip((-3, -2.5, 0, 1e16), EDGE)))
+        paths = write_sweep_csv(tmp_path, "edge", sweep, baseline_scenario)
+        expected = old_sweep_csv(tmp_path, "edge", sweep, baseline_scenario)
+        assert b",-3,inf,1e+16,-0,9.99999999999,-inf,-0,-0,-0,1e+16,-0\n" in expected[0]
+        assert [p.read_bytes() for p in paths] == expected
+
+
+    def test_edge_values_in_a_channel(self, tmp_path, baseline_scenario):
+        finite = [v for v in EDGE if math.isfinite(v)] + [5e-324, 2.0 / 3.0]
+        entries = np.zeros(8, dtype=complex)
+        entries.real, entries.imag = finite, finite[::-1]
+        m = ChannelMatrix(entries.reshape(2, 4), model=GREENS_FREE_SPACE, kind="physical")
+        write_channel_csv(tmp_path / "chan.csv", m, baseline_scenario)
+        header = [f"h_{j + 1}_{part}" for j in range(4) for part in ("re", "im")]
+        expected = csv_writer_bytes(
+            tmp_path / "old.csv", header,
+            [[fmt(float(c)) for h in row for c in (h.real, h.imag)] for row in m.entries])
+        assert (tmp_path / "chan.csv").read_bytes() == expected
 
 
 class TestWriteTraceCsv:

@@ -25,8 +25,10 @@ from airylink import (
     geometric_baseline_params,
     traditional_focus,
 )
+import airylink.optimizer as optimizer
+import airylink.precoding as precoding
 from airylink.geometry import geometric_angle
-from airylink.optimizer import GEO_BENDING, GEO_FOCAL
+from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,12 @@ class TestSearchGrids:
     def test_unsorted_axis_rejected(self):
         with pytest.raises(ConfigError, match="sorted"):
             SearchGrids(coarse_bending=(-10.0, -20.0), coarse_focal=(1.0,),
+                        coarse_dtheta=(0.0,))
+
+    @pytest.mark.parametrize("focal", [(0.0, 1.0), (-1.0,), (1.0, math.nan)])
+    def test_nonpositive_coarse_focal_rejected(self, focal):
+        with pytest.raises(ConfigError, match="focal length must be positive"):
+            SearchGrids(coarse_bending=(-25.0,), coarse_focal=focal,
                         coarse_dtheta=(0.0,))
 
     @pytest.mark.parametrize("kwargs", [dict(fine_refine_factor=1),
@@ -195,6 +203,76 @@ class TestCoarseToFineSearch:
     def test_requires_obstacle(self, baseline_scenario):
         with pytest.raises(ConfigError, match="obstructed"):
             coarse_to_fine_search(baseline_scenario, singleton_grids())
+
+
+def counted_rows(monkeypatch) -> list:
+    """Patch the search's weight builder to record how many candidate rows
+    each call scores."""
+    rows = []
+    build = optimizer.airy_weight_rows
+
+    def counted(array, carrier, bending, focal, launch_angle):
+        rows.append(len(bending))
+        return build(array, carrier, bending, focal, launch_angle)
+
+    monkeypatch.setattr(optimizer, "airy_weight_rows", counted)
+    return rows
+
+
+class TestSearchBoxCheckedUpFront:
+    def test_coarse_launch_angle_past_90_degrees(self, mixed_scenario, monkeypatch):
+        theta_geo = geometric_angle(mixed_scenario.users[0])
+        rows = counted_rows(monkeypatch)
+        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(GEO_FOCAL,),
+                            coarse_dtheta=(0.0, math.pi / 2 - theta_geo + 0.01))
+        with pytest.raises(ConfigError, match="launch angle"):
+            coarse_to_fine_search(mixed_scenario, grids)
+        assert rows == []
+
+    def test_fine_focal_axis_below_zero(self, mixed_scenario, monkeypatch):
+        """Either coarse focal wins; 3 coarse steps below it is <= 0 m."""
+        rows = counted_rows(monkeypatch)
+        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(1.0, 1.5),
+                            coarse_dtheta=(0.0,), fine_span=3)
+        with pytest.raises(ConfigError, match="focal length must be positive"):
+            coarse_to_fine_search(mixed_scenario, grids)
+        assert sum(rows) == 1 + 2  # the geometric design and the coarse grid
+
+    def test_fine_angle_axis_past_90_degrees(self, mixed_scenario, monkeypatch):
+        """Whichever coarse angle wins, two coarse steps away lies beyond
+        |theta| = pi/2 on one side."""
+        theta_geo = geometric_angle(mixed_scenario.users[0])
+        rows = counted_rows(monkeypatch)
+        dtheta = (-math.pi / 2 - theta_geo + 0.1, 0.0, math.pi / 2 - theta_geo - 0.1)
+        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(GEO_FOCAL,),
+                            coarse_dtheta=dtheta, fine_span=2)
+        with pytest.raises(ConfigError, match="launch angle"):
+            coarse_to_fine_search(mixed_scenario, grids)
+        assert sum(rows) == 1 + 3
+
+
+class TestSearchSkipsAchievedPower:
+    def test_one_frobenius_norm_per_chunk(self, mixed_scenario, monkeypatch):
+        """Only the power normalization ||W_RF W~||_F^2 is taken per chunk;
+        the realized power ||W_RF W_BB||_F^2 is never computed."""
+        calls = []
+        frob = precoding._frobenius_sq
+
+        def counted(m):
+            calls.append(len(m))
+            return frob(m)
+
+        monkeypatch.setattr(precoding, "_frobenius_sq", counted)
+        rows = counted_rows(monkeypatch)
+        grids = SearchGrids(coarse_bending=(-30.0, -25.0, -20.0),
+                            coarse_focal=(1.5, GEO_FOCAL),
+                            coarse_dtheta=tuple(math.radians(0.25 * i) for i in range(-12, 13)),
+                            fine_refine_factor=2, fine_span=1)
+        outcome = coarse_to_fine_search(mixed_scenario, grids)
+        coarse = 3 * 2 * 25
+        assert outcome.evaluations == coarse + 5 * 5 * 5
+        assert rows == [1, _CHUNK, coarse - _CHUNK, 125]
+        assert calls == rows
 
 
 class TestComplexityEstimate:
