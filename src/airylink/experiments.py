@@ -169,6 +169,8 @@ def _sweep_values(start: float, stop: float, step: float) -> list:
     endpoint lands exactly and values are reproducible bit for bit."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"sweep step must be a positive finite number, got {step}")
+    if stop < start:
+        raise ConfigError(f"sweep range [{start}, {stop}] is reversed: stop is below start")
     n = round((stop - start) / step)
     if not math.isclose(start + n * step, stop, rel_tol=0, abs_tol=1e-9 * abs(step)):
         raise ConfigError(

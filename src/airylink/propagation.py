@@ -415,10 +415,15 @@ def intensity_map(
     peak = float(rows.max())
     if peak <= 0:
         raise AirylinkError("field is identically zero; cannot normalize the map")
+    # In place on `rows`, in the order 10 * log10(rows / peak) then the
+    # floor, so no map-sized temporary is made.
+    rows /= peak
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(rows / peak)
+        np.log10(rows, out=rows)
+    rows *= 10.0
+    np.maximum(rows, floor_db, out=rows)
     return IntensityMap(
-        db=np.maximum(db, floor_db),
+        db=rows,
         depths=tuple(depths),
         peak=peak,
         floor_db=floor_db,

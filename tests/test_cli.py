@@ -62,23 +62,25 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "lambda/4" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "0"],
-        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "-2"],
-        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "nan"],
-        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "inf"],
-        ["baseline", "--config", BASELINE, "--step", "0"],
-        ["shadow", "--config", SHADOW, "--step", "0"],
-        ["robustness", "--config", MIXED, "--step", "0"],
-        ["mixed-opt", "--config", MIXED, "--step", "0"],
+    @pytest.mark.parametrize("argv, message", [
+        (["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "0"], "sweep step"),
+        (["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "-2"], "sweep step"),
+        (["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "nan"], "sweep step"),
+        (["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zstep", "inf"], "sweep step"),
+        (["baseline", "--config", BASELINE, "--step", "0"], "sweep step"),
+        (["shadow", "--config", SHADOW, "--step", "0"], "sweep step"),
+        (["robustness", "--config", MIXED, "--step", "0"], "sweep step"),
+        (["mixed-opt", "--config", MIXED, "--step", "0"], "sweep step"),
+        (["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--zmin", "50",
+          "--zmax", "20"], "sweep range [50.0, 20.0] is reversed"),
     ], ids=["fieldmap-0", "fieldmap-neg", "fieldmap-nan", "fieldmap-inf",
-            "baseline", "shadow", "robustness", "mixed-opt"])
-    def test_bad_sweep_step_is_a_config_error(self, tmp_path, capsys, argv):
+            "baseline", "shadow", "robustness", "mixed-opt", "fieldmap-reversed"])
+    def test_bad_sweep_step_is_a_config_error(self, tmp_path, capsys, argv, message):
         rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "sweep step" in err
+        assert message in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

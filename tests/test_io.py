@@ -1,11 +1,16 @@
 """Deterministic file output: formatting, hashing, and the CSV writers."""
 
 import csv
+import io
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airylink import (
     ChannelMatrix,
@@ -17,6 +22,7 @@ from airylink import (
 from airylink.channels import GREENS_FREE_SPACE
 from airylink.optimizer import TraceEntry
 from airylink.io import (
+    _write_float_rows,
     fmt,
     scenario_hash,
     write_channel_csv,
@@ -25,6 +31,7 @@ from airylink.io import (
     write_intensity_map,
     write_metadata,
     write_sweep_csv,
+    write_table,
     write_trace_csv,
 )
 
@@ -229,6 +236,101 @@ class TestFloatRowsMatchPerCellWriter:
         write_intensity_map(tmp_path / "map.csv", imap, scenario)
         expected = per_cell_csv(tmp_path / "ref.csv", imap.db)
         assert (tmp_path / "map.csv").read_bytes() == expected
+
+
+def percent_rows(matrix, lead: str = "") -> bytes:
+    """Reference for the float cell kernel: '%.12g' % v, cell by cell."""
+    return b"".join(lead.encode() + b",".join(b"%.12g" % v for v in row) + b"\n"
+                    for row in np.asarray(matrix, dtype=float))
+
+
+def kernel_rows(matrix, lead: str = "") -> bytes:
+    f = io.BytesIO()
+    _write_float_rows(f, matrix, lead)
+    return f.getvalue()
+
+
+def below(x: float) -> float:
+    return float(np.nextafter(x, 0.0))
+
+
+def above(x: float) -> float:
+    return float(np.nextafter(x, math.inf))
+
+
+# The fast path's range ends and their neighbours, a value whose log10
+# rounds up to 11, the largest value below each power of ten the fixed
+# notation covers, exact half-ties (13 significant digits ending in 5, the
+# last two rounding down and up to even), and both sides of a 12-digit
+# rounding boundary that carries into a new decade.
+KERNEL_EDGES = (
+    [1e-4, below(1e-4), above(1e-4), 1e11, below(1e11), above(1e11), 99999999999.99998]
+    + [below(10.0 ** k) for k in range(-4, 12)]
+    + [12345678901.25, 1234567890.125, 1.000244140625, 1.000732421875]
+    + [9.999999999995, below(9.999999999995), above(9.999999999995)]
+)
+
+# Float64 cells of every kind: hypothesis' float edge cases (+-0, the
+# smallest subnormal, +-inf, nan, extreme magnitudes) and dB-map-like
+# values around the fast path's range.
+ANY_FLOAT = st.one_of(
+    st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=-70.0, max_value=70.0),
+    st.sampled_from(KERNEL_EDGES),
+)
+
+
+class TestFloatCellKernel:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24),
+                      elements=ANY_FLOAT),
+           st.sampled_from(["", "abc123,"]))
+    def test_matches_percent_format_cell_by_cell(self, matrix, lead):
+        assert kernel_rows(matrix, lead) == percent_rows(matrix, lead)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_named_edge_values(self, sign):
+        column = sign * np.array(KERNEL_EDGES).reshape(-1, 1)
+        text = kernel_rows(column)
+        assert text == percent_rows(column)
+        lines = text.decode().splitlines()
+        assert lines[KERNEL_EDGES.index(99999999999.99998)] == f"{sign * 1e11:.12g}"
+        assert lines[-3:] == [f"{sign * 9.99999999999:.12g}"] * 2 + [f"{sign * 10:.12g}"]
+        assert f"{sign * 12345678901.2:.12g}" in lines  # half-even tie, down
+        assert f"{sign * 1.00073242188:.12g}" in lines  # half-even tie, up
+
+    @pytest.mark.parametrize("shape", [(1, 9000), (9000, 1), (0, 2), (3, 5000), (4, 4096)],
+                             ids=["one-row", "one-column", "no-rows", "rows-across-chunks",
+                                  "rows-ending-chunks"])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(8)
+        matrix = -60.0 * rng.random(shape)
+        matrix.ravel()[::97] = 0.0
+        for lead in ("", "tag,"):
+            text = kernel_rows(matrix, lead)
+            assert text == percent_rows(matrix, lead)
+            assert text.count(b"\n") == shape[0]
+
+    def test_lead_with_percent_is_literal(self, tmp_path):
+        write_table(tmp_path / "t.csv", ["tag", "a", "b"], [[1.5, -0.0], [2.0, 1e-5]],
+                    lead="50%s,%d%%,")
+        assert (tmp_path / "t.csv").read_text() == (
+            "tag,a,b\n50%s,%d%%,1.5,-0\n50%s,%d%%,2,1e-05\n")
+
+    def test_map_writer_never_holds_the_whole_text(self, tmp_path, baseline_scenario):
+        """A 196 x 4096 map is about 9.7 MB of text; writing it must stay far
+        below that in traced memory."""
+        db = -60.0 * np.random.default_rng(1).random((196, 4096))
+        imap = IntensityMap(db=db, depths=tuple(float(d) for d in range(1, 197)),
+                            peak=1.0, floor_db=-60.0)
+        tracemalloc.start()
+        try:
+            write_intensity_map(tmp_path / "map.csv", imap, baseline_scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "map.csv").stat().st_size > 9_000_000
+        assert peak < 4_000_000
 
 
 def csv_writer_bytes(path, header, rows) -> bytes:
