@@ -132,10 +132,19 @@ class GridSpec:
             raise ConfigError(
                 f"apodization width must lie in [0, window/2), got {self.apod_width}"
             )
+        fx2 = np.fft.fftfreq(self.nx, d=self.dx)[: self.nx // 2 + 1] ** 2
+        fx2.flags.writeable = False
+        object.__setattr__(self, "_half_band_fx2", fx2)
 
     @property
     def dx(self) -> float:
         return self.window / self.nx
+
+    def half_band_fx2(self) -> np.ndarray:
+        """Squared spatial frequencies of FFT bins 0..nx/2 in numpy's FFT
+        ordering, as one read-only float64 array built once per grid. Bin
+        nx - k has the same squared frequency as bin k, bit for bit."""
+        return self._half_band_fx2
 
     @property
     def interior_half_width(self) -> float:

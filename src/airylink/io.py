@@ -7,14 +7,15 @@ produce byte-identical files; that property is part of the test suite.
 
 Every float matrix (maps, codebooks, channels, field cuts and sweep
 tables) is written by one numpy kernel that produces the bytes of
-'%.12g' % v for every float64, a chunk of cells at a time. A cell whose
-decimal exponent guess e = floor(log10|v|) is confirmed, and whose
-12-digit mantissa |v| * 10**(11 - e) is clear of a rounding tie by more
-than the one rounding error that product carries, is written from that
-mantissa in fixed notation. Every other cell (+-0, subnormals, inf, nan,
-exponent form, near-ties, rounding up to the next decade) is formatted
-by '%.12g' % v itself. The search trace, whose rows mix floats with a
-verdict and a stage name, keeps its own per-row template.
+'%.12g' % v for every float64, a chunk of cells at a time. A cell with
+0.1 <= |v| < 1e11 whose decimal exponent guess e = floor(log10|v|) is
+confirmed, and whose 12-digit mantissa |v| * 10**(11 - e) is clear of a
+rounding tie by more than the one rounding error that product carries,
+is written from that mantissa in fixed notation into a 16-byte slot.
+Every other cell (+-0, subnormals, inf, nan, exponent form, fixed
+notation below 0.1, near-ties, rounding up to the next decade) is
+formatted by '%.12g' % v itself. The search trace, whose rows mix floats
+with a verdict and a stage name, keeps its own per-row template.
 
 The metadata sidecars reuse the config file syntax ([section] followed by
 key = value lines) so they stay greppable and diffable alongside the
@@ -32,6 +33,7 @@ import numpy as np
 
 from .beams import Codebook
 from .channels import ChannelMatrix
+from .errors import AirylinkError
 from .experiments import FieldCut, SweepResult
 from .geometry import ScenarioConfig
 from .optimizer import SearchOutcome
@@ -91,68 +93,80 @@ def scenario_hash(scenario: ScenarioConfig) -> str:
 # in fixed notation when the decimal exponent e of the rounded value is in
 # -4..11, and drops trailing zeros and a bare point. The kernel writes the
 # same bytes for a chunk of cells at a time with numpy. A cell is "fast"
-# when its exponent guess e = floor(log10|v|), clipped to -4..10, is
+# when its exponent guess e = floor(log10|v|), clipped to -1..10, is
 # verified and its last digit is clear of a tie:
 # - p = |v| * 10**(11 - e) uses an exact power of ten, so it carries one
 #   rounding error, of at most 2**-14 since p < 1e12 < 2**40;
 # - 1e11 <= p and rint(p) < 1e12 confirm the guess; with the clip they
-#   also confine fast cells to 1e-4 <= |v| < 1e11, all fixed notation;
+#   also confine fast cells to 0.1 <= |v| < 1e11, all fixed notation;
 # - |p - rint(p)| < 0.5 - 2**-12 puts p and the exact product on the same
 #   side of every half-integer, so rint(p) is the correctly rounded
 #   (half-even) 12-digit mantissa.
-# Every other cell (+-0, subnormals, inf, nan, exponent form, near-ties,
-# rounding up to the next decade; about 0.04% of a field map's cells) is
-# formatted by '%.12g' % v itself.
+# Every other cell (+-0, subnormals, inf, nan, exponent form, fixed
+# notation below 0.1, near-ties, rounding up to the next decade; about
+# 0.05% of a field map's cells) is formatted by '%.12g' % v itself.
 #
-# Each cell owns a 24-byte slot, three little-endian uint64 words: a fast
-# cell's sign in byte 0 and its text from byte 1, or a slow cell's marker
-# byte 1, then zero bytes, and the separator (',' or '\n') in byte 23.
-# Deleting the zero bytes packs the slots into CSV text, and the slow
-# cells' text replaces their markers.
+# Each cell owns a 16-byte slot, two little-endian uint64 words: a fast
+# cell's sign ('-' or 0) in byte 0 and its text from byte 1, or a slow
+# cell's marker byte 1, then zero bytes, and the separator (',' or '\n')
+# in byte 15. A fast cell's text is at most 14 bytes after the sign ("0."
+# and twelve digits when e = -1), which is why the clip stops at e = -1:
+# e = -2 would need 15. Deleting the zero bytes packs the slots into CSV
+# text, and the slow cells' text replaces their markers.
 _CHUNK_CELLS = 8192
 _U64 = np.uint64
 # _DIGITS4[i]: the four ASCII digits of f"{i:04d}" read as a little-endian
-# integer (first digit in the low byte); _TRAILING_ZEROS[i] counts their
-# trailing zeros (4 for i = 0).
-_DIGITS4 = sum((np.arange(10000, dtype=np.uint32) // 10 ** (3 - k) % 10 + ord("0")) << 8 * k
-               for k in range(4))
+# integer (first digit in byte 1, so after a sign byte). _TRAILING_ZEROS
+# [i + 10000 * g]: the trailing zeros of a twelve-digit mantissa whose
+# last nonzero four-digit group is i and is followed by g zero groups.
+_DIGITS4 = sum((np.arange(10000, dtype=_U64) // _U64(10 ** (3 - k)) % _U64(10) + _U64(ord("0")))
+               << _U64(8 * k + 8) for k in range(4))
 _TRAILING_ZEROS = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.uint8)
-# _LOW_BYTES[b]: a word whose low b bytes are 0xFF.
-_LOW_BYTES = np.array([(1 << 8 * b) - 1 for b in range(9)], dtype=_U64)
+_TRAILING_ZEROS = np.concatenate([_TRAILING_ZEROS + 4 * g for g in range(3)])
+
+
+def _words(x: int) -> tuple:
+    """The low and high little-endian uint64 words of a 128-bit integer."""
+    return x & (2**64 - 1), x >> 64
 
 
 def _exponent_tables():
-    """Per exponent e = -4..10, at the exponent index k = e + 4: the scale
-    10**(11 - e); the count t of mantissa digits before the point (0 when
-    e < 0); the point text that follows the sign byte and those digits
-    ("." or "0.00..."), its length in bytes and in bits; the two words that
-    mask the sign byte and the t digits; and the two words that hold the
-    point text in place."""
-    rows = []
-    for e in range(-4, 11):
-        t, point = (e + 1, b".") if e >= 0 else (0, b"0." + b"0" * (-e - 1))
-        head = (1 << 8 * (1 + t)) - 1
-        placed = int.from_bytes(point, "little") << 8 * (1 + t)
-        rows.append((10.0 ** (11 - e), t, len(point), 8 * len(point),
-                     head & (2**64 - 1), head >> 64, placed & (2**64 - 1), placed >> 64))
-    scale, t, width, bits, head0, head1, point0, point1 = zip(*rows)
-    words = [np.array(c, dtype=_U64) for c in (bits, head0, head1, point0, point1)]
-    return (np.array(scale), np.array(t), np.array(width), *words)
+    """Per exponent index k = e + 1 (e = -1..10): the scale 10**(11 - e);
+    the length in bits of the point text that follows the sign byte and
+    the k digits before the point ("." or, for k = 0, "0."); the two words
+    that mask the sign byte and those digits; and the two words that hold
+    the point text in place. Per keep index 12 * k + z, for a mantissa with
+    z trailing zeros: the two words that keep the sign byte, the k digits,
+    and the point text and fraction digits if some fraction digit is
+    nonzero."""
+    rows, keep = [], []
+    for k in range(12):
+        point = b"." if k else b"0."
+        head = (1 << 8 * (1 + k)) - 1
+        placed = int.from_bytes(point, "little") << 8 * (1 + k)
+        rows.append((10.0 ** (12 - k), 8 * len(point), *_words(head), *_words(placed)))
+        for zeros in range(12):
+            frac = 12 - k - zeros
+            length = 1 + k + (len(point) + frac if frac > 0 else 0)
+            keep.append(_words((1 << 8 * length) - 1))
+    scale, bits, head0, head1, point0, point1 = zip(*rows)
+    keep0, keep1 = zip(*keep)
+    words = [np.array(c, dtype=_U64) for c in (bits, head0, head1, point0, point1, keep0, keep1)]
+    return (np.array(scale), *words)
 
 
-(_SCALE, _INT_DIGITS, _POINT_LEN, _POINT_BITS,
- _HEAD0, _HEAD1, _POINT0, _POINT1) = _exponent_tables()
+(_SCALE, _POINT_BITS, _HEAD0, _HEAD1, _POINT0, _POINT1, _KEEP0, _KEEP1) = _exponent_tables()
 
 
 def _mantissas(values):
-    """Per cell: the exponent index k = e + 4 of the guess, the 12-digit
+    """Per cell: the exponent index k = e + 1 of the guess, the 12-digit
     mantissa rint(p) as a float, and whether the cell is fast (see above).
     Slow cells get the mantissa 1e11 so that their slot text, which is
     overwritten, stays in bounds."""
     with np.errstate(all="ignore"):  # 0, inf and nan in log10 and the cast
         mag = np.abs(values)
         k = np.floor(np.log10(mag)).astype(np.intp)
-        k = np.minimum(np.maximum(k + 4, 0), 14)
+        k = np.minimum(np.maximum(k + 1, 0), 11)
         p = mag * _SCALE.take(k)
         mantissa = np.rint(p)
         fast = (p >= 1e11) & (mantissa < 1e12) & (np.abs(p - mantissa) < 0.5 - 2.0**-12)
@@ -160,40 +174,36 @@ def _mantissas(values):
     return k, mantissa, fast
 
 
-def _fixed_point_slots(negative, k, mantissa):
-    """The (n, 3) little-endian words of each cell's slot, holding its
-    fixed-point text: the sign byte ('-' or 0), the t digits before the
-    point, the point text, then the fraction up to its last nonzero digit."""
+def _fixed_point_slots(k, mantissa):
+    """The (n, 2) little-endian words of each cell's slot, holding its
+    fixed-point text after a zero sign byte: the k digits before the point,
+    the point text, then the fraction up to its last nonzero digit."""
     # The twelve digits as three groups of four (exact: mantissa < 2**40).
     hi = np.floor(mantissa / 1e8)
     rest = mantissa - hi * 1e8
     mid = np.floor(rest / 1e4)
     lo = (rest - mid * 1e4).astype(np.intp)
     hi, mid = hi.astype(np.intp), mid.astype(np.intp)
-    # Sign byte and digits as a 13-byte two-word string; the part after the
-    # sign and t digits moves up by the point text's length to make room.
+    # Digits after the sign byte as a 13-byte two-word string; the part
+    # after the sign and k digits moves up by the point text's length (at
+    # most two bytes, so the text still ends in the second word).
     d_mid = _DIGITS4.take(mid)
-    w0 = (negative.astype(_U64) * _U64(ord("-"))
-          | (_DIGITS4.take(hi) << _U64(8)) | (d_mid << _U64(40)))
-    w1 = (d_mid >> _U64(24)) | (_DIGITS4.take(lo) << _U64(8))
-    head0, head1 = _HEAD0.take(k), _HEAD1.take(k)
+    w0 = _DIGITS4.take(hi) | (d_mid << _U64(32))
+    w1 = (d_mid >> _U64(32)) | _DIGITS4.take(lo)
+    head0 = w0 & _HEAD0.take(k)
+    head1 = w1 & _HEAD1.take(k)
+    tail0, tail1 = w0 ^ head0, w1 ^ head1
     shift = _POINT_BITS.take(k)
-    tail0, tail1 = w0 & ~head0, w1 & ~head1
-    slots = np.empty((len(k), 3), dtype="<u8")
-    slots[:, 0] = (w0 & head0) | _POINT0.take(k) | (tail0 << shift)
-    slots[:, 1] = ((w1 & head1) | _POINT1.take(k) | (tail1 << shift)
-                   | (tail0 >> (_U64(64) - shift)))
-    slots[:, 2] = tail1 >> (_U64(64) - shift)
-    # Keep the sign byte, the t digits, and the point text and fraction
-    # digits only if some fraction digit is nonzero.
-    t = _INT_DIGITS.take(k)
-    zeros = np.where(lo != 0, _TRAILING_ZEROS.take(lo),
-                     np.where(mid != 0, 4 + _TRAILING_ZEROS.take(mid),
-                              8 + _TRAILING_ZEROS.take(hi)))
-    frac = 12 - t - zeros
-    length = 1 + t + np.where(frac > 0, _POINT_LEN.take(k) + frac, 0)
-    for word in range(3):
-        slots[:, word] &= _LOW_BYTES.take(np.minimum(np.maximum(length - 8 * word, 0), 8))
+    # Keep the sign byte, the k digits, and the point text and fraction
+    # digits only if some fraction digit is nonzero. hi >= 1000, since the
+    # mantissa is at least 1e11.
+    last = np.where(lo != 0, lo, np.where(mid != 0, mid + 10000, hi + 20000))
+    keep = 12 * k + _TRAILING_ZEROS.take(last)
+    slots = np.empty((len(k), 2), dtype="<u8")
+    np.bitwise_and(head0 | _POINT0.take(k) | (tail0 << shift), _KEEP0.take(keep),
+                   out=slots[:, 0])
+    np.bitwise_and(head1 | _POINT1.take(k) | (tail1 << shift) | (tail0 >> (_U64(64) - shift)),
+                   _KEEP1.take(keep), out=slots[:, 1])
     return slots
 
 
@@ -201,27 +211,39 @@ def _format_cells(values, first_row_end: int, cols: int) -> bytes:
     """CSV text of a run of float64 cells, each '%.12g' % v followed by ','
     or, at cells first_row_end, first_row_end + cols, ..., by '\n'."""
     k, mantissa, fast = _mantissas(values)
-    text = _fixed_point_slots(np.signbit(values), k, mantissa).view(np.uint8)
+    text = _fixed_point_slots(k, mantissa).view(np.uint8)
+    text[:, 0] = np.signbit(values) * np.uint8(ord("-"))
     slow = np.flatnonzero(~fast)
     text[slow] = 0
     text[slow, 0] = 1
-    text[:, 23] = ord(",")
-    text[first_row_end::cols, 23] = ord("\n")
+    text[:, 15] = ord(",")
+    text[first_row_end::cols, 15] = ord("\n")
     packed = text.tobytes().translate(None, b"\0").split(b"\1")
     slow_text = (b"%.12g\1" * len(slow) % tuple(values[slow].tolist())).split(b"\1")
     return b"".join(chain.from_iterable(zip(packed, slow_text)))
 
 
+def _float_matrix(matrix) -> np.ndarray:
+    """`matrix` as a 2-D float64 array. One with no rows is valid (it
+    writes no lines); one that is not 2-D, or has rows but no columns,
+    raises AirylinkError, since it has no CSV text to write."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or (matrix.shape[0] and not matrix.shape[1]):
+        raise AirylinkError(f"CSV rows need a 2-D matrix with at least one column, "
+                            f"got shape {matrix.shape}")
+    return matrix
+
+
 def _write_float_rows(f, matrix, lead: str = "") -> None:
-    """Write a 2-D float matrix with at least one column to the binary file
-    `f` as CSV lines, each prefixed with the literal text `lead`.
+    """Write a 2-D float matrix (see _float_matrix) to the binary file `f`
+    as CSV lines, each prefixed with the literal text `lead`.
 
     Each cell is written as '%.12g' % v, the same text as fmt(float(v)), so
     each line matches what csv.writer would write from fmt(float(v)) cells.
     Cells are converted a chunk at a time; the whole text never exists at
     once.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _float_matrix(matrix)
     cols = matrix.shape[1]
     cells = matrix.ravel()
     lead = lead.encode()
@@ -242,7 +264,10 @@ def write_table(path, header, matrix, lead: str = "") -> None:
     """CSV table: one header line (plain names, joined by commas), then one
     line of %.12g cells per row of the 2-D float `matrix`, each prefixed
     with the literal text `lead`. The bytes equal those of csv.writer fed
-    fmt(float(v)) cells, for names and lead text that need no quoting."""
+    fmt(float(v)) cells, for names and lead text that need no quoting. A
+    matrix that is not 2-D, or has rows but no columns, raises
+    AirylinkError before the file is opened."""
+    matrix = _float_matrix(matrix)
     with Path(path).open("wb") as f:
         f.write((",".join(header) + "\n").encode())
         _write_float_rows(f, matrix, lead)

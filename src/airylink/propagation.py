@@ -143,7 +143,15 @@ def _launch_filter(grid: GridSpec, wavelength: float, cutoff_sine: float) -> np.
 
 
 def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
-    return np.exp(1j * math.pi * wavelength * distance * grid_fx(grid) ** 2)
+    """exp(+j pi lambda z f^2) on the FFT bins, the exponential taken on
+    bins 0..nx/2 only. fftfreq builds bin nx - k as exactly -f[k], so its
+    squared frequency, its argument and its exponential equal those of bin
+    k bit for bit: bins nx/2+1..nx-1 are copies of bins nx/2-1..1."""
+    half = grid.nx // 2
+    h = np.empty(grid.nx, dtype=complex)
+    np.exp(1j * math.pi * wavelength * distance * grid.half_band_fx2(), out=h[:half + 1])
+    h[half + 1:] = h[half - 1:0:-1]
+    return h
 
 
 def _clear_side(grid: GridSpec, obstacle: KnifeEdgeObstacle) -> np.ndarray:
@@ -199,7 +207,7 @@ def _propagate_spectrum(spectrum: np.ndarray, grid: GridSpec, distance: float,
     out = np.fft.ifft(spectrum * _transfer_function(grid, distance, wavelength))
     out *= np.exp(-1j * k0 * distance)
     if apod is not None:
-        out = out * apod
+        out *= apod
     return out
 
 
@@ -411,7 +419,7 @@ def intensity_map(
         else:
             out = _propagate_spectrum(masked_spectrum, grid, depth - obstacle.depth,
                                       wavelength, apod)
-        rows[i] = np.abs(out) ** 2
+        np.square(np.abs(out), out=rows[i])
     peak = float(rows.max())
     if peak <= 0:
         raise AirylinkError("field is identically zero; cannot normalize the map")

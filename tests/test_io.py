@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from airylink import (
+    AirylinkError,
     ChannelMatrix,
     IntensityMap,
     MetricsRecord,
@@ -258,13 +259,18 @@ def above(x: float) -> float:
     return float(np.nextafter(x, math.inf))
 
 
-# The fast path's range ends and their neighbours, a value whose log10
-# rounds up to 11, the largest value below each power of ten the fixed
-# notation covers, exact half-ties (13 significant digits ending in 5, the
-# last two rounding down and up to even), and both sides of a 12-digit
-# rounding boundary that carries into a new decade.
+# The fixed notation's range ends and their neighbours, a value whose
+# log10 rounds up to 11, the fast path's floor 0.1 with its neighbours and
+# two values just below it (the first rounds up to 0.1), one value in each
+# decade of fixed notation below the fast path, the largest value below
+# each power of ten the fixed notation covers, exact half-ties (13
+# significant digits ending in 5, the last two rounding down and up to
+# even), and both sides of a 12-digit rounding boundary that carries into
+# a new decade.
 KERNEL_EDGES = (
     [1e-4, below(1e-4), above(1e-4), 1e11, below(1e11), above(1e11), 99999999999.99998]
+    + [0.1, below(0.1), above(0.1), 0.0999999999999995, 0.09999999999995]
+    + [1.23456789012345e-4, 2.34567890123456e-3, 3.45678901234567e-2]
     + [below(10.0 ** k) for k in range(-4, 12)]
     + [12345678901.25, 1234567890.125, 1.000244140625, 1.000732421875]
     + [9.999999999995, below(9.999999999995), above(9.999999999995)]
@@ -295,6 +301,7 @@ class TestFloatCellKernel:
         assert text == percent_rows(column)
         lines = text.decode().splitlines()
         assert lines[KERNEL_EDGES.index(99999999999.99998)] == f"{sign * 1e11:.12g}"
+        assert lines[KERNEL_EDGES.index(0.0999999999999995)] == f"{sign * 0.1:.12g}"
         assert lines[-3:] == [f"{sign * 9.99999999999:.12g}"] * 2 + [f"{sign * 10:.12g}"]
         assert f"{sign * 12345678901.2:.12g}" in lines  # half-even tie, down
         assert f"{sign * 1.00073242188:.12g}" in lines  # half-even tie, up
@@ -331,6 +338,22 @@ class TestFloatCellKernel:
             tracemalloc.stop()
         assert (tmp_path / "map.csv").stat().st_size > 9_000_000
         assert peak < 4_000_000
+
+
+class TestWriteTableShapes:
+    def test_rows_without_columns_raise(self, tmp_path):
+        with pytest.raises(AirylinkError, match=r"\(3, 0\)"):
+            write_table(tmp_path / "t.csv", [], np.zeros((3, 0)))
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_one_dimensional_input_raises(self, tmp_path):
+        with pytest.raises(AirylinkError, match=r"\(4,\)"):
+            write_table(tmp_path / "t.csv", ["a"], [1.0, 2.0, 3.0, 4.0])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_no_rows_writes_the_header_only(self, tmp_path):
+        write_table(tmp_path / "t.csv", ["a", "b"], np.zeros((0, 2)))
+        assert (tmp_path / "t.csv").read_text() == "a,b\n"
 
 
 def csv_writer_bytes(path, header, rows) -> bytes:

@@ -27,7 +27,7 @@ from airylink import (
     propagate_direct_fresnel,
     sample_field,
 )
-from airylink.propagation import apply_mask, grid_fx, grid_x
+from airylink.propagation import _transfer_function, apply_mask, grid_fx, grid_x
 
 
 def random_field(grid: GridSpec, rng) -> ComplexField:
@@ -68,6 +68,26 @@ class TestGridHelpers:
     def test_energy_of_uniform_field(self, grid_small):
         f = ComplexField(np.ones(grid_small.nx, dtype=complex), grid_small, 0.0)
         assert f.energy == pytest.approx(grid_small.window, rel=1e-12)
+
+
+class TestTransferFunction:
+    """_transfer_function takes the exponential on bins 0..nx/2 only and
+    mirrors it onto the negative frequencies; the oracle is the full-band
+    exponential it replaced."""
+
+    @pytest.mark.parametrize("nx", [2, 4, 64, 4096])
+    def test_half_band_is_exact(self, nx, lam, edge_obstacle):
+        grid = GridSpec(nx=nx, window=nx * lam / 16, apod_width=0.0)
+        for d in (0.0, edge_obstacle.depth, 400 * lam):
+            full = np.exp(1j * math.pi * lam * d * grid_fx(grid) ** 2)
+            assert _transfer_function(grid, d, lam).tobytes() == full.tobytes(), d
+
+    def test_frequencies_are_built_once_and_read_only(self, grid_std):
+        fx2 = grid_std.half_band_fx2()
+        assert fx2 is grid_std.half_band_fx2()
+        assert np.array_equal(fx2, grid_fx(grid_std)[: grid_std.nx // 2 + 1] ** 2)
+        with pytest.raises(ValueError):
+            fx2[1] = 0.0
 
 
 class TestEmbedAperture:
