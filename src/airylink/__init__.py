@@ -51,7 +51,7 @@ from .geometry import (
 from .optimizer import (
     SearchGrids,
     SearchOutcome,
-    TraceEntry,
+    SearchTrace,
     coarse_to_fine_search,
     complexity_estimate,
     default_search_grids,

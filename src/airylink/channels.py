@@ -41,6 +41,7 @@ __all__ = [
     "greens_channel",
     "diffraction_channel",
     "beam_responses",
+    "check_finite",
     "effective_channel",
     "effective_channel_greens",
     "beam_column",
@@ -50,6 +51,13 @@ __all__ = [
 
 GREENS_FREE_SPACE = "greens_free_space"
 FRESNEL_DIFFRACTION = "fresnel_diffraction"
+
+
+def check_finite(entries: np.ndarray) -> None:
+    """Refuse channel entries (one matrix or a stack of them) that hold a
+    NaN or an Inf."""
+    if not np.all(np.isfinite(entries)):
+        raise AirylinkError("channel matrix contains NaN or Inf entries")
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,7 @@ class ChannelMatrix:
             raise AirylinkError(f"unknown channel model {self.model!r}")
         if self.kind not in ("physical", "effective"):
             raise AirylinkError(f"unknown channel kind {self.kind!r}")
-        if not np.all(np.isfinite(self.entries)):
-            raise AirylinkError("channel matrix contains NaN or Inf entries")
+        check_finite(self.entries)
         if self.kind == "effective" and self.entries.shape[0] != self.entries.shape[1]:
             raise AirylinkError(
                 f"effective channel must be square (one beam per user), "

@@ -122,18 +122,19 @@ def _cmd_shadow(args) -> int:
 def _fine_edge_flags(search, theta_geo: float) -> dict:
     """Per search axis, whether the winner sits on the edge of the fine
     stage: its coordinate equals the minimum or maximum of that axis among
-    the fine-stage trace entries (false when there was no fine stage). A
+    the fine-stage trace rows (false when there was no fine stage). A
     winner on the edge may have a better neighbour outside the grid."""
-    fine = [e for e in search.trace if e.stage == "fine"]
+    trace = search.trace
+    fine = trace.stage == "fine"
     best = search.best_params
     axes = (
-        ("bending", best.bending, [e.bending for e in fine]),
-        ("focal", best.focal, [e.focal for e in fine]),
+        ("bending", best.bending, trace.bending[fine]),
+        ("focal", best.focal, trace.focal[fine]),
         # The winner's launch angle is theta_geo + its trace offset, exactly.
-        ("dtheta", best.launch_angle, [theta_geo + e.dtheta for e in fine]),
+        ("dtheta", best.launch_angle, theta_geo + trace.dtheta[fine]),
     )
     return {
-        f"{name}_on_fine_edge": bool(axis) and value in (min(axis), max(axis))
+        f"{name}_on_fine_edge": bool(axis.size) and value in (axis.min(), axis.max())
         for name, value, axis in axes
     }
 

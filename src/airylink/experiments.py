@@ -19,13 +19,14 @@ Every runner is pure given its config: identical inputs produce identical
 outputs (and therefore byte-identical CSVs downstream). A sweep first
 builds the effective channel and analog matrix of every (point x strategy)
 pair, in sweep order, and then scores them all in one batched SVD + RZF +
-metrics pass (precoding.batch_metrics), the scorer the beam search uses;
-each MetricsRecord is one row of that batch. The fixed user's beams are
-built once per sweep. The shadow scan and the robustness sweep build their
-diffraction channels through one channel builder per call, so the cascade
-factors and the fixed user's row are built once per sweep; the
-mixed-optimization angle sweep runs on the channel matrix that the search
-returns.
+metrics pass (precoding.batch_metrics), whose RZF and sum-rate arithmetic
+the beam search shares; each MetricsRecord is one row of that batch. The
+fixed user's beams are built once per sweep. The shadow scan and the
+robustness sweep build their diffraction channels through one channel
+builder per call, so the cascade factors and the fixed user's row are
+built once per sweep; the mixed-optimization angle sweep runs on the
+channel matrix that the search returns, with all of its points' beams in
+one product with it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .beams import (AiryParams, _user_beam, airy_weight_rows, airy_weights,
                     build_codebook, check_airy_columns, traditional_focus)
 from .channels import (
     _channel_builder,
+    beam_responses,
+    check_finite,
     effective_channel,
     effective_channel_greens,
     greens_channel,
@@ -274,8 +277,13 @@ def run_mixed_optimization(
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
     rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
                             [best.focal] * len(angles), angles)
-    w_rf = [np.column_stack([w1, w2]) for w1 in rows]
-    h_eff = [effective_channel(outcome.h_phys, w, scale).entries for w in w_rf]
+    # Every point's two beams, row after row, in one product with the
+    # matrix: point c's effective channel has columns (w1_c, w2) responses.
+    w_rf = np.stack([rows, np.broadcast_to(w2, rows.shape)], axis=-1)
+    beams = w_rf.swapaxes(-1, -2).reshape(-1, scenario.array.n)
+    h_eff = beam_responses(outcome.h_phys.entries, beams, scale)
+    h_eff = h_eff.reshape(len(angles), 2, scenario.k).swapaxes(-1, -2)
+    check_finite(h_eff)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
 
     cut = _field_cut(

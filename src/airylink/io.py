@@ -15,7 +15,8 @@ is written from that mantissa in fixed notation into a 16-byte slot.
 Every other cell (+-0, subnormals, inf, nan, exponent form, fixed
 notation below 0.1, near-ties, rounding up to the next decade) is
 formatted by '%.12g' % v itself. The search trace, whose rows mix floats
-with a verdict and a stage name, keeps its own per-row template.
+with a verdict and a stage name, keeps its own per-row template and reads
+the trace's columns.
 
 The metadata sidecars reuse the config file syntax ([section] followed by
 key = value lines) so they stay greppable and diffable alongside the
@@ -344,17 +345,29 @@ def write_intensity_map(path, imap: IntensityMap, scenario: ScenarioConfig) -> N
     write_metadata(path.with_suffix(path.suffix + ".meta"), meta)
 
 
+def _grid_text(values: np.ndarray) -> list:
+    """'%.12g' % v for every entry of a float64 column that holds few
+    distinct values (a search grid axis): each distinct bit pattern, so
+    -0.0 apart from 0.0, is formatted once."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = ["%.12g" % v for v in bits.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
 def write_trace_csv(path, outcome: SearchOutcome) -> None:
     """Full search trace, one evaluated candidate per row."""
-    # One %-template per line: %.12g renders each float (and each int of up
-    # to 12 digits, as a custom grid axis may hold) as fmt does, and the
-    # verdict is written as fmt writes a bool.
-    line = "%.12g,%.12g,%.12g,%.12g,%s,%.12g,%s\n"
+    # One %-template per line: %.12g renders each float as fmt does, and the
+    # verdict is written as fmt writes a bool. The grid axes are formatted
+    # once per distinct value; np.degrees multiplies by the same 180/pi
+    # constant as math.degrees.
+    t = outcome.trace
+    line = "%s,%s,%s,%.12g,%s,%.12g,%s\n"
+    rows = zip(_grid_text(t.bending), _grid_text(t.focal), _grid_text(np.degrees(t.dtheta)),
+               t.h11_power.tolist(), np.where(t.feasible, "true", "false").tolist(),
+               t.rate.tolist(), t.stage.tolist())
     with Path(path).open("w", newline="") as f:
         f.write("bending,focal_m,dtheta_deg,h11_power,feasible,rate,stage\n")
-        for t in outcome.trace:
-            f.write(line % (t.bending, t.focal, math.degrees(t.dtheta), t.h11_power,
-                            "true" if t.feasible else "false", t.rate, t.stage))
+        f.write("".join([line % row for row in rows]))
 
 
 def write_codebook_csv(path, book: Codebook) -> None:

@@ -9,7 +9,8 @@ the gain of the purely geometric design. The constraint stops the search
 from trading UE-1's link entirely away for orthogonality.
 
 Stage 1 exhaustively scans a coarse grid (loop order: bending outer, focal
-middle, angle inner; first-found wins ties via strict > improvement).
+middle, angle inner; the first maximal feasible rate in that order wins a
+tie, as a loop with strict > improvement would pick it).
 Stage 2 re-scans a refined grid spanning +/- fine_span coarse steps around
 the stage-1 incumbent on every axis at fine_refine_factor x resolution.
 Identical inputs always produce the identical outcome and trace.
@@ -24,11 +25,15 @@ The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks:
 one array of cubic weights built from the (bending, focal, launch angle)
 columns (no AiryParams per candidate; lens and cubic rows once per distinct
-(bending, focal) pair), one product with the matrix, one batched RZF and
-metrics pass (precoding.batch_metrics, which also scores every sweep). The
-search only ranks rates, so it never forms the realized power
-||W_RF W_BB||_F^2. A candidate gets the same bits in any chunk as alone
-through evaluate_candidate.
+(bending, focal) pair), one product with the matrix, one batched RZF pass
+that yields the sum rates alone (precoding.batch_sum_rates: the RZF and
+sum-rate arithmetic of batch_metrics, which scores every sweep, without
+the singular values or the other link metrics). The search only ranks
+rates, so it never forms the realized power ||W_RF W_BB||_F^2 either. A
+candidate gets the same bits in any chunk as alone through
+evaluate_candidate. Each stage's rates and |h11|^2 values land in arrays
+that one masked first-argmax reduces, and the trace keeps them as columns
+(SearchTrace).
 """
 
 from __future__ import annotations
@@ -42,11 +47,11 @@ from .beams import AiryParams, airy_weight_rows, check_airy_columns, traditional
 from .channels import ChannelMatrix, beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import GridSpec, ScenarioConfig, geometric_angle
-from .precoding import batch_metrics
+from .precoding import batch_sum_rates
 
 __all__ = [
     "SearchGrids",
-    "TraceEntry",
+    "SearchTrace",
     "SearchOutcome",
     "default_search_grids",
     "geometric_baseline_params",
@@ -108,17 +113,42 @@ class SearchGrids:
             raise ConfigError(f"fine_span must be >= 1, got {self.fine_span}")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One evaluated candidate: parameters, measured quantities, verdict."""
+@dataclass(frozen=True, eq=False)
+class SearchTrace:
+    """Every evaluated candidate in loop order, one read-only column per
+    field: parameters (dtheta is the offset from the geometric angle, in
+    radians), measured |h11|^2 and sum rate, verdict, and stage name
+    ("coarse" or "fine"). Two traces are equal when every column holds
+    the same values."""
 
-    bending: float
-    focal: float
-    dtheta: float
-    h11_power: float
-    rate: float
-    feasible: bool
-    stage: str
+    bending: np.ndarray
+    focal: np.ndarray
+    dtheta: np.ndarray
+    h11_power: np.ndarray
+    rate: np.ndarray
+    feasible: np.ndarray
+    stage: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _TRACE_COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({getattr(self, name).shape for name in _TRACE_COLUMNS}) != 1:
+            raise AirylinkError("search trace columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.rate)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SearchTrace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _TRACE_COLUMNS)
+
+
+_TRACE_COLUMNS = {"bending": float, "focal": float, "dtheta": float,
+                  "h11_power": float, "rate": float, "feasible": bool, "stage": str}
 
 
 @dataclass(frozen=True)
@@ -129,7 +159,7 @@ class SearchOutcome:
     threshold: float
     evaluations: int
     rejected_by_constraint: int
-    trace: tuple
+    trace: SearchTrace
     # The physical channel the candidates were scored on, for callers that
     # evaluate more beams on the same scenario.
     h_phys: ChannelMatrix = field(compare=False, repr=False)
@@ -161,9 +191,9 @@ def _score_chunk(
     h1 = beam_responses(h_phys, w1, scale)
     h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
-    rates = batch_metrics(
+    rates = batch_sum_rates(
         h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
-    )[0]["sum_rate"]
+    )
     bad = np.isnan(rates)
     if bad.any():
         c = int(np.argmax(bad))
@@ -226,30 +256,42 @@ def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
     return [center + i * fine_step for i in range(-n, n + 1)]
 
 
-def _scan(candidates: list, score, threshold: float, stage: str):
-    """Score candidates chunk by chunk and reduce to the best feasible one.
+def _grid(axes: tuple) -> tuple:
+    """The (bending, focal, dtheta) columns of every point of the grid
+    spanned by `axes`, in loop order: bending outer, focal middle, angle
+    inner."""
+    columns = np.meshgrid(*(np.asarray(a, dtype=float) for a in axes), indexing="ij")
+    return tuple(c.ravel() for c in columns)
 
-    The reduction walks results in candidate (= loop) order with strict
-    improvement, so ties resolve exactly as the sequential nested loops
-    would.
+
+def _grid_point(axes: tuple, c: int) -> tuple:
+    """Point c of the grid spanned by `axes`, as the axes' own values."""
+    index = np.unravel_index(c, [len(a) for a in axes])
+    return tuple(a[i] for a, i in zip(axes, index))
+
+
+def _scan(axes: tuple, score, threshold: float, stage: str) -> tuple:
+    """Score every point of the grid spanned by `axes` chunk by chunk and
+    reduce to the best feasible one.
+
+    Returns (trace, best): best is (rate, grid point) of the first maximal
+    feasible rate in candidate (= loop) order, so a tie resolves as the
+    sequential nested loops with strict > improvement would, or None when
+    no candidate is feasible.
     """
-    best = None  # (rate, params-tuple)
-    trace = []
-    rejected = 0
-    max_h11 = 0.0
-    for start in range(0, len(candidates), _CHUNK):
-        chunk = candidates[start:start + _CHUNK]
-        rates, h11s = score(chunk)
-        for (b, f, dt), rate, h11_power in zip(chunk, rates.tolist(), h11s.tolist()):
-            max_h11 = max(max_h11, h11_power)
-            feasible = h11_power >= threshold
-            trace.append(TraceEntry(b, f, dt, h11_power, rate, feasible, stage))
-            if not feasible:
-                rejected += 1
-                continue
-            if best is None or rate > best[0]:
-                best = (rate, (b, f, dt))
-    return best, trace, rejected, max_h11
+    columns = _grid(axes)
+    n = len(columns[0])
+    rates, h11_power = np.empty(n), np.empty(n)
+    for start in range(0, n, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        rates[part], h11_power[part] = score(*(c[part] for c in columns))
+    feasible = h11_power >= threshold
+    trace = SearchTrace(*columns, h11_power, rates, feasible, np.full(n, stage))
+    (kept,) = np.nonzero(feasible)
+    if not kept.size:
+        return trace, None
+    c = int(kept[np.argmax(rates[kept])])
+    return trace, (float(rates[c]), _grid_point(axes, c))
 
 
 def coarse_to_fine_search(
@@ -278,10 +320,9 @@ def coarse_to_fine_search(
     h_phys = channel.entries
     w2, h2 = _bright_beam(scenario, h_phys, scale)
 
-    def score(cands):
-        bending, focal, dtheta = zip(*cands)
-        launch = [theta_geo + dt for dt in dtheta]
-        return _score_chunk(scenario, h_phys, (bending, focal, launch), w2, h2, scale)
+    def score(bending, focal, dtheta):
+        designs = (bending, focal, theta_geo + dtheta)
+        return _score_chunk(scenario, h_phys, designs, w2, h2, scale)
 
     # Stage 0: constraint threshold from the geometric design's own gain.
     _, h11_geo = _score_chunk(
@@ -290,15 +331,10 @@ def coarse_to_fine_search(
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
 
-    coarse = [
-        (b, f, dt)
-        for b in grids.coarse_bending
-        for f in grids.coarse_focal
-        for dt in grids.coarse_dtheta
-    ]
-    best, trace, rejected, max_h11 = _scan(coarse, score, tau, "coarse")
-    evaluations = len(coarse)
+    coarse_axes = (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
+    trace, best = _scan(coarse_axes, score, tau, "coarse")
     if best is None:
+        max_h11 = float(trace.h11_power.max())
         raise InfeasibleSearchError(
             f"no coarse candidate met the gain constraint: max |h11|^2 = "
             f"{max_h11:.6e} < threshold {tau:.6e}",
@@ -306,23 +342,14 @@ def coarse_to_fine_search(
             threshold=tau,
         )
 
-    axes_refinable = (
-        len(grids.coarse_bending) > 1
-        or len(grids.coarse_focal) > 1
-        or len(grids.coarse_dtheta) > 1
-    )
-    if axes_refinable:
+    if any(len(axis) > 1 for axis in coarse_axes):
         span, refine = grids.fine_span, grids.fine_refine_factor
-        b0, f0, dt0 = best[1]
-        fine_b = _fine_axis(grids.coarse_bending, b0, span, refine)
-        fine_f = _fine_axis(grids.coarse_focal, f0, span, refine)
-        fine_dt = _fine_axis(grids.coarse_dtheta, dt0, span, refine)
-        check_airy_columns(fine_f, [theta_geo + dt for dt in fine_dt])
-        fine = [(b, f, dt) for b in fine_b for f in fine_f for dt in fine_dt]
-        fine_best, fine_trace, fine_rejected, _ = _scan(fine, score, tau, "fine")
-        evaluations += len(fine)
-        rejected += fine_rejected
-        trace.extend(fine_trace)
+        fine_axes = tuple(_fine_axis(axis, center, span, refine)
+                          for axis, center in zip(coarse_axes, best[1]))
+        check_airy_columns(fine_axes[1], [theta_geo + dt for dt in fine_axes[2]])
+        fine_trace, fine_best = _scan(fine_axes, score, tau, "fine")
+        trace = SearchTrace(*(np.concatenate([getattr(trace, name), getattr(fine_trace, name)])
+                              for name in _TRACE_COLUMNS))
         if fine_best is not None and fine_best[0] > best[0]:
             best = fine_best
 
@@ -332,9 +359,9 @@ def coarse_to_fine_search(
         best_rate=rate,
         baseline_gain=h11_geo,
         threshold=tau,
-        evaluations=evaluations,
-        rejected_by_constraint=rejected,
-        trace=tuple(trace),
+        evaluations=len(trace),
+        rejected_by_constraint=int(np.count_nonzero(~trace.feasible)),
+        trace=trace,
         h_phys=channel,
     )
 

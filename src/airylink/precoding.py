@@ -12,13 +12,17 @@ every user sees the same post-precoding gain and the common SINR is
 the diagnostic that predicts when that inversion becomes power-hungry:
 near-parallel user columns push sigma_min toward zero and alpha collapses.
 
-The arithmetic runs over a leading candidate axis: the beam search and
-every sweep score all their channels in one batch_metrics call each, and
-rzf_precoder and link_metrics are batch-of-one views of the same routines
-(metrics_row builds every MetricsRecord), so a channel gets the same bits
-alone or in a batch. The realized power ||W_RF W_BB||_F^2 is its own step
-(achieved_power): the sweeps check it at every point and rzf_precoder
-reports it, while the beam search, which only ranks rates, skips it.
+The arithmetic runs over a leading candidate axis: every sweep scores all
+its channels in one batch_metrics call, and rzf_precoder and link_metrics
+are batch-of-one views of the same routines (metrics_row builds every
+MetricsRecord), so a channel gets the same bits alone or in a batch. The
+beam search only ranks rates, so it scores each chunk through
+batch_sum_rates: the RZF and sum-rate arithmetic of batch_metrics
+(_sinr_and_rate), without kappa, SINR in dB or coupling powers, and
+without the singular values except for the epsilon = 0 guard or to report
+sigma_min on the zero-power error. The realized power ||W_RF W_BB||_F^2 is its own step (achieved_power): the
+sweeps check it at every point and rzf_precoder reports it, while the
+search skips it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "rzf_precoder",
     "link_metrics",
     "batch_metrics",
+    "batch_sum_rates",
     "achieved_power",
     "metrics_row",
 ]
@@ -88,13 +93,16 @@ def _frobenius_sq(m: np.ndarray) -> np.ndarray:
 
 
 def _rzf_batch(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
-               sigma: np.ndarray) -> tuple:
+               sigma: np.ndarray | None = None) -> tuple:
     """RZF over a leading candidate axis: h is C x K x K, w is C x N x K and
-    sigma the C x K singular values of h. Returns (W_BB, alpha), one entry
-    per candidate; raises for the first candidate whose inversion or power
-    normalization is impossible."""
+    sigma the C x K singular values of h, or None to take them only where
+    they are needed (the epsilon = 0 guard and the zero-power error).
+    Returns (W_BB, alpha), one entry per candidate; raises for the first
+    candidate whose inversion or power normalization is impossible."""
     k = h.shape[-1]
     if epsilon == 0.0:
+        if sigma is None:
+            sigma = np.linalg.svd(h, compute_uv=False)
         bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
         if bad.any():
             raise SingularChannelError(
@@ -109,6 +117,8 @@ def _rzf_batch(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
     norm_sq = _frobenius_sq(w @ w_tilde)
     zero = norm_sq == 0.0
     if zero.any():
+        if sigma is None:
+            sigma = np.linalg.svd(h, compute_uv=False)
         raise SingularChannelError(
             "precoder is identically zero; cannot normalize transmit power",
             sigma_min=float(sigma[np.argmax(zero), -1]),
@@ -124,22 +134,29 @@ def achieved_power(w: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
     return _frobenius_sq(w @ w_bb)
 
 
+def _sinr_and_rate(alpha: np.ndarray, noise_power: float, k: int) -> tuple:
+    """Common SINR alpha^2 / noise_power and sum rate K log2(1 + SINR) of
+    every candidate: the one formula behind batch_metrics and
+    batch_sum_rates."""
+    sinr = alpha**2 / noise_power
+    return sinr, k * np.log2(1.0 + sinr)
+
+
 def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
                    sigma: np.ndarray) -> dict:
     """Link metrics over a leading candidate axis (see MetricsRecord)."""
     singular = sigma[:, -1] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(singular, math.inf, sigma[:, 0] / sigma[:, -1])
-        alpha_power = alpha**2
-        sinr = alpha_power / noise_power
+        sinr, sum_rate = _sinr_and_rate(alpha, noise_power, h.shape[-1])
         sinr_db = np.where(sinr > 0, 10.0 * np.log10(sinr), -math.inf)
         coupling_db = 10.0 * np.log10(np.abs(h) ** 2)
     return {
         "condition_number": kappa,
         "singular": singular,
-        "alpha_power": alpha_power,
+        "alpha_power": alpha**2,
         "common_sinr_db": sinr_db,
-        "sum_rate": h.shape[-1] * np.log2(1.0 + sinr),
+        "sum_rate": sum_rate,
         "coupling_db": coupling_db,
     }
 
@@ -154,6 +171,16 @@ def batch_metrics(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
     sigma = np.linalg.svd(h, compute_uv=False)
     w_bb, alpha = _rzf_batch(h, w, tx_power, epsilon, sigma)
     return _metrics_batch(h, alpha, noise_power, sigma), sigma, w_bb
+
+
+def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
+                    noise_power: float) -> np.ndarray:
+    """Sum rate of every candidate in a batch, bit for bit
+    batch_metrics(...)[0]["sum_rate"], with the same exceptions. The
+    singular values are taken only for the epsilon = 0 guard or to report
+    sigma_min when a precoder is identically zero."""
+    _, alpha = _rzf_batch(h, w, tx_power, epsilon)
+    return _sinr_and_rate(alpha, noise_power, h.shape[-1])[1]
 
 
 def metrics_row(m: dict, sigma: np.ndarray, c: int) -> MetricsRecord:

@@ -265,7 +265,9 @@ class TestFigureLevel:
         found = (best.bending, best.focal,
                  best.launch_angle - geometric_angle(mixed_scenario.users[0]))
         steps = fine_steps(grids)
-        fine = [(e.bending, e.focal, e.dtheta) for e in search.trace if e.stage == "fine"]
+        t = search.trace
+        fine = list(zip(*(column[t.stage == "fine"].tolist()
+                          for column in (t.bending, t.focal, t.dtheta))))
         ends = ([(min(c[a] for c in fine), max(c[a] for c in fine)) for a in range(3)]
                 if fine else [])
         on_edge = [name for name, f, (lo, hi), step

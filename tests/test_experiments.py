@@ -150,8 +150,8 @@ class TestMixedOptimization:
         search = mixed_opt_result.search
         assert search.evaluations == 1617 + 11 ** 3
         assert len(search.trace) == search.evaluations
-        feasible = [e for e in search.trace if e.feasible]
-        assert search.best_rate == max(e.rate for e in feasible)
+        feasible = search.trace.feasible
+        assert search.best_rate == max(search.trace.rate[feasible])
 
     def test_winner_frozen(self, mixed_scenario, mixed_opt_result):
         best = mixed_opt_result.search.best_params
@@ -163,12 +163,12 @@ class TestMixedOptimization:
     def test_winner_beats_the_in_grid_geometric_design(self, mixed_opt_result):
         # (B=-25, F=1.75, dtheta=0) is itself a coarse grid point, so the
         # constrained maximum can never fall below it
-        geo_entries = [e for e in mixed_opt_result.search.trace
-                       if e.stage == "coarse" and e.bending == -25.0
-                       and e.focal == 1.75 and e.dtheta == 0.0]
+        t = mixed_opt_result.search.trace
+        geo_entries = t.rate[(t.stage == "coarse") & (t.bending == -25.0)
+                             & (t.focal == 1.75) & (t.dtheta == 0.0)]
         assert len(geo_entries) == 1
-        assert mixed_opt_result.search.best_rate >= geo_entries[0].rate
-        assert geo_entries[0].rate == pytest.approx(1.7475, rel=1e-3)
+        assert mixed_opt_result.search.best_rate >= geo_entries[0]
+        assert geo_entries[0] == pytest.approx(1.7475, rel=1e-3)
 
     def test_calibration_carried_through(self, mixed_scenario, mixed_opt_result):
         from airylink import remark1_calibration
@@ -349,6 +349,26 @@ def small_grids():
                        coarse_dtheta=(math.radians(-1.0), math.radians(1.0)))
 
 
+def svd_shapes_outside_the_search(monkeypatch) -> list:
+    """Count np.linalg.svd calls during a mixed optimization: the shape of
+    each call's batch, or None for a call made inside the search."""
+    in_search = []
+    shapes = []
+    search = airylink.experiments.coarse_to_fine_search
+
+    def traced_search(*args, **kwargs):
+        in_search.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            in_search.pop()
+
+    monkeypatch.setattr(airylink.experiments, "coarse_to_fine_search", traced_search)
+    count_calls(monkeypatch, np.linalg, "svd", shapes,
+                key=lambda a, *rest, **kw: None if in_search else np.shape(a))
+    return shapes
+
+
 class TestOneMetricsPath:
     """Every sweep scores all of its points in one batched pass; the
     records must equal the old per-point rzf_precoder -> link_metrics
@@ -457,27 +477,36 @@ class TestOneMetricsPath:
             run(request.getfixturevalue(fixture), step_lambda=step)
 
     def test_one_svd_for_the_angle_sweep(self, mixed_scenario, monkeypatch):
-        """Outside the search, whose chunks make their own SVD calls, the
-        mixed optimization makes one: the whole angle sweep."""
-        in_search = []
-        shapes = []
-        search = airylink.experiments.coarse_to_fine_search
-
-        def traced_search(*args, **kwargs):
-            in_search.append(True)
-            try:
-                return search(*args, **kwargs)
-            finally:
-                in_search.pop()
-
-        monkeypatch.setattr(airylink.experiments, "coarse_to_fine_search",
-                            traced_search)
-        count_calls(monkeypatch, np.linalg, "svd", shapes,
-                    key=lambda a, *rest, **kw: None if in_search else np.shape(a))
-        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        """Outside the search, whose chunks make their own SVD calls at
+        epsilon = 0 (the zero-forcing guard), the mixed optimization makes
+        one: the whole angle sweep."""
+        shapes = svd_shapes_outside_the_search(monkeypatch)
+        result = run_mixed_optimization(replace(mixed_scenario, rzf_epsilon=0.0),
+                                        grids=small_grids())
         outside = [shape for shape in shapes if shape is not None]
         assert len(shapes) > len(outside)
         assert outside == [(len(result.dtheta_sweep.points), 2, 2)]
+
+    def test_angle_sweep_refuses_a_non_finite_channel(self, mixed_scenario, monkeypatch):
+        """The batched angle-sweep channels get ChannelMatrix's finiteness
+        check, once for the whole batch."""
+        responses = airylink.experiments.beam_responses
+
+        def one_nan(*args):
+            out = responses(*args)
+            out[len(out) // 2, 0] = complex(math.nan, 0.0)
+            return out
+
+        monkeypatch.setattr(airylink.experiments, "beam_responses", one_nan)
+        with pytest.raises(AirylinkError, match="NaN or Inf"):
+            run_mixed_optimization(mixed_scenario, grids=small_grids())
+
+    def test_default_epsilon_search_takes_no_svd(self, mixed_scenario, monkeypatch):
+        """At the default epsilon the search ranks rates without singular
+        values, so the angle sweep's batch is the run's one SVD call."""
+        shapes = svd_shapes_outside_the_search(monkeypatch)
+        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        assert shapes == [(len(result.dtheta_sweep.points), 2, 2)]
 
     def test_mixed_optimization_builds_each_row_once(self, mixed_scenario,
                                                      monkeypatch):

@@ -21,7 +21,7 @@ from airylink import (
     build_codebook,
 )
 from airylink.channels import GREENS_FREE_SPACE
-from airylink.optimizer import TraceEntry
+from airylink.optimizer import SearchTrace
 from airylink.io import (
     _write_float_rows,
     fmt,
@@ -370,8 +370,10 @@ def old_trace_csv(path, outcome) -> bytes:
     replaced."""
     return csv_writer_bytes(
         path, ["bending", "focal_m", "dtheta_deg", "h11_power", "feasible", "rate", "stage"],
-        [[fmt(t.bending), fmt(t.focal), fmt(math.degrees(t.dtheta)), fmt(t.h11_power),
-          fmt(t.feasible), fmt(t.rate), t.stage] for t in outcome.trace])
+        [[fmt(b), fmt(f), fmt(math.degrees(dt)), fmt(h), fmt(ok), fmt(r), stage]
+         for b, f, dt, h, r, ok, stage in zip(*(getattr(outcome.trace, name).tolist() for name in
+                                                ("bending", "focal", "dtheta", "h11_power",
+                                                 "rate", "feasible", "stage")))])
 
 
 def old_field_cut_csv(path, cut) -> bytes:
@@ -425,10 +427,10 @@ class TestTemplateWritersMatchCsvWriter:
     def test_edge_values_in_a_trace(self, tmp_path):
         """Int grid axes (as a custom SearchGrids may hold) and awkward
         measured values in every numeric column."""
-        trace = [TraceEntry(-60, 2, 0, 1e16, math.inf, True, "coarse"),
-                 TraceEntry(-0.0, 1.75, -0.0, 9.999999999995, -math.inf, False, "coarse")]
-        trace += [TraceEntry(v, 1.0, math.radians(0.5), v, v, bool(v > 0), "fine") for v in EDGE]
-        outcome = SimpleNamespace(trace=tuple(trace))
+        trace = [(-60, 2, 0, 1e16, math.inf, True, "coarse"),
+                 (-0.0, 1.75, -0.0, 9.999999999995, -math.inf, False, "coarse")]
+        trace += [(v, 1.0, math.radians(0.5), v, v, bool(v > 0), "fine") for v in EDGE]
+        outcome = SimpleNamespace(trace=SearchTrace(*zip(*trace)))
         write_trace_csv(tmp_path / "trace.csv", outcome)
         expected = old_trace_csv(tmp_path / "old.csv", outcome)
         assert b"\n-60,2,0,1e+16,true,inf,coarse\n" in expected

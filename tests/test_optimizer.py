@@ -7,6 +7,8 @@ exercised once in the experiments layer.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +29,10 @@ from airylink import (
 )
 import airylink.optimizer as optimizer
 import airylink.precoding as precoding
+from airylink.errors import SingularChannelError
 from airylink.geometry import geometric_angle
-from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL
+from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL, SearchTrace
+from airylink.precoding import batch_metrics, batch_sum_rates
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +136,7 @@ class TestCoarseToFineSearch:
         outcome = coarse_to_fine_search(mixed_scenario, singleton_grids())
         assert outcome.evaluations == 1  # fine stage skipped entirely
         assert len(outcome.trace) == 1
-        assert outcome.trace[0].stage == "coarse"
+        assert outcome.trace.stage[0] == "coarse"
         assert outcome.best_params == geometric_baseline_params(mixed_scenario)
         rate, _ = evaluate_candidate(mixed_scenario,
                                      geometric_baseline_params(mixed_scenario))
@@ -153,13 +157,14 @@ class TestCoarseToFineSearch:
                             fine_refine_factor=2, fine_span=1)
         outcome = coarse_to_fine_search(mixed_scenario, grids)
         assert outcome.evaluations == 8
-        fine = [e for e in outcome.trace if e.stage == "fine"]
-        assert len(fine) == 5
-        coarse_best = max((e for e in outcome.trace if e.stage == "coarse" and e.feasible),
-                          key=lambda e: e.rate)
-        assert [e.bending - coarse_best.bending for e in fine] \
+        t = outcome.trace
+        fine = t.stage == "fine"
+        assert len(t.bending[fine]) == 5
+        coarse = (t.stage == "coarse") & t.feasible
+        coarse_best = t.bending[coarse][np.argmax(t.rate[coarse])]
+        assert list(t.bending[fine] - coarse_best) \
             == pytest.approx([-10.0, -5.0, 0.0, 5.0, 10.0])
-        assert all(e.focal == GEO_FOCAL and e.dtheta == 0.0 for e in fine)
+        assert all((t.focal[fine] == GEO_FOCAL) & (t.dtheta[fine] == 0.0))
 
     def test_trace_bookkeeping(self, mixed_scenario):
         grids = SearchGrids(coarse_bending=(-30.0, -25.0),
@@ -168,12 +173,13 @@ class TestCoarseToFineSearch:
                             fine_refine_factor=2, fine_span=1)
         outcome = coarse_to_fine_search(mixed_scenario, grids)
         assert isinstance(outcome, SearchOutcome)
-        assert len(outcome.trace) == outcome.evaluations
+        t = outcome.trace
+        assert len(t) == outcome.evaluations
         assert outcome.rejected_by_constraint \
-            == sum(1 for e in outcome.trace if not e.feasible)
-        feasible = [e for e in outcome.trace if e.feasible]
-        assert all(e.h11_power >= outcome.threshold for e in feasible)
-        assert outcome.best_rate == max(e.rate for e in feasible)
+            == sum(1 for f in t.feasible if not f)
+        feasible = t.feasible
+        assert all(t.h11_power[feasible] >= outcome.threshold)
+        assert outcome.best_rate == max(t.rate[feasible])
 
     def test_search_is_deterministic(self, mixed_scenario):
         grids = SearchGrids(coarse_bending=(-30.0, -25.0),
@@ -273,6 +279,188 @@ class TestSearchSkipsAchievedPower:
         assert outcome.evaluations == coarse + 5 * 5 * 5
         assert rows == [1, _CHUNK, coarse - _CHUNK, 125]
         assert calls == rows
+
+
+def recorded_chunks(monkeypatch, scenario, grids) -> list:
+    """Run a search and keep the (h, w) batches it scores."""
+    chunks = []
+
+    def recording(h, w, *args):
+        chunks.append((h, w))
+        return batch_sum_rates(h, w, *args)
+
+    monkeypatch.setattr(optimizer, "batch_sum_rates", recording)
+    coarse_to_fine_search(scenario, grids)
+    monkeypatch.undo()
+    return chunks
+
+
+def three_chunk_grids() -> SearchGrids:
+    """150 coarse candidates (a full chunk and a partial one) and 125 fine
+    ones."""
+    return SearchGrids(coarse_bending=(-30.0, -25.0), coarse_focal=(1.5, GEO_FOCAL, 2.0),
+                       coarse_dtheta=tuple(math.radians(0.2 * i) for i in range(-12, 13)),
+                       fine_refine_factor=2, fine_span=1)
+
+
+def raised(fn, *args) -> tuple:
+    """(type, message, sigma_min) of the SingularChannelError fn raises."""
+    with pytest.raises(SingularChannelError) as info:
+        fn(*args)
+    return type(info.value), str(info.value), info.value.sigma_min
+
+
+class TestScoreChunkH11Exact:
+    def test_h11_power_bit_for_bit(self, mixed_scenario):
+        """|h11|^2 stays the per-candidate abs(h) ** 2 of a scalar, which
+        array forms (np.abs(h) ** 2, np.hypot(re, im) ** 2) may round
+        differently; checked for all 128 designs of the first default chunk."""
+        scale = 0.7 - 0.7j
+        theta_geo = geometric_angle(mixed_scenario.users[0])
+        grids = default_search_grids()
+        designs = [(b, f, theta_geo + dt) for b in grids.coarse_bending
+                   for f in grids.coarse_focal for dt in grids.coarse_dtheta][:_CHUNK]
+        h_phys = optimizer.diffraction_channel(mixed_scenario).entries
+        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, scale)
+        _, h11_power = optimizer._score_chunk(mixed_scenario, h_phys, tuple(zip(*designs)),
+                                              w2, h2, scale)
+        from airylink import airy_weights
+
+        expected = [abs(beam_column(mixed_scenario, airy_weights(
+            mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d)).weights,
+            scale)[0]) ** 2 for d in designs]
+        assert len(expected) == _CHUNK
+        assert h11_power.tobytes() == np.array(expected).tobytes()
+
+
+class TestRatePath:
+    @pytest.mark.parametrize("epsilon", [1e-10, 0.0])
+    def test_rates_match_batch_metrics_bit_for_bit(self, mixed_scenario, monkeypatch,
+                                                   epsilon):
+        scenario = replace(mixed_scenario, rzf_epsilon=epsilon)
+        chunks = recorded_chunks(monkeypatch, scenario, three_chunk_grids())
+        assert [len(h) for h, _ in chunks] == [1, _CHUNK, 150 - _CHUNK, 125]
+        link = (scenario.tx_power, epsilon, scenario.noise_power)
+        for h, w in chunks:
+            rates = batch_sum_rates(h, w, *link)
+            assert rates.tobytes() == batch_metrics(h, w, *link)[0]["sum_rate"].tobytes()
+
+    def test_singular_candidate_raises_the_same_error(self, mixed_scenario, monkeypatch):
+        """At epsilon = 0 a rank-one candidate in a real chunk is refused by
+        both paths with the same message and sigma_min."""
+        h, w = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        h = h.copy()
+        h[40, :, 1] = h[40, :, 0]
+        link = (mixed_scenario.tx_power, 0.0, mixed_scenario.noise_power)
+        expected = raised(batch_metrics, h, w, *link)
+        assert raised(batch_sum_rates, h, w, *link) == expected
+        assert "singular" in expected[1]
+
+    def test_zero_precoder_raises_the_same_error(self, mixed_scenario, monkeypatch):
+        """With epsilon > 0 an all-zero analog matrix leaves nothing to
+        normalize; the rate path takes the SVD to report the same sigma_min."""
+        h, w = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        w = w.copy()
+        w[7] = 0.0
+        link = (mixed_scenario.tx_power, mixed_scenario.rzf_epsilon,
+                mixed_scenario.noise_power)
+        expected = raised(batch_metrics, h, w, *link)
+        assert raised(batch_sum_rates, h, w, *link) == expected
+        assert expected[2] > 0.0 and "normalize" in expected[1]
+
+    @pytest.mark.parametrize("epsilon, svd_calls", [(1e-10, []), (0.0, [1, _CHUNK, 22, 125])])
+    def test_svd_only_for_the_zero_forcing_guard(self, mixed_scenario, monkeypatch,
+                                                 epsilon, svd_calls):
+        """A default-epsilon search takes no SVD; at epsilon = 0 it takes one
+        per chunk (the geometric design's chunk of one included)."""
+        scenario = replace(mixed_scenario, rzf_epsilon=epsilon)
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        outcome = coarse_to_fine_search(scenario, three_chunk_grids())
+        assert outcome.evaluations == 150 + 125
+        assert calls == svd_calls
+
+
+def stub_scorer(monkeypatch, rate_of, h11_of):
+    """Replace the chunk scorer by one that scores each design (bending,
+    focal, launch angle) with rate_of and h11_of."""
+
+    def scored(scenario, h_phys, designs, w2, h2, scale):
+        rows = list(zip(*designs))
+        return (np.array([rate_of(*d) for d in rows], dtype=float),
+                np.array([h11_of(*d) for d in rows], dtype=float))
+
+    monkeypatch.setattr(optimizer, "_score_chunk", scored)
+
+
+class TestReduction:
+    def test_tied_rates_pick_the_first_in_loop_order(self, mixed_scenario, monkeypatch):
+        """Bending -35 scores highest but misses the gain floor; -30 and -20
+        tie at the feasible maximum, in chunks 2 and 4 of the coarse stage
+        and again in the fine stage. The first in loop order wins."""
+        theta_geo = geometric_angle(mixed_scenario.users[0])
+        rates = {-35.0: 3.0, -30.0: 2.0, -20.0: 2.0}
+        stub_scorer(monkeypatch, lambda b, f, a: rates.get(b, 1.0),
+                    lambda b, f, a: 0.0 if b == -35.0 else 1.0)
+        dtheta = tuple(math.radians(0.05 * i) for i in range(-35, 35))
+        grids = SearchGrids(coarse_bending=(-35.0, -30.0, -25.0, -20.0),
+                            coarse_focal=(1.5, GEO_FOCAL), coarse_dtheta=dtheta,
+                            fine_refine_factor=2, fine_span=1)
+        outcome = coarse_to_fine_search(mixed_scenario, grids)
+        assert outcome.best_params == AiryParams(-30.0, 1.5, theta_geo + dtheta[0])
+        assert outcome.best_rate == 2.0
+        t = outcome.trace
+        assert np.count_nonzero(t.rate == 2.0) > 1
+        assert outcome.rejected_by_constraint == np.count_nonzero(t.bending == -35.0)
+
+    def test_all_infeasible_coarse_stage(self, mixed_scenario, monkeypatch):
+        """The error names the largest coarse |h11|^2 and eta times the
+        geometric design's gain."""
+        powers = {-30.0: 0.375, -25.0: 2.0, -20.0: 0.25}
+        stub_scorer(monkeypatch, lambda b, f, a: 1.0, lambda b, f, a: powers[b])
+        grids = SearchGrids(coarse_bending=(-30.0, -20.0), coarse_focal=(GEO_FOCAL,),
+                            coarse_dtheta=(0.0,))
+        message = "max |h11|^2 = 3.750000e-01 < threshold 8.000000e-01"
+        with pytest.raises(InfeasibleSearchError, match=re.escape(message)) as info:
+            coarse_to_fine_search(mixed_scenario, grids, eta=0.4)
+        assert info.value.max_h11_power == 0.375
+        assert info.value.threshold == 0.4 * 2.0
+
+
+class TestSearchTrace:
+    def columns(self, **changes) -> dict:
+        base = dict(bending=[-30.0, -25.0], focal=[1.5, 1.75], dtheta=[0.0, 0.01],
+                    h11_power=[1e-7, 2e-7], rate=[1.5, 2.5], feasible=[False, True],
+                    stage=["coarse", "fine"])
+        return {**base, **changes}
+
+    def test_compares_by_value(self):
+        a = SearchTrace(**self.columns())
+        assert a == SearchTrace(**self.columns())
+        assert a == SearchTrace(**self.columns(bending=(-30, -25)))
+        assert a != SearchTrace(**self.columns(rate=[1.5, 2.75]))
+        assert a != SearchTrace(**self.columns(stage=["coarse", "coarse"]))
+        assert a != SearchTrace(**self.columns(feasible=[True, True]))
+        assert a != "not a trace"
+
+    def test_columns_are_read_only_arrays(self):
+        t = SearchTrace(**self.columns())
+        assert len(t) == 2
+        assert t.feasible.dtype == bool and t.stage.tolist() == ["coarse", "fine"]
+        with pytest.raises(ValueError):
+            t.rate[0] = 0.0
+
+    def test_columns_must_have_one_length(self):
+        from airylink import AirylinkError
+
+        with pytest.raises(AirylinkError, match="length"):
+            SearchTrace(**self.columns(rate=[1.0]))
 
 
 class TestComplexityEstimate:
