@@ -11,9 +11,7 @@ quadrature oracle behind it.
 from .beams import AiryParams, BeamWeights, Codebook, airy_weights, build_codebook, traditional_focus
 from .channels import (
     ChannelMatrix,
-    beam_column,
     diffraction_channel,
-    effective_channel_diffraction,
     effective_channel_greens,
     greens_channel,
     remark1_calibration,
@@ -53,12 +51,10 @@ from .optimizer import (
     SearchOutcome,
     SearchTrace,
     coarse_to_fine_search,
-    complexity_estimate,
     default_search_grids,
-    evaluate_candidate,
     geometric_baseline_params,
 )
-from .precoding import MetricsRecord, PrecodingResult, link_metrics, rzf_precoder
+from .precoding import MetricsRecord, PrecodingResult, rzf_precoder
 from .propagation import (
     ComplexField,
     IntensityMap,

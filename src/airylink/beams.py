@@ -72,9 +72,6 @@ class AiryParams:
     def __post_init__(self):
         check_airy_columns((self.focal,), (self.launch_angle,))
 
-    def with_angle_offset(self, delta: float) -> "AiryParams":
-        return AiryParams(self.bending, self.focal, self.launch_angle + delta)
-
 
 @dataclass(frozen=True)
 class BeamWeights:

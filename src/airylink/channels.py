@@ -12,6 +12,13 @@ H_eff = H_phys @ W_RF:
   forward cascade in `propagation` stays as the independent oracle that
   this operator is tested against.
 
+A diffraction-model matrix meets the codebook in effective_channel, whose
+einsum (beam_responses) gives a beam the same bits alone or in a batch of
+many. The obstructed sweeps and the calibration go through it, and the
+search scores its chunks with beam_responses directly. The Green's model
+keeps its own `@` product (effective_channel_greens), which rounds the
+last bits differently.
+
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so a single complex calibration
 constant is fitted once per scenario on the obstacle-free geometry and
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AirylinkError, ConfigError, GridError, ModelMismatchError
+from .errors import AirylinkError, ConfigError, ModelMismatchError
 from .geometry import ScenarioConfig
 from .propagation import (
     CascadeFactors,
@@ -44,8 +51,6 @@ __all__ = [
     "check_finite",
     "effective_channel",
     "effective_channel_greens",
-    "beam_column",
-    "effective_channel_diffraction",
     "remark1_calibration",
 ]
 
@@ -98,7 +103,7 @@ def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
     if scenario.obstacle is not None:
         raise ModelMismatchError(
             "the closed-form free-space model cannot represent an obstacle; "
-            "use effective_channel_diffraction for blocked scenarios"
+            "use diffraction_channel for blocked scenarios"
         )
     lam = scenario.carrier.wavelength
     k0 = scenario.carrier.wavenumber
@@ -210,39 +215,6 @@ def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
     return _channel_builder(scenario)(scenario.users)
 
 
-def beam_column(
-    scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j
-) -> np.ndarray:
-    """Per-user complex response of one analog beam (length-K column):
-    scale * H_phys @ weights with H_phys = diffraction_channel(scenario)."""
-    w = np.asarray(weights, dtype=complex)
-    if w.shape != (scenario.array.n,):
-        raise GridError(f"expected {scenario.array.n} weights, got shape {w.shape}")
-    h_phys = diffraction_channel(scenario).entries
-    return beam_responses(h_phys, w[None, :], scale)[0]
-
-
-def effective_channel_diffraction(
-    scenario: ScenarioConfig,
-    w_rf: np.ndarray,
-    scale: complex = 1.0 + 0.0j,
-) -> ChannelMatrix:
-    """Wave-optics effective channel, scale * H_phys @ W_RF.
-
-    Entry (k, j) is the complex field that beam column j produces at user
-    k's position after the launch filter and the knife-edge cascade,
-    multiplied by the cross-model calibration `scale` (see
-    remark1_calibration; pass 1 for the raw uncalibrated field). Column j
-    equals beam_column(scenario, w_rf[:, j], scale) bit for bit.
-    """
-    w = np.asarray(w_rf, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != scenario.array.n:
-        raise AirylinkError(
-            f"beam matrix shape {w.shape} does not match {scenario.array.n} elements"
-        )
-    return effective_channel(diffraction_channel(scenario), w, scale)
-
-
 def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
     """Fit the single complex constant tying the two channel models together.
 
@@ -264,7 +236,7 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
 
     w_rf = build_codebook(scenario, "trad_all").matrix
     h_greens = effective_channel_greens(greens_channel(scenario), w_rf).entries
-    h_diff = effective_channel_diffraction(scenario, w_rf).entries
+    h_diff = effective_channel(diffraction_channel(scenario), w_rf).entries
     denom = np.vdot(h_diff, h_diff).real
     if denom == 0.0:
         raise AirylinkError("diffraction channel is identically zero; cannot calibrate")

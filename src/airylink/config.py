@@ -43,6 +43,7 @@ than silently fall back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -107,9 +108,13 @@ def _tokenize(text: str) -> dict[str, list[_Pair]]:
 
 def _as_float(pair: _Pair) -> float:
     try:
-        return float(pair.value)
+        value = float(pair.value)
     except ValueError:
         raise ConfigError(f"line {pair.line}: {pair.key} must be a number, got {pair.value!r}") from None
+    # The range checks downstream compare with <= 0, which NaN passes.
+    if not math.isfinite(value):
+        raise ConfigError(f"line {pair.line}: {pair.key} must be finite, got {pair.value!r}")
+    return value
 
 
 def _as_int(pair: _Pair) -> int:
@@ -274,8 +279,6 @@ def _check_phase_sampling(scenario: ScenarioConfig) -> None:
     """Steepest-codebook-entry check: the per-sample phase step of any beam
     this scenario can generate must stay below pi, or the grid undersamples
     the aperture phase."""
-    import math
-
     from .errors import GridError
 
     k0 = scenario.carrier.wavenumber

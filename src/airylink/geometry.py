@@ -13,7 +13,7 @@ edge included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,8 +103,10 @@ class KnifeEdgeObstacle:
         if self.blocked_side not in (BlockedSide.BELOW_EDGE, BlockedSide.ABOVE_EDGE):
             raise ConfigError(f"unknown blocked_side {self.blocked_side!r}")
 
-    def blocks(self, x: float) -> bool:
-        """True where the mask is opaque (edge included)."""
+    def blocks(self, x):
+        """True where the mask is opaque (edge included). x is a scalar or
+        an array of transverse positions; an array gives a boolean array,
+        compared element by element."""
         if self.blocked_side == BlockedSide.BELOW_EDGE:
             return x <= self.edge_x
         return x >= self.edge_x
@@ -164,7 +166,6 @@ class ScenarioConfig:
     noise_power: float = 1e-3
     tx_power: float = 1.0
     rzf_epsilon: float = 1e-10
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if len(self.users) < 1:

@@ -5,8 +5,8 @@ fields, floats rendered with a fixed %.12g format, and files written with
 '\n' line endings regardless of platform. Re-running a scenario must
 produce byte-identical files; that property is part of the test suite.
 
-Every float matrix (maps, codebooks, channels, field cuts and sweep
-tables) is written by one numpy kernel that produces the bytes of
+Every float matrix (maps, field cuts and sweep tables) is written by
+one numpy kernel that produces the bytes of
 '%.12g' % v for every float64, a chunk of cells at a time. A cell with
 0.1 <= |v| < 1e11 whose decimal exponent guess e = floor(log10|v|) is
 confirmed, and whose 12-digit mantissa |v| * 10**(11 - e) is clear of a
@@ -32,8 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .beams import Codebook
-from .channels import ChannelMatrix
 from .errors import AirylinkError
 from .experiments import FieldCut, SweepResult
 from .geometry import ScenarioConfig
@@ -45,10 +43,8 @@ __all__ = [
     "scenario_hash",
     "write_table",
     "write_sweep_csv",
-    "write_channel_csv",
     "write_intensity_map",
     "write_trace_csv",
-    "write_codebook_csv",
     "write_field_cut_csv",
     "write_metadata",
 ]
@@ -303,25 +299,6 @@ def write_sweep_csv(out_dir, stem: str, sweep: SweepResult,
     return written
 
 
-def write_channel_csv(path, matrix: ChannelMatrix, scenario: ScenarioConfig) -> None:
-    """Channel matrix with interleaved re/im columns plus a .meta sidecar."""
-    path = Path(path)
-    rows, cols = matrix.entries.shape
-    header = [f"h_{j + 1}_{part}" for j in range(cols) for part in ("re", "im")]
-    # A complex128 row viewed as float64 is its re, im pairs in column order.
-    write_table(path, header, np.ascontiguousarray(matrix.entries, dtype=complex).view(float))
-    write_metadata(
-        path.with_suffix(path.suffix + ".meta"),
-        {"channel": {
-            "model": matrix.model,
-            "kind": matrix.kind,
-            "rows": rows,
-            "cols": cols,
-            "scenario": scenario_hash(scenario),
-        }},
-    )
-
-
 def write_intensity_map(path, imap: IntensityMap, scenario: ScenarioConfig) -> None:
     """Plain dB matrix (rows = depth, columns = x) plus a .meta sidecar."""
     path = Path(path)
@@ -368,12 +345,6 @@ def write_trace_csv(path, outcome: SearchOutcome) -> None:
     with Path(path).open("w", newline="") as f:
         f.write("bending,focal_m,dtheta_deg,h11_power,feasible,rate,stage\n")
         f.write("".join([line % row for row in rows]))
-
-
-def write_codebook_csv(path, book: Codebook) -> None:
-    """Per-element phases in radians, one column per beam."""
-    write_table(path, [f"beam_{j + 1}_phase_rad" for j in range(len(book.beams))],
-                np.column_stack([b.phases for b in book.beams]))
 
 
 def write_field_cut_csv(path, cut: FieldCut) -> None:

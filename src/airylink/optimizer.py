@@ -30,10 +30,9 @@ that yields the sum rates alone (precoding.batch_sum_rates: the RZF and
 sum-rate arithmetic of batch_metrics, which scores every sweep, without
 the singular values or the other link metrics). The search only ranks
 rates, so it never forms the realized power ||W_RF W_BB||_F^2 either. A
-candidate gets the same bits in any chunk as alone through
-evaluate_candidate. Each stage's rates and |h11|^2 values land in arrays
-that one masked first-argmax reduces, and the trace keeps them as columns
-(SearchTrace).
+candidate gets the same bits in any chunk as in a chunk of one. Each
+stage's rates and |h11|^2 values land in arrays that one masked
+first-argmax reduces, and the trace keeps them as columns (SearchTrace).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from .beams import AiryParams, airy_weight_rows, check_airy_columns, traditional_focus
 from .channels import ChannelMatrix, beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
-from .geometry import GridSpec, ScenarioConfig, geometric_angle
+from .geometry import ScenarioConfig, geometric_angle
 from .precoding import batch_sum_rates
 
 __all__ = [
@@ -55,9 +54,7 @@ __all__ = [
     "SearchOutcome",
     "default_search_grids",
     "geometric_baseline_params",
-    "evaluate_candidate",
     "coarse_to_fine_search",
-    "complexity_estimate",
 ]
 
 # Geometric comparator design for the shadowed user: moderate bending with
@@ -201,8 +198,9 @@ def _score_chunk(
             f"candidate (bending, focal, launch angle) = "
             f"{tuple(column[c] for column in designs)} produced a NaN sum rate"
         )
-    # Per-candidate scalar abs and square, exactly as |beam_column(w)[0]|^2
-    # evaluates them; the array forms may round the last bit differently.
+    # Per-candidate scalar abs and square, exactly as abs(h) ** 2 of one
+    # beam's response evaluates them; the array forms may round the last bit
+    # differently.
     h11_power = np.array([abs(h) ** 2 for h in h1[:, 0]])
     return rates, h11_power
 
@@ -212,36 +210,11 @@ def _one_design(params: AiryParams) -> tuple:
     return (params.bending,), (params.focal,), (params.launch_angle,)
 
 
-def _check_two_users(scenario: ScenarioConfig) -> None:
-    if scenario.k != 2:
-        raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
-
-
 def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -> tuple:
     """The bright user's traditional beam w2 and its effective column
     scale * H_phys @ w2."""
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
     return w2, beam_responses(h_phys, w2[None, :], scale)[0]
-
-
-def evaluate_candidate(
-    scenario: ScenarioConfig,
-    params: AiryParams,
-    scale: complex = 1.0 + 0.0j,
-) -> tuple:
-    """Score one cubic-beam design for the shadowed user.
-
-    Builds the diffraction channel, maps the candidate beam through it to
-    get the first effective-channel column, pairs it with the bright
-    user's column, and runs the full precoding + metrics stack. Returns
-    (sum_rate, |h11|^2). This is the search's chunk scorer run on a chunk
-    of one.
-    """
-    _check_two_users(scenario)
-    h_phys = diffraction_channel(scenario).entries
-    w2, h2 = _bright_beam(scenario, h_phys, scale)
-    rates, h11_power = _score_chunk(scenario, h_phys, _one_design(params), w2, h2, scale)
-    return float(rates[0]), float(h11_power[0])
 
 
 def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
@@ -310,7 +283,8 @@ def coarse_to_fine_search(
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     if scenario.obstacle is None:
         raise ConfigError("the search is defined for an obstructed scenario")
-    _check_two_users(scenario)
+    if scenario.k != 2:
+        raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
     theta_geo = geometric_angle(scenario.users[0])
     check_airy_columns(launch_angle=[theta_geo + dt for dt in grids.coarse_dtheta])
 
@@ -365,19 +339,3 @@ def coarse_to_fine_search(
         h_phys=channel,
     )
 
-
-def complexity_estimate(grids: SearchGrids, grid_spec: GridSpec) -> float:
-    """Abstract cost (candidate count) x (Nx log2 Nx) of one FFT cascade."""
-    n_coarse = (
-        len(grids.coarse_bending) * len(grids.coarse_focal) * len(grids.coarse_dtheta)
-    )
-    axes = (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
-    if all(len(a) < 2 for a in axes):
-        n_fine = 0
-    else:
-        n_fine = 1
-        for a in axes:
-            n_fine *= (
-                2 * grids.fine_span * grids.fine_refine_factor + 1 if len(a) > 1 else 1
-            )
-    return (n_coarse + n_fine) * grid_spec.nx * math.log2(grid_spec.nx)

@@ -13,16 +13,16 @@ the diagnostic that predicts when that inversion becomes power-hungry:
 near-parallel user columns push sigma_min toward zero and alpha collapses.
 
 The arithmetic runs over a leading candidate axis: every sweep scores all
-its channels in one batch_metrics call, and rzf_precoder and link_metrics
-are batch-of-one views of the same routines (metrics_row builds every
-MetricsRecord), so a channel gets the same bits alone or in a batch. The
-beam search only ranks rates, so it scores each chunk through
-batch_sum_rates: the RZF and sum-rate arithmetic of batch_metrics
-(_sinr_and_rate), without kappa, SINR in dB or coupling powers, and
-without the singular values except for the epsilon = 0 guard or to report
-sigma_min on the zero-power error. The realized power ||W_RF W_BB||_F^2 is its own step (achieved_power): the
-sweeps check it at every point and rzf_precoder reports it, while the
-search skips it.
+its channels in one batch_metrics call, metrics_row builds each
+MetricsRecord from it, and rzf_precoder is a batch-of-one view of the same
+RZF routine, so a channel gets the same bits alone or in a batch. The beam
+search only ranks rates, so it scores each chunk through batch_sum_rates:
+the RZF and sum-rate arithmetic of batch_metrics (_sinr_and_rate), without
+kappa, SINR in dB or coupling powers, and without the singular values
+except for the epsilon = 0 guard or to report sigma_min on the zero-power
+error. The realized power ||W_RF W_BB||_F^2 is its own step
+(achieved_power): the sweeps check it at every point and rzf_precoder
+reports it, while the search skips it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "PrecodingResult",
     "MetricsRecord",
     "rzf_precoder",
-    "link_metrics",
     "batch_metrics",
     "batch_sum_rates",
     "achieved_power",
@@ -166,8 +165,9 @@ def batch_metrics(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
     """Post-RZF metrics of every candidate in a batch: h is C x K x K
     effective channels, w the C x N x K analog matrices (both contiguous).
     Returns (metrics of _metrics_batch, singular values, W_BB); candidate c
-    gets exactly the bits that rzf_precoder followed by link_metrics give it
-    alone, and achieved_power(w, W_BB) is rzf_precoder's achieved power."""
+    gets exactly the bits it gets in a batch of one, W_BB[c] is
+    rzf_precoder's baseband precoder, and achieved_power(w, W_BB) is
+    rzf_precoder's achieved power."""
     sigma = np.linalg.svd(h, compute_uv=False)
     w_bb, alpha = _rzf_batch(h, w, tx_power, epsilon, sigma)
     return _metrics_batch(h, alpha, noise_power, sigma), sigma, w_bb
@@ -221,18 +221,3 @@ def rzf_precoder(
         achieved_power=float(achieved_power(w, w_bb)[0]),
     )
 
-
-def link_metrics(
-    h_eff: ChannelMatrix, precoding: PrecodingResult, noise_power: float
-) -> MetricsRecord:
-    """Condition number, common SINR, sum rate, and coupling powers."""
-    if noise_power <= 0:
-        raise AirylinkError(f"noise_power must be positive, got {noise_power}")
-    h = _stack(h_eff.entries)
-    k = h.shape[-1]
-    if precoding.baseband.shape != (k, k):
-        raise AirylinkError("precoder and channel dimensions disagree")
-
-    sigma = np.linalg.svd(h, compute_uv=False)
-    m = _metrics_batch(h, np.array([precoding.alpha]), noise_power, sigma)
-    return metrics_row(m, sigma, 0)

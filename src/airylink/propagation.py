@@ -137,9 +137,9 @@ def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexFiel
     return ComplexField(samples=samples, grid=grid, depth=0.0)
 
 
-def _launch_filter(grid: GridSpec, wavelength: float, cutoff_sine: float) -> np.ndarray:
+def _launch_filter(grid: GridSpec, wavelength: float) -> np.ndarray:
     sine = np.abs(wavelength * grid_fx(grid))
-    return np.exp(-((sine / cutoff_sine) ** _LAUNCH_ORDER))
+    return np.exp(-((sine / LAUNCH_CUTOFF_SINE) ** _LAUNCH_ORDER))
 
 
 def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np.ndarray:
@@ -156,14 +156,10 @@ def _transfer_function(grid: GridSpec, distance: float, wavelength: float) -> np
 
 def _clear_side(grid: GridSpec, obstacle: KnifeEdgeObstacle) -> np.ndarray:
     """Boolean mask of the samples the knife edge lets through."""
-    x = grid_x(grid)
-    if obstacle.blocked_side == "below_edge":
-        return x > obstacle.edge_x
-    return x < obstacle.edge_x
+    return ~obstacle.blocks(grid_x(grid))
 
 
-def band_limit(field: ComplexField, wavelength: float,
-               cutoff_sine: float = LAUNCH_CUTOFF_SINE) -> ComplexField:
+def band_limit(field: ComplexField, wavelength: float) -> ComplexField:
     """Launch-side angular acceptance filter.
 
     Nearest-bin spikes are spectrally white: most of their energy lies at
@@ -171,11 +167,11 @@ def band_limit(field: ComplexField, wavelength: float,
     and under a paraxial transfer function that junk wraps around the window
     and buries the real diffraction pattern. This filter keeps the physical
     angular range (8th-order super-Gaussian in |lambda f_x|, cutoff at
-    `cutoff_sine`) and is applied once when a codebook column is launched --
+    LAUNCH_CUTOFF_SINE) and is applied once when a codebook column is launched --
     the propagator itself stays exactly unitary.
     """
     spectrum = np.fft.fft(field.samples)
-    spectrum *= _launch_filter(field.grid, wavelength, cutoff_sine)
+    spectrum *= _launch_filter(field.grid, wavelength)
     return ComplexField(np.fft.ifft(spectrum), field.grid, field.depth)
 
 
@@ -319,7 +315,7 @@ class CascadeFactors:
     def __init__(self, grid: GridSpec, wavelength: float):
         self.grid, self.wavelength = grid, wavelength
         self.apod = _apodization(grid)
-        self.launch = _launch_filter(grid, wavelength, LAUNCH_CUTOFF_SINE)
+        self.launch = _launch_filter(grid, wavelength)
         self._spectral = {}
 
     def spectral(self, distance: float, launch: bool) -> np.ndarray:

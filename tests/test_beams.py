@@ -26,13 +26,11 @@ from airylink.propagation import grid_x
 
 
 class TestAiryParams:
-    def test_fields_and_offset(self):
+    def test_fields(self):
         p = AiryParams(bending=-25.0, focal=1.75, launch_angle=0.02)
-        q = p.with_angle_offset(-0.05)
-        assert q.bending == -25.0
-        assert q.focal == 1.75
-        assert q.launch_angle == pytest.approx(0.02 - 0.05)
-        assert p.launch_angle == 0.02  # original untouched
+        assert p.bending == -25.0
+        assert p.focal == 1.75
+        assert p.launch_angle == 0.02
 
     @pytest.mark.parametrize("kwargs", [
         dict(bending=0.0, focal=0.0, launch_angle=0.0),
@@ -232,8 +230,8 @@ class TestBuildCodebook:
         book = build_codebook(shadow_scenario, "airy_geo", airy_params=params)
         for beam, user in zip(book.beams, shadow_scenario.users):
             angle = geometric_angle(user)
-            expected = airy_weights(shadow_scenario.array, carrier,
-                                    params.with_angle_offset(angle))
+            offset = AiryParams(params.bending, params.focal, params.launch_angle + angle)
+            expected = airy_weights(shadow_scenario.array, carrier, offset)
             assert np.array_equal(beam.weights, expected.weights)
             assert beam.kind == "airy"
 

@@ -20,20 +20,21 @@ from airylink import (
     GridSpec,
     KnifeEdgeObstacle,
     UserPosition,
-    beam_column,
     diffraction_channel,
-    effective_channel_diffraction,
-    evaluate_candidate,
     launch_aperture,
     propagate_blocked,
     sample_field,
     traditional_focus,
 )
-from airylink.channels import FRESNEL_DIFFRACTION, _amplitude_conversion, _channel_builder
+from airylink.channels import (
+    FRESNEL_DIFFRACTION,
+    _amplitude_conversion,
+    _channel_builder,
+    effective_channel,
+)
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, _score_chunk
 from airylink.propagation import (
-    LAUNCH_CUTOFF_SINE,
     _apodization,
     _clear_side,
     _launch_filter,
@@ -41,6 +42,8 @@ from airylink.propagation import (
     element_bins,
     sample_field_transpose,
 )
+
+from batch_of_one import beam_column, evaluate_candidate
 
 
 def cascade_responses(scenario, w) -> np.ndarray:
@@ -99,7 +102,7 @@ def fresh_row(scenario, user) -> np.ndarray:
             v = v * apod
         return np.fft.fft(np.fft.ifft(v) * spectral)
 
-    launch = _launch_filter(grid, lam, LAUNCH_CUTOFF_SINE)
+    launch = _launch_filter(grid, lam)
     v = _amplitude_conversion(lam, user.z) * sample_field_transpose(grid, user.x)
     if obstacle is None or user.z <= obstacle.depth:
         back = leg(v, user.z, _transfer_function(grid, user.z, lam) * launch)
@@ -174,7 +177,7 @@ class TestOperatorGuards:
         with pytest.raises(ConfigError, match="runaway"):
             diffraction_channel(scenario)
         with pytest.raises(ConfigError, match="runaway"):
-            effective_channel_diffraction(scenario, np.ones((64, 2)) / 8.0)
+            effective_channel(diffraction_channel(scenario), np.ones((64, 2)) / 8.0)
 
     def test_element_outside_window(self, baseline_scenario, lam):
         """The 31.4-wavelength aperture does not fit a 16-wavelength window."""

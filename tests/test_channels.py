@@ -16,16 +16,17 @@ from airylink import (
     ModelMismatchError,
     UserPosition,
     airy_weights,
-    beam_column,
     build_codebook,
-    effective_channel_diffraction,
+    diffraction_channel,
     effective_channel_greens,
     greens_channel,
     remark1_calibration,
     traditional_focus,
 )
-from airylink.channels import FRESNEL_DIFFRACTION, GREENS_FREE_SPACE
+from airylink.channels import FRESNEL_DIFFRACTION, GREENS_FREE_SPACE, effective_channel
 from airylink.geometry import geometric_angle
+
+from batch_of_one import beam_column
 
 
 class TestGreensChannel:
@@ -62,7 +63,7 @@ class TestGreensChannel:
         assert np.max(np.abs(row - row[::-1])) < 1e-15
 
     def test_refuses_obstacle(self, shadow_scenario):
-        with pytest.raises(ModelMismatchError):
+        with pytest.raises(ModelMismatchError, match="use diffraction_channel"):
             greens_channel(shadow_scenario)
 
     def test_tags(self, baseline_scenario):
@@ -169,7 +170,7 @@ class TestBeamColumn:
 class TestEffectiveDiffraction:
     def test_columns_match_beam_column(self, baseline_scenario):
         w = build_codebook(baseline_scenario, "trad_all").matrix
-        eff = effective_channel_diffraction(baseline_scenario, w)
+        eff = effective_channel(diffraction_channel(baseline_scenario), w)
         assert eff.model == FRESNEL_DIFFRACTION
         for j in range(2):
             assert np.array_equal(eff.entries[:, j],
@@ -177,14 +178,14 @@ class TestEffectiveDiffraction:
 
     def test_repeat_builds_are_bit_identical(self, baseline_scenario):
         w = build_codebook(baseline_scenario, "trad_all").matrix
-        seq = effective_channel_diffraction(baseline_scenario, w)
-        par = effective_channel_diffraction(baseline_scenario, w)
+        seq = effective_channel(diffraction_channel(baseline_scenario), w)
+        par = effective_channel(diffraction_channel(baseline_scenario), w)
         assert np.array_equal(seq.entries, par.entries)
 
     def test_beam_matrix_shape_checked(self, baseline_scenario):
         with pytest.raises(AirylinkError, match="shape"):
-            effective_channel_diffraction(baseline_scenario,
-                                          np.ones((8, 2), dtype=complex))
+            effective_channel(diffraction_channel(baseline_scenario),
+                              np.ones((8, 2), dtype=complex))
 
 
 class TestCalibration:
@@ -209,7 +210,7 @@ class TestCalibration:
         c, _ = baseline_calibration
         w = build_codebook(baseline_scenario, "trad_all").matrix
         h_g = effective_channel_greens(greens_channel(baseline_scenario), w).entries
-        h_d = effective_channel_diffraction(baseline_scenario, w).entries
+        h_d = effective_channel(diffraction_channel(baseline_scenario), w).entries
         refit = np.vdot(h_d, h_g) / np.vdot(h_d, h_d).real
         assert refit == pytest.approx(c, rel=1e-12)
         leftover = np.vdot(h_d, h_g - c * h_d)
@@ -220,7 +221,7 @@ class TestCalibration:
         c, _ = baseline_calibration
         w = build_codebook(baseline_scenario, "trad_all").matrix
         h_g = effective_channel_greens(greens_channel(baseline_scenario), w).entries
-        h_d = effective_channel_diffraction(baseline_scenario, w, scale=c).entries
+        h_d = effective_channel(diffraction_channel(baseline_scenario), w, scale=c).entries
         mag_err = np.abs(np.abs(h_d) - np.abs(h_g)) / np.abs(h_g)
         phase_err = np.abs(np.angle(h_d / h_g))
         assert mag_err.max() <= 0.02
@@ -251,8 +252,7 @@ class TestKnifeEdgeSuppression:
                                                       carrier, lam):
         user = shadow_scenario.users[0]
         trad = traditional_focus(shadow_scenario.array, carrier, user).weights
-        params = AiryParams(-25.0, 163 * lam, 0.0).with_angle_offset(
-            geometric_angle(user))
+        params = AiryParams(-25.0, 163 * lam, geometric_angle(user))
         airy = airy_weights(shadow_scenario.array, carrier, params).weights
         p_trad = abs(beam_column(shadow_scenario, trad)[0]) ** 2
         p_airy = abs(beam_column(shadow_scenario, airy)[0]) ** 2

@@ -83,6 +83,25 @@ class TestArgumentHandling:
         assert message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, config, line", [
+        ("baseline", BASELINE, "noise_power = 1e-3"),
+        ("robustness", MIXED, "rzf_epsilon = 1e-10"),
+        ("mixed-opt", MIXED, "edge_x = 0.0"),
+    ], ids=["noise_power", "rzf_epsilon", "edge_x"])
+    def test_non_finite_config_value_fails_fast(self, tmp_path, capsys, command, config,
+                                                line):
+        text = Path(config).read_text()
+        assert line in text
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text.replace(line, line.split(" = ")[0] + " = nan", 1))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["baseline", "--config", BASELINE],
         ["shadow", "--config", SHADOW],

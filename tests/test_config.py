@@ -107,6 +107,25 @@ def test_malformed_configs_fail_loudly(mutation, fragment):
         parse_scenario_text(GOOD.replace(old, new, 1))
 
 
+# Every float-valued line of GOOD, once each (the [users] x and z of the
+# first user and the [obstacle] z stand for their repeated keys).
+FLOAT_LINES = ["frequency_ghz = 28", "spacing_lambda = 0.49", "x = -5", "z = 250",
+               "z = 1.606031025", "edge_x = 0.0", "noise_power = 1e-3",
+               "tx_power = 1.0e4", "rzf_epsilon = 1e-10", "window_lambda = 256",
+               "apodization_width_lambda = 25.6"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+@pytest.mark.parametrize("line", FLOAT_LINES)
+def test_non_finite_numbers_rejected_with_their_line(line, value):
+    """The range checks after parsing compare with <= 0, which NaN passes;
+    a non-finite value must fail where it is written."""
+    key = line.split(" = ")[0]
+    lineno = GOOD.splitlines().index(line) + 1
+    with pytest.raises(ConfigError, match=f"^line {lineno}: {key} must be finite"):
+        parse_scenario_text(GOOD.replace(line, f"{key} = {value}", 1))
+
+
 def test_duplicate_section_rejected():
     with pytest.raises(ConfigError, match="duplicate section"):
         parse_scenario_text(GOOD + "\n[carrier]\nfrequency_ghz = 30\n")

@@ -27,24 +27,23 @@ from airylink import (
     build_codebook,
     diffraction_channel,
     effective_channel_greens,
-    evaluate_candidate,
     geometric_baseline_params,
     greens_channel,
     intensity_map,
     launch_aperture,
-    link_metrics,
     remark1_calibration,
     run_baseline_scan,
     run_fieldmap,
     run_mixed_optimization,
     run_robustness_sweep,
     run_shadow_scan,
-    rzf_precoder,
     traditional_focus,
 )
 from airylink.channels import effective_channel
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
 from airylink.geometry import geometric_angle
+
+from batch_of_one import evaluate_candidate, metrics_of_one
 
 
 def dummy_record(rate: float = 1.0) -> MetricsRecord:
@@ -248,17 +247,12 @@ class TestRobustnessSweep:
 
     def test_zero_displacement_reproduces_nominal_metrics(self, mixed_scenario,
                                                           robustness_result):
-        from airylink import effective_channel_diffraction, link_metrics, rzf_precoder
-        from airylink.channels import remark1_calibration
-
         scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
         book = build_codebook(
             mixed_scenario, "mixed",
             airy_params=geometric_baseline_params(mixed_scenario)).matrix
-        h_eff = effective_channel_diffraction(mixed_scenario, book, scale=scale)
-        pre = rzf_precoder(h_eff, book, mixed_scenario.tx_power,
-                           mixed_scenario.rzf_epsilon)
-        nominal = link_metrics(h_eff, pre, mixed_scenario.noise_power)
+        h_eff = effective_channel(diffraction_channel(mixed_scenario), book, scale=scale)
+        nominal = per_point_record(mixed_scenario, h_eff, book)
 
         at_zero = dict(robustness_result.points)[0.0]["airy_geo"]
         assert at_zero.sum_rate == nominal.sum_rate
@@ -306,10 +300,9 @@ class TestFieldmap:
 
 
 def per_point_record(scenario, h_eff, w_rf) -> MetricsRecord:
-    """The per-point scoring the sweeps used before they were batched:
-    rzf_precoder, then link_metrics, on one channel."""
-    pre = rzf_precoder(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon)
-    return link_metrics(h_eff, pre, scenario.noise_power)
+    """The record of one sweep point scored on its own, a batch of one."""
+    return metrics_of_one(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon,
+                          scenario.noise_power)
 
 
 def assert_same_records(sweep, expected):
@@ -371,8 +364,7 @@ def svd_shapes_outside_the_search(monkeypatch) -> list:
 
 class TestOneMetricsPath:
     """Every sweep scores all of its points in one batched pass; the
-    records must equal the old per-point rzf_precoder -> link_metrics
-    path bit for bit."""
+    records must equal those of each point scored alone, bit for bit."""
 
     def test_baseline_matches_per_point_scoring(self, baseline_scenario, lam):
         sweep = run_baseline_scan(baseline_scenario)

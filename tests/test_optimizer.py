@@ -19,11 +19,8 @@ from airylink import (
     InfeasibleSearchError,
     SearchGrids,
     SearchOutcome,
-    beam_column,
     coarse_to_fine_search,
-    complexity_estimate,
     default_search_grids,
-    evaluate_candidate,
     geometric_baseline_params,
     traditional_focus,
 )
@@ -33,6 +30,8 @@ from airylink.errors import SingularChannelError
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL, SearchTrace
 from airylink.precoding import batch_metrics, batch_sum_rates
+
+from batch_of_one import beam_column, evaluate_candidate, metrics_of_one
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +94,11 @@ class TestGeometricBaseline:
 
 class TestEvaluateCandidate:
     def test_requires_two_users(self, mixed_scenario):
+        """A design is scored against the bright user's beam, so the search
+        refuses any other user count before it scores one."""
         solo = mixed_scenario.with_users((mixed_scenario.users[0],))
         with pytest.raises(ConfigError, match="2 users"):
-            evaluate_candidate(solo, geometric_baseline_params(mixed_scenario))
+            coarse_to_fine_search(solo, singleton_grids())
 
     def test_h11_matches_direct_beam_column(self, mixed_scenario):
         from airylink import airy_weights
@@ -111,8 +112,7 @@ class TestEvaluateCandidate:
     def test_matches_manual_pipeline(self, mixed_scenario, fixed_h2):
         """The candidate score is exactly what the full codebook pipeline
         computes for the same pair of beams, bit for bit."""
-        from airylink import (ChannelMatrix, airy_weights, link_metrics,
-                              rzf_precoder)
+        from airylink import ChannelMatrix, airy_weights
         from airylink.channels import FRESNEL_DIFFRACTION
 
         params = geometric_baseline_params(mixed_scenario)
@@ -125,9 +125,9 @@ class TestEvaluateCandidate:
         h_eff = ChannelMatrix(np.column_stack([h1, fixed_h2]),
                               model=FRESNEL_DIFFRACTION, kind="effective")
         w_rf = np.column_stack([w1.weights, w2.weights])
-        pre = rzf_precoder(h_eff, w_rf, mixed_scenario.tx_power,
-                           mixed_scenario.rzf_epsilon)
-        manual = link_metrics(h_eff, pre, mixed_scenario.noise_power).sum_rate
+        manual = metrics_of_one(h_eff, w_rf, mixed_scenario.tx_power,
+                                mixed_scenario.rzf_epsilon,
+                                mixed_scenario.noise_power).sum_rate
         assert rate == manual
 
 
@@ -462,17 +462,3 @@ class TestSearchTrace:
         with pytest.raises(AirylinkError, match="length"):
             SearchTrace(**self.columns(rate=[1.0]))
 
-
-class TestComplexityEstimate:
-    def test_default_grids(self, grid_std):
-        cost = complexity_estimate(default_search_grids(), grid_std)
-        assert cost == (1617 + 11 ** 3) * 4096 * 12
-
-    def test_all_singleton_axes_have_no_fine_stage(self, grid_std):
-        assert complexity_estimate(singleton_grids(), grid_std) == 1 * 4096 * 12
-
-    def test_one_refinable_axis(self, grid_std):
-        grids = SearchGrids(coarse_bending=(-30.0, -25.0),
-                            coarse_focal=(GEO_FOCAL,), coarse_dtheta=(0.0,),
-                            fine_refine_factor=2, fine_span=1)
-        assert complexity_estimate(grids, grid_std) == (2 + 5) * 4096 * 12

