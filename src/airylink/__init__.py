@@ -54,7 +54,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import MetricsRecord, PrecodingResult, rzf_precoder
+from .precoding import PrecodingResult, rzf_precoder
 from .propagation import (
     ComplexField,
     IntensityMap,

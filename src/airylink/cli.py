@@ -75,18 +75,14 @@ def _cmd_baseline(args) -> int:
     # The same scan indexed by the second user's geometric angle.
     lam = scenario.carrier.wavelength
     z2 = scenario.users[1].z
-    theta_points = tuple(
-        (math.degrees(math.atan2(x * lam, z2)), recs) for x, recs in sweep.points
-    )
-    theta_sweep = type(sweep)(
-        sweep_variable="theta2_deg", strategies=sweep.strategies, points=theta_points
-    )
+    theta_sweep = replace(sweep, sweep_variable="theta2_deg",
+                          values=[math.degrees(math.atan2(x * lam, z2)) for x in sweep.values])
     paths += aio.write_sweep_csv(out, "baseline_vs_theta2", theta_sweep, scenario)
     aio.write_metadata(out / "baseline.meta", {
         "run": {
             "command": "baseline",
             "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.points),
+            "points": len(sweep.values),
             "fraunhofer_m": fraunhofer_distance(scenario.array, scenario.carrier),
         },
     })
@@ -106,13 +102,13 @@ def _cmd_shadow(args) -> int:
     z2 = scenario.users[1].z
     angle_path = out / "shadow_angles.csv"
     aio.write_table(angle_path, ["x2_lambda", "theta1_deg", "theta2_deg"], [
-        (x, theta1, math.degrees(math.atan2(x * lam, z2))) for x, _recs in sweep.points
+        (x, theta1, math.degrees(math.atan2(x * lam, z2))) for x in sweep.values
     ])
     aio.write_metadata(out / "shadow.meta", {
         "run": {
             "command": "shadow",
             "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.points),
+            "points": len(sweep.values),
         },
     })
     _report(paths + [angle_path, out / "shadow.meta"])
@@ -213,7 +209,7 @@ def _cmd_robustness(args) -> int:
         "run": {
             "command": "robustness",
             "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.points),
+            "points": len(sweep.values),
         },
     })
     _report(paths + [wc_path, gain_path, out / "robustness.meta"])

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .geometry import (
     ArrayGeometry,
     BlockedSide,
@@ -246,8 +246,6 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
 
     Raises GridError with a specific message on the first violation.
     """
-    from .errors import GridError
-
     lam = scenario.carrier.wavelength
     grid = scenario.grid
     if grid.dx > lam / 4 + 1e-15:
@@ -279,8 +277,6 @@ def _check_phase_sampling(scenario: ScenarioConfig) -> None:
     """Steepest-codebook-entry check: the per-sample phase step of any beam
     this scenario can generate must stay below pi, or the grid undersamples
     the aperture phase."""
-    from .errors import GridError
-
     k0 = scenario.carrier.wavenumber
     dx = scenario.grid.dx
     half_aperture = 0.5 * scenario.array.aperture

@@ -20,13 +20,13 @@ outputs (and therefore byte-identical CSVs downstream). A sweep first
 builds the effective channel and analog matrix of every (point x strategy)
 pair, in sweep order, and then scores them all in one batched SVD + RZF +
 metrics pass (precoding.batch_metrics), whose RZF and sum-rate arithmetic
-the beam search shares; each MetricsRecord is one row of that batch. The
-fixed user's beams are built once per sweep. The shadow scan and the
-robustness sweep build their diffraction channels through one channel
-builder per call, so the cascade factors and the fixed user's row are
-built once per sweep; the mixed-optimization angle sweep runs on the
-channel matrix that the search returns, with all of its points' beams in
-one product with it.
+the beam search shares; the sweep keeps that pass's metric columns as they
+are, one row per pair. The fixed user's beams are built once per sweep.
+The shadow scan and the robustness sweep build their diffraction channels
+through one channel builder per call, so the cascade factors and the
+fixed user's row are built once per sweep; the mixed-optimization angle
+sweep runs on the channel matrix that the search returns, with all of its
+points' beams in one product with it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import MetricsRecord, achieved_power, batch_metrics, metrics_row
+from .precoding import achieved_power, batch_metrics
 from .propagation import (
     IntensityMap,
     grid_x,
@@ -86,30 +86,28 @@ _POWER_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One sweep: per point, one MetricsRecord per strategy (never ragged)."""
+    """One sweep: the sorted sweep values and the scorer's metric columns
+    (see precoding._metrics_batch), one row per (value, strategy) pair,
+    value-major with the strategies interleaved (never ragged)."""
 
     sweep_variable: str
     strategies: tuple
-    points: tuple  # of (value, {strategy: MetricsRecord})
+    values: np.ndarray
+    metrics: dict
 
     def __post_init__(self):
-        values = [v for v, _ in self.points]
-        if values != sorted(values):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if not np.all(values[:-1] <= values[1:]):
             raise AirylinkError("sweep points must be sorted by sweep value")
-        for v, recs in self.points:
-            if set(recs) != set(self.strategies):
-                raise AirylinkError(
-                    f"point {v} missing strategies: have {sorted(recs)}, "
-                    f"want {sorted(self.strategies)}"
-                )
+        rows = len(values) * len(self.strategies)
+        for name, column in self.metrics.items():
+            if len(column) != rows:
+                raise AirylinkError(f"metric column {name!r} has {len(column)} rows, want {rows}")
 
-    def series(self, strategy: str, attr: str) -> np.ndarray:
-        """Convenience column extraction: one metric across the sweep."""
-        return np.array([getattr(recs[strategy], attr) for _, recs in self.points])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.points])
+    def series(self, strategy: str, name: str) -> np.ndarray:
+        """One metric of one strategy across the sweep: a strided view."""
+        return self.metrics[name][self.strategies.index(strategy)::len(self.strategies)]
 
 
 @dataclass(frozen=True)
@@ -135,18 +133,25 @@ class MixedOptimizationResult:
     calibration_residual: float
 
 
-def _assert_point_invariants(scenario: ScenarioConfig, power: float,
-                             record: MetricsRecord) -> None:
-    """Inline invariants every sweep point must satisfy (CLI exit gate)."""
-    rel = abs(power - scenario.tx_power) / scenario.tx_power
-    if rel > _POWER_RTOL:
+def _assert_point_invariants(scenario: ScenarioConfig, power: np.ndarray,
+                             metrics: dict) -> None:
+    """Inline invariants every sweep point must satisfy (CLI exit gate),
+    checked for all points at once. Raises for the first point that fails
+    either; at that point the power check comes first."""
+    rel = np.abs(power - scenario.tx_power) / scenario.tx_power
+    kappa = metrics["condition_number"]
+    bad_power = rel > _POWER_RTOL
+    bad = bad_power | (~metrics["singular"] & (kappa < 1.0))
+    if not bad.any():
+        return
+    c = int(np.argmax(bad))
+    if bad_power[c]:
         raise AirylinkError(
-            f"power normalization violated: |W_RF W_BB|_F^2 off by {rel:.3e} relative"
+            f"power normalization violated: |W_RF W_BB|_F^2 off by {rel[c]:.3e} relative"
         )
-    if not record.singular and record.condition_number < 1.0:
-        raise AirylinkError(
-            f"condition number {record.condition_number} < 1; singular values disordered"
-        )
+    raise AirylinkError(
+        f"condition number {float(kappa[c])} < 1; singular values disordered"
+    )
 
 
 def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tuple,
@@ -156,15 +161,9 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
     value-major, strategies in order. Every point's invariants are checked."""
     h = np.ascontiguousarray(h_eff, dtype=complex)
     w = np.ascontiguousarray(w_rf, dtype=complex)
-    m, sigma, w_bb = batch_metrics(
-        h, w, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
-    )
-    records = [metrics_row(m, sigma, c) for c in range(len(h))]
-    for rec, power in zip(records, achieved_power(w, w_bb)):
-        _assert_point_invariants(scenario, power, rec)
-    rows = iter(records)
-    points = tuple((v, {name: next(rows) for name in strategies}) for v in values)
-    return SweepResult(sweep_variable=sweep_variable, strategies=strategies, points=points)
+    m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power)
+    _assert_point_invariants(scenario, achieved_power(w, w_bb), m)
+    return SweepResult(sweep_variable, strategies, values, m)
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list:

@@ -22,6 +22,15 @@ from .errors import ConfigError
 SPEED_OF_LIGHT = 299_792_458.0
 
 
+def _require_finite(obj, *names) -> None:
+    """Raise ConfigError for the first named float field of `obj` that is
+    NaN or infinite; the range checks compare with <= 0, which NaN passes."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{type(obj).__name__}.{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Carrier:
     """Carrier frequency in Hz, with derived wavelength and wavenumber."""
@@ -29,6 +38,7 @@ class Carrier:
     frequency_hz: float
 
     def __post_init__(self):
+        _require_finite(self, "frequency_hz")
         if self.frequency_hz <= 0:
             raise ConfigError(f"carrier frequency must be positive, got {self.frequency_hz}")
 
@@ -52,6 +62,7 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"array needs at least one element, got n={self.n}")
+        _require_finite(self, "spacing")
         if self.spacing <= 0:
             raise ConfigError(f"element spacing must be positive, got {self.spacing}")
         c = 0.5 * (self.n + 1)
@@ -77,6 +88,7 @@ class UserPosition:
     label: str = ""
 
     def __post_init__(self):
+        _require_finite(self, "x", "z")
         if self.z <= 0:
             raise ConfigError(f"user depth must be positive, got z={self.z} ({self.label!r})")
 
@@ -98,6 +110,7 @@ class KnifeEdgeObstacle:
     blocked_side: str = BlockedSide.BELOW_EDGE
 
     def __post_init__(self):
+        _require_finite(self, "depth", "edge_x")
         if self.depth <= 0:
             raise ConfigError(f"obstacle depth must be positive, got {self.depth}")
         if self.blocked_side not in (BlockedSide.BELOW_EDGE, BlockedSide.ABOVE_EDGE):
@@ -128,6 +141,7 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or (self.nx & (self.nx - 1)) != 0:
             raise ConfigError(f"nx must be a power of two >= 2, got {self.nx}")
+        _require_finite(self, "window", "apod_width")
         if self.window <= 0:
             raise ConfigError(f"window must be positive, got {self.window}")
         if not (0 <= self.apod_width < 0.5 * self.window):
@@ -170,6 +184,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if len(self.users) < 1:
             raise ConfigError("scenario needs at least one user")
+        _require_finite(self, "noise_power", "tx_power", "rzf_epsilon")
         if self.noise_power <= 0 or self.tx_power <= 0:
             raise ConfigError("noise_power and tx_power must be positive")
         if self.rzf_epsilon < 0:

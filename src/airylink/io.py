@@ -281,18 +281,18 @@ def write_sweep_csv(out_dir, stem: str, sweep: SweepResult,
     tag = scenario_hash(scenario)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    k = next(iter(sweep.points[0][1].values())).coupling_db.shape[0]
+    k = sweep.metrics["coupling_db"].shape[-1]
     header = ["scenario", sweep.sweep_variable, "kappa", "sigma_max", "sigma_min",
               "alpha_power", "sinr_db", "sum_rate"]
     header += [f"coupling_db_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
     written = []
     for strategy in sweep.strategies:
-        rows = []
-        for value, recs in sweep.points:
-            rec = recs[strategy]
-            rows.append([value, rec.condition_number, rec.singular_values[0],
-                         rec.singular_values[-1], rec.alpha_power, rec.common_sinr_db,
-                         rec.sum_rate, *rec.coupling_db.ravel().tolist()])
+        sigma = sweep.series(strategy, "singular_values")
+        coupling = sweep.series(strategy, "coupling_db")
+        rows = np.column_stack(
+            [sweep.values, sweep.series(strategy, "condition_number"), sigma[:, 0], sigma[:, -1]]
+            + [sweep.series(strategy, n) for n in ("alpha_power", "common_sinr_db", "sum_rate")]
+            + [coupling.reshape(len(coupling), k * k)])
         path = out_dir / f"{stem}_{strategy}.csv"
         write_table(path, header, rows, lead=tag + ",")
         written.append(path)

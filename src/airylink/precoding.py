@@ -13,16 +13,16 @@ the diagnostic that predicts when that inversion becomes power-hungry:
 near-parallel user columns push sigma_min toward zero and alpha collapses.
 
 The arithmetic runs over a leading candidate axis: every sweep scores all
-its channels in one batch_metrics call, metrics_row builds each
-MetricsRecord from it, and rzf_precoder is a batch-of-one view of the same
-RZF routine, so a channel gets the same bits alone or in a batch. The beam
-search only ranks rates, so it scores each chunk through batch_sum_rates:
-the RZF and sum-rate arithmetic of batch_metrics (_sinr_and_rate), without
-kappa, SINR in dB or coupling powers, and without the singular values
-except for the epsilon = 0 guard or to report sigma_min on the zero-power
-error. The realized power ||W_RF W_BB||_F^2 is its own step
-(achieved_power): the sweeps check it at every point and rzf_precoder
-reports it, while the search skips it.
+its channels in one batch_metrics call, whose metric columns (one array
+per metric, one row per candidate) are the sweep, and rzf_precoder is a
+batch-of-one view of the same RZF routine, so a channel gets the same bits
+alone or in a batch. The beam search only ranks rates, so it scores each
+chunk through batch_sum_rates: the RZF and sum-rate arithmetic of
+batch_metrics (_sinr_and_rate), without kappa, SINR in dB or coupling
+powers, and without the singular values except for the epsilon = 0 guard
+or to report sigma_min on the zero-power error. The realized power
+||W_RF W_BB||_F^2 is its own step (achieved_power): the sweeps check it at
+every point and rzf_precoder reports it, while the search skips it.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ from .channels import ChannelMatrix
 
 __all__ = [
     "PrecodingResult",
-    "MetricsRecord",
     "rzf_precoder",
     "batch_metrics",
     "batch_sum_rates",
     "achieved_power",
-    "metrics_row",
 ]
 
 # Relative sigma_min below which an epsilon = 0 inversion is refused.
@@ -59,25 +57,6 @@ class PrecodingResult:
     alpha: float
     product_check: np.ndarray
     achieved_power: float
-
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """All per-operating-point link metrics.
-
-    singular_values are sorted descending; condition_number is
-    sigma_max/sigma_min, or +inf (with `singular` set) when sigma_min
-    underflows to zero. coupling_db holds 10*log10 |h_kj|^2 of the raw
-    effective channel entries.
-    """
-
-    condition_number: float
-    singular_values: tuple
-    alpha_power: float
-    common_sinr_db: float
-    sum_rate: float
-    coupling_db: np.ndarray
-    singular: bool = False
 
 
 def _stack(matrix) -> np.ndarray:
@@ -143,7 +122,12 @@ def _sinr_and_rate(alpha: np.ndarray, noise_power: float, k: int) -> tuple:
 
 def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
                    sigma: np.ndarray) -> dict:
-    """Link metrics over a leading candidate axis (see MetricsRecord)."""
+    """Link metrics over a leading candidate axis, one column per metric
+    and one row per candidate: singular_values (C x K, descending);
+    condition_number sigma_max/sigma_min, or +inf with `singular` set when
+    sigma_min underflows to zero; alpha_power; common_sinr_db; sum_rate;
+    and coupling_db (C x K x K), 10*log10 |h_kj|^2 of the raw effective
+    channel entries."""
     singular = sigma[:, -1] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.where(singular, math.inf, sigma[:, 0] / sigma[:, -1])
@@ -151,6 +135,7 @@ def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
         sinr_db = np.where(sinr > 0, 10.0 * np.log10(sinr), -math.inf)
         coupling_db = 10.0 * np.log10(np.abs(h) ** 2)
     return {
+        "singular_values": sigma,
         "condition_number": kappa,
         "singular": singular,
         "alpha_power": alpha**2,
@@ -164,13 +149,13 @@ def batch_metrics(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
                   noise_power: float) -> tuple:
     """Post-RZF metrics of every candidate in a batch: h is C x K x K
     effective channels, w the C x N x K analog matrices (both contiguous).
-    Returns (metrics of _metrics_batch, singular values, W_BB); candidate c
-    gets exactly the bits it gets in a batch of one, W_BB[c] is
+    Returns (metric columns of _metrics_batch, W_BB); candidate c gets
+    exactly the bits it gets in a batch of one, W_BB[c] is
     rzf_precoder's baseband precoder, and achieved_power(w, W_BB) is
     rzf_precoder's achieved power."""
     sigma = np.linalg.svd(h, compute_uv=False)
     w_bb, alpha = _rzf_batch(h, w, tx_power, epsilon, sigma)
-    return _metrics_batch(h, alpha, noise_power, sigma), sigma, w_bb
+    return _metrics_batch(h, alpha, noise_power, sigma), w_bb
 
 
 def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: float,
@@ -181,19 +166,6 @@ def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: floa
     sigma_min when a precoder is identically zero."""
     _, alpha = _rzf_batch(h, w, tx_power, epsilon)
     return _sinr_and_rate(alpha, noise_power, h.shape[-1])[1]
-
-
-def metrics_row(m: dict, sigma: np.ndarray, c: int) -> MetricsRecord:
-    """Row c of a metrics batch as a MetricsRecord."""
-    return MetricsRecord(
-        condition_number=float(m["condition_number"][c]),
-        singular_values=tuple(float(s) for s in sigma[c]),
-        alpha_power=float(m["alpha_power"][c]),
-        common_sinr_db=float(m["common_sinr_db"][c]),
-        sum_rate=float(m["sum_rate"][c]),
-        coupling_db=m["coupling_db"][c],
-        singular=bool(m["singular"][c]),
-    )
 
 
 def rzf_precoder(

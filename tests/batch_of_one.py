@@ -12,8 +12,8 @@ single-item value a test compares against:
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
   user against the bright user's traditional beam, _score_chunk on a chunk
   of one;
-* metrics_of_one: the MetricsRecord of one effective channel and analog
-  matrix, batch_metrics then metrics_row on a batch of one.
+* metrics_of_one: the metrics of one effective channel and analog matrix,
+  row 0 of batch_metrics' columns on a batch of one.
 
 A batched caller must give every item exactly these bits.
 """
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from airylink import MetricsRecord, ScenarioConfig, diffraction_channel
+from airylink import ScenarioConfig, diffraction_channel
 from airylink.beams import AiryParams
 from airylink.channels import ChannelMatrix, beam_responses
 from airylink.optimizer import _bright_beam, _one_design, _score_chunk
-from airylink.precoding import _stack, batch_metrics, metrics_row
+from airylink.precoding import _stack, batch_metrics
 
 
 def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -48,9 +48,8 @@ def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
 
 
 def metrics_of_one(h_eff: ChannelMatrix, w_rf, tx_power: float, epsilon: float,
-                   noise_power: float) -> MetricsRecord:
-    """Post-RZF link metrics of one effective channel: batch_metrics and
-    metrics_row on a batch of one."""
-    m, sigma, _ = batch_metrics(_stack(h_eff.entries), _stack(w_rf), tx_power, epsilon,
-                                noise_power)
-    return metrics_row(m, sigma, 0)
+                   noise_power: float) -> dict:
+    """Post-RZF link metrics of one effective channel, {name: column[0]}
+    of batch_metrics on a batch of one."""
+    m, _ = batch_metrics(_stack(h_eff.entries), _stack(w_rf), tx_power, epsilon, noise_power)
+    return {name: column[0] for name, column in m.items()}

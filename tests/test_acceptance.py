@@ -37,7 +37,6 @@ import filecmp
 import math
 
 import numpy as np
-import pytest
 
 from airylink import (
     ChannelMatrix,
@@ -223,9 +222,9 @@ class TestFigureLevel:
         airy = shadow_sweep.series("airy_geo", "common_sinr_db")
         trad = shadow_sweep.series("trad_all", "common_sinr_db")
         deep = shadow_sweep.values <= -6.0
-        at_11 = dict(shadow_sweep.points)[-11.0]
-        gain = float(at_11["airy_geo"].coupling_db[1, 1]
-                     - at_11["trad_all"].coupling_db[1, 1])
+        at_11 = np.flatnonzero(shadow_sweep.values == -11.0).item()
+        gain = float(shadow_sweep.series("airy_geo", "coupling_db")[:, 1, 1][at_11]
+                     - shadow_sweep.series("trad_all", "coupling_db")[:, 1, 1][at_11])
         lam = shadow_scenario.carrier.wavelength
         ue2 = UserPosition(-11.0 * lam, shadow_scenario.users[1].z, "ue2")
         ceiling = phase_only_ceiling_db(

@@ -9,7 +9,6 @@ from airylink import (
     AiryParams,
     ArrayGeometry,
     BeamWeights,
-    Carrier,
     ConfigError,
     UserPosition,
     airy_weights,
@@ -17,11 +16,10 @@ from airylink import (
     greens_channel,
     launch_aperture,
     propagate_angular_spectrum,
-    sample_field,
     traditional_focus,
 )
 from airylink.beams import airy_weight_rows
-from airylink.geometry import GridSpec, geometric_angle
+from airylink.geometry import geometric_angle
 from airylink.propagation import grid_x
 
 

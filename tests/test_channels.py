@@ -1,7 +1,6 @@
 """Channel models: closed-form free space, wave-optics, and the scalar
 calibration that ties the two together."""
 
-import dataclasses
 import math
 
 import numpy as np

@@ -6,7 +6,7 @@ their structure and the frozen landmark values.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from airylink import (
     AiryParams,
     AirylinkError,
     ConfigError,
-    MetricsRecord,
     SearchGrids,
     SingularChannelError,
     SweepResult,
@@ -46,12 +45,6 @@ from airylink.geometry import geometric_angle
 from batch_of_one import evaluate_candidate, metrics_of_one
 
 
-def dummy_record(rate: float = 1.0) -> MetricsRecord:
-    return MetricsRecord(condition_number=1.0, singular_values=(1.0, 1.0),
-                         alpha_power=1.0, common_sinr_db=30.0, sum_rate=rate,
-                         coupling_db=np.zeros((2, 2)))
-
-
 class TestSweepResult:
     def test_series_and_values(self, shadow_sweep):
         values = shadow_sweep.values
@@ -60,15 +53,15 @@ class TestSweepResult:
         assert np.all(np.diff(values) > 0)
 
     def test_unsorted_points_rejected(self):
-        pts = ((1.0, {"a": dummy_record()}), (0.0, {"a": dummy_record()}))
         with pytest.raises(AirylinkError, match="sorted"):
-            SweepResult(sweep_variable="x", strategies=("a",), points=pts)
+            SweepResult(sweep_variable="x", strategies=("a",), values=[1.0, 0.0],
+                        metrics={"sum_rate": np.ones(2)})
 
-    def test_ragged_strategies_rejected(self):
-        pts = ((0.0, {"a": dummy_record()}),
-               (1.0, {"a": dummy_record(), "b": dummy_record()}))
-        with pytest.raises(AirylinkError, match="missing"):
-            SweepResult(sweep_variable="x", strategies=("a", "b"), points=pts)
+    def test_wrong_length_columns_rejected(self):
+        """Every column holds one row per (value, strategy) pair."""
+        with pytest.raises(AirylinkError, match="'sum_rate' has 3 rows, want 4"):
+            SweepResult(sweep_variable="x", strategies=("a", "b"), values=[0.0, 1.0],
+                        metrics={"singular": np.zeros(4, dtype=bool), "sum_rate": np.ones(3)})
 
 
 class TestBaselineScan:
@@ -141,7 +134,7 @@ class TestShadowScan:
             calls.clear()
             sweep = run_shadow_scan(shadow_scenario, step_lambda=3.5)
             counts.append(len(calls))
-        assert counts == [2 + 2 + 2 * len(sweep.points)] * 2
+        assert counts == [2 + 2 + 2 * len(sweep.values)] * 2
 
 
 class TestMixedOptimization:
@@ -254,10 +247,11 @@ class TestRobustnessSweep:
         h_eff = effective_channel(diffraction_channel(mixed_scenario), book, scale=scale)
         nominal = per_point_record(mixed_scenario, h_eff, book)
 
-        at_zero = dict(robustness_result.points)[0.0]["airy_geo"]
-        assert at_zero.sum_rate == nominal.sum_rate
-        assert at_zero.condition_number == nominal.condition_number
-        assert at_zero.common_sinr_db == nominal.common_sinr_db
+        i = list(robustness_result.values).index(0.0)
+        at_zero = {name: robustness_result.series("airy_geo", name)[i] for name in nominal}
+        assert at_zero["sum_rate"] == nominal["sum_rate"]
+        assert at_zero["condition_number"] == nominal["condition_number"]
+        assert at_zero["common_sinr_db"] == nominal["common_sinr_db"]
 
     def test_power_and_conditioning_invariants(self, robustness_result):
         for strategy in robustness_result.strategies:
@@ -299,25 +293,26 @@ class TestFieldmap:
         assert np.array_equal(m.db, manual.db)
 
 
-def per_point_record(scenario, h_eff, w_rf) -> MetricsRecord:
-    """The record of one sweep point scored on its own, a batch of one."""
+def per_point_record(scenario, h_eff, w_rf) -> dict:
+    """The metrics of one sweep point scored on its own, a batch of one."""
     return metrics_of_one(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon,
                           scenario.noise_power)
 
 
 def assert_same_records(sweep, expected):
-    """expected[i][strategy] is the per-point record of sweep point i;
-    every field must match exactly."""
-    assert len(sweep.points) == len(expected)
-    for (value, recs), want in zip(sweep.points, expected):
-        assert set(recs) == set(want)
+    """expected[i][strategy] is the per-point metrics of sweep point i;
+    every column must match them exactly, point by point."""
+    assert len(sweep.values) == len(expected)
+    for i, (value, want) in enumerate(zip(sweep.values, expected)):
+        assert set(sweep.strategies) == set(want)
         for name in sweep.strategies:
-            for f in fields(MetricsRecord):
-                got, ref = getattr(recs[name], f.name), getattr(want[name], f.name)
+            assert set(sweep.metrics) == set(want[name])
+            for f, ref in want[name].items():
+                got = sweep.series(name, f)[i]
                 if isinstance(ref, np.ndarray):
-                    assert np.array_equal(got, ref), (value, name, f.name)
+                    assert np.array_equal(got, ref), (value, name, f)
                 else:
-                    assert got == ref, (value, name, f.name)
+                    assert got == ref, (value, name, f)
 
 
 def moved_second_user(scenario, x):
@@ -446,7 +441,7 @@ class TestOneMetricsPath:
         count_calls(monkeypatch, np.linalg, "svd", shapes,
                     key=lambda a, *rest, **kw: np.shape(a))
         sweep = run(request.getfixturevalue(fixture))
-        assert shapes == [(len(sweep.points) * len(sweep.strategies), 2, 2)]
+        assert shapes == [(len(sweep.values) * len(sweep.strategies), 2, 2)]
 
     @pytest.mark.parametrize("run, fixture, step", [
         (run_baseline_scan, "baseline_scenario", 5.0),
@@ -468,6 +463,35 @@ class TestOneMetricsPath:
         with pytest.raises(AirylinkError, match="power normalization"):
             run(request.getfixturevalue(fixture), step_lambda=step)
 
+    @pytest.mark.parametrize("power_at, message", [
+        (None, r"condition number 0\.5 < 1"),
+        (-1, r"condition number 0\.5 < 1"),
+        (2, "power normalization"),
+    ])
+    def test_first_failing_point_names_the_error(self, baseline_scenario, power_at,
+                                                 message, monkeypatch):
+        """The gate checks every point at once and raises for the first
+        point that fails: points 2 and 4 carry kappa 0.5 and 0.25, so the
+        error names point 2's; a power error at a later point does not mask
+        it, and one at point 2 itself comes first."""
+        scored, power = airylink.experiments.batch_metrics, airylink.experiments.achieved_power
+
+        def disordered(*args):
+            m, w_bb = scored(*args)
+            m["condition_number"][[2, 4]] = (0.5, 0.25)
+            return m, w_bb
+
+        def perturbed(w, w_bb):
+            p = power(w, w_bb)
+            p[power_at] *= 1.0 + 1e-6
+            return p
+
+        monkeypatch.setattr(airylink.experiments, "batch_metrics", disordered)
+        if power_at is not None:
+            monkeypatch.setattr(airylink.experiments, "achieved_power", perturbed)
+        with pytest.raises(AirylinkError, match=message):
+            run_baseline_scan(baseline_scenario, step_lambda=5.0)
+
     def test_one_svd_for_the_angle_sweep(self, mixed_scenario, monkeypatch):
         """Outside the search, whose chunks make their own SVD calls at
         epsilon = 0 (the zero-forcing guard), the mixed optimization makes
@@ -477,7 +501,7 @@ class TestOneMetricsPath:
                                         grids=small_grids())
         outside = [shape for shape in shapes if shape is not None]
         assert len(shapes) > len(outside)
-        assert outside == [(len(result.dtheta_sweep.points), 2, 2)]
+        assert outside == [(len(result.dtheta_sweep.values), 2, 2)]
 
     def test_angle_sweep_refuses_a_non_finite_channel(self, mixed_scenario, monkeypatch):
         """The batched angle-sweep channels get ChannelMatrix's finiteness
@@ -498,7 +522,7 @@ class TestOneMetricsPath:
         values, so the angle sweep's batch is the run's one SVD call."""
         shapes = svd_shapes_outside_the_search(monkeypatch)
         result = run_mixed_optimization(mixed_scenario, grids=small_grids())
-        assert shapes == [(len(result.dtheta_sweep.points), 2, 2)]
+        assert shapes == [(len(result.dtheta_sweep.values), 2, 2)]
 
     def test_mixed_optimization_builds_each_row_once(self, mixed_scenario,
                                                      monkeypatch):
@@ -517,10 +541,10 @@ class TestOneMetricsPath:
         trad, airy = [], []
         count_calls(monkeypatch, airylink.beams, "traditional_focus", trad)
         count_calls(monkeypatch, airylink.beams, "airy_weights", airy)
-        n = len(run_shadow_scan(shadow_scenario, step_lambda=3.5).points)
+        n = len(run_shadow_scan(shadow_scenario, step_lambda=3.5).values)
         assert (len(trad), len(airy)) == (2 + 1 + n, 1 + n)
         trad.clear()
-        n = len(run_baseline_scan(baseline_scenario, step_lambda=5.0).points)
+        n = len(run_baseline_scan(baseline_scenario, step_lambda=5.0).values)
         assert len(trad) == 1 + n
 
     @pytest.mark.parametrize("run, fixture", [

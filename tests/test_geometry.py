@@ -1,6 +1,7 @@
 """Geometry primitives: carrier, array lattice, users, obstacle, grid."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from airylink import (
     classify_user,
     fraunhofer_distance,
     geometric_angle,
+    run_shadow_scan,
 )
 
 C = 299_792_458.0
@@ -202,3 +204,35 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(carrier=carrier, array=array64, users=users,
                            grid=grid_std, rzf_epsilon=-1e-9)
+
+
+class TestNonFiniteFieldsRejected:
+    """Every float field of the scene dataclasses must be finite: the range
+    checks compare with <= 0, which NaN passes, so without this a NaN or an
+    infinity reaches the physics."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("owner, field", [
+        ("carrier", "frequency_hz"),
+        ("array64", "spacing"),
+        ("user", "x"),
+        ("user", "z"),
+        ("edge_obstacle", "depth"),
+        ("edge_obstacle", "edge_x"),
+        ("grid_std", "window"),
+        ("grid_std", "apod_width"),
+        ("shadow_scenario", "noise_power"),
+        ("shadow_scenario", "tx_power"),
+        ("shadow_scenario", "rzf_epsilon"),
+    ])
+    def test_field(self, owner, field, bad, request):
+        valid = (UserPosition(0.0, 1.0) if owner == "user"
+                 else request.getfixturevalue(owner))
+        with pytest.raises(ConfigError, match=f"{type(valid).__name__}.{field} must be finite"):
+            replace(valid, **{field: bad})
+
+    def test_nan_noise_power_never_reaches_a_shadow_scan(self, shadow_scenario):
+        """A NaN noise power would score the scan as sum_rate = nan and
+        common_sinr_db = -inf; the scenario is refused before it runs."""
+        with pytest.raises(ConfigError, match="noise_power must be finite"):
+            run_shadow_scan(replace(shadow_scenario, noise_power=math.nan))

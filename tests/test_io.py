@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from airylink import (
     AirylinkError,
     IntensityMap,
-    MetricsRecord,
     SweepResult,
     build_codebook,
 )
@@ -33,21 +32,25 @@ from airylink.io import (
 )
 
 
-def record(k: int = 2, rate: float = 3.5) -> MetricsRecord:
+def record(k: int = 2, rate: float = 3.5) -> dict:
     coupling = 10.0 * np.log10(np.arange(1, k * k + 1, dtype=float).reshape(k, k))
-    return MetricsRecord(condition_number=42.5, singular_values=(2.0, 0.5),
-                         alpha_power=0.25, common_sinr_db=23.979400086721,
-                         sum_rate=rate, coupling_db=coupling)
+    return dict(condition_number=42.5, singular_values=(2.0, 0.5),
+                alpha_power=0.25, common_sinr_db=23.979400086721,
+                sum_rate=rate, coupling_db=coupling, singular=False)
+
+
+def columns(records) -> dict:
+    """The metric columns of a sweep whose rows are `records`."""
+    return {name: np.array([r[name] for r in records]) for name in records[0]}
 
 
 def tiny_sweep() -> SweepResult:
     return SweepResult(
         sweep_variable="x2_lambda",
         strategies=("trad_all", "airy_geo"),
-        points=(
-            (-2.0, {"trad_all": record(rate=1.0), "airy_geo": record(rate=2.0)}),
-            (-1.0, {"trad_all": record(rate=3.0), "airy_geo": record(rate=4.0)}),
-        ),
+        values=[-2.0, -1.0],
+        metrics=columns([record(rate=1.0), record(rate=2.0),    # x2 = -2: trad_all, airy_geo
+                         record(rate=3.0), record(rate=4.0)]),  # x2 = -1
     )
 
 
@@ -356,19 +359,22 @@ def old_field_cut_csv(path, cut) -> bytes:
 
 def old_sweep_csv(out_dir, stem, sweep, scenario) -> list:
     tag = scenario_hash(scenario)
-    k = next(iter(sweep.points[0][1].values())).coupling_db.shape[0]
+    m = sweep.metrics
+    k = m["coupling_db"].shape[-1]
     header = ["scenario", sweep.sweep_variable, "kappa", "sigma_max", "sigma_min",
               "alpha_power", "sinr_db", "sum_rate"]
     header += [f"coupling_db_{i + 1}{j + 1}" for i in range(k) for j in range(k)]
     out = []
-    for strategy in sweep.strategies:
+    for s, strategy in enumerate(sweep.strategies):
         rows = []
-        for value, recs in sweep.points:
-            rec = recs[strategy]
-            rows.append([tag, fmt(value), fmt(rec.condition_number),
-                         fmt(rec.singular_values[0]), fmt(rec.singular_values[-1]),
-                         fmt(rec.alpha_power), fmt(rec.common_sinr_db), fmt(rec.sum_rate)]
-                        + [fmt(float(rec.coupling_db[i, j]))
+        for p, value in enumerate(sweep.values.tolist()):
+            c = p * len(sweep.strategies) + s  # value-major rows
+            rows.append([tag, fmt(value), fmt(float(m["condition_number"][c])),
+                         fmt(float(m["singular_values"][c][0])),
+                         fmt(float(m["singular_values"][c][-1])),
+                         fmt(float(m["alpha_power"][c])), fmt(float(m["common_sinr_db"][c])),
+                         fmt(float(m["sum_rate"][c]))]
+                        + [fmt(float(m["coupling_db"][c][i, j]))
                            for i in range(k) for j in range(k)])
         out.append(csv_writer_bytes(out_dir / f"old_{stem}_{strategy}.csv", header, rows))
     return out
@@ -419,13 +425,15 @@ class TestTemplateWritersMatchCsvWriter:
 
     def test_edge_values_in_a_sweep(self, tmp_path, baseline_scenario):
         def rec(v):
-            return MetricsRecord(condition_number=math.inf, singular_values=(1e16, -0.0),
-                                 alpha_power=9.999999999995, common_sinr_db=-math.inf,
-                                 sum_rate=v, coupling_db=np.array([[v, -0.0], [1e16, v]]),
-                                 singular=True)
+            return dict(condition_number=math.inf, singular_values=(1e16, -0.0),
+                        alpha_power=9.999999999995, common_sinr_db=-math.inf,
+                        sum_rate=v, coupling_db=np.array([[v, -0.0], [1e16, v]]),
+                        singular=True)
 
-        sweep = SweepResult(sweep_variable="x2_lambda", strategies=("a", "b"), points=tuple(
-            (x, {"a": rec(v), "b": rec(-v)}) for x, v in zip((-3, -2.5, 0, 1e16), EDGE)))
+        xs = (-3, -2.5, 0, 1e16)
+        sweep = SweepResult(sweep_variable="x2_lambda", strategies=("a", "b"), values=xs,
+                            metrics=columns([r for _, v in zip(xs, EDGE)
+                                             for r in (rec(v), rec(-v))]))
         paths = write_sweep_csv(tmp_path, "edge", sweep, baseline_scenario)
         expected = old_sweep_csv(tmp_path, "edge", sweep, baseline_scenario)
         assert b",-3,inf,1e+16,-0,9.99999999999,-inf,-0,-0,-0,1e+16,-0\n" in expected[0]

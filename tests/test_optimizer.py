@@ -127,7 +127,7 @@ class TestEvaluateCandidate:
         w_rf = np.column_stack([w1.weights, w2.weights])
         manual = metrics_of_one(h_eff, w_rf, mixed_scenario.tx_power,
                                 mixed_scenario.rzf_epsilon,
-                                mixed_scenario.noise_power).sum_rate
+                                mixed_scenario.noise_power)["sum_rate"]
         assert rate == manual
 
 
