@@ -10,10 +10,13 @@ Two beam families, both phase-only with uniform 1/sqrt(N) amplitude:
   straight ray, which is what lets energy hook around a knife edge.
 
 All element positions are evaluated in meters; the cubic coefficient
-`bending` is dimensionless and `focal` is a length. airy_weight_rows builds
-many cubic beams from parameter columns at once (the search's chunks, the
-angle sweep); check_airy_columns holds the parameter rules that AiryParams
-and the search's up-front box check share.
+`bending` is dimensionless and `focal` is a length. airy_weight_rows and
+traditional_focus_rows build many beams of one family at once (the search's
+chunks, the angle sweep, a sweep's moving user); airy_weights and
+traditional_focus are their one-row views. check_airy_columns holds the
+parameter rules that AiryParams and the search's up-front box check share,
+and check_unit_norm the norm rule that BeamWeights and the batched sweep
+beams share.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from .geometry import (
 __all__ = [
     "AiryParams",
     "check_airy_columns",
+    "check_unit_norm",
     "BeamWeights",
     "Codebook",
     "traditional_focus",
+    "traditional_focus_rows",
     "airy_weights",
     "airy_weight_rows",
     "build_codebook",
@@ -58,6 +63,18 @@ def check_airy_columns(focal=(), launch_angle=()) -> None:
     for theta in launch_angle:
         if not abs(theta) < math.pi / 2:
             raise ConfigError(f"launch angle must satisfy |theta| < pi/2, got {theta} rad")
+
+
+def check_unit_norm(weights) -> None:
+    """The beam norm rule: every row of `weights` (one beam, or a stack of
+    beams with elements along the last axis) has unit Euclidean norm to
+    within _NORM_TOL. Raises ConfigError naming the first norm that breaks
+    it, a NaN norm included."""
+    norms = np.ravel(np.linalg.norm(weights, axis=-1))
+    bad = ~(np.abs(norms - 1.0) <= _NORM_TOL)
+    if bad.any():
+        norm = float(norms[np.argmax(bad)])
+        raise ConfigError(f"beam weights must have unit norm, got {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +104,7 @@ class BeamWeights:
     params: AiryParams | None = None
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.weights))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ConfigError(f"beam weights must have unit norm, got {norm!r}")
+        check_unit_norm(self.weights)
 
     @property
     def phases(self) -> np.ndarray:
@@ -117,12 +132,22 @@ def traditional_focus(
     The +j sign conjugates the e^{-j k0 r} propagation phase, so all element
     contributions arrive at the target in phase.
     """
-    if not target.z > 0:
-        raise ConfigError(f"focus target must lie in front of the array (z > 0), got z={target.z}")
-    xs = array.element_x()
-    r = np.hypot(xs - target.x, target.z)
-    w = np.exp(1j * carrier.wavenumber * r) / math.sqrt(array.n)
+    w = traditional_focus_rows(array, carrier, (target.x,), (target.z,))[0]
     return BeamWeights(weights=w, kind="traditional", target=target)
+
+
+def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.ndarray:
+    """Focusing weights for many targets at once: row c (of a C x N array)
+    focuses on (x[c], z[c]), as documented in traditional_focus. Every row
+    goes through the same elementwise operations whatever the batch, so it
+    matches traditional_focus bit for bit."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    for depth in z.tolist():
+        if not depth > 0:
+            raise ConfigError(f"focus target must lie in front of the array (z > 0), got z={depth}")
+    r = np.hypot(array.element_x() - x[:, None], z[:, None])
+    return np.exp(1j * carrier.wavenumber * r) / math.sqrt(array.n)
 
 
 def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
@@ -221,3 +246,22 @@ def _user_beam(scenario: ScenarioConfig, strategy: str, user: UserPosition,
     elif not shadowed:
         return traditional_focus(scenario.array, scenario.carrier, user)
     return airy_weights(scenario.array, scenario.carrier, airy_params)
+
+
+def _user_beam_rows(scenario: ScenarioConfig, strategy: str, users,
+                    airy_params: AiryParams | None = None) -> np.ndarray:
+    """The _user_beam column of every one of `users` (none shadowed) under
+    'trad_all' or 'airy_geo', as the rows of one batched call, with the
+    checks those columns get one by one: the launch angles' range and
+    every row's unit norm."""
+    if strategy == "airy_geo":
+        angles = [geometric_angle(u) for u in users]
+        check_airy_columns(launch_angle=angles)
+        rows = airy_weight_rows(scenario.array, scenario.carrier,
+                                [airy_params.bending] * len(users),
+                                [airy_params.focal] * len(users), angles)
+    else:
+        rows = traditional_focus_rows(scenario.array, scenario.carrier,
+                                      [u.x for u in users], [u.z for u in users])
+    check_unit_norm(rows)
+    return rows

@@ -13,11 +13,13 @@ H_eff = H_phys @ W_RF:
   this operator is tested against.
 
 A diffraction-model matrix meets the codebook in effective_channel, whose
-einsum (beam_responses) gives a beam the same bits alone or in a batch of
-many. The obstructed sweeps and the calibration go through it, and the
-search scores its chunks with beam_responses directly. The Green's model
-keeps its own `@` product (effective_channel_greens), which rounds the
-last bits differently.
+einsum (beam_responses) gives an entry the same bits alone or in a batch
+of many users and beams. The calibration goes through it; the obstructed
+sweeps take every point's effective channel from one beam_responses
+product of all their user rows and beams, and the search scores its
+chunks with beam_responses directly. The Green's model keeps its own `@`
+product (effective_channel_greens, or one stacked `@` over a sweep's
+points), which rounds the last bits differently.
 
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so a single complex calibration
@@ -107,12 +109,13 @@ def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
         )
     lam = scenario.carrier.wavelength
     k0 = scenario.carrier.wavenumber
-    xs = scenario.array.element_x()
-    rows = []
-    for u in scenario.users:
-        r = np.hypot(xs - u.x, u.z)
-        rows.append(lam / (4.0 * math.pi * r) * np.exp(-1j * k0 * r))
-    return ChannelMatrix(np.vstack(rows), model=GREENS_FREE_SPACE, kind="physical")
+    ux = np.array([[u.x] for u in scenario.users])
+    uz = np.array([[u.z] for u in scenario.users])
+    # One broadcast over (user, element); each entry takes the same
+    # elementwise steps as a row built for its user alone.
+    r = np.hypot(scenario.array.element_x() - ux, uz)
+    entries = lam / (4.0 * math.pi * r) * np.exp(-1j * k0 * r)
+    return ChannelMatrix(entries, model=GREENS_FREE_SPACE, kind="physical")
 
 
 def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -122,9 +125,13 @@ def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> 
     The sum over elements runs in einsum's fixed order on contiguous rows,
     so a beam gets the same bits whether it is scored alone or in a batch
     (a BLAS product may switch between gemv and gemm and reorder the sum).
+    The scale is applied as np.multiply(scale, ...): `scale * temporary`
+    on an array of 256 KiB or more is done in place with the operands
+    swapped, and numpy's complex multiply rounds (x, scale) differently
+    from (scale, x), so a large batch would lose those bits.
     """
     rows = np.ascontiguousarray(weights, dtype=complex)
-    return scale * np.einsum("kn,cn->ck", h_phys, rows)
+    return np.multiply(scale, np.einsum("kn,cn->ck", h_phys, rows))
 
 
 def effective_channel(
@@ -182,8 +189,10 @@ def _channel_builder(scenario: ScenarioConfig):
     embed_aperture deposits.
 
     A builder makes each cascade factor once and keeps finished rows by the
-    user's (x, z), so a sweep that moves one user builds the other user's
-    row once. It lives for one experiment call; nothing outlives it.
+    user's (x, z), so a user that appears twice, in one call or across
+    calls, costs one cascade. A sweep passes the fixed user and every moved
+    user in one call and gets all of their rows as one matrix. A builder
+    lives for one experiment call; nothing outlives it.
     """
     grid, obstacle, lam = scenario.grid, scenario.obstacle, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)

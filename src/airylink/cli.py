@@ -17,6 +17,7 @@ inline invariant held along the way.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -285,7 +286,11 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process: parsing leaves it unchanged, and building it costs about a
+    millisecond (each add_argument asks for the terminal size)."""
     parser = argparse.ArgumentParser(
         prog="airylink",
         description="Wave-optics link simulator: curved analog beams around a knife edge",
@@ -325,8 +330,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("validate", help="run fast physics self-checks and exit")
     _common_flags(p, needs_out=False)
     p.set_defaults(fn=_cmd_validate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except AirylinkError as exc:

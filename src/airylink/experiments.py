@@ -16,17 +16,22 @@ Each runner turns one scenario family into a tabular sweep:
                      bright user, and measure how each strategy degrades.
 
 Every runner is pure given its config: identical inputs produce identical
-outputs (and therefore byte-identical CSVs downstream). A sweep first
-builds the effective channel and analog matrix of every (point x strategy)
-pair, in sweep order, and then scores them all in one batched SVD + RZF +
-metrics pass (precoding.batch_metrics), whose RZF and sum-rate arithmetic
-the beam search shares; the sweep keeps that pass's metric columns as they
-are, one row per pair. The fixed user's beams are built once per sweep.
-The shadow scan and the robustness sweep build their diffraction channels
-through one channel builder per call, so the cascade factors and the
-fixed user's row are built once per sweep; the mixed-optimization angle
-sweep runs on the channel matrix that the search returns, with all of its
-points' beams in one product with it.
+outputs (and therefore byte-identical CSVs downstream). A sweep builds the
+effective channel and analog matrix of every (point x strategy) pair as
+stacked arrays, in sweep order, and scores them all in one batched SVD +
+RZF + metrics pass (precoding.batch_metrics), whose RZF and sum-rate
+arithmetic the beam search shares; the sweep keeps that pass's metric
+columns as they are, one row per pair.
+
+No sweep loops over its points. In the baseline, shadow and robustness
+sweeps one user moves and the other stays: one channel call gives the
+fixed user's row and every moved user's row, the fixed user's beam is
+built once per strategy and the moved users' beams in one batched call
+per strategy, and every point's effective channel is gathered from one
+beam_responses product of all rows and beams (diffraction model) or taken
+from one stacked `@` (Green's model), with the bits of the per-point
+product. The mixed-optimization angle sweep gathers its channels the same
+way from the channel matrix that the search returns.
 """
 
 from __future__ import annotations
@@ -36,14 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (AiryParams, _user_beam, airy_weight_rows, airy_weights,
-                    build_codebook, check_airy_columns, traditional_focus)
+from .beams import (AiryParams, _user_beam, _user_beam_rows, airy_weight_rows,
+                    airy_weights, build_codebook, check_airy_columns, traditional_focus)
 from .channels import (
     _channel_builder,
     beam_responses,
     check_finite,
-    effective_channel,
-    effective_channel_greens,
     greens_channel,
     remark1_calibration,
 )
@@ -166,6 +169,38 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
     return SweepResult(sweep_variable, strategies, values, m)
 
 
+def _fixed_and_moved(points: int) -> np.ndarray:
+    """Per point p, the indices (0, 1 + p) into a stack that holds a fixed
+    item (the fixed user's row or beam) first and one moved item per point
+    after it."""
+    return np.column_stack([np.zeros(points, dtype=int), np.arange(1, points + 1)])
+
+
+def _analog_matrices(beams: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Every (point, strategy) analog matrix, value-major: beams holds each
+    strategy's beam rows (S x B x N), and point p's matrix takes the rows
+    cols[p] of every strategy as its columns (P*S x N x K, contiguous)."""
+    w = beams[:, cols].transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(w.reshape(-1, *w.shape[2:]))
+
+
+def _gathered_channels(h_rows: np.ndarray, beams: np.ndarray, scale: complex,
+                       rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Every (point, strategy) diffraction-model effective channel
+    (P*S x K x K) and analog matrix, value-major, from one beam_responses
+    product of all user rows h_rows (R x N) and all beams (S x B x N):
+    point p's channel under strategy s has entry [k, c] = response of beam
+    cols[p, c] of s at user row rows[p, k]. The einsum sums each entry over
+    the elements alone, so it has the bits of effective_channel on that
+    point's matrices."""
+    s, b, n = beams.shape
+    responses = beam_responses(h_rows, beams.reshape(s * b, n), scale).reshape(s, b, -1)
+    h_eff = responses[:, cols[:, None, :], rows[:, :, None]].swapaxes(0, 1)
+    h_eff = h_eff.reshape(-1, *h_eff.shape[2:])
+    check_finite(h_eff)
+    return h_eff, _analog_matrices(beams, cols)
+
+
 def _sweep_values(start: float, stop: float, step: float) -> list:
     """Inclusive arithmetic progression built from integer multiples, so the
     endpoint lands exactly and values are reproducible bit for bit."""
@@ -190,8 +225,8 @@ def run_baseline_scan(
     """Free-space two-user scan: user 2 slides along x at fixed depth.
 
     Uses the closed-form channel model throughout (no obstacle allowed)
-    with the all-traditional codebook; only user 2's beam is rebuilt at
-    each scan position.
+    with the all-traditional codebook; user 2's beams at all scan
+    positions come from one batched call.
     """
     if scenario.obstacle is not None:
         raise ConfigError("baseline scan is a free-space experiment; remove the obstacle")
@@ -200,14 +235,14 @@ def run_baseline_scan(
     lam = scenario.carrier.wavelength
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     u1, u2 = scenario.users
-    w1 = _user_beam(scenario, "trad_all", u1).weights
-    h_eff, w_rf = [], []
-    for x2_lambda in xs:
-        moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
-        w = np.column_stack([w1, _user_beam(scenario, "trad_all", moved).weights])
-        h_phys = greens_channel(scenario.with_users((u1, moved)))
-        h_eff.append(effective_channel_greens(h_phys, w).entries)
-        w_rf.append(w)
+    moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
+    h_rows = greens_channel(scenario.with_users((u1, *moved))).entries
+    beams = np.vstack([_user_beam(scenario, "trad_all", u1).weights,
+                       _user_beam_rows(scenario, "trad_all", moved)])
+    pairs = _fixed_and_moved(len(xs))
+    w_rf = _analog_matrices(beams[None], pairs)
+    h_eff = h_rows[pairs] @ w_rf
+    check_finite(h_eff)
     return _scored_sweep(scenario, "x2_lambda", ("trad_all",), xs, h_eff, w_rf)
 
 
@@ -221,8 +256,8 @@ def run_shadow_scan(
     """Blocked two-user scan comparing traditional and curved codebooks.
 
     Channels come from the diffraction model (calibrated once against the
-    obstacle-free closed form); the curved codebook re-aims per user at
-    each scan position via the geometric angle.
+    obstacle-free closed form); the curved codebook re-aims user 2 at every
+    scan position via the geometric angle, all positions in one call.
     """
     if scenario.obstacle is None:
         raise ConfigError("shadow scan needs an obstacle in the scenario")
@@ -233,18 +268,15 @@ def run_shadow_scan(
         geo_params = geometric_baseline_params(scenario)
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
-    channel = _channel_builder(scenario)
     strategies = ("trad_all", "airy_geo")
     u1, u2 = scenario.users
-    fixed = {name: _user_beam(scenario, name, u1, geo_params).weights for name in strategies}
-    h_eff, w_rf = [], []
-    for x2_lambda in xs:
-        moved = UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label)
-        h_phys = channel((u1, moved))
-        for name in strategies:
-            w = np.column_stack([fixed[name], _user_beam(scenario, name, moved, geo_params).weights])
-            h_eff.append(effective_channel(h_phys, w, scale).entries)
-            w_rf.append(w)
+    moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
+    h_rows = _channel_builder(scenario)((u1, *moved)).entries
+    beams = np.stack([np.vstack([_user_beam(scenario, name, u1, geo_params).weights,
+                                 _user_beam_rows(scenario, name, moved, geo_params)])
+                      for name in strategies])
+    pairs = _fixed_and_moved(len(xs))
+    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, pairs, pairs)
     return _scored_sweep(scenario, "x2_lambda", strategies, xs, h_eff, w_rf)
 
 
@@ -276,13 +308,11 @@ def run_mixed_optimization(
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
     rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
                             [best.focal] * len(angles), angles)
-    # Every point's two beams, row after row, in one product with the
-    # matrix: point c's effective channel has columns (w1_c, w2) responses.
-    w_rf = np.stack([rows, np.broadcast_to(w2, rows.shape)], axis=-1)
-    beams = w_rf.swapaxes(-1, -2).reshape(-1, scenario.array.n)
-    h_eff = beam_responses(outcome.h_phys.entries, beams, scale)
-    h_eff = h_eff.reshape(len(angles), 2, scenario.k).swapaxes(-1, -2)
-    check_finite(h_eff)
+    # Beams (w2, then one row per point); point p's columns are (row p, w2).
+    beams = np.vstack([w2, rows])[None]
+    cols = _fixed_and_moved(len(angles))[:, ::-1]
+    users = np.broadcast_to(np.arange(scenario.k), cols.shape)
+    h_eff, w_rf = _gathered_channels(outcome.h_phys.entries, beams, scale, users, cols)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
 
     cut = _field_cut(
@@ -352,7 +382,7 @@ def run_robustness_sweep(
 ) -> SweepResult:
     """Positioning-error sweep: all beams stay designed for the nominal
     user positions while the bright user's true position is displaced by
-    dx2; only the true-position channel is rebuilt per point."""
+    dx2; only the bright user's channel row differs from point to point."""
     if scenario.obstacle is None:
         raise ConfigError("robustness sweep needs the obstructed mixed scenario")
     if scenario.k != 2:
@@ -371,14 +401,13 @@ def run_robustness_sweep(
     }
     strategies = ("trad_all", "airy_geo", "airy_opt")
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
-    channel = _channel_builder(scenario)
     u1, u2 = scenario.users
-    h_eff = []
-    for dx_lambda in dxs:
-        moved = UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label)
-        h_phys = channel((u1, moved))
-        h_eff += [effective_channel(h_phys, books[name], scale).entries for name in strategies]
-    w_rf = [books[name] for _ in dxs for name in strategies]
+    moved = [UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label) for dx_lambda in dxs]
+    h_rows = _channel_builder(scenario)((u1, *moved)).entries
+    beams = np.stack([books[name].T for name in strategies])
+    rows = _fixed_and_moved(len(dxs))
+    cols = np.broadcast_to(np.arange(scenario.k), rows.shape)
+    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, rows, cols)
     return _scored_sweep(scenario, "dx2_lambda", strategies, dxs, h_eff, w_rf)
 
 

@@ -308,15 +308,23 @@ def sample_field_transpose(grid: GridSpec, x: float) -> np.ndarray:
 
 class CascadeFactors:
     """The diagonal factors of the launch cascade on one grid at one
-    wavelength: the absorber, the launch filter and one spectral factor per
-    leg, each built on first use and kept only as long as the object, so a
-    caller that runs the cascade for many users builds each factor once."""
+    wavelength: the absorber, the launch filter, one spectral factor per
+    leg and the knife edge's mask, each built on first use and kept only as
+    long as the object, so a caller that runs the cascade for many users
+    builds each factor once."""
 
     def __init__(self, grid: GridSpec, wavelength: float):
         self.grid, self.wavelength = grid, wavelength
         self.apod = _apodization(grid)
         self.launch = _launch_filter(grid, wavelength)
         self._spectral = {}
+        self._clear = {}
+
+    def clear_side(self, obstacle: KnifeEdgeObstacle) -> np.ndarray:
+        """_clear_side of the obstacle on this grid."""
+        if obstacle not in self._clear:
+            self._clear[obstacle] = _clear_side(self.grid, obstacle)
+        return self._clear[obstacle]
 
     def spectral(self, distance: float, launch: bool) -> np.ndarray:
         """H(distance), times the launch filter for the leg that ends at the
@@ -358,7 +366,7 @@ def cascade_transpose(
     if obstacle is None or target_depth <= obstacle.depth:
         return leg(v, target_depth, launch=True)
     v = leg(v, target_depth - obstacle.depth, launch=False)
-    v = np.where(_clear_side(factors.grid, obstacle), v, 0.0 + 0.0j)
+    v = np.where(factors.clear_side(obstacle), v, 0.0 + 0.0j)
     return leg(v, obstacle.depth, launch=True)
 
 

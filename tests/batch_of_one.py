@@ -15,16 +15,31 @@ single-item value a test compares against:
 * metrics_of_one: the metrics of one effective channel and analog matrix,
   row 0 of batch_metrics' columns on a batch of one.
 
+The sweeps build every point's user rows, beams and effective channels as
+stacked arrays. The per-point loops they replaced are kept here as their
+reference, each returning the (effective channels, analog matrices) that
+the sweep scores, value-major with the strategies interleaved:
+
+* greens_rows_of_one: the closed-form channel built one user row at a time;
+* focus_of_one: the focusing weights toward one target;
+* baseline_points, shadow_points, robustness_points: one point at a time,
+  with a ChannelMatrix, a beam per user and a product per strategy.
+
 A batched caller must give every item exactly these bits.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from airylink import ScenarioConfig, diffraction_channel
-from airylink.beams import AiryParams
-from airylink.channels import ChannelMatrix, beam_responses
+from airylink import (ScenarioConfig, UserPosition, build_codebook, diffraction_channel,
+                      geometric_baseline_params, remark1_calibration)
+from airylink.beams import AiryParams, _user_beam
+from airylink.channels import (GREENS_FREE_SPACE, ChannelMatrix, _channel_builder,
+                               beam_responses, effective_channel, effective_channel_greens)
+from airylink.experiments import _published_opt_params
 from airylink.optimizer import _bright_beam, _one_design, _score_chunk
 from airylink.precoding import _stack, batch_metrics
 
@@ -53,3 +68,88 @@ def metrics_of_one(h_eff: ChannelMatrix, w_rf, tx_power: float, epsilon: float,
     of batch_metrics on a batch of one."""
     m, _ = batch_metrics(_stack(h_eff.entries), _stack(w_rf), tx_power, epsilon, noise_power)
     return {name: column[0] for name, column in m.items()}
+
+
+def greens_rows_of_one(scenario: ScenarioConfig) -> np.ndarray:
+    """The closed-form K x N channel, h = lambda/(4 pi r) e^{-j k0 r}, one
+    user row at a time."""
+    lam = scenario.carrier.wavelength
+    k0 = scenario.carrier.wavenumber
+    xs = scenario.array.element_x()
+    rows = []
+    for u in scenario.users:
+        r = np.hypot(xs - u.x, u.z)
+        rows.append(lam / (4.0 * math.pi * r) * np.exp(-1j * k0 * r))
+    return np.vstack(rows)
+
+
+def focus_of_one(scenario: ScenarioConfig, target: UserPosition) -> np.ndarray:
+    """Focusing weights toward one target, (1/sqrt(N)) e^{+j k0 r_n}."""
+    r = np.hypot(scenario.array.element_x() - target.x, target.z)
+    return np.exp(1j * scenario.carrier.wavenumber * r) / math.sqrt(scenario.array.n)
+
+
+def _moved(scenario: ScenarioConfig, x: float) -> UserPosition:
+    u2 = scenario.users[1]
+    return UserPosition(x=x, z=u2.z, label=u2.label)
+
+
+def _stacked(h_eff: list, w_rf: list) -> tuple:
+    return (np.ascontiguousarray(h_eff, dtype=complex),
+            np.ascontiguousarray(w_rf, dtype=complex))
+
+
+def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
+    """run_baseline_scan's channels, one point at a time: user 2 at
+    x = x2 * lambda, a Green's-model matrix and one `@` per point."""
+    lam = scenario.carrier.wavelength
+    u1 = scenario.users[0]
+    w1 = _user_beam(scenario, "trad_all", u1).weights
+    h_eff, w_rf = [], []
+    for x2_lambda in xs_lambda:
+        moved = _moved(scenario, x2_lambda * lam)
+        w = np.column_stack([w1, _user_beam(scenario, "trad_all", moved).weights])
+        rows = greens_rows_of_one(scenario.with_users((u1, moved)))
+        h_phys = ChannelMatrix(rows, model=GREENS_FREE_SPACE, kind="physical")
+        h_eff.append(effective_channel_greens(h_phys, w).entries)
+        w_rf.append(w)
+    return _stacked(h_eff, w_rf)
+
+
+def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
+    """run_shadow_scan's channels, one point and strategy at a time."""
+    lam = scenario.carrier.wavelength
+    geo = geometric_baseline_params(scenario)
+    scale, _ = remark1_calibration(scenario.without_obstacle())
+    channel = _channel_builder(scenario)
+    u1 = scenario.users[0]
+    strategies = ("trad_all", "airy_geo")
+    fixed = {name: _user_beam(scenario, name, u1, geo).weights for name in strategies}
+    h_eff, w_rf = [], []
+    for x2_lambda in xs_lambda:
+        moved = _moved(scenario, x2_lambda * lam)
+        h_phys = channel((u1, moved))
+        for name in strategies:
+            w = np.column_stack([fixed[name], _user_beam(scenario, name, moved, geo).weights])
+            h_eff.append(effective_channel(h_phys, w, scale).entries)
+            w_rf.append(w)
+    return _stacked(h_eff, w_rf)
+
+
+def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
+    """run_robustness_sweep's channels, one point and strategy at a time."""
+    lam = scenario.carrier.wavelength
+    scale, _ = remark1_calibration(scenario.without_obstacle())
+    geo = geometric_baseline_params(scenario)
+    books = [
+        build_codebook(scenario, "trad_all").matrix,
+        build_codebook(scenario, "mixed", airy_params=geo).matrix,
+        build_codebook(scenario, "mixed", airy_params=_published_opt_params(scenario)).matrix,
+    ]
+    channel = _channel_builder(scenario)
+    u1, u2 = scenario.users
+    h_eff = []
+    for dx_lambda in dxs_lambda:
+        h_phys = channel((u1, _moved(scenario, u2.x + dx_lambda * lam)))
+        h_eff += [effective_channel(h_phys, book, scale).entries for book in books]
+    return _stacked(h_eff, [book for _ in dxs_lambda for book in books])

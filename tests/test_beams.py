@@ -18,9 +18,12 @@ from airylink import (
     propagate_angular_spectrum,
     traditional_focus,
 )
-from airylink.beams import airy_weight_rows
+from airylink.beams import (_user_beam_rows, airy_weight_rows, check_unit_norm,
+                            traditional_focus_rows)
 from airylink.geometry import geometric_angle
 from airylink.propagation import grid_x
+
+from batch_of_one import focus_of_one
 
 
 class TestAiryParams:
@@ -93,10 +96,34 @@ class TestBeamWeights:
         with pytest.raises(ConfigError, match="unit norm"):
             BeamWeights(weights=np.ones(4, dtype=complex), kind="traditional")
 
+    def test_nan_weights_rejected(self):
+        """A NaN norm is not within the tolerance of 1."""
+        w = np.full(4, 0.5, dtype=complex)
+        w[1] = complex(math.nan, 0.0)
+        with pytest.raises(ConfigError, match="unit norm, got nan"):
+            BeamWeights(weights=w, kind="traditional")
+
     def test_phases(self):
         w = np.exp(1j * np.array([0.1, -0.4, 2.0, 3.0])) / 2.0
         b = BeamWeights(weights=w, kind="traditional")
         assert np.allclose(b.phases, [0.1, -0.4, 2.0, 3.0])
+
+
+class TestCheckUnitNorm:
+    def test_names_the_first_bad_row(self):
+        rows = np.full((4, 4), 0.5, dtype=complex)
+        rows[1] *= 2.0
+        rows[3] *= 3.0
+        with pytest.raises(ConfigError, match=r"unit norm, got 2\.0$"):
+            check_unit_norm(rows)
+
+    def test_tolerance(self):
+        rows = np.full((3, 4), 0.5, dtype=complex)
+        rows[2] *= 1.0 + 5e-13
+        check_unit_norm(rows)
+        rows[2] *= 1.0 + 2e-12
+        with pytest.raises(ConfigError, match="unit norm"):
+            check_unit_norm(rows)
 
 
 class TestTraditionalFocus:
@@ -160,6 +187,33 @@ class TestTraditionalFocus:
     def test_target_behind_array_rejected(self, array64, carrier):
         with pytest.raises(ConfigError):
             traditional_focus(array64, carrier, UserPosition(0.0, 0.0))
+
+
+class TestTraditionalFocusRows:
+    def test_rows_match_one_target_bit_for_bit(self, baseline_scenario, rng, lam):
+        """300 targets (over 256 KiB of weights) in one call: every row has
+        the bits of traditional_focus and of the one-target expression."""
+        xs = rng.uniform(-40, 40, 300) * lam
+        zs = rng.uniform(50, 400, 300) * lam
+        xs[:2] = [u.x for u in baseline_scenario.users]
+        zs[:2] = [u.z for u in baseline_scenario.users]
+        array, carrier = baseline_scenario.array, baseline_scenario.carrier
+        rows = traditional_focus_rows(array, carrier, xs, zs)
+        assert rows.shape == (300, 64)
+        for row, x, z in zip(rows, xs.tolist(), zs.tolist()):
+            target = UserPosition(x, z)
+            assert row.tobytes() == traditional_focus(array, carrier, target).weights.tobytes()
+            assert row.tobytes() == focus_of_one(baseline_scenario, target).tobytes()
+
+    def test_user_beam_rows_check_the_launch_angles(self, shadow_scenario):
+        """A user so far off axis that atan2 rounds its angle to pi/2."""
+        users = [UserPosition(0.1, 2.0), UserPosition(1e20, 1.0)]
+        with pytest.raises(ConfigError, match="launch angle"):
+            _user_beam_rows(shadow_scenario, "airy_geo", users, AiryParams(-25.0, 1.75))
+
+    def test_any_target_behind_the_array_rejected(self, array64, carrier):
+        with pytest.raises(ConfigError, match="z > 0"):
+            traditional_focus_rows(array64, carrier, [0.0, 0.1, 0.2], [1.0, -1.0, 2.0])
 
 
 class TestAiryWeights:

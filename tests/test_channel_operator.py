@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import airylink.propagation
 from airylink import (
     AiryParams,
     ConfigError,
@@ -30,6 +31,7 @@ from airylink.channels import (
     FRESNEL_DIFFRACTION,
     _amplitude_conversion,
     _channel_builder,
+    beam_responses,
     effective_channel,
 )
 from airylink.geometry import geometric_angle
@@ -147,6 +149,19 @@ class TestChannelBuilder:
                 assert np.array_equal(row, fresh_row(shadow_scenario, u))
 
 
+    def test_mask_built_once_per_builder(self, shadow_scenario, lam, monkeypatch):
+        """Every two-leg row of one builder reuses one knife-edge mask."""
+        calls = []
+        real = airylink.propagation._clear_side
+        monkeypatch.setattr(airylink.propagation, "_clear_side",
+                            lambda *args: calls.append(args) or real(*args))
+        channel = _channel_builder(shadow_scenario)
+        users = [UserPosition(x * lam, 300 * lam, "ue2") for x in (-10.0, -5.0, 0.0, 5.0)]
+        channel(users)
+        channel(users[:1] + [UserPosition(7 * lam, 250 * lam, "ue1")])
+        assert calls == [(shadow_scenario.grid, shadow_scenario.obstacle)]
+
+
 class TestBatchInvariance:
     def test_alone_and_in_a_chunk_agree_bit_for_bit(self, mixed_scenario):
         scale = 0.7 - 0.7j
@@ -167,6 +182,21 @@ class TestBatchInvariance:
         for i in range(_CHUNK):
             alone = evaluate_candidate(mixed_scenario, designs[i], scale)
             assert alone == (rates[i], h11[i])
+
+
+    def test_many_rows_and_beams_match_each_entry_alone(self, mixed_scenario, rng):
+        """One product of 130 user rows and 130 beams (over 256 KiB of
+        responses, where numpy multiplies `scale * temporary` in place with
+        the operands swapped): every entry has the bits of its row and beam
+        taken alone."""
+        h = diffraction_channel(mixed_scenario).entries
+        rows = np.vstack([h, rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))])
+        beams = rng.standard_normal((130, 64)) + 1j * rng.standard_normal((130, 64))
+        scale = 0.98 - 0.13j
+        product = beam_responses(rows, beams, scale)
+        alone = np.array([[beam_responses(rows[k:k + 1], beams[c:c + 1], scale)[0, 0]
+                           for k in range(len(rows))] for c in range(len(beams))])
+        assert product.tobytes() == alone.tobytes()
 
 
 class TestOperatorGuards:

@@ -25,7 +25,7 @@ from airylink import (
 from airylink.channels import FRESNEL_DIFFRACTION, GREENS_FREE_SPACE, effective_channel
 from airylink.geometry import geometric_angle
 
-from batch_of_one import beam_column
+from batch_of_one import beam_column, greens_rows_of_one
 
 
 class TestGreensChannel:
@@ -64,6 +64,17 @@ class TestGreensChannel:
     def test_refuses_obstacle(self, shadow_scenario):
         with pytest.raises(ModelMismatchError, match="use diffraction_channel"):
             greens_channel(shadow_scenario)
+
+    def test_broadcast_rows_match_per_user_rows(self, baseline_scenario, rng, lam):
+        """The two bundled users, then 300 (over 256 KiB of entries): the
+        one broadcast gives every row the bits of that user's row alone."""
+        users = baseline_scenario.users + tuple(
+            UserPosition(x * lam, z * lam)
+            for x, z in zip(rng.uniform(-40, 40, 298), rng.uniform(50, 400, 298)))
+        for k in (2, len(users)):
+            scenario = baseline_scenario.with_users(users[:k])
+            entries = greens_channel(scenario).entries
+            assert entries.tobytes() == greens_rows_of_one(scenario).tobytes()
 
     def test_tags(self, baseline_scenario):
         h = greens_channel(baseline_scenario)

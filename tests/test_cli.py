@@ -6,12 +6,15 @@ shell user would observe them.  The bundled example configs under
 ``configs/`` serve as inputs.
 """
 
+import argparse
 import csv
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
+import airylink.cli
 from airylink import load_scenario, run_robustness_sweep, run_shadow_scan
 from airylink.cli import main
 from airylink.geometry import geometric_angle
@@ -118,6 +121,58 @@ class TestArgumentHandling:
             main(["fieldmap", "--config", SHADOW, "--out", str(tmp_path),
                   "--strategy", "banana"])
         assert excinfo.value.code == 2
+
+
+def outcome(argv, out, capsys) -> tuple:
+    """Exit code (a usage error's SystemExit code included), stdout,
+    stderr and the bytes of every file under `out` of one main call."""
+    shutil.rmtree(out, ignore_errors=True)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    stdout, stderr = capsys.readouterr()
+    files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} \
+        if out.is_dir() else {}
+    return rc, stdout, stderr, files
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_gives_what_fresh_parsers_give(self, tmp_path, capsys):
+        """validate, a bad flag and baseline, run in turn on the parser the
+        process keeps, each give what they give on a freshly built one."""
+        out = tmp_path / "out"
+        commands = [
+            ["validate", "--config", MIXED],
+            ["baseline", "--config", BASELINE, "--out", str(out), "--bad-flag"],
+            ["baseline", "--config", BASELINE, "--out", str(out), "--step", "5"],
+        ]
+        kept = [outcome(argv, out, capsys) for argv in commands]
+        fresh = []
+        for argv in commands:
+            airylink.cli._parser.cache_clear()
+            fresh.append(outcome(argv, out, capsys))
+        assert kept == fresh
+        assert [rc for rc, *_ in kept] == [0, 2, 0]
+        assert "unrecognized arguments: --bad-flag" in kept[1][2]
+        assert kept[0][1].count("PASS") == 3
+        assert len(kept[2][3]) == 3
+
+    def test_second_call_adds_no_argument(self, monkeypatch, capsys):
+        calls = []
+        add = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        airylink.cli._parser.cache_clear()
+        assert main(["validate", "--config", MIXED, "--nx", "2048"]) == 0
+        assert len(calls) > 30
+        calls.clear()
+        assert main(["validate", "--config", MIXED, "--nx", "2048"]) == 0
+        assert calls == []
 
 
 class TestValidate:

@@ -7,6 +7,7 @@ their structure and the frozen landmark values.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ from airylink.channels import effective_channel
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
 from airylink.geometry import geometric_angle
 
-from batch_of_one import evaluate_candidate, metrics_of_one
+from batch_of_one import (baseline_points, evaluate_candidate, metrics_of_one, robustness_points,
+                          shadow_points)
 
 
 class TestSweepResult:
@@ -533,19 +535,42 @@ class TestOneMetricsPath:
         run_mixed_optimization(mixed_scenario, grids=small_grids())
         assert len(calls) == 4
 
-    def test_fixed_user_beams_built_once_per_sweep(self, shadow_scenario,
-                                                   baseline_scenario, monkeypatch):
-        """Calibration builds two traditional beams; the fixed user then
-        gets one beam per strategy and the moving user one per point and
-        strategy."""
-        trad, airy = [], []
-        count_calls(monkeypatch, airylink.beams, "traditional_focus", trad)
-        count_calls(monkeypatch, airylink.beams, "airy_weights", airy)
-        n = len(run_shadow_scan(shadow_scenario, step_lambda=3.5).values)
-        assert (len(trad), len(airy)) == (2 + 1 + n, 1 + n)
-        trad.clear()
-        n = len(run_baseline_scan(baseline_scenario, step_lambda=5.0).values)
-        assert len(trad) == 1 + n
+    def test_fixed_user_beams_built_once_per_sweep(self, shadow_scenario, baseline_scenario,
+                                                   mixed_scenario, monkeypatch):
+        """Whatever the number of points, a sweep builds the fixed user's
+        beam once per strategy and every moved user's beam in one batched
+        call per strategy. Logged per call: traditional_focus and
+        airy_weights (one beam each), and the row count of every
+        traditional_focus_rows and airy_weight_rows call, the one-beam
+        builders' own included. Calibration builds two traditional beams;
+        the robustness sweep's beams stay at their nominal designs, so it
+        makes no batched call."""
+        calls = {name: [] for name in ("traditional_focus", "airy_weights",
+                                       "traditional_focus_rows", "airy_weight_rows")}
+        for name, log in calls.items():
+            key = (lambda array, carrier, first, *rest: len(first)) if name.endswith("_rows") \
+                else (lambda *a, **k: 1)
+            count_calls(monkeypatch, airylink.beams, name, log, key=key)
+
+        def beam_calls(run, scenario, step):
+            for log in calls.values():
+                log.clear()
+            n = len(run(scenario, step_lambda=step).values)
+            return n, {name: sum(log) if not name.endswith("_rows") else list(log)
+                       for name, log in calls.items()}
+
+        for step in (3.5, 7.0):
+            n, got = beam_calls(run_shadow_scan, shadow_scenario, step)
+            assert got == {"traditional_focus": 2 + 1, "airy_weights": 1,
+                           "traditional_focus_rows": [1, 1, 1, n], "airy_weight_rows": [1, n]}
+        for step in (5.0, 2.5):
+            n, got = beam_calls(run_baseline_scan, baseline_scenario, step)
+            assert got == {"traditional_focus": 1, "airy_weights": 0,
+                           "traditional_focus_rows": [1, n], "airy_weight_rows": []}
+        for step in (1.5, 0.75):
+            n, got = beam_calls(run_robustness_sweep, mixed_scenario, step)
+            assert got == {"traditional_focus": 2 + 2 + 1 + 1, "airy_weights": 2,
+                           "traditional_focus_rows": [1] * 6, "airy_weight_rows": [1, 1]}
 
     @pytest.mark.parametrize("run, fixture", [
         (run_baseline_scan, "baseline_scenario"),
@@ -563,3 +588,136 @@ class TestOneMetricsPath:
         singular = replace(scenario, users=users, rzf_epsilon=0.0)
         with pytest.raises(SingularChannelError):
             run(singular)
+
+
+def scored_channels(monkeypatch, run, scenario, **kwargs) -> tuple:
+    """(values, h_eff, w_rf) that one sweep hands to its scorer."""
+    seen = []
+    scored = airylink.experiments._scored_sweep
+
+    def capture(scenario, variable, strategies, values, h_eff, w_rf):
+        seen.append((values, h_eff, w_rf))
+        return scored(scenario, variable, strategies, values, h_eff, w_rf)
+
+    monkeypatch.setattr(airylink.experiments, "_scored_sweep", capture)
+    run(scenario, **kwargs)
+    (values, h_eff, w_rf), = seen
+    return values, h_eff, w_rf
+
+
+def jittered(scenario, rng, lam):
+    """The scenario with each user moved off the wavelength grid, within
+    +/-0.5 lambda in x and +/-5 lambda in z (no user changes side of the
+    knife edge's shadow boundary)."""
+    return scenario.with_users(tuple(
+        UserPosition(u.x + rng.uniform(-0.5, 0.5) * lam, u.z + rng.uniform(-5.0, 5.0) * lam,
+                     u.label)
+        for u in scenario.users))
+
+
+SWEEPS = [
+    (run_baseline_scan, "baseline_scenario"),
+    (run_shadow_scan, "shadow_scenario"),
+    (run_robustness_sweep, "mixed_scenario"),
+]
+SWEEP_IDS = ["baseline", "shadow", "robustness"]
+
+
+class TestStackedSweeps:
+    """Each sweep builds its user rows, beams and effective channels as
+    stacked arrays; what it scores must equal the per-point loop it
+    replaced (tests/batch_of_one.py), bit for bit."""
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["bundled", "jittered"])
+    @pytest.mark.parametrize("run, fixture, reference, kwargs", [
+        (run_baseline_scan, "baseline_scenario", baseline_points, {}),
+        (run_shadow_scan, "shadow_scenario", shadow_points, {}),
+        (run_robustness_sweep, "mixed_scenario", robustness_points, {}),
+        # Over 256 KiB of user rows (502 x 64) and of beam responses
+        # (114 x 228), the sizes at which numpy starts to reuse temporaries.
+        (run_baseline_scan, "baseline_scenario", baseline_points, {"step_lambda": 0.05}),
+        (run_shadow_scan, "shadow_scenario", shadow_points, {"step_lambda": 0.125}),
+    ], ids=["baseline", "shadow", "robustness", "baseline-501", "shadow-113"])
+    def test_matches_the_per_point_loop(self, run, fixture, reference, kwargs, jitter,
+                                        request, monkeypatch, rng, lam):
+        scenario = request.getfixturevalue(fixture)
+        if jitter:
+            scenario = jittered(scenario, rng, lam)
+        values, h_eff, w_rf = scored_channels(monkeypatch, run, scenario, **kwargs)
+        want_h, want_w = reference(scenario, values)
+        got_h = np.ascontiguousarray(h_eff, dtype=complex)
+        got_w = np.ascontiguousarray(w_rf, dtype=complex)
+        assert got_h.shape == want_h.shape and got_w.shape == want_w.shape
+        assert got_h.tobytes() == want_h.tobytes()
+        assert got_w.tobytes() == want_w.tobytes()
+
+
+class TestStackedSweepChecks:
+    """Every check a sweep point got on its own still runs, on the whole
+    stack at once."""
+
+    @pytest.mark.parametrize("run, fixture", SWEEPS, ids=SWEEP_IDS)
+    def test_non_finite_moved_user_rejected(self, run, fixture, request, monkeypatch):
+        """Every moved user is a UserPosition, with its finiteness check."""
+        monkeypatch.setattr(airylink.experiments, "_sweep_values",
+                            lambda *args: [-1.0, 0.0, math.inf])
+        with pytest.raises(ConfigError, match="UserPosition.x must be finite, got inf"):
+            run(request.getfixturevalue(fixture))
+
+    @pytest.mark.parametrize("run, fixture, builder", [
+        (run_baseline_scan, "baseline_scenario", "greens_channel"),
+        (run_shadow_scan, "shadow_scenario", "_channel_builder"),
+        (run_robustness_sweep, "mixed_scenario", "_channel_builder"),
+    ], ids=SWEEP_IDS)
+    def test_nan_in_one_moved_row_refused(self, run, fixture, builder, request,
+                                          monkeypatch):
+        """A NaN in the third moved user's row, handed over without
+        ChannelMatrix's own check, is caught by the one finiteness check
+        over the stacked effective channels."""
+        real = getattr(airylink.experiments, builder)
+
+        def with_nan(matrix):
+            entries = matrix.entries.copy()
+            entries[3, 7] = complex(math.nan, 0.0)
+            return SimpleNamespace(entries=entries)
+
+        if builder == "greens_channel":
+            patched = lambda scenario: with_nan(real(scenario))  # noqa: E731
+        else:
+            patched = lambda scenario: (lambda users: with_nan(real(scenario)(users)))  # noqa: E731
+        monkeypatch.setattr(airylink.experiments, builder, patched)
+        with pytest.raises(AirylinkError, match="NaN or Inf"):
+            run(request.getfixturevalue(fixture), step_lambda=1.0)
+
+    @pytest.mark.parametrize("run, fixture, kwargs", [
+        (run_shadow_scan, "shadow_scenario", {"start_lambda": -110.0, "step_lambda": 1.0}),
+        (run_robustness_sweep, "mixed_scenario", {"span_lambda": 110.0, "step_lambda": 110.0}),
+    ], ids=["shadow", "robustness"])
+    def test_out_of_window_point_refused(self, run, fixture, kwargs, request):
+        """A scan point beyond the grid's usable half-width (102.4
+        wavelengths) stops the sweep with the builder's message."""
+        with pytest.raises(ConfigError, match="user 'ue2' at x=.* lies outside the usable window"):
+            run(request.getfixturevalue(fixture), **kwargs)
+
+    @pytest.mark.parametrize("factor, shown", [(1.0 + 1e-9, r"1\.00000000"), (math.nan, "nan")],
+                             ids=["off", "nan"])
+    @pytest.mark.parametrize("run, fixture, family", [
+        (run_baseline_scan, "baseline_scenario", "traditional_focus_rows"),
+        (run_shadow_scan, "shadow_scenario", "traditional_focus_rows"),
+        (run_shadow_scan, "shadow_scenario", "airy_weight_rows"),
+    ], ids=["baseline", "shadow-trad", "shadow-airy"])
+    def test_batched_beam_norm_checked(self, run, fixture, family, factor, shown,
+                                       request, monkeypatch):
+        """One moved user's beam off unit norm stops the sweep with
+        BeamWeights' message."""
+        real = getattr(airylink.beams, family)
+
+        def off(*args):
+            rows = real(*args)
+            if len(rows) > 1:
+                rows[2] *= factor
+            return rows
+
+        monkeypatch.setattr(airylink.beams, family, off)
+        with pytest.raises(ConfigError, match=f"beam weights must have unit norm, got {shown}"):
+            run(request.getfixturevalue(fixture), step_lambda=1.0)
