@@ -8,9 +8,11 @@ H_eff = H_phys @ W_RF:
   lambda/(4 pi r) e^{-j k0 r}, valid only with nothing in the way;
 * the diffraction model builds row k by running the wave-optics cascade
   (launch filter, propagate, mask at the knife edge, propagate, sample at
-  the user) transposed, from user k back to the element positions. The
-  forward cascade in `propagation` stays as the independent oracle that
-  this operator is tested against.
+  the user) transposed, from user k back to the element positions, with
+  propagation.Cascade.transpose. The field maps run the same Cascade
+  forward. The tests check the rows against the forward per-beam cascade
+  and, bit for bit, against a transposed cascade they compose from the
+  factor definitions in `propagation`.
 
 A diffraction-model matrix meets the codebook in effective_channel, whose
 einsum (beam_responses) gives an entry the same bits alone or in a batch
@@ -38,12 +40,7 @@ import numpy as np
 
 from .errors import AirylinkError, ConfigError, ModelMismatchError
 from .geometry import ScenarioConfig
-from .propagation import (
-    CascadeFactors,
-    cascade_transpose,
-    element_bins,
-    sample_field_transpose,
-)
+from .propagation import Cascade, element_bins, sample_field_transpose
 
 __all__ = [
     "ChannelMatrix",
@@ -194,9 +191,9 @@ def _channel_builder(scenario: ScenarioConfig):
     user in one call and gets all of their rows as one matrix. A builder
     lives for one experiment call; nothing outlives it.
     """
-    grid, obstacle, lam = scenario.grid, scenario.obstacle, scenario.carrier.wavelength
+    grid, lam = scenario.grid, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)
-    factors = CascadeFactors(grid, lam)
+    cascade = Cascade(grid, lam, scenario.obstacle)
     rows = {}
 
     def channel(users) -> ChannelMatrix:
@@ -210,7 +207,7 @@ def _channel_builder(scenario: ScenarioConfig):
         for u in users:
             if (u.x, u.z) not in rows:
                 probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
-                back = cascade_transpose(probe, factors, obstacle, u.z)
+                back = cascade.transpose(probe, u.z)
                 rows[(u.x, u.z)] = back[bins] / grid.dx
         entries = np.vstack([rows[(u.x, u.z)] for u in users])
         return ChannelMatrix(entries, model=FRESNEL_DIFFRACTION, kind="physical")

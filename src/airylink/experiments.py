@@ -60,13 +60,7 @@ from .optimizer import (
     geometric_baseline_params,
 )
 from .precoding import achieved_power, batch_metrics
-from .propagation import (
-    IntensityMap,
-    grid_x,
-    intensity_map,
-    launch_aperture,
-    propagate_blocked,
-)
+from .propagation import Cascade, IntensityMap, grid_x, intensity_map, launch_aperture
 
 __all__ = [
     "SweepResult",
@@ -339,11 +333,12 @@ def _field_cut(
     """Propagate two candidate beams for the shadowed user to `cut_depth`
     and compare their intensity profiles on a shared dB scale."""
     lam = scenario.carrier.wavelength
+    cascade = Cascade(scenario.grid, lam, scenario.obstacle)
     profiles = []
     for params in (reference, tuned):
         w = airy_weights(scenario.array, scenario.carrier, params)
         launch = launch_aperture(w.weights, scenario.array, scenario.grid, lam)
-        out = propagate_blocked(launch, scenario.obstacle, cut_depth, lam)
+        (out,) = cascade.fields(launch, [cut_depth])
         profiles.append(np.abs(out.samples) ** 2)
     peak = float(max(p.max() for p in profiles))
     if peak <= 0:

@@ -17,6 +17,13 @@ must compose as a semigroup, and must agree with the quadrature oracle to
 better than 1e-3 -- only this pairing satisfies all three (a conjugated
 transfer function or a 1/sqrt(j) prefactor each break one of them).
 
+The knife-edge cascade (propagate to the obstacle plane, zero the blocked
+side, propagate on) is one Cascade per grid, wavelength and obstacle, run
+forward for fields and transposed for channel rows; propagate_blocked and
+intensity_map are views of it. apply_mask, sample_field and
+propagate_direct_fresnel stay separate, so tests can compose independent
+oracles from them.
+
 Boundary handling: a super-Gaussian absorber multiplies the field after
 every propagation step, eating energy that would otherwise wrap around the
 periodic window. Grids with apod_width = 0 disable it (used by the
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +47,13 @@ __all__ = [
     "grid_fx",
     "embed_aperture",
     "band_limit",
+    "Cascade",
     "propagate_angular_spectrum",
     "propagate_direct_fresnel",
     "apply_mask",
     "propagate_blocked",
     "sample_field",
     "sample_field_transpose",
-    "CascadeFactors",
-    "cascade_transpose",
     "element_bins",
     "launch_aperture",
     "IntensityMap",
@@ -106,19 +113,20 @@ def _apodization(grid: GridSpec) -> np.ndarray | None:
     return window
 
 
-def element_bins(array: ArrayGeometry, grid: GridSpec) -> list[int]:
-    """Grid index nearest to each element; raises GridError for an element
-    outside the usable window."""
+def element_bins(array: ArrayGeometry, grid: GridSpec) -> np.ndarray:
+    """Grid index nearest to each element (ties round to even, as round
+    does); raises GridError naming the first element outside the usable
+    window."""
     half = grid.interior_half_width
-    bins = []
-    for idx, ex in enumerate(array.element_x()):
-        if abs(ex) >= half:
-            raise GridError(
-                f"element {idx} at x={ex:.4e} m falls outside the usable window "
-                f"(|x| < {half:.4e} m)"
-            )
-        bins.append(int(round(ex / grid.dx)) + grid.nx // 2)
-    return bins
+    x = array.element_x()
+    outside = np.flatnonzero(np.abs(x) >= half)
+    if outside.size:
+        idx = int(outside[0])
+        raise GridError(
+            f"element {idx} at x={x[idx]:.4e} m falls outside the usable window "
+            f"(|x| < {half:.4e} m)"
+        )
+    return np.rint(x / grid.dx).astype(int) + grid.nx // 2
 
 
 def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexField:
@@ -181,30 +189,106 @@ def launch_aperture(weights, array: ArrayGeometry, grid: GridSpec,
     return band_limit(embed_aperture(weights, array, grid), wavelength=wavelength)
 
 
+class Cascade:
+    """The knife-edge cascade on one grid at one wavelength behind one
+    obstacle (or none). _past_mask is its one rule for which depths the
+    mask reaches. fields runs it forward from a launched aperture;
+    transpose runs it back to the aperture, launch filter included.
+
+    The launch filter and the mask are built on first use. Only transposed
+    legs keep their spectral factors, because channel rows share depths; a
+    forward leg builds its transfer function afresh, so a map over many
+    distinct depths holds one at a time.
+    """
+
+    def __init__(self, grid: GridSpec, wavelength: float,
+                 obstacle: KnifeEdgeObstacle | None):
+        self.grid, self.wavelength, self.obstacle = grid, wavelength, obstacle
+        self._apod = _apodization(grid)
+        self._k0 = 2.0 * math.pi / wavelength
+        self._spectral = {}
+
+    @cached_property
+    def _launch(self) -> np.ndarray:
+        return _launch_filter(self.grid, self.wavelength)
+
+    @cached_property
+    def _clear(self) -> np.ndarray:
+        return _clear_side(self.grid, self.obstacle)
+
+    def _past_mask(self, depth: float) -> bool:
+        """Whether the knife edge acts on the field at `depth`: a depth at
+        or before the obstacle plane is propagated unmasked."""
+        if depth <= 0:
+            raise AirylinkError(f"target depth must be positive, got {depth}")
+        return self.obstacle is not None and depth > self.obstacle.depth
+
+    def _forward(self, spectrum: np.ndarray, distance: float) -> np.ndarray:
+        """One forward leg: the samples at `distance` from a field whose
+        FFT is `spectrum`."""
+        if distance < 0:
+            raise AirylinkError(f"propagation distance must be nonnegative, got {distance}")
+        out = np.fft.ifft(spectrum * _transfer_function(self.grid, distance, self.wavelength))
+        out *= np.exp(-1j * self._k0 * distance)
+        if self._apod is not None:
+            out *= self._apod
+        return out
+
+    def _backward(self, v: np.ndarray, distance: float, launch: bool) -> np.ndarray:
+        """Transpose of one forward leg, times the launch filter for the leg
+        that ends at the aperture. ifft(fft(.) * H) transposes to
+        fft(ifft(.) * H) because the DFT matrix is symmetric; the phase and
+        the absorber are diagonal and transpose to themselves."""
+        v = v * np.exp(-1j * self._k0 * distance)
+        if self._apod is not None:
+            v = v * self._apod
+        key = (distance, launch)
+        if key not in self._spectral:
+            h = _transfer_function(self.grid, distance, self.wavelength)
+            self._spectral[key] = h * self._launch if launch else h
+        return np.fft.fft(np.fft.ifft(v) * self._spectral[key])
+
+    def fields(self, aperture: ComplexField, depths):
+        """Yield the field launched as `aperture` at each of `depths`, one
+        at a time. The aperture spectrum is taken once, and so is the
+        masked obstacle-plane spectrum when some depth lies past the mask,
+        so every depth costs one inverse FFT."""
+        spectrum = np.fft.fft(aperture.samples)
+        masked = None
+        for depth in depths:
+            if not self._past_mask(depth):
+                out = self._forward(spectrum, depth - aperture.depth)
+            else:
+                if masked is None:
+                    at_edge = self._forward(spectrum, self.obstacle.depth - aperture.depth)
+                    masked = np.fft.fft(np.where(self._clear, at_edge, 0.0 + 0.0j))
+                out = self._forward(masked, depth - self.obstacle.depth)
+            yield ComplexField(out, self.grid, depth)
+
+    def transpose(self, probe: np.ndarray, depth: float) -> np.ndarray:
+        """Transpose of the launch cascade, band_limit then fields from
+        depth 0 to `depth`, seen as a linear map on the aperture samples.
+
+        `probe` lives on the target plane and the result on the aperture
+        plane: for any aperture samples a, probe @ cascade(a) == result @ a.
+        The launch filter shares one FFT pair with the first leg.
+        """
+        v = np.asarray(probe, dtype=complex)
+        if not self._past_mask(depth):
+            return self._backward(v, depth, launch=True)
+        v = self._backward(v, depth - self.obstacle.depth, launch=False)
+        v = np.where(self._clear, v, 0.0 + 0.0j)
+        return self._backward(v, self.obstacle.depth, launch=True)
+
+
 def propagate_angular_spectrum(
     field: ComplexField, distance: float, wavelength: float
 ) -> ComplexField:
     """Fresnel propagation by FFT: transform, multiply by
-    exp(-j k0 z) exp(+j pi lambda z f^2), transform back, apodize."""
-    out = _propagate_spectrum(np.fft.fft(field.samples), field.grid, distance,
-                              wavelength, _apodization(field.grid))
+    exp(-j k0 z) exp(+j pi lambda z f^2), transform back, apodize. One
+    unobstructed leg of Cascade."""
+    out = Cascade(field.grid, wavelength, None)._forward(np.fft.fft(field.samples), distance)
     return ComplexField(out, field.grid, field.depth + distance)
-
-
-def _propagate_spectrum(spectrum: np.ndarray, grid: GridSpec, distance: float,
-                        wavelength: float, apod: np.ndarray | None) -> np.ndarray:
-    """The second half of propagate_angular_spectrum: the samples at
-    `distance` from a field whose FFT is `spectrum`, with `apod` the grid's
-    absorber. Callers that propagate one field to many depths transform it
-    once and pass the window once."""
-    if distance < 0:
-        raise AirylinkError(f"propagation distance must be nonnegative, got {distance}")
-    k0 = 2.0 * math.pi / wavelength
-    out = np.fft.ifft(spectrum * _transfer_function(grid, distance, wavelength))
-    out *= np.exp(-1j * k0 * distance)
-    if apod is not None:
-        out *= apod
-    return out
 
 
 def propagate_direct_fresnel(
@@ -264,17 +348,10 @@ def propagate_blocked(
     """Two-stage cascade: propagate to the obstacle, mask, continue to the target.
 
     Reduces to plain propagation when there is no obstacle or the target lies
-    at or before the obstacle plane.
+    at or before the obstacle plane. One depth of Cascade.fields.
     """
-    if target_depth <= 0:
-        raise AirylinkError(f"target depth must be positive, got {target_depth}")
-    if obstacle is None or target_depth <= obstacle.depth:
-        return propagate_angular_spectrum(aperture, target_depth - aperture.depth, wavelength)
-    at_obstacle = propagate_angular_spectrum(
-        aperture, obstacle.depth - aperture.depth, wavelength
-    )
-    masked = apply_mask(at_obstacle, obstacle)
-    return propagate_angular_spectrum(masked, target_depth - obstacle.depth, wavelength)
+    (out,) = Cascade(aperture.grid, wavelength, obstacle).fields(aperture, [target_depth])
+    return out
 
 
 def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
@@ -306,70 +383,6 @@ def sample_field_transpose(grid: GridSpec, x: float) -> np.ndarray:
     return probe
 
 
-class CascadeFactors:
-    """The diagonal factors of the launch cascade on one grid at one
-    wavelength: the absorber, the launch filter, one spectral factor per
-    leg and the knife edge's mask, each built on first use and kept only as
-    long as the object, so a caller that runs the cascade for many users
-    builds each factor once."""
-
-    def __init__(self, grid: GridSpec, wavelength: float):
-        self.grid, self.wavelength = grid, wavelength
-        self.apod = _apodization(grid)
-        self.launch = _launch_filter(grid, wavelength)
-        self._spectral = {}
-        self._clear = {}
-
-    def clear_side(self, obstacle: KnifeEdgeObstacle) -> np.ndarray:
-        """_clear_side of the obstacle on this grid."""
-        if obstacle not in self._clear:
-            self._clear[obstacle] = _clear_side(self.grid, obstacle)
-        return self._clear[obstacle]
-
-    def spectral(self, distance: float, launch: bool) -> np.ndarray:
-        """H(distance), times the launch filter for the leg that ends at the
-        aperture."""
-        key = (distance, launch)
-        if key not in self._spectral:
-            h = _transfer_function(self.grid, distance, self.wavelength)
-            self._spectral[key] = h * self.launch if launch else h
-        return self._spectral[key]
-
-
-def cascade_transpose(
-    probe: np.ndarray,
-    factors: CascadeFactors,
-    obstacle: KnifeEdgeObstacle | None,
-    target_depth: float,
-) -> np.ndarray:
-    """Transpose of the launch cascade, band_limit then propagate_blocked from
-    depth 0 to `target_depth`, seen as a linear map on the aperture samples
-    of `factors.grid` at `factors.wavelength`.
-
-    `probe` lives on the target plane and the result on the aperture plane:
-    for any aperture samples a, probe @ cascade(a) == result @ a. Each leg
-    ifft(fft(.) * H) transposes to fft(ifft(.) * H) because the DFT matrix is
-    symmetric; the phase, absorber and mask are diagonal and transpose to
-    themselves. The launch filter shares one FFT pair with the first leg.
-    """
-    if target_depth <= 0:
-        raise AirylinkError(f"target depth must be positive, got {target_depth}")
-    k0 = 2.0 * math.pi / factors.wavelength
-
-    def leg(v: np.ndarray, distance: float, launch: bool) -> np.ndarray:
-        v = v * np.exp(-1j * k0 * distance)
-        if factors.apod is not None:
-            v = v * factors.apod
-        return np.fft.fft(np.fft.ifft(v) * factors.spectral(distance, launch))
-
-    v = np.asarray(probe, dtype=complex)
-    if obstacle is None or target_depth <= obstacle.depth:
-        return leg(v, target_depth, launch=True)
-    v = leg(v, target_depth - obstacle.depth, launch=False)
-    v = np.where(factors.clear_side(obstacle), v, 0.0 + 0.0j)
-    return leg(v, obstacle.depth, launch=True)
-
-
 @dataclass(frozen=True)
 class IntensityMap:
     """dB intensity over (depth, x), normalized to 0 dB at the global peak.
@@ -395,35 +408,18 @@ def intensity_map(
     global maximum is exactly 0 dB and clipped at `floor_db`.
 
     Row i is |propagate_blocked(aperture, obstacle, depths[i], wavelength)|^2
-    bit for bit, but the cascade runs once: the aperture spectrum and the
-    masked obstacle-plane spectrum are each taken once, so every depth costs
-    one inverse FFT.
+    bit for bit; one Cascade.fields pass makes every row, one depth at a
+    time.
     """
     depths = [float(d) for d in depths]
     if not depths:
         raise AirylinkError("intensity_map needs at least one depth")
-    if any(d <= 0 for d in depths):
-        raise AirylinkError("all depths must be positive")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise AirylinkError("depths must be strictly increasing")
-    grid = aperture.grid
-    apod = _apodization(grid)
-    spectrum = np.fft.fft(aperture.samples)
-    if obstacle is not None and depths[-1] > obstacle.depth:
-        at_obstacle = propagate_angular_spectrum(
-            aperture, obstacle.depth - aperture.depth, wavelength
-        )
-        masked_spectrum = np.fft.fft(apply_mask(at_obstacle, obstacle).samples)
-    rows = np.empty((len(depths), grid.nx))
-    for i, depth in enumerate(depths):
-        # Same boundary rule as propagate_blocked: a depth at or before the
-        # obstacle plane is propagated unmasked.
-        if obstacle is None or depth <= obstacle.depth:
-            out = _propagate_spectrum(spectrum, grid, depth - aperture.depth, wavelength, apod)
-        else:
-            out = _propagate_spectrum(masked_spectrum, grid, depth - obstacle.depth,
-                                      wavelength, apod)
-        np.square(np.abs(out), out=rows[i])
+    rows = np.empty((len(depths), aperture.grid.nx))
+    cascade = Cascade(aperture.grid, wavelength, obstacle)
+    for row, field in zip(rows, cascade.fields(aperture, depths)):
+        np.square(np.abs(field.samples), out=row)
     peak = float(rows.max())
     if peak <= 0:
         raise AirylinkError("field is identically zero; cannot normalize the map")

@@ -148,6 +148,17 @@ class TestChannelBuilder:
             for row, u in zip(h, order):
                 assert np.array_equal(row, fresh_row(shadow_scenario, u))
 
+    def test_obstacle_plane_is_one_leg_and_the_next_depth_two(self, shadow_scenario, lam):
+        """A user exactly on the obstacle plane gets the unmasked one-leg
+        row; one float depth further the row is the masked two-leg one."""
+        depth = shadow_scenario.obstacle.depth
+        free = shadow_scenario.without_obstacle()
+        on_plane = UserPosition(-3 * lam, depth, "on_plane")
+        past = UserPosition(-3 * lam, float(np.nextafter(depth, np.inf)), "past")
+        h = _channel_builder(shadow_scenario)((on_plane, past)).entries
+        assert np.array_equal(h[0], fresh_row(free, on_plane))
+        assert np.array_equal(h[1], fresh_row(shadow_scenario, past))
+        assert not np.array_equal(h[1], fresh_row(free, past))
 
     def test_mask_built_once_per_builder(self, shadow_scenario, lam, monkeypatch):
         """Every two-leg row of one builder reuses one knife-edge mask."""

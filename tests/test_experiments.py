@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import airylink.beams
-import airylink.channels
 import airylink.experiments
+import airylink.propagation
 from airylink import (
     AiryParams,
     AirylinkError,
@@ -531,7 +531,7 @@ class TestOneMetricsPath:
         """Two calibration rows and the two rows of the obstructed channel,
         which the search and the angle sweep share."""
         calls = []
-        count_calls(monkeypatch, airylink.channels, "cascade_transpose", calls)
+        count_calls(monkeypatch, airylink.propagation.Cascade, "transpose", calls)
         run_mixed_optimization(mixed_scenario, grids=small_grids())
         assert len(calls) == 4
 

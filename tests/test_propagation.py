@@ -7,6 +7,8 @@ fringes) that would each catch a wrong sign in the transfer function.
 """
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,22 @@ from airylink import (
     embed_aperture,
     intensity_map,
     launch_aperture,
+    load_scenario,
     propagate_angular_spectrum,
     propagate_blocked,
     propagate_direct_fresnel,
     sample_field,
 )
-from airylink.propagation import _clear_side, _transfer_function, apply_mask, grid_fx, grid_x
+from airylink.propagation import (
+    _clear_side,
+    _transfer_function,
+    apply_mask,
+    element_bins,
+    grid_fx,
+    grid_x,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_field(grid: GridSpec, rng) -> ComplexField:
@@ -133,6 +145,39 @@ class TestEmbedAperture:
     def test_weight_count_mismatch(self, array64, grid_std):
         with pytest.raises(GridError):
             embed_aperture(np.ones(10, dtype=complex), array64, grid_std)
+
+
+class TestElementBins:
+    """element_bins rounds every element at once; the oracle is Python's
+    round per element, which also rounds half to even."""
+
+    @staticmethod
+    def per_element(array, grid):
+        return [int(round(x / grid.dx)) + grid.nx // 2 for x in array.element_x()]
+
+    @pytest.mark.parametrize("name", ["baseline", "shadow", "mixed"])
+    def test_bundled_configs(self, name):
+        scenario = load_scenario(CONFIGS / f"{name}.cfg")
+        bins = element_bins(scenario.array, scenario.grid)
+        assert bins.tolist() == self.per_element(scenario.array, scenario.grid)
+
+    def test_ties_round_half_to_even(self, grid_small):
+        """Two elements at -0.5 dx and +0.5 dx both land on the centre bin."""
+        arr = ArrayGeometry(n=2, spacing=grid_small.dx)
+        assert arr.element_x().tolist() == [-0.5 * grid_small.dx, 0.5 * grid_small.dx]
+        bins = element_bins(arr, grid_small)
+        assert bins.tolist() == self.per_element(arr, grid_small)
+        assert bins.tolist() == [grid_small.nx // 2] * 2
+
+    def test_error_names_the_first_element_outside(self, lam):
+        grid = GridSpec(nx=256, window=16 * lam, apod_width=0.0)
+        arr = ArrayGeometry(n=5, spacing=5 * lam)
+        x0, half = arr.element_x()[0], grid.interior_half_width
+        with pytest.raises(GridError) as err:
+            element_bins(arr, grid)
+        assert str(err.value) == (
+            f"element 0 at x={x0:.4e} m falls outside the usable window "
+            f"(|x| < {half:.4e} m)")
 
 
 class TestBandLimit:
@@ -369,6 +414,24 @@ class TestBlockedCascade:
         cascade = propagate_blocked(f, obstacle, 300 * lam, lam)
         assert np.array_equal(manual.samples, cascade.samples)
 
+    def test_obstacle_plane_is_unmasked_and_the_next_depth_masked(self, grid_std,
+                                                                 array64, lam, rng):
+        """A target exactly on the obstacle plane is one unmasked leg; the
+        next float depth past it is the masked two-leg cascade."""
+        w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        f = launch_aperture(w, array64, grid_std, lam)
+        obstacle = KnifeEdgeObstacle(depth=150 * lam, edge_x=0.0)
+        on_plane = propagate_blocked(f, obstacle, obstacle.depth, lam)
+        unmasked = propagate_angular_spectrum(f, obstacle.depth, lam)
+        assert np.array_equal(on_plane.samples, unmasked.samples)
+        past = np.nextafter(obstacle.depth, np.inf)
+        beyond = propagate_blocked(f, obstacle, past, lam)
+        masked = apply_mask(unmasked, obstacle)
+        two_leg = propagate_angular_spectrum(masked, past - obstacle.depth, lam)
+        assert np.array_equal(beyond.samples, two_leg.samples)
+        assert not np.array_equal(
+            beyond.samples, propagate_angular_spectrum(f, past, lam).samples)
+
     def test_nonpositive_target_rejected(self, grid_std, array64, lam):
         f = launch_aperture(np.ones(64, dtype=complex), array64, grid_std, lam)
         with pytest.raises(AirylinkError):
@@ -425,20 +488,27 @@ class TestIntensityMap:
 
 class TestIntensityMapCascade:
     """intensity_map runs the blocked cascade once per map in the spectral
-    domain; the oracle is the per-depth propagate_blocked call it replaced.
-    Both sides go through the same unclipped dB normalization, and every row
-    must match bit for bit."""
+    domain; the oracle is the public composition propagate_angular_spectrum,
+    apply_mask, propagate_angular_spectrum at each depth, with a depth on
+    the obstacle plane propagated unmasked. Both sides go through the same
+    unclipped dB normalization, and every row must match bit for bit."""
 
     @staticmethod
     def per_depth_map(aperture, obstacle, depths, lam):
-        rows = np.array([np.abs(propagate_blocked(aperture, obstacle, d, lam).samples) ** 2
-                         for d in depths])
+        def field(d):
+            if obstacle is None or d <= obstacle.depth:
+                return propagate_angular_spectrum(aperture, d, lam)
+            at_edge = propagate_angular_spectrum(aperture, obstacle.depth, lam)
+            return propagate_angular_spectrum(apply_mask(at_edge, obstacle),
+                                              d - obstacle.depth, lam)
+
+        rows = np.array([np.abs(field(d).samples) ** 2 for d in depths])
         peak = float(rows.max())
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(rows / peak), peak
 
     @pytest.mark.parametrize("blocked", [True, False], ids=["obstacle", "no_obstacle"])
-    def test_rows_match_propagate_blocked(self, shadow_scenario, lam, blocked):
+    def test_rows_match_the_manual_cascade(self, shadow_scenario, lam, blocked):
         from airylink import build_codebook
 
         book = build_codebook(shadow_scenario, "trad_all")
@@ -456,6 +526,24 @@ class TestIntensityMapCascade:
         assert m.depths == tuple(depths)
         for i in range(len(depths)):
             assert np.array_equal(m.db[i], db[i]), f"row {i} at depth {depths[i]!r}"
+
+    def test_holds_one_map_sized_array(self, shadow_scenario, lam):
+        """The 196-depth shadow map peaks below its dB array plus 1 MiB:
+        the cascade keeps no per-depth factor and no second map."""
+        from airylink import build_codebook
+
+        book = build_codebook(shadow_scenario, "trad_all")
+        f = launch_aperture(book.beams[0].weights, shadow_scenario.array,
+                            shadow_scenario.grid, lam)
+        depths = [d * lam for d in range(10, 401, 2)]
+        tracemalloc.start()
+        try:
+            m = intensity_map(f, shadow_scenario.obstacle, depths, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.db.shape == (196, shadow_scenario.grid.nx)
+        assert peak < m.db.nbytes + 2**20
 
 
 class TestShadowZone:
