@@ -8,9 +8,8 @@ parameter search) is built on one FFT propagation core with an independent
 quadrature oracle behind it.
 """
 
-from .beams import AiryParams, BeamWeights, Codebook, airy_weights, build_codebook, traditional_focus
+from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
 from .channels import (
-    ChannelMatrix,
     diffraction_channel,
     effective_channel_greens,
     greens_channel,

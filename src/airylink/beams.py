@@ -10,19 +10,20 @@ Two beam families, both phase-only with uniform 1/sqrt(N) amplitude:
   straight ray, which is what lets energy hook around a knife edge.
 
 All element positions are evaluated in meters; the cubic coefficient
-`bending` is dimensionless and `focal` is a length. airy_weight_rows and
-traditional_focus_rows build many beams of one family at once (the search's
-chunks, the angle sweep, a sweep's moving user); airy_weights and
-traditional_focus are their one-row views. check_airy_columns holds the
-parameter rules that AiryParams and the search's up-front box check share,
-and check_unit_norm the norm rule that BeamWeights and the batched sweep
-beams share.
+`bending` is dimensionless and `focal` is a length. Every beam is a plain
+complex array. airy_weight_rows and traditional_focus_rows build many beams
+of one family at once (the search's chunks, the angle sweep, a codebook's
+users); airy_weights and traditional_focus are their one-row views, and
+build_codebook stacks one beam per user as the N x K analog matrix W_RF.
+check_airy_columns holds the parameter rules that AiryParams and the
+search's up-front box check share, and check_unit_norm the norm rule every
+returned beam meets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +41,6 @@ __all__ = [
     "AiryParams",
     "check_airy_columns",
     "check_unit_norm",
-    "BeamWeights",
-    "Codebook",
     "traditional_focus",
     "traditional_focus_rows",
     "airy_weights",
@@ -90,50 +89,18 @@ class AiryParams:
         check_airy_columns((self.focal,), (self.launch_angle,))
 
 
-@dataclass(frozen=True)
-class BeamWeights:
-    """One codebook column: N complex weights at unit Euclidean norm.
-
-    `kind` is "traditional" or "airy"; the matching descriptor field
-    (`target` or `params`) records what the column was built for.
-    """
-
-    weights: np.ndarray
-    kind: str
-    target: UserPosition | None = None
-    params: AiryParams | None = None
-
-    def __post_init__(self):
-        check_unit_norm(self.weights)
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Per-element phase in radians (what a phase-shifter bank realizes)."""
-        return np.angle(self.weights)
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Ordered collection of beams, one per user."""
-
-    beams: tuple[BeamWeights, ...]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """N x K analog precoding matrix (beams as columns)."""
-        return np.column_stack([b.weights for b in self.beams])
-
-
 def traditional_focus(
     array: ArrayGeometry, carrier: Carrier, target: UserPosition
-) -> BeamWeights:
-    """Near-field focusing weights: w_n = (1/sqrt(N)) e^{+j k0 r_n}.
+) -> np.ndarray:
+    """Near-field focusing weights: w_n = (1/sqrt(N)) e^{+j k0 r_n}, N complex
+    weights at unit norm.
 
     The +j sign conjugates the e^{-j k0 r} propagation phase, so all element
     contributions arrive at the target in phase.
     """
     w = traditional_focus_rows(array, carrier, (target.x,), (target.z,))[0]
-    return BeamWeights(weights=w, kind="traditional", target=target)
+    check_unit_norm(w)
+    return w
 
 
 def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.ndarray:
@@ -185,8 +152,9 @@ def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
 
 def airy_weights(
     array: ArrayGeometry, carrier: Carrier, params: AiryParams
-) -> BeamWeights:
-    """Cubic-phase beam: w_n = (1/sqrt(N)) e^{+j phi(x_n)} with
+) -> np.ndarray:
+    """Cubic-phase beam: N complex weights w_n = (1/sqrt(N)) e^{+j phi(x_n)}
+    at unit norm, with
 
         phi(x) = k0 x^2 / (2 focal)  -  k0 sin(theta) x
                  + (2 pi / (3 lambda)) * bending * (x / focal)^3
@@ -197,15 +165,17 @@ def airy_weights(
     """
     w = airy_weight_rows(array, carrier, (params.bending,), (params.focal,),
                          (params.launch_angle,))[0]
-    return BeamWeights(weights=w, kind="airy", params=params)
+    check_unit_norm(w)
+    return w
 
 
 def build_codebook(
     scenario: ScenarioConfig,
     strategy: str,
     airy_params: AiryParams | None = None,
-) -> Codebook:
-    """Assemble one beam per user.
+) -> np.ndarray:
+    """The analog matrix W_RF: one beam per user, as the columns of a
+    C-contiguous N x K array.
 
     strategy "trad_all": every user gets a traditional focusing beam.
     strategy "airy_geo": every user gets a cubic beam sharing the given
@@ -215,53 +185,39 @@ def build_codebook(
         verbatim, bright users get traditional beams. Raises ConfigError
         when the scenario has no shadowed user (there is nothing for the
         curved beam to do).
+
+    Each family's beams come from one batched call, whose rows have the
+    bits of the one-row traditional_focus and airy_weights.
     """
     if strategy not in ("trad_all", "airy_geo", "mixed"):
         raise ConfigError(f"unknown codebook strategy {strategy!r}")
     if strategy != "trad_all" and airy_params is None:
         raise ConfigError(f"{strategy} strategy needs airy_params for the curved beam")
-    shadowed = [False] * scenario.k
+    curved = np.full(scenario.k, strategy == "airy_geo")
     if strategy == "mixed":
         if scenario.obstacle is None:
             raise ConfigError("mixed strategy needs an obstacle; no user can be shadowed")
-        shadowed = [
-            classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
-            for u in scenario.users
-        ]
-        if not any(shadowed):
+        curved[:] = [classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
+                     for u in scenario.users]
+        if not curved.any():
             raise ConfigError(
                 "mixed strategy requires at least one shadowed user; "
                 "all users have line of sight"
             )
-    return Codebook(tuple(_user_beam(scenario, strategy, u, airy_params, s)
-                          for u, s in zip(scenario.users, shadowed)))
-
-
-def _user_beam(scenario: ScenarioConfig, strategy: str, user: UserPosition,
-               airy_params: AiryParams | None = None, shadowed: bool = False) -> BeamWeights:
-    """One user's column of a build_codebook strategy (checked there), so a
-    sweep that moves one user rebuilds only that user's column."""
-    if strategy == "airy_geo":
-        airy_params = replace(airy_params, launch_angle=geometric_angle(user))
-    elif not shadowed:
-        return traditional_focus(scenario.array, scenario.carrier, user)
-    return airy_weights(scenario.array, scenario.carrier, airy_params)
-
-
-def _user_beam_rows(scenario: ScenarioConfig, strategy: str, users,
-                    airy_params: AiryParams | None = None) -> np.ndarray:
-    """The _user_beam column of every one of `users` (none shadowed) under
-    'trad_all' or 'airy_geo', as the rows of one batched call, with the
-    checks those columns get one by one: the launch angles' range and
-    every row's unit norm."""
-    if strategy == "airy_geo":
-        angles = [geometric_angle(u) for u in users]
-        check_airy_columns(launch_angle=angles)
-        rows = airy_weight_rows(scenario.array, scenario.carrier,
-                                [airy_params.bending] * len(users),
-                                [airy_params.focal] * len(users), angles)
-    else:
-        rows = traditional_focus_rows(scenario.array, scenario.carrier,
-                                      [u.x for u in users], [u.z for u in users])
+    rows = np.empty((scenario.k, scenario.array.n), dtype=complex)
+    focused = [u for u, c in zip(scenario.users, curved) if not c]
+    if focused:
+        rows[~curved] = traditional_focus_rows(scenario.array, scenario.carrier,
+                                               [u.x for u in focused], [u.z for u in focused])
+    m = int(np.count_nonzero(curved))
+    if m:
+        if strategy == "airy_geo":
+            angles = [geometric_angle(u) for u in scenario.users]
+            check_airy_columns(launch_angle=angles)
+        else:
+            angles = [airy_params.launch_angle] * m
+        rows[curved] = airy_weight_rows(scenario.array, scenario.carrier,
+                                        [airy_params.bending] * m, [airy_params.focal] * m,
+                                        angles)
     check_unit_norm(rows)
-    return rows
+    return np.ascontiguousarray(rows.T)

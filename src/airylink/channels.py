@@ -1,18 +1,20 @@
 """Channel construction: free-space Green's model and diffraction model.
 
 Both models produce a K x N physical matrix (users x array elements), and
-every effective channel is that matrix times the analog codebook,
-H_eff = H_phys @ W_RF:
+every effective channel is that matrix times the N x K analog matrix of
+beams.build_codebook, H_eff = H_phys @ W_RF (K x K). Each is a plain
+complex array; check_finite and check_effective hold the rules it meets:
 
 * the Green's model writes each element->user coefficient in closed form,
   lambda/(4 pi r) e^{-j k0 r}, valid only with nothing in the way;
 * the diffraction model builds row k by running the wave-optics cascade
   (launch filter, propagate, mask at the knife edge, propagate, sample at
   the user) transposed, from user k back to the element positions, with
-  propagation.Cascade.transpose. The field maps run the same Cascade
-  forward. The tests check the rows against the forward per-beam cascade
-  and, bit for bit, against a transposed cascade they compose from the
-  factor definitions in `propagation`.
+  propagation.Cascade.transpose, once per distinct user position. The
+  field maps run the same Cascade forward. The tests check the rows
+  against the forward per-beam cascade and, bit for bit, against a
+  transposed cascade they compose from the factor definitions in
+  `propagation`.
 
 A diffraction-model matrix meets the codebook in effective_channel, whose
 einsum (beam_responses) gives an entry the same bits alone or in a batch
@@ -34,7 +36,6 @@ SINR values comparable across the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,19 +44,15 @@ from .geometry import ScenarioConfig
 from .propagation import Cascade, element_bins, sample_field_transpose
 
 __all__ = [
-    "ChannelMatrix",
     "greens_channel",
     "diffraction_channel",
     "beam_responses",
     "check_finite",
+    "check_effective",
     "effective_channel",
     "effective_channel_greens",
     "remark1_calibration",
 ]
-
-GREENS_FREE_SPACE = "greens_free_space"
-FRESNEL_DIFFRACTION = "fresnel_diffraction"
-
 
 def check_finite(entries: np.ndarray) -> None:
     """Refuse channel entries (one matrix or a stack of them) that hold a
@@ -64,37 +61,8 @@ def check_finite(entries: np.ndarray) -> None:
         raise AirylinkError("channel matrix contains NaN or Inf entries")
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Complex channel matrix with provenance tags.
-
-    kind "physical": rows = users, columns = array elements (K x N).
-    kind "effective": rows = users, columns = analog beams (K x K).
-    """
-
-    entries: np.ndarray
-    model: str
-    kind: str
-
-    def __post_init__(self):
-        if self.model not in (GREENS_FREE_SPACE, FRESNEL_DIFFRACTION):
-            raise AirylinkError(f"unknown channel model {self.model!r}")
-        if self.kind not in ("physical", "effective"):
-            raise AirylinkError(f"unknown channel kind {self.kind!r}")
-        check_finite(self.entries)
-        if self.kind == "effective" and self.entries.shape[0] != self.entries.shape[1]:
-            raise AirylinkError(
-                f"effective channel must be square (one beam per user), "
-                f"got shape {self.entries.shape}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
-
-
-def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
-    """Closed-form free-space channel, h_{k,n} = lambda/(4 pi r) e^{-j k0 r}.
+def greens_channel(scenario: ScenarioConfig) -> np.ndarray:
+    """Closed-form free-space channel (K x N), h_{k,n} = lambda/(4 pi r) e^{-j k0 r}.
 
     Only valid with an unobstructed line of sight from every element to
     every user; refuses to run when the scenario has an obstacle.
@@ -112,7 +80,8 @@ def greens_channel(scenario: ScenarioConfig) -> ChannelMatrix:
     # elementwise steps as a row built for its user alone.
     r = np.hypot(scenario.array.element_x() - ux, uz)
     entries = lam / (4.0 * math.pi * r) * np.exp(-1j * k0 * r)
-    return ChannelMatrix(entries, model=GREENS_FREE_SPACE, kind="physical")
+    check_finite(entries)
+    return entries
 
 
 def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -131,31 +100,44 @@ def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> 
     return np.multiply(scale, np.einsum("kn,cn->ck", h_phys, rows))
 
 
+def _beam_matrix(h_phys: np.ndarray, w_rf) -> np.ndarray:
+    """W_RF as a complex N x K array; refuses one whose rows do not match
+    the N elements of h_phys."""
+    w = np.asarray(w_rf, dtype=complex)
+    if w.ndim != 2 or w.shape[0] != h_phys.shape[1]:
+        raise AirylinkError(
+            f"beam matrix shape {w.shape} does not match {h_phys.shape[1]} elements"
+        )
+    return w
+
+
+def check_effective(h_eff) -> None:
+    """Refuse an effective channel that holds a NaN or an Inf or is not a
+    square K x K matrix (one beam per user)."""
+    check_finite(h_eff)
+    shape = np.shape(h_eff)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise AirylinkError(
+            f"effective channel must be square (one beam per user), got shape {shape}"
+        )
+
+
 def effective_channel(
-    h_phys: ChannelMatrix, w_rf, scale: complex = 1.0 + 0.0j
-) -> ChannelMatrix:
-    """Effective channel scale * H_phys @ W_RF of a diffraction-model
+    h_phys: np.ndarray, w_rf, scale: complex = 1.0 + 0.0j
+) -> np.ndarray:
+    """Effective channel scale * H_phys @ W_RF (K x K) of a diffraction-model
     physical matrix, one column per beam, summed as in beam_responses."""
-    w = np.asarray(w_rf, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != h_phys.entries.shape[1]:
-        raise AirylinkError(
-            f"beam matrix shape {w.shape} does not match {h_phys.entries.shape[1]} elements"
-        )
-    entries = beam_responses(h_phys.entries, w.T, scale).T
-    return ChannelMatrix(entries, model=h_phys.model, kind="effective")
+    h_eff = beam_responses(h_phys, _beam_matrix(h_phys, w_rf).T, scale).T
+    check_effective(h_eff)
+    return h_eff
 
 
-def effective_channel_greens(h_phys: ChannelMatrix, w_rf: np.ndarray) -> ChannelMatrix:
-    """Effective (per-beam) channel: plain product of the physical matrix
-    with the N x K analog beam matrix."""
-    if h_phys.kind != "physical":
-        raise AirylinkError("effective_channel_greens expects a physical-kind matrix")
-    w = np.asarray(w_rf, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != h_phys.entries.shape[1]:
-        raise AirylinkError(
-            f"beam matrix shape {w.shape} does not match {h_phys.entries.shape[1]} elements"
-        )
-    return ChannelMatrix(h_phys.entries @ w, model=h_phys.model, kind="effective")
+def effective_channel_greens(h_phys: np.ndarray, w_rf) -> np.ndarray:
+    """Effective (per-beam) channel (K x K): plain product of the physical
+    matrix with the N x K analog beam matrix."""
+    h_eff = h_phys @ _beam_matrix(h_phys, w_rf)
+    check_effective(h_eff)
+    return h_eff
 
 
 def _amplitude_conversion(wavelength: float, depth: float) -> float:
@@ -171,10 +153,9 @@ def _amplitude_conversion(wavelength: float, depth: float) -> float:
     return wavelength**1.5 / (4.0 * math.pi * math.sqrt(depth))
 
 
-def _channel_builder(scenario: ScenarioConfig):
-    """The diffraction channel of the scenario's grid, array, obstacle and
-    wavelength as a function of the users: users -> K x N ChannelMatrix
-    (uncalibrated).
+def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
+    """Wave-optics physical channel (K x N, uncalibrated) of the scenario's
+    users.
 
     Row k maps element weights to user k's sample of the launched,
     knife-edge-diffracted field, converted to the closed-form amplitude
@@ -185,40 +166,28 @@ def _channel_builder(scenario: ScenarioConfig):
     element bins divided by dx -- the transpose of the unit-area spikes that
     embed_aperture deposits.
 
-    A builder makes each cascade factor once and keeps finished rows by the
-    user's (x, z), so a user that appears twice, in one call or across
-    calls, costs one cascade. A sweep passes the fixed user and every moved
-    user in one call and gets all of their rows as one matrix. A builder
-    lives for one experiment call; nothing outlives it.
+    One Cascade makes each factor once, and a user position that appears
+    twice costs one transposed cascade, so a sweep passes the fixed user and
+    every moved user in one scenario and gets all of their rows at once.
     """
     grid, lam = scenario.grid, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)
     cascade = Cascade(grid, lam, scenario.obstacle)
+    half = grid.interior_half_width
+    for u in scenario.users:
+        if abs(u.x) >= half:
+            raise ConfigError(
+                f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
+                f"(|x| < {half:.4e} m)"
+            )
     rows = {}
-
-    def channel(users) -> ChannelMatrix:
-        half = grid.interior_half_width
-        for u in users:
-            if abs(u.x) >= half:
-                raise ConfigError(
-                    f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
-                    f"(|x| < {half:.4e} m)"
-                )
-        for u in users:
-            if (u.x, u.z) not in rows:
-                probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
-                back = cascade.transpose(probe, u.z)
-                rows[(u.x, u.z)] = back[bins] / grid.dx
-        entries = np.vstack([rows[(u.x, u.z)] for u in users])
-        return ChannelMatrix(entries, model=FRESNEL_DIFFRACTION, kind="physical")
-
-    return channel
-
-
-def diffraction_channel(scenario: ScenarioConfig) -> ChannelMatrix:
-    """Wave-optics physical channel (K x N, uncalibrated) of the scenario's
-    users; see _channel_builder."""
-    return _channel_builder(scenario)(scenario.users)
+    for u in scenario.users:
+        if (u.x, u.z) not in rows:
+            probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
+            rows[(u.x, u.z)] = cascade.transpose(probe, u.z)[bins] / grid.dx
+    entries = np.vstack([rows[(u.x, u.z)] for u in scenario.users])
+    check_finite(entries)
+    return entries
 
 
 def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
@@ -240,9 +209,9 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
         )
     from .beams import build_codebook  # local import to avoid a module cycle
 
-    w_rf = build_codebook(scenario, "trad_all").matrix
-    h_greens = effective_channel_greens(greens_channel(scenario), w_rf).entries
-    h_diff = effective_channel(diffraction_channel(scenario), w_rf).entries
+    w_rf = build_codebook(scenario, "trad_all")
+    h_greens = effective_channel_greens(greens_channel(scenario), w_rf)
+    h_diff = effective_channel(diffraction_channel(scenario), w_rf)
     denom = np.vdot(h_diff, h_diff).real
     if denom == 0.0:
         raise AirylinkError("diffraction channel is identically zero; cannot calibrate")

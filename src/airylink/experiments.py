@@ -24,14 +24,15 @@ arithmetic the beam search shares; the sweep keeps that pass's metric
 columns as they are, one row per pair.
 
 No sweep loops over its points. In the baseline, shadow and robustness
-sweeps one user moves and the other stays: one channel call gives the
-fixed user's row and every moved user's row, the fixed user's beam is
-built once per strategy and the moved users' beams in one batched call
-per strategy, and every point's effective channel is gathered from one
-beam_responses product of all rows and beams (diffraction model) or taken
-from one stacked `@` (Green's model), with the bits of the per-point
-product. The mixed-optimization angle sweep gathers its channels the same
-way from the channel matrix that the search returns.
+sweeps one user moves and the other stays: one channel call, and one
+build_codebook call per strategy, on a scenario that holds the fixed user
+and every moved user give all of their rows and beams (the robustness
+sweep's beams stay at the nominal design), and every point's effective
+channel is gathered from one beam_responses product of all rows and beams
+(diffraction model) or taken from one stacked `@` (Green's model), with
+the bits of the per-point product. The mixed-optimization angle sweep
+gathers its channels the same way from the channel matrix that the search
+returns.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (AiryParams, _user_beam, _user_beam_rows, airy_weight_rows,
-                    airy_weights, build_codebook, check_airy_columns, traditional_focus)
+from .beams import (AiryParams, airy_weight_rows, airy_weights, build_codebook,
+                    check_airy_columns, traditional_focus)
 from .channels import (
-    _channel_builder,
     beam_responses,
     check_finite,
+    diffraction_channel,
     greens_channel,
     remark1_calibration,
 )
@@ -219,8 +220,8 @@ def run_baseline_scan(
     """Free-space two-user scan: user 2 slides along x at fixed depth.
 
     Uses the closed-form channel model throughout (no obstacle allowed)
-    with the all-traditional codebook; user 2's beams at all scan
-    positions come from one batched call.
+    with the all-traditional codebook; the beams of user 1 and of user 2
+    at all scan positions come from one build_codebook call.
     """
     if scenario.obstacle is not None:
         raise ConfigError("baseline scan is a free-space experiment; remove the obstacle")
@@ -230,11 +231,10 @@ def run_baseline_scan(
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     u1, u2 = scenario.users
     moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
-    h_rows = greens_channel(scenario.with_users((u1, *moved))).entries
-    beams = np.vstack([_user_beam(scenario, "trad_all", u1).weights,
-                       _user_beam_rows(scenario, "trad_all", moved)])
+    everyone = scenario.with_users((u1, *moved))
+    h_rows = greens_channel(everyone)
     pairs = _fixed_and_moved(len(xs))
-    w_rf = _analog_matrices(beams[None], pairs)
+    w_rf = _analog_matrices(build_codebook(everyone, "trad_all").T[None], pairs)
     h_eff = h_rows[pairs] @ w_rf
     check_finite(h_eff)
     return _scored_sweep(scenario, "x2_lambda", ("trad_all",), xs, h_eff, w_rf)
@@ -245,30 +245,29 @@ def run_shadow_scan(
     step_lambda: float = 0.5,
     start_lambda: float = -15.0,
     stop_lambda: float = -1.0,
-    geo_params: AiryParams | None = None,
 ) -> SweepResult:
     """Blocked two-user scan comparing traditional and curved codebooks.
 
     Channels come from the diffraction model (calibrated once against the
-    obstacle-free closed form); the curved codebook re-aims user 2 at every
-    scan position via the geometric angle, all positions in one call.
+    obstacle-free closed form); the curved codebook aims each user's beam
+    along that user's geometric angle. Each strategy's beams for user 1
+    and for user 2 at every scan position come from one build_codebook
+    call.
     """
     if scenario.obstacle is None:
         raise ConfigError("shadow scan needs an obstacle in the scenario")
     if scenario.k != 2:
         raise ConfigError(f"shadow scan expects exactly 2 users, got {scenario.k}")
     lam = scenario.carrier.wavelength
-    if geo_params is None:
-        geo_params = geometric_baseline_params(scenario)
+    geo = geometric_baseline_params(scenario)
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     strategies = ("trad_all", "airy_geo")
     u1, u2 = scenario.users
     moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
-    h_rows = _channel_builder(scenario)((u1, *moved)).entries
-    beams = np.stack([np.vstack([_user_beam(scenario, name, u1, geo_params).weights,
-                                 _user_beam_rows(scenario, name, moved, geo_params)])
-                      for name in strategies])
+    everyone = scenario.with_users((u1, *moved))
+    h_rows = diffraction_channel(everyone)
+    beams = np.stack([build_codebook(everyone, name, geo).T for name in strategies])
     pairs = _fixed_and_moved(len(xs))
     h_eff, w_rf = _gathered_channels(h_rows, beams, scale, pairs, pairs)
     return _scored_sweep(scenario, "x2_lambda", strategies, xs, h_eff, w_rf)
@@ -299,14 +298,14 @@ def run_mixed_optimization(
     best = outcome.best_params
     angles = [theta_geo + math.radians(d) for d in dthetas]
     check_airy_columns(launch_angle=angles)
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
     rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
                             [best.focal] * len(angles), angles)
     # Beams (w2, then one row per point); point p's columns are (row p, w2).
     beams = np.vstack([w2, rows])[None]
     cols = _fixed_and_moved(len(angles))[:, ::-1]
     users = np.broadcast_to(np.arange(scenario.k), cols.shape)
-    h_eff, w_rf = _gathered_channels(outcome.h_phys.entries, beams, scale, users, cols)
+    h_eff, w_rf = _gathered_channels(outcome.h_phys, beams, scale, users, cols)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
 
     cut = _field_cut(
@@ -337,7 +336,7 @@ def _field_cut(
     profiles = []
     for params in (reference, tuned):
         w = airy_weights(scenario.array, scenario.carrier, params)
-        launch = launch_aperture(w.weights, scenario.array, scenario.grid, lam)
+        launch = launch_aperture(w, scenario.array, scenario.grid, lam)
         (out,) = cascade.fields(launch, [cut_depth])
         profiles.append(np.abs(out.samples) ** 2)
     peak = float(max(p.max() for p in profiles))
@@ -370,6 +369,19 @@ def _published_opt_params(scenario: ScenarioConfig) -> AiryParams:
     )
 
 
+def _named_codebook(scenario: ScenarioConfig, name: str) -> np.ndarray:
+    """W_RF (N x K) of a named strategy: 'trad_all', or the mixed codebook
+    whose curved beam for the shadowed user is the geometric design
+    ('airy_geo') or the published tuned one ('airy_opt')."""
+    if name == "trad_all":
+        return build_codebook(scenario, "trad_all")
+    if name == "airy_geo":
+        return build_codebook(scenario, "mixed", geometric_baseline_params(scenario))
+    if name == "airy_opt":
+        return build_codebook(scenario, "mixed", _published_opt_params(scenario))
+    raise ConfigError(f"unknown fieldmap strategy {name!r}")
+
+
 def run_robustness_sweep(
     scenario: ScenarioConfig,
     step_lambda: float = 0.25,
@@ -386,20 +398,12 @@ def run_robustness_sweep(
     scale, _residual = remark1_calibration(scenario.without_obstacle())
 
     # Nominal-design codebooks, frozen for the whole sweep.
-    geo = geometric_baseline_params(scenario)
-    books = {
-        "trad_all": build_codebook(scenario, "trad_all").matrix,
-        "airy_geo": build_codebook(scenario, "mixed", airy_params=geo).matrix,
-        "airy_opt": build_codebook(
-            scenario, "mixed", airy_params=_published_opt_params(scenario)
-        ).matrix,
-    }
     strategies = ("trad_all", "airy_geo", "airy_opt")
+    beams = np.stack([_named_codebook(scenario, name).T for name in strategies])
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
     u1, u2 = scenario.users
     moved = [UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label) for dx_lambda in dxs]
-    h_rows = _channel_builder(scenario)((u1, *moved)).entries
-    beams = np.stack([books[name].T for name in strategies])
+    h_rows = diffraction_channel(scenario.with_users((u1, *moved)))
     rows = _fixed_and_moved(len(dxs))
     cols = np.broadcast_to(np.arange(scenario.k), rows.shape)
     h_eff, w_rf = _gathered_channels(h_rows, beams, scale, rows, cols)
@@ -421,24 +425,11 @@ def run_fieldmap(
     the mixed-codebook curved beam for the shadowed user). beam_index
     selects whose beam to map.
     """
-    if strategy == "trad_all":
-        book = build_codebook(scenario, "trad_all")
-    elif strategy == "airy_geo":
-        book = build_codebook(
-            scenario, "mixed", airy_params=geometric_baseline_params(scenario)
-        )
-    elif strategy == "airy_opt":
-        book = build_codebook(
-            scenario, "mixed", airy_params=_published_opt_params(scenario)
-        )
-    else:
-        raise ConfigError(f"unknown fieldmap strategy {strategy!r}")
-    if not 0 <= beam_index < len(book.beams):
-        raise ConfigError(f"beam index {beam_index} out of range for K={len(book.beams)}")
+    w_rf = _named_codebook(scenario, strategy)
+    if not 0 <= beam_index < w_rf.shape[1]:
+        raise ConfigError(f"beam index {beam_index} out of range for K={w_rf.shape[1]}")
     lam = scenario.carrier.wavelength
     depths = [d * lam for d in _sweep_values(depth_start_lambda, depth_stop_lambda, depth_step_lambda)]
-    launch = launch_aperture(
-        book.beams[beam_index].weights, scenario.array, scenario.grid, lam
-    )
+    launch = launch_aperture(w_rf[:, beam_index], scenario.array, scenario.grid, lam)
     obstacle = scenario.obstacle if with_obstacle else None
     return intensity_map(launch, obstacle, depths, lam)

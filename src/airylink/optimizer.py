@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beams import AiryParams, airy_weight_rows, check_airy_columns, traditional_focus
-from .channels import ChannelMatrix, beam_responses, diffraction_channel
+from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import ScenarioConfig, geometric_angle
 from .precoding import batch_sum_rates
@@ -157,9 +157,9 @@ class SearchOutcome:
     evaluations: int
     rejected_by_constraint: int
     trace: SearchTrace
-    # The physical channel the candidates were scored on, for callers that
-    # evaluate more beams on the same scenario.
-    h_phys: ChannelMatrix = field(compare=False, repr=False)
+    # The K x N physical channel the candidates were scored on, for callers
+    # that evaluate more beams on the same scenario.
+    h_phys: np.ndarray = field(compare=False, repr=False)
 
 
 def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
@@ -213,7 +213,7 @@ def _one_design(params: AiryParams) -> tuple:
 def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -> tuple:
     """The bright user's traditional beam w2 and its effective column
     scale * H_phys @ w2."""
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
     return w2, beam_responses(h_phys, w2[None, :], scale)[0]
 
 
@@ -290,8 +290,7 @@ def coarse_to_fine_search(
 
     # The channel matrix and the bright user's column never change; build
     # them once.
-    channel = diffraction_channel(scenario)
-    h_phys = channel.entries
+    h_phys = diffraction_channel(scenario)
     w2, h2 = _bright_beam(scenario, h_phys, scale)
 
     def score(bending, focal, dtheta):
@@ -336,6 +335,6 @@ def coarse_to_fine_search(
         evaluations=len(trace),
         rejected_by_constraint=int(np.count_nonzero(~trace.feasible)),
         trace=trace,
-        h_phys=channel,
+        h_phys=h_phys,
     )
 

@@ -15,9 +15,10 @@ near-parallel user columns push sigma_min toward zero and alpha collapses.
 The arithmetic runs over a leading candidate axis: every sweep scores all
 its channels in one batch_metrics call, whose metric columns (one array
 per metric, one row per candidate) are the sweep, and rzf_precoder is a
-batch-of-one view of the same RZF routine, so a channel gets the same bits
-alone or in a batch. The beam search only ranks rates, so it scores each
-chunk through batch_sum_rates: the RZF and sum-rate arithmetic of
+batch-of-one view of the same RZF routine for one K x K effective channel
+array (channels.check_effective), so a channel gets the same bits alone or
+in a batch. The beam search only ranks rates, so it scores each chunk
+through batch_sum_rates: the RZF and sum-rate arithmetic of
 batch_metrics (_sinr_and_rate), without kappa, SINR in dB or coupling
 powers, and without the singular values except for the epsilon = 0 guard
 or to report sigma_min on the zero-power error. The realized power
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AirylinkError, SingularChannelError
-from .channels import ChannelMatrix
+from .channels import check_effective
 
 __all__ = [
     "PrecodingResult",
@@ -169,16 +170,16 @@ def batch_sum_rates(h: np.ndarray, w: np.ndarray, tx_power: float, epsilon: floa
 
 
 def rzf_precoder(
-    h_eff: ChannelMatrix, w_rf: np.ndarray, tx_power: float, epsilon: float
+    h_eff: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: float
 ) -> PrecodingResult:
-    """Regularized zero-forcing with exact total-power normalization."""
-    if h_eff.kind != "effective":
-        raise AirylinkError("precoding expects an effective-kind channel matrix")
+    """Regularized zero-forcing with exact total-power normalization of one
+    K x K effective channel and its N x K analog matrix."""
+    check_effective(h_eff)
     if epsilon < 0:
         raise AirylinkError(f"epsilon must be nonnegative, got {epsilon}")
     if tx_power <= 0:
         raise AirylinkError(f"tx_power must be positive, got {tx_power}")
-    h = _stack(h_eff.entries)
+    h = _stack(h_eff)
     k = h.shape[-1]
     w = _stack(w_rf)
     if w.shape[-1] != k:

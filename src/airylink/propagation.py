@@ -140,8 +140,8 @@ def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexFiel
     if w.shape != (array.n,):
         raise GridError(f"expected {array.n} weights, got shape {w.shape}")
     samples = np.zeros(grid.nx, dtype=complex)
-    for bin_, wn in zip(element_bins(array, grid), w):
-        samples[bin_] += wn / grid.dx
+    # Unbuffered, so elements that share a bin add up as a loop over them would.
+    np.add.at(samples, element_bins(array, grid), w / grid.dx)
     return ComplexField(samples=samples, grid=grid, depth=0.0)
 
 

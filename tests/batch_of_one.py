@@ -8,37 +8,46 @@ function here runs one of those paths on a batch of one, which is the
 single-item value a test compares against:
 
 * beam_column: the per-user response of one analog beam,
-  beam_responses(diffraction_channel(s).entries, w[None], scale)[0];
+  beam_responses(diffraction_channel(s), w[None], scale)[0];
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
   user against the bright user's traditional beam, _score_chunk on a chunk
   of one;
 * metrics_of_one: the metrics of one effective channel and analog matrix,
   row 0 of batch_metrics' columns on a batch of one.
 
-The sweeps build every point's user rows, beams and effective channels as
-stacked arrays. The per-point loops they replaced are kept here as their
-reference, each returning the (effective channels, analog matrices) that
-the sweep scores, value-major with the strategies interleaved:
+The channel builders and build_codebook serve every user in one call,
+and the sweeps build every point's user rows, beams and effective channels
+as stacked arrays. The per-user and per-point loops they replaced are kept
+here as their reference; the point loops return the (effective channels,
+analog matrices) that the sweep scores, value-major with the strategies
+interleaved:
 
 * greens_rows_of_one: the closed-form channel built one user row at a time;
+* diffraction_rows_of_one: the diffraction channel one user at a time,
+  each row from a fresh one-user call (its own Cascade);
 * focus_of_one: the focusing weights toward one target;
+* beam_of_one, codebook_of_one: one user's column of a build_codebook
+  strategy from the one-beam traditional_focus or airy_weights, and the
+  column stack of every user's;
 * baseline_points, shadow_points, robustness_points: one point at a time,
-  with a ChannelMatrix, a beam per user and a product per strategy.
+  with per-user rows, per-user beams and a product per strategy.
 
-A batched caller must give every item exactly these bits.
+A batched caller must give every item exactly these bits, on the bundled
+scenarios and on jittered ones, whose users sit off the wavelength grid.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from airylink import (ScenarioConfig, UserPosition, build_codebook, diffraction_channel,
-                      geometric_baseline_params, remark1_calibration)
-from airylink.beams import AiryParams, _user_beam
-from airylink.channels import (GREENS_FREE_SPACE, ChannelMatrix, _channel_builder,
-                               beam_responses, effective_channel, effective_channel_greens)
+from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
+                      diffraction_channel, geometric_angle, geometric_baseline_params,
+                      remark1_calibration, traditional_focus)
+from airylink.beams import AiryParams
+from airylink.channels import beam_responses, effective_channel, effective_channel_greens
 from airylink.experiments import _published_opt_params
 from airylink.optimizer import _bright_beam, _one_design, _score_chunk
 from airylink.precoding import _stack, batch_metrics
@@ -48,7 +57,7 @@ def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) 
     """Per-user complex response of one analog beam (length K):
     scale * H_phys @ weights with H_phys = diffraction_channel(scenario)."""
     w = np.asarray(weights, dtype=complex)
-    return beam_responses(diffraction_channel(scenario).entries, w[None], scale)[0]
+    return beam_responses(diffraction_channel(scenario), w[None], scale)[0]
 
 
 def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
@@ -56,17 +65,17 @@ def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
     """(sum rate, |h11|^2) of one cubic-beam design for the shadowed user,
     paired with the bright user's traditional beam: the search's chunk
     scorer on a chunk of one."""
-    h_phys = diffraction_channel(scenario).entries
+    h_phys = diffraction_channel(scenario)
     w2, h2 = _bright_beam(scenario, h_phys, scale)
     rates, h11_power = _score_chunk(scenario, h_phys, _one_design(params), w2, h2, scale)
     return float(rates[0]), float(h11_power[0])
 
 
-def metrics_of_one(h_eff: ChannelMatrix, w_rf, tx_power: float, epsilon: float,
+def metrics_of_one(h_eff, w_rf, tx_power: float, epsilon: float,
                    noise_power: float) -> dict:
     """Post-RZF link metrics of one effective channel, {name: column[0]}
     of batch_metrics on a batch of one."""
-    m, _ = batch_metrics(_stack(h_eff.entries), _stack(w_rf), tx_power, epsilon, noise_power)
+    m, _ = batch_metrics(_stack(h_eff), _stack(w_rf), tx_power, epsilon, noise_power)
     return {name: column[0] for name, column in m.items()}
 
 
@@ -83,10 +92,48 @@ def greens_rows_of_one(scenario: ScenarioConfig) -> np.ndarray:
     return np.vstack(rows)
 
 
+def diffraction_rows_of_one(scenario: ScenarioConfig) -> np.ndarray:
+    """The diffraction-model K x N channel, each user's row from its own
+    one-user diffraction_channel call."""
+    return np.vstack([diffraction_channel(scenario.with_users((u,))) for u in scenario.users])
+
+
 def focus_of_one(scenario: ScenarioConfig, target: UserPosition) -> np.ndarray:
     """Focusing weights toward one target, (1/sqrt(N)) e^{+j k0 r_n}."""
     r = np.hypot(scenario.array.element_x() - target.x, target.z)
     return np.exp(1j * scenario.carrier.wavenumber * r) / math.sqrt(scenario.array.n)
+
+
+def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition,
+                airy_params: AiryParams | None = None) -> np.ndarray:
+    """One user's column of a build_codebook strategy, built alone:
+    'airy_geo' aims the cubic beam at the user's geometric angle, 'mixed'
+    gives a shadowed user the cubic beam verbatim, and every other user
+    gets the focusing beam."""
+    if strategy == "airy_geo":
+        aimed = replace(airy_params, launch_angle=geometric_angle(user))
+        return airy_weights(scenario.array, scenario.carrier, aimed)
+    if strategy == "mixed" and classify_user(user, scenario.obstacle,
+                                             scenario.array) == "shadowed":
+        return airy_weights(scenario.array, scenario.carrier, airy_params)
+    return traditional_focus(scenario.array, scenario.carrier, user)
+
+
+def codebook_of_one(scenario: ScenarioConfig, strategy: str,
+                    airy_params: AiryParams | None = None) -> np.ndarray:
+    """The N x K column stack of every user's beam_of_one."""
+    return np.column_stack([beam_of_one(scenario, strategy, u, airy_params)
+                            for u in scenario.users])
+
+
+def jittered(scenario: ScenarioConfig, rng, lam: float) -> ScenarioConfig:
+    """The scenario with each user moved off the wavelength grid, within
+    +/-0.5 lambda in x and +/-5 lambda in z (no user changes side of the
+    knife edge's shadow boundary)."""
+    return scenario.with_users(tuple(
+        UserPosition(u.x + rng.uniform(-0.5, 0.5) * lam, u.z + rng.uniform(-5.0, 5.0) * lam,
+                     u.label)
+        for u in scenario.users))
 
 
 def _moved(scenario: ScenarioConfig, x: float) -> UserPosition:
@@ -104,14 +151,11 @@ def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     x = x2 * lambda, a Green's-model matrix and one `@` per point."""
     lam = scenario.carrier.wavelength
     u1 = scenario.users[0]
-    w1 = _user_beam(scenario, "trad_all", u1).weights
     h_eff, w_rf = [], []
     for x2_lambda in xs_lambda:
-        moved = _moved(scenario, x2_lambda * lam)
-        w = np.column_stack([w1, _user_beam(scenario, "trad_all", moved).weights])
-        rows = greens_rows_of_one(scenario.with_users((u1, moved)))
-        h_phys = ChannelMatrix(rows, model=GREENS_FREE_SPACE, kind="physical")
-        h_eff.append(effective_channel_greens(h_phys, w).entries)
+        point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
+        w = codebook_of_one(point, "trad_all")
+        h_eff.append(effective_channel_greens(greens_rows_of_one(point), w))
         w_rf.append(w)
     return _stacked(h_eff, w_rf)
 
@@ -121,17 +165,14 @@ def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     lam = scenario.carrier.wavelength
     geo = geometric_baseline_params(scenario)
     scale, _ = remark1_calibration(scenario.without_obstacle())
-    channel = _channel_builder(scenario)
     u1 = scenario.users[0]
-    strategies = ("trad_all", "airy_geo")
-    fixed = {name: _user_beam(scenario, name, u1, geo).weights for name in strategies}
     h_eff, w_rf = [], []
     for x2_lambda in xs_lambda:
-        moved = _moved(scenario, x2_lambda * lam)
-        h_phys = channel((u1, moved))
-        for name in strategies:
-            w = np.column_stack([fixed[name], _user_beam(scenario, name, moved, geo).weights])
-            h_eff.append(effective_channel(h_phys, w, scale).entries)
+        point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
+        h_phys = diffraction_rows_of_one(point)
+        for name in ("trad_all", "airy_geo"):
+            w = codebook_of_one(point, name, geo)
+            h_eff.append(effective_channel(h_phys, w, scale))
             w_rf.append(w)
     return _stacked(h_eff, w_rf)
 
@@ -142,14 +183,14 @@ def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
     scale, _ = remark1_calibration(scenario.without_obstacle())
     geo = geometric_baseline_params(scenario)
     books = [
-        build_codebook(scenario, "trad_all").matrix,
-        build_codebook(scenario, "mixed", airy_params=geo).matrix,
-        build_codebook(scenario, "mixed", airy_params=_published_opt_params(scenario)).matrix,
+        codebook_of_one(scenario, "trad_all"),
+        codebook_of_one(scenario, "mixed", geo),
+        codebook_of_one(scenario, "mixed", _published_opt_params(scenario)),
     ]
-    channel = _channel_builder(scenario)
     u1, u2 = scenario.users
     h_eff = []
     for dx_lambda in dxs_lambda:
-        h_phys = channel((u1, _moved(scenario, u2.x + dx_lambda * lam)))
-        h_eff += [effective_channel(h_phys, book, scale).entries for book in books]
+        point = scenario.with_users((u1, _moved(scenario, u2.x + dx_lambda * lam)))
+        h_phys = diffraction_rows_of_one(point)
+        h_eff += [effective_channel(h_phys, book, scale) for book in books]
     return _stacked(h_eff, [book for _ in dxs_lambda for book in books])

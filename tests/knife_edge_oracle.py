@@ -144,7 +144,7 @@ def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray,
     order, then rescan +/- fine_span coarse steps around it at the fine
     step and keep the better of the two."""
     theta_geo = geometric_angle(scenario.users[0])
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1]).weights
+    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
     geo = geometric_baseline_params(scenario)
     _, h11_geo = _sum_rates(scenario, h_phys, ([geo.bending], [geo.focal], [geo.launch_angle]), w2)
     floor = eta * h11_geo[0]

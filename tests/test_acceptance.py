@@ -39,7 +39,6 @@ import math
 import numpy as np
 
 from airylink import (
-    ChannelMatrix,
     ComplexField,
     GridSpec,
     UserPosition,
@@ -52,7 +51,6 @@ from airylink import (
     rzf_precoder,
     traditional_focus,
 )
-from airylink.channels import GREENS_FREE_SPACE
 from airylink.cli import main
 from airylink.optimizer import default_search_grids, geometric_baseline_params
 from airylink.propagation import grid_fx, grid_x
@@ -79,7 +77,7 @@ def phase_only_ceiling_db(scenario, user: UserPosition, weights) -> float:
     `weights` at `user`, in dB. With uniform 1/sqrt(N) amplitudes the best
     phases co-phase every element, giving (sum_n |h_n|)^2 / N."""
     moved = scenario.with_users((user,) + scenario.users[1:])
-    h = diffraction_channel(moved).entries[0]
+    h = diffraction_channel(moved)[0]
     best = np.sum(np.abs(h)) ** 2 / scenario.array.n
     return 10.0 * math.log10(best / abs(h @ weights) ** 2)
 
@@ -158,8 +156,7 @@ class TestFoundations:
                 sigma = np.linalg.svd(h, compute_uv=False)
                 if sigma[0] / sigma[-1] < 100.0:
                     break
-            chan = ChannelMatrix(h, model=GREENS_FREE_SPACE, kind="effective")
-            res = rzf_precoder(chan, w_rf, tx_power=3.7, epsilon=0.0)
+            res = rzf_precoder(h, w_rf, tx_power=3.7, epsilon=0.0)
             target = res.alpha * np.eye(2)
             worst_zf = max(worst_zf, float(
                 np.linalg.norm(res.product_check - target)
@@ -229,7 +226,7 @@ class TestFigureLevel:
         ue2 = UserPosition(-11.0 * lam, shadow_scenario.users[1].z, "ue2")
         ceiling = phase_only_ceiling_db(
             shadow_scenario, ue2,
-            traditional_focus(shadow_scenario.array, shadow_scenario.carrier, ue2).weights)
+            traditional_focus(shadow_scenario.array, shadow_scenario.carrier, ue2))
         report(9, "shadow-scan resilience", [
             (float(airy.min()) > 0.0,
              f"min curved-beam SINR {airy.min():+.2f} dB (want > 0 dB)"),
@@ -297,7 +294,7 @@ class TestFigureLevel:
         # The cut reads the shadowed user's x at the cut depth.
         at_cut = UserPosition(mixed_scenario.users[0].x, cut.cut_depth, "cut")
         geometric = airy_weights(mixed_scenario.array, mixed_scenario.carrier,
-                                 geometric_baseline_params(mixed_scenario)).weights
+                                 geometric_baseline_params(mixed_scenario))
         ceiling = phase_only_ceiling_db(mixed_scenario, at_cut, geometric)
         report(12, "field-cut rebalancing", [
             (15.0 <= cut.gain_at_shadowed_db <= 27.0,

@@ -8,7 +8,6 @@ import pytest
 from airylink import (
     AiryParams,
     ArrayGeometry,
-    BeamWeights,
     ConfigError,
     UserPosition,
     airy_weights,
@@ -18,12 +17,11 @@ from airylink import (
     propagate_angular_spectrum,
     traditional_focus,
 )
-from airylink.beams import (_user_beam_rows, airy_weight_rows, check_unit_norm,
-                            traditional_focus_rows)
+from airylink.beams import airy_weight_rows, check_unit_norm, traditional_focus_rows
 from airylink.geometry import geometric_angle
 from airylink.propagation import grid_x
 
-from batch_of_one import focus_of_one
+from batch_of_one import codebook_of_one, focus_of_one, jittered
 
 
 class TestAiryParams:
@@ -88,25 +86,22 @@ class TestAiryWeightRows:
         w = airy_weights(array64, carrier, params)
         rows = airy_weight_rows(array64, carrier, [params.bending], [params.focal],
                                 [params.launch_angle])
-        assert np.array_equal(w.weights, rows[0])
+        assert np.array_equal(w, rows[0])
 
 
 class TestBeamWeights:
+    """One beam's weights, checked by check_unit_norm."""
+
     def test_norm_is_enforced(self):
         with pytest.raises(ConfigError, match="unit norm"):
-            BeamWeights(weights=np.ones(4, dtype=complex), kind="traditional")
+            check_unit_norm(np.ones(4, dtype=complex))
 
     def test_nan_weights_rejected(self):
         """A NaN norm is not within the tolerance of 1."""
         w = np.full(4, 0.5, dtype=complex)
         w[1] = complex(math.nan, 0.0)
         with pytest.raises(ConfigError, match="unit norm, got nan"):
-            BeamWeights(weights=w, kind="traditional")
-
-    def test_phases(self):
-        w = np.exp(1j * np.array([0.1, -0.4, 2.0, 3.0])) / 2.0
-        b = BeamWeights(weights=w, kind="traditional")
-        assert np.allclose(b.phases, [0.1, -0.4, 2.0, 3.0])
+            check_unit_norm(w)
 
 
 class TestCheckUnitNorm:
@@ -129,8 +124,8 @@ class TestCheckUnitNorm:
 class TestTraditionalFocus:
     def test_unit_norm(self, array64, carrier):
         w = traditional_focus(array64, carrier, UserPosition(-0.05, 2.5))
-        assert np.linalg.norm(w.weights) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(np.abs(w.weights), 1 / math.sqrt(64))
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(np.abs(w), 1 / math.sqrt(64))
 
     def test_phases_equal_plus_k0_r(self, array64, carrier, lam):
         target = UserPosition(-5 * lam, 250 * lam)
@@ -138,7 +133,7 @@ class TestTraditionalFocus:
         xs = np.asarray(array64.element_x())
         r = np.hypot(xs - target.x, target.z)
         expected = np.exp(1j * carrier.wavenumber * r) / math.sqrt(64)
-        assert np.max(np.abs(w.weights - expected)) < 1e-12
+        assert np.max(np.abs(w - expected)) < 1e-12
 
     def test_is_normalized_conjugate_of_channel_row(self, carrier, lam,
                                                     baseline_scenario):
@@ -149,8 +144,8 @@ class TestTraditionalFocus:
         h = greens_channel(baseline_scenario)
         w = traditional_focus(baseline_scenario.array, carrier,
                               baseline_scenario.users[0])
-        row_phase = np.angle(np.conj(h.entries[0]))
-        assert np.max(np.abs(np.angle(w.weights * np.exp(-1j * row_phase))))\
+        row_phase = np.angle(np.conj(h[0]))
+        assert np.max(np.abs(np.angle(w * np.exp(-1j * row_phase))))\
             < 1e-12
 
     def test_inner_product_with_own_row_is_real_positive(self, carrier, lam,
@@ -158,7 +153,7 @@ class TestTraditionalFocus:
         h = greens_channel(baseline_scenario)
         user = baseline_scenario.users[0]
         w = traditional_focus(baseline_scenario.array, carrier, user)
-        gain = h.entries[0] @ w.weights
+        gain = h[0] @ w
         xs = np.asarray(baseline_scenario.array.element_x())
         r = np.hypot(xs - user.x, user.z)
         expected = np.sum(lam / (4 * math.pi * r)) / math.sqrt(64)
@@ -167,17 +162,17 @@ class TestTraditionalFocus:
 
     def test_boresight_weights_are_symmetric(self, array64, carrier, lam):
         w = traditional_focus(array64, carrier, UserPosition(0.0, 250 * lam))
-        assert np.max(np.abs(w.weights - w.weights[::-1])) < 1e-12
+        assert np.max(np.abs(w - w[::-1])) < 1e-12
 
     def test_single_element_weight_is_one(self, carrier, lam):
         arr = ArrayGeometry(n=1, spacing=lam)
         w = traditional_focus(arr, carrier, UserPosition(0.0, 100 * lam))
-        assert abs(w.weights[0]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(w[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_focus_peak_lands_on_target(self, array64, carrier, lam, grid_std):
         target = UserPosition(-5 * lam, 250 * lam)
         w = traditional_focus(array64, carrier, target)
-        f = launch_aperture(w.weights, array64, grid_std, lam)
+        f = launch_aperture(w, array64, grid_std, lam)
         out = propagate_angular_spectrum(f, target.z, lam)
         x = grid_x(grid_std)
         interior = np.abs(x) < 50 * lam
@@ -202,14 +197,15 @@ class TestTraditionalFocusRows:
         assert rows.shape == (300, 64)
         for row, x, z in zip(rows, xs.tolist(), zs.tolist()):
             target = UserPosition(x, z)
-            assert row.tobytes() == traditional_focus(array, carrier, target).weights.tobytes()
+            assert row.tobytes() == traditional_focus(array, carrier, target).tobytes()
             assert row.tobytes() == focus_of_one(baseline_scenario, target).tobytes()
 
     def test_user_beam_rows_check_the_launch_angles(self, shadow_scenario):
         """A user so far off axis that atan2 rounds its angle to pi/2."""
-        users = [UserPosition(0.1, 2.0), UserPosition(1e20, 1.0)]
+        users = (UserPosition(0.1, 2.0), UserPosition(1e20, 1.0))
         with pytest.raises(ConfigError, match="launch angle"):
-            _user_beam_rows(shadow_scenario, "airy_geo", users, AiryParams(-25.0, 1.75))
+            build_codebook(shadow_scenario.with_users(users), "airy_geo",
+                           AiryParams(-25.0, 1.75))
 
     def test_any_target_behind_the_array_rejected(self, array64, carrier):
         with pytest.raises(ConfigError, match="z > 0"):
@@ -217,17 +213,16 @@ class TestTraditionalFocusRows:
 
 
 class TestAiryWeights:
-    def test_unit_norm_and_kind(self, array64, carrier):
+    def test_unit_norm(self, array64, carrier):
         w = airy_weights(array64, carrier, AiryParams(-25.0, 1.75, 0.0))
-        assert w.kind == "airy"
-        assert np.linalg.norm(w.weights) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_bending_zero_angle_is_pure_lens(self, array64, carrier):
         focal = 1.75
         w = airy_weights(array64, carrier, AiryParams(0.0, focal, 0.0))
         xs = np.asarray(array64.element_x())
         lens = np.exp(1j * carrier.wavenumber * xs**2 / (2 * focal))
-        assert np.max(np.abs(w.weights - lens / math.sqrt(64))) < 1e-12
+        assert np.max(np.abs(w - lens / math.sqrt(64))) < 1e-12
 
     def test_cubic_phase_formula(self, array64, carrier, lam):
         """Pin the full three-term phase at an interior element."""
@@ -242,7 +237,7 @@ class TestAiryWeights:
                         - k0 * math.sin(theta) * xs[n]
                         + (2 * math.pi / (3 * lam)) * bending
                         * (xs[n] / focal) ** 3)
-            delta = np.angle(w.weights[n] * math.sqrt(64)
+            delta = np.angle(w[n] * math.sqrt(64)
                              * np.exp(-1j * expected))
             assert abs(delta) < 1e-12
 
@@ -251,7 +246,7 @@ class TestAiryWeights:
         minus = airy_weights(array64, carrier, AiryParams(-25.0, 1.75, 0.0))
         # x_n -> -x_n flips the cubic term only; the array is symmetric, so
         # negated bending equals the element-reversed weights
-        assert np.max(np.abs(minus.weights - plus.weights[::-1])) < 1e-12
+        assert np.max(np.abs(minus - plus[::-1])) < 1e-12
 
     def test_flipping_bending_mirrors_intensity(self, array64, carrier, lam,
                                                 grid_std):
@@ -259,7 +254,7 @@ class TestAiryWeights:
         fields = {}
         for b in (+30.0, -30.0):
             w = airy_weights(array64, carrier, AiryParams(b, 1.75, 0.0))
-            f = launch_aperture(w.weights, array64, grid_std, lam)
+            f = launch_aperture(w, array64, grid_std, lam)
             fields[b] = np.abs(propagate_angular_spectrum(f, z, lam).samples) ** 2
         x = grid_x(grid_std)
         interior = np.abs(x) < 80 * lam
@@ -271,21 +266,19 @@ class TestAiryWeights:
 class TestBuildCodebook:
     def test_trad_all(self, baseline_scenario, carrier):
         book = build_codebook(baseline_scenario, "trad_all")
-        assert len(book.beams) == 2
-        for beam, user in zip(book.beams, baseline_scenario.users):
+        assert book.shape[1] == 2
+        for beam, user in zip(book.T, baseline_scenario.users):
             expected = traditional_focus(baseline_scenario.array, carrier, user)
-            assert np.array_equal(beam.weights, expected.weights)
-            assert beam.kind == "traditional"
+            assert np.array_equal(beam, expected)
 
     def test_airy_geo_uses_geometric_angles(self, shadow_scenario, carrier):
         params = AiryParams(-25.0, 1.75, 0.0)
         book = build_codebook(shadow_scenario, "airy_geo", airy_params=params)
-        for beam, user in zip(book.beams, shadow_scenario.users):
+        for beam, user in zip(book.T, shadow_scenario.users):
             angle = geometric_angle(user)
             offset = AiryParams(params.bending, params.focal, params.launch_angle + angle)
             expected = airy_weights(shadow_scenario.array, carrier, offset)
-            assert np.array_equal(beam.weights, expected.weights)
-            assert beam.kind == "airy"
+            assert np.array_equal(beam, expected)
 
     def test_airy_geo_requires_params(self, shadow_scenario):
         with pytest.raises(ConfigError, match="airy_params"):
@@ -299,9 +292,8 @@ class TestBuildCodebook:
         shadowed = airy_weights(mixed_scenario.array, carrier, params)
         bright = traditional_focus(mixed_scenario.array, carrier,
                                    mixed_scenario.users[1])
-        assert np.array_equal(book.beams[0].weights, shadowed.weights)
-        assert book.beams[0].params == params
-        assert np.array_equal(book.beams[1].weights, bright.weights)
+        assert np.array_equal(book[:, 0], shadowed)
+        assert np.array_equal(book[:, 1], bright)
 
     def test_mixed_without_obstacle_rejected(self, baseline_scenario):
         with pytest.raises(ConfigError, match="obstacle"):
@@ -324,8 +316,31 @@ class TestBuildCodebook:
         with pytest.raises(ConfigError, match="strategy"):
             build_codebook(baseline_scenario, "zf_everything")
 
-    def test_matrix_shape(self, baseline_scenario):
-        book = build_codebook(baseline_scenario, "trad_all")
-        m = book.matrix
+    def test_matrix_shape(self, baseline_scenario, carrier):
+        m = build_codebook(baseline_scenario, "trad_all")
         assert m.shape == (64, 2)
-        assert np.array_equal(m[:, 1], book.beams[1].weights)
+        bright = traditional_focus(baseline_scenario.array, carrier, baseline_scenario.users[1])
+        assert np.array_equal(m[:, 1], bright)
+
+    @pytest.mark.parametrize("jitter", [False, True], ids=["bundled", "jittered"])
+    @pytest.mark.parametrize("fixture, strategy", [
+        ("baseline_scenario", "trad_all"),
+        ("shadow_scenario", "trad_all"),
+        ("shadow_scenario", "airy_geo"),
+        ("mixed_scenario", "trad_all"),
+        ("mixed_scenario", "airy_geo"),
+        ("mixed_scenario", "mixed"),
+    ])
+    def test_matches_the_column_stack_of_one_row_beams(self, fixture, strategy, jitter,
+                                                       request, rng, lam):
+        """Every column has the bits of its user's one-row beam, and W_RF is
+        C-contiguous, the layout the channel products consume."""
+        scenario = request.getfixturevalue(fixture)
+        if jitter:
+            scenario = jittered(scenario, rng, lam)
+        params = AiryParams(-44.0, 1.5, math.radians(-2.9))
+        book = build_codebook(scenario, strategy, params)
+        want = codebook_of_one(scenario, strategy, params)
+        assert book.flags.c_contiguous
+        assert book.shape == want.shape == (64, 2)
+        assert book.tobytes() == want.tobytes()

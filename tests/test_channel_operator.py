@@ -2,8 +2,8 @@
 
 The operator is built by running the cascade transposed; the forward
 per-beam cascade (launch, blocked propagation, sampling) is its oracle.
-A channel builder reused across a sweep must give every row the bits of a
-row built with fresh factors. The search scores candidates in chunks, and
+A diffraction channel of many users, repeats among them, must give every
+row the bits of a row built with fresh factors. The search scores candidates in chunks, and
 a candidate must get the same bits there as it does alone.
 """
 
@@ -27,13 +27,7 @@ from airylink import (
     sample_field,
     traditional_focus,
 )
-from airylink.channels import (
-    FRESNEL_DIFFRACTION,
-    _amplitude_conversion,
-    _channel_builder,
-    beam_responses,
-    effective_channel,
-)
+from airylink.channels import _amplitude_conversion, beam_responses, effective_channel
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, _score_chunk
 from airylink.propagation import (
@@ -61,12 +55,11 @@ def cascade_responses(scenario, w) -> np.ndarray:
 
 def assert_matches_cascade(scenario, rng, trials: int = 4) -> None:
     h = diffraction_channel(scenario)
-    assert h.kind == "physical" and h.model == FRESNEL_DIFFRACTION
-    assert h.entries.shape == (scenario.k, scenario.array.n)
+    assert h.shape == (scenario.k, scenario.array.n)
     for _ in range(trials):
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         ref = cascade_responses(scenario, w)
-        err = np.max(np.abs(h.entries @ w - ref)) / np.max(np.abs(ref))
+        err = np.max(np.abs(h @ w - ref)) / np.max(np.abs(ref))
         assert err < 1e-12
 
 
@@ -122,29 +115,27 @@ class TestChannelBuilder:
                                       "mixed_scenario"])
     def test_sweep_rows_match_fresh_rows(self, name, request, lam):
         """The fixed user, the moved user and a return to an earlier
-        position (a memo hit), all from one builder. In the mixed scenario
-        the bright user's second leg (150 wavelengths) equals the first
-        leg's distance, so a factor kept by distance alone would mix the
-        launch filter into it."""
+        position (a memo hit), all in one call, as a sweep makes it. In the
+        mixed scenario the bright user's second leg (150 wavelengths)
+        equals the first leg's distance, so a factor kept by distance alone
+        would mix the launch filter into it."""
         scenario = request.getfixturevalue(name)
         fixed, mover = scenario.users
-        channel = _channel_builder(scenario)
-        for dx in (0.0, -2.5 * lam, 1.25 * lam, 0.0):
-            moved = UserPosition(mover.x + dx, mover.z, mover.label)
-            h = channel((fixed, moved)).entries
-            assert np.array_equal(h[0], fresh_row(scenario, fixed))
-            assert np.array_equal(h[1], fresh_row(scenario, moved))
+        users = (fixed, *(UserPosition(mover.x + dx, mover.z, mover.label)
+                          for dx in (0.0, -2.5 * lam, 1.25 * lam, 0.0)))
+        h = diffraction_channel(scenario.with_users(users))
+        for row, u in zip(h, users):
+            assert np.array_equal(row, fresh_row(scenario, u))
         fresh = np.vstack([fresh_row(scenario, u) for u in scenario.users])
-        assert np.array_equal(diffraction_channel(scenario).entries, fresh)
+        assert np.array_equal(diffraction_channel(scenario), fresh)
 
     def test_users_at_before_and_behind_the_obstacle(self, shadow_scenario, lam):
         depth = shadow_scenario.obstacle.depth
         users = (UserPosition(-3 * lam, depth, "at_edge_plane"),
                  UserPosition(4 * lam, 90 * lam, "in_front"),
                  UserPosition(-6 * lam, 2 * depth, "behind"))
-        channel = _channel_builder(shadow_scenario)
         for order in (users, users[::-1]):
-            h = channel(order).entries
+            h = diffraction_channel(shadow_scenario.with_users(order))
             for row, u in zip(h, order):
                 assert np.array_equal(row, fresh_row(shadow_scenario, u))
 
@@ -155,22 +146,34 @@ class TestChannelBuilder:
         free = shadow_scenario.without_obstacle()
         on_plane = UserPosition(-3 * lam, depth, "on_plane")
         past = UserPosition(-3 * lam, float(np.nextafter(depth, np.inf)), "past")
-        h = _channel_builder(shadow_scenario)((on_plane, past)).entries
+        h = diffraction_channel(shadow_scenario.with_users((on_plane, past)))
         assert np.array_equal(h[0], fresh_row(free, on_plane))
         assert np.array_equal(h[1], fresh_row(shadow_scenario, past))
         assert not np.array_equal(h[1], fresh_row(free, past))
 
     def test_mask_built_once_per_builder(self, shadow_scenario, lam, monkeypatch):
-        """Every two-leg row of one builder reuses one knife-edge mask."""
-        calls = []
-        real = airylink.propagation._clear_side
+        """One diffraction_channel call makes one Cascade: users that repeat
+        an (x, z), whatever their labels, cost one transposed cascade, and
+        every two-leg row reuses one knife-edge mask."""
+        masks, transposes = [], []
+        real_mask = airylink.propagation._clear_side
         monkeypatch.setattr(airylink.propagation, "_clear_side",
-                            lambda *args: calls.append(args) or real(*args))
-        channel = _channel_builder(shadow_scenario)
-        users = [UserPosition(x * lam, 300 * lam, "ue2") for x in (-10.0, -5.0, 0.0, 5.0)]
-        channel(users)
-        channel(users[:1] + [UserPosition(7 * lam, 250 * lam, "ue1")])
-        assert calls == [(shadow_scenario.grid, shadow_scenario.obstacle)]
+                            lambda *args: masks.append(args) or real_mask(*args))
+        real_transpose = airylink.propagation.Cascade.transpose
+
+        def counted(cascade, probe, depth):
+            transposes.append(depth)
+            return real_transpose(cascade, probe, depth)
+
+        monkeypatch.setattr(airylink.propagation.Cascade, "transpose", counted)
+        xs = (-10.0, -5.0, -10.0, 0.0, 5.0, -5.0, -10.0)
+        users = [UserPosition(x * lam, 300 * lam, f"ue{i}") for i, x in enumerate(xs)]
+        users.insert(3, UserPosition(-10.0 * lam, 250 * lam, "nearer"))
+        h = diffraction_channel(shadow_scenario.with_users(tuple(users)))
+        assert h.shape == (len(users), 64)
+        assert len(transposes) == 5
+        assert masks == [(shadow_scenario.grid, shadow_scenario.obstacle)]
+        assert np.array_equal(h[[2, 6, 7]], h[[0, 1, 0]])
 
 
 class TestBatchInvariance:
@@ -183,9 +186,9 @@ class TestBatchInvariance:
             for i in range(_CHUNK)
         ]
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1]).weights
+                               mixed_scenario.users[1])
         fixed_h2 = beam_column(mixed_scenario, w2, scale)
-        h_phys = diffraction_channel(mixed_scenario).entries
+        h_phys = diffraction_channel(mixed_scenario)
         columns = ([p.bending for p in designs], [p.focal for p in designs],
                    [p.launch_angle for p in designs])
         rates, h11 = _score_chunk(mixed_scenario, h_phys, columns, w2,
@@ -200,7 +203,7 @@ class TestBatchInvariance:
         responses, where numpy multiplies `scale * temporary` in place with
         the operands swapped): every entry has the bits of its row and beam
         taken alone."""
-        h = diffraction_channel(mixed_scenario).entries
+        h = diffraction_channel(mixed_scenario)
         rows = np.vstack([h, rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))])
         beams = rng.standard_normal((130, 64)) + 1j * rng.standard_normal((130, 64))
         scale = 0.98 - 0.13j

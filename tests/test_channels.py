@@ -10,7 +10,6 @@ from airylink import (
     AiryParams,
     AirylinkError,
     ArrayGeometry,
-    ChannelMatrix,
     ConfigError,
     ModelMismatchError,
     UserPosition,
@@ -22,7 +21,7 @@ from airylink import (
     remark1_calibration,
     traditional_focus,
 )
-from airylink.channels import FRESNEL_DIFFRACTION, GREENS_FREE_SPACE, effective_channel
+from airylink.channels import check_finite, effective_channel
 from airylink.geometry import geometric_angle
 
 from batch_of_one import beam_column, greens_rows_of_one
@@ -39,17 +38,17 @@ class TestGreensChannel:
             noise_power=1e-3, tx_power=1.0, rzf_epsilon=1e-10)
         h = greens_channel(scenario)
         expected = lam / (4 * math.pi * z) * np.exp(-1j * carrier.wavenumber * z)
-        assert h.entries.shape == (1, 1)
-        assert h.entries[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert h.shape == (1, 1)
+        assert h[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_entry_amplitude_and_phase_law(self, baseline_scenario, carrier, lam):
         h = greens_channel(baseline_scenario)
         user = baseline_scenario.users[1]
         xs = np.asarray(baseline_scenario.array.element_x())
         r = float(np.hypot(xs[17] - user.x, user.z))
-        assert abs(h.entries[1, 17]) == pytest.approx(lam / (4 * math.pi * r),
+        assert abs(h[1, 17]) == pytest.approx(lam / (4 * math.pi * r),
                                                       rel=1e-12)
-        phase_err = np.angle(h.entries[1, 17] * np.exp(1j * carrier.wavenumber * r))
+        phase_err = np.angle(h[1, 17] * np.exp(1j * carrier.wavenumber * r))
         assert abs(phase_err) < 1e-9
 
     def test_boresight_row_is_symmetric(self, carrier, lam, grid_std, array64):
@@ -58,7 +57,7 @@ class TestGreensChannel:
         scenario = ScenarioConfig(
             carrier, array64, (UserPosition(0.0, 200 * lam),), grid_std,
             noise_power=1e-3, tx_power=1.0, rzf_epsilon=1e-10)
-        row = greens_channel(scenario).entries[0]
+        row = greens_channel(scenario)[0]
         assert np.max(np.abs(row - row[::-1])) < 1e-15
 
     def test_refuses_obstacle(self, shadow_scenario):
@@ -73,52 +72,33 @@ class TestGreensChannel:
             for x, z in zip(rng.uniform(-40, 40, 298), rng.uniform(50, 400, 298)))
         for k in (2, len(users)):
             scenario = baseline_scenario.with_users(users[:k])
-            entries = greens_channel(scenario).entries
+            entries = greens_channel(scenario)
             assert entries.tobytes() == greens_rows_of_one(scenario).tobytes()
-
-    def test_tags(self, baseline_scenario):
-        h = greens_channel(baseline_scenario)
-        assert h.model == GREENS_FREE_SPACE
-        assert h.kind == "physical"
-        assert h.k == 2
 
 
 class TestChannelMatrix:
-    def test_unknown_model_rejected(self):
-        with pytest.raises(AirylinkError, match="model"):
-            ChannelMatrix(np.eye(2, dtype=complex), model="raytrace",
-                          kind="physical")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(AirylinkError, match="kind"):
-            ChannelMatrix(np.eye(2, dtype=complex), model=GREENS_FREE_SPACE,
-                          kind="hybrid")
+    """The rules every channel array meets."""
 
     def test_nonfinite_entries_rejected(self):
         bad = np.array([[1.0, np.nan]], dtype=complex)
         with pytest.raises(AirylinkError, match="NaN"):
-            ChannelMatrix(bad, model=GREENS_FREE_SPACE, kind="physical")
+            check_finite(bad)
 
-    def test_effective_must_be_square(self):
+    def test_effective_must_be_square(self, baseline_scenario):
+        """Three beams for two users."""
+        h = greens_channel(baseline_scenario)
         with pytest.raises(AirylinkError, match="square"):
-            ChannelMatrix(np.ones((2, 3), dtype=complex),
-                          model=GREENS_FREE_SPACE, kind="effective")
+            effective_channel_greens(h, np.ones((64, 3), dtype=complex))
+        with pytest.raises(AirylinkError, match="square"):
+            effective_channel(h, np.ones((64, 3), dtype=complex))
 
 
 class TestEffectiveGreens:
     def test_matches_manual_product(self, baseline_scenario):
         h = greens_channel(baseline_scenario)
-        w = build_codebook(baseline_scenario, "trad_all").matrix
+        w = build_codebook(baseline_scenario, "trad_all")
         eff = effective_channel_greens(h, w)
-        assert eff.kind == "effective"
-        assert np.array_equal(eff.entries, h.entries @ w)
-
-    def test_requires_physical_kind(self, baseline_scenario):
-        h = greens_channel(baseline_scenario)
-        w = build_codebook(baseline_scenario, "trad_all").matrix
-        eff = effective_channel_greens(h, w)
-        with pytest.raises(AirylinkError, match="physical"):
-            effective_channel_greens(eff, w)
+        assert np.array_equal(eff, h @ w)
 
     def test_beam_matrix_shape_checked(self, baseline_scenario):
         h = greens_channel(baseline_scenario)
@@ -132,17 +112,17 @@ class TestEffectiveGreens:
         scenario = ScenarioConfig(
             carrier, array64, (UserPosition(-5 * lam, 250 * lam),), grid_std,
             noise_power=1e-3, tx_power=1.0, rzf_epsilon=1e-10)
-        w = build_codebook(scenario, "trad_all").matrix
+        w = build_codebook(scenario, "trad_all")
         eff = effective_channel_greens(greens_channel(scenario), w)
-        assert eff.entries.shape == (1, 1)
+        assert eff.shape == (1, 1)
 
     def test_matched_beam_diagonal_dominates(self, baseline_scenario, lam):
         """With each beam focused on its own user, the diagonal entries are
         real, positive, and equal to the coherent sum (1/sqrt(N)) sum lam/(4 pi r);
         cross-entries are strictly smaller in magnitude."""
         h = greens_channel(baseline_scenario)
-        w = build_codebook(baseline_scenario, "trad_all").matrix
-        eff = effective_channel_greens(h, w).entries
+        w = build_codebook(baseline_scenario, "trad_all")
+        eff = effective_channel_greens(h, w)
         xs = np.asarray(baseline_scenario.array.element_x())
         for k, user in enumerate(baseline_scenario.users):
             r = np.hypot(xs - user.x, user.z)
@@ -179,18 +159,17 @@ class TestBeamColumn:
 
 class TestEffectiveDiffraction:
     def test_columns_match_beam_column(self, baseline_scenario):
-        w = build_codebook(baseline_scenario, "trad_all").matrix
+        w = build_codebook(baseline_scenario, "trad_all")
         eff = effective_channel(diffraction_channel(baseline_scenario), w)
-        assert eff.model == FRESNEL_DIFFRACTION
         for j in range(2):
-            assert np.array_equal(eff.entries[:, j],
+            assert np.array_equal(eff[:, j],
                                   beam_column(baseline_scenario, w[:, j]))
 
     def test_repeat_builds_are_bit_identical(self, baseline_scenario):
-        w = build_codebook(baseline_scenario, "trad_all").matrix
+        w = build_codebook(baseline_scenario, "trad_all")
         seq = effective_channel(diffraction_channel(baseline_scenario), w)
         par = effective_channel(diffraction_channel(baseline_scenario), w)
-        assert np.array_equal(seq.entries, par.entries)
+        assert np.array_equal(seq, par)
 
     def test_beam_matrix_shape_checked(self, baseline_scenario):
         with pytest.raises(AirylinkError, match="shape"):
@@ -218,9 +197,9 @@ class TestCalibration:
         """Recompute the fit from the public pieces: the fitted constant is
         <H_d, H_g>/<H_d, H_d>, which makes the residual orthogonal to H_d."""
         c, _ = baseline_calibration
-        w = build_codebook(baseline_scenario, "trad_all").matrix
-        h_g = effective_channel_greens(greens_channel(baseline_scenario), w).entries
-        h_d = effective_channel(diffraction_channel(baseline_scenario), w).entries
+        w = build_codebook(baseline_scenario, "trad_all")
+        h_g = effective_channel_greens(greens_channel(baseline_scenario), w)
+        h_d = effective_channel(diffraction_channel(baseline_scenario), w)
         refit = np.vdot(h_d, h_g) / np.vdot(h_d, h_d).real
         assert refit == pytest.approx(c, rel=1e-12)
         leftover = np.vdot(h_d, h_g - c * h_d)
@@ -229,9 +208,9 @@ class TestCalibration:
     def test_per_entry_agreement_after_scaling(self, baseline_scenario,
                                                baseline_calibration):
         c, _ = baseline_calibration
-        w = build_codebook(baseline_scenario, "trad_all").matrix
-        h_g = effective_channel_greens(greens_channel(baseline_scenario), w).entries
-        h_d = effective_channel(diffraction_channel(baseline_scenario), w, scale=c).entries
+        w = build_codebook(baseline_scenario, "trad_all")
+        h_g = effective_channel_greens(greens_channel(baseline_scenario), w)
+        h_d = effective_channel(diffraction_channel(baseline_scenario), w, scale=c)
         mag_err = np.abs(np.abs(h_d) - np.abs(h_g)) / np.abs(h_g)
         phase_err = np.abs(np.angle(h_d / h_g))
         assert mag_err.max() <= 0.02
@@ -245,7 +224,7 @@ class TestKnifeEdgeSuppression:
         line of sight to any element."""
         deep = UserPosition(-20 * lam, 300 * lam, label="deep")
         scenario = shadow_scenario.with_users((deep, shadow_scenario.users[1]))
-        w = traditional_focus(scenario.array, carrier, deep).weights
+        w = traditional_focus(scenario.array, carrier, deep)
         blocked = beam_column(scenario, w)[0]
         free = beam_column(scenario.without_obstacle(), w)[0]
         drop_db = 10 * math.log10(abs(blocked) ** 2 / abs(free) ** 2)
@@ -261,9 +240,9 @@ class TestKnifeEdgeSuppression:
     def test_curved_beam_beats_blocked_focus_by_10_db(self, shadow_scenario,
                                                       carrier, lam):
         user = shadow_scenario.users[0]
-        trad = traditional_focus(shadow_scenario.array, carrier, user).weights
+        trad = traditional_focus(shadow_scenario.array, carrier, user)
         params = AiryParams(-25.0, 163 * lam, geometric_angle(user))
-        airy = airy_weights(shadow_scenario.array, carrier, params).weights
+        airy = airy_weights(shadow_scenario.array, carrier, params)
         p_trad = abs(beam_column(shadow_scenario, trad)[0]) ** 2
         p_airy = abs(beam_column(shadow_scenario, airy)[0]) ** 2
         assert 10 * math.log10(p_airy / p_trad) > 10.0

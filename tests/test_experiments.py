@@ -7,7 +7,6 @@ their structure and the frozen landmark values.
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,8 +42,8 @@ from airylink.channels import effective_channel
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
 from airylink.geometry import geometric_angle
 
-from batch_of_one import (baseline_points, evaluate_candidate, metrics_of_one, robustness_points,
-                          shadow_points)
+from batch_of_one import (baseline_points, evaluate_candidate, jittered, metrics_of_one,
+                          robustness_points, shadow_points)
 
 
 class TestSweepResult:
@@ -245,7 +244,7 @@ class TestRobustnessSweep:
         scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
         book = build_codebook(
             mixed_scenario, "mixed",
-            airy_params=geometric_baseline_params(mixed_scenario)).matrix
+            airy_params=geometric_baseline_params(mixed_scenario))
         h_eff = effective_channel(diffraction_channel(mixed_scenario), book, scale=scale)
         nominal = per_point_record(mixed_scenario, h_eff, book)
 
@@ -287,7 +286,7 @@ class TestFieldmap:
                          depth_start_lambda=50.0, depth_stop_lambda=350.0,
                          depth_step_lambda=100.0, with_obstacle=False)
         book = build_codebook(mixed_scenario, "trad_all")
-        launch = launch_aperture(book.beams[1].weights, mixed_scenario.array,
+        launch = launch_aperture(book[:, 1], mixed_scenario.array,
                                  mixed_scenario.grid, lam)
         manual = intensity_map(launch, None,
                                [d * lam for d in (50.0, 150.0, 250.0, 350.0)],
@@ -368,7 +367,7 @@ class TestOneMetricsPath:
         expected = []
         for x in sweep.values:
             s = moved_second_user(baseline_scenario, x * lam)
-            book = build_codebook(s, "trad_all").matrix
+            book = build_codebook(s, "trad_all")
             h_eff = effective_channel_greens(greens_channel(s), book)
             expected.append({"trad_all": per_point_record(s, h_eff, book)})
         assert_same_records(sweep, expected)
@@ -382,7 +381,7 @@ class TestOneMetricsPath:
             h_phys = diffraction_channel(s)
             point = {}
             for name in ("trad_all", "airy_geo"):
-                book = build_codebook(s, name, airy_params=geo).matrix
+                book = build_codebook(s, name, airy_params=geo)
                 h_eff = effective_channel(h_phys, book, scale)
                 point[name] = per_point_record(s, h_eff, book)
             expected.append(point)
@@ -392,13 +391,13 @@ class TestOneMetricsPath:
                                                   robustness_result, lam):
         scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
         books = {
-            "trad_all": build_codebook(mixed_scenario, "trad_all").matrix,
+            "trad_all": build_codebook(mixed_scenario, "trad_all"),
             "airy_geo": build_codebook(
                 mixed_scenario, "mixed",
-                airy_params=geometric_baseline_params(mixed_scenario)).matrix,
+                airy_params=geometric_baseline_params(mixed_scenario)),
             "airy_opt": build_codebook(
                 mixed_scenario, "mixed",
-                airy_params=_published_opt_params(mixed_scenario)).matrix,
+                airy_params=_published_opt_params(mixed_scenario)),
         }
         x2 = mixed_scenario.users[1].x
         expected = []
@@ -418,13 +417,12 @@ class TestOneMetricsPath:
         theta_geo = geometric_angle(mixed_scenario.users[0])
         h_phys = diffraction_channel(mixed_scenario)
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1]).weights
+                               mixed_scenario.users[1])
         expected = []
         for d in mixed_opt_result.dtheta_sweep.values:
             params = AiryParams(best.bending, best.focal,
                                 theta_geo + math.radians(d))
-            w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier,
-                              params).weights
+            w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
             w_rf = np.column_stack([w1, w2])
             h_eff = effective_channel(h_phys, w_rf, scale)
             expected.append({"airy_best_bf": per_point_record(mixed_scenario,
@@ -506,7 +504,7 @@ class TestOneMetricsPath:
         assert outside == [(len(result.dtheta_sweep.values), 2, 2)]
 
     def test_angle_sweep_refuses_a_non_finite_channel(self, mixed_scenario, monkeypatch):
-        """The batched angle-sweep channels get ChannelMatrix's finiteness
+        """The batched angle-sweep channels get the channel finiteness
         check, once for the whole batch."""
         responses = airylink.experiments.beam_responses
 
@@ -537,14 +535,15 @@ class TestOneMetricsPath:
 
     def test_fixed_user_beams_built_once_per_sweep(self, shadow_scenario, baseline_scenario,
                                                    mixed_scenario, monkeypatch):
-        """Whatever the number of points, a sweep builds the fixed user's
-        beam once per strategy and every moved user's beam in one batched
-        call per strategy. Logged per call: traditional_focus and
-        airy_weights (one beam each), and the row count of every
-        traditional_focus_rows and airy_weight_rows call, the one-beam
-        builders' own included. Calibration builds two traditional beams;
-        the robustness sweep's beams stay at their nominal designs, so it
-        makes no batched call."""
+        """Whatever the number of points, a sweep builds the beams of the
+        fixed user and of every moved user in one batched call per
+        strategy, and makes no one-beam call. Logged per call:
+        traditional_focus and airy_weights (one beam each), and the row
+        count of every traditional_focus_rows and airy_weight_rows call.
+        Calibration builds two traditional beams in one call; the
+        robustness sweep's beams stay at their nominal designs, one
+        two-user codebook per strategy, whose mixed codebooks make one
+        call per family."""
         calls = {name: [] for name in ("traditional_focus", "airy_weights",
                                        "traditional_focus_rows", "airy_weight_rows")}
         for name, log in calls.items():
@@ -561,16 +560,16 @@ class TestOneMetricsPath:
 
         for step in (3.5, 7.0):
             n, got = beam_calls(run_shadow_scan, shadow_scenario, step)
-            assert got == {"traditional_focus": 2 + 1, "airy_weights": 1,
-                           "traditional_focus_rows": [1, 1, 1, n], "airy_weight_rows": [1, n]}
+            assert got == {"traditional_focus": 0, "airy_weights": 0,
+                           "traditional_focus_rows": [2, n + 1], "airy_weight_rows": [n + 1]}
         for step in (5.0, 2.5):
             n, got = beam_calls(run_baseline_scan, baseline_scenario, step)
-            assert got == {"traditional_focus": 1, "airy_weights": 0,
-                           "traditional_focus_rows": [1, n], "airy_weight_rows": []}
+            assert got == {"traditional_focus": 0, "airy_weights": 0,
+                           "traditional_focus_rows": [n + 1], "airy_weight_rows": []}
         for step in (1.5, 0.75):
             n, got = beam_calls(run_robustness_sweep, mixed_scenario, step)
-            assert got == {"traditional_focus": 2 + 2 + 1 + 1, "airy_weights": 2,
-                           "traditional_focus_rows": [1] * 6, "airy_weight_rows": [1, 1]}
+            assert got == {"traditional_focus": 0, "airy_weights": 0,
+                           "traditional_focus_rows": [2, 2, 1, 1], "airy_weight_rows": [1, 1]}
 
     @pytest.mark.parametrize("run, fixture", [
         (run_baseline_scan, "baseline_scenario"),
@@ -603,16 +602,6 @@ def scored_channels(monkeypatch, run, scenario, **kwargs) -> tuple:
     run(scenario, **kwargs)
     (values, h_eff, w_rf), = seen
     return values, h_eff, w_rf
-
-
-def jittered(scenario, rng, lam):
-    """The scenario with each user moved off the wavelength grid, within
-    +/-0.5 lambda in x and +/-5 lambda in z (no user changes side of the
-    knife edge's shadow boundary)."""
-    return scenario.with_users(tuple(
-        UserPosition(u.x + rng.uniform(-0.5, 0.5) * lam, u.z + rng.uniform(-5.0, 5.0) * lam,
-                     u.label)
-        for u in scenario.users))
 
 
 SWEEPS = [
@@ -666,26 +655,22 @@ class TestStackedSweepChecks:
 
     @pytest.mark.parametrize("run, fixture, builder", [
         (run_baseline_scan, "baseline_scenario", "greens_channel"),
-        (run_shadow_scan, "shadow_scenario", "_channel_builder"),
-        (run_robustness_sweep, "mixed_scenario", "_channel_builder"),
+        (run_shadow_scan, "shadow_scenario", "diffraction_channel"),
+        (run_robustness_sweep, "mixed_scenario", "diffraction_channel"),
     ], ids=SWEEP_IDS)
     def test_nan_in_one_moved_row_refused(self, run, fixture, builder, request,
                                           monkeypatch):
-        """A NaN in the third moved user's row, handed over without
-        ChannelMatrix's own check, is caught by the one finiteness check
+        """A NaN in the third moved user's row, handed over without the
+        channel builder's own check, is caught by the one finiteness check
         over the stacked effective channels."""
         real = getattr(airylink.experiments, builder)
 
-        def with_nan(matrix):
-            entries = matrix.entries.copy()
+        def with_nan(scenario):
+            entries = real(scenario).copy()
             entries[3, 7] = complex(math.nan, 0.0)
-            return SimpleNamespace(entries=entries)
+            return entries
 
-        if builder == "greens_channel":
-            patched = lambda scenario: with_nan(real(scenario))  # noqa: E731
-        else:
-            patched = lambda scenario: (lambda users: with_nan(real(scenario)(users)))  # noqa: E731
-        monkeypatch.setattr(airylink.experiments, builder, patched)
+        monkeypatch.setattr(airylink.experiments, builder, with_nan)
         with pytest.raises(AirylinkError, match="NaN or Inf"):
             run(request.getfixturevalue(fixture), step_lambda=1.0)
 
@@ -709,12 +694,13 @@ class TestStackedSweepChecks:
     def test_batched_beam_norm_checked(self, run, fixture, family, factor, shown,
                                        request, monkeypatch):
         """One moved user's beam off unit norm stops the sweep with
-        BeamWeights' message."""
+        check_unit_norm's message. Only the sweeps' own codebooks hold more
+        than two rows."""
         real = getattr(airylink.beams, family)
 
         def off(*args):
             rows = real(*args)
-            if len(rows) > 1:
+            if len(rows) > 2:
                 rows[2] *= factor
             return rows
 

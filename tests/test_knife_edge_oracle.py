@@ -57,7 +57,7 @@ FOCUS_LOSS_TOL_DB = 0.5
 
 def calibrated_channel(scenario) -> np.ndarray:
     scale, _ = remark1_calibration(scenario.without_obstacle())
-    return scale * diffraction_channel(scenario).entries
+    return scale * diffraction_channel(scenario)
 
 
 class TestFresnelIntegral:
@@ -108,7 +108,7 @@ class TestChannelAgainstOracle:
         pairs = ((calibrated_channel(free), calibrated_channel(scenario)),
                  (oracle_channel(free), oracle_channel(scenario)))
         for k, user in enumerate(scenario.users):
-            w = traditional_focus(scenario.array, scenario.carrier, user).weights
+            w = traditional_focus(scenario.array, scenario.carrier, user)
             model_db, oracle_db = (
                 10 * math.log10(abs(h_free[k] @ w) ** 2 / abs(h_edge[k] @ w) ** 2)
                 for h_free, h_edge in pairs)

@@ -38,7 +38,7 @@ from batch_of_one import beam_column, evaluate_candidate, metrics_of_one
 def fixed_h2(mixed_scenario):
     w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
                            mixed_scenario.users[1])
-    return beam_column(mixed_scenario, w2.weights)
+    return beam_column(mixed_scenario, w2)
 
 
 def singleton_grids(bending=GEO_BENDING, focal=GEO_FOCAL, dtheta=0.0):
@@ -106,14 +106,13 @@ class TestEvaluateCandidate:
         params = geometric_baseline_params(mixed_scenario)
         _, h11_power = evaluate_candidate(mixed_scenario, params)
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
-        expected = abs(beam_column(mixed_scenario, w1.weights)[0]) ** 2
+        expected = abs(beam_column(mixed_scenario, w1)[0]) ** 2
         assert h11_power == expected
 
     def test_matches_manual_pipeline(self, mixed_scenario, fixed_h2):
         """The candidate score is exactly what the full codebook pipeline
         computes for the same pair of beams, bit for bit."""
-        from airylink import ChannelMatrix, airy_weights
-        from airylink.channels import FRESNEL_DIFFRACTION
+        from airylink import airy_weights
 
         params = geometric_baseline_params(mixed_scenario)
         rate, _ = evaluate_candidate(mixed_scenario, params)
@@ -121,10 +120,9 @@ class TestEvaluateCandidate:
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
                                mixed_scenario.users[1])
-        h1 = beam_column(mixed_scenario, w1.weights)
-        h_eff = ChannelMatrix(np.column_stack([h1, fixed_h2]),
-                              model=FRESNEL_DIFFRACTION, kind="effective")
-        w_rf = np.column_stack([w1.weights, w2.weights])
+        h1 = beam_column(mixed_scenario, w1)
+        h_eff = np.column_stack([h1, fixed_h2])
+        w_rf = np.column_stack([w1, w2])
         manual = metrics_of_one(h_eff, w_rf, mixed_scenario.tx_power,
                                 mixed_scenario.rzf_epsilon,
                                 mixed_scenario.noise_power)["sum_rate"]
@@ -320,14 +318,14 @@ class TestScoreChunkH11Exact:
         grids = default_search_grids()
         designs = [(b, f, theta_geo + dt) for b in grids.coarse_bending
                    for f in grids.coarse_focal for dt in grids.coarse_dtheta][:_CHUNK]
-        h_phys = optimizer.diffraction_channel(mixed_scenario).entries
+        h_phys = optimizer.diffraction_channel(mixed_scenario)
         w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, scale)
         _, h11_power = optimizer._score_chunk(mixed_scenario, h_phys, tuple(zip(*designs)),
                                               w2, h2, scale)
         from airylink import airy_weights
 
         expected = [abs(beam_column(mixed_scenario, airy_weights(
-            mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d)).weights,
+            mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d)),
             scale)[0]) ** 2 for d in designs]
         assert len(expected) == _CHUNK
         assert h11_power.tobytes() == np.array(expected).tobytes()

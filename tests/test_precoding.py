@@ -11,18 +11,15 @@ import pytest
 
 from airylink import (
     AirylinkError,
-    ChannelMatrix,
     SingularChannelError,
     rzf_precoder,
 )
-from airylink.channels import GREENS_FREE_SPACE
 
 from batch_of_one import metrics_of_one
 
 
-def effective(entries) -> ChannelMatrix:
-    return ChannelMatrix(np.asarray(entries, dtype=complex),
-                         model=GREENS_FREE_SPACE, kind="effective")
+def effective(entries) -> np.ndarray:
+    return np.asarray(entries, dtype=complex)
 
 
 def orthonormal_w_rf(k: int = 2, n: int = 4) -> np.ndarray:
@@ -32,7 +29,7 @@ def orthonormal_w_rf(k: int = 2, n: int = 4) -> np.ndarray:
     return w
 
 
-def random_well_conditioned(rng, k: int = 2) -> ChannelMatrix:
+def random_well_conditioned(rng, k: int = 2) -> np.ndarray:
     while True:
         h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         sigma = np.linalg.svd(h, compute_uv=False)
@@ -111,7 +108,7 @@ class TestRegularization:
         """As one beam's channel column fades toward zero, sigma_min passes
         through sqrt(epsilon) where the inverse peaks at 1/(2 sqrt(eps));
         the power normalization then drives alpha (and the rate) to zero."""
-        h_good = random_well_conditioned(rng).entries
+        h_good = random_well_conditioned(rng)
         h_bad = h_good.copy()
         h_bad[:, 0] *= 1e-5  # sigma_min lands near sqrt(1e-10)
         res = rzf_precoder(effective(h_bad), orthonormal_w_rf(),
@@ -142,10 +139,15 @@ class TestSingularGuards:
 
 class TestValidation:
     def test_physical_kind_rejected(self):
-        h = ChannelMatrix(np.eye(2, dtype=complex), model=GREENS_FREE_SPACE,
-                          kind="physical")
-        with pytest.raises(AirylinkError, match="effective"):
+        """A K x N physical matrix is not an effective channel."""
+        h = np.ones((2, 4), dtype=complex)
+        with pytest.raises(AirylinkError, match="effective channel must be square"):
             rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
+
+    def test_nonfinite_channel_rejected(self):
+        with pytest.raises(AirylinkError, match="NaN or Inf"):
+            rzf_precoder(effective([[1.0, 0.0], [0.0, math.inf]]), orthonormal_w_rf(),
+                         tx_power=1.0, epsilon=0.0)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(AirylinkError, match="epsilon"):
@@ -170,7 +172,7 @@ class TestLinkMetrics:
         h = random_well_conditioned(rng)
         m = metrics_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0,
                            noise_power=1e-3)
-        sigma = np.linalg.svd(h.entries, compute_uv=False)
+        sigma = np.linalg.svd(h, compute_uv=False)
         assert m["condition_number"] == pytest.approx(sigma[0] / sigma[-1], rel=1e-12)
         assert m["singular_values"] == pytest.approx(tuple(sigma), rel=1e-12)
         assert not m["singular"]
