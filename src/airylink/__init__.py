@@ -11,7 +11,7 @@ quadrature oracle behind it.
 from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
 from .channels import (
     diffraction_channel,
-    effective_channel_greens,
+    effective_channel,
     greens_channel,
     remark1_calibration,
 )

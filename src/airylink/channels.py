@@ -16,14 +16,12 @@ complex array; check_finite and check_effective hold the rules it meets:
   transposed cascade they compose from the factor definitions in
   `propagation`.
 
-A diffraction-model matrix meets the codebook in effective_channel, whose
-einsum (beam_responses) gives an entry the same bits alone or in a batch
-of many users and beams. The calibration goes through it; the obstructed
+Both models meet the codebook in effective_channel, whose einsum
+(beam_responses) gives an entry the same bits alone or in a batch of many
+users and beams. The calibration goes through it for both models; the
 sweeps take every point's effective channel from one beam_responses
 product of all their user rows and beams, and the search scores its
-chunks with beam_responses directly. The Green's model keeps its own `@`
-product (effective_channel_greens, or one stacked `@` over a sweep's
-points), which rounds the last bits differently.
+chunks with beam_responses directly.
 
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so a single complex calibration
@@ -50,7 +48,6 @@ __all__ = [
     "check_finite",
     "check_effective",
     "effective_channel",
-    "effective_channel_greens",
     "remark1_calibration",
 ]
 
@@ -125,17 +122,9 @@ def check_effective(h_eff) -> None:
 def effective_channel(
     h_phys: np.ndarray, w_rf, scale: complex = 1.0 + 0.0j
 ) -> np.ndarray:
-    """Effective channel scale * H_phys @ W_RF (K x K) of a diffraction-model
+    """Effective channel scale * H_phys @ W_RF (K x K) of either model's
     physical matrix, one column per beam, summed as in beam_responses."""
     h_eff = beam_responses(h_phys, _beam_matrix(h_phys, w_rf).T, scale).T
-    check_effective(h_eff)
-    return h_eff
-
-
-def effective_channel_greens(h_phys: np.ndarray, w_rf) -> np.ndarray:
-    """Effective (per-beam) channel (K x K): plain product of the physical
-    matrix with the N x K analog beam matrix."""
-    h_eff = h_phys @ _beam_matrix(h_phys, w_rf)
     check_effective(h_eff)
     return h_eff
 
@@ -210,7 +199,7 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
     from .beams import build_codebook  # local import to avoid a module cycle
 
     w_rf = build_codebook(scenario, "trad_all")
-    h_greens = effective_channel_greens(greens_channel(scenario), w_rf)
+    h_greens = effective_channel(greens_channel(scenario), w_rf)
     h_diff = effective_channel(diffraction_channel(scenario), w_rf)
     denom = np.vdot(h_diff, h_diff).real
     if denom == 0.0:

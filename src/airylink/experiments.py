@@ -23,16 +23,17 @@ RZF + metrics pass (precoding.batch_metrics), whose RZF and sum-rate
 arithmetic the beam search shares; the sweep keeps that pass's metric
 columns as they are, one row per pair.
 
-No sweep loops over its points. In the baseline, shadow and robustness
-sweeps one user moves and the other stays: one channel call, and one
-build_codebook call per strategy, on a scenario that holds the fixed user
-and every moved user give all of their rows and beams (the robustness
-sweep's beams stay at the nominal design), and every point's effective
-channel is gathered from one beam_responses product of all rows and beams
-(diffraction model) or taken from one stacked `@` (Green's model), with
-the bits of the per-point product. The mixed-optimization angle sweep
-gathers its channels the same way from the channel matrix that the search
-returns.
+No sweep loops over its points. The baseline, shadow and robustness
+sweeps share one body, in which one user moves and the other stays: one
+channel call on a scenario that holds the fixed user and every moved user
+gives all of their rows (closed form in free space, diffraction model
+behind the obstacle), one codebook call per strategy gives their beams
+(the robustness sweep's stay at the nominal design, the bright user's
+repeated for every point), and every point's effective channel is
+gathered from one beam_responses product of all rows and beams, with the
+bits of effective_channel on that point alone. The mixed-optimization
+angle sweep gathers its channels the same way from the channel matrix and
+the bright-user beam that the search returns.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import (AiryParams, airy_weight_rows, airy_weights, build_codebook,
-                    check_airy_columns, traditional_focus)
+from .beams import AiryParams, airy_weight_rows, airy_weights, build_codebook, check_airy_columns
 from .channels import (
     beam_responses,
     check_finite,
@@ -171,29 +171,49 @@ def _fixed_and_moved(points: int) -> np.ndarray:
     return np.column_stack([np.zeros(points, dtype=int), np.arange(1, points + 1)])
 
 
-def _analog_matrices(beams: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Every (point, strategy) analog matrix, value-major: beams holds each
-    strategy's beam rows (S x B x N), and point p's matrix takes the rows
-    cols[p] of every strategy as its columns (P*S x N x K, contiguous)."""
-    w = beams[:, cols].transpose(1, 0, 3, 2)
-    return np.ascontiguousarray(w.reshape(-1, *w.shape[2:]))
-
-
 def _gathered_channels(h_rows: np.ndarray, beams: np.ndarray, scale: complex,
                        rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """Every (point, strategy) diffraction-model effective channel
-    (P*S x K x K) and analog matrix, value-major, from one beam_responses
+    """Every (point, strategy) effective channel (P*S x K x K) and analog
+    matrix (P*S x N x K, contiguous), value-major, from one beam_responses
     product of all user rows h_rows (R x N) and all beams (S x B x N):
     point p's channel under strategy s has entry [k, c] = response of beam
-    cols[p, c] of s at user row rows[p, k]. The einsum sums each entry over
-    the elements alone, so it has the bits of effective_channel on that
+    cols[p, c] of s at user row rows[p, k], and its analog matrix takes
+    those beams as its columns. The einsum sums each entry over the
+    elements alone, so it has the bits of effective_channel on that
     point's matrices."""
     s, b, n = beams.shape
     responses = beam_responses(h_rows, beams.reshape(s * b, n), scale).reshape(s, b, -1)
     h_eff = responses[:, cols[:, None, :], rows[:, :, None]].swapaxes(0, 1)
     h_eff = h_eff.reshape(-1, *h_eff.shape[2:])
     check_finite(h_eff)
-    return h_eff, _analog_matrices(beams, cols)
+    w_rf = beams[:, cols].transpose(1, 0, 3, 2)
+    return h_eff, np.ascontiguousarray(w_rf.reshape(-1, *w_rf.shape[2:]))
+
+
+def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
+                       values: list, strategies: tuple, codebook,
+                       scale: complex = 1.0 + 0.0j, from_nominal: bool = False) -> SweepResult:
+    """Sweep user 2 along x at its own depth, user 1 fixed: to x = value *
+    lambda, or to its nominal x + value * lambda when from_nominal.
+
+    One channel call gives the fixed row and every moved row, from the
+    closed form in free space or from the diffraction model (times
+    `scale`) behind an obstacle. codebook(everyone, name) gives one
+    strategy's N x (1 + P) beams, one per channel row; point p pairs rows
+    and beams (0, 1 + p)."""
+    if scenario.k != 2:
+        raise ConfigError(f"{what} expects exactly 2 users, got {scenario.k}")
+    lam = scenario.carrier.wavelength
+    u1, u2 = scenario.users
+    x0 = u2.x if from_nominal else 0.0
+    moved = [UserPosition(x=x0 + v * lam, z=u2.z, label=u2.label) for v in values]
+    everyone = scenario.with_users((u1, *moved))
+    channel = greens_channel if scenario.obstacle is None else diffraction_channel
+    h_rows = channel(everyone)
+    beams = np.stack([codebook(everyone, name).T for name in strategies])
+    pairs = _fixed_and_moved(len(values))
+    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, pairs, pairs)
+    return _scored_sweep(scenario, sweep_variable, strategies, values, h_eff, w_rf)
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list:
@@ -225,19 +245,9 @@ def run_baseline_scan(
     """
     if scenario.obstacle is not None:
         raise ConfigError("baseline scan is a free-space experiment; remove the obstacle")
-    if scenario.k != 2:
-        raise ConfigError(f"baseline scan expects exactly 2 users, got {scenario.k}")
-    lam = scenario.carrier.wavelength
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
-    u1, u2 = scenario.users
-    moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
-    everyone = scenario.with_users((u1, *moved))
-    h_rows = greens_channel(everyone)
-    pairs = _fixed_and_moved(len(xs))
-    w_rf = _analog_matrices(build_codebook(everyone, "trad_all").T[None], pairs)
-    h_eff = h_rows[pairs] @ w_rf
-    check_finite(h_eff)
-    return _scored_sweep(scenario, "x2_lambda", ("trad_all",), xs, h_eff, w_rf)
+    return _second_user_sweep(scenario, "baseline scan", "x2_lambda", xs,
+                              ("trad_all",), build_codebook)
 
 
 def run_shadow_scan(
@@ -256,21 +266,13 @@ def run_shadow_scan(
     """
     if scenario.obstacle is None:
         raise ConfigError("shadow scan needs an obstacle in the scenario")
-    if scenario.k != 2:
-        raise ConfigError(f"shadow scan expects exactly 2 users, got {scenario.k}")
-    lam = scenario.carrier.wavelength
     geo = geometric_baseline_params(scenario)
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
-    strategies = ("trad_all", "airy_geo")
-    u1, u2 = scenario.users
-    moved = [UserPosition(x=x2_lambda * lam, z=u2.z, label=u2.label) for x2_lambda in xs]
-    everyone = scenario.with_users((u1, *moved))
-    h_rows = diffraction_channel(everyone)
-    beams = np.stack([build_codebook(everyone, name, geo).T for name in strategies])
-    pairs = _fixed_and_moved(len(xs))
-    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, pairs, pairs)
-    return _scored_sweep(scenario, "x2_lambda", strategies, xs, h_eff, w_rf)
+    return _second_user_sweep(scenario, "shadow scan", "x2_lambda", xs,
+                              ("trad_all", "airy_geo"),
+                              lambda everyone, name: build_codebook(everyone, name, geo),
+                              scale)
 
 
 def run_mixed_optimization(
@@ -298,11 +300,11 @@ def run_mixed_optimization(
     best = outcome.best_params
     angles = [theta_geo + math.radians(d) for d in dthetas]
     check_airy_columns(launch_angle=angles)
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
     rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
                             [best.focal] * len(angles), angles)
-    # Beams (w2, then one row per point); point p's columns are (row p, w2).
-    beams = np.vstack([w2, rows])[None]
+    # Beams (the search's bright-user beam w2, then one row per point);
+    # point p's columns are (row p, w2).
+    beams = np.vstack([outcome.w2, rows])[None]
     cols = _fixed_and_moved(len(angles))[:, ::-1]
     users = np.broadcast_to(np.arange(scenario.k), cols.shape)
     h_eff, w_rf = _gathered_channels(outcome.h_phys, beams, scale, users, cols)
@@ -392,22 +394,17 @@ def run_robustness_sweep(
     dx2; only the bright user's channel row differs from point to point."""
     if scenario.obstacle is None:
         raise ConfigError("robustness sweep needs the obstructed mixed scenario")
-    if scenario.k != 2:
-        raise ConfigError(f"robustness sweep expects exactly 2 users, got {scenario.k}")
-    lam = scenario.carrier.wavelength
     scale, _residual = remark1_calibration(scenario.without_obstacle())
-
-    # Nominal-design codebooks, frozen for the whole sweep.
-    strategies = ("trad_all", "airy_geo", "airy_opt")
-    beams = np.stack([_named_codebook(scenario, name).T for name in strategies])
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
-    u1, u2 = scenario.users
-    moved = [UserPosition(x=u2.x + dx_lambda * lam, z=u2.z, label=u2.label) for dx_lambda in dxs]
-    h_rows = diffraction_channel(scenario.with_users((u1, *moved)))
-    rows = _fixed_and_moved(len(dxs))
-    cols = np.broadcast_to(np.arange(scenario.k), rows.shape)
-    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, rows, cols)
-    return _scored_sweep(scenario, "dx2_lambda", strategies, dxs, h_eff, w_rf)
+
+    # Beams frozen at the nominal design: the nominal bright-user beam
+    # serves every moved point.
+    def frozen(everyone, name):
+        return _named_codebook(scenario, name)[:, np.minimum(np.arange(everyone.k), 1)]
+
+    return _second_user_sweep(scenario, "robustness sweep", "dx2_lambda", dxs,
+                              ("trad_all", "airy_geo", "airy_opt"), frozen, scale,
+                              from_nominal=True)
 
 
 def run_fieldmap(

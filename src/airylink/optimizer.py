@@ -157,9 +157,11 @@ class SearchOutcome:
     evaluations: int
     rejected_by_constraint: int
     trace: SearchTrace
-    # The K x N physical channel the candidates were scored on, for callers
-    # that evaluate more beams on the same scenario.
+    # The K x N physical channel the candidates were scored on and the
+    # bright user's beam they were paired with, for callers that evaluate
+    # more beams on the same scenario.
     h_phys: np.ndarray = field(compare=False, repr=False)
+    w2: np.ndarray = field(compare=False, repr=False)
 
 
 def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
@@ -336,5 +338,6 @@ def coarse_to_fine_search(
         rejected_by_constraint=int(np.count_nonzero(~trace.feasible)),
         trace=trace,
         h_phys=h_phys,
+        w2=w2,
     )
 

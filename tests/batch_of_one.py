@@ -47,7 +47,7 @@ from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
                       diffraction_channel, geometric_angle, geometric_baseline_params,
                       remark1_calibration, traditional_focus)
 from airylink.beams import AiryParams
-from airylink.channels import beam_responses, effective_channel, effective_channel_greens
+from airylink.channels import beam_responses, effective_channel
 from airylink.experiments import _published_opt_params
 from airylink.optimizer import _bright_beam, _one_design, _score_chunk
 from airylink.precoding import _stack, batch_metrics
@@ -148,14 +148,15 @@ def _stacked(h_eff: list, w_rf: list) -> tuple:
 
 def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     """run_baseline_scan's channels, one point at a time: user 2 at
-    x = x2 * lambda, a Green's-model matrix and one `@` per point."""
+    x = x2 * lambda, a Green's-model matrix and one effective_channel per
+    point."""
     lam = scenario.carrier.wavelength
     u1 = scenario.users[0]
     h_eff, w_rf = [], []
     for x2_lambda in xs_lambda:
         point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
         w = codebook_of_one(point, "trad_all")
-        h_eff.append(effective_channel_greens(greens_rows_of_one(point), w))
+        h_eff.append(effective_channel(greens_rows_of_one(point), w))
         w_rf.append(w)
     return _stacked(h_eff, w_rf)
 

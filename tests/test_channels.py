@@ -16,12 +16,12 @@ from airylink import (
     airy_weights,
     build_codebook,
     diffraction_channel,
-    effective_channel_greens,
+    effective_channel,
     greens_channel,
     remark1_calibration,
     traditional_focus,
 )
-from airylink.channels import check_finite, effective_channel
+from airylink.channels import beam_responses, check_finite
 from airylink.geometry import geometric_angle
 
 from batch_of_one import beam_column, greens_rows_of_one
@@ -88,22 +88,19 @@ class TestChannelMatrix:
         """Three beams for two users."""
         h = greens_channel(baseline_scenario)
         with pytest.raises(AirylinkError, match="square"):
-            effective_channel_greens(h, np.ones((64, 3), dtype=complex))
-        with pytest.raises(AirylinkError, match="square"):
             effective_channel(h, np.ones((64, 3), dtype=complex))
 
 
 class TestEffectiveGreens:
     def test_matches_manual_product(self, baseline_scenario):
+        """The Green's model meets the codebook in the one beam_responses
+        einsum, bit for bit, which agrees with the plain product H @ W to
+        round-off."""
         h = greens_channel(baseline_scenario)
         w = build_codebook(baseline_scenario, "trad_all")
-        eff = effective_channel_greens(h, w)
-        assert np.array_equal(eff, h @ w)
-
-    def test_beam_matrix_shape_checked(self, baseline_scenario):
-        h = greens_channel(baseline_scenario)
-        with pytest.raises(AirylinkError, match="shape"):
-            effective_channel_greens(h, np.ones((8, 2), dtype=complex))
+        eff = effective_channel(h, w)
+        assert eff.tobytes() == beam_responses(h, w.T).T.tobytes()
+        assert np.allclose(eff, h @ w, rtol=1e-13, atol=0.0)
 
     def test_single_user_gives_scalar_channel(self, carrier, lam, grid_std,
                                               array64):
@@ -113,7 +110,7 @@ class TestEffectiveGreens:
             carrier, array64, (UserPosition(-5 * lam, 250 * lam),), grid_std,
             noise_power=1e-3, tx_power=1.0, rzf_epsilon=1e-10)
         w = build_codebook(scenario, "trad_all")
-        eff = effective_channel_greens(greens_channel(scenario), w)
+        eff = effective_channel(greens_channel(scenario), w)
         assert eff.shape == (1, 1)
 
     def test_matched_beam_diagonal_dominates(self, baseline_scenario, lam):
@@ -122,7 +119,7 @@ class TestEffectiveGreens:
         cross-entries are strictly smaller in magnitude."""
         h = greens_channel(baseline_scenario)
         w = build_codebook(baseline_scenario, "trad_all")
-        eff = effective_channel_greens(h, w)
+        eff = effective_channel(h, w)
         xs = np.asarray(baseline_scenario.array.element_x())
         for k, user in enumerate(baseline_scenario.users):
             r = np.hypot(xs - user.x, user.z)
@@ -198,7 +195,7 @@ class TestCalibration:
         <H_d, H_g>/<H_d, H_d>, which makes the residual orthogonal to H_d."""
         c, _ = baseline_calibration
         w = build_codebook(baseline_scenario, "trad_all")
-        h_g = effective_channel_greens(greens_channel(baseline_scenario), w)
+        h_g = effective_channel(greens_channel(baseline_scenario), w)
         h_d = effective_channel(diffraction_channel(baseline_scenario), w)
         refit = np.vdot(h_d, h_g) / np.vdot(h_d, h_d).real
         assert refit == pytest.approx(c, rel=1e-12)
@@ -209,7 +206,7 @@ class TestCalibration:
                                                baseline_calibration):
         c, _ = baseline_calibration
         w = build_codebook(baseline_scenario, "trad_all")
-        h_g = effective_channel_greens(greens_channel(baseline_scenario), w)
+        h_g = effective_channel(greens_channel(baseline_scenario), w)
         h_d = effective_channel(diffraction_channel(baseline_scenario), w, scale=c)
         mag_err = np.abs(np.abs(h_d) - np.abs(h_g)) / np.abs(h_g)
         phase_err = np.abs(np.angle(h_d / h_g))

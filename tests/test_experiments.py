@@ -6,6 +6,7 @@ their structure and the frozen landmark values.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from airylink import (
     airy_weights,
     build_codebook,
     diffraction_channel,
-    effective_channel_greens,
+    effective_channel,
     geometric_baseline_params,
     greens_channel,
     intensity_map,
@@ -38,7 +39,6 @@ from airylink import (
     run_shadow_scan,
     traditional_focus,
 )
-from airylink.channels import effective_channel
 from airylink.experiments import PUBLISHED_OPT, _published_opt_params
 from airylink.geometry import geometric_angle
 
@@ -368,7 +368,7 @@ class TestOneMetricsPath:
         for x in sweep.values:
             s = moved_second_user(baseline_scenario, x * lam)
             book = build_codebook(s, "trad_all")
-            h_eff = effective_channel_greens(greens_channel(s), book)
+            h_eff = effective_channel(greens_channel(s), book)
             expected.append({"trad_all": per_point_record(s, h_eff, book)})
         assert_same_records(sweep, expected)
 
@@ -532,6 +532,21 @@ class TestOneMetricsPath:
         count_calls(monkeypatch, airylink.propagation.Cascade, "transpose", calls)
         run_mixed_optimization(mixed_scenario, grids=small_grids())
         assert len(calls) == 4
+
+    def test_mixed_optimization_builds_the_bright_beam_once(self, mixed_scenario,
+                                                            monkeypatch):
+        """The search builds the bright user's beam and hands it over
+        (SearchOutcome.w2); the angle sweep pairs every row with it. Counted
+        in every airylink module that holds traditional_focus."""
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("airylink") and hasattr(module, "traditional_focus"):
+                count_calls(monkeypatch, module, "traditional_focus", calls)
+        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        assert len(calls) == 1
+        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
+                               mixed_scenario.users[1])
+        assert result.search.w2.tobytes() == w2.tobytes()
 
     def test_fixed_user_beams_built_once_per_sweep(self, shadow_scenario, baseline_scenario,
                                                    mixed_scenario, monkeypatch):
