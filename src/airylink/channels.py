@@ -16,12 +16,12 @@ complex array; check_finite and check_effective hold the rules it meets:
   transposed cascade they compose from the factor definitions in
   `propagation`.
 
-Both models meet the codebook in effective_channel, whose einsum
-(beam_responses) gives an entry the same bits alone or in a batch of many
-users and beams. The calibration goes through it for both models; the
-sweeps take every point's effective channel from one beam_responses
-product of all their user rows and beams, and the search scores its
-chunks with beam_responses directly.
+Both models meet the codebook in beam_responses, the one product of user
+rows and beam rows: its einsum gives an entry the same bits alone or in a
+batch, and its leading axes broadcast. effective_channel is that product
+on one K x N matrix and one W_RF, which the calibration uses for both
+models; a sweep stacks each point's rows and beams and calls it once, and
+the search scores each chunk of candidate beams with it directly.
 
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so a single complex calibration
@@ -81,20 +81,23 @@ def greens_channel(scenario: ScenarioConfig) -> np.ndarray:
     return entries
 
 
-def beam_responses(h_phys: np.ndarray, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
-    """Per-user response of many beams at once: row c of the C x K result is
-    scale * H_phys @ weights[c] for the C x N weight rows.
+def beam_responses(h_phys: np.ndarray, beams, scale: complex = 1.0 + 0.0j) -> np.ndarray:
+    """Response of many beams at many users at once: user rows h_phys
+    (..., K, N) times beam rows (..., C, N) give the (..., K, C) effective
+    channels, entry [k, c] = scale * h_phys[k] @ beams[c]. Leading axes
+    broadcast.
 
-    The sum over elements runs in einsum's fixed order on contiguous rows,
-    so a beam gets the same bits whether it is scored alone or in a batch
-    (a BLAS product may switch between gemv and gemm and reorder the sum).
+    The sum over elements runs in einsum's fixed order on beam rows made
+    contiguous along the elements, so an entry gets the same bits whether
+    it is formed alone or in a batch (a BLAS product may switch between
+    gemv and gemm and reorder the sum).
     The scale is applied as np.multiply(scale, ...): `scale * temporary`
     on an array of 256 KiB or more is done in place with the operands
     swapped, and numpy's complex multiply rounds (x, scale) differently
     from (scale, x), so a large batch would lose those bits.
     """
-    rows = np.ascontiguousarray(weights, dtype=complex)
-    return np.multiply(scale, np.einsum("kn,cn->ck", h_phys, rows))
+    beam_rows = np.ascontiguousarray(beams, dtype=complex)
+    return np.multiply(scale, np.einsum("...kn,...cn->...kc", h_phys, beam_rows))
 
 
 def _beam_matrix(h_phys: np.ndarray, w_rf) -> np.ndarray:
@@ -124,7 +127,7 @@ def effective_channel(
 ) -> np.ndarray:
     """Effective channel scale * H_phys @ W_RF (K x K) of either model's
     physical matrix, one column per beam, summed as in beam_responses."""
-    h_eff = beam_responses(h_phys, _beam_matrix(h_phys, w_rf).T, scale).T
+    h_eff = beam_responses(h_phys, _beam_matrix(h_phys, w_rf).T, scale)
     check_effective(h_eff)
     return h_eff
 

@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except AirylinkError as exc:
+    except (AirylinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,13 +27,14 @@ No sweep loops over its points. The baseline, shadow and robustness
 sweeps share one body, in which one user moves and the other stays: one
 channel call on a scenario that holds the fixed user and every moved user
 gives all of their rows (closed form in free space, diffraction model
-behind the obstacle), one codebook call per strategy gives their beams
+behind the obstacle), and one codebook call per strategy gives their beams
 (the robustness sweep's stay at the nominal design, the bright user's
-repeated for every point), and every point's effective channel is
-gathered from one beam_responses product of all rows and beams, with the
-bits of effective_channel on that point alone. The mixed-optimization
-angle sweep gathers its channels the same way from the channel matrix and
-the bright-user beam that the search returns.
+repeated for every point). Each point's 2 rows and each strategy's 2
+beams are stacked, and one beam_responses product forms every point's
+effective channel, with the bits of effective_channel on that point
+alone. The mixed-optimization angle sweep stacks each point's curved beam
+with the bright-user beam that the search returns and takes the same
+product with the search's channel matrix.
 """
 
 from __future__ import annotations
@@ -156,38 +157,14 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
                   values: list, h_eff, w_rf) -> SweepResult:
     """Score a whole sweep in one batch: h_eff and w_rf hold one effective
     channel (K x K) and analog matrix (N x K) per (value, strategy) pair,
-    value-major, strategies in order. Every point's invariants are checked."""
+    value-major, strategies in order. The channels must be finite, and
+    every point's invariants are checked."""
     h = np.ascontiguousarray(h_eff, dtype=complex)
+    check_finite(h)
     w = np.ascontiguousarray(w_rf, dtype=complex)
     m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power)
     _assert_point_invariants(scenario, achieved_power(w, w_bb), m)
     return SweepResult(sweep_variable, strategies, values, m)
-
-
-def _fixed_and_moved(points: int) -> np.ndarray:
-    """Per point p, the indices (0, 1 + p) into a stack that holds a fixed
-    item (the fixed user's row or beam) first and one moved item per point
-    after it."""
-    return np.column_stack([np.zeros(points, dtype=int), np.arange(1, points + 1)])
-
-
-def _gathered_channels(h_rows: np.ndarray, beams: np.ndarray, scale: complex,
-                       rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """Every (point, strategy) effective channel (P*S x K x K) and analog
-    matrix (P*S x N x K, contiguous), value-major, from one beam_responses
-    product of all user rows h_rows (R x N) and all beams (S x B x N):
-    point p's channel under strategy s has entry [k, c] = response of beam
-    cols[p, c] of s at user row rows[p, k], and its analog matrix takes
-    those beams as its columns. The einsum sums each entry over the
-    elements alone, so it has the bits of effective_channel on that
-    point's matrices."""
-    s, b, n = beams.shape
-    responses = beam_responses(h_rows, beams.reshape(s * b, n), scale).reshape(s, b, -1)
-    h_eff = responses[:, cols[:, None, :], rows[:, :, None]].swapaxes(0, 1)
-    h_eff = h_eff.reshape(-1, *h_eff.shape[2:])
-    check_finite(h_eff)
-    w_rf = beams[:, cols].transpose(1, 0, 3, 2)
-    return h_eff, np.ascontiguousarray(w_rf.reshape(-1, *w_rf.shape[2:]))
 
 
 def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
@@ -199,8 +176,9 @@ def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
     One channel call gives the fixed row and every moved row, from the
     closed form in free space or from the diffraction model (times
     `scale`) behind an obstacle. codebook(everyone, name) gives one
-    strategy's N x (1 + P) beams, one per channel row; point p pairs rows
-    and beams (0, 1 + p)."""
+    strategy's N x (1 + P) beams, one per channel row; point p takes rows
+    and beams (0, 1 + p), and one beam_responses product forms just those
+    2 x 2 entries per point and strategy."""
     if scenario.k != 2:
         raise ConfigError(f"{what} expects exactly 2 users, got {scenario.k}")
     lam = scenario.carrier.wavelength
@@ -209,11 +187,14 @@ def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
     moved = [UserPosition(x=x0 + v * lam, z=u2.z, label=u2.label) for v in values]
     everyone = scenario.with_users((u1, *moved))
     channel = greens_channel if scenario.obstacle is None else diffraction_channel
-    h_rows = channel(everyone)
-    beams = np.stack([codebook(everyone, name).T for name in strategies])
-    pairs = _fixed_and_moved(len(values))
-    h_eff, w_rf = _gathered_channels(h_rows, beams, scale, pairs, pairs)
-    return _scored_sweep(scenario, sweep_variable, strategies, values, h_eff, w_rf)
+    pairs = np.column_stack([np.zeros(len(values), dtype=int), np.arange(1, len(values) + 1)])
+    rows = channel(everyone)[pairs]
+    # P x S x 2 x N: each point's fixed and moved beam under each strategy.
+    beams = np.stack([codebook(everyone, name).T for name in strategies])[:, pairs].swapaxes(0, 1)
+    h_eff = beam_responses(rows[:, None], beams, scale)
+    w_rf = beams.swapaxes(2, 3).reshape(-1, beams.shape[-1], 2)
+    return _scored_sweep(scenario, sweep_variable, strategies, values,
+                         h_eff.reshape(-1, 2, 2), w_rf)
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list:
@@ -302,13 +283,12 @@ def run_mixed_optimization(
     check_airy_columns(launch_angle=angles)
     rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
                             [best.focal] * len(angles), angles)
-    # Beams (the search's bright-user beam w2, then one row per point);
-    # point p's columns are (row p, w2).
-    beams = np.vstack([outcome.w2, rows])[None]
-    cols = _fixed_and_moved(len(angles))[:, ::-1]
-    users = np.broadcast_to(np.arange(scenario.k), cols.shape)
-    h_eff, w_rf = _gathered_channels(outcome.h_phys, beams, scale, users, cols)
-    sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas, h_eff, w_rf)
+    # Point p's beams: its curved beam (row p) and the search's bright-user
+    # beam w2.
+    beams = np.stack([rows, np.broadcast_to(outcome.w2, rows.shape)], axis=1)
+    h_eff = beam_responses(outcome.h_phys, beams, scale)
+    sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas,
+                          h_eff, beams.swapaxes(1, 2))
 
     cut = _field_cut(
         scenario,

@@ -183,11 +183,14 @@ def _score_chunk(
     scale: complex,
 ) -> tuple:
     """Score cubic-beam designs for the shadowed user against the fixed
-    bright-user beam (w2, with effective column h2). `designs` holds the
-    (bending, focal, launch angle) columns of airy_weight_rows. Returns the
-    sum rates and |h11|^2 values as arrays, one entry per design."""
+    bright-user beam (w2, with effective column h2, formed once per
+    search). `designs` holds the (bending, focal, launch angle) columns of
+    airy_weight_rows. One beam_responses product gives every candidate's
+    column (K x C, transposed to one row per candidate), each paired with
+    h2. Returns the sum rates and |h11|^2 values as arrays, one entry per
+    design."""
     w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
-    h1 = beam_responses(h_phys, w1, scale)
+    h1 = beam_responses(h_phys, w1, scale).T
     h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
     rates = batch_sum_rates(
@@ -216,7 +219,7 @@ def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -
     """The bright user's traditional beam w2 and its effective column
     scale * H_phys @ w2."""
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    return w2, beam_responses(h_phys, w2[None, :], scale)[0]
+    return w2, beam_responses(h_phys, w2[None, :], scale)[:, 0]
 
 
 def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:

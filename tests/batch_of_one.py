@@ -57,7 +57,7 @@ def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) 
     """Per-user complex response of one analog beam (length K):
     scale * H_phys @ weights with H_phys = diffraction_channel(scenario)."""
     w = np.asarray(weights, dtype=complex)
-    return beam_responses(diffraction_channel(scenario), w[None], scale)[0]
+    return beam_responses(diffraction_channel(scenario), w[None], scale)[:, 0]
 
 
 def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,

@@ -202,15 +202,25 @@ class TestBatchInvariance:
         """One product of 130 user rows and 130 beams (over 256 KiB of
         responses, where numpy multiplies `scale * temporary` in place with
         the operands swapped): every entry has the bits of its row and beam
-        taken alone."""
+        taken alone. A batch with leading axes, one of them a size-1 axis
+        that broadcasts, and over 256 KiB of responses in all: every block
+        has the bits of its own 2-D call."""
         h = diffraction_channel(mixed_scenario)
         rows = np.vstack([h, rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))])
         beams = rng.standard_normal((130, 64)) + 1j * rng.standard_normal((130, 64))
         scale = 0.98 - 0.13j
         product = beam_responses(rows, beams, scale)
         alone = np.array([[beam_responses(rows[k:k + 1], beams[c:c + 1], scale)[0, 0]
-                           for k in range(len(rows))] for c in range(len(beams))])
+                           for c in range(len(beams))] for k in range(len(rows))])
         assert product.tobytes() == alone.tobytes()
+
+        row_blocks = rows[:128].reshape(4, 1, 32, 64)
+        beam_blocks = beams[:129].reshape(3, 43, 64)
+        batch = beam_responses(row_blocks, beam_blocks, scale)
+        assert batch.shape == (4, 3, 32, 43) and batch.nbytes > 256 * 1024
+        for i, j in np.ndindex(4, 3):
+            block = beam_responses(row_blocks[i, 0], beam_blocks[j], scale)
+            assert batch[i, j].tobytes() == block.tobytes()
 
 
 class TestOperatorGuards:

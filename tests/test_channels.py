@@ -99,7 +99,7 @@ class TestEffectiveGreens:
         h = greens_channel(baseline_scenario)
         w = build_codebook(baseline_scenario, "trad_all")
         eff = effective_channel(h, w)
-        assert eff.tobytes() == beam_responses(h, w.T).T.tobytes()
+        assert eff.tobytes() == beam_responses(h, w.T).tobytes()
         assert np.allclose(eff, h @ w, rtol=1e-13, atol=0.0)
 
     def test_single_user_gives_scalar_channel(self, carrier, lam, grid_std,

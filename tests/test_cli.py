@@ -45,6 +45,17 @@ class TestArgumentHandling:
         assert err.startswith("error:")
         assert "cannot read" in err
 
+    def test_out_naming_an_existing_file(self, tmp_path, capsys):
+        """--out must name a directory; a file in its place is an error
+        line and exit code 1, not a traceback."""
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        rc = main(["baseline", "--config", BASELINE, "--out", str(blocker)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_config_key_fails_fast(self, tmp_path, capsys):
         text = Path(BASELINE).read_text() + "\nwavelength_nm = 5\n"
         bad = tmp_path / "bad.cfg"

@@ -8,6 +8,7 @@ their structure and the frozen landmark values.
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from airylink import (
     greens_channel,
     intensity_map,
     launch_aperture,
+    load_scenario,
     remark1_calibration,
     run_baseline_scan,
     run_fieldmap,
@@ -44,6 +46,8 @@ from airylink.geometry import geometric_angle
 
 from batch_of_one import (baseline_points, evaluate_candidate, jittered, metrics_of_one,
                           robustness_points, shadow_points)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSweepResult:
@@ -585,6 +589,23 @@ class TestOneMetricsPath:
             n, got = beam_calls(run_robustness_sweep, mixed_scenario, step)
             assert got == {"traditional_focus": 0, "airy_weights": 0,
                            "traditional_focus_rows": [2, 2, 1, 1], "airy_weight_rows": [1, 1]}
+
+    def test_baseline_forms_only_the_responses_it_scores(self, monkeypatch):
+        """The bundled baseline scan (51 points, one strategy) forms 4 beam
+        responses per point, its 2 x 2 effective channel, and none of a row
+        to another point's beam."""
+        formed = []
+        responses = airylink.experiments.beam_responses
+
+        def counted(*args):
+            out = responses(*args)
+            formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(airylink.experiments, "beam_responses", counted)
+        result = run_baseline_scan(load_scenario(str(CONFIGS / "baseline.cfg")))
+        assert len(result.values) == 51
+        assert formed == [4 * 51]
 
     @pytest.mark.parametrize("run, fixture", [
         (run_baseline_scan, "baseline_scenario"),
