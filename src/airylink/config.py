@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, GridError
 from .geometry import (
     ArrayGeometry,
-    BlockedSide,
     Carrier,
     GridSpec,
     KnifeEdgeObstacle,
@@ -57,13 +56,15 @@ from .geometry import (
     UserPosition,
 )
 
-_KNOWN_KEYS = {
-    "carrier": {"frequency_ghz"},
-    "array": {"n", "spacing_lambda"},
-    "users": {"x", "z", "unit"},
-    "obstacle": {"z", "edge_x", "blocked_side"},
-    "link": {"noise_power", "tx_power", "rzf_epsilon"},
-    "grid": {"nx", "window_lambda", "apodization_width_lambda"},
+# Section -> key -> type: the only keys a file may set. Text values are
+# case-folded; [users] repeats its keys once per user.
+_KEYS = {
+    "carrier": {"frequency_ghz": float},
+    "array": {"n": int, "spacing_lambda": float},
+    "users": {"x": float, "z": float, "unit": str},
+    "obstacle": {"z": float, "edge_x": float, "blocked_side": str},
+    "link": {"noise_power": float, "tx_power": float, "rzf_epsilon": float},
+    "grid": {"nx": int, "window_lambda": float, "apodization_width_lambda": float},
 }
 _REQUIRED_SECTIONS = ("carrier", "array", "users", "link", "grid")
 
@@ -85,7 +86,7 @@ def _tokenize(text: str) -> dict[str, list[_Pair]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _KNOWN_KEYS:
+            if name not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise ConfigError(f"line {lineno}: duplicate section [{name}]")
@@ -98,7 +99,7 @@ def _tokenize(text: str) -> dict[str, list[_Pair]]:
             raise ConfigError(f"line {lineno}: key outside of any section")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _KNOWN_KEYS[current]:
+        if key not in _KEYS[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
@@ -106,31 +107,34 @@ def _tokenize(text: str) -> dict[str, list[_Pair]]:
     return sections
 
 
-def _as_float(pair: _Pair) -> float:
+def _convert(section: str, pair: _Pair) -> float | int | str:
+    kind = _KEYS[section][pair.key]
+    if kind is str:
+        return pair.value.lower()
     try:
-        value = float(pair.value)
+        value = kind(pair.value)
     except ValueError:
-        raise ConfigError(f"line {pair.line}: {pair.key} must be a number, got {pair.value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {pair.line}: {pair.key} must be {noun}, got {pair.value!r}") from None
     # The range checks downstream compare with <= 0, which NaN passes.
-    if not math.isfinite(value):
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"line {pair.line}: {pair.key} must be finite, got {pair.value!r}")
     return value
 
 
-def _as_int(pair: _Pair) -> int:
-    try:
-        return int(pair.value)
-    except ValueError:
-        raise ConfigError(f"line {pair.line}: {pair.key} must be an integer, got {pair.value!r}") from None
-
-
-def _single_valued(pairs: list[_Pair], section: str) -> dict[str, _Pair]:
-    seen: dict[str, _Pair] = {}
+def _single_valued(pairs: list[_Pair], section: str) -> dict[str, float | int | str]:
+    seen: dict[str, float | int | str] = {}
     for p in pairs:
         if p.key in seen:
             raise ConfigError(f"line {p.line}: duplicate key {p.key!r} in section [{section}]")
-        seen[p.key] = p
+        seen[p.key] = _convert(section, p)
     return seen
+
+
+def _require(values: dict, section: str, *keys: str, note: str = "") -> None:
+    for key in keys:
+        if key not in values:
+            raise ConfigError(f"[{section}] needs {key}{note}")
 
 
 def _parse_users(pairs: list[_Pair], wavelength: float) -> tuple[UserPosition, ...]:
@@ -148,7 +152,7 @@ def _parse_users(pairs: list[_Pair], wavelength: float) -> tuple[UserPosition, .
     for i, group in enumerate(groups, start=1):
         if "x" not in group or "z" not in group:
             raise ConfigError(f"user #{i} needs both x and z")
-        unit = group["unit"].value.strip().lower() if "unit" in group else "m"
+        unit = _convert("users", group["unit"]) if "unit" in group else "m"
         if unit in ("m", "meter", "meters"):
             scale = 1.0
         elif unit == "lambda":
@@ -157,8 +161,8 @@ def _parse_users(pairs: list[_Pair], wavelength: float) -> tuple[UserPosition, .
             raise ConfigError(f"line {group['unit'].line}: unit must be 'm' or 'lambda', got {unit!r}")
         users.append(
             UserPosition(
-                x=_as_float(group["x"]) * scale,
-                z=_as_float(group["z"]) * scale,
+                x=_convert("users", group["x"]) * scale,
+                z=_convert("users", group["z"]) * scale,
                 label=f"ue{i}",
             )
         )
@@ -171,62 +175,32 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     missing = [s for s in _REQUIRED_SECTIONS if s not in sections]
     if missing:
         raise ConfigError(f"missing required section(s): {', '.join(missing)}")
+    kv = {name: _single_valued(pairs, name) for name, pairs in sections.items() if name != "users"}
 
-    carrier_kv = _single_valued(sections["carrier"], "carrier")
-    if "frequency_ghz" not in carrier_kv:
-        raise ConfigError("[carrier] needs frequency_ghz")
-    carrier = Carrier(frequency_hz=_as_float(carrier_kv["frequency_ghz"]) * 1e9)
+    _require(kv["carrier"], "carrier", "frequency_ghz")
+    carrier = Carrier(frequency_hz=kv["carrier"]["frequency_ghz"] * 1e9)
     lam = carrier.wavelength
 
-    array_kv = _single_valued(sections["array"], "array")
-    for req in ("n", "spacing_lambda"):
-        if req not in array_kv:
-            raise ConfigError(f"[array] needs {req}")
-    array = ArrayGeometry(
-        n=_as_int(array_kv["n"]),
-        spacing=_as_float(array_kv["spacing_lambda"]) * lam,
-    )
+    _require(kv["array"], "array", "n", "spacing_lambda")
+    array = ArrayGeometry(n=kv["array"]["n"], spacing=kv["array"]["spacing_lambda"] * lam)
 
     users = _parse_users(sections["users"], lam)
     if not users:
         raise ConfigError("[users] defines no users")
 
     obstacle = None
-    if "obstacle" in sections:
-        obs_kv = _single_valued(sections["obstacle"], "obstacle")
-        if "z" not in obs_kv:
-            raise ConfigError("[obstacle] needs z (meters)")
-        side = obs_kv["blocked_side"].value.strip().lower() if "blocked_side" in obs_kv else BlockedSide.BELOW_EDGE
-        obstacle = KnifeEdgeObstacle(
-            depth=_as_float(obs_kv["z"]),
-            edge_x=_as_float(obs_kv["edge_x"]) if "edge_x" in obs_kv else 0.0,
-            blocked_side=side,
-        )
+    if "obstacle" in kv:
+        obs = kv["obstacle"]
+        _require(obs, "obstacle", "z", note=" (meters)")
+        obstacle = KnifeEdgeObstacle(depth=obs.pop("z"), **obs)
 
-    link_kv = _single_valued(sections["link"], "link")
-    noise_power = _as_float(link_kv["noise_power"]) if "noise_power" in link_kv else 1e-3
-    tx_power = _as_float(link_kv["tx_power"]) if "tx_power" in link_kv else 1.0
-    rzf_epsilon = _as_float(link_kv["rzf_epsilon"]) if "rzf_epsilon" in link_kv else 1e-10
-
-    grid_kv = _single_valued(sections["grid"], "grid")
-    nx = _as_int(grid_kv["nx"]) if "nx" in grid_kv else 4096
-    window = (_as_float(grid_kv["window_lambda"]) if "window_lambda" in grid_kv else 256.0) * lam
-    apod = (
-        _as_float(grid_kv["apodization_width_lambda"])
-        if "apodization_width_lambda" in grid_kv
-        else 0.1 * window / lam
-    ) * lam
-    grid = GridSpec(nx=nx, window=window, apod_width=apod)
+    grid_kv = kv["grid"]
+    window = grid_kv.get("window_lambda", 256.0) * lam
+    apod = grid_kv.get("apodization_width_lambda", 0.1 * window / lam) * lam
+    grid = GridSpec(nx=grid_kv.get("nx", 4096), window=window, apod_width=apod)
 
     scenario = ScenarioConfig(
-        carrier=carrier,
-        array=array,
-        users=users,
-        grid=grid,
-        obstacle=obstacle,
-        noise_power=noise_power,
-        tx_power=tx_power,
-        rzf_epsilon=rzf_epsilon,
+        carrier=carrier, array=array, users=users, grid=grid, obstacle=obstacle, **kv["link"]
     )
     validate_scenario(scenario)
     return scenario

@@ -15,6 +15,12 @@ Each runner turns one scenario family into a tabular sweep:
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
+The strategy name 'airy_geo' names two codebooks. In the shadow scan it is
+build_codebook(..., "airy_geo"): every user gets a cubic beam at its own
+geometric angle. In the robustness sweep and the field map it is the mixed
+codebook of _named_codebook: the shadowed user gets the geometric cubic
+design and the bright user a traditional focus.
+
 Every runner is pure given its config: identical inputs produce identical
 outputs (and therefore byte-identical CSVs downstream). A sweep builds the
 effective channel and analog matrix of every (point x strategy) pair as

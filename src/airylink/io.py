@@ -26,7 +26,6 @@ scenario files.
 from __future__ import annotations
 
 import hashlib
-import math
 from itertools import chain
 from pathlib import Path
 
@@ -55,10 +54,6 @@ def fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
         return format(x, ".12g")
     return str(x)
 

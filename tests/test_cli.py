@@ -24,6 +24,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BASELINE = str(CONFIGS / "baseline.cfg")
 SHADOW = str(CONFIGS / "shadow.cfg")
 MIXED = str(CONFIGS / "mixed.cfg")
+DEEP_SHADOW = str(CONFIGS / "deep_shadow.cfg")
 
 
 def read_rows(path):
@@ -198,6 +199,10 @@ class TestValidate:
         assert "split-step composition" in joined
         assert "calibration residual" in joined
 
+    def test_all_checks_pass_on_the_deep_shadow_scenario(self, capsys):
+        assert main(["validate", "--config", DEEP_SHADOW]) == 0
+        assert capsys.readouterr().out.count("PASS  ") == 3
+
     def test_accepts_a_coarser_power_of_two_grid(self, capsys):
         rc = main(["validate", "--config", BASELINE, "--nx", "2048"])
         assert rc == 0
@@ -369,6 +374,12 @@ class TestMixedOptCommand:
         cut_header, cut_rows = read_rows(cut)
         assert cut_header == ["x_m", "reference_db", "tuned_db"]
         assert len(cut_rows) > 100
+
+    def test_runs_on_the_deep_shadow_scenario(self, tmp_path):
+        rc = main(["mixed-opt", "--config", DEEP_SHADOW, "--out", str(tmp_path),
+                   "--step", "1.0"])
+        assert rc == 0
+        assert (tmp_path / "mixed_opt.meta").exists()
 
     def test_meta_flags_winner_on_fine_grid_edge(self, tmp_path):
         """The seed winner (-5, 2.05 m, +1.3 deg) sits on the bending edge of

@@ -1,10 +1,12 @@
 """Config parsing and the pre-flight scenario validation."""
 
+import itertools
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from airylink import ConfigError, GridError, load_scenario, parse_scenario_text
+from airylink import ConfigError, GridError, config, load_scenario, parse_scenario_text
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -99,6 +101,13 @@ def test_comments_and_blank_lines_ignored():
         (("n = 64", "n = 64.5"), "must be an integer"),
         (("nx = 4096", "nx ="), "empty value"),
         (("unit = lambda", "unit = feet"), "unit must be"),
+        (("unit = lambda", "unit = lambda\nz = 260"), "repeated 'z' before a new user"),
+        (("frequency_ghz = 28", ""), r"^\[carrier\] needs frequency_ghz$"),
+        (("[array]\nn = 64", "[array]"), r"^\[array\] needs n$"),
+        (("spacing_lambda = 0.49", ""), r"^\[array\] needs spacing_lambda$"),
+        (("z = 1.606031025", ""), r"^\[obstacle\] needs z \(meters\)$"),
+        (("x = -5\nz = 250\nunit = lambda\nx = 3.5\nz = 300\nunit = lambda", ""),
+         r"^\[users\] defines no users$"),
     ],
 )
 def test_malformed_configs_fail_loudly(mutation, fragment):
@@ -163,12 +172,44 @@ def test_link_defaults_apply():
 
 
 def test_grid_defaults_apply():
-    text = GOOD.replace("nx = 4096\n", "").replace(
+    text = GOOD.replace("nx = 4096\n", "").replace("window_lambda = 256\n", "").replace(
         "apodization_width_lambda = 25.6\n", "")
     s = parse_scenario_text(text)
+    lam = s.carrier.wavelength
     assert s.grid.nx == 4096
-    # default absorber width: a tenth of the window per side
+    assert s.grid.window == 256.0 * lam
+    # default absorber width: a tenth of the window per side, in wavelengths
+    # and then back to meters, bit for bit
+    assert s.grid.apod_width == (0.1 * s.grid.window / lam) * lam
     assert s.grid.apod_width == pytest.approx(0.1 * s.grid.window, rel=1e-12)
+
+
+def test_blocked_side_is_case_folded():
+    s = parse_scenario_text(GOOD.replace("blocked_side = below_edge", "blocked_side = ABOVE_EDGE"))
+    assert s.obstacle.blocked_side == "above_edge"
+
+
+def documented_example() -> str:
+    """The indented scenario file that airylink.config's docstring shows."""
+    lines = config.__doc__.split("::\n", 1)[1].splitlines()
+    block = itertools.takewhile(lambda line: not line or line.startswith("    "), lines)
+    return textwrap.dedent("\n".join(block))
+
+
+def test_documented_format_parses_and_spells_every_key():
+    """The docstring is the format's reference: its example parses, and it
+    names every (section, key) pair the parser accepts, no more."""
+    example = documented_example()
+    s = parse_scenario_text(example)
+    assert s.k == 2 and s.obstacle is not None
+    spelled, section = set(), None
+    for line in example.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            spelled.add((section, line.split("=", 1)[0].strip()))
+    assert spelled == {(name, key) for name, keys in config._KEYS.items() for key in keys}
 
 
 class TestValidation:
@@ -198,7 +239,8 @@ class TestValidation:
 
 
 class TestBundledConfigs:
-    @pytest.mark.parametrize("name", ["baseline.cfg", "shadow.cfg", "mixed.cfg"])
+    @pytest.mark.parametrize("name", ["baseline.cfg", "shadow.cfg", "mixed.cfg",
+                                      "deep_shadow.cfg"])
     def test_loads_and_validates(self, name):
         s = load_scenario(str(CONFIG_DIR / name))
         assert s.array.n == 64
@@ -208,7 +250,7 @@ class TestBundledConfigs:
     def test_baseline_is_free_space(self):
         assert load_scenario(str(CONFIG_DIR / "baseline.cfg")).obstacle is None
 
-    @pytest.mark.parametrize("name", ["shadow.cfg", "mixed.cfg"])
+    @pytest.mark.parametrize("name", ["shadow.cfg", "mixed.cfg", "deep_shadow.cfg"])
     def test_blocked_scenarios_have_the_edge(self, name):
         s = load_scenario(str(CONFIG_DIR / name))
         lam = s.carrier.wavelength
