@@ -45,6 +45,7 @@ __all__ = [
     "traditional_focus_rows",
     "airy_weights",
     "airy_weight_rows",
+    "airy_local_sine",
     "build_codebook",
 ]
 
@@ -167,6 +168,24 @@ def airy_weights(
                          (params.launch_angle,))[0]
     check_unit_norm(w)
     return w
+
+
+def airy_local_sine(array: ArrayGeometry, bending, focal, launch_angle):
+    """Per cubic beam (the parameters broadcast), the largest local sine
+    |x/f + b x^2/f^3 - sin(theta)| over the elements: d(phi)/dx of
+    airy_weights' phase over k0. Past propagation.LAUNCH_CUTOFF_SINE the
+    launch filter cuts it; past 1 the element grid aliases it."""
+    b, f, theta = np.broadcast_arrays(bending, focal, launch_angle)
+    # The largest |slope - sin| is max(slope) - sin or sin - min(slope), so the
+    # slope is formed once per (bending, focal) pair, keyed bit for bit.
+    keys = np.stack([b.ravel(), f.ravel()], axis=-1).astype(float).view(complex).ravel()
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    xs = array.element_x()
+    focal_m = pairs.imag[:, None]
+    slope = xs / focal_m + pairs.real[:, None] * xs**2 / focal_m**3
+    sine = np.sin(theta).ravel()
+    return np.maximum(slope.max(axis=1)[inverse] - sine,
+                      sine - slope.min(axis=1)[inverse]).reshape(b.shape)
 
 
 def build_codebook(

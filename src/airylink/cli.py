@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
+from .beams import airy_local_sine
 from .config import load_scenario, validate_scenario
 from .errors import AirylinkError
 from .experiments import (
@@ -36,6 +37,7 @@ from .experiments import (
     run_shadow_scan,
 )
 from .geometry import ScenarioConfig, fraunhofer_distance, geometric_angle
+from .propagation import LAUNCH_CUTOFF_SINE
 
 __all__ = ["main"]
 
@@ -151,8 +153,11 @@ def _cmd_mixed_opt(args) -> int:
     cut_path = out / "field_cut.csv"
     aio.write_field_cut_csv(cut_path, result.field_cut)
 
-    best = result.search.best_params
+    best, trace = result.search.best_params, result.search.trace
     theta_geo = geometric_angle(scenario.users[0])
+    # Candidates past the launch cutoff or past 1 are flagged, not rejected.
+    sines = airy_local_sine(scenario.array, trace.bending, trace.focal, theta_geo + trace.dtheta)
+    best_sine = airy_local_sine(scenario.array, best.bending, best.focal, best.launch_angle)
     aio.write_metadata(out / "mixed_opt.meta", {
         "run": {
             "command": "mixed-opt",
@@ -168,6 +173,9 @@ def _cmd_mixed_opt(args) -> int:
             "evaluations": result.search.evaluations,
             "rejected_by_constraint": result.search.rejected_by_constraint,
             **_fine_edge_flags(result.search, theta_geo),
+            "local_sine_above_cutoff": int(np.count_nonzero(sines > LAUNCH_CUTOFF_SINE)),
+            "local_sine_above_one": int(np.count_nonzero(sines > 1.0)),
+            "best_local_sine": float(best_sine),
         },
         "calibration": {
             "scale_re": result.calibration_scale.real,

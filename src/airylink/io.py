@@ -11,12 +11,12 @@ one numpy kernel that produces the bytes of
 0.1 <= |v| < 1e11 whose decimal exponent guess e = floor(log10|v|) is
 confirmed, and whose 12-digit mantissa |v| * 10**(11 - e) is clear of a
 rounding tie by more than the one rounding error that product carries,
-is written from that mantissa in fixed notation into a 16-byte slot.
-Every other cell (+-0, subnormals, inf, nan, exponent form, fixed
-notation below 0.1, near-ties, rounding up to the next decade) is
-formatted by '%.12g' % v itself. The search trace, whose rows mix floats
-with a verdict and a stage name, keeps its own per-row template and reads
-the trace's columns.
+is written from that mantissa in fixed notation into a 32-byte slot in
+which every byte has a fixed place. Every other cell (+-0, subnormals,
+inf, nan, exponent form, fixed notation below 0.1, near-ties, rounding up
+to the next decade) is formatted by '%.12g' % v itself. The search trace,
+whose rows mix floats with a verdict and a stage name, keeps its own
+per-row template and reads the trace's columns.
 
 The metadata sidecars reuse the config file syntax ([section] followed by
 key = value lines) so they stay greppable and diffable alongside the
@@ -98,56 +98,42 @@ def scenario_hash(scenario: ScenarioConfig) -> str:
 # notation below 0.1, near-ties, rounding up to the next decade; about
 # 0.05% of a field map's cells) is formatted by '%.12g' % v itself.
 #
-# Each cell owns a 16-byte slot, two little-endian uint64 words: a fast
-# cell's sign ('-' or 0) in byte 0 and its text from byte 1, or a slow
-# cell's marker byte 1, then zero bytes, and the separator (',' or '\n')
-# in byte 15. A fast cell's text is at most 14 bytes after the sign ("0."
-# and twelve digits when e = -1), which is why the clip stops at e = -1:
-# e = -2 would need 15. Deleting the zero bytes packs the slots into CSV
+# Each cell owns a 32-byte slot, four little-endian uint64 words, in
+# which every byte has a fixed place. A fast cell holds its sign ('-' or
+# 0) in byte 0, "0." in bytes 6-7 when e = -1, its twelve mantissa digits
+# at bytes 8, 10, ..., 30, and the point in the odd byte after digit i
+# when i + 1 digits come before it; trailing fraction zeros, and the point
+# of a whole number, are masked to zero. A slow cell holds the marker
+# byte 1 in byte 0. Byte 31 holds the separator (',' or '\n') and every
+# other byte is zero. Deleting the zero bytes packs the slots into CSV
 # text, and the slow cells' text replaces their markers.
 _CHUNK_CELLS = 8192
-_U64 = np.uint64
-# _DIGITS4[i]: the four ASCII digits of f"{i:04d}" read as a little-endian
-# integer (first digit in byte 1, so after a sign byte). _TRAILING_ZEROS
-# [i + 10000 * g]: the trailing zeros of a twelve-digit mantissa whose
-# last nonzero four-digit group is i and is followed by g zero groups.
-_DIGITS4 = sum((np.arange(10000, dtype=_U64) // _U64(10 ** (3 - k)) % _U64(10) + _U64(ord("0")))
-               << _U64(8 * k + 8) for k in range(4))
+# _SCALE[k] = 10**(11 - e) for the exponent index k = e + 1. _SPREAD4[i]:
+# the ASCII digits of f"{i:04d}" at bytes 0, 2, 4 and 6 of a word.
+# _TRAILING_ZEROS[i + 10000 * g]: the trailing zeros of a mantissa whose
+# last nonzero four-digit group is i, followed by g zero groups.
+_SCALE = 10.0 ** np.arange(12, 0, -1)
+_SPREAD4 = sum((np.arange(10000, dtype=np.uint64) // 10 ** (3 - j) % 10 + ord("0")) << 16 * j
+               for j in range(4))
 _TRAILING_ZEROS = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5)).astype(np.uint8)
 _TRAILING_ZEROS = np.concatenate([_TRAILING_ZEROS + 4 * g for g in range(3)])
 
 
-def _words(x: int) -> tuple:
-    """The low and high little-endian uint64 words of a 128-bit integer."""
-    return x & (2**64 - 1), x >> 64
+def _slot_tables():
+    """_POINT[k]: the slot of exponent index k's point text ("0." in bytes
+    6-7 for k = 0, "." in byte 7 + 2k otherwise). _KEEP[12 * k + z], for z
+    trailing zeros: the mask of bytes 0 to the last nonzero fraction digit,
+    or to the k-th digit when the fraction is all zeros."""
+    point = np.zeros((12, 32), dtype=np.uint8)
+    point[0, 6] = ord("0")
+    point[range(12), range(7, 31, 2)] = ord(".")
+    k, z = np.divmod(np.arange(144)[:, None], 12)
+    end = np.where(k + z < 12, 31 - 2 * z, 7 + 2 * k)
+    keep = np.where(np.arange(32) < end, 0xFF, 0).astype(np.uint8)
+    return point.view("<u8"), keep.view("<u8")
 
 
-def _exponent_tables():
-    """Per exponent index k = e + 1 (e = -1..10): the scale 10**(11 - e);
-    the length in bits of the point text that follows the sign byte and
-    the k digits before the point ("." or, for k = 0, "0."); the two words
-    that mask the sign byte and those digits; and the two words that hold
-    the point text in place. Per keep index 12 * k + z, for a mantissa with
-    z trailing zeros: the two words that keep the sign byte, the k digits,
-    and the point text and fraction digits if some fraction digit is
-    nonzero."""
-    rows, keep = [], []
-    for k in range(12):
-        point = b"." if k else b"0."
-        head = (1 << 8 * (1 + k)) - 1
-        placed = int.from_bytes(point, "little") << 8 * (1 + k)
-        rows.append((10.0 ** (12 - k), 8 * len(point), *_words(head), *_words(placed)))
-        for zeros in range(12):
-            frac = 12 - k - zeros
-            length = 1 + k + (len(point) + frac if frac > 0 else 0)
-            keep.append(_words((1 << 8 * length) - 1))
-    scale, bits, head0, head1, point0, point1 = zip(*rows)
-    keep0, keep1 = zip(*keep)
-    words = [np.array(c, dtype=_U64) for c in (bits, head0, head1, point0, point1, keep0, keep1)]
-    return (np.array(scale), *words)
-
-
-(_SCALE, _POINT_BITS, _HEAD0, _HEAD1, _POINT0, _POINT1, _KEEP0, _KEEP1) = _exponent_tables()
+_POINT, _KEEP = _slot_tables()
 
 
 def _mantissas(values):
@@ -167,35 +153,21 @@ def _mantissas(values):
 
 
 def _fixed_point_slots(k, mantissa):
-    """The (n, 2) little-endian words of each cell's slot, holding its
-    fixed-point text after a zero sign byte: the k digits before the point,
-    the point text, then the fraction up to its last nonzero digit."""
+    """The (n, 4) little-endian words of each cell's slot (see above),
+    holding its fixed-point text after a zero sign byte."""
     # The twelve digits as three groups of four (exact: mantissa < 2**40).
     hi = np.floor(mantissa / 1e8)
     rest = mantissa - hi * 1e8
     mid = np.floor(rest / 1e4)
     lo = (rest - mid * 1e4).astype(np.intp)
     hi, mid = hi.astype(np.intp), mid.astype(np.intp)
-    # Digits after the sign byte as a 13-byte two-word string; the part
-    # after the sign and k digits moves up by the point text's length (at
-    # most two bytes, so the text still ends in the second word).
-    d_mid = _DIGITS4.take(mid)
-    w0 = _DIGITS4.take(hi) | (d_mid << _U64(32))
-    w1 = (d_mid >> _U64(32)) | _DIGITS4.take(lo)
-    head0 = w0 & _HEAD0.take(k)
-    head1 = w1 & _HEAD1.take(k)
-    tail0, tail1 = w0 ^ head0, w1 ^ head1
-    shift = _POINT_BITS.take(k)
-    # Keep the sign byte, the k digits, and the point text and fraction
-    # digits only if some fraction digit is nonzero. hi >= 1000, since the
-    # mantissa is at least 1e11.
+    # hi >= 1000, since the mantissa is at least 1e11.
     last = np.where(lo != 0, lo, np.where(mid != 0, mid + 10000, hi + 20000))
-    keep = 12 * k + _TRAILING_ZEROS.take(last)
-    slots = np.empty((len(k), 2), dtype="<u8")
-    np.bitwise_and(head0 | _POINT0.take(k) | (tail0 << shift), _KEEP0.take(keep),
-                   out=slots[:, 0])
-    np.bitwise_and(head1 | _POINT1.take(k) | (tail1 << shift) | (tail0 >> (_U64(64) - shift)),
-                   _KEEP1.take(keep), out=slots[:, 1])
+    slots = _POINT.take(k, axis=0)
+    slots[:, 1] |= _SPREAD4.take(hi)
+    slots[:, 2] |= _SPREAD4.take(mid)
+    slots[:, 3] |= _SPREAD4.take(lo)
+    slots &= _KEEP.take(12 * k + _TRAILING_ZEROS.take(last), axis=0)
     return slots
 
 
@@ -208,8 +180,8 @@ def _format_cells(values, first_row_end: int, cols: int) -> bytes:
     slow = np.flatnonzero(~fast)
     text[slow] = 0
     text[slow, 0] = 1
-    text[:, 15] = ord(",")
-    text[first_row_end::cols, 15] = ord("\n")
+    text[:, 31] = ord(",")
+    text[first_row_end::cols, 31] = ord("\n")
     packed = text.tobytes().translate(None, b"\0").split(b"\1")
     slow_text = (b"%.12g\1" * len(slow) % tuple(values[slow].tolist())).split(b"\1")
     return b"".join(chain.from_iterable(zip(packed, slow_text)))

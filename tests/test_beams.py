@@ -17,7 +17,12 @@ from airylink import (
     propagate_angular_spectrum,
     traditional_focus,
 )
-from airylink.beams import airy_weight_rows, check_unit_norm, traditional_focus_rows
+from airylink.beams import (
+    airy_local_sine,
+    airy_weight_rows,
+    check_unit_norm,
+    traditional_focus_rows,
+)
 from airylink.geometry import geometric_angle
 from airylink.propagation import grid_x
 
@@ -261,6 +266,48 @@ class TestAiryWeights:
         mirrored = np.interp(-x[interior], x, fields[-30.0])
         peak = fields[+30.0][interior].max()
         assert np.max(np.abs(fields[+30.0][interior] - mirrored)) < 1e-6 * peak
+
+
+class TestAiryLocalSine:
+    @staticmethod
+    def phase(x, carrier, bending, focal, theta):
+        """phi(x) as airy_weights documents it."""
+        k0, lam = carrier.wavenumber, carrier.wavelength
+        return (k0 * x**2 / (2 * focal) - k0 * math.sin(theta) * x
+                + (2 * math.pi / (3 * lam)) * bending * (x / focal) ** 3)
+
+    def difference_quotient(self, array, carrier, bending, focal, theta) -> float:
+        """max |d(phi)/dx| / k0 over the elements, by a central difference."""
+        xs = np.asarray(array.element_x())
+        h = 1e-6
+        slope = (self.phase(xs + h, carrier, bending, focal, theta)
+                 - self.phase(xs - h, carrier, bending, focal, theta)) / (2 * h)
+        return float(np.max(np.abs(slope))) / carrier.wavenumber
+
+    @pytest.mark.parametrize("bending, focal, theta",
+                             [(-25.0, 1.75, 0.015), (-60.0, 1.0, -0.08), (10.0, 2.5, 0.3),
+                              (0.0, 1.6, 0.0), (-25.0, math.inf, 0.3)],
+                             ids=["default", "steep", "positive", "lens", "plane-wave"])
+    def test_matches_a_central_difference_of_the_phase(self, array64, carrier,
+                                                       bending, focal, theta):
+        expected = self.difference_quotient(array64, carrier, bending, focal, theta)
+        assert airy_local_sine(array64, bending, focal, theta) == pytest.approx(expected,
+                                                                               abs=1e-8)
+
+    def test_broadcasts_over_designs(self, array64, carrier):
+        """A batch with repeated (bending, focal) pairs, in no sorted order:
+        each entry has the bits of its one-design call and matches the
+        difference quotient."""
+        bending = np.array([[-10.0], [-60.0], [-10.0]])
+        focal = np.array([2.5, 1.0, 1.75])
+        theta = np.array([[[0.05]], [[-0.2]]])
+        batch = airy_local_sine(array64, bending, focal, theta)
+        assert batch.shape == (2, 3, 3)
+        for i, j, n in np.ndindex(batch.shape):
+            args = (bending[j, 0], focal[n], theta[i, 0, 0])
+            assert batch[i, j, n] == airy_local_sine(array64, *args)
+            assert batch[i, j, n] == pytest.approx(self.difference_quotient(array64, carrier,
+                                                                            *args), abs=1e-8)
 
 
 class TestBuildCodebook:

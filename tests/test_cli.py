@@ -12,13 +12,16 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import airylink.cli
 from airylink import load_scenario, run_robustness_sweep, run_shadow_scan
+from airylink.beams import airy_local_sine
 from airylink.cli import main
 from airylink.geometry import geometric_angle
 from airylink.io import fmt
+from airylink.propagation import LAUNCH_CUTOFF_SINE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BASELINE = str(CONFIGS / "baseline.cfg")
@@ -380,6 +383,31 @@ class TestMixedOptCommand:
                    "--step", "1.0"])
         assert rc == 0
         assert (tmp_path / "mixed_opt.meta").exists()
+
+    def test_meta_counts_candidates_past_the_launch_cutoff(self, tmp_path):
+        """The sampling flags: traced candidates whose local sine exceeds
+        LAUNCH_CUTOFF_SINE and 1, recounted from the trace file, and the
+        winner's local sine. The bundled search flags 403 and 137 of its
+        2948 candidates and keeps them in the search."""
+        rc = main(["mixed-opt", "--config", MIXED, "--out", str(tmp_path),
+                   "--step", "1.0"])
+        assert rc == 0
+        lines = (tmp_path / "mixed_opt.meta").read_text().splitlines()
+        fields = dict(line.split(" = ", 1) for line in lines if " = " in line)
+        scenario = load_scenario(MIXED)
+        theta_geo = geometric_angle(scenario.users[0])
+        header, rows = read_rows(tmp_path / "search_trace.csv")
+        bending, focal, dtheta = (np.array([float(r[header.index(c)]) for r in rows])
+                                  for c in ("bending", "focal_m", "dtheta_deg"))
+        sines = airy_local_sine(scenario.array, bending, focal, theta_geo + np.radians(dtheta))
+        counts = (np.count_nonzero(sines > LAUNCH_CUTOFF_SINE), np.count_nonzero(sines > 1.0))
+        assert counts == (403, 137)
+        flags = ("local_sine_above_cutoff", "local_sine_above_one")
+        assert tuple(int(fields[name]) for name in flags) == counts
+        best = airy_local_sine(scenario.array, float(fields["best_bending"]),
+                               float(fields["best_focal_m"]),
+                               theta_geo + math.radians(float(fields["best_dtheta_deg"])))
+        assert float(fields["best_local_sine"]) == pytest.approx(best, rel=1e-9)
 
     def test_meta_flags_winner_on_fine_grid_edge(self, tmp_path):
         """The seed winner (-5, 2.05 m, +1.3 deg) sits on the bending edge of

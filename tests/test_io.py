@@ -20,6 +20,7 @@ from airylink import (
 )
 from airylink.optimizer import SearchTrace
 from airylink.io import (
+    _mantissas,
     _write_float_rows,
     fmt,
     scenario_hash,
@@ -279,6 +280,21 @@ class TestFloatCellKernel:
         assert lines[-3:] == [f"{sign * 9.99999999999:.12g}"] * 2 + [f"{sign * 10:.12g}"]
         assert f"{sign * 12345678901.2:.12g}" in lines  # half-even tie, down
         assert f"{sign * 1.00073242188:.12g}" in lines  # half-even tie, up
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_slot_table_row(self, sign):
+        """One cell per exponent index k = 0..11 and trailing-zero count
+        z = 0..11: the mantissa 987654321987 cut to z trailing zeros, with k
+        digits before the point. Each takes the fast path with that exact
+        (k, mantissa), so the cells write every row of the point and keep
+        tables, which random cells need not reach."""
+        ks, zs = np.divmod(np.arange(144), 12)
+        mantissas = np.array([987654321987 // 10**z * 10**z for z in zs.tolist()])
+        column = sign * mantissas / 10.0 ** (12 - ks)
+        k, mantissa, fast = _mantissas(column)
+        assert fast.all()
+        assert np.array_equal(k, ks) and np.array_equal(mantissa, mantissas)
+        assert kernel_rows(column.reshape(-1, 1)) == percent_rows(column.reshape(-1, 1))
 
     @pytest.mark.parametrize("shape", [(1, 9000), (9000, 1), (0, 2), (3, 5000), (4, 4096)],
                              ids=["one-row", "one-column", "no-rows", "rows-across-chunks",
