@@ -12,12 +12,15 @@ Two beam families, both phase-only with uniform 1/sqrt(N) amplitude:
 All element positions are evaluated in meters; the cubic coefficient
 `bending` is dimensionless and `focal` is a length. Every beam is a plain
 complex array. airy_weight_rows and traditional_focus_rows build many beams
-of one family at once (the search's chunks, the angle sweep, a codebook's
-users); airy_weights and traditional_focus are their one-row views, and
+of one family at once (the angle sweep, a codebook's users);
+airy_weights and traditional_focus are their one-row views, and
 build_codebook stacks one beam per user as the N x K analog matrix W_RF.
-check_airy_columns holds the parameter rules that AiryParams and the
-search's up-front box check share, and check_unit_norm the norm rule every
-returned beam meets.
+Cubic phases are gathered from per-axis tables (airy_axis_rows), which
+the search builds once per stage from its grid axes and airy_weight_rows
+from the distinct values of its columns; either way a design gets the
+bits of airy_weights. check_airy_columns holds the parameter rules that
+AiryParams and the search's up-front box check share, and
+check_unit_norm the norm rule every returned beam meets.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "traditional_focus_rows",
     "airy_weights",
     "airy_weight_rows",
+    "airy_axis_rows",
     "airy_local_sine",
     "build_codebook",
 ]
@@ -118,6 +122,34 @@ def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.n
     return np.exp(1j * carrier.wavenumber * r) / math.sqrt(array.n)
 
 
+def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launch_angle):
+    """Cubic-phase weights of designs drawn from three parameter axes.
+
+    Builds the per-axis phase tables once: k0 x^2 / (2 f) and (x / f)^3 per
+    focal value, (2 pi / (3 lambda)) b per bending value and
+    (k0 sin(theta)) x per launch angle (one math.sin per value). Returns
+    rows(i, j, k), which gives the C x N weights of the designs
+    (bending[i[c]], focal[j[c]], launch_angle[k[c]]) by gathering table
+    rows into (lens - steer) + coef * cube, airy_weights' phase in its own
+    order of operations, so every row has airy_weights' bits. The axes
+    are taken as given; check_airy_columns holds the rules they must meet.
+    """
+    xs = array.element_x()
+    k0 = carrier.wavenumber
+    focal_m = np.asarray(focal, dtype=float)[:, None]
+    lens = k0 * xs**2 / (2.0 * focal_m)
+    cube = (xs / focal_m) ** 3
+    coef = (2.0 * math.pi / (3.0 * carrier.wavelength)) * np.asarray(bending, dtype=float)
+    steer = np.array([[k0 * math.sin(theta)] for theta in launch_angle]) * xs
+    norm = math.sqrt(array.n)
+
+    def rows(i, j, k) -> np.ndarray:
+        phase = (lens[j] - steer[k]) + coef[i][:, None] * cube[j]
+        return np.exp(1j * phase) / norm
+
+    return rows
+
+
 def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
                      launch_angle) -> np.ndarray:
     """Cubic-phase weights for many designs at once: row c (of a C x N
@@ -125,30 +157,15 @@ def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
     launch_angle[c]), as documented in airy_weights. The columns are taken
     as given; check_airy_columns holds the rules they must meet.
 
-    The lens and cubic terms depend on (bending, focal) only, so they are
-    computed once per distinct pair and gathered; the
-    steering term is k0 sin(theta) per design. Every row goes through the
-    same elementwise operations, (lens - steer x) + bend, whatever the
-    batch, so it matches airy_weights bit for bit.
+    Each column is reduced to its distinct values (by float64 bit
+    pattern), and airy_axis_rows builds the phase tables of those values
+    and gathers every design's row, so a row has the same bits whatever
+    the batch.
     """
-    xs = array.element_x()
-    k0 = carrier.wavenumber
-    lam = carrier.wavelength
-    # Distinct (bending, focal) pairs in order of first appearance, keyed by
-    # their float64 bit patterns; inverse[c] is design c's pair.
-    pairs = np.column_stack([np.asarray(bending, dtype=float),
-                             np.asarray(focal, dtype=float)])
-    index = {}
-    inverse = [index.setdefault(key, len(index))
-               for key in map(tuple, pairs.view(np.int64).tolist())]
-    distinct = np.array(list(index), dtype=np.int64).view(np.float64)
-    pair_focal = distinct[:, 1:]
-    pair_cubic = (2.0 * math.pi / (3.0 * lam)) * distinct[:, :1]
-    lens = k0 * xs**2 / (2.0 * pair_focal)
-    bend = pair_cubic * (xs / pair_focal) ** 3
-    steer = np.array([[k0 * math.sin(theta)] for theta in launch_angle])
-    phase = (lens[inverse] - steer * xs) + bend[inverse]
-    return np.exp(1j * phase) / math.sqrt(array.n)
+    axes = [np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+            for column in (bending, focal, launch_angle)]
+    rows = airy_axis_rows(array, carrier, *(values.view(np.float64) for values, _ in axes))
+    return rows(*(index for _, index in axes))
 
 
 def airy_weights(

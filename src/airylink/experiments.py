@@ -25,9 +25,10 @@ Every runner is pure given its config: identical inputs produce identical
 outputs (and therefore byte-identical CSVs downstream). A sweep builds the
 effective channel and analog matrix of every (point x strategy) pair as
 stacked arrays, in sweep order, and scores them all in one batched SVD +
-RZF + metrics pass (precoding.batch_metrics), whose RZF and sum-rate
-arithmetic the beam search shares; the sweep keeps that pass's metric
-columns as they are, one row per pair.
+closed-form RZF + metrics pass (precoding.batch_metrics, on the analog
+matrices' Gram matrices), whose RZF and sum-rate arithmetic the beam
+search shares; the sweep keeps that pass's metric columns as they are,
+one row per pair.
 
 No sweep loops over its points. The baseline, shadow and robustness
 sweeps share one body, in which one user moves and the other stays: one
@@ -67,7 +68,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import achieved_power, batch_metrics
+from .precoding import achieved_power, analog_gram, batch_metrics
 from .propagation import Cascade, IntensityMap, grid_x, intensity_map, launch_aperture
 
 __all__ = [
@@ -168,7 +169,8 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
     h = np.ascontiguousarray(h_eff, dtype=complex)
     check_finite(h)
     w = np.ascontiguousarray(w_rf, dtype=complex)
-    m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power)
+    m, w_bb = batch_metrics(h, analog_gram(w[..., 0], w[..., 1]), scenario.tx_power,
+                            scenario.rzf_epsilon, scenario.noise_power)
     _assert_point_invariants(scenario, achieved_power(w, w_bb), m)
     return SweepResult(sweep_variable, strategies, values, m)
 

@@ -22,17 +22,24 @@ rules (beams.check_airy_columns): SearchGrids rejects a coarse focal length
 built, before stage 2 scores any candidate.
 
 The diffraction channel is linear in the beam weights, so the search builds
-the K x N physical matrix once and scores candidates in fixed-size chunks:
-one array of cubic weights built from the (bending, focal, launch angle)
-columns (no AiryParams per candidate; lens and cubic rows once per distinct
-(bending, focal) pair), one product with the matrix, one batched RZF pass
-that yields the sum rates alone (precoding.batch_sum_rates: the RZF and
-sum-rate arithmetic of batch_metrics, which scores every sweep, without
-the singular values or the other link metrics). The search only ranks
-rates, so it never forms the realized power ||W_RF W_BB||_F^2 either. A
-candidate gets the same bits in any chunk as in a chunk of one. Each
-stage's rates and |h11|^2 values land in arrays that one masked
-first-argmax reduces, and the trace keeps them as columns (SearchTrace).
+the K x N physical matrix once and scores candidates in fixed-size chunks.
+Each stage first builds the cubic beam's phase tables from its three axes
+(beams.airy_axis_rows: lens and cube rows per focal value, a coefficient
+per bending value, a steering row per launch angle, so math.sin runs once
+per angle and stage); a chunk gathers its weights from them, with the bits
+airy_weight_rows gives the same designs. One product with the matrix gives
+the shadowed user's effective columns, and the RZF needs nothing more of
+the beams than their 2 x 2 Gram matrices (precoding.analog_gram), so no
+C x N x 2 analog matrix is formed. precoding.batch_sum_rates then yields
+the sum rates alone from the closed-form two-user RZF that batch_metrics,
+which scores every sweep, shares: no inverse or batched matrix product,
+and no singular values at epsilon > 0. The search only ranks rates, so it
+never forms the realized power ||W_RF W_BB||_F^2 either. A candidate gets
+the same bits in any chunk as in a chunk of one. Each stage's rates and
+|h11|^2 values land in arrays that one masked first-argmax reduces, and the
+trace keeps them as columns (SearchTrace). The closed form moved trace
+rates against the LAPACK inverse it replaced by at most 1e-11 relative in
+their printed digits; weights, |h11|^2 and verdicts kept every bit.
 """
 
 from __future__ import annotations
@@ -42,11 +49,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import AiryParams, airy_weight_rows, check_airy_columns, traditional_focus
+from .beams import (AiryParams, airy_axis_rows, airy_weight_rows, check_airy_columns,
+                    traditional_focus)
 from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import ScenarioConfig, geometric_angle
-from .precoding import batch_sum_rates
+from .precoding import analog_gram, batch_sum_rates
 
 __all__ = [
     "SearchGrids",
@@ -182,26 +190,42 @@ def _score_chunk(
     h2: np.ndarray,
     scale: complex,
 ) -> tuple:
+    """_score_beams of cubic-beam designs given as the (bending, focal,
+    launch angle) columns of airy_weight_rows, which builds their weights."""
+    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
+    return _score_beams(scenario, h_phys, designs, w1, w2, h2, scale)
+
+
+def _score_beams(
+    scenario: ScenarioConfig,
+    h_phys: np.ndarray,
+    designs,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    h2: np.ndarray,
+    scale: complex,
+) -> tuple:
     """Score cubic-beam designs for the shadowed user against the fixed
     bright-user beam (w2, with effective column h2, formed once per
-    search). `designs` holds the (bending, focal, launch angle) columns of
-    airy_weight_rows. One beam_responses product gives every candidate's
-    column (K x C, transposed to one row per candidate), each paired with
-    h2. Returns the sum rates and |h11|^2 values as arrays, one entry per
+    search). `designs` holds the designs' (bending, focal, launch angle)
+    columns, which only the NaN-rate error reads, and w1 their C x N
+    weights. One beam_responses product gives every candidate's column
+    (K x C, transposed to one row per candidate), each paired with h2, and
+    the Gram matrices of (w1, w2) are all the RZF needs of the beams.
+    Returns the sum rates and |h11|^2 values as arrays, one entry per
     design."""
-    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
     h1 = beam_responses(h_phys, w1, scale).T
-    h_eff = np.stack([h1, np.broadcast_to(h2, h1.shape)], axis=-1)
-    w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
-    rates = batch_sum_rates(
-        h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon, scenario.noise_power
-    )
+    h_eff = np.empty((len(w1), 2, 2), dtype=complex)
+    h_eff[:, :, 0] = h1
+    h_eff[:, :, 1] = h2
+    rates = batch_sum_rates(h_eff, analog_gram(w1, w2), scenario.tx_power,
+                            scenario.rzf_epsilon, scenario.noise_power)
     bad = np.isnan(rates)
     if bad.any():
         c = int(np.argmax(bad))
         raise AirylinkError(
             f"candidate (bending, focal, launch angle) = "
-            f"{tuple(column[c] for column in designs)} produced a NaN sum rate"
+            f"{tuple(float(column[c]) for column in designs)} produced a NaN sum rate"
         )
     # Per-candidate scalar abs and square, exactly as abs(h) ** 2 of one
     # beam's response evaluates them; the array forms may round the last bit
@@ -234,42 +258,32 @@ def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
     return [center + i * fine_step for i in range(-n, n + 1)]
 
 
-def _grid(axes: tuple) -> tuple:
-    """The (bending, focal, dtheta) columns of every point of the grid
-    spanned by `axes`, in loop order: bending outer, focal middle, angle
-    inner."""
-    columns = np.meshgrid(*(np.asarray(a, dtype=float) for a in axes), indexing="ij")
-    return tuple(c.ravel() for c in columns)
-
-
-def _grid_point(axes: tuple, c: int) -> tuple:
-    """Point c of the grid spanned by `axes`, as the axes' own values."""
-    index = np.unravel_index(c, [len(a) for a in axes])
-    return tuple(a[i] for a, i in zip(axes, index))
-
-
 def _scan(axes: tuple, score, threshold: float, stage: str) -> tuple:
     """Score every point of the grid spanned by `axes` chunk by chunk and
-    reduce to the best feasible one.
+    reduce to the best feasible one. Points run in loop order (bending
+    outer, focal middle, angle inner), and score(i, j, k) gets a chunk's
+    index columns into the three axes.
 
     Returns (trace, best): best is (rate, grid point) of the first maximal
     feasible rate in candidate (= loop) order, so a tie resolves as the
     sequential nested loops with strict > improvement would, or None when
     no candidate is feasible.
     """
-    columns = _grid(axes)
+    shape = tuple(len(a) for a in axes)
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    columns = tuple(np.asarray(a, dtype=float)[i] for a, i in zip(axes, index))
     n = len(columns[0])
     rates, h11_power = np.empty(n), np.empty(n)
     for start in range(0, n, _CHUNK):
         part = slice(start, start + _CHUNK)
-        rates[part], h11_power[part] = score(*(c[part] for c in columns))
+        rates[part], h11_power[part] = score(*(i[part] for i in index))
     feasible = h11_power >= threshold
     trace = SearchTrace(*columns, h11_power, rates, feasible, np.full(n, stage))
     (kept,) = np.nonzero(feasible)
     if not kept.size:
         return trace, None
     c = int(kept[np.argmax(rates[kept])])
-    return trace, (float(rates[c]), _grid_point(axes, c))
+    return trace, (float(rates[c]), tuple(a[i[c]] for a, i in zip(axes, index)))
 
 
 def coarse_to_fine_search(
@@ -298,9 +312,18 @@ def coarse_to_fine_search(
     h_phys = diffraction_channel(scenario)
     w2, h2 = _bright_beam(scenario, h_phys, scale)
 
-    def score(bending, focal, dtheta):
-        designs = (bending, focal, theta_geo + dtheta)
-        return _score_chunk(scenario, h_phys, designs, w2, h2, scale)
+    def stage_scorer(axes):
+        """The chunk scorer of one stage: it gathers every chunk's weights
+        from phase tables built once from the stage's axes."""
+        bending, focal, dtheta = (np.asarray(a, dtype=float) for a in axes)
+        launch = theta_geo + dtheta
+        rows = airy_axis_rows(scenario.array, scenario.carrier, bending, focal, launch)
+
+        def score(i, j, k):
+            designs = (bending[i], focal[j], launch[k])
+            return _score_beams(scenario, h_phys, designs, rows(i, j, k), w2, h2, scale)
+
+        return score
 
     # Stage 0: constraint threshold from the geometric design's own gain.
     _, h11_geo = _score_chunk(
@@ -310,7 +333,7 @@ def coarse_to_fine_search(
     tau = eta * h11_geo
 
     coarse_axes = (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
-    trace, best = _scan(coarse_axes, score, tau, "coarse")
+    trace, best = _scan(coarse_axes, stage_scorer(coarse_axes), tau, "coarse")
     if best is None:
         max_h11 = float(trace.h11_power.max())
         raise InfeasibleSearchError(
@@ -325,7 +348,7 @@ def coarse_to_fine_search(
         fine_axes = tuple(_fine_axis(axis, center, span, refine)
                           for axis, center in zip(coarse_axes, best[1]))
         check_airy_columns(fine_axes[1], [theta_geo + dt for dt in fine_axes[2]])
-        fine_trace, fine_best = _scan(fine_axes, score, tau, "fine")
+        fine_trace, fine_best = _scan(fine_axes, stage_scorer(fine_axes), tau, "fine")
         trace = SearchTrace(*(np.concatenate([getattr(trace, name), getattr(fine_trace, name)])
                               for name in _TRACE_COLUMNS))
         if fine_best is not None and fine_best[0] > best[0]:

@@ -13,7 +13,8 @@ single-item value a test compares against:
   user against the bright user's traditional beam, _score_chunk on a chunk
   of one;
 * metrics_of_one: the metrics of one effective channel and analog matrix,
-  row 0 of batch_metrics' columns on a batch of one.
+  row 0 of batch_metrics' columns on a batch of one (scored through the
+  matrix's analog_gram).
 
 The channel builders and build_codebook serve every user in one call,
 and the sweeps build every point's user rows, beams and effective channels
@@ -50,7 +51,7 @@ from airylink.beams import AiryParams
 from airylink.channels import beam_responses, effective_channel
 from airylink.experiments import _published_opt_params
 from airylink.optimizer import _bright_beam, _one_design, _score_chunk
-from airylink.precoding import _stack, batch_metrics
+from airylink.precoding import _stack, analog_gram, batch_metrics
 
 
 def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -73,9 +74,11 @@ def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
 
 def metrics_of_one(h_eff, w_rf, tx_power: float, epsilon: float,
                    noise_power: float) -> dict:
-    """Post-RZF link metrics of one effective channel, {name: column[0]}
-    of batch_metrics on a batch of one."""
-    m, _ = batch_metrics(_stack(h_eff), _stack(w_rf), tx_power, epsilon, noise_power)
+    """Post-RZF link metrics of one effective channel and its analog
+    matrix, {name: column[0]} of batch_metrics on a batch of one."""
+    w = _stack(w_rf)
+    m, _ = batch_metrics(_stack(h_eff), analog_gram(w[..., 0], w[..., 1]), tx_power, epsilon,
+                         noise_power)
     return {name: column[0] for name, column in m.items()}
 
 

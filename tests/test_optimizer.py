@@ -8,6 +8,7 @@ exercised once in the experiments layer.
 
 import math
 import re
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -24,9 +25,10 @@ from airylink import (
     geometric_baseline_params,
     traditional_focus,
 )
+import airylink.beams as beams
 import airylink.optimizer as optimizer
 import airylink.precoding as precoding
-from airylink.errors import SingularChannelError
+from airylink.errors import AirylinkError, SingularChannelError
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL, SearchTrace
 from airylink.precoding import batch_metrics, batch_sum_rates
@@ -210,16 +212,16 @@ class TestCoarseToFineSearch:
 
 
 def counted_rows(monkeypatch) -> list:
-    """Patch the search's weight builder to record how many candidate rows
+    """Patch the search's chunk scorer to record how many candidate rows
     each call scores."""
     rows = []
-    build = optimizer.airy_weight_rows
+    score = optimizer._score_beams
 
-    def counted(array, carrier, bending, focal, launch_angle):
-        rows.append(len(bending))
-        return build(array, carrier, bending, focal, launch_angle)
+    def counted(scenario, h_phys, designs, *args):
+        rows.append(len(designs[0]))
+        return score(scenario, h_phys, designs, *args)
 
-    monkeypatch.setattr(optimizer, "airy_weight_rows", counted)
+    monkeypatch.setattr(optimizer, "_score_beams", counted)
     return rows
 
 
@@ -257,13 +259,15 @@ class TestSearchBoxCheckedUpFront:
 
 class TestSearchSkipsAchievedPower:
     def test_one_frobenius_norm_per_chunk(self, mixed_scenario, monkeypatch):
-        """Only the power normalization ||W_RF W~||_F^2 is taken per chunk;
-        the realized power ||W_RF W_BB||_F^2 is never computed."""
-        calls = []
+        """Only the closed-form RZF's ||H||_F^2 of the 2 x 2 effective
+        channels is taken per chunk; the realized power ||W_RF W_BB||_F^2,
+        or any norm of a C x N x 2 product, is never computed."""
+        calls, shapes = [], []
         frob = precoding._frobenius_sq
 
         def counted(m):
             calls.append(len(m))
+            shapes.append(m.shape[1:])
             return frob(m)
 
         monkeypatch.setattr(precoding, "_frobenius_sq", counted)
@@ -277,6 +281,7 @@ class TestSearchSkipsAchievedPower:
         assert outcome.evaluations == coarse + 5 * 5 * 5
         assert rows == [1, _CHUNK, coarse - _CHUNK, 125]
         assert calls == rows
+        assert set(shapes) == {(2, 2)}
 
 
 def recorded_chunks(monkeypatch, scenario, grids) -> list:
@@ -385,16 +390,67 @@ class TestRatePath:
         assert calls == svd_calls
 
 
+class TestStageTables:
+    """The search gathers each chunk's weights from phase tables built once
+    per stage from the grid axes."""
+
+    def test_one_sine_per_launch_angle_per_stage(self, mixed_scenario, monkeypatch):
+        """21 coarse angles, 11 fine ones and the geometric design's: one
+        math.sin each, not one per candidate."""
+        sines = []
+        counted = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                           if not name.startswith("_")})
+        counted.sin = lambda x: sines.append(x) or math.sin(x)
+        monkeypatch.setattr(beams, "math", counted)
+        outcome = coarse_to_fine_search(mixed_scenario, default_search_grids())
+        assert outcome.evaluations == 11 * 7 * 21 + 11**3
+        assert len(sines) == 1 + 21 + 11
+
+    def test_chunk_rows_match_airy_weight_rows(self, mixed_scenario, monkeypatch):
+        """Every chunk's gathered rows have the bits of airy_weight_rows on
+        the chunk's own (bending, focal, launch angle) columns."""
+        chunks = []
+        score = optimizer._score_beams
+
+        def recording(scenario, h_phys, designs, w1, *args):
+            chunks.append((designs, w1))
+            return score(scenario, h_phys, designs, w1, *args)
+
+        monkeypatch.setattr(optimizer, "_score_beams", recording)
+        outcome = coarse_to_fine_search(mixed_scenario, default_search_grids())
+        # The geometric design's chunk of one, then the two stages.
+        assert sum(len(w1) for _, w1 in chunks) == 1 + outcome.evaluations
+        assert len(chunks) == 1 + math.ceil(11 * 7 * 21 / _CHUNK) + math.ceil(11**3 / _CHUNK)
+        for designs, w1 in chunks:
+            expected = beams.airy_weight_rows(mixed_scenario.array, mixed_scenario.carrier,
+                                              *designs)
+            assert w1.tobytes() == expected.tobytes()
+
+
+class TestNaNRate:
+    def test_error_names_the_design_in_plain_floats(self, mixed_scenario):
+        """A NaN channel row makes every rate NaN; the error names the
+        first design as Python floats, not numpy reprs."""
+        h_phys = optimizer.diffraction_channel(mixed_scenario).copy()
+        h_phys[1] = np.nan
+        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, 1.0)
+        designs = (np.array([-30.0, -25.0]), np.array([1.5, 1.75]), np.array([0.125, 0.25]))
+        with pytest.raises(AirylinkError) as info, np.errstate(invalid="ignore"):
+            optimizer._score_chunk(mixed_scenario, h_phys, designs, w2, h2, 1.0)
+        assert str(info.value) == ("candidate (bending, focal, launch angle) = "
+                                   "(-30.0, 1.5, 0.125) produced a NaN sum rate")
+
+
 def stub_scorer(monkeypatch, rate_of, h11_of):
     """Replace the chunk scorer by one that scores each design (bending,
     focal, launch angle) with rate_of and h11_of."""
 
-    def scored(scenario, h_phys, designs, w2, h2, scale):
+    def scored(scenario, h_phys, designs, w1, w2, h2, scale):
         rows = list(zip(*designs))
         return (np.array([rate_of(*d) for d in rows], dtype=float),
                 np.array([h11_of(*d) for d in rows], dtype=float))
 
-    monkeypatch.setattr(optimizer, "_score_chunk", scored)
+    monkeypatch.setattr(optimizer, "_score_beams", scored)
 
 
 class TestReduction:

@@ -2,6 +2,8 @@
 
 Small matrices with hand-invertible structure pin the algebra; random
 well-conditioned channels exercise the exact-inversion property at scale.
+The closed-form RZF is checked against two independent references built
+from numpy's linear algebra, on channels of prescribed condition number.
 """
 
 import math
@@ -14,6 +16,7 @@ from airylink import (
     SingularChannelError,
     rzf_precoder,
 )
+from airylink.precoding import analog_gram, batch_metrics, batch_sum_rates
 
 from batch_of_one import metrics_of_one
 
@@ -210,3 +213,132 @@ class TestLinkMetrics:
         assert m["coupling_db"][1, 0] == pytest.approx(0.0, abs=1e-9)
         assert m["coupling_db"][1, 1] == pytest.approx(-20.0, abs=1e-9)
         assert m["coupling_db"][0, 1] == -math.inf
+
+
+EPS_MACH = np.finfo(float).eps
+TX_POWER = 1.7
+
+
+def unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conditioned(rng, kappa: float) -> np.ndarray:
+    """A random 2 x 2 channel with singular values (s, s / kappa), s drawn
+    from [0.01, 1]."""
+    s = rng.uniform(0.01, 1.0)
+    return unitary(rng) @ np.diag([s, s / kappa]) @ unitary(rng).conj().T
+
+
+def correlated_w_rf(rng, n: int = 16) -> np.ndarray:
+    """A random N x 2 analog matrix whose columns are far from orthogonal."""
+    w = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    w[:, 1] += 0.8 * w[:, 0]
+    return w
+
+
+def normalized(w_rf: np.ndarray, w_tilde: np.ndarray) -> tuple:
+    """(alpha, W_BB) of an unnormalized precoder, with the power taken as
+    the matmul norm ||W_RF W~||_F^2."""
+    alpha = math.sqrt(TX_POWER / np.linalg.norm(w_rf @ w_tilde) ** 2)
+    return alpha, alpha * w_tilde
+
+
+def relative_errors(res, alpha: float, w_bb: np.ndarray) -> tuple:
+    return (abs(res.alpha - alpha) / alpha,
+            np.linalg.norm(res.baseband - w_bb) / np.linalg.norm(w_bb))
+
+
+KAPPAS = (1.0, 10.0, 1e3, 1e5, 1e8)
+
+
+class TestClosedFormOracle:
+    """rzf_precoder's closed form against numpy's linear algebra. The
+    references carry their own round-off, so each bound scales with the
+    conditioning of the problem the reference solves."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-10, 0.5])
+    def test_matches_a_solve_based_rzf(self, rng, epsilon):
+        """Reference: W~ = H^H (H H^H + eps I)^(-1) by np.linalg.solve on
+        A = H H^H + eps I. Its error grows as cond(A), kappa^2 at eps = 0,
+        so the bound is 1e-13 + 4 eps_mach cond(A) (at most 1.1e-12 for
+        kappa <= 1e3), and draws whose cond(A) passes 1e10 are left to the
+        least-squares reference."""
+        checked = 0
+        for kappa in KAPPAS:
+            for _ in range(40):
+                h, w_rf = conditioned(rng, kappa), correlated_w_rf(rng)
+                a = h @ h.conj().T + epsilon * np.eye(2)
+                cond = np.linalg.cond(a)
+                if cond > 1e10:
+                    continue
+                alpha, w_bb = normalized(w_rf, np.linalg.solve(a, h).conj().T)
+                res = rzf_precoder(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
+                bound = 1e-13 + 4.0 * EPS_MACH * cond
+                assert max(relative_errors(res, alpha, w_bb)) <= bound, (kappa, cond)
+                checked += 1
+        assert checked >= 3 * 40
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-10, 0.5])
+    def test_matches_a_least_squares_rzf(self, rng, epsilon):
+        """Reference: the RZF precoder is the Tikhonov solution
+        argmin ||H X - I||^2 + eps ||X||^2, taken by np.linalg.lstsq on the
+        stacked [H; sqrt(eps) I], which is accurate to about eps_mach
+        sqrt(cond(A)). The closed form's own error grows as kappa (through
+        det H), so the bound is 1e-13 + 8 eps_mach kappa: below 2e-12 for
+        kappa <= 1e3 and 2e-7 at kappa = 1e8."""
+        stacked_rhs = np.vstack([np.eye(2), np.zeros((2, 2))])
+        for kappa in KAPPAS:
+            for _ in range(40):
+                h, w_rf = conditioned(rng, kappa), correlated_w_rf(rng)
+                stacked = np.vstack([h, math.sqrt(epsilon) * np.eye(2)])
+                w_tilde = np.linalg.lstsq(stacked, stacked_rhs, rcond=None)[0]
+                alpha, w_bb = normalized(w_rf, w_tilde)
+                res = rzf_precoder(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
+                bound = 1e-13 + 8.0 * EPS_MACH * kappa
+                assert max(relative_errors(res, alpha, w_bb)) <= bound, kappa
+
+    def test_three_users_refused(self):
+        with pytest.raises(AirylinkError, match=r"two users.*\(1, 3, 3\)"):
+            rzf_precoder(effective(np.eye(3)), orthonormal_w_rf(k=3),
+                         tx_power=1.0, epsilon=0.1)
+        h = np.broadcast_to(np.eye(3, dtype=complex), (4, 3, 3))
+        with pytest.raises(AirylinkError, match=r"two users.*\(4, 3, 3\)"):
+            batch_sum_rates(h, np.zeros((4, 2, 2), dtype=complex), 1.0, 0.1, 1e-3)
+
+    def test_one_user_refused(self):
+        """A one-user call is refused before the Gram matrix reads a second
+        beam."""
+        with pytest.raises(AirylinkError, match=r"two users.*\(1, 1, 1\)"):
+            rzf_precoder(effective([[1.0]]), orthonormal_w_rf(k=1),
+                         tx_power=1.0, epsilon=0.1)
+
+    def test_analog_matrix_in_place_of_its_gram_refused(self, rng):
+        """The metrics read W_RF only through analog_gram; an N x 2 analog
+        matrix passed in its place is refused, not read as a Gram matrix."""
+        h = conditioned(rng, 10.0)[None]
+        w_rf = correlated_w_rf(rng)[None]
+        for score in (batch_metrics, batch_sum_rates):
+            with pytest.raises(AirylinkError, match=r"analog_gram.*\(1, 16, 2\)"):
+                score(h, w_rf, 1.0, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-10, 0.5])
+    def test_zero_channel_reports_sigma_min(self, rng, epsilon):
+        with pytest.raises(SingularChannelError) as info:
+            rzf_precoder(effective(np.zeros((2, 2))), correlated_w_rf(rng),
+                         tx_power=1.0, epsilon=epsilon)
+        assert info.value.sigma_min == 0.0
+
+    @pytest.mark.parametrize("epsilon", [1e-10, 0.5])
+    def test_zero_beams_report_sigma_min(self, rng, epsilon):
+        h = conditioned(rng, 10.0)
+        with pytest.raises(SingularChannelError, match="normalize") as info:
+            rzf_precoder(h, np.zeros((16, 2), dtype=complex), tx_power=1.0, epsilon=epsilon)
+        assert info.value.sigma_min == np.linalg.svd(h, compute_uv=False)[-1]
+
+    def test_gram_holds_norms_and_cross_term(self, rng):
+        w_rf = correlated_w_rf(rng)
+        gram = analog_gram(w_rf[:, 0][None], w_rf[:, 1])
+        assert gram.shape == (1, 2, 2)
+        assert np.allclose(gram[0], w_rf.conj().T @ w_rf, rtol=1e-14, atol=0.0)
