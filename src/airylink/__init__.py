@@ -53,7 +53,6 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import PrecodingResult, rzf_precoder
 from .propagation import (
     ComplexField,
     IntensityMap,
@@ -62,9 +61,6 @@ from .propagation import (
     intensity_map,
     launch_aperture,
     propagate_angular_spectrum,
-    propagate_blocked,
-    propagate_direct_fresnel,
-    sample_field,
 )
 
 __version__ = "0.1.0"

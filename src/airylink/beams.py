@@ -11,16 +11,15 @@ Two beam families, both phase-only with uniform 1/sqrt(N) amplitude:
 
 All element positions are evaluated in meters; the cubic coefficient
 `bending` is dimensionless and `focal` is a length. Every beam is a plain
-complex array. airy_weight_rows and traditional_focus_rows build many beams
-of one family at once (the angle sweep, a codebook's users);
-airy_weights and traditional_focus are their one-row views, and
+complex array. airy_axis_rows and traditional_focus_rows build many beams
+of one family at once (a search stage, the angle sweep, a codebook's
+users); airy_weights and traditional_focus are their one-row views, and
 build_codebook stacks one beam per user as the N x K analog matrix W_RF.
-Cubic phases are gathered from per-axis tables (airy_axis_rows), which
-the search builds once per stage from its grid axes and airy_weight_rows
-from the distinct values of its columns; either way a design gets the
-bits of airy_weights. check_airy_columns holds the parameter rules that
-AiryParams and the search's up-front box check share, and
-check_unit_norm the norm rule every returned beam meets.
+airy_axis_rows is the one cubic-phase builder: it takes parameter axes,
+builds their phase tables once and gathers any design's row from them,
+with the bits airy_weights gives that design. check_airy_columns holds
+the parameter rules that AiryParams and the search's up-front box check
+share, and check_unit_norm the norm rule every returned beam meets.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "traditional_focus",
     "traditional_focus_rows",
     "airy_weights",
-    "airy_weight_rows",
     "airy_axis_rows",
     "airy_local_sine",
     "build_codebook",
@@ -130,9 +128,11 @@ def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launc
     (k0 sin(theta)) x per launch angle (one math.sin per value). Returns
     rows(i, j, k), which gives the C x N weights of the designs
     (bending[i[c]], focal[j[c]], launch_angle[k[c]]) by gathering table
-    rows into (lens - steer) + coef * cube, airy_weights' phase in its own
-    order of operations, so every row has airy_weights' bits. The axes
-    are taken as given; check_airy_columns holds the rules they must meet.
+    rows into (lens - steer) + coef * cube, in that order of operations,
+    whatever the batch: every row has the bits airy_weights gives its
+    design. The indices broadcast, so rows(0, 0, np.arange(m)) gives one
+    (bending, focal) pair at m angles. The axes are taken as given;
+    check_airy_columns holds the rules they must meet.
     """
     xs = array.element_x()
     k0 = carrier.wavenumber
@@ -144,28 +144,10 @@ def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launc
     norm = math.sqrt(array.n)
 
     def rows(i, j, k) -> np.ndarray:
-        phase = (lens[j] - steer[k]) + coef[i][:, None] * cube[j]
+        phase = (lens[j] - steer[k]) + coef[i][..., None] * cube[j]
         return np.exp(1j * phase) / norm
 
     return rows
-
-
-def airy_weight_rows(array: ArrayGeometry, carrier: Carrier, bending, focal,
-                     launch_angle) -> np.ndarray:
-    """Cubic-phase weights for many designs at once: row c (of a C x N
-    array) holds the weights of design (bending[c], focal[c],
-    launch_angle[c]), as documented in airy_weights. The columns are taken
-    as given; check_airy_columns holds the rules they must meet.
-
-    Each column is reduced to its distinct values (by float64 bit
-    pattern), and airy_axis_rows builds the phase tables of those values
-    and gathers every design's row, so a row has the same bits whatever
-    the batch.
-    """
-    axes = [np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
-            for column in (bending, focal, launch_angle)]
-    rows = airy_axis_rows(array, carrier, *(values.view(np.float64) for values, _ in axes))
-    return rows(*(index for _, index in axes))
 
 
 def airy_weights(
@@ -181,8 +163,8 @@ def airy_weights(
     steers the launch direction, and the cubic term curves the trajectory:
     negative bending accelerates the lobe toward -x past the focal region.
     """
-    w = airy_weight_rows(array, carrier, (params.bending,), (params.focal,),
-                         (params.launch_angle,))[0]
+    w = airy_axis_rows(array, carrier, (params.bending,), (params.focal,),
+                       (params.launch_angle,))(0, 0, 0)
     check_unit_norm(w)
     return w
 
@@ -252,8 +234,8 @@ def build_codebook(
             check_airy_columns(launch_angle=angles)
         else:
             angles = [airy_params.launch_angle] * m
-        rows[curved] = airy_weight_rows(scenario.array, scenario.carrier,
-                                        [airy_params.bending] * m, [airy_params.focal] * m,
-                                        angles)
+        rows[curved] = airy_axis_rows(scenario.array, scenario.carrier,
+                                      (airy_params.bending,), (airy_params.focal,),
+                                      angles)(0, 0, np.arange(m))
     check_unit_norm(rows)
     return np.ascontiguousarray(rows.T)

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from .beams import build_codebook
 from .errors import AirylinkError, ConfigError, ModelMismatchError
 from .geometry import ScenarioConfig
 from .propagation import Cascade, element_bins, sample_field_transpose
@@ -199,8 +200,6 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
             "calibration must run on the obstacle-free geometry; "
             "call scenario.without_obstacle() first"
         )
-    from .beams import build_codebook  # local import to avoid a module cycle
-
     w_rf = build_codebook(scenario, "trad_all")
     h_greens = effective_channel(greens_channel(scenario), w_rf)
     h_diff = effective_channel(diffraction_channel(scenario), w_rf)

@@ -25,10 +25,9 @@ Every runner is pure given its config: identical inputs produce identical
 outputs (and therefore byte-identical CSVs downstream). A sweep builds the
 effective channel and analog matrix of every (point x strategy) pair as
 stacked arrays, in sweep order, and scores them all in one batched SVD +
-closed-form RZF + metrics pass (precoding.batch_metrics, on the analog
-matrices' Gram matrices), whose RZF and sum-rate arithmetic the beam
-search shares; the sweep keeps that pass's metric columns as they are,
-one row per pair.
+closed-form RZF + metrics pass (precoding.batch_metrics), whose RZF and
+sum-rate arithmetic the beam search shares; the sweep keeps that pass's
+metric columns as they are, one row per pair.
 
 No sweep loops over its points. The baseline, shadow and robustness
 sweeps share one body, in which one user moves and the other stays: one
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import AiryParams, airy_weight_rows, airy_weights, build_codebook, check_airy_columns
+from .beams import AiryParams, airy_axis_rows, airy_weights, build_codebook, check_airy_columns
 from .channels import (
     beam_responses,
     check_finite,
@@ -68,7 +67,7 @@ from .optimizer import (
     default_search_grids,
     geometric_baseline_params,
 )
-from .precoding import achieved_power, analog_gram, batch_metrics
+from .precoding import achieved_power, batch_metrics
 from .propagation import Cascade, IntensityMap, grid_x, intensity_map, launch_aperture
 
 __all__ = [
@@ -169,8 +168,8 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
     h = np.ascontiguousarray(h_eff, dtype=complex)
     check_finite(h)
     w = np.ascontiguousarray(w_rf, dtype=complex)
-    m, w_bb = batch_metrics(h, analog_gram(w[..., 0], w[..., 1]), scenario.tx_power,
-                            scenario.rzf_epsilon, scenario.noise_power)
+    m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon,
+                            scenario.noise_power)
     _assert_point_invariants(scenario, achieved_power(w, w_bb), m)
     return SweepResult(sweep_variable, strategies, values, m)
 
@@ -289,8 +288,8 @@ def run_mixed_optimization(
     best = outcome.best_params
     angles = [theta_geo + math.radians(d) for d in dthetas]
     check_airy_columns(launch_angle=angles)
-    rows = airy_weight_rows(scenario.array, scenario.carrier, [best.bending] * len(angles),
-                            [best.focal] * len(angles), angles)
+    rows = airy_axis_rows(scenario.array, scenario.carrier, (best.bending,), (best.focal,),
+                          angles)(0, 0, np.arange(len(angles)))
     # Point p's beams: its curved beam (row p) and the search's bright-user
     # beam w2.
     beams = np.stack([rows, np.broadcast_to(outcome.w2, rows.shape)], axis=1)

@@ -27,19 +27,20 @@ Each stage first builds the cubic beam's phase tables from its three axes
 (beams.airy_axis_rows: lens and cube rows per focal value, a coefficient
 per bending value, a steering row per launch angle, so math.sin runs once
 per angle and stage); a chunk gathers its weights from them, with the bits
-airy_weight_rows gives the same designs. One product with the matrix gives
-the shadowed user's effective columns, and the RZF needs nothing more of
-the beams than their 2 x 2 Gram matrices (precoding.analog_gram), so no
-C x N x 2 analog matrix is formed. precoding.batch_sum_rates then yields
-the sum rates alone from the closed-form two-user RZF that batch_metrics,
-which scores every sweep, shares: no inverse or batched matrix product,
-and no singular values at epsilon > 0. The search only ranks rates, so it
-never forms the realized power ||W_RF W_BB||_F^2 either. A candidate gets
-the same bits in any chunk as in a chunk of one. Each stage's rates and
-|h11|^2 values land in arrays that one masked first-argmax reduces, and the
-trace keeps them as columns (SearchTrace). The closed form moved trace
-rates against the LAPACK inverse it replaced by at most 1e-11 relative in
-their printed digits; weights, |h11|^2 and verdicts kept every bit.
+airy_weights gives each design. Stage 0, the geometric design that sets
+the gain floor, is scored the same way on one-point axes. One product
+with the matrix gives the shadowed user's effective columns, and
+precoding.batch_sum_rates yields the sum rates alone from the candidates'
+beams, the shared bright-user beam and the closed-form two-user RZF that
+batch_metrics, which scores every sweep, shares: no inverse, batched
+matrix product or C x N x 2 analog matrix, and no singular values at
+epsilon > 0. The search only ranks rates, so it never forms the realized
+power ||W_RF W_BB||_F^2 either. A candidate gets the same bits in any
+chunk as in a chunk of one. Each stage's rates and |h11|^2 values land in
+arrays that one masked first-argmax reduces, and the trace keeps them as
+columns (SearchTrace). The closed form moved trace rates against the
+LAPACK inverse it replaced by at most 1e-11 relative in their printed
+digits; weights, |h11|^2 and verdicts kept every bit.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import (AiryParams, airy_axis_rows, airy_weight_rows, check_airy_columns,
-                    traditional_focus)
+from .beams import AiryParams, airy_axis_rows, check_airy_columns, traditional_focus
 from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
 from .geometry import ScenarioConfig, geometric_angle
-from .precoding import analog_gram, batch_sum_rates
+from .precoding import batch_sum_rates
 
 __all__ = [
     "SearchGrids",
@@ -182,20 +182,6 @@ def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
     )
 
 
-def _score_chunk(
-    scenario: ScenarioConfig,
-    h_phys: np.ndarray,
-    designs,
-    w2: np.ndarray,
-    h2: np.ndarray,
-    scale: complex,
-) -> tuple:
-    """_score_beams of cubic-beam designs given as the (bending, focal,
-    launch angle) columns of airy_weight_rows, which builds their weights."""
-    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
-    return _score_beams(scenario, h_phys, designs, w1, w2, h2, scale)
-
-
 def _score_beams(
     scenario: ScenarioConfig,
     h_phys: np.ndarray,
@@ -210,16 +196,15 @@ def _score_beams(
     search). `designs` holds the designs' (bending, focal, launch angle)
     columns, which only the NaN-rate error reads, and w1 their C x N
     weights. One beam_responses product gives every candidate's column
-    (K x C, transposed to one row per candidate), each paired with h2, and
-    the Gram matrices of (w1, w2) are all the RZF needs of the beams.
+    (K x C, transposed to one row per candidate), each paired with h2.
     Returns the sum rates and |h11|^2 values as arrays, one entry per
     design."""
     h1 = beam_responses(h_phys, w1, scale).T
     h_eff = np.empty((len(w1), 2, 2), dtype=complex)
     h_eff[:, :, 0] = h1
     h_eff[:, :, 1] = h2
-    rates = batch_sum_rates(h_eff, analog_gram(w1, w2), scenario.tx_power,
-                            scenario.rzf_epsilon, scenario.noise_power)
+    rates = batch_sum_rates(h_eff, w1, w2, scenario.tx_power, scenario.rzf_epsilon,
+                            scenario.noise_power)
     bad = np.isnan(rates)
     if bad.any():
         c = int(np.argmax(bad))
@@ -232,11 +217,6 @@ def _score_beams(
     # differently.
     h11_power = np.array([abs(h) ** 2 for h in h1[:, 0]])
     return rates, h11_power
-
-
-def _one_design(params: AiryParams) -> tuple:
-    """One design as the one-row parameter columns _score_chunk takes."""
-    return (params.bending,), (params.focal,), (params.launch_angle,)
 
 
 def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -> tuple:
@@ -325,10 +305,10 @@ def coarse_to_fine_search(
 
         return score
 
-    # Stage 0: constraint threshold from the geometric design's own gain.
-    _, h11_geo = _score_chunk(
-        scenario, h_phys, _one_design(geometric_baseline_params(scenario)), w2, h2, scale
-    )
+    # Stage 0: constraint threshold from the geometric design's own gain,
+    # on the one-point axes of geometric_baseline_params.
+    one = np.zeros(1, dtype=int)
+    _, h11_geo = stage_scorer(((GEO_BENDING,), (GEO_FOCAL,), (0.0,)))(one, one, one)
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
 

@@ -21,43 +21,38 @@ The model serves two users, so the RZF is written in closed form for a
 (adj is linear on 2 x 2 matrices and H^H adj(H^H) = conj(D) I), and
 W~ = H^H adj(A) / det A; with epsilon = 0 that is adj(H) / D = H^(-1).
 The power normalization needs W_RF only through its 2 x 2 Gram matrix
-G = W_RF^H W_RF (analog_gram: ||w1||^2, ||w2||^2 and w1^H w2):
-||W_RF W~||_F^2 = sum_k w~_k^H G w~_k over the columns of W~. The RZF
-forms no inverse, matrix product or N x 2 array, and refuses any other
-number of users. Against the LAPACK inverse it replaced, rates, alpha^2
-and SINRs moved by at most 7.2e-11 relative in their 12 printed digits.
+G = W_RF^H W_RF (||w1||^2, ||w2||^2 and w1^H w2), which stays inside this
+module: ||W_RF W~||_F^2 = sum_k w~_k^H G w~_k over the columns of W~. The
+RZF forms no inverse, matrix product or N x 2 array, and refuses any
+other number of users. Against the LAPACK inverse it replaced, rates,
+alpha^2 and SINRs moved by at most 7.2e-11 relative in their 12 printed
+digits.
 
-The arithmetic runs over a leading candidate axis: every sweep scores all
-its channels in one batch_metrics call, whose metric columns (one array
-per metric, one row per candidate) are the sweep, and rzf_precoder is a
-batch-of-one view of the same RZF routine for one K x K effective channel
-array (channels.check_effective), so a channel gets the same bits alone or
-in a batch. The beam search only ranks rates, so it scores each chunk
-through batch_sum_rates: the RZF and sum-rate arithmetic of
-batch_metrics (_sinr_and_rate), without kappa, SINR in dB or coupling
-powers, and without the singular values except for the epsilon = 0 guard
-or to report sigma_min on the zero-power error. The realized power
-||W_RF W_BB||_F^2 is its own step (achieved_power), a product with W_RF
-itself: the sweeps check it at every point and rzf_precoder reports it,
-while the search skips it.
+The arithmetic runs over a leading candidate axis, so a channel gets the
+same bits alone or in a batch. Every sweep scores all its channels in one
+batch_metrics call on their C x N x 2 analog matrices, whose metric
+columns (one array per metric, one row per candidate) are the sweep. The
+beam search only ranks rates, so it scores each chunk through
+batch_sum_rates, on the candidates' beams and the one bright-user beam
+they share: the RZF and sum-rate arithmetic of batch_metrics
+(_sinr_and_rate), without kappa, SINR in dB or coupling powers, and
+without the singular values except for the epsilon = 0 guard or to report
+sigma_min on the zero-power error. The realized power ||W_RF W_BB||_F^2
+is its own step (achieved_power), a product with W_RF itself: the sweeps
+check it at every point, while the search skips it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AirylinkError, SingularChannelError
-from .channels import check_effective
 
 __all__ = [
-    "PrecodingResult",
-    "rzf_precoder",
     "batch_metrics",
     "batch_sum_rates",
-    "analog_gram",
     "achieved_power",
 ]
 
@@ -65,30 +60,12 @@ __all__ = [
 _SINGULAR_RCOND = 1e-13
 
 
-@dataclass(frozen=True)
-class PrecodingResult:
-    """Baseband precoder W_BB (K x K), the power-normalization scalar alpha
-    (real-positive by construction), the diagnostic product H_eff @ W_BB,
-    and the transmit power actually realized (||W_RF W_BB||_F^2)."""
-
-    baseband: np.ndarray
-    alpha: float
-    product_check: np.ndarray
-    achieved_power: float
-
-
-def _stack(matrix) -> np.ndarray:
-    """One matrix as a contiguous batch of one, the layout the batched
-    routines see for every candidate of a larger batch."""
-    return np.ascontiguousarray(np.asarray(matrix, dtype=complex)[None])
-
-
 def _frobenius_sq(m: np.ndarray) -> np.ndarray:
     """||m_c||_F^2 for every matrix of a batch."""
     return (m.real**2 + m.imag**2).sum(axis=(-2, -1))
 
 
-def analog_gram(first, second) -> np.ndarray:
+def _analog_gram(first, second) -> np.ndarray:
     """The Gram matrix G = W_RF^H W_RF (C x 2 x 2) of every two-beam analog
     matrix W_RF = [w1 w2] of a batch, from its beams as rows: `first` is
     C x N and `second` C x N or one N-vector that every candidate shares.
@@ -120,16 +97,16 @@ _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
                sigma: np.ndarray | None = None) -> tuple:
     """Closed-form two-user RZF over a leading candidate axis: h is C x 2 x 2,
-    gram the C x 2 x 2 analog_gram of the analog matrices and sigma the
+    gram the C x 2 x 2 Gram matrices of the analog matrices and sigma the
     C x 2 singular values of h, or None to take them only where they are
     needed (the epsilon = 0 guard and the zero-power error). Returns
     (W~, alpha), one entry per candidate, with W_BB = alpha W~; raises for
     the first candidate whose inversion or power normalization is
     impossible."""
     _check_two_users(h)
-    if gram.shape != h.shape:
+    if len(gram) != len(h):
         raise AirylinkError(
-            f"expected one 2 x 2 analog_gram per effective channel, {h.shape}; got {gram.shape}"
+            f"expected one pair of beams per effective channel, {len(h)}; got {len(gram)}"
         )
     if epsilon == 0.0:
         if sigma is None:
@@ -204,54 +181,33 @@ def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
     }
 
 
-def batch_metrics(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
+def batch_metrics(h: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: float,
                   noise_power: float) -> tuple:
     """Post-RZF metrics of every candidate in a batch: h is C x 2 x 2
-    effective channels, gram the C x 2 x 2 analog_gram of the analog
-    matrices. Returns (metric columns of _metrics_batch, W_BB); candidate c
-    gets exactly the bits it gets in a batch of one, W_BB[c] is
-    rzf_precoder's baseband precoder, and achieved_power(w, W_BB) is
-    rzf_precoder's achieved power."""
+    effective channels, w_rf the C x N x 2 analog matrices. Returns (metric
+    columns of _metrics_batch, W_BB); candidate c gets exactly the bits it
+    gets in a batch of one, and achieved_power(w_rf, W_BB) is the power
+    each W_BB realizes."""
+    # Ahead of the beam check, so a one-user batch is refused as such.
+    _check_two_users(h)
+    if np.ndim(w_rf) != 3 or np.shape(w_rf)[-1] != 2:
+        raise AirylinkError(
+            f"expected C x N x 2 analog matrices (two beams each), got shape {np.shape(w_rf)}"
+        )
     sigma = np.linalg.svd(h, compute_uv=False)
+    gram = _analog_gram(w_rf[..., 0], w_rf[..., 1])
     w_tilde, alpha = _rzf_batch(h, gram, tx_power, epsilon, sigma)
     return _metrics_batch(h, alpha, noise_power, sigma), alpha[:, None, None] * w_tilde
 
 
-def batch_sum_rates(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
-                    noise_power: float) -> np.ndarray:
-    """Sum rate of every candidate in a batch, bit for bit
-    batch_metrics(...)[0]["sum_rate"], with the same exceptions. The
-    singular values are taken only for the epsilon = 0 guard or to report
-    sigma_min when a precoder is identically zero."""
-    _, alpha = _rzf_batch(h, gram, tx_power, epsilon)
+def batch_sum_rates(h: np.ndarray, first: np.ndarray, second: np.ndarray, tx_power: float,
+                    epsilon: float, noise_power: float) -> np.ndarray:
+    """Sum rate of every candidate in a batch: h is C x 2 x 2 effective
+    channels, `first` the C x N beams of the candidates' first users and
+    `second` the one N-vector beam they share. Bit for bit
+    batch_metrics(...)[0]["sum_rate"] of the analog matrices [w1 w2], with
+    the same exceptions. The singular values are taken only for the
+    epsilon = 0 guard or to report sigma_min when a precoder is
+    identically zero."""
+    _, alpha = _rzf_batch(h, _analog_gram(first, second), tx_power, epsilon)
     return _sinr_and_rate(alpha, noise_power, h.shape[-1])[1]
-
-
-def rzf_precoder(
-    h_eff: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: float
-) -> PrecodingResult:
-    """Regularized zero-forcing with exact total-power normalization of one
-    2 x 2 effective channel and its N x 2 analog matrix."""
-    check_effective(h_eff)
-    if epsilon < 0:
-        raise AirylinkError(f"epsilon must be nonnegative, got {epsilon}")
-    if tx_power <= 0:
-        raise AirylinkError(f"tx_power must be positive, got {tx_power}")
-    h = _stack(h_eff)
-    k = h.shape[-1]
-    w = _stack(w_rf)
-    if w.shape[-1] != k:
-        raise AirylinkError(f"analog matrix has {w.shape[-1]} beams, channel expects {k}")
-    # Before the Gram matrix reads a second beam, which a one-user call lacks.
-    _check_two_users(h)
-
-    sigma = np.linalg.svd(h, compute_uv=False)
-    w_tilde, alpha = _rzf_batch(h, analog_gram(w[..., 0], w[..., 1]), tx_power, epsilon, sigma)
-    w_bb = alpha[:, None, None] * w_tilde
-    return PrecodingResult(
-        baseband=w_bb[0],
-        alpha=float(alpha[0]),
-        product_check=h[0] @ w_bb[0],
-        achieved_power=float(achieved_power(w, w_bb)[0]),
-    )
-

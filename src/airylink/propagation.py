@@ -1,10 +1,10 @@
 """Scalar wave propagation on a 1D transverse grid.
 
 The solver is the FFT angular-spectrum method with the paraxial (Fresnel)
-transfer function; a direct O(Nx^2) quadrature of the Fresnel integral
-serves as an independent oracle for testing. Both use the e^{+j omega t}
-time convention, so forward propagation carries phase e^{-j k0 z} and a
-point source radiates e^{-j k0 (z + x^2/(2z))}.
+transfer function; the tests check it against a direct O(Nx^2) quadrature
+of the Fresnel integral that the package does not ship. Both use the
+e^{+j omega t} time convention, so forward propagation carries phase
+e^{-j k0 z} and a point source radiates e^{-j k0 (z + x^2/(2z))}.
 
 Transfer function and kernel are a matched pair:
 
@@ -19,10 +19,8 @@ transfer function or a 1/sqrt(j) prefactor each break one of them).
 
 The knife-edge cascade (propagate to the obstacle plane, zero the blocked
 side, propagate on) is one Cascade per grid, wavelength and obstacle, run
-forward for fields and transposed for channel rows; propagate_blocked and
-intensity_map are views of it. apply_mask, sample_field and
-propagate_direct_fresnel stay separate, so tests can compose independent
-oracles from them.
+forward for fields (intensity_map is its map of many depths) and
+transposed for channel rows.
 
 Boundary handling: a super-Gaussian absorber multiplies the field after
 every propagation step, eating energy that would otherwise wrap around the
@@ -49,10 +47,6 @@ __all__ = [
     "band_limit",
     "Cascade",
     "propagate_angular_spectrum",
-    "propagate_direct_fresnel",
-    "apply_mask",
-    "propagate_blocked",
-    "sample_field",
     "sample_field_transpose",
     "element_bins",
     "launch_aperture",
@@ -291,69 +285,6 @@ def propagate_angular_spectrum(
     return ComplexField(out, field.grid, field.depth + distance)
 
 
-def propagate_direct_fresnel(
-    field: ComplexField, distance: float, wavelength: float
-) -> ComplexField:
-    """Brute-force quadrature of the Fresnel integral (the testing oracle).
-
-    E(x) = sqrt(j/(lambda z)) e^{-j k0 z} * sum E0(x') e^{-j k0 (x-x')^2/(2z)} dx'
-
-    O(Nx^2) and FFT-free. On a uniform grid the kernel depends only on the
-    index difference i - j, so its 2 Nx - 1 distinct values are computed
-    once and row i of the kernel is gathered as a contiguous slice of them
-    (reversed, so it meets the reversed field); rows go in blocks to bound
-    memory.
-    """
-    if distance <= 0:
-        raise AirylinkError("direct Fresnel quadrature needs distance > 0; use the field as-is for z=0")
-    grid = field.grid
-    nx = grid.nx
-    k0 = 2.0 * math.pi / wavelength
-    pref = np.sqrt(1j / (wavelength * distance)) * np.exp(-1j * k0 * distance) * grid.dx
-    offsets = np.arange(-(nx - 1), nx) * grid.dx
-    # values[m + nx - 1] is the kernel at x_i - x_j = m dx, so row i of the
-    # kernel, reversed, is values[i : i + nx].
-    values = np.exp(-1j * k0 * offsets**2 / (2.0 * distance))
-    rows = np.lib.stride_tricks.sliding_window_view(values, nx)
-    reversed_samples = field.samples[::-1]
-    out = np.empty(nx, dtype=complex)
-    block = 256
-    for start in range(0, nx, block):
-        stop = min(start + block, nx)
-        out[start:stop] = np.ascontiguousarray(rows[start:stop]) @ reversed_samples
-    out *= pref
-    apod = _apodization(grid)
-    if apod is not None:
-        out = out * apod
-    return ComplexField(out, grid, field.depth + distance)
-
-
-def apply_mask(field: ComplexField, obstacle: KnifeEdgeObstacle) -> ComplexField:
-    """Zero the blocked half-line (edge bin included) at the obstacle plane."""
-    if abs(field.depth - obstacle.depth) > field.grid.dx:
-        raise AirylinkError(
-            f"mask applied at depth {field.depth:.6e} m but the obstacle sits at "
-            f"{obstacle.depth:.6e} m; propagate to the obstacle plane first"
-        )
-    keep = _clear_side(field.grid, obstacle)
-    return ComplexField(np.where(keep, field.samples, 0.0 + 0.0j), field.grid, field.depth)
-
-
-def propagate_blocked(
-    aperture: ComplexField,
-    obstacle: KnifeEdgeObstacle | None,
-    target_depth: float,
-    wavelength: float,
-) -> ComplexField:
-    """Two-stage cascade: propagate to the obstacle, mask, continue to the target.
-
-    Reduces to plain propagation when there is no obstacle or the target lies
-    at or before the obstacle plane. One depth of Cascade.fields.
-    """
-    (out,) = Cascade(aperture.grid, wavelength, obstacle).fields(aperture, [target_depth])
-    return out
-
-
 def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
     """Lower sample index and fractional offset of position x."""
     half = grid.interior_half_width
@@ -366,16 +297,9 @@ def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
     return low, pos - low
 
 
-def sample_field(field: ComplexField, x: float) -> complex:
-    """Linear interpolation of the field at transverse position x (meters)."""
-    low, frac = _interpolation(field.grid, x)
-    s = field.samples
-    return complex((1.0 - frac) * s[low] + frac * s[low + 1])
-
-
 def sample_field_transpose(grid: GridSpec, x: float) -> np.ndarray:
-    """The row vector that sample_field applies: sample_field(f, x) equals
-    sample_field_transpose(f.grid, x) @ f.samples."""
+    """The row vector of linear interpolation at transverse position x
+    (meters): its product with a field's samples is the field at x."""
     low, frac = _interpolation(grid, x)
     probe = np.zeros(grid.nx, dtype=complex)
     probe[low] = 1.0 - frac
@@ -407,9 +331,7 @@ def intensity_map(
     """Propagated |E|^2 in dB over a list of depths (rows), normalized so the
     global maximum is exactly 0 dB and clipped at `floor_db`.
 
-    Row i is |propagate_blocked(aperture, obstacle, depths[i], wavelength)|^2
-    bit for bit; one Cascade.fields pass makes every row, one depth at a
-    time.
+    One Cascade.fields pass makes every row, one depth at a time.
     """
     depths = [float(d) for d in depths]
     if not depths:

@@ -2,19 +2,23 @@
 
 The package scores beams, search candidates and operating points only in
 batches: beam_responses maps many weight rows through one physical
-channel, optimizer._score_chunk scores a chunk of cubic-beam designs, and
-precoding.batch_metrics scores a stack of effective channels. Each
-function here runs one of those paths on a batch of one, which is the
-single-item value a test compares against:
+channel, the search's optimizer._score_beams scores a chunk of cubic-beam
+designs, and precoding.batch_metrics scores a stack of effective channels
+with their analog matrices. Each function here runs one of those paths on
+a batch of one, which is the single-item value a test compares against:
 
 * beam_column: the per-user response of one analog beam,
   beam_responses(diffraction_channel(s), w[None], scale)[0];
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
-  user against the bright user's traditional beam, _score_chunk on a chunk
-  of one;
+  user against the bright user's traditional beam, score_designs (the
+  search's _score_beams on weights gathered from the designs' parameter
+  columns) on a chunk of one;
 * metrics_of_one: the metrics of one effective channel and analog matrix,
-  row 0 of batch_metrics' columns on a batch of one (scored through the
-  matrix's analog_gram).
+  row 0 of batch_metrics' columns on a batch of one;
+* rzf_of_one: the baseband precoder W_BB of one effective channel and
+  analog matrix from batch_metrics on a batch of one, with alpha, the
+  product H_eff W_BB and the power achieved_power gives it: the RZF that
+  every sweep scores through.
 
 The channel builders and build_codebook serve every user in one call,
 and the sweeps build every point's user rows, beams and effective channels
@@ -41,17 +45,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
                       diffraction_channel, geometric_angle, geometric_baseline_params,
                       remark1_calibration, traditional_focus)
-from airylink.beams import AiryParams
+from airylink.beams import AiryParams, airy_axis_rows
 from airylink.channels import beam_responses, effective_channel
 from airylink.experiments import _published_opt_params
-from airylink.optimizer import _bright_beam, _one_design, _score_chunk
-from airylink.precoding import _stack, analog_gram, batch_metrics
+from airylink.optimizer import _bright_beam, _score_beams
+from airylink.precoding import achieved_power, batch_metrics
 
 
 def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -61,6 +66,17 @@ def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) 
     return beam_responses(diffraction_channel(scenario), w[None], scale)[:, 0]
 
 
+def score_designs(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray,
+                  h2: np.ndarray, scale: complex = 1.0 + 0.0j) -> tuple:
+    """(sum rates, |h11|^2 values) of the cubic designs given as (bending,
+    focal, launch angle) columns, each paired with the bright user's beam
+    w2 (effective column h2): _score_beams on weights gathered by
+    airy_axis_rows with the columns as its axes."""
+    i = np.arange(len(designs[0]))
+    w1 = airy_axis_rows(scenario.array, scenario.carrier, *designs)(i, i, i)
+    return _score_beams(scenario, h_phys, designs, w1, w2, h2, scale)
+
+
 def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
                        scale: complex = 1.0 + 0.0j) -> tuple:
     """(sum rate, |h11|^2) of one cubic-beam design for the shadowed user,
@@ -68,18 +84,37 @@ def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
     scorer on a chunk of one."""
     h_phys = diffraction_channel(scenario)
     w2, h2 = _bright_beam(scenario, h_phys, scale)
-    rates, h11_power = _score_chunk(scenario, h_phys, _one_design(params), w2, h2, scale)
+    designs = (params.bending,), (params.focal,), (params.launch_angle,)
+    rates, h11_power = score_designs(scenario, h_phys, designs, w2, h2, scale)
     return float(rates[0]), float(h11_power[0])
+
+
+def _one(matrix) -> np.ndarray:
+    """One matrix as a contiguous batch of one, the layout the batched
+    routines see for every candidate of a larger batch."""
+    return np.ascontiguousarray(np.asarray(matrix, dtype=complex)[None])
 
 
 def metrics_of_one(h_eff, w_rf, tx_power: float, epsilon: float,
                    noise_power: float) -> dict:
     """Post-RZF link metrics of one effective channel and its analog
     matrix, {name: column[0]} of batch_metrics on a batch of one."""
-    w = _stack(w_rf)
-    m, _ = batch_metrics(_stack(h_eff), analog_gram(w[..., 0], w[..., 1]), tx_power, epsilon,
-                         noise_power)
+    m, _ = batch_metrics(_one(h_eff), _one(w_rf), tx_power, epsilon, noise_power)
     return {name: column[0] for name, column in m.items()}
+
+
+def rzf_of_one(h_eff, w_rf, tx_power: float, epsilon: float) -> SimpleNamespace:
+    """The RZF of one 2 x 2 effective channel and its N x 2 analog matrix,
+    from batch_metrics and achieved_power on a batch of one: baseband
+    (W_BB), alpha (real positive; sqrt of alpha^2 gives back alpha's
+    bits), product_check (H_eff W_BB) and achieved_power
+    (||W_RF W_BB||_F^2). The noise power only scales metrics this does not
+    read."""
+    h, w = _one(h_eff), _one(w_rf)
+    m, w_bb = batch_metrics(h, w, tx_power, epsilon, noise_power=1.0)
+    return SimpleNamespace(baseband=w_bb[0], alpha=math.sqrt(m["alpha_power"][0]),
+                           product_check=h[0] @ w_bb[0],
+                           achieved_power=float(achieved_power(w, w_bb)[0]))
 
 
 def greens_rows_of_one(scenario: ScenarioConfig) -> np.ndarray:

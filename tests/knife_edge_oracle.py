@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from airylink import ScenarioConfig, traditional_focus
-from airylink.beams import airy_weight_rows
+from airylink.beams import airy_axis_rows
 from airylink.geometry import BlockedSide, geometric_angle
 from airylink.optimizer import SearchGrids, geometric_baseline_params
 
@@ -126,7 +126,8 @@ def _sum_rates(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.nda
     """Post-RZF sum rate and |h11|^2 of each cubic design for user 0 paired
     with the bright user's fixed beam w2; `designs` holds the (bending,
     focal, launch angle) columns."""
-    w1 = airy_weight_rows(scenario.array, scenario.carrier, *designs)
+    i = np.arange(len(designs[0]))
+    w1 = airy_axis_rows(scenario.array, scenario.carrier, *designs)(i, i, i)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
     h = np.einsum("kn,cnj->ckj", h_phys, w_rf)
     h_herm = np.conj(h).swapaxes(-1, -2)

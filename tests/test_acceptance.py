@@ -5,6 +5,9 @@ Run ``pytest tests/test_acceptance.py -s`` for the readable report.
 
 Criteria 1-6 are property-based foundations; 7-13 are figure-level
 reproductions with stated tolerance bands; 14 is end-to-end determinism.
+Criterion 3 compares the propagator with a quadrature oracle that the
+package does not ship (tests/wave_oracles.py); criterion 5 checks the RZF
+that every sweep scores through, batch_metrics and achieved_power.
 
 Criterion 11 checks the search endpoint against the same search run on the
 closed-form knife-edge channel (tests/knife_edge_oracle.py), which agrees
@@ -46,17 +49,17 @@ from airylink import (
     diffraction_channel,
     geometric_angle,
     propagate_angular_spectrum,
-    propagate_direct_fresnel,
     run_baseline_scan,
-    rzf_precoder,
     traditional_focus,
 )
 from airylink.cli import main
 from airylink.optimizer import default_search_grids, geometric_baseline_params
 from airylink.propagation import grid_fx, grid_x
 
+from batch_of_one import rzf_of_one
 from knife_edge_oracle import fine_steps, oracle_channel, oracle_search
 from test_cli import BASELINE, MIXED, SHADOW
+from wave_oracles import propagate_direct_fresnel
 
 # Gain floor of the mixed-opt search: run_mixed_optimization's default eta.
 SEARCH_ETA = 0.4
@@ -156,7 +159,7 @@ class TestFoundations:
                 sigma = np.linalg.svd(h, compute_uv=False)
                 if sigma[0] / sigma[-1] < 100.0:
                     break
-            res = rzf_precoder(h, w_rf, tx_power=3.7, epsilon=0.0)
+            res = rzf_of_one(h, w_rf, tx_power=3.7, epsilon=0.0)
             target = res.alpha * np.eye(2)
             worst_zf = max(worst_zf, float(
                 np.linalg.norm(res.product_check - target)

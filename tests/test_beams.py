@@ -18,8 +18,8 @@ from airylink import (
     traditional_focus,
 )
 from airylink.beams import (
+    airy_axis_rows,
     airy_local_sine,
-    airy_weight_rows,
     check_unit_norm,
     traditional_focus_rows,
 )
@@ -48,8 +48,8 @@ class TestAiryParams:
 
 
 def one_design_row(array, carrier, bending, focal, theta) -> np.ndarray:
-    """The cubic-phase expression airy_weight_rows replaced, on a batch of
-    one design: every term per candidate, the steering from math.sin."""
+    """The cubic-phase expression of one design, every term per candidate,
+    the steering from math.sin: the reference airy_axis_rows gathers."""
     xs = np.asarray(array.element_x())
     k0 = carrier.wavenumber
     focal = np.array([[focal]])
@@ -60,38 +60,52 @@ def one_design_row(array, carrier, bending, focal, theta) -> np.ndarray:
 
 
 class TestAiryWeightRows:
+    """airy_axis_rows, the one cubic-phase builder, and airy_weights, its
+    one-row view: every row has the bits of the one-design expression."""
+
     def test_repeated_pairs_keep_every_rows_bits(self, array64, carrier):
         """Interleaved and repeated (bending, focal) pairs, signed zeros and
-        int parameters: each row equals the one-design expression bit for
-        bit, whatever its neighbours."""
+        int parameters, as axes gathered row by row: each row equals the
+        one-design expression bit for bit, whatever its neighbours, and so
+        does airy_weights of its design."""
         pairs = [(-25.0, 1.75), (-60, 1), (-25.0, 1.75), (0.0, 2.5), (-60.0, 1.0),
                  (-0.0, 2.5), (25.0, 1.75), (-25.0, 1.0), (0.0, 2.5), (-25.0, 1.75)]
         thetas = [math.radians(-5.0 + 1.1 * i) for i in range(len(pairs))]
         bending, focal = zip(*pairs)
-        rows = airy_weight_rows(array64, carrier, bending, focal, thetas)
+        i = np.arange(len(pairs))
+        rows = airy_axis_rows(array64, carrier, bending, focal, thetas)(i, i, i)
         assert rows.shape == (len(pairs), 64)
         for row, (b, f), theta in zip(rows, pairs, thetas):
             old = one_design_row(array64, carrier, b, f, theta)
-            assert np.array_equal(row, old)
             assert row.tobytes() == old.tobytes()
+            assert airy_weights(array64, carrier, AiryParams(b, f, theta)).tobytes() \
+                == old.tobytes()
 
     def test_a_search_chunk_matches_row_by_row(self, array64, carrier):
         """The loop order of a search chunk (angle innermost) over several
-        coarse (bending, focal) pairs."""
-        cands = [(b, f, math.radians(dt))
-                 for b in (-60.0, -55.0) for f in (1.0, 1.25, 1.5)
-                 for dt in (-5.0, -0.5, 0.0, 4.5)]
-        bending, focal, thetas = zip(*cands)
-        rows = airy_weight_rows(array64, carrier, bending, focal, thetas)
-        for row, (b, f, theta) in zip(rows, cands):
-            assert np.array_equal(row, one_design_row(array64, carrier, b, f, theta))
+        coarse (bending, focal) pairs, gathered from the grid's axes."""
+        axes = ((-60.0, -55.0), (1.0, 1.25, 1.5), [math.radians(dt) for dt in (-5.0, -0.5, 0.0, 4.5)])
+        index = np.unravel_index(np.arange(2 * 3 * 4), (2, 3, 4))
+        rows = airy_axis_rows(array64, carrier, *axes)(*index)
+        for row, i, j, k in zip(rows, *index):
+            expected = one_design_row(array64, carrier, axes[0][i], axes[1][j], axes[2][k])
+            assert row.tobytes() == expected.tobytes()
 
     def test_airy_weights_is_a_row_of_one(self, array64, carrier):
+        """airy_weights, and one (bending, focal) pair gathered at many
+        angles through broadcast indices, as the codebooks and the angle
+        sweep gather them."""
         params = AiryParams(-44.0, 1.5, math.radians(-2.9))
         w = airy_weights(array64, carrier, params)
-        rows = airy_weight_rows(array64, carrier, [params.bending], [params.focal],
-                                [params.launch_angle])
-        assert np.array_equal(w, rows[0])
+        expected = one_design_row(array64, carrier, params.bending, params.focal,
+                                  params.launch_angle)
+        assert w.tobytes() == expected.tobytes()
+        thetas = [math.radians(-5.0 + 0.1 * i) for i in range(101)]
+        rows = airy_axis_rows(array64, carrier, (params.bending,), (params.focal,),
+                              thetas)(0, 0, np.arange(len(thetas)))
+        for row, theta in zip(rows, thetas):
+            assert row.tobytes() == one_design_row(array64, carrier, params.bending,
+                                                   params.focal, theta).tobytes()
 
 
 class TestBeamWeights:

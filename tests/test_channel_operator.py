@@ -23,13 +23,11 @@ from airylink import (
     UserPosition,
     diffraction_channel,
     launch_aperture,
-    propagate_blocked,
-    sample_field,
     traditional_focus,
 )
 from airylink.channels import _amplitude_conversion, beam_responses, effective_channel
 from airylink.geometry import geometric_angle
-from airylink.optimizer import _CHUNK, _score_chunk
+from airylink.optimizer import _CHUNK
 from airylink.propagation import (
     _apodization,
     _clear_side,
@@ -39,7 +37,8 @@ from airylink.propagation import (
     sample_field_transpose,
 )
 
-from batch_of_one import beam_column, evaluate_candidate
+from batch_of_one import beam_column, evaluate_candidate, score_designs
+from wave_oracles import sample_field, two_stage
 
 
 def cascade_responses(scenario, w) -> np.ndarray:
@@ -48,7 +47,7 @@ def cascade_responses(scenario, w) -> np.ndarray:
     launch = launch_aperture(w, scenario.array, scenario.grid, lam)
     return np.array([
         _amplitude_conversion(lam, u.z)
-        * sample_field(propagate_blocked(launch, scenario.obstacle, u.z, lam), u.x)
+        * sample_field(two_stage(launch, scenario.obstacle, u.z, lam), u.x)
         for u in scenario.users
     ])
 
@@ -191,8 +190,7 @@ class TestBatchInvariance:
         h_phys = diffraction_channel(mixed_scenario)
         columns = ([p.bending for p in designs], [p.focal for p in designs],
                    [p.launch_angle for p in designs])
-        rates, h11 = _score_chunk(mixed_scenario, h_phys, columns, w2,
-                                  fixed_h2, scale)
+        rates, h11 = score_designs(mixed_scenario, h_phys, columns, w2, fixed_h2, scale)
         for i in range(_CHUNK):
             alone = evaluate_candidate(mixed_scenario, designs[i], scale)
             assert alone == (rates[i], h11[i])

@@ -557,18 +557,20 @@ class TestOneMetricsPath:
         """Whatever the number of points, a sweep builds the beams of the
         fixed user and of every moved user in one batched call per
         strategy, and makes no one-beam call. Logged per call:
-        traditional_focus and airy_weights (one beam each), and the row
-        count of every traditional_focus_rows and airy_weight_rows call.
+        traditional_focus and airy_weights (one beam each), the row count
+        of every traditional_focus_rows call and the launch-angle count of
+        every airy_axis_rows call (each caller gathers one row per angle).
         Calibration builds two traditional beams in one call; the
         robustness sweep's beams stay at their nominal designs, one
         two-user codebook per strategy, whose mixed codebooks make one
         call per family."""
         calls = {name: [] for name in ("traditional_focus", "airy_weights",
-                                       "traditional_focus_rows", "airy_weight_rows")}
+                                       "traditional_focus_rows", "airy_axis_rows")}
+        keys = {"traditional_focus_rows": lambda array, carrier, x, z: len(x),
+                "airy_axis_rows": lambda array, carrier, b, f, angles: len(angles)}
         for name, log in calls.items():
-            key = (lambda array, carrier, first, *rest: len(first)) if name.endswith("_rows") \
-                else (lambda *a, **k: 1)
-            count_calls(monkeypatch, airylink.beams, name, log, key=key)
+            count_calls(monkeypatch, airylink.beams, name, log,
+                        key=keys.get(name, lambda *a, **k: 1))
 
         def beam_calls(run, scenario, step):
             for log in calls.values():
@@ -580,15 +582,15 @@ class TestOneMetricsPath:
         for step in (3.5, 7.0):
             n, got = beam_calls(run_shadow_scan, shadow_scenario, step)
             assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [2, n + 1], "airy_weight_rows": [n + 1]}
+                           "traditional_focus_rows": [2, n + 1], "airy_axis_rows": [n + 1]}
         for step in (5.0, 2.5):
             n, got = beam_calls(run_baseline_scan, baseline_scenario, step)
             assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [n + 1], "airy_weight_rows": []}
+                           "traditional_focus_rows": [n + 1], "airy_axis_rows": []}
         for step in (1.5, 0.75):
             n, got = beam_calls(run_robustness_sweep, mixed_scenario, step)
             assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [2, 2, 1, 1], "airy_weight_rows": [1, 1]}
+                           "traditional_focus_rows": [2, 2, 1, 1], "airy_axis_rows": [1, 1]}
 
     def test_baseline_forms_only_the_responses_it_scores(self, monkeypatch):
         """The bundled baseline scan (51 points, one strategy) forms 4 beam
@@ -725,20 +727,26 @@ class TestStackedSweepChecks:
     @pytest.mark.parametrize("run, fixture, family", [
         (run_baseline_scan, "baseline_scenario", "traditional_focus_rows"),
         (run_shadow_scan, "shadow_scenario", "traditional_focus_rows"),
-        (run_shadow_scan, "shadow_scenario", "airy_weight_rows"),
+        (run_shadow_scan, "shadow_scenario", "airy_axis_rows"),
     ], ids=["baseline", "shadow-trad", "shadow-airy"])
     def test_batched_beam_norm_checked(self, run, fixture, family, factor, shown,
                                        request, monkeypatch):
         """One moved user's beam off unit norm stops the sweep with
         check_unit_norm's message. Only the sweeps' own codebooks hold more
-        than two rows."""
+        than two rows; airy_axis_rows returns a gather, whose rows are
+        scaled."""
         real = getattr(airylink.beams, family)
 
-        def off(*args):
-            rows = real(*args)
+        def scaled(rows):
             if len(rows) > 2:
                 rows[2] *= factor
             return rows
+
+        def off(*args):
+            if family == "airy_axis_rows":
+                gather = real(*args)
+                return lambda *index: scaled(gather(*index))
+            return scaled(real(*args))
 
         monkeypatch.setattr(airylink.beams, family, off)
         with pytest.raises(ConfigError, match=f"beam weights must have unit norm, got {shown}"):

@@ -204,6 +204,9 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(carrier=carrier, array=array64, users=users,
                            grid=grid_std, rzf_epsilon=-1e-9)
+        with pytest.raises(ConfigError, match="tx_power must be positive"):
+            ScenarioConfig(carrier=carrier, array=array64, users=users,
+                           grid=grid_std, tx_power=0.0)
 
 
 class TestNonFiniteFieldsRejected:

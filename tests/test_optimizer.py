@@ -17,6 +17,7 @@ import pytest
 from airylink import (
     AiryParams,
     ConfigError,
+    airy_weights,
     InfeasibleSearchError,
     SearchGrids,
     SearchOutcome,
@@ -33,7 +34,7 @@ from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL, SearchTrace
 from airylink.precoding import batch_metrics, batch_sum_rates
 
-from batch_of_one import beam_column, evaluate_candidate, metrics_of_one
+from batch_of_one import beam_column, evaluate_candidate, metrics_of_one, score_designs
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +104,6 @@ class TestEvaluateCandidate:
             coarse_to_fine_search(solo, singleton_grids())
 
     def test_h11_matches_direct_beam_column(self, mixed_scenario):
-        from airylink import airy_weights
-
         params = geometric_baseline_params(mixed_scenario)
         _, h11_power = evaluate_candidate(mixed_scenario, params)
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
@@ -114,8 +113,6 @@ class TestEvaluateCandidate:
     def test_matches_manual_pipeline(self, mixed_scenario, fixed_h2):
         """The candidate score is exactly what the full codebook pipeline
         computes for the same pair of beams, bit for bit."""
-        from airylink import airy_weights
-
         params = geometric_baseline_params(mixed_scenario)
         rate, _ = evaluate_candidate(mixed_scenario, params)
 
@@ -285,12 +282,12 @@ class TestSearchSkipsAchievedPower:
 
 
 def recorded_chunks(monkeypatch, scenario, grids) -> list:
-    """Run a search and keep the (h, w) batches it scores."""
+    """Run a search and keep the (h, w1, w2) batches it scores."""
     chunks = []
 
-    def recording(h, w, *args):
-        chunks.append((h, w))
-        return batch_sum_rates(h, w, *args)
+    def recording(h, w1, w2, *args):
+        chunks.append((h, w1, w2))
+        return batch_sum_rates(h, w1, w2, *args)
 
     monkeypatch.setattr(optimizer, "batch_sum_rates", recording)
     coarse_to_fine_search(scenario, grids)
@@ -325,15 +322,18 @@ class TestScoreChunkH11Exact:
                    for f in grids.coarse_focal for dt in grids.coarse_dtheta][:_CHUNK]
         h_phys = optimizer.diffraction_channel(mixed_scenario)
         w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, scale)
-        _, h11_power = optimizer._score_chunk(mixed_scenario, h_phys, tuple(zip(*designs)),
-                                              w2, h2, scale)
-        from airylink import airy_weights
-
+        _, h11_power = score_designs(mixed_scenario, h_phys, tuple(zip(*designs)), w2, h2,
+                                     scale)
         expected = [abs(beam_column(mixed_scenario, airy_weights(
             mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d)),
             scale)[0]) ** 2 for d in designs]
         assert len(expected) == _CHUNK
         assert h11_power.tobytes() == np.array(expected).tobytes()
+
+
+def analog_matrices(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The C x N x 2 analog matrices [w1_c w2] of a chunk's beams."""
+    return np.ascontiguousarray(np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1))
 
 
 class TestRatePath:
@@ -342,33 +342,35 @@ class TestRatePath:
                                                    epsilon):
         scenario = replace(mixed_scenario, rzf_epsilon=epsilon)
         chunks = recorded_chunks(monkeypatch, scenario, three_chunk_grids())
-        assert [len(h) for h, _ in chunks] == [1, _CHUNK, 150 - _CHUNK, 125]
+        assert [len(h) for h, _, _ in chunks] == [1, _CHUNK, 150 - _CHUNK, 125]
         link = (scenario.tx_power, epsilon, scenario.noise_power)
-        for h, w in chunks:
-            rates = batch_sum_rates(h, w, *link)
-            assert rates.tobytes() == batch_metrics(h, w, *link)[0]["sum_rate"].tobytes()
+        for h, w1, w2 in chunks:
+            rates = batch_sum_rates(h, w1, w2, *link)
+            metrics = batch_metrics(h, analog_matrices(w1, w2), *link)[0]
+            assert rates.tobytes() == metrics["sum_rate"].tobytes()
 
     def test_singular_candidate_raises_the_same_error(self, mixed_scenario, monkeypatch):
         """At epsilon = 0 a rank-one candidate in a real chunk is refused by
         both paths with the same message and sigma_min."""
-        h, w = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
         h = h.copy()
         h[40, :, 1] = h[40, :, 0]
         link = (mixed_scenario.tx_power, 0.0, mixed_scenario.noise_power)
-        expected = raised(batch_metrics, h, w, *link)
-        assert raised(batch_sum_rates, h, w, *link) == expected
+        expected = raised(batch_metrics, h, analog_matrices(w1, w2), *link)
+        assert raised(batch_sum_rates, h, w1, w2, *link) == expected
         assert "singular" in expected[1]
 
     def test_zero_precoder_raises_the_same_error(self, mixed_scenario, monkeypatch):
         """With epsilon > 0 an all-zero analog matrix leaves nothing to
         normalize; the rate path takes the SVD to report the same sigma_min."""
-        h, w = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
-        w = w.copy()
-        w[7] = 0.0
+        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        w1 = w1.copy()
+        w1[7] = 0.0
+        w2 = np.zeros_like(w2)
         link = (mixed_scenario.tx_power, mixed_scenario.rzf_epsilon,
                 mixed_scenario.noise_power)
-        expected = raised(batch_metrics, h, w, *link)
-        assert raised(batch_sum_rates, h, w, *link) == expected
+        expected = raised(batch_metrics, h, analog_matrices(w1, w2), *link)
+        assert raised(batch_sum_rates, h, w1, w2, *link) == expected
         assert expected[2] > 0.0 and "normalize" in expected[1]
 
     @pytest.mark.parametrize("epsilon, svd_calls", [(1e-10, []), (0.0, [1, _CHUNK, 22, 125])])
@@ -406,9 +408,10 @@ class TestStageTables:
         assert outcome.evaluations == 11 * 7 * 21 + 11**3
         assert len(sines) == 1 + 21 + 11
 
-    def test_chunk_rows_match_airy_weight_rows(self, mixed_scenario, monkeypatch):
-        """Every chunk's gathered rows have the bits of airy_weight_rows on
-        the chunk's own (bending, focal, launch angle) columns."""
+    def test_chunk_rows_match_airy_weights(self, mixed_scenario, monkeypatch):
+        """Every chunk's gathered rows, the geometric design's chunk of one
+        included, have the bits of airy_weights on each row's own (bending,
+        focal, launch angle)."""
         chunks = []
         score = optimizer._score_beams
 
@@ -421,9 +424,12 @@ class TestStageTables:
         # The geometric design's chunk of one, then the two stages.
         assert sum(len(w1) for _, w1 in chunks) == 1 + outcome.evaluations
         assert len(chunks) == 1 + math.ceil(11 * 7 * 21 / _CHUNK) + math.ceil(11**3 / _CHUNK)
+        assert [column.tolist() for column in chunks[0][0]] == [
+            [GEO_BENDING], [GEO_FOCAL], [geometric_angle(mixed_scenario.users[0])]]
         for designs, w1 in chunks:
-            expected = beams.airy_weight_rows(mixed_scenario.array, mixed_scenario.carrier,
-                                              *designs)
+            expected = np.array([airy_weights(mixed_scenario.array, mixed_scenario.carrier,
+                                              AiryParams(float(b), float(f), float(theta)))
+                                 for b, f, theta in zip(*designs)])
             assert w1.tobytes() == expected.tobytes()
 
 
@@ -436,7 +442,7 @@ class TestNaNRate:
         w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, 1.0)
         designs = (np.array([-30.0, -25.0]), np.array([1.5, 1.75]), np.array([0.125, 0.25]))
         with pytest.raises(AirylinkError) as info, np.errstate(invalid="ignore"):
-            optimizer._score_chunk(mixed_scenario, h_phys, designs, w2, h2, 1.0)
+            score_designs(mixed_scenario, h_phys, designs, w2, h2, 1.0)
         assert str(info.value) == ("candidate (bending, focal, launch angle) = "
                                    "(-30.0, 1.5, 0.125) produced a NaN sum rate")
 

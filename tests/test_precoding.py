@@ -4,6 +4,9 @@ Small matrices with hand-invertible structure pin the algebra; random
 well-conditioned channels exercise the exact-inversion property at scale.
 The closed-form RZF is checked against two independent references built
 from numpy's linear algebra, on channels of prescribed condition number.
+Every check goes through batch_metrics and achieved_power, the path every
+sweep scores through, on a batch of one (batch_of_one.rzf_of_one and
+metrics_of_one).
 """
 
 import math
@@ -11,14 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from airylink import (
-    AirylinkError,
-    SingularChannelError,
-    rzf_precoder,
-)
-from airylink.precoding import analog_gram, batch_metrics, batch_sum_rates
+from airylink import AirylinkError, SingularChannelError, effective_channel
+from airylink.precoding import _analog_gram, batch_metrics, batch_sum_rates
 
-from batch_of_one import metrics_of_one
+from batch_of_one import metrics_of_one, rzf_of_one
 
 
 def effective(entries) -> np.ndarray:
@@ -44,8 +43,8 @@ class TestHandSolvableCases:
     def test_identity_channel(self):
         """H = I, orthonormal analog stage, P = 1: the inverse is I, the
         Frobenius norm is sqrt(2), so W_BB = I/sqrt(2) and alpha = 1/sqrt(2)."""
-        res = rzf_precoder(effective(np.eye(2)), orthonormal_w_rf(),
-                           tx_power=1.0, epsilon=0.0)
+        res = rzf_of_one(effective(np.eye(2)), orthonormal_w_rf(),
+                         tx_power=1.0, epsilon=0.0)
         assert res.alpha == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert np.allclose(res.baseband, np.eye(2) / math.sqrt(2), atol=1e-12)
         assert np.allclose(res.product_check,
@@ -56,8 +55,8 @@ class TestHandSolvableCases:
         """H = diag(2, 1): unnormalized inverse diag(1/2, 1) has squared
         norm 5/4, alpha = sqrt(4 P / 5), and the product is alpha I."""
         p = 10.0
-        res = rzf_precoder(effective(np.diag([2.0, 1.0])), orthonormal_w_rf(),
-                           tx_power=p, epsilon=0.0)
+        res = rzf_of_one(effective(np.diag([2.0, 1.0])), orthonormal_w_rf(),
+                         tx_power=p, epsilon=0.0)
         assert res.alpha == pytest.approx(math.sqrt(4 * p / 5), rel=1e-12)
         assert np.allclose(res.baseband,
                            res.alpha * np.diag([0.5, 1.0]), atol=1e-12)
@@ -66,8 +65,8 @@ class TestHandSolvableCases:
     def test_alpha_scales_as_sqrt_power(self, rng):
         h = random_well_conditioned(rng)
         w = orthonormal_w_rf()
-        r1 = rzf_precoder(h, w, tx_power=1.0, epsilon=0.0)
-        r2 = rzf_precoder(h, w, tx_power=9.0, epsilon=0.0)
+        r1 = rzf_of_one(h, w, tx_power=1.0, epsilon=0.0)
+        r2 = rzf_of_one(h, w, tx_power=9.0, epsilon=0.0)
         assert r2.alpha == pytest.approx(3.0 * r1.alpha, rel=1e-12)
 
 
@@ -75,7 +74,7 @@ class TestZeroForcingExactness:
     def test_product_is_alpha_identity(self, rng):
         for _ in range(20):
             h = random_well_conditioned(rng)
-            res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
+            res = rzf_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
             target = res.alpha * np.eye(2)
             err = np.linalg.norm(res.product_check - target) / np.linalg.norm(target)
             assert err < 1e-8
@@ -83,7 +82,7 @@ class TestZeroForcingExactness:
 
     def test_alpha_is_real_positive(self, rng):
         h = random_well_conditioned(rng)
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=2.5, epsilon=0.0)
+        res = rzf_of_one(h, orthonormal_w_rf(), tx_power=2.5, epsilon=0.0)
         assert isinstance(res.alpha, float)
         assert res.alpha > 0.0
 
@@ -91,7 +90,7 @@ class TestZeroForcingExactness:
 class TestRegularization:
     def test_moderate_epsilon_biases_the_product(self):
         h = effective(np.diag([2.0, 1.0]))
-        res = rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.5)
+        res = rzf_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.5)
         # (H H^H + eps I)^-1 H^H = diag(2/4.5, 1/1.5) before normalization:
         # no longer proportional to H^-1, so the product is non-identity
         ratio = res.product_check[0, 0] / res.product_check[1, 1]
@@ -114,8 +113,8 @@ class TestRegularization:
         h_good = random_well_conditioned(rng)
         h_bad = h_good.copy()
         h_bad[:, 0] *= 1e-5  # sigma_min lands near sqrt(1e-10)
-        res = rzf_precoder(effective(h_bad), orthonormal_w_rf(),
-                           tx_power=1.0, epsilon=1e-10)
+        res = rzf_of_one(effective(h_bad), orthonormal_w_rf(),
+                         tx_power=1.0, epsilon=1e-10)
         metrics = metrics_of_one(effective(h_bad), orthonormal_w_rf(), tx_power=1.0,
                                  epsilon=1e-10, noise_power=1e-3)
         assert res.alpha**2 < 1e-6
@@ -126,46 +125,38 @@ class TestSingularGuards:
     def test_rank_deficient_channel_refused_at_zero_epsilon(self):
         h = effective([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularChannelError) as info:
-            rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
+            rzf_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
         assert info.value.sigma_min == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_channel_refused(self):
         h = effective(np.zeros((2, 2)))
         with pytest.raises(SingularChannelError):
-            rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
+            rzf_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
 
     def test_zero_precoder_refused_even_with_epsilon(self):
         h = effective(np.zeros((2, 2)))
         with pytest.raises(SingularChannelError, match="normalize"):
-            rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1.0)
+            rzf_of_one(h, orthonormal_w_rf(), tx_power=1.0, epsilon=1.0)
 
 
 class TestValidation:
+    """The rules on the RZF's inputs. A non-finite effective channel is
+    refused by check_finite before a sweep scores it
+    (test_experiments.py::TestMixedOptimization::test_angle_sweep_refuses_a_non_finite_channel),
+    and a negative epsilon or a non-positive transmit power by
+    ScenarioConfig (test_geometry.py::TestScenarioConfig::test_rejects_bad_link_parameters)."""
+
     def test_physical_kind_rejected(self):
-        """A K x N physical matrix is not an effective channel."""
-        h = np.ones((2, 4), dtype=complex)
+        """A K x N physical matrix is not an effective channel: W_RF with a
+        beam count other than K gives a K x C product, which is refused."""
+        h_phys = np.ones((2, 4), dtype=complex)
         with pytest.raises(AirylinkError, match="effective channel must be square"):
-            rzf_precoder(h, orthonormal_w_rf(), tx_power=1.0, epsilon=0.0)
-
-    def test_nonfinite_channel_rejected(self):
-        with pytest.raises(AirylinkError, match="NaN or Inf"):
-            rzf_precoder(effective([[1.0, 0.0], [0.0, math.inf]]), orthonormal_w_rf(),
-                         tx_power=1.0, epsilon=0.0)
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(AirylinkError, match="epsilon"):
-            rzf_precoder(effective(np.eye(2)), orthonormal_w_rf(),
-                         tx_power=1.0, epsilon=-1e-9)
-
-    def test_nonpositive_power_rejected(self):
-        with pytest.raises(AirylinkError, match="tx_power"):
-            rzf_precoder(effective(np.eye(2)), orthonormal_w_rf(),
-                         tx_power=0.0, epsilon=0.0)
+            effective_channel(h_phys, np.ones((4, 3), dtype=complex))
 
     def test_beam_count_mismatch_rejected(self):
-        with pytest.raises(AirylinkError, match="beams"):
-            rzf_precoder(effective(np.eye(2)), np.ones((4, 3), dtype=complex),
-                         tx_power=1.0, epsilon=0.0)
+        with pytest.raises(AirylinkError, match="two beams"):
+            batch_metrics(effective(np.eye(2))[None], np.ones((1, 4, 3), dtype=complex),
+                          1.0, 0.0, 1e-3)
 
 
 class TestLinkMetrics:
@@ -254,7 +245,7 @@ KAPPAS = (1.0, 10.0, 1e3, 1e5, 1e8)
 
 
 class TestClosedFormOracle:
-    """rzf_precoder's closed form against numpy's linear algebra. The
+    """The closed form that batch_metrics runs, against numpy's linear algebra. The
     references carry their own round-off, so each bound scales with the
     conditioning of the problem the reference solves."""
 
@@ -274,7 +265,7 @@ class TestClosedFormOracle:
                 if cond > 1e10:
                     continue
                 alpha, w_bb = normalized(w_rf, np.linalg.solve(a, h).conj().T)
-                res = rzf_precoder(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
+                res = rzf_of_one(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
                 bound = 1e-13 + 4.0 * EPS_MACH * cond
                 assert max(relative_errors(res, alpha, w_bb)) <= bound, (kappa, cond)
                 checked += 1
@@ -295,50 +286,52 @@ class TestClosedFormOracle:
                 stacked = np.vstack([h, math.sqrt(epsilon) * np.eye(2)])
                 w_tilde = np.linalg.lstsq(stacked, stacked_rhs, rcond=None)[0]
                 alpha, w_bb = normalized(w_rf, w_tilde)
-                res = rzf_precoder(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
+                res = rzf_of_one(h, w_rf, tx_power=TX_POWER, epsilon=epsilon)
                 bound = 1e-13 + 8.0 * EPS_MACH * kappa
                 assert max(relative_errors(res, alpha, w_bb)) <= bound, kappa
 
     def test_three_users_refused(self):
         with pytest.raises(AirylinkError, match=r"two users.*\(1, 3, 3\)"):
-            rzf_precoder(effective(np.eye(3)), orthonormal_w_rf(k=3),
-                         tx_power=1.0, epsilon=0.1)
+            rzf_of_one(effective(np.eye(3)), orthonormal_w_rf(k=3),
+                       tx_power=1.0, epsilon=0.1)
         h = np.broadcast_to(np.eye(3, dtype=complex), (4, 3, 3))
         with pytest.raises(AirylinkError, match=r"two users.*\(4, 3, 3\)"):
-            batch_sum_rates(h, np.zeros((4, 2, 2), dtype=complex), 1.0, 0.1, 1e-3)
+            batch_sum_rates(h, np.zeros((4, 16), dtype=complex), np.zeros(16, dtype=complex),
+                            1.0, 0.1, 1e-3)
 
     def test_one_user_refused(self):
         """A one-user call is refused before the Gram matrix reads a second
         beam."""
         with pytest.raises(AirylinkError, match=r"two users.*\(1, 1, 1\)"):
-            rzf_precoder(effective([[1.0]]), orthonormal_w_rf(k=1),
-                         tx_power=1.0, epsilon=0.1)
+            rzf_of_one(effective([[1.0]]), orthonormal_w_rf(k=1),
+                       tx_power=1.0, epsilon=0.1)
 
-    def test_analog_matrix_in_place_of_its_gram_refused(self, rng):
-        """The metrics read W_RF only through analog_gram; an N x 2 analog
-        matrix passed in its place is refused, not read as a Gram matrix."""
+    def test_beams_for_another_batch_refused(self, rng):
+        """The analog matrices (or the candidates' beams) must come one per
+        effective channel; a batch of two is not read for a batch of one."""
         h = conditioned(rng, 10.0)[None]
-        w_rf = correlated_w_rf(rng)[None]
-        for score in (batch_metrics, batch_sum_rates):
-            with pytest.raises(AirylinkError, match=r"analog_gram.*\(1, 16, 2\)"):
-                score(h, w_rf, 1.0, 0.1, 1e-3)
+        w_rf = np.stack([correlated_w_rf(rng)] * 2)
+        with pytest.raises(AirylinkError, match="one pair of beams per effective channel, 1; got 2"):
+            batch_metrics(h, w_rf, 1.0, 0.1, 1e-3)
+        with pytest.raises(AirylinkError, match="one pair of beams per effective channel, 1; got 2"):
+            batch_sum_rates(h, w_rf[..., 0], w_rf[0, :, 1], 1.0, 0.1, 1e-3)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-10, 0.5])
     def test_zero_channel_reports_sigma_min(self, rng, epsilon):
         with pytest.raises(SingularChannelError) as info:
-            rzf_precoder(effective(np.zeros((2, 2))), correlated_w_rf(rng),
-                         tx_power=1.0, epsilon=epsilon)
+            rzf_of_one(effective(np.zeros((2, 2))), correlated_w_rf(rng),
+                       tx_power=1.0, epsilon=epsilon)
         assert info.value.sigma_min == 0.0
 
     @pytest.mark.parametrize("epsilon", [1e-10, 0.5])
     def test_zero_beams_report_sigma_min(self, rng, epsilon):
         h = conditioned(rng, 10.0)
         with pytest.raises(SingularChannelError, match="normalize") as info:
-            rzf_precoder(h, np.zeros((16, 2), dtype=complex), tx_power=1.0, epsilon=epsilon)
+            rzf_of_one(h, np.zeros((16, 2), dtype=complex), tx_power=1.0, epsilon=epsilon)
         assert info.value.sigma_min == np.linalg.svd(h, compute_uv=False)[-1]
 
     def test_gram_holds_norms_and_cross_term(self, rng):
         w_rf = correlated_w_rf(rng)
-        gram = analog_gram(w_rf[:, 0][None], w_rf[:, 1])
+        gram = _analog_gram(w_rf[:, 0][None], w_rf[:, 1])
         assert gram.shape == (1, 2, 2)
         assert np.allclose(gram[0], w_rf.conj().T @ w_rf, rtol=1e-14, atol=0.0)

@@ -2,7 +2,7 @@
 
 The independent checks here are the load-bearing ones for everything
 downstream: Parseval unitarity, the semigroup property, the O(Nx^2)
-quadrature oracle, and two closed forms (Gaussian beam, double-slit
+quadrature oracle (tests/wave_oracles.py), and two closed forms (Gaussian beam, double-slit
 fringes) that would each catch a wrong sign in the transfer function.
 """
 
@@ -26,18 +26,17 @@ from airylink import (
     launch_aperture,
     load_scenario,
     propagate_angular_spectrum,
-    propagate_blocked,
-    propagate_direct_fresnel,
-    sample_field,
 )
 from airylink.propagation import (
+    Cascade,
     _clear_side,
     _transfer_function,
-    apply_mask,
     element_bins,
     grid_fx,
     grid_x,
 )
+
+from wave_oracles import apply_mask, propagate_direct_fresnel, sample_field, two_stage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -409,12 +408,18 @@ class TestMask:
             apply_mask(self._uniform(grid_small, 12 * lam), obstacle)
 
 
+def cascade_field(aperture, obstacle, depth, lam) -> ComplexField:
+    """The field of Cascade.fields at one depth."""
+    (out,) = Cascade(aperture.grid, lam, obstacle).fields(aperture, [depth])
+    return out
+
+
 class TestBlockedCascade:
     def test_no_obstacle_reduces_to_plain_propagation(self, grid_std, array64, lam, rng):
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = launch_aperture(w, array64, grid_std, lam)
         direct = propagate_angular_spectrum(f, 200 * lam, lam)
-        cascade = propagate_blocked(f, None, 200 * lam, lam)
+        cascade = cascade_field(f, None, 200 * lam, lam)
         assert np.array_equal(direct.samples, cascade.samples)
 
     def test_target_before_obstacle_skips_mask(self, grid_std, array64, lam, rng):
@@ -422,7 +427,7 @@ class TestBlockedCascade:
         f = launch_aperture(w, array64, grid_std, lam)
         obstacle = KnifeEdgeObstacle(depth=150 * lam, edge_x=0.0)
         direct = propagate_angular_spectrum(f, 100 * lam, lam)
-        cascade = propagate_blocked(f, obstacle, 100 * lam, lam)
+        cascade = cascade_field(f, obstacle, 100 * lam, lam)
         assert np.array_equal(direct.samples, cascade.samples)
 
     def test_fully_transmissive_edge_changes_nothing(self, grid_bare, array64, lam, rng):
@@ -431,8 +436,8 @@ class TestBlockedCascade:
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = launch_aperture(w, array64, grid_bare, lam)
         edge = KnifeEdgeObstacle(depth=150 * lam, edge_x=-0.51 * grid_bare.window)
-        free = propagate_blocked(f, None, 300 * lam, lam)
-        almost = propagate_blocked(f, edge, 300 * lam, lam)
+        free = cascade_field(f, None, 300 * lam, lam)
+        almost = cascade_field(f, edge, 300 * lam, lam)
         rel = np.linalg.norm(almost.samples - free.samples) / np.linalg.norm(free.samples)
         assert rel < 1e-9
 
@@ -443,8 +448,9 @@ class TestBlockedCascade:
         manual = propagate_angular_spectrum(
             apply_mask(propagate_angular_spectrum(f, 150 * lam, lam), obstacle),
             150 * lam, lam)
-        cascade = propagate_blocked(f, obstacle, 300 * lam, lam)
+        cascade = cascade_field(f, obstacle, 300 * lam, lam)
         assert np.array_equal(manual.samples, cascade.samples)
+        assert np.array_equal(two_stage(f, obstacle, 300 * lam, lam).samples, cascade.samples)
 
     def test_obstacle_plane_is_unmasked_and_the_next_depth_masked(self, grid_std,
                                                                  array64, lam, rng):
@@ -453,11 +459,11 @@ class TestBlockedCascade:
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         f = launch_aperture(w, array64, grid_std, lam)
         obstacle = KnifeEdgeObstacle(depth=150 * lam, edge_x=0.0)
-        on_plane = propagate_blocked(f, obstacle, obstacle.depth, lam)
+        on_plane = cascade_field(f, obstacle, obstacle.depth, lam)
         unmasked = propagate_angular_spectrum(f, obstacle.depth, lam)
         assert np.array_equal(on_plane.samples, unmasked.samples)
         past = np.nextafter(obstacle.depth, np.inf)
-        beyond = propagate_blocked(f, obstacle, past, lam)
+        beyond = cascade_field(f, obstacle, past, lam)
         masked = apply_mask(unmasked, obstacle)
         two_leg = propagate_angular_spectrum(masked, past - obstacle.depth, lam)
         assert np.array_equal(beyond.samples, two_leg.samples)
@@ -467,7 +473,7 @@ class TestBlockedCascade:
     def test_nonpositive_target_rejected(self, grid_std, array64, lam):
         f = launch_aperture(np.ones(64, dtype=complex), array64, grid_std, lam)
         with pytest.raises(AirylinkError):
-            propagate_blocked(f, None, 0.0, lam)
+            cascade_field(f, None, 0.0, lam)
 
 
 class TestSampleField:
@@ -520,21 +526,15 @@ class TestIntensityMap:
 
 class TestIntensityMapCascade:
     """intensity_map runs the blocked cascade once per map in the spectral
-    domain; the oracle is the public composition propagate_angular_spectrum,
-    apply_mask, propagate_angular_spectrum at each depth, with a depth on
+    domain; the oracle is the composition two_stage (propagate_angular_spectrum,
+    apply_mask, propagate_angular_spectrum) at each depth, with a depth on
     the obstacle plane propagated unmasked. Both sides go through the same
     unclipped dB normalization, and every row must match bit for bit."""
 
     @staticmethod
     def per_depth_map(aperture, obstacle, depths, lam):
-        def field(d):
-            if obstacle is None or d <= obstacle.depth:
-                return propagate_angular_spectrum(aperture, d, lam)
-            at_edge = propagate_angular_spectrum(aperture, obstacle.depth, lam)
-            return propagate_angular_spectrum(apply_mask(at_edge, obstacle),
-                                              d - obstacle.depth, lam)
-
-        rows = np.array([np.abs(field(d).samples) ** 2 for d in depths])
+        rows = np.array([np.abs(two_stage(aperture, obstacle, d, lam).samples) ** 2
+                         for d in depths])
         peak = float(rows.max())
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(rows / peak), peak
@@ -586,8 +586,8 @@ class TestShadowZone:
         target_x, target_z = -5 * lam, 250 * lam
         w = traditional_focus(array64, carrier, UserPosition(target_x, target_z))
         f = launch_aperture(w, array64, grid_std, lam)
-        free = propagate_blocked(f, None, target_z, lam)
-        blocked = propagate_blocked(f, edge_obstacle, target_z, lam)
+        free = cascade_field(f, None, target_z, lam)
+        blocked = cascade_field(f, edge_obstacle, target_z, lam)
         drop_db = 10 * math.log10(abs(sample_field(blocked, target_x)) ** 2
                                   / abs(sample_field(free, target_x)) ** 2)
         # measured -12.7..-12.9 dB, stable across grid resolutions and against
