@@ -15,6 +15,11 @@ complex array. airy_axis_rows and traditional_focus_rows build many beams
 of one family at once (a search stage, the angle sweep, a codebook's
 users); airy_weights and traditional_focus are their one-row views, and
 build_codebook stacks one beam per user as the N x K analog matrix W_RF.
+A codebook strategy is 'trad_all', which focuses on every user, or one of
+the curved strategies of DESIGNS, which gives each shadowed user
+(geometry.classify_user) the strategy's cubic design at that user's
+geometric angle plus the design's offset, and focuses on every bright
+user. DESIGNS is the one place the two designs' numbers are written.
 airy_axis_rows is the one cubic-phase builder: it takes parameter axes,
 builds their phase tables once and gathers any design's row from them,
 with the bits airy_weights gives that design. check_airy_columns holds
@@ -40,6 +45,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "DESIGNS",
     "AiryParams",
     "check_airy_columns",
     "check_unit_norm",
@@ -52,6 +58,13 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
+
+# The cubic design of each curved codebook strategy: (bending, focal length
+# in meters, launch-angle offset in degrees from the user's geometric
+# angle). 'airy_geo' is the geometric comparator: moderate bending with the
+# focal region a little beyond the obstacle plane, aimed straight at the
+# user. 'airy_opt' is the reference tuned design.
+DESIGNS = {"airy_geo": (-25.0, 1.75, 0.0), "airy_opt": (-44.0, 1.50, -2.9)}
 
 
 def check_airy_columns(focal=(), launch_angle=()) -> None:
@@ -187,55 +200,36 @@ def airy_local_sine(array: ArrayGeometry, bending, focal, launch_angle):
                       sine - slope.min(axis=1)[inverse]).reshape(b.shape)
 
 
-def build_codebook(
-    scenario: ScenarioConfig,
-    strategy: str,
-    airy_params: AiryParams | None = None,
-) -> np.ndarray:
+def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
     """The analog matrix W_RF: one beam per user, as the columns of a
     C-contiguous N x K array.
 
     strategy "trad_all": every user gets a traditional focusing beam.
-    strategy "airy_geo": every user gets a cubic beam sharing the given
-        (bending, focal); the launch angle is replaced per user by that
-        user's geometric angle atan2(x, z).
-    strategy "mixed": shadowed users get the given cubic-beam parameters
-        verbatim, bright users get traditional beams. Raises ConfigError
-        when the scenario has no shadowed user (there is nothing for the
-        curved beam to do).
+    strategy "airy_geo" or "airy_opt": every user that classify_user calls
+        shadowed gets that strategy's cubic design from DESIGNS, launched
+        at the user's own geometric angle atan2(x, z) plus the design's
+        offset; every bright user (every user, without an obstacle) gets a
+        traditional focusing beam.
 
     Each family's beams come from one batched call, whose rows have the
     bits of the one-row traditional_focus and airy_weights.
     """
-    if strategy not in ("trad_all", "airy_geo", "mixed"):
+    if strategy != "trad_all" and strategy not in DESIGNS:
         raise ConfigError(f"unknown codebook strategy {strategy!r}")
-    if strategy != "trad_all" and airy_params is None:
-        raise ConfigError(f"{strategy} strategy needs airy_params for the curved beam")
-    curved = np.full(scenario.k, strategy == "airy_geo")
-    if strategy == "mixed":
-        if scenario.obstacle is None:
-            raise ConfigError("mixed strategy needs an obstacle; no user can be shadowed")
-        curved[:] = [classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
-                     for u in scenario.users]
-        if not curved.any():
-            raise ConfigError(
-                "mixed strategy requires at least one shadowed user; "
-                "all users have line of sight"
-            )
+    curved = np.array([strategy in DESIGNS and scenario.obstacle is not None
+                       and classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
+                       for u in scenario.users], dtype=bool)
     rows = np.empty((scenario.k, scenario.array.n), dtype=complex)
     focused = [u for u, c in zip(scenario.users, curved) if not c]
     if focused:
         rows[~curved] = traditional_focus_rows(scenario.array, scenario.carrier,
                                                [u.x for u in focused], [u.z for u in focused])
-    m = int(np.count_nonzero(curved))
-    if m:
-        if strategy == "airy_geo":
-            angles = [geometric_angle(u) for u in scenario.users]
-            check_airy_columns(launch_angle=angles)
-        else:
-            angles = [airy_params.launch_angle] * m
-        rows[curved] = airy_axis_rows(scenario.array, scenario.carrier,
-                                      (airy_params.bending,), (airy_params.focal,),
-                                      angles)(0, 0, np.arange(m))
+    if curved.any():
+        bending, focal, offset_deg = DESIGNS[strategy]
+        angles = [geometric_angle(u) + math.radians(offset_deg)
+                  for u, c in zip(scenario.users, curved) if c]
+        check_airy_columns(launch_angle=angles)
+        rows[curved] = airy_axis_rows(scenario.array, scenario.carrier, (bending,), (focal,),
+                                      angles)(0, 0, np.arange(len(angles)))
     check_unit_norm(rows)
     return np.ascontiguousarray(rows.T)

@@ -10,11 +10,10 @@ complex array; check_finite and check_effective hold the rules it meets:
 * the diffraction model builds row k by running the wave-optics cascade
   (launch filter, propagate, mask at the knife edge, propagate, sample at
   the user) transposed, from user k back to the element positions, with
-  propagation.Cascade.transpose, once per distinct user position. The
-  field maps run the same Cascade forward. The tests check the rows
-  against the forward per-beam cascade and, bit for bit, against a
-  transposed cascade they compose from the factor definitions in
-  `propagation`.
+  propagation.Cascade.transpose, once per user. The field maps run the
+  same Cascade forward. The tests check the rows against the forward
+  per-beam cascade and, bit for bit, against a transposed cascade they
+  compose from the factor definitions in `propagation`.
 
 Both models meet the codebook in beam_responses, the one product of user
 rows and beam rows: its einsum gives an entry the same bits alone or in a
@@ -159,9 +158,9 @@ def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
     element bins divided by dx -- the transpose of the unit-area spikes that
     embed_aperture deposits.
 
-    One Cascade makes each factor once, and a user position that appears
-    twice costs one transposed cascade, so a sweep passes the fixed user and
-    every moved user in one scenario and gets all of their rows at once.
+    One Cascade makes each factor once for every row, so a sweep passes
+    the fixed user and every moved user in one scenario and gets all of
+    their rows at once.
     """
     grid, lam = scenario.grid, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)
@@ -173,12 +172,10 @@ def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
                 f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
                 f"(|x| < {half:.4e} m)"
             )
-    rows = {}
-    for u in scenario.users:
-        if (u.x, u.z) not in rows:
-            probe = _amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x)
-            rows[(u.x, u.z)] = cascade.transpose(probe, u.z)[bins] / grid.dx
-    entries = np.vstack([rows[(u.x, u.z)] for u in scenario.users])
+    entries = np.vstack([
+        cascade.transpose(_amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x),
+                          u.z)[bins] / grid.dx
+        for u in scenario.users])
     check_finite(entries)
     return entries
 

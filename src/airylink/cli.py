@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .beams import airy_local_sine
+from .beams import DESIGNS, airy_local_sine
 from .config import load_scenario, validate_scenario
 from .errors import AirylinkError
 from .experiments import (
@@ -326,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fieldmap", help="intensity map of one beam over depth")
     _common_flags(p)
     p.add_argument("--strategy", required=True,
-                   choices=("trad_all", "airy_geo", "airy_opt"))
+                   choices=("trad_all", *DESIGNS))
     p.add_argument("--scenario", choices=("blocked", "free"), default="blocked",
                    help="apply the config's obstacle or ignore it")
     p.add_argument("--beam", type=int, default=0, help="beam (user) index to map")

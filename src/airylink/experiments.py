@@ -15,11 +15,13 @@ Each runner turns one scenario family into a tabular sweep:
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
-The strategy name 'airy_geo' names two codebooks. In the shadow scan it is
-build_codebook(..., "airy_geo"): every user gets a cubic beam at its own
-geometric angle. In the robustness sweep and the field map it is the mixed
-codebook of _named_codebook: the shadowed user gets the geometric cubic
-design and the bright user a traditional focus.
+A strategy name names one codebook everywhere: build_codebook(scenario,
+name), which focuses on every user for 'trad_all' and, for 'airy_geo' and
+'airy_opt', gives each shadowed user that design (beams.DESIGNS) at its own
+geometric angle plus the design's offset and focuses on every bright user.
+The mixed-optimization run and the robustness sweep serve user 0 with the
+cubic beam and user 1 with the focused one, and optimizer.check_roles
+refuses a scenario whose users do not play those roles.
 
 Every runner is pure given its config: identical inputs produce identical
 outputs (and therefore byte-identical CSVs downstream). A sweep builds the
@@ -53,7 +55,6 @@ import numpy as np
 from .beams import AiryParams, airy_axis_rows, airy_weights, build_codebook, check_airy_columns
 from .channels import (
     beam_responses,
-    check_finite,
     diffraction_channel,
     greens_channel,
     remark1_calibration,
@@ -63,6 +64,7 @@ from .geometry import ScenarioConfig, UserPosition, geometric_angle
 from .optimizer import (
     SearchGrids,
     SearchOutcome,
+    check_roles,
     coarse_to_fine_search,
     default_search_grids,
     geometric_baseline_params,
@@ -74,17 +76,12 @@ __all__ = [
     "SweepResult",
     "FieldCut",
     "MixedOptimizationResult",
-    "PUBLISHED_OPT",
     "run_baseline_scan",
     "run_shadow_scan",
     "run_mixed_optimization",
     "run_robustness_sweep",
     "run_fieldmap",
 ]
-
-# Reference tuned design for the mixed scenario: reused as the frozen
-# comparator in the robustness sweep (angle offset relative to geometric).
-PUBLISHED_OPT = {"bending": -44.0, "focal": 1.50, "dtheta_deg": -2.9}
 
 _POWER_RTOL = 1e-9
 
@@ -163,10 +160,9 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
                   values: list, h_eff, w_rf) -> SweepResult:
     """Score a whole sweep in one batch: h_eff and w_rf hold one effective
     channel (K x K) and analog matrix (N x K) per (value, strategy) pair,
-    value-major, strategies in order. The channels must be finite, and
-    every point's invariants are checked."""
+    value-major, strategies in order. batch_metrics refuses a channel that
+    is not finite, and every point's invariants are checked."""
     h = np.ascontiguousarray(h_eff, dtype=complex)
-    check_finite(h)
     w = np.ascontiguousarray(w_rf, dtype=complex)
     m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon,
                             scenario.noise_power)
@@ -247,20 +243,17 @@ def run_shadow_scan(
     """Blocked two-user scan comparing traditional and curved codebooks.
 
     Channels come from the diffraction model (calibrated once against the
-    obstacle-free closed form); the curved codebook aims each user's beam
-    along that user's geometric angle. Each strategy's beams for user 1
-    and for user 2 at every scan position come from one build_codebook
-    call.
+    obstacle-free closed form); the curved codebook aims each shadowed
+    user's beam along that user's geometric angle and focuses on a bright
+    one. Each strategy's beams for user 1 and for user 2 at every scan
+    position come from one build_codebook call.
     """
     if scenario.obstacle is None:
         raise ConfigError("shadow scan needs an obstacle in the scenario")
-    geo = geometric_baseline_params(scenario)
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     return _second_user_sweep(scenario, "shadow scan", "x2_lambda", xs,
-                              ("trad_all", "airy_geo"),
-                              lambda everyone, name: build_codebook(everyone, name, geo),
-                              scale)
+                              ("trad_all", "airy_geo"), build_codebook, scale)
 
 
 def run_mixed_optimization(
@@ -349,28 +342,6 @@ def _field_cut(
     )
 
 
-def _published_opt_params(scenario: ScenarioConfig) -> AiryParams:
-    return AiryParams(
-        bending=PUBLISHED_OPT["bending"],
-        focal=PUBLISHED_OPT["focal"],
-        launch_angle=geometric_angle(scenario.users[0])
-        + math.radians(PUBLISHED_OPT["dtheta_deg"]),
-    )
-
-
-def _named_codebook(scenario: ScenarioConfig, name: str) -> np.ndarray:
-    """W_RF (N x K) of a named strategy: 'trad_all', or the mixed codebook
-    whose curved beam for the shadowed user is the geometric design
-    ('airy_geo') or the published tuned one ('airy_opt')."""
-    if name == "trad_all":
-        return build_codebook(scenario, "trad_all")
-    if name == "airy_geo":
-        return build_codebook(scenario, "mixed", geometric_baseline_params(scenario))
-    if name == "airy_opt":
-        return build_codebook(scenario, "mixed", _published_opt_params(scenario))
-    raise ConfigError(f"unknown fieldmap strategy {name!r}")
-
-
 def run_robustness_sweep(
     scenario: ScenarioConfig,
     step_lambda: float = 0.25,
@@ -379,15 +350,14 @@ def run_robustness_sweep(
     """Positioning-error sweep: all beams stay designed for the nominal
     user positions while the bright user's true position is displaced by
     dx2; only the bright user's channel row differs from point to point."""
-    if scenario.obstacle is None:
-        raise ConfigError("robustness sweep needs the obstructed mixed scenario")
+    check_roles(scenario, "robustness sweep")
     scale, _residual = remark1_calibration(scenario.without_obstacle())
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
 
     # Beams frozen at the nominal design: the nominal bright-user beam
     # serves every moved point.
     def frozen(everyone, name):
-        return _named_codebook(scenario, name)[:, np.minimum(np.arange(everyone.k), 1)]
+        return build_codebook(scenario, name)[:, np.minimum(np.arange(everyone.k), 1)]
 
     return _second_user_sweep(scenario, "robustness sweep", "dx2_lambda", dxs,
                               ("trad_all", "airy_geo", "airy_opt"), frozen, scale,
@@ -405,11 +375,10 @@ def run_fieldmap(
 ) -> IntensityMap:
     """Intensity map of one codebook column over a range of depths.
 
-    strategy: 'trad_all', 'airy_geo', or 'airy_opt' (the latter two build
-    the mixed-codebook curved beam for the shadowed user). beam_index
-    selects whose beam to map.
+    strategy names the build_codebook codebook ('trad_all', 'airy_geo' or
+    'airy_opt'); beam_index selects whose beam to map.
     """
-    w_rf = _named_codebook(scenario, strategy)
+    w_rf = build_codebook(scenario, strategy)
     if not 0 <= beam_index < w_rf.shape[1]:
         raise ConfigError(f"beam index {beam_index} out of range for K={w_rf.shape[1]}")
     lam = scenario.carrier.wavelength

@@ -1,12 +1,14 @@
 """Coarse-to-fine parameter search for the shadowed user's curved beam.
 
 The mixed scenario has one shadowed user (index 0, served by a cubic-phase
-beam) and one bright user (index 1, served by a fixed traditional beam).
+beam) and one bright user (index 1, served by a fixed traditional beam);
+check_roles refuses any other scenario, by geometry.classify_user.
 The search tunes the cubic beam's (bending, focal, angle-offset) triple to
 maximize the post-precoding sum rate, subject to a floor on the shadowed
 user's own channel gain: |h11|^2 >= eta * |h11_geo|^2, where h11_geo is
-the gain of the purely geometric design. The constraint stops the search
-from trading UE-1's link entirely away for orthogonality.
+the gain of the purely geometric design (the 'airy_geo' design of
+beams.DESIGNS). The constraint stops the search from trading UE-1's link
+entirely away for orthogonality.
 
 Stage 1 exhaustively scans a coarse grid (loop order: bending outer, focal
 middle, angle inner; the first maximal feasible rate in that order wins a
@@ -50,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import AiryParams, airy_axis_rows, check_airy_columns, traditional_focus
+from .beams import DESIGNS, AiryParams, airy_axis_rows, check_airy_columns, traditional_focus
 from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError, InfeasibleSearchError
-from .geometry import ScenarioConfig, geometric_angle
+from .geometry import ScenarioConfig, classify_user, geometric_angle
 from .precoding import batch_sum_rates
 
 __all__ = [
@@ -62,13 +64,12 @@ __all__ = [
     "SearchOutcome",
     "default_search_grids",
     "geometric_baseline_params",
+    "check_roles",
     "coarse_to_fine_search",
 ]
 
-# Geometric comparator design for the shadowed user: moderate bending with
-# the focal region placed a little beyond the obstacle plane.
-GEO_BENDING = -25.0
-GEO_FOCAL = 1.75
+# Geometric comparator design for the shadowed user: the 'airy_geo' codebook's.
+GEO_BENDING, GEO_FOCAL, GEO_OFFSET_DEG = DESIGNS["airy_geo"]
 
 # Candidates scored per batch. Larger chunks buy little speed and raise
 # peak memory: scoring all 1617 coarse candidates as one batch lifts the
@@ -173,13 +174,29 @@ class SearchOutcome:
 
 
 def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
-    """The no-search comparator: stock (bending, focal) aimed straight at
-    the shadowed user's geometric angle."""
+    """The no-search comparator: the 'airy_geo' design aimed at the
+    shadowed user's geometric angle, the beam build_codebook gives user 0
+    under that strategy."""
     return AiryParams(
         bending=GEO_BENDING,
         focal=GEO_FOCAL,
-        launch_angle=geometric_angle(scenario.users[0]),
+        launch_angle=geometric_angle(scenario.users[0]) + math.radians(GEO_OFFSET_DEG),
     )
+
+
+def check_roles(scenario: ScenarioConfig, what: str) -> None:
+    """Refuse a scenario that is not one shadowed user 0 and one bright
+    user 1 behind an obstacle, by geometry.classify_user: the search, its
+    field cut and the robustness sweep serve user 0 with the cubic beam and
+    user 1 with the focused one. `what` names the caller in the message."""
+    if scenario.obstacle is None:
+        raise ConfigError(f"{what} needs an obstructed scenario")
+    if scenario.k != 2:
+        raise ConfigError(f"{what} expects exactly 2 users, got {scenario.k}")
+    roles = [classify_user(u, scenario.obstacle, scenario.array) for u in scenario.users]
+    if roles != ["shadowed", "bright"]:
+        raise ConfigError(f"{what} needs user 0 shadowed and user 1 bright, "
+                          f"got {roles[0]} and {roles[1]}")
 
 
 def _score_beams(
@@ -280,10 +297,7 @@ def coarse_to_fine_search(
     """
     if not 0.0 < eta < 1.0:
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
-    if scenario.obstacle is None:
-        raise ConfigError("the search is defined for an obstructed scenario")
-    if scenario.k != 2:
-        raise ConfigError(f"the search expects exactly 2 users, got {scenario.k}")
+    check_roles(scenario, "the search")
     theta_geo = geometric_angle(scenario.users[0])
     check_airy_columns(launch_angle=[theta_geo + dt for dt in grids.coarse_dtheta])
 
@@ -308,7 +322,8 @@ def coarse_to_fine_search(
     # Stage 0: constraint threshold from the geometric design's own gain,
     # on the one-point axes of geometric_baseline_params.
     one = np.zeros(1, dtype=int)
-    _, h11_geo = stage_scorer(((GEO_BENDING,), (GEO_FOCAL,), (0.0,)))(one, one, one)
+    geo_axes = ((GEO_BENDING,), (GEO_FOCAL,), (math.radians(GEO_OFFSET_DEG),))
+    _, h11_geo = stage_scorer(geo_axes)(one, one, one)
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
 

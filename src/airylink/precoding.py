@@ -39,7 +39,8 @@ they share: the RZF and sum-rate arithmetic of batch_metrics
 without the singular values except for the epsilon = 0 guard or to report
 sigma_min on the zero-power error. The realized power ||W_RF W_BB||_F^2
 is its own step (achieved_power), a product with W_RF itself: the sweeps
-check it at every point, while the search skips it.
+check it at every point, while the search skips it. No SVD sees a NaN or
+an Inf: the channels are checked with channels.check_finite before each.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import math
 
 import numpy as np
 
+from .channels import check_finite
 from .errors import AirylinkError, SingularChannelError
 
 __all__ = [
@@ -82,6 +84,14 @@ def _analog_gram(first, second) -> np.ndarray:
     return gram
 
 
+def _singular_values(h: np.ndarray) -> np.ndarray:
+    """The singular values (C x 2, descending) of every effective channel
+    of a batch. A NaN or Inf entry is refused first: numpy's SVD would raise
+    its own LinAlgError on it."""
+    check_finite(h)
+    return np.linalg.svd(h, compute_uv=False)
+
+
 def _check_two_users(h: np.ndarray) -> None:
     """Refuse a batch of effective channels that are not 2 x 2."""
     if h.shape[1:] != (2, 2):
@@ -110,7 +120,7 @@ def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
         )
     if epsilon == 0.0:
         if sigma is None:
-            sigma = np.linalg.svd(h, compute_uv=False)
+            sigma = _singular_values(h)
         bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
         if bad.any():
             raise SingularChannelError(
@@ -133,7 +143,7 @@ def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
     zero = norm_sq == 0.0
     if zero.any():
         if sigma is None:
-            sigma = np.linalg.svd(h, compute_uv=False)
+            sigma = _singular_values(h)
         raise SingularChannelError(
             "precoder is identically zero; cannot normalize transmit power",
             sigma_min=float(sigma[np.argmax(zero), -1]),
@@ -194,7 +204,7 @@ def batch_metrics(h: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: flo
         raise AirylinkError(
             f"expected C x N x 2 analog matrices (two beams each), got shape {np.shape(w_rf)}"
         )
-    sigma = np.linalg.svd(h, compute_uv=False)
+    sigma = _singular_values(h)
     gram = _analog_gram(w_rf[..., 0], w_rf[..., 1])
     w_tilde, alpha = _rzf_batch(h, gram, tx_power, epsilon, sigma)
     return _metrics_batch(h, alpha, noise_power, sigma), alpha[:, None, None] * w_tilde

@@ -31,9 +31,12 @@ interleaved:
 * diffraction_rows_of_one: the diffraction channel one user at a time,
   each row from a fresh one-user call (its own Cascade);
 * focus_of_one: the focusing weights toward one target;
-* beam_of_one, codebook_of_one: one user's column of a build_codebook
-  strategy from the one-beam traditional_focus or airy_weights, and the
-  column stack of every user's;
+* design_params, beam_of_one, codebook_of_one: a curved strategy's cubic
+  design aimed at one user (its geometric angle plus the design's offset),
+  one user's column of a build_codebook strategy from the one-beam
+  traditional_focus or airy_weights (the cubic design for a shadowed user
+  under a curved strategy, the focus otherwise), and the column stack of
+  every user's;
 * baseline_points, shadow_points, robustness_points: one point at a time,
   with per-user rows, per-user beams and a product per strategy.
 
@@ -44,17 +47,15 @@ scenarios and on jittered ones, whose users sit off the wavelength grid.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
-                      diffraction_channel, geometric_angle, geometric_baseline_params,
-                      remark1_calibration, traditional_focus)
-from airylink.beams import AiryParams, airy_axis_rows
+                      diffraction_channel, geometric_angle, remark1_calibration,
+                      traditional_focus)
+from airylink.beams import DESIGNS, AiryParams, airy_axis_rows
 from airylink.channels import beam_responses, effective_channel
-from airylink.experiments import _published_opt_params
 from airylink.optimizer import _bright_beam, _score_beams
 from airylink.precoding import achieved_power, batch_metrics
 
@@ -142,26 +143,26 @@ def focus_of_one(scenario: ScenarioConfig, target: UserPosition) -> np.ndarray:
     return np.exp(1j * scenario.carrier.wavenumber * r) / math.sqrt(scenario.array.n)
 
 
-def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition,
-                airy_params: AiryParams | None = None) -> np.ndarray:
-    """One user's column of a build_codebook strategy, built alone:
-    'airy_geo' aims the cubic beam at the user's geometric angle, 'mixed'
-    gives a shadowed user the cubic beam verbatim, and every other user
-    gets the focusing beam."""
-    if strategy == "airy_geo":
-        aimed = replace(airy_params, launch_angle=geometric_angle(user))
-        return airy_weights(scenario.array, scenario.carrier, aimed)
-    if strategy == "mixed" and classify_user(user, scenario.obstacle,
-                                             scenario.array) == "shadowed":
-        return airy_weights(scenario.array, scenario.carrier, airy_params)
+def design_params(strategy: str, user: UserPosition) -> AiryParams:
+    """The cubic design of a curved strategy (beams.DESIGNS) aimed at one
+    user: launched at its geometric angle plus the design's offset."""
+    bending, focal, offset_deg = DESIGNS[strategy]
+    return AiryParams(bending, focal, geometric_angle(user) + math.radians(offset_deg))
+
+
+def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition) -> np.ndarray:
+    """One user's column of a build_codebook strategy, built alone: under
+    'airy_geo' or 'airy_opt' a shadowed user gets design_params' cubic
+    beam, and every other user gets the focusing beam."""
+    if (strategy in DESIGNS and scenario.obstacle is not None
+            and classify_user(user, scenario.obstacle, scenario.array) == "shadowed"):
+        return airy_weights(scenario.array, scenario.carrier, design_params(strategy, user))
     return traditional_focus(scenario.array, scenario.carrier, user)
 
 
-def codebook_of_one(scenario: ScenarioConfig, strategy: str,
-                    airy_params: AiryParams | None = None) -> np.ndarray:
+def codebook_of_one(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
     """The N x K column stack of every user's beam_of_one."""
-    return np.column_stack([beam_of_one(scenario, strategy, u, airy_params)
-                            for u in scenario.users])
+    return np.column_stack([beam_of_one(scenario, strategy, u) for u in scenario.users])
 
 
 def jittered(scenario: ScenarioConfig, rng, lam: float) -> ScenarioConfig:
@@ -202,7 +203,6 @@ def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
 def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     """run_shadow_scan's channels, one point and strategy at a time."""
     lam = scenario.carrier.wavelength
-    geo = geometric_baseline_params(scenario)
     scale, _ = remark1_calibration(scenario.without_obstacle())
     u1 = scenario.users[0]
     h_eff, w_rf = [], []
@@ -210,7 +210,7 @@ def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
         point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
         h_phys = diffraction_rows_of_one(point)
         for name in ("trad_all", "airy_geo"):
-            w = codebook_of_one(point, name, geo)
+            w = codebook_of_one(point, name)
             h_eff.append(effective_channel(h_phys, w, scale))
             w_rf.append(w)
     return _stacked(h_eff, w_rf)
@@ -220,12 +220,7 @@ def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
     """run_robustness_sweep's channels, one point and strategy at a time."""
     lam = scenario.carrier.wavelength
     scale, _ = remark1_calibration(scenario.without_obstacle())
-    geo = geometric_baseline_params(scenario)
-    books = [
-        codebook_of_one(scenario, "trad_all"),
-        codebook_of_one(scenario, "mixed", geo),
-        codebook_of_one(scenario, "mixed", _published_opt_params(scenario)),
-    ]
+    books = [codebook_of_one(scenario, name) for name in ("trad_all", "airy_geo", "airy_opt")]
     u1, u2 = scenario.users
     h_eff = []
     for dx_lambda in dxs_lambda:

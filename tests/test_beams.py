@@ -1,6 +1,8 @@
 """Beamforming weights: conjugate focusing and the cubic-phase family."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +11,19 @@ from airylink import (
     AiryParams,
     ArrayGeometry,
     ConfigError,
+    KnifeEdgeObstacle,
     UserPosition,
     airy_weights,
     build_codebook,
+    classify_user,
     greens_channel,
     launch_aperture,
+    load_scenario,
     propagate_angular_spectrum,
     traditional_focus,
 )
 from airylink.beams import (
+    DESIGNS,
     airy_axis_rows,
     airy_local_sine,
     check_unit_norm,
@@ -27,6 +33,8 @@ from airylink.geometry import geometric_angle
 from airylink.propagation import grid_x
 
 from batch_of_one import codebook_of_one, focus_of_one, jittered
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestAiryParams:
@@ -220,11 +228,11 @@ class TestTraditionalFocusRows:
             assert row.tobytes() == focus_of_one(baseline_scenario, target).tobytes()
 
     def test_user_beam_rows_check_the_launch_angles(self, shadow_scenario):
-        """A user so far off axis that atan2 rounds its angle to pi/2."""
-        users = (UserPosition(0.1, 2.0), UserPosition(1e20, 1.0))
+        """A shadowed user so far off axis that atan2 rounds its angle to
+        -pi/2."""
+        users = (UserPosition(0.1, 2.0), UserPosition(-1e20, 2.0))
         with pytest.raises(ConfigError, match="launch angle"):
-            build_codebook(shadow_scenario.with_users(users), "airy_geo",
-                           AiryParams(-25.0, 1.75))
+            build_codebook(shadow_scenario.with_users(users), "airy_geo")
 
     def test_any_target_behind_the_array_rejected(self, array64, carrier):
         with pytest.raises(ConfigError, match="z > 0"):
@@ -332,46 +340,56 @@ class TestBuildCodebook:
             expected = traditional_focus(baseline_scenario.array, carrier, user)
             assert np.array_equal(beam, expected)
 
-    def test_airy_geo_uses_geometric_angles(self, shadow_scenario, carrier):
-        params = AiryParams(-25.0, 1.75, 0.0)
-        book = build_codebook(shadow_scenario, "airy_geo", airy_params=params)
-        for beam, user in zip(book.T, shadow_scenario.users):
-            angle = geometric_angle(user)
-            offset = AiryParams(params.bending, params.focal, params.launch_angle + angle)
-            expected = airy_weights(shadow_scenario.array, carrier, offset)
-            assert np.array_equal(beam, expected)
+    @staticmethod
+    def assert_each_user_aimed(strategy):
+        """On the bundled shadow config both users are shadowed, and each
+        column is its own user's cubic beam, bit for bit: the strategy's
+        design launched at that user's geometric angle plus the design's
+        offset. The two columns are different beams."""
+        scenario = load_scenario(CONFIGS / "shadow.cfg")
+        roles = [classify_user(u, scenario.obstacle, scenario.array) for u in scenario.users]
+        assert roles == ["shadowed", "shadowed"]
+        book = build_codebook(scenario, strategy)
+        bending, focal, offset_deg = DESIGNS[strategy]
+        for beam, user in zip(book.T, scenario.users):
+            params = AiryParams(bending, focal, geometric_angle(user) + math.radians(offset_deg))
+            want = airy_weights(scenario.array, scenario.carrier, params)
+            assert beam.tobytes() == want.tobytes()
+        assert abs(np.vdot(book[:, 0], book[:, 1])) < 0.9
 
-    def test_airy_geo_requires_params(self, shadow_scenario):
-        with pytest.raises(ConfigError, match="airy_params"):
-            build_codebook(shadow_scenario, "airy_geo")
+    def test_airy_geo_uses_geometric_angles(self):
+        self.assert_each_user_aimed("airy_geo")
 
-    def test_mixed_routes_by_classification(self, mixed_scenario, carrier):
-        params = AiryParams(-44.0, 1.50, math.radians(-2.9))
-        book = build_codebook(mixed_scenario, "mixed", airy_params=params)
-        # user 0 is shadowed -> airy with the params verbatim (no geometric
-        # angle folded in); user 1 is bright -> traditional focus
-        shadowed = airy_weights(mixed_scenario.array, carrier, params)
-        bright = traditional_focus(mixed_scenario.array, carrier,
-                                   mixed_scenario.users[1])
-        assert np.array_equal(book[:, 0], shadowed)
-        assert np.array_equal(book[:, 1], bright)
+    def test_airy_opt_adds_its_offset_to_each_users_angle(self):
+        self.assert_each_user_aimed("airy_opt")
 
-    def test_mixed_without_obstacle_rejected(self, baseline_scenario):
-        with pytest.raises(ConfigError, match="obstacle"):
-            build_codebook(baseline_scenario, "mixed",
-                           airy_params=AiryParams(-25.0, 1.75, 0.0))
+    def test_mixed_routes_by_classification(self, mixed_scenario):
+        """Under either curved strategy, user 0 is shadowed: the cubic
+        design at its own geometric angle plus the offset. User 1 is
+        bright: a traditional focus."""
+        u0, u1 = mixed_scenario.users
+        bright = traditional_focus(mixed_scenario.array, mixed_scenario.carrier, u1)
+        for strategy, (bending, focal, offset_deg) in DESIGNS.items():
+            book = build_codebook(mixed_scenario, strategy)
+            params = AiryParams(bending, focal, geometric_angle(u0) + math.radians(offset_deg))
+            shadowed = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
+            assert book[:, 0].tobytes() == shadowed.tobytes()
+            assert book[:, 1].tobytes() == bright.tobytes()
 
-    def test_mixed_with_no_shadowed_user_rejected(self, mixed_scenario):
-        from airylink import KnifeEdgeObstacle
+    def test_curved_without_obstacle_focuses_every_user(self, baseline_scenario):
+        """Nothing shadows a user in free space, so every user is bright."""
+        focused = build_codebook(baseline_scenario, "trad_all").tobytes()
+        for strategy in DESIGNS:
+            assert build_codebook(baseline_scenario, strategy).tobytes() == focused
 
+    def test_curved_with_no_shadowed_user_focuses_every_user(self, mixed_scenario):
         # flip the blocked side: every user is now on the bright side
         harmless = KnifeEdgeObstacle(depth=mixed_scenario.obstacle.depth,
                                      edge_x=-1.0, blocked_side="below_edge")
-        import dataclasses
         scenario = dataclasses.replace(mixed_scenario, obstacle=harmless)
-        with pytest.raises(ConfigError, match="shadow"):
-            build_codebook(scenario, "mixed",
-                           airy_params=AiryParams(-25.0, 1.75, 0.0))
+        focused = build_codebook(scenario, "trad_all").tobytes()
+        for strategy in DESIGNS:
+            assert build_codebook(scenario, strategy).tobytes() == focused
 
     def test_unknown_strategy(self, baseline_scenario):
         with pytest.raises(ConfigError, match="strategy"):
@@ -390,7 +408,10 @@ class TestBuildCodebook:
         ("shadow_scenario", "airy_geo"),
         ("mixed_scenario", "trad_all"),
         ("mixed_scenario", "airy_geo"),
-        ("mixed_scenario", "mixed"),
+        ("shadow_scenario", "airy_opt"),
+        # one shadowed and one bright user: the id names the mixed roles,
+        # as it did before a curved strategy routed them by classification
+        pytest.param("mixed_scenario", "airy_opt", id="mixed_scenario-mixed"),
     ])
     def test_matches_the_column_stack_of_one_row_beams(self, fixture, strategy, jitter,
                                                        request, rng, lam):
@@ -399,9 +420,8 @@ class TestBuildCodebook:
         scenario = request.getfixturevalue(fixture)
         if jitter:
             scenario = jittered(scenario, rng, lam)
-        params = AiryParams(-44.0, 1.5, math.radians(-2.9))
-        book = build_codebook(scenario, strategy, params)
-        want = codebook_of_one(scenario, strategy, params)
+        book = build_codebook(scenario, strategy)
+        want = codebook_of_one(scenario, strategy)
         assert book.flags.c_contiguous
         assert book.shape == want.shape == (64, 2)
         assert book.tobytes() == want.tobytes()

@@ -151,9 +151,10 @@ class TestChannelBuilder:
         assert not np.array_equal(h[1], fresh_row(free, past))
 
     def test_mask_built_once_per_builder(self, shadow_scenario, lam, monkeypatch):
-        """One diffraction_channel call makes one Cascade: users that repeat
-        an (x, z), whatever their labels, cost one transposed cascade, and
-        every two-leg row reuses one knife-edge mask."""
+        """One diffraction_channel call makes one Cascade: each user costs
+        one transposed cascade, users that repeat an (x, z), whatever their
+        labels, get rows with the same bits, and every two-leg row reuses
+        one knife-edge mask."""
         masks, transposes = [], []
         real_mask = airylink.propagation._clear_side
         monkeypatch.setattr(airylink.propagation, "_clear_side",
@@ -170,7 +171,7 @@ class TestChannelBuilder:
         users.insert(3, UserPosition(-10.0 * lam, 250 * lam, "nearer"))
         h = diffraction_channel(shadow_scenario.with_users(tuple(users)))
         assert h.shape == (len(users), 64)
-        assert len(transposes) == 5
+        assert len(transposes) == len(users)
         assert masks == [(shadow_scenario.grid, shadow_scenario.obstacle)]
         assert np.array_equal(h[[2, 6, 7]], h[[0, 1, 0]])
 

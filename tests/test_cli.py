@@ -349,6 +349,25 @@ class TestFieldmapCommand:
         assert meta_text.count("z_m =") == 5
 
 
+class TestRoles:
+    @pytest.mark.parametrize("command, who", [("mixed-opt", "the search"),
+                                              ("robustness", "robustness sweep")])
+    def test_swapped_users_are_refused(self, tmp_path, capsys, command, who):
+        """mixed.cfg with its two users in the other order: user 0 is the
+        bright one, so neither command may serve it with the cubic beam."""
+        text = Path(MIXED).read_text()
+        shadowed, bright = "x = -5\nz = 250\nunit = lambda\n", "x = 3.5\nz = 300\nunit = lambda\n"
+        assert shadowed + bright in text
+        swapped = tmp_path / "swapped.cfg"
+        swapped.write_text(text.replace(shadowed + bright, bright + shadowed))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(swapped), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {who} needs user 0 shadowed and user 1 bright, got bright and shadowed"]
+        assert not out.exists()
+
+
 class TestMixedOptCommand:
     def test_full_search_products(self, tmp_path):
         rc = main(["mixed-opt", "--config", MIXED, "--out", str(tmp_path),

@@ -41,11 +41,11 @@ from airylink import (
     run_shadow_scan,
     traditional_focus,
 )
-from airylink.experiments import PUBLISHED_OPT, _published_opt_params
+from airylink.beams import DESIGNS
 from airylink.geometry import geometric_angle
 
-from batch_of_one import (baseline_points, evaluate_candidate, jittered, metrics_of_one,
-                          robustness_points, shadow_points)
+from batch_of_one import (baseline_points, beam_of_one, design_params, evaluate_candidate,
+                          jittered, metrics_of_one, robustness_points, shadow_points)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -229,7 +229,7 @@ class TestMixedOptimization:
                                               mixed_opt_result):
         scale = mixed_opt_result.calibration_scale
         rate_pub, _ = evaluate_candidate(
-            mixed_scenario, _published_opt_params(mixed_scenario), scale)
+            mixed_scenario, design_params("airy_opt", mixed_scenario.users[0]), scale)
         rate_geo, _ = evaluate_candidate(
             mixed_scenario, geometric_baseline_params(mixed_scenario), scale)
         assert rate_pub > rate_geo
@@ -246,9 +246,7 @@ class TestRobustnessSweep:
     def test_zero_displacement_reproduces_nominal_metrics(self, mixed_scenario,
                                                           robustness_result):
         scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
-        book = build_codebook(
-            mixed_scenario, "mixed",
-            airy_params=geometric_baseline_params(mixed_scenario))
+        book = build_codebook(mixed_scenario, "airy_geo")
         h_eff = effective_channel(diffraction_channel(mixed_scenario), book, scale=scale)
         nominal = per_point_record(mixed_scenario, h_eff, book)
 
@@ -264,8 +262,7 @@ class TestRobustnessSweep:
             assert np.all(kappa >= 1.0)
 
     def test_reference_design_is_frozen(self):
-        assert PUBLISHED_OPT == {"bending": -44.0, "focal": 1.50,
-                                 "dtheta_deg": -2.9}
+        assert DESIGNS["airy_opt"] == (-44.0, 1.50, -2.9)
 
 
 class TestFieldmap:
@@ -296,6 +293,22 @@ class TestFieldmap:
                                [d * lam for d in (50.0, 150.0, 250.0, 350.0)],
                                lam)
         assert np.array_equal(m.db, manual.db)
+
+    @pytest.mark.parametrize("strategy", ["airy_geo", "airy_opt"])
+    def test_second_shadowed_user_maps_its_own_beam(self, strategy, lam):
+        """Both users of the bundled shadow config are shadowed: beam 1 is
+        user 1's own cubic beam, not a copy of user 0's, so its map is
+        that beam's map and differs from beam 0's."""
+        scenario = load_scenario(CONFIGS / "shadow.cfg")
+        depths = dict(depth_start_lambda=200.0, depth_stop_lambda=300.0,
+                      depth_step_lambda=50.0)
+        maps = [run_fieldmap(scenario, strategy, beam_index=b, **depths).db for b in (0, 1)]
+        own = beam_of_one(scenario, strategy, scenario.users[1])
+        launch = launch_aperture(own, scenario.array, scenario.grid, lam)
+        manual = intensity_map(launch, scenario.obstacle,
+                               [d * lam for d in (200.0, 250.0, 300.0)], lam)
+        assert maps[1].tobytes() == manual.db.tobytes()
+        assert not np.array_equal(maps[0], maps[1])
 
 
 def per_point_record(scenario, h_eff, w_rf) -> dict:
@@ -378,14 +391,13 @@ class TestOneMetricsPath:
 
     def test_shadow_matches_per_point_scoring(self, shadow_scenario, shadow_sweep, lam):
         scale, _ = remark1_calibration(shadow_scenario.without_obstacle())
-        geo = geometric_baseline_params(shadow_scenario)
         expected = []
         for x in shadow_sweep.values:
             s = moved_second_user(shadow_scenario, x * lam)
             h_phys = diffraction_channel(s)
             point = {}
             for name in ("trad_all", "airy_geo"):
-                book = build_codebook(s, name, airy_params=geo)
+                book = build_codebook(s, name)
                 h_eff = effective_channel(h_phys, book, scale)
                 point[name] = per_point_record(s, h_eff, book)
             expected.append(point)
@@ -394,15 +406,8 @@ class TestOneMetricsPath:
     def test_robustness_matches_per_point_scoring(self, mixed_scenario,
                                                   robustness_result, lam):
         scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
-        books = {
-            "trad_all": build_codebook(mixed_scenario, "trad_all"),
-            "airy_geo": build_codebook(
-                mixed_scenario, "mixed",
-                airy_params=geometric_baseline_params(mixed_scenario)),
-            "airy_opt": build_codebook(
-                mixed_scenario, "mixed",
-                airy_params=_published_opt_params(mixed_scenario)),
-        }
+        books = {name: build_codebook(mixed_scenario, name)
+                 for name in ("trad_all", "airy_geo", "airy_opt")}
         x2 = mixed_scenario.users[1].x
         expected = []
         for dx in robustness_result.values:

@@ -190,10 +190,7 @@ class TestFloatRowsMatchPerCellWriter:
         assert (tmp_path / "book.csv").read_bytes() == expected
 
     def test_real_codebook(self, tmp_path, shadow_scenario):
-        from airylink import geometric_baseline_params
-
-        book = build_codebook(shadow_scenario, "mixed",
-                              airy_params=geometric_baseline_params(shadow_scenario))
+        book = build_codebook(shadow_scenario, "airy_geo")
         header = [f"beam_{j + 1}_phase_rad" for j in range(book.shape[1])]
         phases = np.angle(book)
         write_table(tmp_path / "book.csv", header, phases)

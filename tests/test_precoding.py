@@ -141,8 +141,9 @@ class TestSingularGuards:
 
 class TestValidation:
     """The rules on the RZF's inputs. A non-finite effective channel is
-    refused by check_finite before a sweep scores it
-    (test_experiments.py::TestMixedOptimization::test_angle_sweep_refuses_a_non_finite_channel),
+    refused by check_finite before any SVD takes it (below, and through a
+    sweep in
+    test_experiments.py::TestMixedOptimization::test_angle_sweep_refuses_a_non_finite_channel),
     and a negative epsilon or a non-positive transmit power by
     ScenarioConfig (test_geometry.py::TestScenarioConfig::test_rejects_bad_link_parameters)."""
 
@@ -152,6 +153,23 @@ class TestValidation:
         h_phys = np.ones((2, 4), dtype=complex)
         with pytest.raises(AirylinkError, match="effective channel must be square"):
             effective_channel(h_phys, np.ones((4, 3), dtype=complex))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-10])
+    def test_non_finite_channel_refused_by_the_metrics(self, epsilon):
+        """numpy's SVD raises its own LinAlgError on a NaN, which the CLI
+        does not report as an error line."""
+        h = effective([[1.0, math.nan], [0.0, 1.0]])[None]
+        with pytest.raises(AirylinkError, match="NaN or Inf"):
+            batch_metrics(h, orthonormal_w_rf()[None], 1.0, epsilon, 1e-3)
+
+    def test_non_finite_channel_refused_by_the_rates_at_zero_epsilon(self):
+        """At epsilon = 0 the rates take the SVD for the zero-forcing guard.
+        (At epsilon > 0 they take none, and the search names the design
+        whose rate is NaN: test_optimizer.py::TestNaNRate.)"""
+        h = effective([[1.0, 0.0], [math.inf, 1.0]])[None]
+        w = orthonormal_w_rf()
+        with pytest.raises(AirylinkError, match="NaN or Inf"):
+            batch_sum_rates(h, w[:, 0][None], w[:, 1], 1.0, 0.0, 1e-3)
 
     def test_beam_count_mismatch_rejected(self):
         with pytest.raises(AirylinkError, match="two beams"):

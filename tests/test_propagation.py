@@ -157,12 +157,12 @@ class TestEmbedAperture:
     def test_matches_the_per_element_loop(self, name, rng):
         """Every codebook column of the bundled config, and random weights,
         bit for bit."""
-        from airylink import build_codebook, geometric_baseline_params
+        from airylink import build_codebook
 
         scenario = load_scenario(CONFIGS / f"{name}.cfg")
-        geo = geometric_baseline_params(scenario)
         columns = [*build_codebook(scenario, "trad_all").T,
-                   *build_codebook(scenario, "airy_geo", geo).T,
+                   *build_codebook(scenario, "airy_geo").T,
+                   *build_codebook(scenario, "airy_opt").T,
                    *(rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64)))]
         for w in columns:
             got = embed_aperture(w, scenario.array, scenario.grid).samples
