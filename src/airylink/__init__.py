@@ -20,7 +20,6 @@ from .errors import (
     AirylinkError,
     ConfigError,
     GridError,
-    InfeasibleSearchError,
     ModelMismatchError,
     SingularChannelError,
 )
@@ -46,11 +45,9 @@ from .geometry import (
     geometric_angle,
 )
 from .optimizer import (
-    SearchGrids,
     SearchOutcome,
     SearchTrace,
     coarse_to_fine_search,
-    default_search_grids,
     geometric_baseline_params,
 )
 from .propagation import (

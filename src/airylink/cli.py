@@ -42,12 +42,14 @@ from .propagation import LAUNCH_CUTOFF_SINE
 __all__ = ["main"]
 
 
-def _common_flags(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
+def _common_flags(p: argparse.ArgumentParser, needs_out: bool = True,
+                  needs_step: bool = True) -> None:
     p.add_argument("--config", required=True, help="scenario config file")
     if needs_out:
         p.add_argument("--out", required=True, help="output directory for CSVs")
-    p.add_argument("--step", type=float, default=None,
-                   help="sweep step override (lambda units; degrees for mixed-opt)")
+    if needs_step:
+        p.add_argument("--step", type=float, default=None,
+                       help="sweep step override (lambda units; degrees for mixed-opt)")
     p.add_argument("--nx", type=int, default=None,
                    help="override grid sample count (power of two)")
 
@@ -121,8 +123,8 @@ def _cmd_shadow(args) -> int:
 def _fine_edge_flags(search, theta_geo: float) -> dict:
     """Per search axis, whether the winner sits on the edge of the fine
     stage: its coordinate equals the minimum or maximum of that axis among
-    the fine-stage trace rows (false when there was no fine stage). A
-    winner on the edge may have a better neighbour outside the grid."""
+    the fine-stage trace rows. A winner on the edge may have a better
+    neighbour outside the grid."""
     trace = search.trace
     fine = trace.stage == "fine"
     best = search.best_params
@@ -133,7 +135,7 @@ def _fine_edge_flags(search, theta_geo: float) -> dict:
         ("dtheta", best.launch_angle, theta_geo + trace.dtheta[fine]),
     )
     return {
-        f"{name}_on_fine_edge": bool(axis.size) and value in (axis.min(), axis.max())
+        f"{name}_on_fine_edge": value in (axis.min(), axis.max())
         for name, value, axis in axes
     }
 
@@ -324,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_robustness)
 
     p = sub.add_parser("fieldmap", help="intensity map of one beam over depth")
-    _common_flags(p)
+    _common_flags(p, needs_step=False)
     p.add_argument("--strategy", required=True,
                    choices=("trad_all", *DESIGNS))
     p.add_argument("--scenario", choices=("blocked", "free"), default="blocked",
@@ -336,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fieldmap)
 
     p = sub.add_parser("validate", help="run fast physics self-checks and exit")
-    _common_flags(p, needs_out=False)
+    _common_flags(p, needs_out=False, needs_step=False)
     p.set_defaults(fn=_cmd_validate)
     return parser
 

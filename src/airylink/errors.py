@@ -37,11 +37,3 @@ class SingularChannelError(AirylinkError):
         super().__init__(message)
         self.sigma_min = sigma_min
 
-
-class InfeasibleSearchError(AirylinkError):
-    """No candidate in the search grid satisfied the service constraint."""
-
-    def __init__(self, message: str, max_h11_power: float, threshold: float):
-        super().__init__(message)
-        self.max_h11_power = max_h11_power
-        self.threshold = threshold

@@ -9,9 +9,11 @@ Each runner turns one scenario family into a tabular sweep:
                      traditional codebook against curved beams as the deep
                      user walks from shadow center toward the lit edge.
 * mixed_optimization -- one shadowed and one bright user; run the
-                     coarse-to-fine beam search, a diagnostic angle-offset
-                     sweep around the winner, and a transverse field cut
-                     comparing the winning beam to the geometric one.
+                     coarse-to-fine beam search on its one box
+                     (optimizer.COARSE_AXES), a diagnostic sweep over the
+                     coarse angle-offset range at the winner's (bending,
+                     focal), and a transverse field cut comparing the
+                     winning beam to the geometric one.
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
@@ -62,11 +64,10 @@ from .channels import (
 from .errors import AirylinkError, ConfigError
 from .geometry import ScenarioConfig, UserPosition, geometric_angle
 from .optimizer import (
-    SearchGrids,
+    COARSE_AXES,
     SearchOutcome,
     check_roles,
     coarse_to_fine_search,
-    default_search_grids,
     geometric_baseline_params,
 )
 from .precoding import achieved_power, batch_metrics
@@ -258,7 +259,6 @@ def run_shadow_scan(
 
 def run_mixed_optimization(
     scenario: ScenarioConfig,
-    grids: SearchGrids | None = None,
     eta: float = 0.4,
     dtheta_step_deg: float = 0.1,
 ) -> MixedOptimizationResult:
@@ -266,16 +266,15 @@ def run_mixed_optimization(
     characterize the winner: an angle-offset sweep at the winning
     (bending, focal) and a transverse field cut at the bright user's depth
     comparing the winner against the geometric design."""
-    if grids is None:
-        grids = default_search_grids()
-    # Angle-offset diagnostic around the winner, at the winning (bending,
-    # focal); its axis is checked before the search runs.
-    lo = math.degrees(grids.coarse_dtheta[0])
-    hi = math.degrees(grids.coarse_dtheta[-1])
+    # Angle-offset diagnostic around the winner over the coarse angle axis,
+    # at the winning (bending, focal); its axis is checked before the
+    # search runs.
+    lo = math.degrees(COARSE_AXES[2][0])
+    hi = math.degrees(COARSE_AXES[2][-1])
     dthetas = _sweep_values(lo, hi, dtheta_step_deg)
 
     scale, residual = remark1_calibration(scenario.without_obstacle())
-    outcome = coarse_to_fine_search(scenario, grids, eta=eta, scale=scale)
+    outcome = coarse_to_fine_search(scenario, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
     best = outcome.best_params

@@ -291,8 +291,8 @@ def write_intensity_map(path, imap: IntensityMap, scenario: ScenarioConfig) -> N
 
 def _grid_text(values: np.ndarray) -> list:
     """'%.12g' % v for every entry of a float64 column that holds few
-    distinct values (a search grid axis): each distinct bit pattern, so
-    -0.0 apart from 0.0, is formatted once."""
+    distinct values (a trace column of the search box's axes): each
+    distinct bit pattern, so -0.0 apart from 0.0, is formatted once."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     text = ["%.12g" % v for v in bits.view(np.float64).tolist()]
     return [text[i] for i in inverse.tolist()]

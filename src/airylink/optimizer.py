@@ -10,18 +10,23 @@ the gain of the purely geometric design (the 'airy_geo' design of
 beams.DESIGNS). The constraint stops the search from trading UE-1's link
 entirely away for orthogonality.
 
-Stage 1 exhaustively scans a coarse grid (loop order: bending outer, focal
-middle, angle inner; the first maximal feasible rate in that order wins a
-tie, as a loop with strict > improvement would pick it).
-Stage 2 re-scans a refined grid spanning +/- fine_span coarse steps around
-the stage-1 incumbent on every axis at fine_refine_factor x resolution.
+The search box is one constant: COARSE_AXES holds the coarse bending,
+focal and angle-offset axes (11 x 7 x 21 = 1617 candidates), and the fine
+stage rescans +/- FINE_SPAN coarse steps around the stage-1 incumbent on
+every axis at FINE_REFINE x resolution (11^3 = 1331 candidates).
+Stage 1 exhaustively scans the coarse grid (loop order: bending outer,
+focal middle, angle inner; the first maximal feasible rate in that order
+wins a tie, as a loop with strict > improvement would pick it).
+Stage 2 scans the fine grid, whose centre is the stage-1 incumbent.
 Identical inputs always produce the identical outcome and trace.
 
-The search box is checked before anything is scored, with AiryParams' own
-rules (beams.check_airy_columns): SearchGrids rejects a coarse focal length
-<= 0, the search rejects a coarse launch angle theta_geo + dtheta outside
-|theta| < pi/2 before stage 0, and each fine axis is checked when it is
-built, before stage 2 scores any candidate.
+Neither stage can come up empty. The geometric design is a coarse grid
+point, scored with the bits stage 0 gives it, so it reaches eta times its
+own gain for any eta in (0, 1); the incumbent is a fine grid point. The
+focal axes stay positive (the lowest fine focal length is 0.75 m), but
+the launch angles depend on the user: the search rejects a coarse launch
+angle theta_geo + dtheta outside |theta| < pi/2 before stage 0, and a fine
+one before stage 2 scores any candidate (beams.check_airy_columns).
 
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks.
@@ -54,15 +59,16 @@ import numpy as np
 
 from .beams import DESIGNS, AiryParams, airy_axis_rows, check_airy_columns, traditional_focus
 from .channels import beam_responses, diffraction_channel
-from .errors import AirylinkError, ConfigError, InfeasibleSearchError
+from .errors import AirylinkError, ConfigError
 from .geometry import ScenarioConfig, classify_user, geometric_angle
 from .precoding import batch_sum_rates
 
 __all__ = [
-    "SearchGrids",
+    "COARSE_AXES",
+    "FINE_REFINE",
+    "FINE_SPAN",
     "SearchTrace",
     "SearchOutcome",
-    "default_search_grids",
     "geometric_baseline_params",
     "check_roles",
     "coarse_to_fine_search",
@@ -76,47 +82,16 @@ GEO_BENDING, GEO_FOCAL, GEO_OFFSET_DEG = DESIGNS["airy_geo"]
 # peak RSS of a default mixed-opt run from about 44 MB to 56 MB.
 _CHUNK = 128
 
-
-def default_search_grids() -> "SearchGrids":
-    """Stock grids: bending -60..-10 step 5, focal 1.00..2.50 m step 0.25,
-    angle offset -5..+5 deg step 0.5 deg; fine stage refines 5x within one
-    coarse step. 11*7*21 = 1617 coarse candidates."""
-    return SearchGrids(
-        coarse_bending=tuple(float(b) for b in range(-60, -5, 5)),
-        coarse_focal=tuple(1.0 + 0.25 * i for i in range(7)),
-        coarse_dtheta=tuple(math.radians(-5.0 + 0.5 * i) for i in range(21)),
-        fine_refine_factor=5,
-        fine_span=1,
-    )
-
-
-@dataclass(frozen=True)
-class SearchGrids:
-    """Search space: coarse axis values plus the fine-stage refinement rule."""
-
-    coarse_bending: tuple
-    coarse_focal: tuple
-    coarse_dtheta: tuple
-    fine_refine_factor: int = 5
-    fine_span: int = 1
-
-    def __post_init__(self):
-        for name, axis in (
-            ("coarse_bending", self.coarse_bending),
-            ("coarse_focal", self.coarse_focal),
-            ("coarse_dtheta", self.coarse_dtheta),
-        ):
-            if len(axis) == 0:
-                raise ConfigError(f"{name} must not be empty")
-            if list(axis) != sorted(axis):
-                raise ConfigError(f"{name} must be sorted ascending")
-        check_airy_columns(focal=self.coarse_focal)
-        if self.fine_refine_factor < 2:
-            raise ConfigError(
-                f"fine_refine_factor must be >= 2, got {self.fine_refine_factor}"
-            )
-        if self.fine_span < 1:
-            raise ConfigError(f"fine_span must be >= 1, got {self.fine_span}")
+# The search box: bending -60..-10 step 5, focal 1.00..2.50 m step 0.25,
+# angle offset -5..+5 deg step 0.5 deg (radians here); the fine stage
+# refines 5x within one coarse step on each side of the coarse winner.
+COARSE_AXES = (
+    tuple(float(b) for b in range(-60, -5, 5)),
+    tuple(1.0 + 0.25 * i for i in range(7)),
+    tuple(math.radians(-5.0 + 0.5 * i) for i in range(21)),
+)
+FINE_REFINE = 5
+FINE_SPAN = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,15 +218,12 @@ def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -
     return w2, beam_responses(h_phys, w2[None, :], scale)[:, 0]
 
 
-def _fine_axis(coarse: tuple, center: float, span: int, refine: int) -> list:
-    """Refined axis around `center`: +/- span coarse steps at refine x
-    resolution. A singleton coarse axis has no step to refine, so the axis
-    collapses to the incumbent value."""
-    if len(coarse) < 2:
-        return [center]
+def _fine_axis(coarse: tuple, center: float) -> list:
+    """Fine axis around `center`: +/- FINE_SPAN coarse steps at
+    FINE_REFINE x resolution."""
     step = (coarse[-1] - coarse[0]) / (len(coarse) - 1)
-    fine_step = step / refine
-    n = span * refine
+    fine_step = step / FINE_REFINE
+    n = FINE_SPAN * FINE_REFINE
     return [center + i * fine_step for i in range(-n, n + 1)]
 
 
@@ -263,8 +235,7 @@ def _scan(axes: tuple, score, threshold: float, stage: str) -> tuple:
 
     Returns (trace, best): best is (rate, grid point) of the first maximal
     feasible rate in candidate (= loop) order, so a tie resolves as the
-    sequential nested loops with strict > improvement would, or None when
-    no candidate is feasible.
+    sequential nested loops with strict > improvement would.
     """
     shape = tuple(len(a) for a in axes)
     index = np.unravel_index(np.arange(math.prod(shape)), shape)
@@ -277,15 +248,12 @@ def _scan(axes: tuple, score, threshold: float, stage: str) -> tuple:
     feasible = h11_power >= threshold
     trace = SearchTrace(*columns, h11_power, rates, feasible, np.full(n, stage))
     (kept,) = np.nonzero(feasible)
-    if not kept.size:
-        return trace, None
     c = int(kept[np.argmax(rates[kept])])
     return trace, (float(rates[c]), tuple(a[i[c]] for a, i in zip(axes, index)))
 
 
 def coarse_to_fine_search(
     scenario: ScenarioConfig,
-    grids: SearchGrids,
     eta: float = 0.4,
     scale: complex = 1.0 + 0.0j,
 ) -> SearchOutcome:
@@ -299,7 +267,7 @@ def coarse_to_fine_search(
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     check_roles(scenario, "the search")
     theta_geo = geometric_angle(scenario.users[0])
-    check_airy_columns(launch_angle=[theta_geo + dt for dt in grids.coarse_dtheta])
+    check_airy_columns(launch_angle=[theta_geo + dt for dt in COARSE_AXES[2]])
 
     # The channel matrix and the bright user's column never change; build
     # them once.
@@ -327,27 +295,14 @@ def coarse_to_fine_search(
     h11_geo = float(h11_geo[0])
     tau = eta * h11_geo
 
-    coarse_axes = (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
-    trace, best = _scan(coarse_axes, stage_scorer(coarse_axes), tau, "coarse")
-    if best is None:
-        max_h11 = float(trace.h11_power.max())
-        raise InfeasibleSearchError(
-            f"no coarse candidate met the gain constraint: max |h11|^2 = "
-            f"{max_h11:.6e} < threshold {tau:.6e}",
-            max_h11_power=max_h11,
-            threshold=tau,
-        )
-
-    if any(len(axis) > 1 for axis in coarse_axes):
-        span, refine = grids.fine_span, grids.fine_refine_factor
-        fine_axes = tuple(_fine_axis(axis, center, span, refine)
-                          for axis, center in zip(coarse_axes, best[1]))
-        check_airy_columns(fine_axes[1], [theta_geo + dt for dt in fine_axes[2]])
-        fine_trace, fine_best = _scan(fine_axes, stage_scorer(fine_axes), tau, "fine")
-        trace = SearchTrace(*(np.concatenate([getattr(trace, name), getattr(fine_trace, name)])
-                              for name in _TRACE_COLUMNS))
-        if fine_best is not None and fine_best[0] > best[0]:
-            best = fine_best
+    trace, best = _scan(COARSE_AXES, stage_scorer(COARSE_AXES), tau, "coarse")
+    fine_axes = tuple(_fine_axis(axis, center) for axis, center in zip(COARSE_AXES, best[1]))
+    check_airy_columns(launch_angle=[theta_geo + dt for dt in fine_axes[2]])
+    fine_trace, fine_best = _scan(fine_axes, stage_scorer(fine_axes), tau, "fine")
+    trace = SearchTrace(*(np.concatenate([getattr(trace, name), getattr(fine_trace, name)])
+                          for name in _TRACE_COLUMNS))
+    if fine_best[0] > best[0]:
+        best = fine_best
 
     rate, (b, f, dt) = best
     return SearchOutcome(

@@ -27,12 +27,14 @@ Fresnel integrals come from Gauss-Legendre quadrature in numpy (no scipy):
 
 `oracle_search` re-implements the mixed-opt search rule on a given channel
 (objective, gain floor and coarse-to-fine refinement of
-optimizer.coarse_to_fine_search) so the search endpoint can be predicted
-from the oracle instead of being copied from a reference design.
+optimizer.coarse_to_fine_search, on its search box optimizer.COARSE_AXES)
+so the search endpoint can be predicted from the oracle instead of being
+copied from a reference design.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +43,7 @@ import numpy as np
 from airylink import ScenarioConfig, traditional_focus
 from airylink.beams import airy_axis_rows
 from airylink.geometry import BlockedSide, geometric_angle
-from airylink.optimizer import SearchGrids, geometric_baseline_params
+from airylink.optimizer import COARSE_AXES, FINE_REFINE, FINE_SPAN, geometric_baseline_params
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(128)
 _MAX_NU = 10.0
@@ -113,13 +115,9 @@ class Endpoint:
     best_rate: float
 
 
-def fine_steps(grids: SearchGrids) -> tuple:
+def fine_steps() -> tuple:
     """Fine-stage step of each axis (bending, focal, angle offset)."""
-    return tuple(
-        (axis[-1] - axis[0]) / (len(axis) - 1) / grids.fine_refine_factor
-        if len(axis) > 1 else 0.0
-        for axis in (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
-    )
+    return tuple((axis[-1] - axis[0]) / (len(axis) - 1) / FINE_REFINE for axis in COARSE_AXES)
 
 
 def _sum_rates(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray):
@@ -137,12 +135,11 @@ def _sum_rates(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.nda
     return rate, np.abs(h[:, 0, 0]) ** 2
 
 
-def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray,
-                  grids: SearchGrids, eta: float) -> Endpoint:
+def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray, eta: float) -> Endpoint:
     """Constrained maximum of the post-RZF sum rate on channel h_phys, by
     the search's rule: keep designs whose |h11|^2 reaches eta times the
     geometric design's, take the first best of the coarse grid in loop
-    order, then rescan +/- fine_span coarse steps around it at the fine
+    order, then rescan +/- FINE_SPAN coarse steps around it at the fine
     step and keep the better of the two."""
     theta_geo = geometric_angle(scenario.users[0])
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
@@ -158,15 +155,11 @@ def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray,
         i = int(np.argmax(rate))
         return cands[i], float(rate[i])
 
-    axes = (grids.coarse_bending, grids.coarse_focal, grids.coarse_dtheta)
-    coarse, coarse_rate = best_of([(b, f, dt) for b in axes[0] for f in axes[1] for dt in axes[2]])
-    n = grids.fine_span * grids.fine_refine_factor
-    fine_axes = [
-        [c + i * step for i in range(-n, n + 1)] if step else [c]
-        for c, step in zip(coarse, fine_steps(grids))
-    ]
-    fine, fine_rate = best_of(
-        [(b, f, dt) for b in fine_axes[0] for f in fine_axes[1] for dt in fine_axes[2]])
+    coarse, coarse_rate = best_of(list(itertools.product(*COARSE_AXES)))
+    n = FINE_SPAN * FINE_REFINE
+    fine_axes = [[c + i * step for i in range(-n, n + 1)]
+                 for c, step in zip(coarse, fine_steps())]
+    fine, fine_rate = best_of(list(itertools.product(*fine_axes)))
     if fine_rate > coarse_rate:
         return Endpoint(coarse, coarse_rate, fine, fine_rate)
     return Endpoint(coarse, coarse_rate, coarse, coarse_rate)

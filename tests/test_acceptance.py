@@ -53,7 +53,7 @@ from airylink import (
     traditional_focus,
 )
 from airylink.cli import main
-from airylink.optimizer import default_search_grids, geometric_baseline_params
+from airylink.optimizer import geometric_baseline_params
 from airylink.propagation import grid_fx, grid_x
 
 from batch_of_one import rzf_of_one
@@ -256,19 +256,16 @@ class TestFigureLevel:
         closed-form knife-edge channel, reached by the same objective, gain
         floor and coarse-to-fine rule; the winner must lie within one fine
         step of it on each axis."""
-        grids = default_search_grids()
-        expected = oracle_search(
-            mixed_scenario, oracle_channel(mixed_scenario), grids, SEARCH_ETA)
+        expected = oracle_search(mixed_scenario, oracle_channel(mixed_scenario), SEARCH_ETA)
         search = mixed_opt_result.search
         best = search.best_params
         found = (best.bending, best.focal,
                  best.launch_angle - geometric_angle(mixed_scenario.users[0]))
-        steps = fine_steps(grids)
+        steps = fine_steps()
         t = search.trace
         fine = list(zip(*(column[t.stage == "fine"].tolist()
                           for column in (t.bending, t.focal, t.dtheta))))
-        ends = ([(min(c[a] for c in fine), max(c[a] for c in fine)) for a in range(3)]
-                if fine else [])
+        ends = [(min(c[a] for c in fine), max(c[a] for c in fine)) for a in range(3)]
         on_edge = [name for name, f, (lo, hi), step
                    in zip(("bending", "focal", "Δθ"), found, ends, steps)
                    if min(abs(f - lo), abs(f - hi)) <= 1e-9 * step]

@@ -131,6 +131,20 @@ class TestArgumentHandling:
         assert excinfo.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", "--step", "99"],
+        ["validate", "--config", MIXED, "--step", "7"],
+    ], ids=["fieldmap", "validate"])
+    def test_step_is_a_usage_error_where_nothing_reads_it(self, tmp_path, capsys, argv):
+        """Only the sweeps (baseline, shadow, robustness, mixed-opt) take
+        --step; fieldmap steps with --zstep and validate does not sweep."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + (["--out", str(out)] if argv[0] == "fieldmap" else []))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fieldmap_rejects_unknown_strategy(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["fieldmap", "--config", SHADOW, "--out", str(tmp_path),

@@ -1,4 +1,5 @@
-"""Every public function and method in src/airylink is one the CLI runs.
+"""Every public function and method in src/airylink is one the CLI runs,
+and every flag a command accepts is one it reads.
 
 The private-import, dead-private-helper and unused-import scans cannot see
 dead public code: a public function that only the tests call still looks
@@ -8,13 +9,19 @@ under sys.setprofile and records every Python function called. A public
 def (a name without a leading underscore, or a dunder) at module level or
 in a module-level class that no command calls fails it, unless ALLOWED
 names it with its reason. Test-only references belong under tests/.
+
+The same commands run again on parsed namespaces that record each
+attribute the command reads: a flag that parses but is never read is
+accepted and ignored, so every parsed dest but the subcommand's name must
+be read.
 """
 
+import argparse
 import ast
 import sys
 from pathlib import Path
 
-from airylink.cli import main
+from airylink.cli import _parser, main
 
 from test_cli import BASELINE, MIXED, SHADOW
 
@@ -23,8 +30,6 @@ PACKAGE = ROOT / "src" / "airylink"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 ALLOWED = {
-    "errors.py:InfeasibleSearchError.__init__":
-        "runs on an error path only: no search candidate meets the gain floor",
     "errors.py:SingularChannelError.__init__":
         "runs on an error path only: a singular channel at epsilon = 0, or a zero precoder",
     "optimizer.py:SearchTrace.__eq__":
@@ -109,3 +114,25 @@ def test_every_public_def_is_reached_by_the_cli(tmp_path, capsys):
     assert set(ALLOWED) <= defined, "ALLOWED names a def that is gone"
     unreached = sorted(defined - reached(commands(tmp_path)) - set(ALLOWED))
     assert unreached == [], "public defs that no CLI command calls"
+
+
+def unread_dests(argv: list) -> set:
+    """The dests that parsing argv sets and its command never reads, the
+    subparser's `command` dest aside."""
+    args = _parser().parse_args(argv)
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    recorded = Recording(**vars(args))
+    assert recorded.fn(recorded) == 0
+    return set(vars(args)) - read - {"command"}
+
+
+def test_every_parsed_flag_is_read(tmp_path, capsys):
+    unread = [(argv[0], sorted(dests)) for argv in commands(tmp_path)
+              if (dests := unread_dests(argv))]
+    assert unread == [], "flags that a command accepts and ignores"

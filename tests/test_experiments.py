@@ -20,7 +20,6 @@ from airylink import (
     AiryParams,
     AirylinkError,
     ConfigError,
-    SearchGrids,
     SingularChannelError,
     SweepResult,
     UserPosition,
@@ -349,12 +348,6 @@ def count_calls(monkeypatch, owner, name, log, key=lambda *a, **k: 1):
     monkeypatch.setattr(owner, name, counted)
 
 
-def small_grids():
-    """A 2-candidate search box whose angle sweep has 21 points."""
-    return SearchGrids(coarse_bending=(-25.0,), coarse_focal=(1.75,),
-                       coarse_dtheta=(math.radians(-1.0), math.radians(1.0)))
-
-
 def svd_shapes_outside_the_search(monkeypatch) -> list:
     """Count np.linalg.svd calls during a mixed optimization: the shape of
     each call's batch, or None for a call made inside the search."""
@@ -506,8 +499,7 @@ class TestOneMetricsPath:
         epsilon = 0 (the zero-forcing guard), the mixed optimization makes
         one: the whole angle sweep."""
         shapes = svd_shapes_outside_the_search(monkeypatch)
-        result = run_mixed_optimization(replace(mixed_scenario, rzf_epsilon=0.0),
-                                        grids=small_grids())
+        result = run_mixed_optimization(replace(mixed_scenario, rzf_epsilon=0.0))
         outside = [shape for shape in shapes if shape is not None]
         assert len(shapes) > len(outside)
         assert outside == [(len(result.dtheta_sweep.values), 2, 2)]
@@ -524,13 +516,13 @@ class TestOneMetricsPath:
 
         monkeypatch.setattr(airylink.experiments, "beam_responses", one_nan)
         with pytest.raises(AirylinkError, match="NaN or Inf"):
-            run_mixed_optimization(mixed_scenario, grids=small_grids())
+            run_mixed_optimization(mixed_scenario)
 
     def test_default_epsilon_search_takes_no_svd(self, mixed_scenario, monkeypatch):
         """At the default epsilon the search ranks rates without singular
         values, so the angle sweep's batch is the run's one SVD call."""
         shapes = svd_shapes_outside_the_search(monkeypatch)
-        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        result = run_mixed_optimization(mixed_scenario)
         assert shapes == [(len(result.dtheta_sweep.values), 2, 2)]
 
     def test_mixed_optimization_builds_each_row_once(self, mixed_scenario,
@@ -539,7 +531,7 @@ class TestOneMetricsPath:
         which the search and the angle sweep share."""
         calls = []
         count_calls(monkeypatch, airylink.propagation.Cascade, "transpose", calls)
-        run_mixed_optimization(mixed_scenario, grids=small_grids())
+        run_mixed_optimization(mixed_scenario)
         assert len(calls) == 4
 
     def test_mixed_optimization_builds_the_bright_beam_once(self, mixed_scenario,
@@ -551,7 +543,7 @@ class TestOneMetricsPath:
         for name, module in list(sys.modules.items()):
             if name.startswith("airylink") and hasattr(module, "traditional_focus"):
                 count_calls(monkeypatch, module, "traditional_focus", calls)
-        result = run_mixed_optimization(mixed_scenario, grids=small_grids())
+        result = run_mixed_optimization(mixed_scenario)
         assert len(calls) == 1
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
                                mixed_scenario.users[1])

@@ -415,7 +415,7 @@ class TestTemplateWritersMatchCsvWriter:
         assert [p.read_bytes() for p in paths] == expected
 
     def test_edge_values_in_a_trace(self, tmp_path):
-        """Int grid axes (as a custom SearchGrids may hold) and awkward
+        """Int axis values (SearchTrace stores them as floats) and awkward
         measured values in every numeric column."""
         trace = [(-60, 2, 0, 1e16, math.inf, True, "coarse"),
                  (-0.0, 1.75, -0.0, 9.999999999995, -math.inf, False, "coarse")]
@@ -468,20 +468,16 @@ class TestTemplateWritersMatchCsvWriter:
 
 
 class TestWriteTraceCsv:
-    def test_columns_and_degrees(self, tmp_path, mixed_scenario):
-        from airylink import SearchGrids, coarse_to_fine_search
-
-        grids = SearchGrids(coarse_bending=(-25.0,), coarse_focal=(1.75,),
-                            coarse_dtheta=(math.radians(0.5),))
-        outcome = coarse_to_fine_search(mixed_scenario, grids)
+    def test_columns_and_degrees(self, tmp_path, mixed_opt_result):
+        outcome = mixed_opt_result.search
         path = tmp_path / "trace.csv"
         write_trace_csv(path, outcome)
         lines = path.read_text().splitlines()
         assert lines[0] == "bending,focal_m,dtheta_deg,h11_power,feasible,rate,stage"
         assert len(lines) == 1 + outcome.evaluations
         cells = lines[1].split(",")
-        assert cells[0] == "-25"
-        assert cells[2] == "0.5"  # radians in the trace, degrees on disk
+        assert cells[:2] == ["-60", "1"]
+        assert cells[2] == "-5"  # radians in the trace, degrees on disk
         assert cells[4] in ("true", "false")
         assert cells[6] == "coarse"
 

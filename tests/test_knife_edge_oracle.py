@@ -39,8 +39,6 @@ from airylink import (
     remark1_calibration,
     traditional_focus,
 )
-from airylink.optimizer import default_search_grids
-
 from knife_edge_oracle import (
     edge_parameters,
     fresnel_integral,
@@ -135,8 +133,7 @@ class TestOracleSearch:
         predicts what the search should return."""
         search = mixed_opt_result.search
         eta = search.threshold / search.baseline_gain
-        end = oracle_search(mixed_scenario, calibrated_channel(mixed_scenario),
-                            default_search_grids(), eta)
+        end = oracle_search(mixed_scenario, calibrated_channel(mixed_scenario), eta)
         best = search.best_params
         dtheta = best.launch_angle - geometric_angle(mixed_scenario.users[0])
         assert end.best[:2] == (best.bending, best.focal)
@@ -144,9 +141,8 @@ class TestOracleSearch:
         assert end.best_rate == pytest.approx(search.best_rate, rel=1e-12)
 
     def test_paraxial_nu_gives_the_same_endpoint(self, mixed_scenario):
-        grids = default_search_grids()
         exact, paraxial = (
-            oracle_search(mixed_scenario, oracle_channel(mixed_scenario, p), grids, 0.4)
+            oracle_search(mixed_scenario, oracle_channel(mixed_scenario, p), 0.4)
             for p in (False, True))
         assert exact.coarse == paraxial.coarse
         assert exact.best == paraxial.best

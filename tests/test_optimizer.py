@@ -1,15 +1,14 @@
 """Constrained coarse-to-fine search over the cubic-beam parameter triple.
 
-Real searches here run on deliberately tiny grids: the structural
-guarantees (ordering, determinism, constraint bookkeeping, fine-stage
-arithmetic) are grid-size independent, and the full published-size run is
-exercised once in the experiments layer.
+Every search here runs on the one search box (optimizer.COARSE_AXES,
+FINE_REFINE, FINE_SPAN): 1617 coarse and 1331 fine candidates, a few
+milliseconds per search.
 """
 
 import math
-import re
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +16,12 @@ import pytest
 from airylink import (
     AiryParams,
     ConfigError,
+    UserPosition,
     airy_weights,
-    InfeasibleSearchError,
-    SearchGrids,
     SearchOutcome,
     coarse_to_fine_search,
-    default_search_grids,
     geometric_baseline_params,
+    load_scenario,
     traditional_focus,
 )
 import airylink.beams as beams
@@ -31,10 +29,27 @@ import airylink.optimizer as optimizer
 import airylink.precoding as precoding
 from airylink.errors import AirylinkError, SingularChannelError
 from airylink.geometry import geometric_angle
-from airylink.optimizer import _CHUNK, GEO_BENDING, GEO_FOCAL, SearchTrace
+from airylink.optimizer import (
+    _CHUNK,
+    COARSE_AXES,
+    FINE_REFINE,
+    FINE_SPAN,
+    GEO_BENDING,
+    GEO_FOCAL,
+    GEO_OFFSET_DEG,
+    SearchTrace,
+    _fine_axis,
+)
 from airylink.precoding import batch_metrics, batch_sum_rates
 
 from batch_of_one import beam_column, evaluate_candidate, metrics_of_one, score_designs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Candidates per chunk of one default search: the geometric design's chunk
+# of one, then the coarse stage (1617 = 12 * 128 + 81) and the fine stage
+# (1331 = 10 * 128 + 51).
+CHUNK_ROWS = [1] + [_CHUNK] * 12 + [81] + [_CHUNK] * 10 + [51]
 
 
 @pytest.fixture(scope="module")
@@ -44,47 +59,36 @@ def fixed_h2(mixed_scenario):
     return beam_column(mixed_scenario, w2)
 
 
-def singleton_grids(bending=GEO_BENDING, focal=GEO_FOCAL, dtheta=0.0):
-    return SearchGrids(coarse_bending=(bending,), coarse_focal=(focal,),
-                       coarse_dtheta=(dtheta,))
-
-
-class TestSearchGrids:
+class TestSearchBox:
     def test_default_shape(self):
-        g = default_search_grids()
-        assert len(g.coarse_bending) == 11
-        assert g.coarse_bending[0] == -60.0 and g.coarse_bending[-1] == -10.0
-        assert len(g.coarse_focal) == 7
-        assert g.coarse_focal[0] == 1.0 and g.coarse_focal[-1] == 2.5
-        assert len(g.coarse_dtheta) == 21
-        assert g.coarse_dtheta[0] == pytest.approx(math.radians(-5.0))
-        assert g.coarse_dtheta[-1] == pytest.approx(math.radians(5.0))
-        assert g.fine_refine_factor == 5 and g.fine_span == 1
-        n = len(g.coarse_bending) * len(g.coarse_focal) * len(g.coarse_dtheta)
-        assert n == 1617
+        bending, focal, dtheta = COARSE_AXES
+        assert len(bending) == 11
+        assert bending[0] == -60.0 and bending[-1] == -10.0
+        assert len(focal) == 7
+        assert focal[0] == 1.0 and focal[-1] == 2.5
+        assert len(dtheta) == 21
+        assert dtheta[0] == pytest.approx(math.radians(-5.0))
+        assert dtheta[-1] == pytest.approx(math.radians(5.0))
+        assert FINE_REFINE == 5 and FINE_SPAN == 1
+        assert len(bending) * len(focal) * len(dtheta) == 1617
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigError, match="empty"):
-            SearchGrids(coarse_bending=(), coarse_focal=(1.0,),
-                        coarse_dtheta=(0.0,))
-
-    def test_unsorted_axis_rejected(self):
-        with pytest.raises(ConfigError, match="sorted"):
-            SearchGrids(coarse_bending=(-10.0, -20.0), coarse_focal=(1.0,),
-                        coarse_dtheta=(0.0,))
-
-    @pytest.mark.parametrize("focal", [(0.0, 1.0), (-1.0,), (1.0, math.nan)])
-    def test_nonpositive_coarse_focal_rejected(self, focal):
-        with pytest.raises(ConfigError, match="focal length must be positive"):
-            SearchGrids(coarse_bending=(-25.0,), coarse_focal=focal,
-                        coarse_dtheta=(0.0,))
-
-    @pytest.mark.parametrize("kwargs", [dict(fine_refine_factor=1),
-                                        dict(fine_span=0)])
-    def test_fine_stage_parameters_validated(self, kwargs):
-        with pytest.raises(ConfigError):
-            SearchGrids(coarse_bending=(-25.0,), coarse_focal=(1.75,),
-                        coarse_dtheta=(0.0,), **kwargs)
+    def test_invariants(self):
+        """What lets the search skip grid checks and an infeasible stage:
+        sorted axes of two points or more, positive fine focal lengths, and
+        the geometric design on the coarse grid, where it gets the bits
+        stage 0 gives it, so it always clears eta times that gain."""
+        for axis in COARSE_AXES:
+            assert len(axis) >= 2 and list(axis) == sorted(axis)
+        assert _fine_axis(COARSE_AXES[1], COARSE_AXES[1][0])[0] > 0.0
+        geo = (GEO_BENDING, GEO_FOCAL, math.radians(GEO_OFFSET_DEG))
+        assert all(value in axis for value, axis in zip(geo, COARSE_AXES))
+        for name in ("mixed", "deep_shadow"):
+            outcome = coarse_to_fine_search(load_scenario(CONFIGS / f"{name}.cfg"))
+            t = outcome.trace
+            at_geo = ((t.stage == "coarse") & (t.bending == geo[0]) & (t.focal == geo[1])
+                      & (t.dtheta == geo[2]))
+            assert np.count_nonzero(at_geo) == 1
+            assert t.h11_power[at_geo][0] == outcome.baseline_gain
 
 
 class TestGeometricBaseline:
@@ -101,7 +105,7 @@ class TestEvaluateCandidate:
         refuses any other user count before it scores one."""
         solo = mixed_scenario.with_users((mixed_scenario.users[0],))
         with pytest.raises(ConfigError, match="2 users"):
-            coarse_to_fine_search(solo, singleton_grids())
+            coarse_to_fine_search(solo)
 
     def test_h11_matches_direct_beam_column(self, mixed_scenario):
         params = geometric_baseline_params(mixed_scenario)
@@ -129,46 +133,29 @@ class TestEvaluateCandidate:
 
 
 class TestCoarseToFineSearch:
-    def test_singleton_grids_return_the_geo_point(self, mixed_scenario):
-        outcome = coarse_to_fine_search(mixed_scenario, singleton_grids())
-        assert outcome.evaluations == 1  # fine stage skipped entirely
-        assert len(outcome.trace) == 1
-        assert outcome.trace.stage[0] == "coarse"
-        assert outcome.best_params == geometric_baseline_params(mixed_scenario)
-        rate, _ = evaluate_candidate(mixed_scenario,
-                                     geometric_baseline_params(mixed_scenario))
-        assert outcome.best_rate == rate
-
     def test_threshold_is_eta_times_geo_gain(self, mixed_scenario):
-        outcome = coarse_to_fine_search(mixed_scenario, singleton_grids(),
-                                        eta=0.4)
+        outcome = coarse_to_fine_search(mixed_scenario, eta=0.4)
         assert outcome.threshold == pytest.approx(0.4 * outcome.baseline_gain,
                                                   rel=1e-12)
 
     def test_fine_stage_candidate_arithmetic(self, mixed_scenario):
-        """3-point bending axis with two singleton axes, span 1, refine 2:
-        3 coarse + (2*1*2+1)*1*1 = 8 evaluations, and the fine axis stays
-        centered on the coarse incumbent."""
-        grids = SearchGrids(coarse_bending=(-35.0, -25.0, -15.0),
-                            coarse_focal=(GEO_FOCAL,), coarse_dtheta=(0.0,),
-                            fine_refine_factor=2, fine_span=1)
-        outcome = coarse_to_fine_search(mixed_scenario, grids)
-        assert outcome.evaluations == 8
+        """11 * 7 * 21 coarse + (2 * 1 * 5 + 1)^3 fine = 2948 evaluations,
+        and each fine axis is centered on the coarse incumbent at a fifth
+        of the coarse step."""
+        outcome = coarse_to_fine_search(mixed_scenario)
+        assert outcome.evaluations == 1617 + 1331
         t = outcome.trace
         fine = t.stage == "fine"
-        assert len(t.bending[fine]) == 5
+        assert np.count_nonzero(fine) == 1331
         coarse = (t.stage == "coarse") & t.feasible
-        coarse_best = t.bending[coarse][np.argmax(t.rate[coarse])]
-        assert list(t.bending[fine] - coarse_best) \
-            == pytest.approx([-10.0, -5.0, 0.0, 5.0, 10.0])
-        assert all((t.focal[fine] == GEO_FOCAL) & (t.dtheta[fine] == 0.0))
+        c = np.flatnonzero(coarse)[np.argmax(t.rate[coarse])]
+        for column, step in ((t.bending, 1.0), (t.focal, 0.05),
+                             (t.dtheta, math.radians(0.1))):
+            offsets = np.unique(column[fine]) - column[c]
+            assert offsets.tolist() == pytest.approx([i * step for i in range(-5, 6)])
 
     def test_trace_bookkeeping(self, mixed_scenario):
-        grids = SearchGrids(coarse_bending=(-30.0, -25.0),
-                            coarse_focal=(GEO_FOCAL,),
-                            coarse_dtheta=(math.radians(-0.5), 0.0, math.radians(0.5)),
-                            fine_refine_factor=2, fine_span=1)
-        outcome = coarse_to_fine_search(mixed_scenario, grids)
+        outcome = coarse_to_fine_search(mixed_scenario)
         assert isinstance(outcome, SearchOutcome)
         t = outcome.trace
         assert len(t) == outcome.evaluations
@@ -179,33 +166,20 @@ class TestCoarseToFineSearch:
         assert outcome.best_rate == max(t.rate[feasible])
 
     def test_search_is_deterministic(self, mixed_scenario):
-        grids = SearchGrids(coarse_bending=(-30.0, -25.0),
-                            coarse_focal=(GEO_FOCAL,),
-                            coarse_dtheta=(0.0, math.radians(0.5)),
-                            fine_refine_factor=2, fine_span=1)
-        a = coarse_to_fine_search(mixed_scenario, grids)
-        b = coarse_to_fine_search(mixed_scenario, grids)
-        c = coarse_to_fine_search(mixed_scenario, grids)
+        a = coarse_to_fine_search(mixed_scenario)
+        b = coarse_to_fine_search(mixed_scenario)
+        c = coarse_to_fine_search(mixed_scenario)
         assert a == b
         assert a == c
-
-    def test_infeasible_threshold_raises(self, mixed_scenario):
-        """A hopeless single candidate (strong bend, short focal, steered
-        away from the user) cannot reach 99.9% of the geometric gain."""
-        grids = singleton_grids(bending=-60.0, focal=1.0,
-                                dtheta=math.radians(5.0))
-        with pytest.raises(InfeasibleSearchError) as info:
-            coarse_to_fine_search(mixed_scenario, grids, eta=0.999)
-        assert info.value.max_h11_power < info.value.threshold
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.5, 2.0])
     def test_eta_bounds(self, mixed_scenario, eta):
         with pytest.raises(ConfigError, match="eta"):
-            coarse_to_fine_search(mixed_scenario, singleton_grids(), eta=eta)
+            coarse_to_fine_search(mixed_scenario, eta=eta)
 
     def test_requires_obstacle(self, baseline_scenario):
         with pytest.raises(ConfigError, match="obstructed"):
-            coarse_to_fine_search(baseline_scenario, singleton_grids())
+            coarse_to_fine_search(baseline_scenario)
 
 
 def counted_rows(monkeypatch) -> list:
@@ -223,35 +197,32 @@ def counted_rows(monkeypatch) -> list:
 
 
 class TestSearchBoxCheckedUpFront:
+    """The launch angles are the geometric angle plus the box's offsets, so
+    a shadowed user near +/-85 degrees takes them past 90 degrees."""
+
     def test_coarse_launch_angle_past_90_degrees(self, mixed_scenario, monkeypatch):
-        theta_geo = geometric_angle(mixed_scenario.users[0])
+        """A shadowed user at -86 degrees: the coarse offset -5 degrees
+        launches at -91, refused before any candidate is scored."""
+        z = 2.0 * mixed_scenario.obstacle.depth
+        steep = UserPosition(x=-z * math.tan(math.radians(86.0)), z=z)
+        scenario = mixed_scenario.with_users((steep, mixed_scenario.users[1]))
         rows = counted_rows(monkeypatch)
-        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(GEO_FOCAL,),
-                            coarse_dtheta=(0.0, math.pi / 2 - theta_geo + 0.01))
         with pytest.raises(ConfigError, match="launch angle"):
-            coarse_to_fine_search(mixed_scenario, grids)
+            coarse_to_fine_search(scenario)
         assert rows == []
 
-    def test_fine_focal_axis_below_zero(self, mixed_scenario, monkeypatch):
-        """Either coarse focal wins; 3 coarse steps below it is <= 0 m."""
-        rows = counted_rows(monkeypatch)
-        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(1.0, 1.5),
-                            coarse_dtheta=(0.0,), fine_span=3)
-        with pytest.raises(ConfigError, match="focal length must be positive"):
-            coarse_to_fine_search(mixed_scenario, grids)
-        assert sum(rows) == 1 + 2  # the geometric design and the coarse grid
-
     def test_fine_angle_axis_past_90_degrees(self, mixed_scenario, monkeypatch):
-        """Whichever coarse angle wins, two coarse steps away lies beyond
-        |theta| = pi/2 on one side."""
-        theta_geo = geometric_angle(mixed_scenario.users[0])
-        rows = counted_rows(monkeypatch)
-        dtheta = (-math.pi / 2 - theta_geo + 0.1, 0.0, math.pi / 2 - theta_geo - 0.1)
-        grids = SearchGrids(coarse_bending=(GEO_BENDING,), coarse_focal=(GEO_FOCAL,),
-                            coarse_dtheta=dtheta, fine_span=2)
+        """At a geometric angle of -84.7 degrees every coarse launch angle
+        passes; the coarse winner at the -5 degree offset puts the fine
+        axis's -5.5 past -90, refused before the fine stage scores any
+        candidate."""
+        monkeypatch.setattr(optimizer, "geometric_angle", lambda user: math.radians(-84.7))
+        scored = []
+        stub_scorer(monkeypatch, lambda b, f, a: scored.append(a) or -a,
+                    lambda b, f, a: 1.0)
         with pytest.raises(ConfigError, match="launch angle"):
-            coarse_to_fine_search(mixed_scenario, grids)
-        assert sum(rows) == 1 + 3
+            coarse_to_fine_search(mixed_scenario)
+        assert len(scored) == 1 + 1617
 
 
 class TestSearchSkipsAchievedPower:
@@ -269,19 +240,14 @@ class TestSearchSkipsAchievedPower:
 
         monkeypatch.setattr(precoding, "_frobenius_sq", counted)
         rows = counted_rows(monkeypatch)
-        grids = SearchGrids(coarse_bending=(-30.0, -25.0, -20.0),
-                            coarse_focal=(1.5, GEO_FOCAL),
-                            coarse_dtheta=tuple(math.radians(0.25 * i) for i in range(-12, 13)),
-                            fine_refine_factor=2, fine_span=1)
-        outcome = coarse_to_fine_search(mixed_scenario, grids)
-        coarse = 3 * 2 * 25
-        assert outcome.evaluations == coarse + 5 * 5 * 5
-        assert rows == [1, _CHUNK, coarse - _CHUNK, 125]
+        outcome = coarse_to_fine_search(mixed_scenario)
+        assert outcome.evaluations == 1617 + 1331
+        assert rows == CHUNK_ROWS
         assert calls == rows
         assert set(shapes) == {(2, 2)}
 
 
-def recorded_chunks(monkeypatch, scenario, grids) -> list:
+def recorded_chunks(monkeypatch, scenario) -> list:
     """Run a search and keep the (h, w1, w2) batches it scores."""
     chunks = []
 
@@ -290,17 +256,9 @@ def recorded_chunks(monkeypatch, scenario, grids) -> list:
         return batch_sum_rates(h, w1, w2, *args)
 
     monkeypatch.setattr(optimizer, "batch_sum_rates", recording)
-    coarse_to_fine_search(scenario, grids)
+    coarse_to_fine_search(scenario)
     monkeypatch.undo()
     return chunks
-
-
-def three_chunk_grids() -> SearchGrids:
-    """150 coarse candidates (a full chunk and a partial one) and 125 fine
-    ones."""
-    return SearchGrids(coarse_bending=(-30.0, -25.0), coarse_focal=(1.5, GEO_FOCAL, 2.0),
-                       coarse_dtheta=tuple(math.radians(0.2 * i) for i in range(-12, 13)),
-                       fine_refine_factor=2, fine_span=1)
 
 
 def raised(fn, *args) -> tuple:
@@ -317,9 +275,9 @@ class TestScoreChunkH11Exact:
         differently; checked for all 128 designs of the first default chunk."""
         scale = 0.7 - 0.7j
         theta_geo = geometric_angle(mixed_scenario.users[0])
-        grids = default_search_grids()
-        designs = [(b, f, theta_geo + dt) for b in grids.coarse_bending
-                   for f in grids.coarse_focal for dt in grids.coarse_dtheta][:_CHUNK]
+        bending, focal, dtheta = COARSE_AXES
+        designs = [(b, f, theta_geo + dt) for b in bending
+                   for f in focal for dt in dtheta][:_CHUNK]
         h_phys = optimizer.diffraction_channel(mixed_scenario)
         w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, scale)
         _, h11_power = score_designs(mixed_scenario, h_phys, tuple(zip(*designs)), w2, h2,
@@ -341,8 +299,8 @@ class TestRatePath:
     def test_rates_match_batch_metrics_bit_for_bit(self, mixed_scenario, monkeypatch,
                                                    epsilon):
         scenario = replace(mixed_scenario, rzf_epsilon=epsilon)
-        chunks = recorded_chunks(monkeypatch, scenario, three_chunk_grids())
-        assert [len(h) for h, _, _ in chunks] == [1, _CHUNK, 150 - _CHUNK, 125]
+        chunks = recorded_chunks(monkeypatch, scenario)
+        assert [len(h) for h, _, _ in chunks] == CHUNK_ROWS
         link = (scenario.tx_power, epsilon, scenario.noise_power)
         for h, w1, w2 in chunks:
             rates = batch_sum_rates(h, w1, w2, *link)
@@ -352,7 +310,7 @@ class TestRatePath:
     def test_singular_candidate_raises_the_same_error(self, mixed_scenario, monkeypatch):
         """At epsilon = 0 a rank-one candidate in a real chunk is refused by
         both paths with the same message and sigma_min."""
-        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario)[1]
         h = h.copy()
         h[40, :, 1] = h[40, :, 0]
         link = (mixed_scenario.tx_power, 0.0, mixed_scenario.noise_power)
@@ -363,7 +321,7 @@ class TestRatePath:
     def test_zero_precoder_raises_the_same_error(self, mixed_scenario, monkeypatch):
         """With epsilon > 0 an all-zero analog matrix leaves nothing to
         normalize; the rate path takes the SVD to report the same sigma_min."""
-        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario, three_chunk_grids())[1]
+        h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario)[1]
         w1 = w1.copy()
         w1[7] = 0.0
         w2 = np.zeros_like(w2)
@@ -373,7 +331,7 @@ class TestRatePath:
         assert raised(batch_sum_rates, h, w1, w2, *link) == expected
         assert expected[2] > 0.0 and "normalize" in expected[1]
 
-    @pytest.mark.parametrize("epsilon, svd_calls", [(1e-10, []), (0.0, [1, _CHUNK, 22, 125])])
+    @pytest.mark.parametrize("epsilon, svd_calls", [(1e-10, []), (0.0, CHUNK_ROWS)])
     def test_svd_only_for_the_zero_forcing_guard(self, mixed_scenario, monkeypatch,
                                                  epsilon, svd_calls):
         """A default-epsilon search takes no SVD; at epsilon = 0 it takes one
@@ -387,8 +345,8 @@ class TestRatePath:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        outcome = coarse_to_fine_search(scenario, three_chunk_grids())
-        assert outcome.evaluations == 150 + 125
+        outcome = coarse_to_fine_search(scenario)
+        assert outcome.evaluations == 1617 + 1331
         assert calls == svd_calls
 
 
@@ -404,7 +362,7 @@ class TestStageTables:
                                            if not name.startswith("_")})
         counted.sin = lambda x: sines.append(x) or math.sin(x)
         monkeypatch.setattr(beams, "math", counted)
-        outcome = coarse_to_fine_search(mixed_scenario, default_search_grids())
+        outcome = coarse_to_fine_search(mixed_scenario)
         assert outcome.evaluations == 11 * 7 * 21 + 11**3
         assert len(sines) == 1 + 21 + 11
 
@@ -420,7 +378,7 @@ class TestStageTables:
             return score(scenario, h_phys, designs, w1, *args)
 
         monkeypatch.setattr(optimizer, "_score_beams", recording)
-        outcome = coarse_to_fine_search(mixed_scenario, default_search_grids())
+        outcome = coarse_to_fine_search(mixed_scenario)
         # The geometric design's chunk of one, then the two stages.
         assert sum(len(w1) for _, w1 in chunks) == 1 + outcome.evaluations
         assert len(chunks) == 1 + math.ceil(11 * 7 * 21 / _CHUNK) + math.ceil(11**3 / _CHUNK)
@@ -462,35 +420,20 @@ def stub_scorer(monkeypatch, rate_of, h11_of):
 class TestReduction:
     def test_tied_rates_pick_the_first_in_loop_order(self, mixed_scenario, monkeypatch):
         """Bending -35 scores highest but misses the gain floor; -30 and -20
-        tie at the feasible maximum, in chunks 2 and 4 of the coarse stage
-        and again in the fine stage. The first in loop order wins."""
+        tie at the feasible maximum, in different chunks of the coarse
+        stage, and -30 ties again in the fine stage. The first in loop
+        order wins."""
         theta_geo = geometric_angle(mixed_scenario.users[0])
         rates = {-35.0: 3.0, -30.0: 2.0, -20.0: 2.0}
         stub_scorer(monkeypatch, lambda b, f, a: rates.get(b, 1.0),
                     lambda b, f, a: 0.0 if b == -35.0 else 1.0)
-        dtheta = tuple(math.radians(0.05 * i) for i in range(-35, 35))
-        grids = SearchGrids(coarse_bending=(-35.0, -30.0, -25.0, -20.0),
-                            coarse_focal=(1.5, GEO_FOCAL), coarse_dtheta=dtheta,
-                            fine_refine_factor=2, fine_span=1)
-        outcome = coarse_to_fine_search(mixed_scenario, grids)
-        assert outcome.best_params == AiryParams(-30.0, 1.5, theta_geo + dtheta[0])
+        outcome = coarse_to_fine_search(mixed_scenario)
+        bending, focal, dtheta = COARSE_AXES
+        assert outcome.best_params == AiryParams(-30.0, focal[0], theta_geo + dtheta[0])
         assert outcome.best_rate == 2.0
         t = outcome.trace
-        assert np.count_nonzero(t.rate == 2.0) > 1
+        assert np.count_nonzero((t.rate == 2.0) & (t.stage == "fine")) > 1
         assert outcome.rejected_by_constraint == np.count_nonzero(t.bending == -35.0)
-
-    def test_all_infeasible_coarse_stage(self, mixed_scenario, monkeypatch):
-        """The error names the largest coarse |h11|^2 and eta times the
-        geometric design's gain."""
-        powers = {-30.0: 0.375, -25.0: 2.0, -20.0: 0.25}
-        stub_scorer(monkeypatch, lambda b, f, a: 1.0, lambda b, f, a: powers[b])
-        grids = SearchGrids(coarse_bending=(-30.0, -20.0), coarse_focal=(GEO_FOCAL,),
-                            coarse_dtheta=(0.0,))
-        message = "max |h11|^2 = 3.750000e-01 < threshold 8.000000e-01"
-        with pytest.raises(InfeasibleSearchError, match=re.escape(message)) as info:
-            coarse_to_fine_search(mixed_scenario, grids, eta=0.4)
-        assert info.value.max_h11_power == 0.375
-        assert info.value.threshold == 0.4 * 2.0
 
 
 class TestSearchTrace:
