@@ -15,7 +15,7 @@ from .channels import (
     greens_channel,
     remark1_calibration,
 )
-from .config import load_scenario, parse_scenario_text, validate_scenario
+from .config import load_scenario, parse_scenario_text
 from .errors import (
     AirylinkError,
     ConfigError,

@@ -23,8 +23,8 @@ user. DESIGNS is the one place the two designs' numbers are written.
 airy_axis_rows is the one cubic-phase builder: it takes parameter axes,
 builds their phase tables once and gathers any design's row from them,
 with the bits airy_weights gives that design. check_airy_columns holds
-the parameter rules that AiryParams and the search's up-front box check
-share, and check_unit_norm the norm rule every returned beam meets.
+the parameter rules, checked where cubic beams are built (AiryParams,
+airy_axis_rows), and check_unit_norm the norm rule every beam meets.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ _NORM_TOL = 1e-12
 DESIGNS = {"airy_geo": (-25.0, 1.75, 0.0), "airy_opt": (-44.0, 1.50, -2.9)}
 
 
-def check_airy_columns(focal=(), launch_angle=()) -> None:
+def check_airy_columns(focal, launch_angle) -> None:
     """The cubic-beam parameter rules: every focal length positive, every
     launch angle inside |theta| < pi/2. Raises ConfigError for the first
-    value that breaks them. AiryParams checks one design with it; the
-    search checks whole grid axes before it scores any candidate."""
+    value that breaks them. AiryParams checks one design with it, and
+    airy_axis_rows its focal and launch-angle axes."""
     for f in focal:
         if not f > 0:
             raise ConfigError(f"focal length must be positive, got {f}")
@@ -144,9 +144,10 @@ def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launc
     rows into (lens - steer) + coef * cube, in that order of operations,
     whatever the batch: every row has the bits airy_weights gives its
     design. The indices broadcast, so rows(0, 0, np.arange(m)) gives one
-    (bending, focal) pair at m angles. The axes are taken as given;
-    check_airy_columns holds the rules they must meet.
+    (bending, focal) pair at m angles. The focal and launch-angle axes
+    are checked with check_airy_columns before any table is built.
     """
+    check_airy_columns(focal, launch_angle)
     xs = array.element_x()
     k0 = carrier.wavenumber
     focal_m = np.asarray(focal, dtype=float)[:, None]
@@ -228,7 +229,6 @@ def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
         bending, focal, offset_deg = DESIGNS[strategy]
         angles = [geometric_angle(u) + math.radians(offset_deg)
                   for u, c in zip(scenario.users, curved) if c]
-        check_airy_columns(launch_angle=angles)
         rows[curved] = airy_axis_rows(scenario.array, scenario.carrier, (bending,), (focal,),
                                       angles)(0, 0, np.arange(len(angles)))
     check_unit_norm(rows)

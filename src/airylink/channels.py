@@ -15,6 +15,9 @@ complex array; check_finite and check_effective hold the rules it meets:
   per-beam cascade and, bit for bit, against a transposed cascade they
   compose from the factor definitions in `propagation`.
 
+Neither model re-checks its users: ScenarioConfig refused any outside the
+usable window or on the obstacle plane when it was built.
+
 Both models meet the codebook in beam_responses, the one product of user
 rows and beam rows: its einsum gives an entry the same bits alone or in a
 batch, and its leading axes broadcast. effective_channel is that product
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from .beams import build_codebook
-from .errors import AirylinkError, ConfigError, ModelMismatchError
+from .errors import AirylinkError, ModelMismatchError
 from .geometry import ScenarioConfig
 from .propagation import Cascade, element_bins, sample_field_transpose
 
@@ -153,8 +156,8 @@ def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
     knife-edge-diffracted field, converted to the closed-form amplitude
     convention. It is built by running the cascade transposed from user k
     back to the aperture: interpolation weights at the user, the two
-    propagation legs and the mask in reverse (one leg when the user sits at
-    or before the obstacle plane), the launch filter, then a gather at the
+    propagation legs and the mask in reverse (one leg when the user sits
+    before the obstacle plane), the launch filter, then a gather at the
     element bins divided by dx -- the transpose of the unit-area spikes that
     embed_aperture deposits.
 
@@ -165,13 +168,6 @@ def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
     grid, lam = scenario.grid, scenario.carrier.wavelength
     bins = element_bins(scenario.array, grid)
     cascade = Cascade(grid, lam, scenario.obstacle)
-    half = grid.interior_half_width
-    for u in scenario.users:
-        if abs(u.x) >= half:
-            raise ConfigError(
-                f"user {u.label!r} at x={u.x:.4e} m lies outside the usable window "
-                f"(|x| < {half:.4e} m)"
-            )
     entries = np.vstack([
         cascade.transpose(_amplitude_conversion(lam, u.z) * sample_field_transpose(grid, u.x),
                           u.z)[bins] / grid.dx

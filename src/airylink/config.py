@@ -38,7 +38,8 @@ user's coordinates (default meters). configparser cannot express repeated
 keys, hence the small hand parser here.
 
 Unknown sections or keys are load errors: a typo must fail loudly rather
-than silently fall back to a default.
+than silently fall back to a default. The sampling rules (GridError) are
+ScenarioConfig's own, checked on every build, loaded or derived.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, GridError
+from .errors import ConfigError
 from .geometry import (
     ArrayGeometry,
     Carrier,
@@ -170,7 +171,7 @@ def _parse_users(pairs: list[_Pair], wavelength: float) -> tuple[UserPosition, .
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
-    """Parse scenario config text into a validated ScenarioConfig."""
+    """Parse scenario config text into a ScenarioConfig (which checks itself)."""
     sections = _tokenize(text)
     missing = [s for s in _REQUIRED_SECTIONS if s not in sections]
     if missing:
@@ -199,11 +200,9 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
     apod = grid_kv.get("apodization_width_lambda", 0.1 * window / lam) * lam
     grid = GridSpec(nx=grid_kv.get("nx", 4096), window=window, apod_width=apod)
 
-    scenario = ScenarioConfig(
+    return ScenarioConfig(
         carrier=carrier, array=array, users=users, grid=grid, obstacle=obstacle, **kv["link"]
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -213,59 +212,3 @@ def load_scenario(path: str) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path!r}: {exc}") from exc
     return parse_scenario_text(text)
-
-
-def validate_scenario(scenario: ScenarioConfig) -> None:
-    """Sampling and geometry checks that must hold before any physics runs.
-
-    Raises GridError with a specific message on the first violation.
-    """
-    lam = scenario.carrier.wavelength
-    grid = scenario.grid
-    if grid.dx > lam / 4 + 1e-15:
-        raise GridError(
-            f"grid spacing {grid.dx:.3e} m exceeds lambda/4 = {lam / 4:.3e} m; "
-            f"raise nx or shrink the window"
-        )
-    if grid.window < 4 * scenario.array.aperture:
-        raise GridError(
-            f"window {grid.window:.3e} m is narrower than 4x the array aperture "
-            f"{scenario.array.aperture:.3e} m"
-        )
-    half = grid.interior_half_width
-    for idx, ex in enumerate(scenario.array.element_x()):
-        if abs(ex) >= half:
-            raise GridError(f"array element {idx} at x={ex:.3e} m lies in the absorbing border")
-    for user in scenario.users:
-        if abs(user.x) >= half:
-            raise GridError(f"user {user.label!r} at x={user.x:.3e} m lies in the absorbing border")
-    if scenario.obstacle is not None:
-        for user in scenario.users:
-            if user.z == scenario.obstacle.depth:
-                raise GridError(f"user {user.label!r} sits exactly on the obstacle plane")
-
-    _check_phase_sampling(scenario)
-
-
-def _check_phase_sampling(scenario: ScenarioConfig) -> None:
-    """Steepest-codebook-entry check: the per-sample phase step of any beam
-    this scenario can generate must stay below pi, or the grid undersamples
-    the aperture phase."""
-    k0 = scenario.carrier.wavenumber
-    dx = scenario.grid.dx
-    half_aperture = 0.5 * scenario.array.aperture
-
-    steepest = 0.0
-    for user in scenario.users:
-        # Traditional focusing phase k0*r(x): steepest at the aperture edge
-        # facing away from the user.
-        for edge in (-half_aperture, half_aperture):
-            r = math.hypot(edge - user.x, user.z)
-            slope = k0 * abs(edge - user.x) / r
-            steepest = max(steepest, slope)
-    step = steepest * dx
-    if step >= math.pi:
-        raise GridError(
-            f"per-sample phase step {step:.3f} rad of the steepest focusing beam "
-            f"reaches pi; the grid undersamples the aperture phase"
-        )

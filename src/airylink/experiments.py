@@ -11,9 +11,10 @@ Each runner turns one scenario family into a tabular sweep:
 * mixed_optimization -- one shadowed and one bright user; run the
                      coarse-to-fine beam search on its one box
                      (optimizer.COARSE_AXES), a diagnostic sweep over the
-                     coarse angle-offset range at the winner's (bending,
-                     focal), and a transverse field cut comparing the
-                     winning beam to the geometric one.
+                     coarse angle-offset range, widened to span the
+                     winner's offset, at the winner's (bending, focal),
+                     and a transverse field cut comparing the winning
+                     beam to the geometric one.
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import AiryParams, airy_axis_rows, airy_weights, build_codebook, check_airy_columns
+from .beams import AiryParams, airy_axis_rows, airy_weights, build_codebook
 from .channels import (
     beam_responses,
     diffraction_channel,
@@ -266,20 +267,23 @@ def run_mixed_optimization(
     characterize the winner: an angle-offset sweep at the winning
     (bending, focal) and a transverse field cut at the bright user's depth
     comparing the winner against the geometric design."""
-    # Angle-offset diagnostic around the winner over the coarse angle axis,
-    # at the winning (bending, focal); its axis is checked before the
+    # Angle-offset diagnostic at the winning (bending, focal): the coarse
+    # angle range in whole steps lo + i * step, extended by whole steps
+    # until it spans the winner's offset. The step is checked before the
     # search runs.
     lo = math.degrees(COARSE_AXES[2][0])
     hi = math.degrees(COARSE_AXES[2][-1])
-    dthetas = _sweep_values(lo, hi, dtheta_step_deg)
+    last = len(_sweep_values(lo, hi, dtheta_step_deg)) - 1
 
     scale, residual = remark1_calibration(scenario.without_obstacle())
     outcome = coarse_to_fine_search(scenario, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
     best = outcome.best_params
+    reach = (math.degrees(best.launch_angle - theta_geo) - lo) / dtheta_step_deg
+    steps = range(min(0, math.floor(reach + 1e-9)), max(last, math.ceil(reach - 1e-9)) + 1)
+    dthetas = [lo + i * dtheta_step_deg for i in steps]
     angles = [theta_geo + math.radians(d) for d in dthetas]
-    check_airy_columns(launch_angle=angles)
     rows = airy_axis_rows(scenario.array, scenario.carrier, (best.bending,), (best.focal,),
                           angles)(0, 0, np.arange(len(angles)))
     # Point p's beams: its curved beam (row p) and the search's bright-user

@@ -8,6 +8,10 @@ Coordinates: the array occupies the z = 0 plane along the x axis; users
 live at (x, z) with z > 0 the propagation depth. A knife-edge obstacle
 is a half-plane at a fixed depth that blocks one side of the x axis,
 edge included.
+
+Each rule is checked once, where its object is built: every type checks
+its own fields (ConfigError), and ScenarioConfig the cross-field sampling
+rules (GridError), so a derived scenario meets the loader's rules.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -170,7 +174,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete immutable description of one simulation scenario."""
+    """Complete immutable description of one simulation scenario.
+
+    Every build (the loader's, with_users, without_obstacle, replace)
+    raises GridError on the first broken rule: dx <= lambda/4, window >= 4x
+    the aperture, every element and user inside the usable half-width, no
+    user on the obstacle plane. dx <= lambda/4 also samples every focusing
+    beam: k0 r has slope k0 |x_e - x_u| / r < k0, a step below k0 dx <= pi/2
+    per sample. Cubic beams are flagged instead (beams.airy_local_sine).
+    """
 
     carrier: Carrier
     array: ArrayGeometry
@@ -189,6 +201,23 @@ class ScenarioConfig:
             raise ConfigError("noise_power and tx_power must be positive")
         if self.rzf_epsilon < 0:
             raise ConfigError("rzf_epsilon must be nonnegative")
+        lam, grid = self.carrier.wavelength, self.grid
+        if grid.dx > lam / 4 + 1e-15:
+            raise GridError(f"grid spacing {grid.dx:.3e} m exceeds lambda/4 = {lam / 4:.3e} m; "
+                            f"raise nx or shrink the window")
+        if grid.window < 4 * self.array.aperture:
+            raise GridError(f"window {grid.window:.3e} m is narrower than 4x the array aperture "
+                            f"{self.array.aperture:.3e} m")
+        half = grid.interior_half_width
+        for idx, ex in enumerate(self.array.element_x().tolist()):
+            if abs(ex) >= half:
+                raise GridError(f"array element {idx} at x={ex:.3e} m lies in the absorbing border")
+        for user in self.users:
+            if abs(user.x) >= half:
+                raise GridError(f"user {user.label!r} at x={user.x:.3e} m lies in the absorbing border")
+        for user in self.users:
+            if self.obstacle is not None and user.z == self.obstacle.depth:
+                raise GridError(f"user {user.label!r} sits exactly on the obstacle plane")
 
     @property
     def k(self) -> int:

@@ -24,9 +24,11 @@ Neither stage can come up empty. The geometric design is a coarse grid
 point, scored with the bits stage 0 gives it, so it reaches eta times its
 own gain for any eta in (0, 1); the incumbent is a fine grid point. The
 focal axes stay positive (the lowest fine focal length is 0.75 m), but
-the launch angles depend on the user: the search rejects a coarse launch
-angle theta_geo + dtheta outside |theta| < pi/2 before stage 0, and a fine
-one before stage 2 scores any candidate (beams.check_airy_columns).
+the launch angles depend on the user. Each stage's axes are checked where
+its phase tables are built (beams.airy_axis_rows), before it scores any
+candidate: a coarse launch angle theta_geo + dtheta outside
+|theta| < pi/2 is refused after stage 0, and a fine one before stage 2.
+eta and the users' roles are checked before stage 0.
 
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks.
@@ -45,9 +47,7 @@ epsilon > 0. The search only ranks rates, so it never forms the realized
 power ||W_RF W_BB||_F^2 either. A candidate gets the same bits in any
 chunk as in a chunk of one. Each stage's rates and |h11|^2 values land in
 arrays that one masked first-argmax reduces, and the trace keeps them as
-columns (SearchTrace). The closed form moved trace rates against the
-LAPACK inverse it replaced by at most 1e-11 relative in their printed
-digits; weights, |h11|^2 and verdicts kept every bit.
+columns (SearchTrace).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import DESIGNS, AiryParams, airy_axis_rows, check_airy_columns, traditional_focus
+from .beams import DESIGNS, AiryParams, airy_axis_rows, traditional_focus
 from .channels import beam_responses, diffraction_channel
 from .errors import AirylinkError, ConfigError
 from .geometry import ScenarioConfig, classify_user, geometric_angle
@@ -267,7 +267,6 @@ def coarse_to_fine_search(
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     check_roles(scenario, "the search")
     theta_geo = geometric_angle(scenario.users[0])
-    check_airy_columns(launch_angle=[theta_geo + dt for dt in COARSE_AXES[2]])
 
     # The channel matrix and the bright user's column never change; build
     # them once.
@@ -297,7 +296,6 @@ def coarse_to_fine_search(
 
     trace, best = _scan(COARSE_AXES, stage_scorer(COARSE_AXES), tau, "coarse")
     fine_axes = tuple(_fine_axis(axis, center) for axis, center in zip(COARSE_AXES, best[1]))
-    check_airy_columns(launch_angle=[theta_geo + dt for dt in fine_axes[2]])
     fine_trace, fine_best = _scan(fine_axes, stage_scorer(fine_axes), tau, "fine")
     trace = SearchTrace(*(np.concatenate([getattr(trace, name), getattr(fine_trace, name)])
                           for name in _TRACE_COLUMNS))

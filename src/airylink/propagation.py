@@ -289,7 +289,7 @@ def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
     """Lower sample index and fractional offset of position x."""
     half = grid.interior_half_width
     if abs(x) >= half:
-        raise AirylinkError(
+        raise GridError(
             f"sample point x={x:.4e} m outside the usable window (|x| < {half:.4e} m)"
         )
     pos = x / grid.dx + grid.nx // 2

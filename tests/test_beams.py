@@ -99,6 +99,17 @@ class TestAiryWeightRows:
             expected = one_design_row(array64, carrier, axes[0][i], axes[1][j], axes[2][k])
             assert row.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("focal, theta, message", [
+        ((1.0, 0.0), (0.0,), "focal length must be positive, got 0.0"),
+        ((1.0,), (0.1, -math.pi / 2), "launch angle must satisfy"),
+    ])
+    def test_axes_checked_where_the_tables_are_built(self, array64, carrier, focal, theta,
+                                                     message):
+        """Every focal and launch-angle value on an axis is checked, whether
+        or not a row is gathered from it."""
+        with pytest.raises(ConfigError, match=message):
+            airy_axis_rows(array64, carrier, (-25.0,), focal, theta)
+
     def test_airy_weights_is_a_row_of_one(self, array64, carrier):
         """airy_weights, and one (bending, focal) pair gathered at many
         angles through broadcast indices, as the codebooks and the angle
@@ -229,10 +240,14 @@ class TestTraditionalFocusRows:
 
     def test_user_beam_rows_check_the_launch_angles(self, shadow_scenario):
         """A shadowed user so far off axis that atan2 rounds its angle to
-        -pi/2."""
-        users = (UserPosition(0.1, 2.0), UserPosition(-1e20, 2.0))
+        -pi/2: 1 m to the side at a depth of 2e-18 m, behind an edge at
+        1e-18 m, inside the usable window."""
+        users = (UserPosition(0.1, 2.0), UserPosition(-1.0, 2e-18))
+        scenario = dataclasses.replace(shadow_scenario, users=users,
+                                       obstacle=KnifeEdgeObstacle(depth=1e-18))
+        assert geometric_angle(users[1]) == -math.pi / 2
         with pytest.raises(ConfigError, match="launch angle"):
-            build_codebook(shadow_scenario.with_users(users), "airy_geo")
+            build_codebook(scenario, "airy_geo")
 
     def test_any_target_behind_the_array_rejected(self, array64, carrier):
         with pytest.raises(ConfigError, match="z > 0"):

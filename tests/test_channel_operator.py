@@ -16,7 +16,6 @@ import pytest
 import airylink.propagation
 from airylink import (
     AiryParams,
-    ConfigError,
     GridError,
     GridSpec,
     KnifeEdgeObstacle,
@@ -25,10 +24,11 @@ from airylink import (
     launch_aperture,
     traditional_focus,
 )
-from airylink.channels import _amplitude_conversion, beam_responses, effective_channel
+from airylink.channels import _amplitude_conversion, beam_responses
 from airylink.geometry import geometric_angle
 from airylink.optimizer import _CHUNK
 from airylink.propagation import (
+    Cascade,
     _apodization,
     _clear_side,
     _launch_filter,
@@ -41,23 +41,36 @@ from batch_of_one import beam_column, evaluate_candidate, score_designs
 from wave_oracles import sample_field, two_stage
 
 
-def cascade_responses(scenario, w) -> np.ndarray:
+def cascade_responses(scenario, users, w) -> np.ndarray:
     """Forward oracle: launch the weights once and sample every user."""
     lam = scenario.carrier.wavelength
     launch = launch_aperture(w, scenario.array, scenario.grid, lam)
     return np.array([
         _amplitude_conversion(lam, u.z)
         * sample_field(two_stage(launch, scenario.obstacle, u.z, lam), u.x)
-        for u in scenario.users
+        for u in users
     ])
 
 
-def assert_matches_cascade(scenario, rng, trials: int = 4) -> None:
-    h = diffraction_channel(scenario)
-    assert h.shape == (scenario.k, scenario.array.n)
+def transposed_row(scenario, user) -> np.ndarray:
+    """The operator row of a user no scenario may hold (one on the
+    obstacle plane), from the scenario's Cascade.transpose: the expression
+    diffraction_channel evaluates per user."""
+    grid, lam = scenario.grid, scenario.carrier.wavelength
+    probe = _amplitude_conversion(lam, user.z) * sample_field_transpose(grid, user.x)
+    back = Cascade(grid, lam, scenario.obstacle).transpose(probe, user.z)
+    return back[element_bins(scenario.array, grid)] / grid.dx
+
+
+def assert_matches_cascade(scenario, rng, h=None, users=None, trials: int = 4) -> None:
+    """Rows h of `users` against the forward oracle; by default the rows
+    diffraction_channel gives the scenario's own users."""
+    users = scenario.users if users is None else users
+    h = diffraction_channel(scenario) if h is None else h
+    assert h.shape == (len(users), scenario.array.n)
     for _ in range(trials):
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        ref = cascade_responses(scenario, w)
+        ref = cascade_responses(scenario, users, w)
         err = np.max(np.abs(h @ w - ref)) / np.max(np.abs(ref))
         assert err < 1e-12
 
@@ -69,10 +82,14 @@ class TestOperatorOracle:
         assert_matches_cascade(request.getfixturevalue(name), rng)
 
     def test_user_at_or_before_the_obstacle(self, shadow_scenario, lam, rng):
-        depth = shadow_scenario.obstacle.depth
-        users = (UserPosition(-3 * lam, depth, "at_edge_plane"),
-                 UserPosition(4 * lam, 90 * lam, "in_front"))
-        assert_matches_cascade(shadow_scenario.with_users(users), rng)
+        """A user in front of the edge through diffraction_channel; one on
+        the obstacle plane, which the scenario refuses, through
+        Cascade.transpose."""
+        on_plane = UserPosition(-3 * lam, shadow_scenario.obstacle.depth, "at_edge_plane")
+        assert_matches_cascade(shadow_scenario, rng, transposed_row(shadow_scenario, on_plane)[None],
+                               (on_plane,))
+        in_front = UserPosition(4 * lam, 90 * lam, "in_front")
+        assert_matches_cascade(shadow_scenario.with_users((in_front,)), rng)
 
     def test_above_edge_obstacle(self, shadow_scenario, lam, rng):
         obstacle = KnifeEdgeObstacle(depth=150 * lam, edge_x=2 * lam,
@@ -129,26 +146,32 @@ class TestChannelBuilder:
         assert np.array_equal(diffraction_channel(scenario), fresh)
 
     def test_users_at_before_and_behind_the_obstacle(self, shadow_scenario, lam):
+        """Users before and behind the edge in one call, in either order;
+        the on-plane user, which the scenario refuses, through
+        Cascade.transpose."""
         depth = shadow_scenario.obstacle.depth
-        users = (UserPosition(-3 * lam, depth, "at_edge_plane"),
-                 UserPosition(4 * lam, 90 * lam, "in_front"),
+        users = (UserPosition(4 * lam, 90 * lam, "in_front"),
                  UserPosition(-6 * lam, 2 * depth, "behind"))
         for order in (users, users[::-1]):
             h = diffraction_channel(shadow_scenario.with_users(order))
             for row, u in zip(h, order):
                 assert np.array_equal(row, fresh_row(shadow_scenario, u))
+        on_plane = UserPosition(-3 * lam, depth, "at_edge_plane")
+        assert np.array_equal(transposed_row(shadow_scenario, on_plane),
+                              fresh_row(shadow_scenario, on_plane))
 
     def test_obstacle_plane_is_one_leg_and_the_next_depth_two(self, shadow_scenario, lam):
-        """A user exactly on the obstacle plane gets the unmasked one-leg
-        row; one float depth further the row is the masked two-leg one."""
+        """Cascade.transpose gives a user exactly on the obstacle plane
+        (which the scenario refuses) the unmasked one-leg row; one float
+        depth further diffraction_channel's row is the masked two-leg one."""
         depth = shadow_scenario.obstacle.depth
         free = shadow_scenario.without_obstacle()
         on_plane = UserPosition(-3 * lam, depth, "on_plane")
         past = UserPosition(-3 * lam, float(np.nextafter(depth, np.inf)), "past")
-        h = diffraction_channel(shadow_scenario.with_users((on_plane, past)))
-        assert np.array_equal(h[0], fresh_row(free, on_plane))
-        assert np.array_equal(h[1], fresh_row(shadow_scenario, past))
-        assert not np.array_equal(h[1], fresh_row(free, past))
+        (h_past,) = diffraction_channel(shadow_scenario.with_users((past,)))
+        assert np.array_equal(transposed_row(shadow_scenario, on_plane), fresh_row(free, on_plane))
+        assert np.array_equal(h_past, fresh_row(shadow_scenario, past))
+        assert not np.array_equal(h_past, fresh_row(free, past))
 
     def test_mask_built_once_per_builder(self, shadow_scenario, lam, monkeypatch):
         """One diffraction_channel call makes one Cascade: each user costs
@@ -224,19 +247,18 @@ class TestBatchInvariance:
 
 class TestOperatorGuards:
     def test_user_outside_window(self, baseline_scenario, lam):
+        """No scenario holds a user past the usable window, and the raw-grid
+        sample row refuses one too."""
         runaway = UserPosition(200 * lam, 250 * lam, label="runaway")
-        scenario = baseline_scenario.with_users(
-            (baseline_scenario.users[0], runaway))
-        with pytest.raises(ConfigError, match="runaway"):
-            diffraction_channel(scenario)
-        with pytest.raises(ConfigError, match="runaway"):
-            effective_channel(diffraction_channel(scenario), np.ones((64, 2)) / 8.0)
+        with pytest.raises(GridError, match="'runaway' .* lies in the absorbing border"):
+            baseline_scenario.with_users((baseline_scenario.users[0], runaway))
+        with pytest.raises(GridError, match="outside the usable window"):
+            sample_field_transpose(baseline_scenario.grid, runaway.x)
 
     def test_element_outside_window(self, baseline_scenario, lam):
-        """The 31.4-wavelength aperture does not fit a 16-wavelength window."""
-        narrow = GridSpec(nx=256, window=16 * lam, apod_width=0.0)
-        users = (UserPosition(-2 * lam, 250 * lam, "ue1"),
-                 UserPosition(3 * lam, 300 * lam, "ue2"))
-        scenario = replace(baseline_scenario, grid=narrow, users=users)
-        with pytest.raises(GridError, match="element 0"):
-            diffraction_channel(scenario)
+        """A 128-wavelength window passes the 4x-aperture rule, but a
+        50-wavelength absorber leaves a usable half-width of 14 wavelengths,
+        short of the 15.4 at which element 0 sits."""
+        narrow = GridSpec(nx=512, window=128 * lam, apod_width=50 * lam)
+        with pytest.raises(GridError, match="element 0 .* lies in the absorbing border"):
+            replace(baseline_scenario, grid=narrow)

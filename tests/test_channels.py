@@ -10,7 +10,7 @@ from airylink import (
     AiryParams,
     AirylinkError,
     ArrayGeometry,
-    ConfigError,
+    GridError,
     ModelMismatchError,
     UserPosition,
     airy_weights,
@@ -132,12 +132,10 @@ class TestEffectiveGreens:
 
 class TestBeamColumn:
     def test_user_outside_window_rejected(self, baseline_scenario, lam):
+        """The scenario such a column would need is refused when built."""
         bad_user = UserPosition(200 * lam, 250 * lam, label="runaway")
-        scenario = baseline_scenario.with_users(
-            (baseline_scenario.users[0], bad_user))
-        w = np.ones(64, dtype=complex) / 8.0
-        with pytest.raises(ConfigError, match="runaway"):
-            beam_column(scenario, w)
+        with pytest.raises(GridError, match="'runaway' .* lies in the absorbing border"):
+            baseline_scenario.with_users((baseline_scenario.users[0], bad_user))
 
     def test_linear_in_scale(self, baseline_scenario, rng):
         w = rng.standard_normal(64) + 1j * rng.standard_normal(64)

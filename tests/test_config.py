@@ -1,12 +1,21 @@
-"""Config parsing and the pre-flight scenario validation."""
+"""Config parsing and the scenario rules, which every ScenarioConfig
+build checks, loaded or derived."""
 
 import itertools
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from airylink import ConfigError, GridError, config, load_scenario, parse_scenario_text
+from airylink import (
+    ConfigError,
+    GridError,
+    UserPosition,
+    config,
+    load_scenario,
+    parse_scenario_text,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -236,6 +245,47 @@ class TestValidation:
         ).replace("z = 1.606031025", f"z = {150 * lam}")
         with pytest.raises(GridError, match="obstacle plane"):
             parse_scenario_text(bad)
+
+
+def loader_message(text: str) -> str:
+    with pytest.raises(GridError) as exc:
+        parse_scenario_text(text)
+    return str(exc.value)
+
+
+class TestRulesOnEveryBuild:
+    """A scenario the program derives from a loaded one meets the loader's
+    rules, with the loader's message: a sweep's with_users and --nx's
+    replace build their copies through ScenarioConfig too."""
+
+    MIXED = (CONFIG_DIR / "mixed.cfg").read_text()
+    SECOND_USER = "x = 3.5\nz = 300\nunit = lambda"
+
+    def test_user_in_the_absorbing_border(self):
+        scenario = load_scenario(str(CONFIG_DIR / "mixed.cfg"))
+        lam = scenario.carrier.wavelength
+        want = loader_message(self.MIXED.replace(self.SECOND_USER, "x = 110\nz = 300\nunit = lambda"))
+        assert "lies in the absorbing border" in want
+        with pytest.raises(GridError) as exc:
+            scenario.with_users((scenario.users[0], UserPosition(110 * lam, 300 * lam, "ue2")))
+        assert str(exc.value) == want
+
+    def test_user_on_the_obstacle_plane(self):
+        scenario = load_scenario(str(CONFIG_DIR / "mixed.cfg"))
+        want = loader_message(self.MIXED.replace(self.SECOND_USER,
+                                                 "x = 0.0375\nz = 1.606031025\nunit = m"))
+        assert "sits exactly on the obstacle plane" in want
+        with pytest.raises(GridError) as exc:
+            scenario.with_users((scenario.users[0], UserPosition(0.0375, 1.606031025, "ue2")))
+        assert str(exc.value) == want
+
+    def test_undersampled_grid(self):
+        scenario = load_scenario(str(CONFIG_DIR / "mixed.cfg"))
+        want = loader_message(self.MIXED.replace("nx = 4096", "nx = 512"))
+        assert "exceeds lambda/4" in want
+        with pytest.raises(GridError) as exc:
+            replace(scenario, grid=replace(scenario.grid, nx=512))
+        assert str(exc.value) == want
 
 
 class TestBundledConfigs:

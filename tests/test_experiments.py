@@ -20,6 +20,7 @@ from airylink import (
     AiryParams,
     AirylinkError,
     ConfigError,
+    GridError,
     SingularChannelError,
     SweepResult,
     UserPosition,
@@ -182,6 +183,21 @@ class TestMixedOptimization:
         values = sweep.values
         assert len(values) == 101
         assert values[0] == -5.0 and values[-1] == 5.0
+
+    def test_angle_sweep_spans_the_winner(self):
+        """On the deep-shadow scenario the winner's offset, +5.5 degrees,
+        lies past the coarse range. The sweep goes on in whole steps,
+        lo + i * step, until it reaches it, and its row there scores the
+        search's rate."""
+        scenario = load_scenario(str(CONFIGS / "deep_shadow.cfg"))
+        result = run_mixed_optimization(scenario)
+        best = result.search.best_params.launch_angle - geometric_angle(scenario.users[0])
+        assert math.degrees(best) == pytest.approx(5.5, abs=1e-9)
+        values = result.dtheta_sweep.values
+        assert values.tolist() == [-5.0 + i * 0.1 for i in range(106)]
+        (at_best,) = np.flatnonzero(np.abs(values - math.degrees(best)) < 1e-9)
+        rate = result.dtheta_sweep.series("airy_best_bf", "sum_rate")[at_best]
+        assert rate == pytest.approx(result.search.best_rate, rel=1e-9, abs=0)
 
     def test_conditioning_dip_coincides_with_rate_peak(self, mixed_opt_result):
         """The angle sweep's kappa minimum and sum-rate maximum land within
@@ -710,13 +726,15 @@ class TestStackedSweepChecks:
             run(request.getfixturevalue(fixture), step_lambda=1.0)
 
     @pytest.mark.parametrize("run, fixture, kwargs", [
+        (run_baseline_scan, "baseline_scenario", {"stop_lambda": 110.0, "step_lambda": 1.0}),
         (run_shadow_scan, "shadow_scenario", {"start_lambda": -110.0, "step_lambda": 1.0}),
         (run_robustness_sweep, "mixed_scenario", {"span_lambda": 110.0, "step_lambda": 110.0}),
-    ], ids=["shadow", "robustness"])
+    ], ids=SWEEP_IDS)
     def test_out_of_window_point_refused(self, run, fixture, kwargs, request):
         """A scan point beyond the grid's usable half-width (102.4
-        wavelengths) stops the sweep with the builder's message."""
-        with pytest.raises(ConfigError, match="user 'ue2' at x=.* lies outside the usable window"):
+        wavelengths) stops the sweep with the scenario's message, on either
+        channel model: the loader refuses the same user in a config."""
+        with pytest.raises(GridError, match="user 'ue2' at x=.* lies in the absorbing border"):
             run(request.getfixturevalue(fixture), **kwargs)
 
     @pytest.mark.parametrize("factor, shown", [(1.0 + 1e-9, r"1\.00000000"), (math.nan, "nan")],

@@ -16,6 +16,7 @@ import pytest
 from airylink import (
     AiryParams,
     ConfigError,
+    KnifeEdgeObstacle,
     UserPosition,
     airy_weights,
     SearchOutcome,
@@ -201,15 +202,18 @@ class TestSearchBoxCheckedUpFront:
     a shadowed user near +/-85 degrees takes them past 90 degrees."""
 
     def test_coarse_launch_angle_past_90_degrees(self, mixed_scenario, monkeypatch):
-        """A shadowed user at -86 degrees: the coarse offset -5 degrees
-        launches at -91, refused before any candidate is scored."""
-        z = 2.0 * mixed_scenario.obstacle.depth
+        """A shadowed user at -86 degrees, 6 cm deep behind an edge at 5 cm
+        (inside the usable window): the coarse offset -5 degrees launches at
+        -91, refused when the coarse stage's tables are built, after stage
+        0's one gather and before any coarse candidate is gathered."""
+        z = 0.06
         steep = UserPosition(x=-z * math.tan(math.radians(86.0)), z=z)
-        scenario = mixed_scenario.with_users((steep, mixed_scenario.users[1]))
+        scenario = replace(mixed_scenario, users=(steep, mixed_scenario.users[1]),
+                           obstacle=KnifeEdgeObstacle(depth=0.05))
         rows = counted_rows(monkeypatch)
         with pytest.raises(ConfigError, match="launch angle"):
             coarse_to_fine_search(scenario)
-        assert rows == []
+        assert rows == [1]
 
     def test_fine_angle_axis_past_90_degrees(self, mixed_scenario, monkeypatch):
         """At a geometric angle of -84.7 degrees every coarse launch angle
