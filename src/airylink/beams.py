@@ -21,10 +21,12 @@ the curved strategies of DESIGNS, which gives each shadowed user
 geometric angle plus the design's offset, and focuses on every bright
 user. DESIGNS is the one place the two designs' numbers are written.
 airy_axis_rows is the one cubic-phase builder: it takes parameter axes,
-builds their phase tables once and gathers any design's row from them,
-with the bits airy_weights gives that design. check_airy_columns holds
-the parameter rules, checked where cubic beams are built (AiryParams,
-airy_axis_rows), and check_unit_norm the norm rule every beam meets.
+builds a lens-and-steer phasor table over focal x angle and a bending
+phasor table over bending x focal once, and gives any design's row as the
+product of its two entries, with the bits airy_weights gives that design.
+check_airy_columns holds the parameter rules, checked where cubic beams
+are built (AiryParams, airy_axis_rows), and check_unit_norm the norm rule
+every beam meets.
 """
 
 from __future__ import annotations
@@ -136,16 +138,25 @@ def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.n
 def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launch_angle):
     """Cubic-phase weights of designs drawn from three parameter axes.
 
-    Builds the per-axis phase tables once: k0 x^2 / (2 f) and (x / f)^3 per
-    focal value, (2 pi / (3 lambda)) b per bending value and
-    (k0 sin(theta)) x per launch angle (one math.sin per value). Returns
-    rows(i, j, k), which gives the C x N weights of the designs
-    (bending[i[c]], focal[j[c]], launch_angle[k[c]]) by gathering table
-    rows into (lens - steer) + coef * cube, in that order of operations,
-    whatever the batch: every row has the bits airy_weights gives its
-    design. The indices broadcast, so rows(0, 0, np.arange(m)) gives one
-    (bending, focal) pair at m angles. The focal and launch-angle axes
-    are checked with check_airy_columns before any table is built.
+    Builds the per-axis phase rows once: lens = k0 x^2 / (2 f) and
+    cube = (x / f)^3 per focal value, coef = (2 pi / (3 lambda)) b per
+    bending value and steer = (k0 sin(theta)) x per launch angle (one
+    math.sin per value). From them it builds two phasor tables, the
+    F x A x N lens-and-steer table e^{j (lens - steer)} / sqrt(N) over
+    focal x angle and the B x F x N bending table e^{j coef cube} over
+    bending x focal, so a grid of B x F x A designs takes (F A + B F) N
+    complex exponentials instead of B F A N. Returns rows(i, j, k), which
+    gives the C x N weights of the designs (bending[i[c]], focal[j[c]],
+    launch_angle[k[c]]) as lens_steer[j, k] * bend[i, j], whatever the
+    batch: every row has the bits airy_weights gives its design. The
+    product skips the rounding of the summed phase, so a weight differs
+    from e^{j phi} / sqrt(N) of the summed phase phi by a few ulps of
+    |lens - steer| + |coef cube|. The indices broadcast, so
+    rows(0, 0, np.arange(m)) gives one (bending, focal) pair at m angles.
+    The tables span every pair of axis values, so pass axes of distinct
+    values: design columns of C designs would build C x C tables. The focal
+    and launch-angle axes are checked with check_airy_columns before any
+    table is built.
     """
     check_airy_columns(focal, launch_angle)
     xs = array.element_x()
@@ -155,11 +166,11 @@ def airy_axis_rows(array: ArrayGeometry, carrier: Carrier, bending, focal, launc
     cube = (xs / focal_m) ** 3
     coef = (2.0 * math.pi / (3.0 * carrier.wavelength)) * np.asarray(bending, dtype=float)
     steer = np.array([[k0 * math.sin(theta)] for theta in launch_angle]) * xs
-    norm = math.sqrt(array.n)
+    lens_steer = np.exp(1j * (lens[:, None] - steer)) / math.sqrt(array.n)
+    bend = np.exp(1j * (coef[:, None, None] * cube))
 
     def rows(i, j, k) -> np.ndarray:
-        phase = (lens[j] - steer[k]) + coef[i][..., None] * cube[j]
-        return np.exp(1j * phase) / norm
+        return lens_steer[j, k] * bend[i, j]
 
     return rows
 
@@ -176,6 +187,12 @@ def airy_weights(
     The quadratic term is a lens focused at depth ~focal, the linear term
     steers the launch direction, and the cubic term curves the trajectory:
     negative bending accelerates the lobe toward -x past the focal region.
+
+    The weights are airy_axis_rows' row of one design, with the bits every
+    other row of that design gets: the lens-and-steer phasor
+    e^{j (lens - steer)} / sqrt(N) times the bending phasor e^{j coef cube}.
+    Each differs from the single exponential above by a few ulps of
+    |lens - steer| + |coef cube|.
     """
     w = airy_axis_rows(array, carrier, (params.bending,), (params.focal,),
                        (params.launch_angle,))(0, 0, 0)

@@ -25,19 +25,21 @@ point, scored with the bits stage 0 gives it, so it reaches eta times its
 own gain for any eta in (0, 1); the incumbent is a fine grid point. The
 focal axes stay positive (the lowest fine focal length is 0.75 m), but
 the launch angles depend on the user. Each stage's axes are checked where
-its phase tables are built (beams.airy_axis_rows), before it scores any
+its phasor tables are built (beams.airy_axis_rows), before it scores any
 candidate: a coarse launch angle theta_geo + dtheta outside
 |theta| < pi/2 is refused after stage 0, and a fine one before stage 2.
 eta and the users' roles are checked before stage 0.
 
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once and scores candidates in fixed-size chunks.
-Each stage first builds the cubic beam's phase tables from its three axes
-(beams.airy_axis_rows: lens and cube rows per focal value, a coefficient
-per bending value, a steering row per launch angle, so math.sin runs once
-per angle and stage); a chunk gathers its weights from them, with the bits
-airy_weights gives each design. Stage 0, the geometric design that sets
-the gain floor, is scored the same way on one-point axes. One product
+Each stage first builds the cubic beam's two phasor tables from its three
+axes (beams.airy_axis_rows: a lens-and-steer phasor per focal value and
+launch angle, a bending phasor per bending and focal value, so math.sin
+runs once per angle and stage, and the coarse stage takes
+(7 * 21 + 11 * 7) * 64 complex exponentials instead of one per weight);
+a chunk gathers each weight as the product of its two phasors, with the
+bits airy_weights gives each design. Stage 0, the geometric design that
+sets the gain floor, is scored the same way on one-point axes. One product
 with the matrix gives the shadowed user's effective columns, and
 precoding.batch_sum_rates yields the sum rates alone from the candidates'
 beams, the shared bright-user beam and the closed-form two-user RZF that
@@ -275,7 +277,7 @@ def coarse_to_fine_search(
 
     def stage_scorer(axes):
         """The chunk scorer of one stage: it gathers every chunk's weights
-        from phase tables built once from the stage's axes."""
+        from phasor tables built once from the stage's axes."""
         bending, focal, dtheta = (np.asarray(a, dtype=float) for a in axes)
         launch = theta_geo + dtheta
         rows = airy_axis_rows(scenario.array, scenario.carrier, bending, focal, launch)

@@ -11,8 +11,8 @@ a batch of one, which is the single-item value a test compares against:
   beam_responses(diffraction_channel(s), w[None], scale)[0];
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
   user against the bright user's traditional beam, score_designs (the
-  search's _score_beams on weights gathered from the designs' parameter
-  columns) on a chunk of one;
+  search's _score_beams on each design's one-row cubic weights) on a
+  chunk of one;
 * metrics_of_one: the metrics of one effective channel and analog matrix,
   row 0 of batch_metrics' columns on a batch of one;
 * rzf_of_one: the baseband precoder W_BB of one effective channel and
@@ -71,10 +71,13 @@ def score_designs(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.
                   h2: np.ndarray, scale: complex = 1.0 + 0.0j) -> tuple:
     """(sum rates, |h11|^2 values) of the cubic designs given as (bending,
     focal, launch angle) columns, each paired with the bright user's beam
-    w2 (effective column h2): _score_beams on weights gathered by
-    airy_axis_rows with the columns as its axes."""
-    i = np.arange(len(designs[0]))
-    w1 = airy_axis_rows(scenario.array, scenario.carrier, *designs)(i, i, i)
+    w2 (effective column h2): _score_beams on each design's row from
+    airy_axis_rows on its own one-point axes, which a search chunk's
+    tables reproduce bit for bit. One call per design keeps the tables
+    at one row each: the columns of C distinct designs as axes would span
+    C x C tables."""
+    w1 = np.array([airy_axis_rows(scenario.array, scenario.carrier, (b,), (f,), (theta,))(0, 0, 0)
+                   for b, f, theta in zip(*designs)])
     return _score_beams(scenario, h_phys, designs, w1, w2, h2, scale)
 
 

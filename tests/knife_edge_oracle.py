@@ -123,9 +123,10 @@ def fine_steps() -> tuple:
 def _sum_rates(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray):
     """Post-RZF sum rate and |h11|^2 of each cubic design for user 0 paired
     with the bright user's fixed beam w2; `designs` holds the (bending,
-    focal, launch angle) columns."""
-    i = np.arange(len(designs[0]))
-    w1 = airy_axis_rows(scenario.array, scenario.carrier, *designs)(i, i, i)
+    focal, launch angle) columns, gathered from each column's distinct
+    values."""
+    axes, index = zip(*(np.unique(column, return_inverse=True) for column in designs))
+    w1 = airy_axis_rows(scenario.array, scenario.carrier, *axes)(*index)
     w_rf = np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1)
     h = np.einsum("kn,cnj->ckj", h_phys, w_rf)
     h_herm = np.conj(h).swapaxes(-1, -2)

@@ -16,6 +16,7 @@ from airylink import (
     airy_weights,
     build_codebook,
     classify_user,
+    coarse_to_fine_search,
     greens_channel,
     launch_aperture,
     load_scenario,
@@ -30,6 +31,7 @@ from airylink.beams import (
     traditional_focus_rows,
 )
 from airylink.geometry import geometric_angle
+from airylink.optimizer import COARSE_AXES
 from airylink.propagation import grid_x
 
 from batch_of_one import codebook_of_one, focus_of_one, jittered
@@ -56,15 +58,36 @@ class TestAiryParams:
 
 
 def one_design_row(array, carrier, bending, focal, theta) -> np.ndarray:
-    """The cubic-phase expression of one design, every term per candidate,
-    the steering from math.sin: the reference airy_axis_rows gathers."""
+    """The cubic-phase weights of one design, every term per candidate, the
+    steering from math.sin: the lens-and-steer phasor
+    e^{j (lens - steer)} / sqrt(N) times the bending phasor e^{j coef cube},
+    the reference airy_axis_rows gathers."""
     xs = np.asarray(array.element_x())
     k0 = carrier.wavenumber
     focal = np.array([[focal]])
     steer = np.array([[k0 * math.sin(theta)]])
     cubic = np.array([[(2.0 * math.pi / (3.0 * carrier.wavelength)) * bending]])
-    phase = k0 * xs**2 / (2.0 * focal) - steer * xs + cubic * (xs / focal) ** 3
-    return (np.exp(1j * phase) / math.sqrt(array.n))[0]
+    lens_steer = np.exp(1j * (k0 * xs**2 / (2.0 * focal) - steer * xs)) / math.sqrt(array.n)
+    bend = np.exp(1j * (cubic * (xs / focal) ** 3))
+    return (lens_steer * bend)[0]
+
+
+def single_exponential(array, carrier, bending, focal, launch_angle) -> tuple:
+    """The paper's weights e^{j phi} / sqrt(N) of the B x F x A grid of
+    designs spanned by the axes, phi = (lens - steer) + coef cube summed
+    before one exponential, and the per-weight bound
+    2 eps (|lens - steer| + |coef cube| + 1) / sqrt(N) on how far the
+    two-phasor product may round away from them."""
+    xs = np.asarray(array.element_x())
+    k0 = carrier.wavenumber
+    focal = np.asarray(focal, dtype=float)[:, None, None]
+    sine = np.array([math.sin(theta) for theta in launch_angle])[:, None]
+    lens_steer = k0 * xs**2 / (2.0 * focal) - (k0 * sine) * xs
+    coef = (2.0 * math.pi / (3.0 * carrier.wavelength)) * np.asarray(bending, dtype=float)
+    bend = coef[:, None, None, None] * (xs / focal) ** 3
+    norm = math.sqrt(array.n)
+    bound = 2.0 * np.finfo(float).eps * (np.abs(lens_steer) + np.abs(bend) + 1.0) / norm
+    return np.exp(1j * (lens_steer + bend)) / norm, bound
 
 
 class TestAiryWeightRows:
@@ -125,6 +148,31 @@ class TestAiryWeightRows:
         for row, theta in zip(rows, thetas):
             assert row.tobytes() == one_design_row(array64, carrier, params.bending,
                                                    params.focal, theta).tobytes()
+
+    def test_product_stays_within_round_off_of_the_single_exponential(self, carrier):
+        """On the bundled mixed scenario's coarse and fine search boxes and
+        both DESIGNS at each user's angle, every gathered weight lies
+        within 2 eps (|lens - steer| + |coef cube| + 1) / sqrt(N) of
+        e^{j phi} / sqrt(N) of its summed phase."""
+        scenario = load_scenario(CONFIGS / "mixed.cfg")
+        array = scenario.array
+        theta_geo = geometric_angle(scenario.users[0])
+        trace = coarse_to_fine_search(scenario).trace
+        fine = trace.stage == "fine"
+        boxes = [(*COARSE_AXES[:2], [theta_geo + dt for dt in COARSE_AXES[2]]),
+                 (np.unique(trace.bending[fine]), np.unique(trace.focal[fine]),
+                  [theta_geo + dt for dt in np.unique(trace.dtheta[fine])])]
+        for bending, focal, offset_deg in DESIGNS.values():
+            boxes.append(((bending,), (focal,), [geometric_angle(u) + math.radians(offset_deg)
+                                                 for u in scenario.users]))
+        assert [math.prod(len(axis) for axis in box) for box in boxes] == [1617, 1331, 2, 2]
+        for box in boxes:
+            shape = tuple(len(axis) for axis in box)
+            index = np.ix_(*(np.arange(n) for n in shape))
+            rows = airy_axis_rows(array, carrier, *box)(*index)
+            expected, bound = single_exponential(array, carrier, *box)
+            assert rows.shape == expected.shape == (*shape, array.n)
+            assert np.all(np.abs(rows - expected) <= bound)
 
 
 class TestBeamWeights:

@@ -5,7 +5,9 @@ FINE_REFINE, FINE_SPAN): 1617 coarse and 1331 fine candidates, a few
 milliseconds per search.
 """
 
+import collections
 import math
+import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -355,7 +357,7 @@ class TestRatePath:
 
 
 class TestStageTables:
-    """The search gathers each chunk's weights from phase tables built once
+    """The search gathers each chunk's weights from phasor tables built once
     per stage from the grid axes."""
 
     def test_one_sine_per_launch_angle_per_stage(self, mixed_scenario, monkeypatch):
@@ -369,6 +371,33 @@ class TestStageTables:
         outcome = coarse_to_fine_search(mixed_scenario)
         assert outcome.evaluations == 11 * 7 * 21 + 11**3
         assert len(sines) == 1 + 21 + 11
+
+    def test_two_phasor_tables_per_stage(self, monkeypatch):
+        """A mixed.cfg search takes its cubic weights from each stage's
+        lens-and-steer (focal x angle) and bending (bending x focal) phasor
+        tables: 7 * 21 * 64 + 11 * 7 * 64 complex exponentials for the
+        coarse stage, 2 * 11 * 11 * 64 for the fine one and 2 * 64 for the
+        geometric design, at most 30,000; one exponential per weight took
+        2948 * 64 + 64 = 188,736. The only other complex exponential in
+        beams is the bright user's focusing beam."""
+        counts = collections.Counter()
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                out = np.exp(x, *args, **kwargs)
+                if np.iscomplexobj(out):
+                    counts[sys._getframe(1).f_code.co_name] += out.size
+                return out
+
+        monkeypatch.setattr(beams, "np", CountingNumpy())
+        outcome = coarse_to_fine_search(load_scenario(CONFIGS / "mixed.cfg"))
+        assert outcome.evaluations == 2948
+        assert counts == {"airy_axis_rows": (7 * 21 + 11 * 7 + 2 * 11**2 + 2) * 64,
+                          "traditional_focus_rows": 64}
+        assert counts["airy_axis_rows"] <= 30_000
 
     def test_chunk_rows_match_airy_weights(self, mixed_scenario, monkeypatch):
         """Every chunk's gathered rows, the geometric design's chunk of one
