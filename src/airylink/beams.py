@@ -235,7 +235,7 @@ def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
     if strategy != "trad_all" and strategy not in DESIGNS:
         raise ConfigError(f"unknown codebook strategy {strategy!r}")
     curved = np.array([strategy in DESIGNS and scenario.obstacle is not None
-                       and classify_user(u, scenario.obstacle, scenario.array) == "shadowed"
+                       and classify_user(u, scenario.obstacle) == "shadowed"
                        for u in scenario.users], dtype=bool)
     rows = np.empty((scenario.k, scenario.array.n), dtype=complex)
     focused = [u for u, c in zip(scenario.users, curved) if not c]

@@ -3,7 +3,7 @@
 Both models produce a K x N physical matrix (users x array elements), and
 every effective channel is that matrix times the N x K analog matrix of
 beams.build_codebook, H_eff = H_phys @ W_RF (K x K). Each is a plain
-complex array; check_finite and check_effective hold the rules it meets:
+complex array, and check_finite refuses one that holds a NaN or an Inf:
 
 * the Green's model writes each element->user coefficient in closed form,
   lambda/(4 pi r) e^{-j k0 r}, valid only with nothing in the way;
@@ -26,11 +26,12 @@ models; a sweep stacks each point's rows and beams and calls it once, and
 the search scores each chunk of candidate beams with it directly.
 
 The two models use different amplitude conventions (a closed-form spread
-factor versus a 1D Fresnel kernel), so a single complex calibration
-constant is fitted once per scenario on the obstacle-free geometry and
-applied to diffraction-model channels. After calibration the models agree
-to better than 2% on the obstacle-free reference, which is what makes
-SINR values comparable across the two.
+factor versus a 1D Fresnel kernel), so remark1_calibration fits a single
+complex constant per scenario on its obstacle-free geometry. After
+calibration the models agree to better than 2% on the obstacle-free
+reference, which is what makes SINR values comparable across the two.
+Each consumer (the blocked sweeps, the search) multiplies the row matrix
+of diffraction_channel by it once, where it builds it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "diffraction_channel",
     "beam_responses",
     "check_finite",
-    "check_effective",
     "effective_channel",
     "remark1_calibration",
 ]
@@ -84,54 +84,31 @@ def greens_channel(scenario: ScenarioConfig) -> np.ndarray:
     return entries
 
 
-def beam_responses(h_phys: np.ndarray, beams, scale: complex = 1.0 + 0.0j) -> np.ndarray:
+def beam_responses(h_phys: np.ndarray, beams) -> np.ndarray:
     """Response of many beams at many users at once: user rows h_phys
     (..., K, N) times beam rows (..., C, N) give the (..., K, C) effective
-    channels, entry [k, c] = scale * h_phys[k] @ beams[c]. Leading axes
-    broadcast.
+    channels, entry [k, c] = h_phys[k] @ beams[c]. Leading axes broadcast.
 
     The sum over elements runs in einsum's fixed order on beam rows made
     contiguous along the elements, so an entry gets the same bits whether
     it is formed alone or in a batch (a BLAS product may switch between
     gemv and gemm and reorder the sum).
-    The scale is applied as np.multiply(scale, ...): `scale * temporary`
-    on an array of 256 KiB or more is done in place with the operands
-    swapped, and numpy's complex multiply rounds (x, scale) differently
-    from (scale, x), so a large batch would lose those bits.
     """
     beam_rows = np.ascontiguousarray(beams, dtype=complex)
-    return np.multiply(scale, np.einsum("...kn,...cn->...kc", h_phys, beam_rows))
+    return np.einsum("...kn,...cn->...kc", h_phys, beam_rows)
 
 
-def _beam_matrix(h_phys: np.ndarray, w_rf) -> np.ndarray:
-    """W_RF as a complex N x K array; refuses one whose rows do not match
-    the N elements of h_phys."""
+def effective_channel(h_phys: np.ndarray, w_rf) -> np.ndarray:
+    """Effective channel H_phys @ W_RF (K x K) of a K x N physical matrix
+    and an N x K W_RF, summed as in beam_responses."""
     w = np.asarray(w_rf, dtype=complex)
-    if w.ndim != 2 or w.shape[0] != h_phys.shape[1]:
+    if w.shape != h_phys.shape[::-1]:
         raise AirylinkError(
-            f"beam matrix shape {w.shape} does not match {h_phys.shape[1]} elements"
+            f"effective channel must be square (one beam per user): W_RF of shape "
+            f"{w.shape} does not fit physical rows of shape {h_phys.shape}"
         )
-    return w
-
-
-def check_effective(h_eff) -> None:
-    """Refuse an effective channel that holds a NaN or an Inf or is not a
-    square K x K matrix (one beam per user)."""
+    h_eff = beam_responses(h_phys, w.T)
     check_finite(h_eff)
-    shape = np.shape(h_eff)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise AirylinkError(
-            f"effective channel must be square (one beam per user), got shape {shape}"
-        )
-
-
-def effective_channel(
-    h_phys: np.ndarray, w_rf, scale: complex = 1.0 + 0.0j
-) -> np.ndarray:
-    """Effective channel scale * H_phys @ W_RF (K x K) of either model's
-    physical matrix, one column per beam, summed as in beam_responses."""
-    h_eff = beam_responses(h_phys, _beam_matrix(h_phys, w_rf).T, scale)
-    check_effective(h_eff)
     return h_eff
 
 
@@ -179,23 +156,19 @@ def diffraction_channel(scenario: ScenarioConfig) -> np.ndarray:
 def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
     """Fit the single complex constant tying the two channel models together.
 
-    Runs both models on the obstacle-free scenario with traditional
-    (matched) beams and solves the scalar least-squares problem
+    Runs both models on the scenario with its obstacle removed, with
+    traditional (matched) beams, and solves the scalar least-squares problem
 
         c* = argmin_c  sum |H_greens - c * H_diffraction|^2
 
     Returns (c*, residual) where residual is the relative Frobenius misfit
-    after scaling. Callers apply c* to every diffraction-model channel of
-    the same scenario family so both models share one amplitude scale.
+    after scaling. Callers multiply the scenario's diffraction rows by c*
+    so both models share one amplitude scale.
     """
-    if scenario.obstacle is not None:
-        raise ModelMismatchError(
-            "calibration must run on the obstacle-free geometry; "
-            "call scenario.without_obstacle() first"
-        )
-    w_rf = build_codebook(scenario, "trad_all")
-    h_greens = effective_channel(greens_channel(scenario), w_rf)
-    h_diff = effective_channel(diffraction_channel(scenario), w_rf)
+    free = scenario.without_obstacle()
+    w_rf = build_codebook(free, "trad_all")
+    h_greens = effective_channel(greens_channel(free), w_rf)
+    h_diff = effective_channel(diffraction_channel(free), w_rf)
     denom = np.vdot(h_diff, h_diff).real
     if denom == 0.0:
         raise AirylinkError("diffraction channel is identically zero; cannot calibrate")

@@ -283,7 +283,7 @@ def _cmd_validate(args) -> int:
     checks.append(("split-step composition (10 cases)", worst < 1e-9,
                    f"max rel err {worst:.3e}"))
 
-    _scale, residual = remark1_calibration(scenario.without_obstacle())
+    _scale, residual = remark1_calibration(scenario)
     checks.append(("cross-model calibration residual", residual < 0.02,
                    f"residual {residual:.3%}"))
 

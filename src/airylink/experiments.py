@@ -37,15 +37,16 @@ metric columns as they are, one row per pair.
 No sweep loops over its points. The baseline, shadow and robustness
 sweeps share one body, in which one user moves and the other stays: one
 channel call on a scenario that holds the fixed user and every moved user
-gives all of their rows (closed form in free space, diffraction model
-behind the obstacle), and one codebook call per strategy gives their beams
-(the robustness sweep's stay at the nominal design, the bright user's
-repeated for every point). Each point's 2 rows and each strategy's 2
+gives all of their rows (closed form in free space, and behind the
+obstacle the diffraction model times the remark1_calibration constant,
+applied to that one row matrix), and one codebook call per strategy gives
+their beams (the robustness sweep's stay at the nominal design, the bright
+user's repeated for every point). Each point's 2 rows and each strategy's 2
 beams are stacked, and one beam_responses product forms every point's
 effective channel, with the bits of effective_channel on that point
 alone. The mixed-optimization angle sweep stacks each point's curved beam
 with the bright-user beam that the search returns and takes the same
-product with the search's channel matrix.
+product with the search's channel matrix, which the search calibrated.
 """
 
 from __future__ import annotations
@@ -174,16 +175,16 @@ def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tup
 
 def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
                        values: list, strategies: tuple, codebook,
-                       scale: complex = 1.0 + 0.0j, from_nominal: bool = False) -> SweepResult:
+                       from_nominal: bool = False) -> SweepResult:
     """Sweep user 2 along x at its own depth, user 1 fixed: to x = value *
     lambda, or to its nominal x + value * lambda when from_nominal.
 
     One channel call gives the fixed row and every moved row, from the
-    closed form in free space or from the diffraction model (times
-    `scale`) behind an obstacle. codebook(everyone, name) gives one
-    strategy's N x (1 + P) beams, one per channel row; point p takes rows
-    and beams (0, 1 + p), and one beam_responses product forms just those
-    2 x 2 entries per point and strategy."""
+    closed form in free space or from the calibrated diffraction model
+    behind an obstacle. codebook(everyone, name) gives one strategy's
+    N x (1 + P) beams, one per channel row; point p takes rows and beams
+    (0, 1 + p), and one beam_responses product forms just those 2 x 2
+    entries per point and strategy."""
     if scenario.k != 2:
         raise ConfigError(f"{what} expects exactly 2 users, got {scenario.k}")
     lam = scenario.carrier.wavelength
@@ -191,12 +192,13 @@ def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
     x0 = u2.x if from_nominal else 0.0
     moved = [UserPosition(x=x0 + v * lam, z=u2.z, label=u2.label) for v in values]
     everyone = scenario.with_users((u1, *moved))
-    channel = greens_channel if scenario.obstacle is None else diffraction_channel
+    h_phys = (greens_channel(everyone) if scenario.obstacle is None
+              else remark1_calibration(scenario)[0] * diffraction_channel(everyone))
     pairs = np.column_stack([np.zeros(len(values), dtype=int), np.arange(1, len(values) + 1)])
-    rows = channel(everyone)[pairs]
+    rows = h_phys[pairs]
     # P x S x 2 x N: each point's fixed and moved beam under each strategy.
     beams = np.stack([codebook(everyone, name).T for name in strategies])[:, pairs].swapaxes(0, 1)
-    h_eff = beam_responses(rows[:, None], beams, scale)
+    h_eff = beam_responses(rows[:, None], beams)
     w_rf = beams.swapaxes(2, 3).reshape(-1, beams.shape[-1], 2)
     return _scored_sweep(scenario, sweep_variable, strategies, values,
                          h_eff.reshape(-1, 2, 2), w_rf)
@@ -252,10 +254,9 @@ def run_shadow_scan(
     """
     if scenario.obstacle is None:
         raise ConfigError("shadow scan needs an obstacle in the scenario")
-    scale, _residual = remark1_calibration(scenario.without_obstacle())
     xs = _sweep_values(start_lambda, stop_lambda, step_lambda)
     return _second_user_sweep(scenario, "shadow scan", "x2_lambda", xs,
-                              ("trad_all", "airy_geo"), build_codebook, scale)
+                              ("trad_all", "airy_geo"), build_codebook)
 
 
 def run_mixed_optimization(
@@ -275,7 +276,7 @@ def run_mixed_optimization(
     hi = math.degrees(COARSE_AXES[2][-1])
     last = len(_sweep_values(lo, hi, dtheta_step_deg)) - 1
 
-    scale, residual = remark1_calibration(scenario.without_obstacle())
+    scale, residual = remark1_calibration(scenario)
     outcome = coarse_to_fine_search(scenario, eta=eta, scale=scale)
 
     theta_geo = geometric_angle(scenario.users[0])
@@ -289,7 +290,7 @@ def run_mixed_optimization(
     # Point p's beams: its curved beam (row p) and the search's bright-user
     # beam w2.
     beams = np.stack([rows, np.broadcast_to(outcome.w2, rows.shape)], axis=1)
-    h_eff = beam_responses(outcome.h_phys, beams, scale)
+    h_eff = beam_responses(outcome.h_phys, beams)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas,
                           h_eff, beams.swapaxes(1, 2))
 
@@ -354,7 +355,6 @@ def run_robustness_sweep(
     user positions while the bright user's true position is displaced by
     dx2; only the bright user's channel row differs from point to point."""
     check_roles(scenario, "robustness sweep")
-    scale, _residual = remark1_calibration(scenario.without_obstacle())
     dxs = _sweep_values(-span_lambda, span_lambda, step_lambda)
 
     # Beams frozen at the nominal design: the nominal bright-user beam
@@ -363,7 +363,7 @@ def run_robustness_sweep(
         return build_codebook(scenario, name)[:, np.minimum(np.arange(everyone.k), 1)]
 
     return _second_user_sweep(scenario, "robustness sweep", "dx2_lambda", dxs,
-                              ("trad_all", "airy_geo", "airy_opt"), frozen, scale,
+                              ("trad_all", "airy_geo", "airy_opt"), frozen,
                               from_nominal=True)
 
 

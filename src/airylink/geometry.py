@@ -243,9 +243,7 @@ def geometric_angle(user: UserPosition) -> float:
     return math.atan2(user.x, user.z)
 
 
-def classify_user(
-    user: UserPosition, obstacle: KnifeEdgeObstacle, array: ArrayGeometry
-) -> str:
+def classify_user(user: UserPosition, obstacle: KnifeEdgeObstacle) -> str:
     """Classify a user as 'shadowed' or 'bright' by the straight ray from the
     array center (0, 0) to the user. Users at or before the obstacle depth are
     always bright (nothing stands between them and the aperture)."""

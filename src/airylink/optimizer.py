@@ -31,7 +31,8 @@ candidate: a coarse launch angle theta_geo + dtheta outside
 eta and the users' roles are checked before stage 0.
 
 The diffraction channel is linear in the beam weights, so the search builds
-the K x N physical matrix once and scores candidates in fixed-size chunks.
+the K x N physical matrix once, times the calibration constant `scale`,
+and scores candidates in fixed-size chunks.
 Each stage first builds the cubic beam's two phasor tables from its three
 axes (beams.airy_axis_rows: a lens-and-steer phasor per focal value and
 launch angle, a bending phasor per bending and focal value, so math.sin
@@ -143,7 +144,7 @@ class SearchOutcome:
     evaluations: int
     rejected_by_constraint: int
     trace: SearchTrace
-    # The K x N physical channel the candidates were scored on and the
+    # The calibrated K x N channel the candidates were scored on and the
     # bright user's beam they were paired with, for callers that evaluate
     # more beams on the same scenario.
     h_phys: np.ndarray = field(compare=False, repr=False)
@@ -170,7 +171,7 @@ def check_roles(scenario: ScenarioConfig, what: str) -> None:
         raise ConfigError(f"{what} needs an obstructed scenario")
     if scenario.k != 2:
         raise ConfigError(f"{what} expects exactly 2 users, got {scenario.k}")
-    roles = [classify_user(u, scenario.obstacle, scenario.array) for u in scenario.users]
+    roles = [classify_user(u, scenario.obstacle) for u in scenario.users]
     if roles != ["shadowed", "bright"]:
         raise ConfigError(f"{what} needs user 0 shadowed and user 1 bright, "
                           f"got {roles[0]} and {roles[1]}")
@@ -183,7 +184,6 @@ def _score_beams(
     w1: np.ndarray,
     w2: np.ndarray,
     h2: np.ndarray,
-    scale: complex,
 ) -> tuple:
     """Score cubic-beam designs for the shadowed user against the fixed
     bright-user beam (w2, with effective column h2, formed once per
@@ -193,7 +193,7 @@ def _score_beams(
     (K x C, transposed to one row per candidate), each paired with h2.
     Returns the sum rates and |h11|^2 values as arrays, one entry per
     design."""
-    h1 = beam_responses(h_phys, w1, scale).T
+    h1 = beam_responses(h_phys, w1).T
     h_eff = np.empty((len(w1), 2, 2), dtype=complex)
     h_eff[:, :, 0] = h1
     h_eff[:, :, 1] = h2
@@ -213,11 +213,11 @@ def _score_beams(
     return rates, h11_power
 
 
-def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray, scale: complex) -> tuple:
+def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray) -> tuple:
     """The bright user's traditional beam w2 and its effective column
-    scale * H_phys @ w2."""
+    H_phys @ w2."""
     w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    return w2, beam_responses(h_phys, w2[None, :], scale)[:, 0]
+    return w2, beam_responses(h_phys, w2[None, :])[:, 0]
 
 
 def _fine_axis(coarse: tuple, center: float) -> list:
@@ -262,18 +262,18 @@ def coarse_to_fine_search(
     """Run the two-stage constrained search for the shadowed user's beam.
 
     `scale` is the cross-model calibration constant (see
-    channels.remark1_calibration); it multiplies every channel column so
-    absolute SINRs line up with the closed-form model.
+    channels.remark1_calibration); it multiplies the diffraction rows once,
+    so absolute SINRs line up with the closed-form model.
     """
     if not 0.0 < eta < 1.0:
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     check_roles(scenario, "the search")
     theta_geo = geometric_angle(scenario.users[0])
 
-    # The channel matrix and the bright user's column never change; build
-    # them once.
-    h_phys = diffraction_channel(scenario)
-    w2, h2 = _bright_beam(scenario, h_phys, scale)
+    # The calibrated channel matrix and the bright user's column never
+    # change; build them once.
+    h_phys = scale * diffraction_channel(scenario)
+    w2, h2 = _bright_beam(scenario, h_phys)
 
     def stage_scorer(axes):
         """The chunk scorer of one stage: it gathers every chunk's weights
@@ -284,7 +284,7 @@ def coarse_to_fine_search(
 
         def score(i, j, k):
             designs = (bending[i], focal[j], launch[k])
-            return _score_beams(scenario, h_phys, designs, rows(i, j, k), w2, h2, scale)
+            return _score_beams(scenario, h_phys, designs, rows(i, j, k), w2, h2)
 
         return score
 

@@ -102,30 +102,28 @@ def _check_two_users(h: np.ndarray) -> None:
 _ADJ_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
-               sigma: np.ndarray | None = None) -> tuple:
-    """Closed-form two-user RZF over a leading candidate axis: h is C x 2 x 2,
-    gram the C x 2 x 2 Gram matrices of the analog matrices and sigma the
-    C x 2 singular values of h, or None to take them only where they are
-    needed (the epsilon = 0 guard and the zero-power error). Returns
-    (W~, alpha), one entry per candidate, with W_BB = alpha W~; raises for
-    the first candidate whose inversion or power normalization is
-    impossible."""
-    _check_two_users(h)
+def _refuse_singular(sigma: np.ndarray) -> None:
+    """The epsilon = 0 guard on a batch's C x 2 singular values: refuse
+    the first channel with sigma_min <= _SINGULAR_RCOND * sigma_max."""
+    bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
+    if bad.any():
+        raise SingularChannelError(
+            "effective channel is numerically singular; zero-forcing would "
+            "divide by a vanishing singular value (use epsilon > 0 or change geometry)",
+            sigma_min=float(sigma[np.argmax(bad), -1]),
+        )
+
+
+def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float) -> tuple:
+    """Closed-form two-user RZF over a leading candidate axis: h is C x 2 x 2
+    (at epsilon = 0 already passed by _refuse_singular) and gram the
+    C x 2 x 2 Gram matrices of the analog matrices. Returns (W~, alpha),
+    one entry per candidate, with W_BB = alpha W~; raises for the first
+    candidate whose power normalization is impossible."""
     if len(gram) != len(h):
         raise AirylinkError(
             f"expected one pair of beams per effective channel, {len(h)}; got {len(gram)}"
         )
-    if epsilon == 0.0:
-        if sigma is None:
-            sigma = _singular_values(h)
-        bad = sigma[:, -1] <= _SINGULAR_RCOND * sigma[:, 0]
-        if bad.any():
-            raise SingularChannelError(
-                "effective channel is numerically singular; zero-forcing would "
-                "divide by a vanishing singular value (use epsilon > 0 or change geometry)",
-                sigma_min=float(sigma[np.argmax(bad), -1]),
-            )
     h_herm = np.conj(h).swapaxes(-1, -2)
     det_h = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
     adj_h = _ADJ_SIGN * h.swapaxes(-1, -2)[:, ::-1, ::-1]
@@ -140,8 +138,7 @@ def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float,
                + 2.0 * cross.sum(axis=-1))
     zero = norm_sq == 0.0
     if zero.any():
-        if sigma is None:
-            sigma = _singular_values(h)
+        sigma = _singular_values(h)
         raise SingularChannelError(
             "precoder is identically zero; cannot normalize transmit power",
             sigma_min=float(sigma[np.argmax(zero), -1]),
@@ -203,8 +200,10 @@ def batch_metrics(h: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: flo
             f"expected C x N x 2 analog matrices (two beams each), got shape {np.shape(w_rf)}"
         )
     sigma = _singular_values(h)
+    if epsilon == 0.0:
+        _refuse_singular(sigma)
     gram = _analog_gram(w_rf[..., 0], w_rf[..., 1])
-    w_tilde, alpha = _rzf_batch(h, gram, tx_power, epsilon, sigma)
+    w_tilde, alpha = _rzf_batch(h, gram, tx_power, epsilon)
     return _metrics_batch(h, alpha, noise_power, sigma), alpha[:, None, None] * w_tilde
 
 
@@ -217,5 +216,8 @@ def batch_sum_rates(h: np.ndarray, first: np.ndarray, second: np.ndarray, tx_pow
     the same exceptions. The singular values are taken only for the
     epsilon = 0 guard or to report sigma_min when a precoder is
     identically zero."""
+    _check_two_users(h)
+    if epsilon == 0.0:
+        _refuse_singular(_singular_values(h))
     _, alpha = _rzf_batch(h, _analog_gram(first, second), tx_power, epsilon)
     return _sinr_and_rate(alpha, noise_power, h.shape[-1])[1]

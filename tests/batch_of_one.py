@@ -8,11 +8,12 @@ with their analog matrices. Each function here runs one of those paths on
 a batch of one, which is the single-item value a test compares against:
 
 * beam_column: the per-user response of one analog beam,
-  beam_responses(diffraction_channel(s), w[None], scale)[0];
+  beam_responses(diffraction_channel(s), w[None])[:, 0];
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
   user against the bright user's traditional beam, score_designs (the
   search's _score_beams on each design's one-row cubic weights) on a
-  chunk of one;
+  chunk of one, on the diffraction rows times a calibration constant as
+  the search calibrates them;
 * metrics_of_one: the metrics of one effective channel and analog matrix,
   row 0 of batch_metrics' columns on a batch of one;
 * rzf_of_one: the baseband precoder W_BB of one effective channel and
@@ -60,15 +61,15 @@ from airylink.optimizer import _bright_beam, _score_beams
 from airylink.precoding import achieved_power, batch_metrics
 
 
-def beam_column(scenario: ScenarioConfig, weights, scale: complex = 1.0 + 0.0j) -> np.ndarray:
+def beam_column(scenario: ScenarioConfig, weights) -> np.ndarray:
     """Per-user complex response of one analog beam (length K):
-    scale * H_phys @ weights with H_phys = diffraction_channel(scenario)."""
+    H_phys @ weights with H_phys = diffraction_channel(scenario)."""
     w = np.asarray(weights, dtype=complex)
-    return beam_responses(diffraction_channel(scenario), w[None], scale)[:, 0]
+    return beam_responses(diffraction_channel(scenario), w[None])[:, 0]
 
 
 def score_designs(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray,
-                  h2: np.ndarray, scale: complex = 1.0 + 0.0j) -> tuple:
+                  h2: np.ndarray) -> tuple:
     """(sum rates, |h11|^2 values) of the cubic designs given as (bending,
     focal, launch angle) columns, each paired with the bright user's beam
     w2 (effective column h2): _score_beams on each design's row from
@@ -78,18 +79,18 @@ def score_designs(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.
     C x C tables."""
     w1 = np.array([airy_axis_rows(scenario.array, scenario.carrier, (b,), (f,), (theta,))(0, 0, 0)
                    for b, f, theta in zip(*designs)])
-    return _score_beams(scenario, h_phys, designs, w1, w2, h2, scale)
+    return _score_beams(scenario, h_phys, designs, w1, w2, h2)
 
 
 def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
                        scale: complex = 1.0 + 0.0j) -> tuple:
     """(sum rate, |h11|^2) of one cubic-beam design for the shadowed user,
     paired with the bright user's traditional beam: the search's chunk
-    scorer on a chunk of one."""
-    h_phys = diffraction_channel(scenario)
-    w2, h2 = _bright_beam(scenario, h_phys, scale)
+    scorer on a chunk of one, on the rows scale * diffraction_channel."""
+    h_phys = scale * diffraction_channel(scenario)
+    w2, h2 = _bright_beam(scenario, h_phys)
     designs = (params.bending,), (params.focal,), (params.launch_angle,)
-    rates, h11_power = score_designs(scenario, h_phys, designs, w2, h2, scale)
+    rates, h11_power = score_designs(scenario, h_phys, designs, w2, h2)
     return float(rates[0]), float(h11_power[0])
 
 
@@ -158,7 +159,7 @@ def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition) -> 
     'airy_geo' or 'airy_opt' a shadowed user gets design_params' cubic
     beam, and every other user gets the focusing beam."""
     if (strategy in DESIGNS and scenario.obstacle is not None
-            and classify_user(user, scenario.obstacle, scenario.array) == "shadowed"):
+            and classify_user(user, scenario.obstacle) == "shadowed"):
         return airy_weights(scenario.array, scenario.carrier, design_params(strategy, user))
     return traditional_focus(scenario.array, scenario.carrier, user)
 
@@ -206,15 +207,15 @@ def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
 def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     """run_shadow_scan's channels, one point and strategy at a time."""
     lam = scenario.carrier.wavelength
-    scale, _ = remark1_calibration(scenario.without_obstacle())
+    scale, _ = remark1_calibration(scenario)
     u1 = scenario.users[0]
     h_eff, w_rf = [], []
     for x2_lambda in xs_lambda:
         point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
-        h_phys = diffraction_rows_of_one(point)
+        h_phys = scale * diffraction_rows_of_one(point)
         for name in ("trad_all", "airy_geo"):
             w = codebook_of_one(point, name)
-            h_eff.append(effective_channel(h_phys, w, scale))
+            h_eff.append(effective_channel(h_phys, w))
             w_rf.append(w)
     return _stacked(h_eff, w_rf)
 
@@ -222,12 +223,12 @@ def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
 def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
     """run_robustness_sweep's channels, one point and strategy at a time."""
     lam = scenario.carrier.wavelength
-    scale, _ = remark1_calibration(scenario.without_obstacle())
+    scale, _ = remark1_calibration(scenario)
     books = [codebook_of_one(scenario, name) for name in ("trad_all", "airy_geo", "airy_opt")]
     u1, u2 = scenario.users
     h_eff = []
     for dx_lambda in dxs_lambda:
         point = scenario.with_users((u1, _moved(scenario, u2.x + dx_lambda * lam)))
-        h_phys = diffraction_rows_of_one(point)
-        h_eff += [effective_channel(h_phys, book, scale) for book in books]
+        h_phys = scale * diffraction_rows_of_one(point)
+        h_eff += [effective_channel(h_phys, book) for book in books]
     return _stacked(h_eff, [book for _ in dxs_lambda for book in books])

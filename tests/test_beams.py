@@ -410,7 +410,7 @@ class TestBuildCodebook:
         design launched at that user's geometric angle plus the design's
         offset. The two columns are different beams."""
         scenario = load_scenario(CONFIGS / "shadow.cfg")
-        roles = [classify_user(u, scenario.obstacle, scenario.array) for u in scenario.users]
+        roles = [classify_user(u, scenario.obstacle) for u in scenario.users]
         assert roles == ["shadowed", "shadowed"]
         book = build_codebook(scenario, strategy)
         bending, focal, offset_deg = DESIGNS[strategy]

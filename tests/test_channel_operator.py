@@ -37,7 +37,7 @@ from airylink.propagation import (
     sample_field_transpose,
 )
 
-from batch_of_one import beam_column, evaluate_candidate, score_designs
+from batch_of_one import evaluate_candidate, score_designs
 from wave_oracles import sample_field, two_stage
 
 
@@ -210,38 +210,35 @@ class TestBatchInvariance:
         ]
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
                                mixed_scenario.users[1])
-        fixed_h2 = beam_column(mixed_scenario, w2, scale)
-        h_phys = diffraction_channel(mixed_scenario)
+        h_phys = scale * diffraction_channel(mixed_scenario)
+        fixed_h2 = beam_responses(h_phys, w2[None])[:, 0]
         columns = ([p.bending for p in designs], [p.focal for p in designs],
                    [p.launch_angle for p in designs])
-        rates, h11 = score_designs(mixed_scenario, h_phys, columns, w2, fixed_h2, scale)
+        rates, h11 = score_designs(mixed_scenario, h_phys, columns, w2, fixed_h2)
         for i in range(_CHUNK):
             alone = evaluate_candidate(mixed_scenario, designs[i], scale)
             assert alone == (rates[i], h11[i])
 
 
     def test_many_rows_and_beams_match_each_entry_alone(self, mixed_scenario, rng):
-        """One product of 130 user rows and 130 beams (over 256 KiB of
-        responses, where numpy multiplies `scale * temporary` in place with
-        the operands swapped): every entry has the bits of its row and beam
-        taken alone. A batch with leading axes, one of them a size-1 axis
-        that broadcasts, and over 256 KiB of responses in all: every block
-        has the bits of its own 2-D call."""
+        """One product of 130 user rows and 130 beams: every entry has the
+        bits of its row and beam taken alone. A batch with leading axes, one
+        of them a size-1 axis that broadcasts, and over 256 KiB of responses
+        in all: every block has the bits of its own 2-D call."""
         h = diffraction_channel(mixed_scenario)
         rows = np.vstack([h, rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))])
         beams = rng.standard_normal((130, 64)) + 1j * rng.standard_normal((130, 64))
-        scale = 0.98 - 0.13j
-        product = beam_responses(rows, beams, scale)
-        alone = np.array([[beam_responses(rows[k:k + 1], beams[c:c + 1], scale)[0, 0]
+        product = beam_responses(rows, beams)
+        alone = np.array([[beam_responses(rows[k:k + 1], beams[c:c + 1])[0, 0]
                            for c in range(len(beams))] for k in range(len(rows))])
         assert product.tobytes() == alone.tobytes()
 
         row_blocks = rows[:128].reshape(4, 1, 32, 64)
         beam_blocks = beams[:129].reshape(3, 43, 64)
-        batch = beam_responses(row_blocks, beam_blocks, scale)
+        batch = beam_responses(row_blocks, beam_blocks)
         assert batch.shape == (4, 3, 32, 43) and batch.nbytes > 256 * 1024
         for i, j in np.ndindex(4, 3):
-            block = beam_responses(row_blocks[i, 0], beam_blocks[j], scale)
+            block = beam_responses(row_blocks[i, 0], beam_blocks[j])
             assert batch[i, j].tobytes() == block.tobytes()
 
 

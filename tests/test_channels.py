@@ -137,12 +137,6 @@ class TestBeamColumn:
         with pytest.raises(GridError, match="'runaway' .* lies in the absorbing border"):
             baseline_scenario.with_users((baseline_scenario.users[0], bad_user))
 
-    def test_linear_in_scale(self, baseline_scenario, rng):
-        w = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        base = beam_column(baseline_scenario, w)
-        scaled = beam_column(baseline_scenario, w, scale=2.0 - 0.5j)
-        assert np.allclose(scaled, (2.0 - 0.5j) * base, rtol=1e-12)
-
     def test_additive_in_weights(self, baseline_scenario, rng):
         w1 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         w2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -173,9 +167,17 @@ class TestEffectiveDiffraction:
 
 
 class TestCalibration:
-    def test_refuses_obstacle(self, shadow_scenario):
-        with pytest.raises(ModelMismatchError):
-            remark1_calibration(shadow_scenario)
+    @pytest.mark.parametrize("fixture", ["shadow_scenario", "mixed_scenario"])
+    def test_fits_on_the_obstacle_free_geometry(self, fixture, request):
+        """A blocked scenario is calibrated on its own geometry with the
+        obstacle removed: the constant and the residual have the bits of
+        the fit on the obstacle-free copy."""
+        scenario = request.getfixturevalue(fixture)
+        assert scenario.obstacle is not None
+        c, residual = remark1_calibration(scenario)
+        free_c, free_residual = remark1_calibration(scenario.without_obstacle())
+        assert np.array([c]).tobytes() == np.array([free_c]).tobytes()
+        assert np.array([residual]).tobytes() == np.array([free_residual]).tobytes()
 
     def test_fitted_constant_frozen(self, baseline_calibration):
         c, residual = baseline_calibration
@@ -205,7 +207,7 @@ class TestCalibration:
         c, _ = baseline_calibration
         w = build_codebook(baseline_scenario, "trad_all")
         h_g = effective_channel(greens_channel(baseline_scenario), w)
-        h_d = effective_channel(diffraction_channel(baseline_scenario), w, scale=c)
+        h_d = effective_channel(c * diffraction_channel(baseline_scenario), w)
         mag_err = np.abs(np.abs(h_d) - np.abs(h_g)) / np.abs(h_g)
         phase_err = np.abs(np.angle(h_d / h_g))
         assert mag_err.max() <= 0.02

@@ -170,7 +170,7 @@ class TestMixedOptimization:
     def test_calibration_carried_through(self, mixed_scenario, mixed_opt_result):
         from airylink import remark1_calibration
 
-        c, residual = remark1_calibration(mixed_scenario.without_obstacle())
+        c, residual = remark1_calibration(mixed_scenario)
         assert mixed_opt_result.calibration_scale == c
         assert mixed_opt_result.calibration_residual == residual
         assert abs(c) == pytest.approx(1.0, abs=0.05)
@@ -260,9 +260,9 @@ class TestRobustnessSweep:
 
     def test_zero_displacement_reproduces_nominal_metrics(self, mixed_scenario,
                                                           robustness_result):
-        scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
+        scale, _ = remark1_calibration(mixed_scenario)
         book = build_codebook(mixed_scenario, "airy_geo")
-        h_eff = effective_channel(diffraction_channel(mixed_scenario), book, scale=scale)
+        h_eff = effective_channel(scale * diffraction_channel(mixed_scenario), book)
         nominal = per_point_record(mixed_scenario, h_eff, book)
 
         i = list(robustness_result.values).index(0.0)
@@ -399,31 +399,31 @@ class TestOneMetricsPath:
         assert_same_records(sweep, expected)
 
     def test_shadow_matches_per_point_scoring(self, shadow_scenario, shadow_sweep, lam):
-        scale, _ = remark1_calibration(shadow_scenario.without_obstacle())
+        scale, _ = remark1_calibration(shadow_scenario)
         expected = []
         for x in shadow_sweep.values:
             s = moved_second_user(shadow_scenario, x * lam)
-            h_phys = diffraction_channel(s)
+            h_phys = scale * diffraction_channel(s)
             point = {}
             for name in ("trad_all", "airy_geo"):
                 book = build_codebook(s, name)
-                h_eff = effective_channel(h_phys, book, scale)
+                h_eff = effective_channel(h_phys, book)
                 point[name] = per_point_record(s, h_eff, book)
             expected.append(point)
         assert_same_records(shadow_sweep, expected)
 
     def test_robustness_matches_per_point_scoring(self, mixed_scenario,
                                                   robustness_result, lam):
-        scale, _ = remark1_calibration(mixed_scenario.without_obstacle())
+        scale, _ = remark1_calibration(mixed_scenario)
         books = {name: build_codebook(mixed_scenario, name)
                  for name in ("trad_all", "airy_geo", "airy_opt")}
         x2 = mixed_scenario.users[1].x
         expected = []
         for dx in robustness_result.values:
             s = moved_second_user(mixed_scenario, x2 + dx * lam)
-            h_phys = diffraction_channel(s)
+            h_phys = scale * diffraction_channel(s)
             expected.append({
-                name: per_point_record(s, effective_channel(h_phys, book, scale), book)
+                name: per_point_record(s, effective_channel(h_phys, book), book)
                 for name, book in books.items()
             })
         assert_same_records(robustness_result, expected)
@@ -433,7 +433,7 @@ class TestOneMetricsPath:
         scale = mixed_opt_result.calibration_scale
         best = mixed_opt_result.search.best_params
         theta_geo = geometric_angle(mixed_scenario.users[0])
-        h_phys = diffraction_channel(mixed_scenario)
+        h_phys = scale * diffraction_channel(mixed_scenario)
         w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
                                mixed_scenario.users[1])
         expected = []
@@ -442,7 +442,7 @@ class TestOneMetricsPath:
                                 theta_geo + math.radians(d))
             w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
             w_rf = np.column_stack([w1, w2])
-            h_eff = effective_channel(h_phys, w_rf, scale)
+            h_eff = effective_channel(h_phys, w_rf)
             expected.append({"airy_best_bf": per_point_record(mixed_scenario,
                                                               h_eff, w_rf)})
         assert_same_records(mixed_opt_result.dtheta_sweep, expected)

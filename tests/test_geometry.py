@@ -134,27 +134,27 @@ class TestKnifeEdgeObstacle:
 
 
 class TestClassifyUser:
-    def test_deep_shadow_user(self, lam, edge_obstacle, array64):
+    def test_deep_shadow_user(self, lam, edge_obstacle):
         u = UserPosition(-5 * lam, 250 * lam)
-        assert classify_user(u, edge_obstacle, array64) == "shadowed"
+        assert classify_user(u, edge_obstacle) == "shadowed"
 
-    def test_far_bright_user(self, lam, edge_obstacle, array64):
+    def test_far_bright_user(self, lam, edge_obstacle):
         u = UserPosition(10 * lam, 300 * lam)
-        assert classify_user(u, edge_obstacle, array64) == "bright"
+        assert classify_user(u, edge_obstacle) == "bright"
 
-    def test_hard_case_bright_user(self, lam, edge_obstacle, array64):
+    def test_hard_case_bright_user(self, lam, edge_obstacle):
         # Close to the shadow boundary but the center ray clears the edge.
         u = UserPosition(3.5 * lam, 300 * lam)
-        assert classify_user(u, edge_obstacle, array64) == "bright"
+        assert classify_user(u, edge_obstacle) == "bright"
 
-    def test_user_in_front_of_obstacle_is_bright(self, lam, edge_obstacle, array64):
+    def test_user_in_front_of_obstacle_is_bright(self, lam, edge_obstacle):
         u = UserPosition(-5 * lam, 100 * lam)
-        assert classify_user(u, edge_obstacle, array64) == "bright"
+        assert classify_user(u, edge_obstacle) == "bright"
 
-    def test_ray_through_edge_counts_as_shadowed(self, lam, edge_obstacle, array64):
+    def test_ray_through_edge_counts_as_shadowed(self, lam, edge_obstacle):
         # x = 0 exactly: the center ray grazes the (inclusive) edge.
         u = UserPosition(0.0, 200 * lam)
-        assert classify_user(u, edge_obstacle, array64) == "shadowed"
+        assert classify_user(u, edge_obstacle) == "shadowed"
 
 
 class TestGridSpec:

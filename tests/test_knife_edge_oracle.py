@@ -54,7 +54,7 @@ FOCUS_LOSS_TOL_DB = 0.5
 
 
 def calibrated_channel(scenario) -> np.ndarray:
-    scale, _ = remark1_calibration(scenario.without_obstacle())
+    scale, _ = remark1_calibration(scenario)
     return scale * diffraction_channel(scenario)
 
 

@@ -30,6 +30,7 @@ from airylink import (
 import airylink.beams as beams
 import airylink.optimizer as optimizer
 import airylink.precoding as precoding
+from airylink.channels import beam_responses
 from airylink.errors import AirylinkError, SingularChannelError
 from airylink.geometry import geometric_angle
 from airylink.optimizer import (
@@ -284,13 +285,12 @@ class TestScoreChunkH11Exact:
         bending, focal, dtheta = COARSE_AXES
         designs = [(b, f, theta_geo + dt) for b in bending
                    for f in focal for dt in dtheta][:_CHUNK]
-        h_phys = optimizer.diffraction_channel(mixed_scenario)
-        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, scale)
-        _, h11_power = score_designs(mixed_scenario, h_phys, tuple(zip(*designs)), w2, h2,
-                                     scale)
-        expected = [abs(beam_column(mixed_scenario, airy_weights(
-            mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d)),
-            scale)[0]) ** 2 for d in designs]
+        h_phys = scale * optimizer.diffraction_channel(mixed_scenario)
+        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys)
+        _, h11_power = score_designs(mixed_scenario, h_phys, tuple(zip(*designs)), w2, h2)
+        expected = [abs(beam_responses(h_phys, airy_weights(
+            mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d))[None])[0, 0]) ** 2
+            for d in designs]
         assert len(expected) == _CHUNK
         assert h11_power.tobytes() == np.array(expected).tobytes()
 
@@ -430,10 +430,10 @@ class TestNaNRate:
         first design as Python floats, not numpy reprs."""
         h_phys = optimizer.diffraction_channel(mixed_scenario).copy()
         h_phys[1] = np.nan
-        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys, 1.0)
+        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys)
         designs = (np.array([-30.0, -25.0]), np.array([1.5, 1.75]), np.array([0.125, 0.25]))
         with pytest.raises(AirylinkError) as info, np.errstate(invalid="ignore"):
-            score_designs(mixed_scenario, h_phys, designs, w2, h2, 1.0)
+            score_designs(mixed_scenario, h_phys, designs, w2, h2)
         assert str(info.value) == ("candidate (bending, focal, launch angle) = "
                                    "(-30.0, 1.5, 0.125) produced a NaN sum rate")
 
@@ -442,7 +442,7 @@ def stub_scorer(monkeypatch, rate_of, h11_of):
     """Replace the chunk scorer by one that scores each design (bending,
     focal, launch angle) with rate_of and h11_of."""
 
-    def scored(scenario, h_phys, designs, w1, w2, h2, scale):
+    def scored(scenario, h_phys, designs, w1, w2, h2):
         rows = list(zip(*designs))
         return (np.array([rate_of(*d) for d in rows], dtype=float),
                 np.array([h11_of(*d) for d in rows], dtype=float))
