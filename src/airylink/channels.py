@@ -30,8 +30,9 @@ factor versus a 1D Fresnel kernel), so remark1_calibration fits a single
 complex constant per scenario on its obstacle-free geometry. After
 calibration the models agree to better than 2% on the obstacle-free
 reference, which is what makes SINR values comparable across the two.
-Each consumer (the blocked sweeps, the search) multiplies the row matrix
-of diffraction_channel by it once, where it builds it.
+Each consumer (the blocked sweeps, the search) fits it on its scenario and
+multiplies the row matrix of diffraction_channel by it once, where it
+builds it; the mixed-optimization run reuses the search's rows.
 """
 
 from __future__ import annotations

@@ -125,42 +125,23 @@ def _cmd_shadow(args) -> int:
     return 0
 
 
-def _fine_edge_flags(search, theta_geo: float) -> dict:
-    """Per search axis, whether the winner sits on the edge of the fine
-    stage: its coordinate equals the minimum or maximum of that axis among
-    the fine-stage trace rows. A winner on the edge may have a better
-    neighbour outside the grid."""
-    trace = search.trace
-    fine = trace.stage == "fine"
-    best = search.best_params
-    axes = (
-        ("bending", best.bending, trace.bending[fine]),
-        ("focal", best.focal, trace.focal[fine]),
-        # The winner's launch angle is theta_geo + its trace offset, exactly.
-        ("dtheta", best.launch_angle, theta_geo + trace.dtheta[fine]),
-    )
-    return {
-        f"{name}_on_fine_edge": value in (axis.min(), axis.max())
-        for name, value, axis in axes
-    }
-
-
 def _cmd_mixed_opt(args) -> int:
     scenario = _load(args)
     kwargs = {"eta": args.eta}
     if args.step is not None:
         kwargs["dtheta_step_deg"] = args.step
     result = run_mixed_optimization(scenario, **kwargs)
+    search = result.search
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     trace_path = out / "search_trace.csv"
-    aio.write_trace_csv(trace_path, result.search)
+    aio.write_trace_csv(trace_path, search)
     sweep_paths = aio.write_sweep_csv(out, "dtheta_sweep", result.dtheta_sweep, scenario)
     cut_path = out / "field_cut.csv"
     aio.write_field_cut_csv(cut_path, result.field_cut)
 
-    best, trace = result.search.best_params, result.search.trace
+    best, trace = search.best_params, search.trace
     theta_geo = geometric_angle(scenario.users[0])
     # Candidates past the launch cutoff or past 1 are flagged, not rejected.
     sines = airy_local_sine(scenario.array, trace.bending, trace.focal, theta_geo + trace.dtheta)
@@ -174,20 +155,21 @@ def _cmd_mixed_opt(args) -> int:
             "best_bending": best.bending,
             "best_focal_m": best.focal,
             "best_dtheta_deg": math.degrees(best.launch_angle - theta_geo),
-            "best_rate": result.search.best_rate,
-            "baseline_gain": result.search.baseline_gain,
-            "threshold": result.search.threshold,
-            "evaluations": result.search.evaluations,
-            "rejected_by_constraint": result.search.rejected_by_constraint,
-            **_fine_edge_flags(result.search, theta_geo),
+            "best_rate": search.best_rate,
+            "baseline_gain": search.baseline_gain,
+            "threshold": search.threshold,
+            "evaluations": search.evaluations,
+            "rejected_by_constraint": search.rejected_by_constraint,
+            **{f"{axis}_on_fine_edge": flag
+               for axis, flag in zip(("bending", "focal", "dtheta"), search.on_fine_edge)},
             "local_sine_above_cutoff": int(np.count_nonzero(sines > LAUNCH_CUTOFF_SINE)),
             "local_sine_above_one": int(np.count_nonzero(sines > 1.0)),
             "best_local_sine": float(best_sine),
         },
         "calibration": {
-            "scale_re": result.calibration_scale.real,
-            "scale_im": result.calibration_scale.imag,
-            "residual": result.calibration_residual,
+            "scale_re": search.calibration_scale.real,
+            "scale_im": search.calibration_scale.imag,
+            "residual": search.calibration_residual,
         },
         "field_cut": {
             "cut_depth_m": result.field_cut.cut_depth,

@@ -46,7 +46,8 @@ beams are stacked, and one beam_responses product forms every point's
 effective channel, with the bits of effective_channel on that point
 alone. The mixed-optimization angle sweep stacks each point's curved beam
 with the bright-user beam that the search returns and takes the same
-product with the search's channel matrix, which the search calibrated.
+product with the search's channel matrix: the search fits the calibration
+constant and scales the rows, and the run fits none of its own.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ class MixedOptimizationResult:
     search: SearchOutcome
     dtheta_sweep: SweepResult
     field_cut: FieldCut
-    calibration_scale: complex
-    calibration_residual: float
 
 
 def _assert_point_invariants(scenario: ScenarioConfig, power: np.ndarray,
@@ -275,9 +274,7 @@ def run_mixed_optimization(
     lo = math.degrees(COARSE_AXES[2][0])
     hi = math.degrees(COARSE_AXES[2][-1])
     last = len(_sweep_values(lo, hi, dtheta_step_deg)) - 1
-
-    scale, residual = remark1_calibration(scenario)
-    outcome = coarse_to_fine_search(scenario, eta=eta, scale=scale)
+    outcome = coarse_to_fine_search(scenario, eta=eta)
 
     theta_geo = geometric_angle(scenario.users[0])
     best = outcome.best_params
@@ -300,13 +297,7 @@ def run_mixed_optimization(
         tuned=outcome.best_params,
         cut_depth=scenario.users[1].z,
     )
-    return MixedOptimizationResult(
-        search=outcome,
-        dtheta_sweep=sweep,
-        field_cut=cut,
-        calibration_scale=scale,
-        calibration_residual=residual,
-    )
+    return MixedOptimizationResult(search=outcome, dtheta_sweep=sweep, field_cut=cut)
 
 
 def _field_cut(

@@ -31,8 +31,8 @@ candidate: a coarse launch angle theta_geo + dtheta outside
 eta and the users' roles are checked before stage 0.
 
 The diffraction channel is linear in the beam weights, so the search builds
-the K x N physical matrix once, times the calibration constant `scale`,
-and scores candidates in fixed-size chunks.
+the K x N physical matrix once, times the constant that it fits with
+channels.remark1_calibration, and scores candidates in fixed-size chunks.
 Each stage first builds the cubic beam's two phasor tables from its three
 axes (beams.airy_axis_rows: a lens-and-steer phasor per focal value and
 launch angle, a bending phasor per bending and focal value, so math.sin
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beams import DESIGNS, AiryParams, airy_axis_rows, traditional_focus
-from .channels import beam_responses, diffraction_channel
+from .channels import beam_responses, diffraction_channel, remark1_calibration
 from .errors import AirylinkError, ConfigError
 from .geometry import ScenarioConfig, classify_user, geometric_angle
 from .precoding import batch_sum_rates
@@ -144,6 +144,14 @@ class SearchOutcome:
     evaluations: int
     rejected_by_constraint: int
     trace: SearchTrace
+    # The remark1_calibration constant the rows were scaled by, and its fit
+    # residual.
+    calibration_scale: complex
+    calibration_residual: float
+    # Per axis (bending, focal, dtheta): the winner equals the first or last
+    # value of that fine axis, so a better neighbour may lie outside the
+    # grid. A kept coarse winner is the centre of every fine axis.
+    on_fine_edge: tuple
     # The calibrated K x N channel the candidates were scored on and the
     # bright user's beam they were paired with, for callers that evaluate
     # more beams on the same scenario.
@@ -254,17 +262,10 @@ def _scan(axes: tuple, score, threshold: float, stage: str) -> tuple:
     return trace, (float(rates[c]), tuple(a[i[c]] for a, i in zip(axes, index)))
 
 
-def coarse_to_fine_search(
-    scenario: ScenarioConfig,
-    eta: float = 0.4,
-    scale: complex = 1.0 + 0.0j,
-) -> SearchOutcome:
-    """Run the two-stage constrained search for the shadowed user's beam.
-
-    `scale` is the cross-model calibration constant (see
-    channels.remark1_calibration); it multiplies the diffraction rows once,
-    so absolute SINRs line up with the closed-form model.
-    """
+def coarse_to_fine_search(scenario: ScenarioConfig, eta: float = 0.4) -> SearchOutcome:
+    """Run the two-stage constrained search for the shadowed user's beam
+    on the diffraction rows times the scenario's remark1_calibration
+    constant, so absolute SINRs line up with the closed-form model."""
     if not 0.0 < eta < 1.0:
         raise ConfigError(f"eta must lie in (0, 1), got {eta}")
     check_roles(scenario, "the search")
@@ -272,6 +273,7 @@ def coarse_to_fine_search(
 
     # The calibrated channel matrix and the bright user's column never
     # change; build them once.
+    scale, residual = remark1_calibration(scenario)
     h_phys = scale * diffraction_channel(scenario)
     w2, h2 = _bright_beam(scenario, h_phys)
 
@@ -304,7 +306,8 @@ def coarse_to_fine_search(
     if fine_best[0] > best[0]:
         best = fine_best
 
-    rate, (b, f, dt) = best
+    rate, point = best
+    b, f, dt = point
     return SearchOutcome(
         best_params=AiryParams(bending=b, focal=f, launch_angle=theta_geo + dt),
         best_rate=rate,
@@ -313,6 +316,9 @@ def coarse_to_fine_search(
         evaluations=len(trace),
         rejected_by_constraint=int(np.count_nonzero(~trace.feasible)),
         trace=trace,
+        calibration_scale=scale,
+        calibration_residual=residual,
+        on_fine_edge=tuple(v in (axis[0], axis[-1]) for v, axis in zip(point, fine_axes)),
         h_phys=h_phys,
         w2=w2,
     )

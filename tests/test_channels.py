@@ -229,6 +229,7 @@ class TestKnifeEdgeSuppression:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="measured +1.8 dB on this geometry, not >10 dB; the shadowed "
                "user sits in penumbra (knife-edge nu from -0.58 to 1.67 "
                "across the aperture) where the traditional focus retains "

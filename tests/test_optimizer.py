@@ -23,8 +23,10 @@ from airylink import (
     airy_weights,
     SearchOutcome,
     coarse_to_fine_search,
+    diffraction_channel,
     geometric_baseline_params,
     load_scenario,
+    remark1_calibration,
     traditional_focus,
 )
 import airylink.beams as beams
@@ -176,6 +178,29 @@ class TestCoarseToFineSearch:
         assert a == b
         assert a == c
 
+    def test_scores_the_calibrated_rows(self, mixed_scenario):
+        """The search fits the scenario's calibration itself and scores the
+        diffraction rows times that constant, bit for bit."""
+        outcome = coarse_to_fine_search(mixed_scenario)
+        scale, residual = remark1_calibration(mixed_scenario)
+        assert (outcome.calibration_scale, outcome.calibration_residual) == (scale, residual)
+        expected = scale * diffraction_channel(mixed_scenario)
+        assert outcome.h_phys.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, flags", [("mixed", (True, False, False)),
+                                             ("deep_shadow", (True, False, True))])
+    def test_fine_edge_flags_follow_the_trace(self, name, flags):
+        """on_fine_edge equals the trace rule: per axis, the winner's
+        coordinate is the minimum or maximum of the fine-stage rows. The
+        mixed.cfg winner (-5, 2.05 m, +1.3 deg) sits on the bending edge;
+        the deep_shadow.cfg winner (-5, 1.80 m, +5.5 deg) on the bending and
+        angle edges."""
+        scenario = load_scenario(CONFIGS / f"{name}.cfg")
+        outcome = coarse_to_fine_search(scenario)
+        assert outcome.on_fine_edge == flags
+        assert outcome.on_fine_edge == trace_edge_flags(outcome,
+                                                        geometric_angle(scenario.users[0]))
+
     @pytest.mark.parametrize("eta", [0.0, 1.0, -0.5, 2.0])
     def test_eta_bounds(self, mixed_scenario, eta):
         with pytest.raises(ConfigError, match="eta"):
@@ -184,6 +209,22 @@ class TestCoarseToFineSearch:
     def test_requires_obstacle(self, baseline_scenario):
         with pytest.raises(ConfigError, match="obstructed"):
             coarse_to_fine_search(baseline_scenario)
+
+
+def trace_edge_flags(search, theta_geo: float) -> tuple:
+    """Per search axis (bending, focal, dtheta), whether the winner's
+    coordinate equals the minimum or maximum of that axis among the
+    fine-stage trace rows."""
+    trace = search.trace
+    fine = trace.stage == "fine"
+    best = search.best_params
+    axes = (
+        (best.bending, trace.bending[fine]),
+        (best.focal, trace.focal[fine]),
+        # The winner's launch angle is theta_geo + its trace offset, exactly.
+        (best.launch_angle, theta_geo + trace.dtheta[fine]),
+    )
+    return tuple(value in (axis.min(), axis.max()) for value, axis in axes)
 
 
 def counted_rows(monkeypatch) -> list:
@@ -378,8 +419,9 @@ class TestStageTables:
         tables: 7 * 21 * 64 + 11 * 7 * 64 complex exponentials for the
         coarse stage, 2 * 11 * 11 * 64 for the fine one and 2 * 64 for the
         geometric design, at most 30,000; one exponential per weight took
-        2948 * 64 + 64 = 188,736. The only other complex exponential in
-        beams is the bright user's focusing beam."""
+        2948 * 64 + 64 = 188,736. The only other complex exponentials in
+        beams are the focusing beams: the bright user's, and the
+        calibration's 'trad_all' pair."""
         counts = collections.Counter()
 
         class CountingNumpy:
@@ -396,7 +438,7 @@ class TestStageTables:
         outcome = coarse_to_fine_search(load_scenario(CONFIGS / "mixed.cfg"))
         assert outcome.evaluations == 2948
         assert counts == {"airy_axis_rows": (7 * 21 + 11 * 7 + 2 * 11**2 + 2) * 64,
-                          "traditional_focus_rows": 64}
+                          "traditional_focus_rows": 3 * 64}
         assert counts["airy_axis_rows"] <= 30_000
 
     def test_chunk_rows_match_airy_weights(self, mixed_scenario, monkeypatch):
