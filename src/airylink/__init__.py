@@ -8,7 +8,7 @@ parameter search) is built on one FFT propagation core with an independent
 quadrature oracle behind it.
 """
 
-from .beams import AiryParams, airy_weights, build_codebook, traditional_focus
+from .beams import AiryParams, airy_weights, build_codebook
 from .channels import (
     diffraction_channel,
     effective_channel,
@@ -44,12 +44,7 @@ from .geometry import (
     fraunhofer_distance,
     geometric_angle,
 )
-from .optimizer import (
-    SearchOutcome,
-    SearchTrace,
-    coarse_to_fine_search,
-    geometric_baseline_params,
-)
+from .optimizer import SearchOutcome, SearchTrace, coarse_to_fine_search
 from .propagation import (
     ComplexField,
     IntensityMap,

@@ -13,8 +13,10 @@ All element positions are evaluated in meters; the cubic coefficient
 `bending` is dimensionless and `focal` is a length. Every beam is a plain
 complex array. airy_axis_rows and traditional_focus_rows build many beams
 of one family at once (a search stage, the angle sweep, a codebook's
-users); airy_weights and traditional_focus are their one-row views, and
+users); airy_weights is the cubic family's one-row view, and
 build_codebook stacks one beam per user as the N x K analog matrix W_RF.
+Its 'airy_geo' codebook is also what the beam search compares against:
+the geometric design that sets its gain floor and the bright user's beam.
 A codebook strategy is 'trad_all', which focuses on every user, or one of
 the curved strategies of DESIGNS, which gives each shadowed user
 (geometry.classify_user) the strategy's cubic design at that user's
@@ -41,7 +43,6 @@ from .geometry import (
     ArrayGeometry,
     Carrier,
     ScenarioConfig,
-    UserPosition,
     classify_user,
     geometric_angle,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "AiryParams",
     "check_airy_columns",
     "check_unit_norm",
-    "traditional_focus",
     "traditional_focus_rows",
     "airy_weights",
     "airy_axis_rows",
@@ -107,25 +107,14 @@ class AiryParams:
         check_airy_columns((self.focal,), (self.launch_angle,))
 
 
-def traditional_focus(
-    array: ArrayGeometry, carrier: Carrier, target: UserPosition
-) -> np.ndarray:
-    """Near-field focusing weights: w_n = (1/sqrt(N)) e^{+j k0 r_n}, N complex
-    weights at unit norm.
+def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.ndarray:
+    """Near-field focusing weights for many targets at once: row c (of a
+    C x N array) focuses on (x[c], z[c]) with w_n = (1/sqrt(N)) e^{+j k0 r_n}.
 
     The +j sign conjugates the e^{-j k0 r} propagation phase, so all element
-    contributions arrive at the target in phase.
-    """
-    w = traditional_focus_rows(array, carrier, (target.x,), (target.z,))[0]
-    check_unit_norm(w)
-    return w
-
-
-def traditional_focus_rows(array: ArrayGeometry, carrier: Carrier, x, z) -> np.ndarray:
-    """Focusing weights for many targets at once: row c (of a C x N array)
-    focuses on (x[c], z[c]), as documented in traditional_focus. Every row
-    goes through the same elementwise operations whatever the batch, so it
-    matches traditional_focus bit for bit."""
+    contributions arrive at the target in phase. Every row goes through the
+    same elementwise operations whatever the batch, so a target gets the
+    same bits alone or among others."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     for depth in z.tolist():
@@ -230,7 +219,7 @@ def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
         traditional focusing beam.
 
     Each family's beams come from one batched call, whose rows have the
-    bits of the one-row traditional_focus and airy_weights.
+    bits of a one-target traditional_focus_rows call and of airy_weights.
     """
     if strategy != "trad_all" and strategy not in DESIGNS:
         raise ConfigError(f"unknown codebook strategy {strategy!r}")

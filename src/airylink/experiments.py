@@ -14,7 +14,9 @@ Each runner turns one scenario family into a tabular sweep:
                      coarse angle-offset range, widened to span the
                      winner's offset, at the winner's (bending, focal),
                      and a transverse field cut comparing the winning
-                     beam to the geometric one.
+                     beam to the geometric one. The geometric beam and
+                     the bright user's beam are the columns of the
+                     search's 'airy_geo' codebook, built once per run.
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
@@ -45,9 +47,11 @@ user's repeated for every point). Each point's 2 rows and each strategy's 2
 beams are stacked, and one beam_responses product forms every point's
 effective channel, with the bits of effective_channel on that point
 alone. The mixed-optimization angle sweep stacks each point's curved beam
-with the bright-user beam that the search returns and takes the same
-product with the search's channel matrix: the search fits the calibration
-constant and scales the rows, and the run fits none of its own.
+with the bright user's column of the codebook that the search returns and
+takes the same product with the search's channel matrix: the search fits
+the calibration constant and scales the rows, and the run fits none of its
+own. Its field cut takes the codebook's column 0, the geometric design, as
+the reference, so the run builds no beam the search already built.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import AiryParams, airy_axis_rows, airy_weights, build_codebook
+from .beams import airy_axis_rows, airy_weights, build_codebook
 from .channels import (
     beam_responses,
     diffraction_channel,
@@ -71,7 +75,6 @@ from .optimizer import (
     SearchOutcome,
     check_roles,
     coarse_to_fine_search,
-    geometric_baseline_params,
 )
 from .precoding import achieved_power, batch_metrics
 from .propagation import Cascade, IntensityMap, grid_x, intensity_map, launch_aperture
@@ -284,17 +287,17 @@ def run_mixed_optimization(
     angles = [theta_geo + math.radians(d) for d in dthetas]
     rows = airy_axis_rows(scenario.array, scenario.carrier, (best.bending,), (best.focal,),
                           angles)(0, 0, np.arange(len(angles)))
-    # Point p's beams: its curved beam (row p) and the search's bright-user
-    # beam w2.
-    beams = np.stack([rows, np.broadcast_to(outcome.w2, rows.shape)], axis=1)
+    # Point p's beams: its curved beam (row p) and the bright user's beam,
+    # column 1 of the search's codebook.
+    beams = np.stack([rows, np.broadcast_to(outcome.codebook[:, 1], rows.shape)], axis=1)
     h_eff = beam_responses(outcome.h_phys, beams)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas,
                           h_eff, beams.swapaxes(1, 2))
 
     cut = _field_cut(
         scenario,
-        reference=geometric_baseline_params(scenario),
-        tuned=outcome.best_params,
+        reference=outcome.codebook[:, 0],
+        tuned=airy_weights(scenario.array, scenario.carrier, best),
         cut_depth=scenario.users[1].z,
     )
     return MixedOptimizationResult(search=outcome, dtheta_sweep=sweep, field_cut=cut)
@@ -302,17 +305,17 @@ def run_mixed_optimization(
 
 def _field_cut(
     scenario: ScenarioConfig,
-    reference: AiryParams,
-    tuned: AiryParams,
+    reference: np.ndarray,
+    tuned: np.ndarray,
     cut_depth: float,
 ) -> FieldCut:
-    """Propagate two candidate beams for the shadowed user to `cut_depth`
-    and compare their intensity profiles on a shared dB scale."""
+    """Propagate two candidate beams (weight vectors) for the shadowed user
+    to `cut_depth` and compare their intensity profiles on a shared dB
+    scale."""
     lam = scenario.carrier.wavelength
     cascade = Cascade(scenario.grid, lam, scenario.obstacle)
     profiles = []
-    for params in (reference, tuned):
-        w = airy_weights(scenario.array, scenario.carrier, params)
+    for w in (reference, tuned):
         launch = launch_aperture(w, scenario.array, scenario.grid, lam)
         (out,) = cascade.fields(launch, [cut_depth])
         profiles.append(np.abs(out.samples) ** 2)

@@ -6,9 +6,11 @@ check_roles refuses any other scenario, by geometry.classify_user.
 The search tunes the cubic beam's (bending, focal, angle-offset) triple to
 maximize the post-precoding sum rate, subject to a floor on the shadowed
 user's own channel gain: |h11|^2 >= eta * |h11_geo|^2, where h11_geo is
-the gain of the purely geometric design (the 'airy_geo' design of
-beams.DESIGNS). The constraint stops the search from trading UE-1's link
-entirely away for orthogonality.
+the gain of the purely geometric design. The constraint stops the search
+from trading UE-1's link entirely away for orthogonality. Both fixed beams
+come from one codebook, build_codebook(scenario, 'airy_geo'): its column 0
+is the geometric design that sets the floor, and its column 1 the bright
+user's focused beam that every candidate is paired with.
 
 The search box is one constant: COARSE_AXES holds the coarse bending,
 focal and angle-offset axes (11 x 7 x 21 = 1617 candidates), and the fine
@@ -21,14 +23,14 @@ Stage 2 scans the fine grid, whose centre is the stage-1 incumbent.
 Identical inputs always produce the identical outcome and trace.
 
 Neither stage can come up empty. The geometric design is a coarse grid
-point, scored with the bits stage 0 gives it, so it reaches eta times its
-own gain for any eta in (0, 1); the incumbent is a fine grid point. The
-focal axes stay positive (the lowest fine focal length is 0.75 m), but
-the launch angles depend on the user. Each stage's axes are checked where
-its phasor tables are built (beams.airy_axis_rows), before it scores any
-candidate: a coarse launch angle theta_geo + dtheta outside
-|theta| < pi/2 is refused after stage 0, and a fine one before stage 2.
-eta and the users' roles are checked before stage 0.
+point, scored with the bits the codebook's column 0 gets, so it reaches
+eta times its own gain for any eta in (0, 1); the incumbent is a fine grid
+point. The focal axes stay positive (the lowest fine focal length is
+0.75 m), but the launch angles depend on the user. Each stage's axes are
+checked where its phasor tables are built (beams.airy_axis_rows), before
+it scores any candidate: a coarse launch angle theta_geo + dtheta outside
+|theta| < pi/2 is refused before stage 1, and a fine one before stage 2.
+eta and the users' roles are checked before the codebook is built.
 
 The diffraction channel is linear in the beam weights, so the search builds
 the K x N physical matrix once, times the constant that it fits with
@@ -39,9 +41,9 @@ launch angle, a bending phasor per bending and focal value, so math.sin
 runs once per angle and stage, and the coarse stage takes
 (7 * 21 + 11 * 7) * 64 complex exponentials instead of one per weight);
 a chunk gathers each weight as the product of its two phasors, with the
-bits airy_weights gives each design. Stage 0, the geometric design that
-sets the gain floor, is scored the same way on one-point axes. One product
-with the matrix gives the shadowed user's effective columns, and
+bits airy_weights gives each design. One beam_responses product of the
+matrix with the codebook gives the gain floor |h11_geo|^2 and the bright
+user's column; one product per chunk gives the candidates' columns, and
 precoding.batch_sum_rates yields the sum rates alone from the candidates'
 beams, the shared bright-user beam and the closed-form two-user RZF that
 batch_metrics, which scores every sweep, shares: no inverse, batched
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import DESIGNS, AiryParams, airy_axis_rows, traditional_focus
+from .beams import AiryParams, airy_axis_rows, build_codebook
 from .channels import beam_responses, diffraction_channel, remark1_calibration
 from .errors import AirylinkError, ConfigError
 from .geometry import ScenarioConfig, classify_user, geometric_angle
@@ -72,13 +74,9 @@ __all__ = [
     "FINE_SPAN",
     "SearchTrace",
     "SearchOutcome",
-    "geometric_baseline_params",
     "check_roles",
     "coarse_to_fine_search",
 ]
-
-# Geometric comparator design for the shadowed user: the 'airy_geo' codebook's.
-GEO_BENDING, GEO_FOCAL, GEO_OFFSET_DEG = DESIGNS["airy_geo"]
 
 # Candidates scored per batch. Larger chunks buy little speed and raise
 # peak memory: scoring all 1617 coarse candidates as one batch lifts the
@@ -153,21 +151,12 @@ class SearchOutcome:
     # grid. A kept coarse winner is the centre of every fine axis.
     on_fine_edge: tuple
     # The calibrated K x N channel the candidates were scored on and the
-    # bright user's beam they were paired with, for callers that evaluate
-    # more beams on the same scenario.
+    # N x 2 'airy_geo' codebook they were compared with: column 0 the
+    # geometric design that set the floor, column 1 the bright user's beam
+    # each candidate was paired with. For callers that evaluate more beams
+    # on the same scenario.
     h_phys: np.ndarray = field(compare=False, repr=False)
-    w2: np.ndarray = field(compare=False, repr=False)
-
-
-def geometric_baseline_params(scenario: ScenarioConfig) -> AiryParams:
-    """The no-search comparator: the 'airy_geo' design aimed at the
-    shadowed user's geometric angle, the beam build_codebook gives user 0
-    under that strategy."""
-    return AiryParams(
-        bending=GEO_BENDING,
-        focal=GEO_FOCAL,
-        launch_angle=geometric_angle(scenario.users[0]) + math.radians(GEO_OFFSET_DEG),
-    )
+    codebook: np.ndarray = field(compare=False, repr=False)
 
 
 def check_roles(scenario: ScenarioConfig, what: str) -> None:
@@ -194,8 +183,8 @@ def _score_beams(
     h2: np.ndarray,
 ) -> tuple:
     """Score cubic-beam designs for the shadowed user against the fixed
-    bright-user beam (w2, with effective column h2, formed once per
-    search). `designs` holds the designs' (bending, focal, launch angle)
+    bright-user beam (w2, with effective column h2, both from the search's
+    codebook). `designs` holds the designs' (bending, focal, launch angle)
     columns, which only the NaN-rate error reads, and w1 their C x N
     weights. One beam_responses product gives every candidate's column
     (K x C, transposed to one row per candidate), each paired with h2.
@@ -219,13 +208,6 @@ def _score_beams(
     # differently.
     h11_power = np.array([abs(h) ** 2 for h in h1[:, 0]])
     return rates, h11_power
-
-
-def _bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray) -> tuple:
-    """The bright user's traditional beam w2 and its effective column
-    H_phys @ w2."""
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    return w2, beam_responses(h_phys, w2[None, :])[:, 0]
 
 
 def _fine_axis(coarse: tuple, center: float) -> list:
@@ -271,11 +253,15 @@ def coarse_to_fine_search(scenario: ScenarioConfig, eta: float = 0.4) -> SearchO
     check_roles(scenario, "the search")
     theta_geo = geometric_angle(scenario.users[0])
 
-    # The calibrated channel matrix and the bright user's column never
-    # change; build them once.
+    # The calibrated channel matrix and the codebook never change; one
+    # product gives the gain floor and the bright user's column.
     scale, residual = remark1_calibration(scenario)
     h_phys = scale * diffraction_channel(scenario)
-    w2, h2 = _bright_beam(scenario, h_phys)
+    codebook = build_codebook(scenario, "airy_geo")
+    h = beam_responses(h_phys, codebook.T)
+    h11_geo = float(abs(h[0, 0]) ** 2)
+    tau = eta * h11_geo
+    w2, h2 = codebook[:, 1], h[:, 1]
 
     def stage_scorer(axes):
         """The chunk scorer of one stage: it gathers every chunk's weights
@@ -289,14 +275,6 @@ def coarse_to_fine_search(scenario: ScenarioConfig, eta: float = 0.4) -> SearchO
             return _score_beams(scenario, h_phys, designs, rows(i, j, k), w2, h2)
 
         return score
-
-    # Stage 0: constraint threshold from the geometric design's own gain,
-    # on the one-point axes of geometric_baseline_params.
-    one = np.zeros(1, dtype=int)
-    geo_axes = ((GEO_BENDING,), (GEO_FOCAL,), (math.radians(GEO_OFFSET_DEG),))
-    _, h11_geo = stage_scorer(geo_axes)(one, one, one)
-    h11_geo = float(h11_geo[0])
-    tau = eta * h11_geo
 
     trace, best = _scan(COARSE_AXES, stage_scorer(COARSE_AXES), tau, "coarse")
     fine_axes = tuple(_fine_axis(axis, center) for axis, center in zip(COARSE_AXES, best[1]))
@@ -320,6 +298,6 @@ def coarse_to_fine_search(scenario: ScenarioConfig, eta: float = 0.4) -> SearchO
         calibration_residual=residual,
         on_fine_edge=tuple(v in (axis[0], axis[-1]) for v, axis in zip(point, fine_axes)),
         h_phys=h_phys,
-        w2=w2,
+        codebook=codebook,
     )
 

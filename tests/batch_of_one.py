@@ -9,6 +9,10 @@ a batch of one, which is the single-item value a test compares against:
 
 * beam_column: the per-user response of one analog beam,
   beam_responses(diffraction_channel(s), w[None])[:, 0];
+* focus_row: the focusing beam toward one target, traditional_focus_rows
+  on a batch of one;
+* bright_beam: the bright user's focusing beam and its effective column,
+  beam_responses on one beam;
 * evaluate_candidate: (sum rate, |h11|^2) of one design for the shadowed
   user against the bright user's traditional beam, score_designs (the
   search's _score_beams on each design's one-row cubic weights) on a
@@ -35,7 +39,7 @@ interleaved:
 * design_params, beam_of_one, codebook_of_one: a curved strategy's cubic
   design aimed at one user (its geometric angle plus the design's offset),
   one user's column of a build_codebook strategy from the one-beam
-  traditional_focus or airy_weights (the cubic design for a shadowed user
+  focus_row or airy_weights (the cubic design for a shadowed user
   under a curved strategy, the focus otherwise), and the column stack of
   every user's;
 * baseline_points, shadow_points, robustness_points: one point at a time,
@@ -53,11 +57,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
-                      diffraction_channel, geometric_angle, remark1_calibration,
-                      traditional_focus)
-from airylink.beams import DESIGNS, AiryParams, airy_axis_rows
+                      diffraction_channel, geometric_angle, remark1_calibration)
+from airylink.beams import DESIGNS, AiryParams, airy_axis_rows, traditional_focus_rows
 from airylink.channels import beam_responses, effective_channel
-from airylink.optimizer import _bright_beam, _score_beams
+from airylink.optimizer import _score_beams
 from airylink.precoding import achieved_power, batch_metrics
 
 
@@ -66,6 +69,19 @@ def beam_column(scenario: ScenarioConfig, weights) -> np.ndarray:
     H_phys @ weights with H_phys = diffraction_channel(scenario)."""
     w = np.asarray(weights, dtype=complex)
     return beam_responses(diffraction_channel(scenario), w[None])[:, 0]
+
+
+def focus_row(array, carrier, target: UserPosition) -> np.ndarray:
+    """The N focusing weights toward one target: the one row of
+    traditional_focus_rows on that target alone."""
+    return traditional_focus_rows(array, carrier, (target.x,), (target.z,))[0]
+
+
+def bright_beam(scenario: ScenarioConfig, h_phys: np.ndarray) -> tuple:
+    """The bright user's (user 1's) focusing beam w2 and its effective
+    column H_phys @ w2, formed alone."""
+    w2 = focus_row(scenario.array, scenario.carrier, scenario.users[1])
+    return w2, beam_responses(h_phys, w2[None])[:, 0]
 
 
 def score_designs(scenario: ScenarioConfig, h_phys: np.ndarray, designs, w2: np.ndarray,
@@ -88,7 +104,7 @@ def evaluate_candidate(scenario: ScenarioConfig, params: AiryParams,
     paired with the bright user's traditional beam: the search's chunk
     scorer on a chunk of one, on the rows scale * diffraction_channel."""
     h_phys = scale * diffraction_channel(scenario)
-    w2, h2 = _bright_beam(scenario, h_phys)
+    w2, h2 = bright_beam(scenario, h_phys)
     designs = (params.bending,), (params.focal,), (params.launch_angle,)
     rates, h11_power = score_designs(scenario, h_phys, designs, w2, h2)
     return float(rates[0]), float(h11_power[0])
@@ -161,7 +177,7 @@ def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition) -> 
     if (strategy in DESIGNS and scenario.obstacle is not None
             and classify_user(user, scenario.obstacle) == "shadowed"):
         return airy_weights(scenario.array, scenario.carrier, design_params(strategy, user))
-    return traditional_focus(scenario.array, scenario.carrier, user)
+    return focus_row(scenario.array, scenario.carrier, user)
 
 
 def codebook_of_one(scenario: ScenarioConfig, strategy: str) -> np.ndarray:

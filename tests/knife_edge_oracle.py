@@ -40,10 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from airylink import ScenarioConfig, traditional_focus
-from airylink.beams import airy_axis_rows
+from airylink import ScenarioConfig
+from airylink.beams import DESIGNS, airy_axis_rows
 from airylink.geometry import BlockedSide, geometric_angle
-from airylink.optimizer import COARSE_AXES, FINE_REFINE, FINE_SPAN, geometric_baseline_params
+from airylink.optimizer import COARSE_AXES, FINE_REFINE, FINE_SPAN
+
+from batch_of_one import focus_row
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(128)
 _MAX_NU = 10.0
@@ -143,9 +145,10 @@ def oracle_search(scenario: ScenarioConfig, h_phys: np.ndarray, eta: float) -> E
     order, then rescan +/- FINE_SPAN coarse steps around it at the fine
     step and keep the better of the two."""
     theta_geo = geometric_angle(scenario.users[0])
-    w2 = traditional_focus(scenario.array, scenario.carrier, scenario.users[1])
-    geo = geometric_baseline_params(scenario)
-    _, h11_geo = _sum_rates(scenario, h_phys, ([geo.bending], [geo.focal], [geo.launch_angle]), w2)
+    w2 = focus_row(scenario.array, scenario.carrier, scenario.users[1])
+    bending, focal, offset_deg = DESIGNS["airy_geo"]
+    geo = ([bending], [focal], [theta_geo + math.radians(offset_deg)])
+    _, h11_geo = _sum_rates(scenario, h_phys, geo, w2)
     floor = eta * h11_geo[0]
 
     def best_of(cands):

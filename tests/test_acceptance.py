@@ -50,13 +50,11 @@ from airylink import (
     geometric_angle,
     propagate_angular_spectrum,
     run_baseline_scan,
-    traditional_focus,
 )
 from airylink.cli import main
-from airylink.optimizer import geometric_baseline_params
 from airylink.propagation import grid_fx, grid_x
 
-from batch_of_one import rzf_of_one
+from batch_of_one import design_params, focus_row, rzf_of_one
 from knife_edge_oracle import fine_steps, oracle_channel, oracle_search
 from test_cli import BASELINE, MIXED, SHADOW
 from wave_oracles import propagate_direct_fresnel
@@ -229,7 +227,7 @@ class TestFigureLevel:
         ue2 = UserPosition(-11.0 * lam, shadow_scenario.users[1].z, "ue2")
         ceiling = phase_only_ceiling_db(
             shadow_scenario, ue2,
-            traditional_focus(shadow_scenario.array, shadow_scenario.carrier, ue2))
+            focus_row(shadow_scenario.array, shadow_scenario.carrier, ue2))
         report(9, "shadow-scan resilience", [
             (float(airy.min()) > 0.0,
              f"min curved-beam SINR {airy.min():+.2f} dB (want > 0 dB)"),
@@ -294,7 +292,7 @@ class TestFigureLevel:
         # The cut reads the shadowed user's x at the cut depth.
         at_cut = UserPosition(mixed_scenario.users[0].x, cut.cut_depth, "cut")
         geometric = airy_weights(mixed_scenario.array, mixed_scenario.carrier,
-                                 geometric_baseline_params(mixed_scenario))
+                                 design_params("airy_geo", mixed_scenario.users[0]))
         ceiling = phase_only_ceiling_db(mixed_scenario, at_cut, geometric)
         report(12, "field-cut rebalancing", [
             (15.0 <= cut.gain_at_shadowed_db <= 27.0,

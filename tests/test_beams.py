@@ -21,7 +21,6 @@ from airylink import (
     launch_aperture,
     load_scenario,
     propagate_angular_spectrum,
-    traditional_focus,
 )
 from airylink.beams import (
     DESIGNS,
@@ -34,7 +33,7 @@ from airylink.geometry import geometric_angle
 from airylink.optimizer import COARSE_AXES
 from airylink.propagation import grid_x
 
-from batch_of_one import codebook_of_one, focus_of_one, jittered
+from batch_of_one import codebook_of_one, focus_of_one, focus_row, jittered
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -209,13 +208,13 @@ class TestCheckUnitNorm:
 
 class TestTraditionalFocus:
     def test_unit_norm(self, array64, carrier):
-        w = traditional_focus(array64, carrier, UserPosition(-0.05, 2.5))
+        w = focus_row(array64, carrier, UserPosition(-0.05, 2.5))
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.abs(w), 1 / math.sqrt(64))
 
     def test_phases_equal_plus_k0_r(self, array64, carrier, lam):
         target = UserPosition(-5 * lam, 250 * lam)
-        w = traditional_focus(array64, carrier, target)
+        w = focus_row(array64, carrier, target)
         xs = np.asarray(array64.element_x())
         r = np.hypot(xs - target.x, target.z)
         expected = np.exp(1j * carrier.wavenumber * r) / math.sqrt(64)
@@ -228,8 +227,7 @@ class TestTraditionalFocus:
         the amplitude taper (Green's rows are not flat in amplitude, the
         focus weights are -- compare phases only)."""
         h = greens_channel(baseline_scenario)
-        w = traditional_focus(baseline_scenario.array, carrier,
-                              baseline_scenario.users[0])
+        w = focus_row(baseline_scenario.array, carrier, baseline_scenario.users[0])
         row_phase = np.angle(np.conj(h[0]))
         assert np.max(np.abs(np.angle(w * np.exp(-1j * row_phase))))\
             < 1e-12
@@ -238,7 +236,7 @@ class TestTraditionalFocus:
                                                          baseline_scenario):
         h = greens_channel(baseline_scenario)
         user = baseline_scenario.users[0]
-        w = traditional_focus(baseline_scenario.array, carrier, user)
+        w = focus_row(baseline_scenario.array, carrier, user)
         gain = h[0] @ w
         xs = np.asarray(baseline_scenario.array.element_x())
         r = np.hypot(xs - user.x, user.z)
@@ -247,17 +245,17 @@ class TestTraditionalFocus:
         assert gain.real == pytest.approx(expected, rel=1e-12)
 
     def test_boresight_weights_are_symmetric(self, array64, carrier, lam):
-        w = traditional_focus(array64, carrier, UserPosition(0.0, 250 * lam))
+        w = focus_row(array64, carrier, UserPosition(0.0, 250 * lam))
         assert np.max(np.abs(w - w[::-1])) < 1e-12
 
     def test_single_element_weight_is_one(self, carrier, lam):
         arr = ArrayGeometry(n=1, spacing=lam)
-        w = traditional_focus(arr, carrier, UserPosition(0.0, 100 * lam))
+        w = focus_row(arr, carrier, UserPosition(0.0, 100 * lam))
         assert abs(w[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_focus_peak_lands_on_target(self, array64, carrier, lam, grid_std):
         target = UserPosition(-5 * lam, 250 * lam)
-        w = traditional_focus(array64, carrier, target)
+        w = focus_row(array64, carrier, target)
         f = launch_aperture(w, array64, grid_std, lam)
         out = propagate_angular_spectrum(f, target.z, lam)
         x = grid_x(grid_std)
@@ -267,13 +265,13 @@ class TestTraditionalFocus:
 
     def test_target_behind_array_rejected(self, array64, carrier):
         with pytest.raises(ConfigError):
-            traditional_focus(array64, carrier, UserPosition(0.0, 0.0))
+            focus_row(array64, carrier, UserPosition(0.0, 0.0))
 
 
 class TestTraditionalFocusRows:
     def test_rows_match_one_target_bit_for_bit(self, baseline_scenario, rng, lam):
         """300 targets (over 256 KiB of weights) in one call: every row has
-        the bits of traditional_focus and of the one-target expression."""
+        the bits of a one-target call and of the one-target expression."""
         xs = rng.uniform(-40, 40, 300) * lam
         zs = rng.uniform(50, 400, 300) * lam
         xs[:2] = [u.x for u in baseline_scenario.users]
@@ -283,7 +281,7 @@ class TestTraditionalFocusRows:
         assert rows.shape == (300, 64)
         for row, x, z in zip(rows, xs.tolist(), zs.tolist()):
             target = UserPosition(x, z)
-            assert row.tobytes() == traditional_focus(array, carrier, target).tobytes()
+            assert row.tobytes() == focus_row(array, carrier, target).tobytes()
             assert row.tobytes() == focus_of_one(baseline_scenario, target).tobytes()
 
     def test_user_beam_rows_check_the_launch_angles(self, shadow_scenario):
@@ -400,7 +398,7 @@ class TestBuildCodebook:
         book = build_codebook(baseline_scenario, "trad_all")
         assert book.shape[1] == 2
         for beam, user in zip(book.T, baseline_scenario.users):
-            expected = traditional_focus(baseline_scenario.array, carrier, user)
+            expected = focus_row(baseline_scenario.array, carrier, user)
             assert np.array_equal(beam, expected)
 
     @staticmethod
@@ -431,7 +429,7 @@ class TestBuildCodebook:
         design at its own geometric angle plus the offset. User 1 is
         bright: a traditional focus."""
         u0, u1 = mixed_scenario.users
-        bright = traditional_focus(mixed_scenario.array, mixed_scenario.carrier, u1)
+        bright = focus_row(mixed_scenario.array, mixed_scenario.carrier, u1)
         for strategy, (bending, focal, offset_deg) in DESIGNS.items():
             book = build_codebook(mixed_scenario, strategy)
             params = AiryParams(bending, focal, geometric_angle(u0) + math.radians(offset_deg))
@@ -461,7 +459,7 @@ class TestBuildCodebook:
     def test_matrix_shape(self, baseline_scenario, carrier):
         m = build_codebook(baseline_scenario, "trad_all")
         assert m.shape == (64, 2)
-        bright = traditional_focus(baseline_scenario.array, carrier, baseline_scenario.users[1])
+        bright = focus_row(baseline_scenario.array, carrier, baseline_scenario.users[1])
         assert np.array_equal(m[:, 1], bright)
 
     @pytest.mark.parametrize("jitter", [False, True], ids=["bundled", "jittered"])

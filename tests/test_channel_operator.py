@@ -22,7 +22,6 @@ from airylink import (
     UserPosition,
     diffraction_channel,
     launch_aperture,
-    traditional_focus,
 )
 from airylink.channels import _amplitude_conversion, beam_responses
 from airylink.geometry import geometric_angle
@@ -37,7 +36,7 @@ from airylink.propagation import (
     sample_field_transpose,
 )
 
-from batch_of_one import evaluate_candidate, score_designs
+from batch_of_one import evaluate_candidate, focus_row, score_designs
 from wave_oracles import sample_field, two_stage
 
 
@@ -208,8 +207,7 @@ class TestBatchInvariance:
                        launch_angle=theta + math.radians(-5.0 + 0.08 * i))
             for i in range(_CHUNK)
         ]
-        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1])
+        w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
         h_phys = scale * diffraction_channel(mixed_scenario)
         fixed_h2 = beam_responses(h_phys, w2[None])[:, 0]
         columns = ([p.bending for p in designs], [p.focal for p in designs],

@@ -19,12 +19,11 @@ from airylink import (
     effective_channel,
     greens_channel,
     remark1_calibration,
-    traditional_focus,
 )
 from airylink.channels import beam_responses, check_finite
 from airylink.geometry import geometric_angle
 
-from batch_of_one import beam_column, greens_rows_of_one
+from batch_of_one import beam_column, focus_row, greens_rows_of_one
 
 
 class TestGreensChannel:
@@ -221,7 +220,7 @@ class TestKnifeEdgeSuppression:
         line of sight to any element."""
         deep = UserPosition(-20 * lam, 300 * lam, label="deep")
         scenario = shadow_scenario.with_users((deep, shadow_scenario.users[1]))
-        w = traditional_focus(scenario.array, carrier, deep)
+        w = focus_row(scenario.array, carrier, deep)
         blocked = beam_column(scenario, w)[0]
         free = beam_column(scenario.without_obstacle(), w)[0]
         drop_db = 10 * math.log10(abs(blocked) ** 2 / abs(free) ** 2)
@@ -238,7 +237,7 @@ class TestKnifeEdgeSuppression:
     def test_curved_beam_beats_blocked_focus_by_10_db(self, shadow_scenario,
                                                       carrier, lam):
         user = shadow_scenario.users[0]
-        trad = traditional_focus(shadow_scenario.array, carrier, user)
+        trad = focus_row(shadow_scenario.array, carrier, user)
         params = AiryParams(-25.0, 163 * lam, geometric_angle(user))
         airy = airy_weights(shadow_scenario.array, carrier, params)
         p_trad = abs(beam_column(shadow_scenario, trad)[0]) ** 2

@@ -49,6 +49,17 @@ class TestArgumentHandling:
         assert err.startswith("error:")
         assert "cannot read" in err
 
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        """A config of arbitrary bytes is an error line naming the file and
+        exit code 1, not a UnicodeDecodeError traceback."""
+        junk = tmp_path / "junk.cfg"
+        junk.write_bytes(bytes(range(256)))
+        rc = main(["validate", "--config", str(junk)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(junk) in err and "Traceback" not in err
+
     def test_out_naming_an_existing_file(self, tmp_path, capsys):
         """--out must name a directory; a file in its place is an error
         line and exit code 1, not a traceback."""

@@ -161,6 +161,13 @@ def test_missing_required_section():
         parse_scenario_text(text)
 
 
+def test_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    junk = tmp_path / "junk.cfg"
+    junk.write_bytes(b"[carrier]\nfrequency_ghz = 28\xff\n")
+    with pytest.raises(ConfigError, match="cannot read scenario file .*junk.cfg"):
+        load_scenario(str(junk))
+
+
 def test_user_group_must_start_with_x():
     with pytest.raises(ConfigError, match="must start with 'x'"):
         parse_scenario_text(GOOD.replace("x = -5\nz = 250", "z = 250\nx = -5", 1))

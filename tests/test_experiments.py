@@ -28,7 +28,6 @@ from airylink import (
     build_codebook,
     diffraction_channel,
     effective_channel,
-    geometric_baseline_params,
     greens_channel,
     intensity_map,
     launch_aperture,
@@ -39,13 +38,13 @@ from airylink import (
     run_mixed_optimization,
     run_robustness_sweep,
     run_shadow_scan,
-    traditional_focus,
 )
 from airylink.beams import DESIGNS
 from airylink.geometry import geometric_angle
 
 from batch_of_one import (baseline_points, beam_of_one, design_params, evaluate_candidate,
-                          jittered, metrics_of_one, robustness_points, shadow_points)
+                          focus_row, jittered, metrics_of_one, robustness_points,
+                          shadow_points)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -248,7 +247,7 @@ class TestMixedOptimization:
         rate_pub, _ = evaluate_candidate(
             mixed_scenario, design_params("airy_opt", mixed_scenario.users[0]), scale)
         rate_geo, _ = evaluate_candidate(
-            mixed_scenario, geometric_baseline_params(mixed_scenario), scale)
+            mixed_scenario, design_params("airy_geo", mixed_scenario.users[0]), scale)
         assert rate_pub > rate_geo
 
 
@@ -436,8 +435,7 @@ class TestOneMetricsPath:
         best = mixed_opt_result.search.best_params
         theta_geo = geometric_angle(mixed_scenario.users[0])
         h_phys = scale * diffraction_channel(mixed_scenario)
-        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1])
+        w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
         expected = []
         for d in mixed_opt_result.dtheta_sweep.values:
             params = AiryParams(best.bending, best.focal,
@@ -554,18 +552,33 @@ class TestOneMetricsPath:
 
     def test_mixed_optimization_builds_the_bright_beam_once(self, mixed_scenario,
                                                             monkeypatch):
-        """The search builds the bright user's beam and hands it over
-        (SearchOutcome.w2); the angle sweep pairs every row with it. Counted
-        in every airylink module that holds traditional_focus."""
-        calls = []
+        """The search builds the 'airy_geo' codebook once and hands it over
+        (SearchOutcome.codebook): the angle sweep pairs every row with its
+        bright-user column, and the field cut takes its geometric column as
+        the reference. Counted in every airylink module that holds
+        build_codebook or airy_weights: one 'airy_geo' codebook beside the
+        calibration's 'trad_all' one, focusing rows for the calibration's
+        two users and the codebook's bright user only, and one airy_weights
+        call, the field cut's tuned beam."""
+        codebooks, focus_rows, one_beams = [], [], []
         for name, module in list(sys.modules.items()):
-            if name.startswith("airylink") and hasattr(module, "traditional_focus"):
-                count_calls(monkeypatch, module, "traditional_focus", calls)
+            if not name.startswith("airylink"):
+                continue
+            if hasattr(module, "build_codebook"):
+                count_calls(monkeypatch, module, "build_codebook", codebooks,
+                            key=lambda scenario, strategy: strategy)
+            if hasattr(module, "airy_weights"):
+                count_calls(monkeypatch, module, "airy_weights", one_beams,
+                            key=lambda array, carrier, params: params)
+        count_calls(monkeypatch, airylink.beams, "traditional_focus_rows", focus_rows,
+                    key=lambda array, carrier, x, z: len(x))
         result = run_mixed_optimization(mixed_scenario)
-        assert len(calls) == 1
-        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1])
-        assert result.search.w2.tobytes() == w2.tobytes()
+        assert codebooks == ["trad_all", "airy_geo"]
+        assert focus_rows == [2, 1]
+        assert one_beams == [result.search.best_params]
+        monkeypatch.undo()
+        w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
+        assert result.search.codebook[:, 1].tobytes() == w2.tobytes()
 
     def test_mixed_optimization_fits_the_calibration_once(self, mixed_scenario,
                                                           monkeypatch):
@@ -584,15 +597,15 @@ class TestOneMetricsPath:
         """Whatever the number of points, a sweep builds the beams of the
         fixed user and of every moved user in one batched call per
         strategy, and makes no one-beam call. Logged per call:
-        traditional_focus and airy_weights (one beam each), the row count
-        of every traditional_focus_rows call and the launch-angle count of
-        every airy_axis_rows call (each caller gathers one row per angle).
+        airy_weights (one beam), the row count of every
+        traditional_focus_rows call and the launch-angle count of every
+        airy_axis_rows call (each caller gathers one row per angle).
         Calibration builds two traditional beams in one call; the
         robustness sweep's beams stay at their nominal designs, one
         two-user codebook per strategy, whose mixed codebooks make one
         call per family."""
-        calls = {name: [] for name in ("traditional_focus", "airy_weights",
-                                       "traditional_focus_rows", "airy_axis_rows")}
+        calls = {name: [] for name in ("airy_weights", "traditional_focus_rows",
+                                       "airy_axis_rows")}
         keys = {"traditional_focus_rows": lambda array, carrier, x, z: len(x),
                 "airy_axis_rows": lambda array, carrier, b, f, angles: len(angles)}
         for name, log in calls.items():
@@ -608,16 +621,16 @@ class TestOneMetricsPath:
 
         for step in (3.5, 7.0):
             n, got = beam_calls(run_shadow_scan, shadow_scenario, step)
-            assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [2, n + 1], "airy_axis_rows": [n + 1]}
+            assert got == {"airy_weights": 0, "traditional_focus_rows": [2, n + 1],
+                           "airy_axis_rows": [n + 1]}
         for step in (5.0, 2.5):
             n, got = beam_calls(run_baseline_scan, baseline_scenario, step)
-            assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [n + 1], "airy_axis_rows": []}
+            assert got == {"airy_weights": 0, "traditional_focus_rows": [n + 1],
+                           "airy_axis_rows": []}
         for step in (1.5, 0.75):
             n, got = beam_calls(run_robustness_sweep, mixed_scenario, step)
-            assert got == {"traditional_focus": 0, "airy_weights": 0,
-                           "traditional_focus_rows": [2, 2, 1, 1], "airy_axis_rows": [1, 1]}
+            assert got == {"airy_weights": 0, "traditional_focus_rows": [2, 2, 1, 1],
+                           "airy_axis_rows": [1, 1]}
 
     def test_baseline_forms_only_the_responses_it_scores(self, monkeypatch):
         """The bundled baseline scan (51 points, one strategy) forms 4 beam

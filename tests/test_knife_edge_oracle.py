@@ -37,8 +37,8 @@ from airylink import (
     diffraction_channel,
     geometric_angle,
     remark1_calibration,
-    traditional_focus,
 )
+from batch_of_one import focus_row
 from knife_edge_oracle import (
     edge_parameters,
     fresnel_integral,
@@ -106,7 +106,7 @@ class TestChannelAgainstOracle:
         pairs = ((calibrated_channel(free), calibrated_channel(scenario)),
                  (oracle_channel(free), oracle_channel(scenario)))
         for k, user in enumerate(scenario.users):
-            w = traditional_focus(scenario.array, scenario.carrier, user)
+            w = focus_row(scenario.array, scenario.carrier, user)
             model_db, oracle_db = (
                 10 * math.log10(abs(h_free[k] @ w) ** 2 / abs(h_edge[k] @ w) ** 2)
                 for h_free, h_edge in pairs)

@@ -22,16 +22,16 @@ from airylink import (
     UserPosition,
     airy_weights,
     SearchOutcome,
+    build_codebook,
     coarse_to_fine_search,
     diffraction_channel,
-    geometric_baseline_params,
     load_scenario,
     remark1_calibration,
-    traditional_focus,
 )
 import airylink.beams as beams
 import airylink.optimizer as optimizer
 import airylink.precoding as precoding
+from airylink.beams import DESIGNS
 from airylink.channels import beam_responses
 from airylink.errors import AirylinkError, SingularChannelError
 from airylink.geometry import geometric_angle
@@ -40,28 +40,24 @@ from airylink.optimizer import (
     COARSE_AXES,
     FINE_REFINE,
     FINE_SPAN,
-    GEO_BENDING,
-    GEO_FOCAL,
-    GEO_OFFSET_DEG,
     SearchTrace,
     _fine_axis,
 )
 from airylink.precoding import batch_metrics, batch_sum_rates
 
-from batch_of_one import beam_column, evaluate_candidate, metrics_of_one, score_designs
+from batch_of_one import (beam_column, bright_beam, design_params, evaluate_candidate, focus_row,
+                          metrics_of_one, score_designs)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# Candidates per chunk of one default search: the geometric design's chunk
-# of one, then the coarse stage (1617 = 12 * 128 + 81) and the fine stage
-# (1331 = 10 * 128 + 51).
-CHUNK_ROWS = [1] + [_CHUNK] * 12 + [81] + [_CHUNK] * 10 + [51]
+# Candidates per chunk of one default search: the coarse stage
+# (1617 = 12 * 128 + 81), then the fine stage (1331 = 10 * 128 + 51).
+CHUNK_ROWS = [_CHUNK] * 12 + [81] + [_CHUNK] * 10 + [51]
 
 
 @pytest.fixture(scope="module")
 def fixed_h2(mixed_scenario):
-    w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                           mixed_scenario.users[1])
+    w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
     return beam_column(mixed_scenario, w2)
 
 
@@ -81,12 +77,14 @@ class TestSearchBox:
     def test_invariants(self):
         """What lets the search skip grid checks and an infeasible stage:
         sorted axes of two points or more, positive fine focal lengths, and
-        the geometric design on the coarse grid, where it gets the bits
-        stage 0 gives it, so it always clears eta times that gain."""
+        the geometric design ('airy_geo' of DESIGNS) on the coarse grid,
+        where it gets the bits of the codebook column that sets the floor,
+        so it always clears eta times that gain."""
         for axis in COARSE_AXES:
             assert len(axis) >= 2 and list(axis) == sorted(axis)
         assert _fine_axis(COARSE_AXES[1], COARSE_AXES[1][0])[0] > 0.0
-        geo = (GEO_BENDING, GEO_FOCAL, math.radians(GEO_OFFSET_DEG))
+        bending, focal, offset_deg = DESIGNS["airy_geo"]
+        geo = (bending, focal, math.radians(offset_deg))
         assert all(value in axis for value, axis in zip(geo, COARSE_AXES))
         for name in ("mixed", "deep_shadow"):
             outcome = coarse_to_fine_search(load_scenario(CONFIGS / f"{name}.cfg"))
@@ -99,10 +97,14 @@ class TestSearchBox:
 
 class TestGeometricBaseline:
     def test_stock_design(self, mixed_scenario):
-        p = geometric_baseline_params(mixed_scenario)
-        assert p.bending == -25.0
-        assert p.focal == 1.75
-        assert p.launch_angle == geometric_angle(mixed_scenario.users[0])
+        """The search's comparator is the 'airy_geo' codebook's column 0:
+        bending -25 and focal 1.75 m, aimed at the shadowed user's
+        geometric angle."""
+        assert DESIGNS["airy_geo"] == (-25.0, 1.75, 0.0)
+        stock = AiryParams(-25.0, 1.75, geometric_angle(mixed_scenario.users[0]))
+        w = airy_weights(mixed_scenario.array, mixed_scenario.carrier, stock)
+        book = coarse_to_fine_search(mixed_scenario).codebook
+        assert book[:, 0].tobytes() == w.tobytes()
 
 
 class TestEvaluateCandidate:
@@ -114,7 +116,7 @@ class TestEvaluateCandidate:
             coarse_to_fine_search(solo)
 
     def test_h11_matches_direct_beam_column(self, mixed_scenario):
-        params = geometric_baseline_params(mixed_scenario)
+        params = design_params("airy_geo", mixed_scenario.users[0])
         _, h11_power = evaluate_candidate(mixed_scenario, params)
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
         expected = abs(beam_column(mixed_scenario, w1)[0]) ** 2
@@ -123,12 +125,11 @@ class TestEvaluateCandidate:
     def test_matches_manual_pipeline(self, mixed_scenario, fixed_h2):
         """The candidate score is exactly what the full codebook pipeline
         computes for the same pair of beams, bit for bit."""
-        params = geometric_baseline_params(mixed_scenario)
+        params = design_params("airy_geo", mixed_scenario.users[0])
         rate, _ = evaluate_candidate(mixed_scenario, params)
 
         w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
-        w2 = traditional_focus(mixed_scenario.array, mixed_scenario.carrier,
-                               mixed_scenario.users[1])
+        w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
         h1 = beam_column(mixed_scenario, w1)
         h_eff = np.column_stack([h1, fixed_h2])
         w_rf = np.column_stack([w1, w2])
@@ -186,6 +187,17 @@ class TestCoarseToFineSearch:
         assert (outcome.calibration_scale, outcome.calibration_residual) == (scale, residual)
         expected = scale * diffraction_channel(mixed_scenario)
         assert outcome.h_phys.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["mixed", "deep_shadow"])
+    def test_compares_against_the_airy_geo_codebook(self, name):
+        """The search compares its candidates with build_codebook's
+        'airy_geo' codebook, bit for bit, and sets the gain floor from that
+        codebook's column 0 on the rows it scores."""
+        scenario = load_scenario(CONFIGS / f"{name}.cfg")
+        outcome = coarse_to_fine_search(scenario)
+        assert outcome.codebook.tobytes() == build_codebook(scenario, "airy_geo").tobytes()
+        h = beam_responses(outcome.h_phys, outcome.codebook.T)
+        assert outcome.baseline_gain == abs(h[0, 0]) ** 2
 
     @pytest.mark.parametrize("name, flags", [("mixed", (True, False, False)),
                                              ("deep_shadow", (True, False, True))])
@@ -248,8 +260,8 @@ class TestSearchBoxCheckedUpFront:
     def test_coarse_launch_angle_past_90_degrees(self, mixed_scenario, monkeypatch):
         """A shadowed user at -86 degrees, 6 cm deep behind an edge at 5 cm
         (inside the usable window): the coarse offset -5 degrees launches at
-        -91, refused when the coarse stage's tables are built, after stage
-        0's one gather and before any coarse candidate is gathered."""
+        -91, refused when the coarse stage's tables are built, before any
+        candidate is gathered."""
         z = 0.06
         steep = UserPosition(x=-z * math.tan(math.radians(86.0)), z=z)
         scenario = replace(mixed_scenario, users=(steep, mixed_scenario.users[1]),
@@ -257,7 +269,7 @@ class TestSearchBoxCheckedUpFront:
         rows = counted_rows(monkeypatch)
         with pytest.raises(ConfigError, match="launch angle"):
             coarse_to_fine_search(scenario)
-        assert rows == [1]
+        assert rows == []
 
     def test_fine_angle_axis_past_90_degrees(self, mixed_scenario, monkeypatch):
         """At a geometric angle of -84.7 degrees every coarse launch angle
@@ -270,7 +282,7 @@ class TestSearchBoxCheckedUpFront:
                     lambda b, f, a: 1.0)
         with pytest.raises(ConfigError, match="launch angle"):
             coarse_to_fine_search(mixed_scenario)
-        assert len(scored) == 1 + 1617
+        assert len(scored) == 1617
 
 
 class TestSearchSkipsAchievedPower:
@@ -327,7 +339,7 @@ class TestScoreChunkH11Exact:
         designs = [(b, f, theta_geo + dt) for b in bending
                    for f in focal for dt in dtheta][:_CHUNK]
         h_phys = scale * optimizer.diffraction_channel(mixed_scenario)
-        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys)
+        w2, h2 = bright_beam(mixed_scenario, h_phys)
         _, h11_power = score_designs(mixed_scenario, h_phys, tuple(zip(*designs)), w2, h2)
         expected = [abs(beam_responses(h_phys, airy_weights(
             mixed_scenario.array, mixed_scenario.carrier, AiryParams(*d))[None])[0, 0]) ** 2
@@ -382,7 +394,8 @@ class TestRatePath:
     def test_svd_only_for_the_zero_forcing_guard(self, mixed_scenario, monkeypatch,
                                                  epsilon, svd_calls):
         """A default-epsilon search takes no SVD; at epsilon = 0 it takes one
-        per chunk (the geometric design's chunk of one included)."""
+        per chunk. The gain floor needs |h11|^2 of the geometric design, not
+        a rate, so it takes none."""
         scenario = replace(mixed_scenario, rzf_epsilon=epsilon)
         calls = []
         svd = np.linalg.svd
@@ -402,8 +415,8 @@ class TestStageTables:
     per stage from the grid axes."""
 
     def test_one_sine_per_launch_angle_per_stage(self, mixed_scenario, monkeypatch):
-        """21 coarse angles, 11 fine ones and the geometric design's: one
-        math.sin each, not one per candidate."""
+        """21 coarse angles, 11 fine ones and the codebook's geometric
+        design's: one math.sin each, not one per candidate."""
         sines = []
         counted = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
                                            if not name.startswith("_")})
@@ -418,10 +431,10 @@ class TestStageTables:
         lens-and-steer (focal x angle) and bending (bending x focal) phasor
         tables: 7 * 21 * 64 + 11 * 7 * 64 complex exponentials for the
         coarse stage, 2 * 11 * 11 * 64 for the fine one and 2 * 64 for the
-        geometric design, at most 30,000; one exponential per weight took
-        2948 * 64 + 64 = 188,736. The only other complex exponentials in
-        beams are the focusing beams: the bright user's, and the
-        calibration's 'trad_all' pair."""
+        'airy_geo' codebook's geometric design, at most 30,000; one
+        exponential per weight took 2948 * 64 + 64 = 188,736. The only other
+        complex exponentials in beams are the focusing beams: the codebook's
+        bright user's, and the calibration's 'trad_all' pair."""
         counts = collections.Counter()
 
         class CountingNumpy:
@@ -442,9 +455,8 @@ class TestStageTables:
         assert counts["airy_axis_rows"] <= 30_000
 
     def test_chunk_rows_match_airy_weights(self, mixed_scenario, monkeypatch):
-        """Every chunk's gathered rows, the geometric design's chunk of one
-        included, have the bits of airy_weights on each row's own (bending,
-        focal, launch angle)."""
+        """Every chunk's gathered rows have the bits of airy_weights on each
+        row's own (bending, focal, launch angle)."""
         chunks = []
         score = optimizer._score_beams
 
@@ -454,11 +466,8 @@ class TestStageTables:
 
         monkeypatch.setattr(optimizer, "_score_beams", recording)
         outcome = coarse_to_fine_search(mixed_scenario)
-        # The geometric design's chunk of one, then the two stages.
-        assert sum(len(w1) for _, w1 in chunks) == 1 + outcome.evaluations
-        assert len(chunks) == 1 + math.ceil(11 * 7 * 21 / _CHUNK) + math.ceil(11**3 / _CHUNK)
-        assert [column.tolist() for column in chunks[0][0]] == [
-            [GEO_BENDING], [GEO_FOCAL], [geometric_angle(mixed_scenario.users[0])]]
+        assert sum(len(w1) for _, w1 in chunks) == outcome.evaluations
+        assert len(chunks) == math.ceil(11 * 7 * 21 / _CHUNK) + math.ceil(11**3 / _CHUNK)
         for designs, w1 in chunks:
             expected = np.array([airy_weights(mixed_scenario.array, mixed_scenario.carrier,
                                               AiryParams(float(b), float(f), float(theta)))
@@ -472,7 +481,7 @@ class TestNaNRate:
         first design as Python floats, not numpy reprs."""
         h_phys = optimizer.diffraction_channel(mixed_scenario).copy()
         h_phys[1] = np.nan
-        w2, h2 = optimizer._bright_beam(mixed_scenario, h_phys)
+        w2, h2 = bright_beam(mixed_scenario, h_phys)
         designs = (np.array([-30.0, -25.0]), np.array([1.5, 1.75]), np.array([0.125, 0.25]))
         with pytest.raises(AirylinkError) as info, np.errstate(invalid="ignore"):
             score_designs(mixed_scenario, h_phys, designs, w2, h2)

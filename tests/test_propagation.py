@@ -581,10 +581,11 @@ class TestIntensityMapCascade:
 class TestShadowZone:
     def test_blocked_focus_is_suppressed(self, grid_std, array64, carrier, lam,
                                          edge_obstacle):
-        from airylink import UserPosition, traditional_focus
+        from airylink import UserPosition
+        from batch_of_one import focus_row
 
         target_x, target_z = -5 * lam, 250 * lam
-        w = traditional_focus(array64, carrier, UserPosition(target_x, target_z))
+        w = focus_row(array64, carrier, UserPosition(target_x, target_z))
         f = launch_aperture(w, array64, grid_std, lam)
         free = cascade_field(f, None, target_z, lam)
         blocked = cascade_field(f, edge_obstacle, target_z, lam)
