@@ -10,8 +10,8 @@ quadrature oracle behind it.
 
 from .beams import AiryParams, airy_weights, build_codebook
 from .channels import (
+    beam_responses,
     diffraction_channel,
-    effective_channel,
     greens_channel,
     remark1_calibration,
 )

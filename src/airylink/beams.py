@@ -14,7 +14,7 @@ All element positions are evaluated in meters; the cubic coefficient
 complex array. airy_axis_rows and traditional_focus_rows build many beams
 of one family at once (a search stage, the angle sweep, a codebook's
 users); airy_weights is the cubic family's one-row view, and
-build_codebook stacks one beam per user as the N x K analog matrix W_RF.
+build_codebook stacks one beam per user as a row of a K x N codebook.
 Its 'airy_geo' codebook is also what the beam search compares against:
 the geometric design that sets its gain floor and the bright user's beam.
 A codebook strategy is 'trad_all', which focuses on every user, or one of
@@ -208,8 +208,8 @@ def airy_local_sine(array: ArrayGeometry, bending, focal, launch_angle):
 
 
 def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
-    """The analog matrix W_RF: one beam per user, as the columns of a
-    C-contiguous N x K array.
+    """The analog codebook: one beam per user, as the rows of a
+    C-contiguous K x N array (row k serves user k, like the channel rows).
 
     strategy "trad_all": every user gets a traditional focusing beam.
     strategy "airy_geo" or "airy_opt": every user that classify_user calls
@@ -238,4 +238,4 @@ def build_codebook(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
         rows[curved] = airy_axis_rows(scenario.array, scenario.carrier, (bending,), (focal,),
                                       angles)(0, 0, np.arange(len(angles)))
     check_unit_norm(rows)
-    return np.ascontiguousarray(rows.T)
+    return rows

@@ -1,9 +1,9 @@
 """Channel construction: free-space Green's model and diffraction model.
 
 Both models produce a K x N physical matrix (users x array elements), and
-every effective channel is that matrix times the N x K analog matrix of
-beams.build_codebook, H_eff = H_phys @ W_RF (K x K). Each is a plain
-complex array, and check_finite refuses one that holds a NaN or an Inf:
+every effective channel is that matrix times the K x N beam rows of
+beams.build_codebook, H_eff[k, c] = h_phys[k] @ beams[c] (K x K). Each is
+a plain complex array, and check_finite refuses one that holds a NaN or an Inf:
 
 * the Green's model writes each element->user coefficient in closed form,
   lambda/(4 pi r) e^{-j k0 r}, valid only with nothing in the way;
@@ -20,10 +20,10 @@ usable window or on the obstacle plane when it was built.
 
 Both models meet the codebook in beam_responses, the one product of user
 rows and beam rows: its einsum gives an entry the same bits alone or in a
-batch, and its leading axes broadcast. effective_channel is that product
-on one K x N matrix and one W_RF, which the calibration uses for both
-models; a sweep stacks each point's rows and beams and calls it once, and
-the search scores each chunk of candidate beams with it directly.
+batch, and its leading axes broadcast. The calibration calls it on each
+model's rows and one codebook, a sweep stacks each point's rows and beams
+and calls it once, and the search scores each chunk of candidate beams
+with it.
 
 The two models use different amplitude conventions (a closed-form spread
 factor versus a 1D Fresnel kernel), so remark1_calibration fits a single
@@ -51,7 +51,6 @@ __all__ = [
     "diffraction_channel",
     "beam_responses",
     "check_finite",
-    "effective_channel",
     "remark1_calibration",
 ]
 
@@ -97,20 +96,6 @@ def beam_responses(h_phys: np.ndarray, beams) -> np.ndarray:
     """
     beam_rows = np.ascontiguousarray(beams, dtype=complex)
     return np.einsum("...kn,...cn->...kc", h_phys, beam_rows)
-
-
-def effective_channel(h_phys: np.ndarray, w_rf) -> np.ndarray:
-    """Effective channel H_phys @ W_RF (K x K) of a K x N physical matrix
-    and an N x K W_RF, summed as in beam_responses."""
-    w = np.asarray(w_rf, dtype=complex)
-    if w.shape != h_phys.shape[::-1]:
-        raise AirylinkError(
-            f"effective channel must be square (one beam per user): W_RF of shape "
-            f"{w.shape} does not fit physical rows of shape {h_phys.shape}"
-        )
-    h_eff = beam_responses(h_phys, w.T)
-    check_finite(h_eff)
-    return h_eff
 
 
 def _amplitude_conversion(wavelength: float, depth: float) -> float:
@@ -167,9 +152,9 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
     so both models share one amplitude scale.
     """
     free = scenario.without_obstacle()
-    w_rf = build_codebook(free, "trad_all")
-    h_greens = effective_channel(greens_channel(free), w_rf)
-    h_diff = effective_channel(diffraction_channel(free), w_rf)
+    beams = build_codebook(free, "trad_all")
+    h_greens = beam_responses(greens_channel(free), beams)
+    h_diff = beam_responses(diffraction_channel(free), beams)
     denom = np.vdot(h_diff, h_diff).real
     if denom == 0.0:
         raise AirylinkError("diffraction channel is identically zero; cannot calibrate")

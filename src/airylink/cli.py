@@ -188,14 +188,14 @@ def _cmd_robustness(args) -> int:
     out = Path(args.out)
     paths = aio.write_sweep_csv(out, "robustness_vs_dx2", sweep, scenario)
 
-    # Worst-case-over-sign and gain-over-traditional summaries.
+    # Worst case over sign (point i mirrors point last - i, whose value may
+    # differ in the last bit) and gain-over-traditional summaries.
     values = list(sweep.values)
     rates = {s: sweep.series(s, "sum_rate") for s in sweep.strategies}
     wc_path = out / "robustness_worst_case.csv"
-    worst = []
-    for a in sorted({abs(v) for v in values}):
-        idx = [i for i, v in enumerate(values) if abs(v) == a]
-        worst.append([a] + [min(rates[s][i] for i in idx) for s in sweep.strategies])
+    last = len(values) - 1
+    worst = [[abs(values[i])] + [min(rates[s][i], rates[s][last - i]) for s in sweep.strategies]
+             for i in range(len(values) // 2, len(values))]
     aio.write_table(wc_path, ["abs_dx2_lambda"] + [f"worst_rate_{s}" for s in sweep.strategies],
                     worst)
     gain_path = out / "robustness_gain.csv"

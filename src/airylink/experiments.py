@@ -15,8 +15,8 @@ Each runner turns one scenario family into a tabular sweep:
                      winner's offset, at the winner's (bending, focal),
                      and a transverse field cut comparing the winning
                      beam to the geometric one. The geometric beam and
-                     the bright user's beam are the columns of the
-                     search's 'airy_geo' codebook, built once per run.
+                     the bright user's beam are the rows of the search's
+                     'airy_geo' codebook, built once per run.
 * robustness_sweep -- fix all beams at their nominal designs, displace the
                      bright user, and measure how each strategy degrades.
 
@@ -29,9 +29,9 @@ cubic beam and user 1 with the focused one, and optimizer.check_roles
 refuses a scenario whose users do not play those roles.
 
 Every runner is pure given its config: identical inputs produce identical
-outputs (and therefore byte-identical CSVs downstream). A sweep builds the
-effective channel and analog matrix of every (point x strategy) pair as
-stacked arrays, in sweep order, and scores them all in one batched SVD +
+outputs (and therefore byte-identical CSVs downstream). A sweep stacks the
+user and beam rows of every (point x strategy) pair in sweep order and
+scores them in one beam_responses product and one batched SVD +
 closed-form RZF + metrics pass (precoding.batch_metrics), whose RZF and
 sum-rate arithmetic the beam search shares; the sweep keeps that pass's
 metric columns as they are, one row per pair.
@@ -45,12 +45,12 @@ applied to that one row matrix), and one codebook call per strategy gives
 their beams (the robustness sweep's stay at the nominal design, the bright
 user's repeated for every point). Each point's 2 rows and each strategy's 2
 beams are stacked, and one beam_responses product forms every point's
-effective channel, with the bits of effective_channel on that point
-alone. The mixed-optimization angle sweep stacks each point's curved beam
-with the bright user's column of the codebook that the search returns and
-takes the same product with the search's channel matrix: the search fits
-the calibration constant and scales the rows, and the run fits none of its
-own. Its field cut takes the codebook's column 0, the geometric design, as
+effective channel, with the bits of that product on that point alone. The
+mixed-optimization angle sweep stacks each point's curved beam with the
+bright user's row of the codebook that the search returns and scores it
+the same way against the search's channel matrix: the search fits the
+calibration constant and scales the rows, and the run fits none of its
+own. Its field cut takes the codebook's row 0, the geometric design, as
 the reference, so the run builds no beam the search already built.
 """
 
@@ -162,16 +162,16 @@ def _assert_point_invariants(scenario: ScenarioConfig, power: np.ndarray,
 
 
 def _scored_sweep(scenario: ScenarioConfig, sweep_variable: str, strategies: tuple,
-                  values: list, h_eff, w_rf) -> SweepResult:
-    """Score a whole sweep in one batch: h_eff and w_rf hold one effective
-    channel (K x K) and analog matrix (N x K) per (value, strategy) pair,
-    value-major, strategies in order. batch_metrics refuses a channel that
-    is not finite, and every point's invariants are checked."""
-    h = np.ascontiguousarray(h_eff, dtype=complex)
-    w = np.ascontiguousarray(w_rf, dtype=complex)
-    m, w_bb = batch_metrics(h, w, scenario.tx_power, scenario.rzf_epsilon,
+                  values: list, rows, beams) -> SweepResult:
+    """Score a whole sweep in one batch: the K x N beam rows of every (value,
+    strategy) pair, value-major, meet the user rows (broadcast) in one
+    beam_responses product. batch_metrics refuses a channel that is not
+    finite, and every point's invariants are checked."""
+    h = beam_responses(rows, beams).reshape(-1, scenario.k, scenario.k)
+    beams = beams.reshape(-1, scenario.k, scenario.array.n)
+    m, w_bb = batch_metrics(h, beams, scenario.tx_power, scenario.rzf_epsilon,
                             scenario.noise_power)
-    _assert_point_invariants(scenario, achieved_power(w, w_bb), m)
+    _assert_point_invariants(scenario, achieved_power(beams, w_bb), m)
     return SweepResult(sweep_variable, strategies, values, m)
 
 
@@ -184,7 +184,7 @@ def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
     One channel call gives the fixed row and every moved row, from the
     closed form in free space or from the calibrated diffraction model
     behind an obstacle. codebook(everyone, name) gives one strategy's
-    N x (1 + P) beams, one per channel row; point p takes rows and beams
+    (1 + P) x N beam rows, one per channel row; point p takes rows and beams
     (0, 1 + p), and one beam_responses product forms just those 2 x 2
     entries per point and strategy."""
     if scenario.k != 2:
@@ -197,13 +197,10 @@ def _second_user_sweep(scenario: ScenarioConfig, what: str, sweep_variable: str,
     h_phys = (greens_channel(everyone) if scenario.obstacle is None
               else remark1_calibration(scenario)[0] * diffraction_channel(everyone))
     pairs = np.column_stack([np.zeros(len(values), dtype=int), np.arange(1, len(values) + 1)])
-    rows = h_phys[pairs]
     # P x S x 2 x N: each point's fixed and moved beam under each strategy.
-    beams = np.stack([codebook(everyone, name).T for name in strategies])[:, pairs].swapaxes(0, 1)
-    h_eff = beam_responses(rows[:, None], beams)
-    w_rf = beams.swapaxes(2, 3).reshape(-1, beams.shape[-1], 2)
+    beams = np.stack([codebook(everyone, name)[pairs] for name in strategies], axis=1)
     return _scored_sweep(scenario, sweep_variable, strategies, values,
-                         h_eff.reshape(-1, 2, 2), w_rf)
+                         h_phys[pairs][:, None], beams)
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list:
@@ -211,6 +208,8 @@ def _sweep_values(start: float, stop: float, step: float) -> list:
     endpoint lands exactly and values are reproducible bit for bit."""
     if not (math.isfinite(step) and step > 0):
         raise ConfigError(f"sweep step must be a positive finite number, got {step}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"sweep range [{start}, {stop}] must have finite bounds")
     if stop < start:
         raise ConfigError(f"sweep range [{start}, {stop}] is reversed: stop is below start")
     n = round((stop - start) / step)
@@ -288,15 +287,14 @@ def run_mixed_optimization(
     rows = airy_axis_rows(scenario.array, scenario.carrier, (best.bending,), (best.focal,),
                           angles)(0, 0, np.arange(len(angles)))
     # Point p's beams: its curved beam (row p) and the bright user's beam,
-    # column 1 of the search's codebook.
-    beams = np.stack([rows, np.broadcast_to(outcome.codebook[:, 1], rows.shape)], axis=1)
-    h_eff = beam_responses(outcome.h_phys, beams)
+    # row 1 of the search's codebook.
+    beams = np.stack([rows, np.broadcast_to(outcome.codebook[1], rows.shape)], axis=1)
     sweep = _scored_sweep(scenario, "dtheta_deg", ("airy_best_bf",), dthetas,
-                          h_eff, beams.swapaxes(1, 2))
+                          outcome.h_phys, beams)
 
     cut = _field_cut(
         scenario,
-        reference=outcome.codebook[:, 0],
+        reference=outcome.codebook[0],
         tuned=airy_weights(scenario.array, scenario.carrier, best),
         cut_depth=scenario.users[1].z,
     )
@@ -354,7 +352,7 @@ def run_robustness_sweep(
     # Beams frozen at the nominal design: the nominal bright-user beam
     # serves every moved point.
     def frozen(everyone, name):
-        return build_codebook(scenario, name)[:, np.minimum(np.arange(everyone.k), 1)]
+        return build_codebook(scenario, name)[np.minimum(np.arange(everyone.k), 1)]
 
     return _second_user_sweep(scenario, "robustness sweep", "dx2_lambda", dxs,
                               ("trad_all", "airy_geo", "airy_opt"), frozen,
@@ -370,16 +368,16 @@ def run_fieldmap(
     depth_step_lambda: float = 2.0,
     with_obstacle: bool = True,
 ) -> IntensityMap:
-    """Intensity map of one codebook column over a range of depths.
+    """Intensity map of one codebook beam over a range of depths.
 
     strategy names the build_codebook codebook ('trad_all', 'airy_geo' or
     'airy_opt'); beam_index selects whose beam to map.
     """
-    w_rf = build_codebook(scenario, strategy)
-    if not 0 <= beam_index < w_rf.shape[1]:
-        raise ConfigError(f"beam index {beam_index} out of range for K={w_rf.shape[1]}")
+    beams = build_codebook(scenario, strategy)
+    if not 0 <= beam_index < len(beams):
+        raise ConfigError(f"beam index {beam_index} out of range for K={len(beams)}")
     lam = scenario.carrier.wavelength
     depths = [d * lam for d in _sweep_values(depth_start_lambda, depth_stop_lambda, depth_step_lambda)]
-    launch = launch_aperture(w_rf[:, beam_index], scenario.array, scenario.grid, lam)
+    launch = launch_aperture(beams[beam_index], scenario.array, scenario.grid, lam)
     obstacle = scenario.obstacle if with_obstacle else None
     return intensity_map(launch, obstacle, depths, lam)

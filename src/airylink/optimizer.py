@@ -8,9 +8,9 @@ maximize the post-precoding sum rate, subject to a floor on the shadowed
 user's own channel gain: |h11|^2 >= eta * |h11_geo|^2, where h11_geo is
 the gain of the purely geometric design. The constraint stops the search
 from trading UE-1's link entirely away for orthogonality. Both fixed beams
-come from one codebook, build_codebook(scenario, 'airy_geo'): its column 0
-is the geometric design that sets the floor, and its column 1 the bright
-user's focused beam that every candidate is paired with.
+come from one codebook, build_codebook(scenario, 'airy_geo'): its row 0 is
+the geometric design that sets the floor, and its row 1 the bright user's
+focused beam that every candidate is paired with.
 
 The search box is one constant: COARSE_AXES holds the coarse bending,
 focal and angle-offset axes (11 x 7 x 21 = 1617 candidates), and the fine
@@ -23,7 +23,7 @@ Stage 2 scans the fine grid, whose centre is the stage-1 incumbent.
 Identical inputs always produce the identical outcome and trace.
 
 Neither stage can come up empty. The geometric design is a coarse grid
-point, scored with the bits the codebook's column 0 gets, so it reaches
+point, scored with the bits the codebook's row 0 gets, so it reaches
 eta times its own gain for any eta in (0, 1); the incumbent is a fine grid
 point. The focal axes stay positive (the lowest fine focal length is
 0.75 m), but the launch angles depend on the user. Each stage's axes are
@@ -47,8 +47,8 @@ user's column; one product per chunk gives the candidates' columns, and
 precoding.batch_sum_rates yields the sum rates alone from the candidates'
 beams, the shared bright-user beam and the closed-form two-user RZF that
 batch_metrics, which scores every sweep, shares: no inverse, batched
-matrix product or C x N x 2 analog matrix, and no singular values at
-epsilon > 0. The search only ranks rates, so it never forms the realized
+matrix product or C x 2 x N stack of beam pairs, and no singular values
+at epsilon > 0. The search only ranks rates, so it never forms the realized
 power ||W_RF W_BB||_F^2 either. A candidate gets the same bits in any
 chunk as in a chunk of one. Each stage's rates and |h11|^2 values land in
 arrays that one masked first-argmax reduces, and the trace keeps them as
@@ -151,8 +151,8 @@ class SearchOutcome:
     # grid. A kept coarse winner is the centre of every fine axis.
     on_fine_edge: tuple
     # The calibrated K x N channel the candidates were scored on and the
-    # N x 2 'airy_geo' codebook they were compared with: column 0 the
-    # geometric design that set the floor, column 1 the bright user's beam
+    # 2 x N 'airy_geo' codebook they were compared with: row 0 the
+    # geometric design that set the floor, row 1 the bright user's beam
     # each candidate was paired with. For callers that evaluate more beams
     # on the same scenario.
     h_phys: np.ndarray = field(compare=False, repr=False)
@@ -258,10 +258,10 @@ def coarse_to_fine_search(scenario: ScenarioConfig, eta: float = 0.4) -> SearchO
     scale, residual = remark1_calibration(scenario)
     h_phys = scale * diffraction_channel(scenario)
     codebook = build_codebook(scenario, "airy_geo")
-    h = beam_responses(h_phys, codebook.T)
+    h = beam_responses(h_phys, codebook)
     h11_geo = float(abs(h[0, 0]) ** 2)
     tau = eta * h11_geo
-    w2, h2 = codebook[:, 1], h[:, 1]
+    w2, h2 = codebook[1], h[:, 1]
 
     def stage_scorer(axes):
         """The chunk scorer of one stage: it gathers every chunk's weights

@@ -28,15 +28,15 @@ other number of users.
 
 The arithmetic runs over a leading candidate axis, so a channel gets the
 same bits alone or in a batch. Every sweep scores all its channels in one
-batch_metrics call on their C x N x 2 analog matrices, whose metric
-columns (one array per metric, one row per candidate) are the sweep. The
-beam search only ranks rates, so it scores each chunk through
+batch_metrics call on their C x 2 x N beam rows (two beams each), whose
+metric columns (one array per metric, one row per candidate) are the
+sweep. The beam search only ranks rates, so it scores each chunk through
 batch_sum_rates, on the candidates' beams and the one bright-user beam
 they share: the RZF and sum-rate arithmetic of batch_metrics
 (_sinr_and_rate), without kappa, SINR in dB or coupling powers, and
 without the singular values except for the epsilon = 0 guard or to report
 sigma_min on the zero-power error. The realized power ||W_RF W_BB||_F^2
-is its own step (achieved_power), a product with W_RF itself: the sweeps
+is its own step (achieved_power), a product with the beams: the sweeps
 check it at every point, while the search skips it. No SVD sees a NaN or
 an Inf: the channels are checked with channels.check_finite before each.
 """
@@ -146,11 +146,11 @@ def _rzf_batch(h: np.ndarray, gram: np.ndarray, tx_power: float, epsilon: float)
     return w_tilde, np.sqrt(tx_power / norm_sq)
 
 
-def achieved_power(w: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
+def achieved_power(beams: np.ndarray, w_bb: np.ndarray) -> np.ndarray:
     """Transmit power ||W_RF W_BB||_F^2 actually realized by every candidate
-    of a batch. Only callers that check or report it compute it; the beam
-    search does not."""
-    return _frobenius_sq(w @ w_bb)
+    of a batch: the norm of its precoded beam rows W_BB^T beams. Only
+    callers that check or report it compute it; the beam search does not."""
+    return _frobenius_sq(w_bb.swapaxes(-1, -2) @ beams)
 
 
 def _sinr_and_rate(alpha: np.ndarray, noise_power: float, k: int) -> tuple:
@@ -186,23 +186,23 @@ def _metrics_batch(h: np.ndarray, alpha: np.ndarray, noise_power: float,
     }
 
 
-def batch_metrics(h: np.ndarray, w_rf: np.ndarray, tx_power: float, epsilon: float,
+def batch_metrics(h: np.ndarray, beams: np.ndarray, tx_power: float, epsilon: float,
                   noise_power: float) -> tuple:
     """Post-RZF metrics of every candidate in a batch: h is C x 2 x 2
-    effective channels, w_rf the C x N x 2 analog matrices. Returns (metric
-    columns of _metrics_batch, W_BB); candidate c gets exactly the bits it
-    gets in a batch of one, and achieved_power(w_rf, W_BB) is the power
-    each W_BB realizes."""
+    effective channels, beams the C x 2 x N beam rows (two beams each).
+    Returns (metric columns of _metrics_batch, W_BB); candidate c gets
+    exactly the bits it gets in a batch of one, and achieved_power(beams,
+    W_BB) is the power each W_BB realizes."""
     # Ahead of the beam check, so a one-user batch is refused as such.
     _check_two_users(h)
-    if np.ndim(w_rf) != 3 or np.shape(w_rf)[-1] != 2:
+    if np.ndim(beams) != 3 or np.shape(beams)[1] != 2:
         raise AirylinkError(
-            f"expected C x N x 2 analog matrices (two beams each), got shape {np.shape(w_rf)}"
+            f"expected C x 2 x N beam rows (two beams each), got shape {np.shape(beams)}"
         )
     sigma = _singular_values(h)
     if epsilon == 0.0:
         _refuse_singular(sigma)
-    gram = _analog_gram(w_rf[..., 0], w_rf[..., 1])
+    gram = _analog_gram(beams[:, 0], beams[:, 1])
     w_tilde, alpha = _rzf_batch(h, gram, tx_power, epsilon)
     return _metrics_batch(h, alpha, noise_power, sigma), alpha[:, None, None] * w_tilde
 
@@ -212,7 +212,7 @@ def batch_sum_rates(h: np.ndarray, first: np.ndarray, second: np.ndarray, tx_pow
     """Sum rate of every candidate in a batch: h is C x 2 x 2 effective
     channels, `first` the C x N beams of the candidates' first users and
     `second` the one N-vector beam they share. Bit for bit
-    batch_metrics(...)[0]["sum_rate"] of the analog matrices [w1 w2], with
+    batch_metrics(...)[0]["sum_rate"] of the beam rows [w1, w2], with
     the same exceptions. The singular values are taken only for the
     epsilon = 0 guard or to report sigma_min when a precoder is
     identically zero."""

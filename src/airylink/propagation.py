@@ -169,7 +169,7 @@ def band_limit(field: ComplexField, wavelength: float) -> ComplexField:
     and under a paraxial transfer function that junk wraps around the window
     and buries the real diffraction pattern. This filter keeps the physical
     angular range (8th-order super-Gaussian in |lambda f_x|, cutoff at
-    LAUNCH_CUTOFF_SINE) and is applied once when a codebook column is launched --
+    LAUNCH_CUTOFF_SINE) and is applied once when a codebook beam is launched --
     the propagator itself stays exactly unitary.
     """
     spectrum = np.fft.fft(field.samples)

@@ -4,7 +4,7 @@ The package scores beams, search candidates and operating points only in
 batches: beam_responses maps many weight rows through one physical
 channel, the search's optimizer._score_beams scores a chunk of cubic-beam
 designs, and precoding.batch_metrics scores a stack of effective channels
-with their analog matrices. Each function here runs one of those paths on
+with their beam rows. Each function here runs one of those paths on
 a batch of one, which is the single-item value a test compares against:
 
 * beam_column: the per-user response of one analog beam,
@@ -18,10 +18,10 @@ a batch of one, which is the single-item value a test compares against:
   search's _score_beams on each design's one-row cubic weights) on a
   chunk of one, on the diffraction rows times a calibration constant as
   the search calibrates them;
-* metrics_of_one: the metrics of one effective channel and analog matrix,
+* metrics_of_one: the metrics of one effective channel and its beam rows,
   row 0 of batch_metrics' columns on a batch of one;
 * rzf_of_one: the baseband precoder W_BB of one effective channel and
-  analog matrix from batch_metrics on a batch of one, with alpha, the
+  its beam rows from batch_metrics on a batch of one, with alpha, the
   product H_eff W_BB and the power achieved_power gives it: the RZF that
   every sweep scores through.
 
@@ -29,7 +29,7 @@ The channel builders and build_codebook serve every user in one call,
 and the sweeps build every point's user rows, beams and effective channels
 as stacked arrays. The per-user and per-point loops they replaced are kept
 here as their reference; the point loops return the (effective channels,
-analog matrices) that the sweep scores, value-major with the strategies
+beam rows) that the sweep scores, value-major with the strategies
 interleaved:
 
 * greens_rows_of_one: the closed-form channel built one user row at a time;
@@ -38,9 +38,9 @@ interleaved:
 * focus_of_one: the focusing weights toward one target;
 * design_params, beam_of_one, codebook_of_one: a curved strategy's cubic
   design aimed at one user (its geometric angle plus the design's offset),
-  one user's column of a build_codebook strategy from the one-beam
+  one user's row of a build_codebook strategy from the one-beam
   focus_row or airy_weights (the cubic design for a shadowed user
-  under a curved strategy, the focus otherwise), and the column stack of
+  under a curved strategy, the focus otherwise), and the row stack of
   every user's;
 * baseline_points, shadow_points, robustness_points: one point at a time,
   with per-user rows, per-user beams and a product per strategy.
@@ -59,7 +59,7 @@ import numpy as np
 from airylink import (ScenarioConfig, UserPosition, airy_weights, classify_user,
                       diffraction_channel, geometric_angle, remark1_calibration)
 from airylink.beams import DESIGNS, AiryParams, airy_axis_rows, traditional_focus_rows
-from airylink.channels import beam_responses, effective_channel
+from airylink.channels import beam_responses
 from airylink.optimizer import _score_beams
 from airylink.precoding import achieved_power, batch_metrics
 
@@ -116,22 +116,22 @@ def _one(matrix) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(matrix, dtype=complex)[None])
 
 
-def metrics_of_one(h_eff, w_rf, tx_power: float, epsilon: float,
+def metrics_of_one(h_eff, beams, tx_power: float, epsilon: float,
                    noise_power: float) -> dict:
-    """Post-RZF link metrics of one effective channel and its analog
-    matrix, {name: column[0]} of batch_metrics on a batch of one."""
-    m, _ = batch_metrics(_one(h_eff), _one(w_rf), tx_power, epsilon, noise_power)
+    """Post-RZF link metrics of one effective channel and its beam rows,
+    {name: column[0]} of batch_metrics on a batch of one."""
+    m, _ = batch_metrics(_one(h_eff), _one(beams), tx_power, epsilon, noise_power)
     return {name: column[0] for name, column in m.items()}
 
 
-def rzf_of_one(h_eff, w_rf, tx_power: float, epsilon: float) -> SimpleNamespace:
-    """The RZF of one 2 x 2 effective channel and its N x 2 analog matrix,
+def rzf_of_one(h_eff, beams, tx_power: float, epsilon: float) -> SimpleNamespace:
+    """The RZF of one 2 x 2 effective channel and its 2 x N beam rows,
     from batch_metrics and achieved_power on a batch of one: baseband
     (W_BB), alpha (real positive; sqrt of alpha^2 gives back alpha's
     bits), product_check (H_eff W_BB) and achieved_power
     (||W_RF W_BB||_F^2). The noise power only scales metrics this does not
     read."""
-    h, w = _one(h_eff), _one(w_rf)
+    h, w = _one(h_eff), _one(beams)
     m, w_bb = batch_metrics(h, w, tx_power, epsilon, noise_power=1.0)
     return SimpleNamespace(baseband=w_bb[0], alpha=math.sqrt(m["alpha_power"][0]),
                            product_check=h[0] @ w_bb[0],
@@ -171,7 +171,7 @@ def design_params(strategy: str, user: UserPosition) -> AiryParams:
 
 
 def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition) -> np.ndarray:
-    """One user's column of a build_codebook strategy, built alone: under
+    """One user's row of a build_codebook strategy, built alone: under
     'airy_geo' or 'airy_opt' a shadowed user gets design_params' cubic
     beam, and every other user gets the focusing beam."""
     if (strategy in DESIGNS and scenario.obstacle is not None
@@ -181,8 +181,8 @@ def beam_of_one(scenario: ScenarioConfig, strategy: str, user: UserPosition) -> 
 
 
 def codebook_of_one(scenario: ScenarioConfig, strategy: str) -> np.ndarray:
-    """The N x K column stack of every user's beam_of_one."""
-    return np.column_stack([beam_of_one(scenario, strategy, u) for u in scenario.users])
+    """The K x N row stack of every user's beam_of_one."""
+    return np.array([beam_of_one(scenario, strategy, u) for u in scenario.users])
 
 
 def jittered(scenario: ScenarioConfig, rng, lam: float) -> ScenarioConfig:
@@ -200,24 +200,24 @@ def _moved(scenario: ScenarioConfig, x: float) -> UserPosition:
     return UserPosition(x=x, z=u2.z, label=u2.label)
 
 
-def _stacked(h_eff: list, w_rf: list) -> tuple:
+def _stacked(h_eff: list, beams: list) -> tuple:
     return (np.ascontiguousarray(h_eff, dtype=complex),
-            np.ascontiguousarray(w_rf, dtype=complex))
+            np.ascontiguousarray(beams, dtype=complex))
 
 
 def baseline_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     """run_baseline_scan's channels, one point at a time: user 2 at
-    x = x2 * lambda, a Green's-model matrix and one effective_channel per
-    point."""
+    x = x2 * lambda, a Green's-model matrix and one beam_responses product
+    per point."""
     lam = scenario.carrier.wavelength
     u1 = scenario.users[0]
-    h_eff, w_rf = [], []
+    h_eff, beams = [], []
     for x2_lambda in xs_lambda:
         point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
         w = codebook_of_one(point, "trad_all")
-        h_eff.append(effective_channel(greens_rows_of_one(point), w))
-        w_rf.append(w)
-    return _stacked(h_eff, w_rf)
+        h_eff.append(beam_responses(greens_rows_of_one(point), w))
+        beams.append(w)
+    return _stacked(h_eff, beams)
 
 
 def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
@@ -225,15 +225,15 @@ def shadow_points(scenario: ScenarioConfig, xs_lambda) -> tuple:
     lam = scenario.carrier.wavelength
     scale, _ = remark1_calibration(scenario)
     u1 = scenario.users[0]
-    h_eff, w_rf = [], []
+    h_eff, beams = [], []
     for x2_lambda in xs_lambda:
         point = scenario.with_users((u1, _moved(scenario, x2_lambda * lam)))
         h_phys = scale * diffraction_rows_of_one(point)
         for name in ("trad_all", "airy_geo"):
             w = codebook_of_one(point, name)
-            h_eff.append(effective_channel(h_phys, w))
-            w_rf.append(w)
-    return _stacked(h_eff, w_rf)
+            h_eff.append(beam_responses(h_phys, w))
+            beams.append(w)
+    return _stacked(h_eff, beams)
 
 
 def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
@@ -246,5 +246,5 @@ def robustness_points(scenario: ScenarioConfig, dxs_lambda) -> tuple:
     for dx_lambda in dxs_lambda:
         point = scenario.with_users((u1, _moved(scenario, u2.x + dx_lambda * lam)))
         h_phys = scale * diffraction_rows_of_one(point)
-        h_eff += [effective_channel(h_phys, book) for book in books]
+        h_eff += [beam_responses(h_phys, book) for book in books]
     return _stacked(h_eff, [book for _ in dxs_lambda for book in books])

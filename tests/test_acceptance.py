@@ -148,8 +148,8 @@ class TestFoundations:
         ])
 
     def test_criterion_05_zero_forcing_contract(self, rng):
-        w_rf = np.zeros((4, 2), dtype=complex)
-        w_rf[0, 0] = w_rf[1, 1] = 1.0
+        beams = np.zeros((2, 4), dtype=complex)
+        beams[0, 0] = beams[1, 1] = 1.0
         worst_zf, worst_power = 0.0, 0.0
         for _ in range(100):
             while True:
@@ -157,7 +157,7 @@ class TestFoundations:
                 sigma = np.linalg.svd(h, compute_uv=False)
                 if sigma[0] / sigma[-1] < 100.0:
                     break
-            res = rzf_of_one(h, w_rf, tx_power=3.7, epsilon=0.0)
+            res = rzf_of_one(h, beams, tx_power=3.7, epsilon=0.0)
             target = res.alpha * np.eye(2)
             worst_zf = max(worst_zf, float(
                 np.linalg.norm(res.product_check - target)

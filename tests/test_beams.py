@@ -396,27 +396,27 @@ class TestAiryLocalSine:
 class TestBuildCodebook:
     def test_trad_all(self, baseline_scenario, carrier):
         book = build_codebook(baseline_scenario, "trad_all")
-        assert book.shape[1] == 2
-        for beam, user in zip(book.T, baseline_scenario.users):
+        assert book.shape[0] == 2
+        for beam, user in zip(book, baseline_scenario.users):
             expected = focus_row(baseline_scenario.array, carrier, user)
             assert np.array_equal(beam, expected)
 
     @staticmethod
     def assert_each_user_aimed(strategy):
         """On the bundled shadow config both users are shadowed, and each
-        column is its own user's cubic beam, bit for bit: the strategy's
+        row is its own user's cubic beam, bit for bit: the strategy's
         design launched at that user's geometric angle plus the design's
-        offset. The two columns are different beams."""
+        offset. The two rows are different beams."""
         scenario = load_scenario(CONFIGS / "shadow.cfg")
         roles = [classify_user(u, scenario.obstacle) for u in scenario.users]
         assert roles == ["shadowed", "shadowed"]
         book = build_codebook(scenario, strategy)
         bending, focal, offset_deg = DESIGNS[strategy]
-        for beam, user in zip(book.T, scenario.users):
+        for beam, user in zip(book, scenario.users):
             params = AiryParams(bending, focal, geometric_angle(user) + math.radians(offset_deg))
             want = airy_weights(scenario.array, scenario.carrier, params)
             assert beam.tobytes() == want.tobytes()
-        assert abs(np.vdot(book[:, 0], book[:, 1])) < 0.9
+        assert abs(np.vdot(book[0], book[1])) < 0.9
 
     def test_airy_geo_uses_geometric_angles(self):
         self.assert_each_user_aimed("airy_geo")
@@ -434,8 +434,8 @@ class TestBuildCodebook:
             book = build_codebook(mixed_scenario, strategy)
             params = AiryParams(bending, focal, geometric_angle(u0) + math.radians(offset_deg))
             shadowed = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
-            assert book[:, 0].tobytes() == shadowed.tobytes()
-            assert book[:, 1].tobytes() == bright.tobytes()
+            assert book[0].tobytes() == shadowed.tobytes()
+            assert book[1].tobytes() == bright.tobytes()
 
     def test_curved_without_obstacle_focuses_every_user(self, baseline_scenario):
         """Nothing shadows a user in free space, so every user is bright."""
@@ -458,9 +458,31 @@ class TestBuildCodebook:
 
     def test_matrix_shape(self, baseline_scenario, carrier):
         m = build_codebook(baseline_scenario, "trad_all")
-        assert m.shape == (64, 2)
+        assert m.shape == (2, 64)
         bright = focus_row(baseline_scenario.array, carrier, baseline_scenario.users[1])
-        assert np.array_equal(m[:, 1], bright)
+        assert np.array_equal(m[1], bright)
+
+    @pytest.mark.parametrize("strategy", ["trad_all", *DESIGNS])
+    @pytest.mark.parametrize("config", ["baseline", "shadow", "mixed", "deep_shadow"])
+    def test_rows_on_the_bundled_configs(self, config, strategy):
+        """The codebook is K x N and C-contiguous, indexed like the channel
+        rows: row k has the bits of user k's one-target
+        traditional_focus_rows row or, for a shadowed user under a curved
+        strategy, of its one-design airy_axis_rows row."""
+        scenario = load_scenario(CONFIGS / f"{config}.cfg")
+        array, carrier = scenario.array, scenario.carrier
+        book = build_codebook(scenario, strategy)
+        assert book.shape == (scenario.k, array.n)
+        assert book.flags.c_contiguous
+        for row, user in zip(book, scenario.users):
+            if (strategy in DESIGNS and scenario.obstacle is not None
+                    and classify_user(user, scenario.obstacle) == "shadowed"):
+                bending, focal, offset_deg = DESIGNS[strategy]
+                angle = geometric_angle(user) + math.radians(offset_deg)
+                want = airy_axis_rows(array, carrier, (bending,), (focal,), (angle,))(0, 0, 0)
+            else:
+                want = traditional_focus_rows(array, carrier, (user.x,), (user.z,))[0]
+            assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("jitter", [False, True], ids=["bundled", "jittered"])
     @pytest.mark.parametrize("fixture, strategy", [
@@ -476,13 +498,13 @@ class TestBuildCodebook:
     ])
     def test_matches_the_column_stack_of_one_row_beams(self, fixture, strategy, jitter,
                                                        request, rng, lam):
-        """Every column has the bits of its user's one-row beam, and W_RF is
-        C-contiguous, the layout the channel products consume."""
+        """Every row has the bits of its user's one-row beam, and the
+        codebook is C-contiguous, the layout the channel products consume."""
         scenario = request.getfixturevalue(fixture)
         if jitter:
             scenario = jittered(scenario, rng, lam)
         book = build_codebook(scenario, strategy)
         want = codebook_of_one(scenario, strategy)
         assert book.flags.c_contiguous
-        assert book.shape == want.shape == (64, 2)
+        assert book.shape == want.shape == (2, 64)
         assert book.tobytes() == want.tobytes()

@@ -16,11 +16,11 @@ from airylink import (
     airy_weights,
     build_codebook,
     diffraction_channel,
-    effective_channel,
     greens_channel,
     remark1_calibration,
 )
 from airylink.channels import beam_responses, check_finite
+from airylink.precoding import batch_metrics
 from airylink.geometry import geometric_angle
 
 from batch_of_one import beam_column, focus_row, greens_rows_of_one
@@ -84,22 +84,23 @@ class TestChannelMatrix:
             check_finite(bad)
 
     def test_effective_must_be_square(self, baseline_scenario):
-        """Three beams for two users."""
-        h = greens_channel(baseline_scenario)
-        with pytest.raises(AirylinkError, match="square"):
-            effective_channel(h, np.ones((64, 3), dtype=complex))
+        """Three beams for two users: the 2 x 3 product is not an effective
+        channel the metrics take."""
+        h_eff = beam_responses(greens_channel(baseline_scenario), np.ones((3, 64)))
+        assert h_eff.shape == (2, 3)
+        with pytest.raises(AirylinkError, match=r"two users.*\(1, 2, 3\)"):
+            batch_metrics(h_eff[None], np.ones((1, 3, 64)), 1.0, 0.1, 1e-3)
 
 
 class TestEffectiveGreens:
     def test_matches_manual_product(self, baseline_scenario):
         """The Green's model meets the codebook in the one beam_responses
-        einsum, bit for bit, which agrees with the plain product H @ W to
-        round-off."""
+        einsum, which agrees with the plain product H @ W_RF, W_RF the
+        analog matrix whose columns are the beam rows, to round-off."""
         h = greens_channel(baseline_scenario)
-        w = build_codebook(baseline_scenario, "trad_all")
-        eff = effective_channel(h, w)
-        assert eff.tobytes() == beam_responses(h, w.T).tobytes()
-        assert np.allclose(eff, h @ w, rtol=1e-13, atol=0.0)
+        beams = build_codebook(baseline_scenario, "trad_all")
+        eff = beam_responses(h, beams)
+        assert np.allclose(eff, h @ beams.T, rtol=1e-13, atol=0.0)
 
     def test_single_user_gives_scalar_channel(self, carrier, lam, grid_std,
                                               array64):
@@ -108,8 +109,8 @@ class TestEffectiveGreens:
         scenario = ScenarioConfig(
             carrier, array64, (UserPosition(-5 * lam, 250 * lam),), grid_std,
             noise_power=1e-3, tx_power=1.0, rzf_epsilon=1e-10)
-        w = build_codebook(scenario, "trad_all")
-        eff = effective_channel(greens_channel(scenario), w)
+        beams = build_codebook(scenario, "trad_all")
+        eff = beam_responses(greens_channel(scenario), beams)
         assert eff.shape == (1, 1)
 
     def test_matched_beam_diagonal_dominates(self, baseline_scenario, lam):
@@ -117,8 +118,7 @@ class TestEffectiveGreens:
         real, positive, and equal to the coherent sum (1/sqrt(N)) sum lam/(4 pi r);
         cross-entries are strictly smaller in magnitude."""
         h = greens_channel(baseline_scenario)
-        w = build_codebook(baseline_scenario, "trad_all")
-        eff = effective_channel(h, w)
+        eff = beam_responses(h, build_codebook(baseline_scenario, "trad_all"))
         xs = np.asarray(baseline_scenario.array.element_x())
         for k, user in enumerate(baseline_scenario.users):
             r = np.hypot(xs - user.x, user.z)
@@ -147,22 +147,25 @@ class TestBeamColumn:
 
 class TestEffectiveDiffraction:
     def test_columns_match_beam_column(self, baseline_scenario):
-        w = build_codebook(baseline_scenario, "trad_all")
-        eff = effective_channel(diffraction_channel(baseline_scenario), w)
+        """Effective column j is the response of beam row j."""
+        beams = build_codebook(baseline_scenario, "trad_all")
+        eff = beam_responses(diffraction_channel(baseline_scenario), beams)
         for j in range(2):
-            assert np.array_equal(eff[:, j],
-                                  beam_column(baseline_scenario, w[:, j]))
+            assert np.array_equal(eff[:, j], beam_column(baseline_scenario, beams[j]))
 
     def test_repeat_builds_are_bit_identical(self, baseline_scenario):
-        w = build_codebook(baseline_scenario, "trad_all")
-        seq = effective_channel(diffraction_channel(baseline_scenario), w)
-        par = effective_channel(diffraction_channel(baseline_scenario), w)
+        beams = build_codebook(baseline_scenario, "trad_all")
+        seq = beam_responses(diffraction_channel(baseline_scenario), beams)
+        par = beam_responses(diffraction_channel(baseline_scenario), beams)
         assert np.array_equal(seq, par)
 
     def test_beam_matrix_shape_checked(self, baseline_scenario):
-        with pytest.raises(AirylinkError, match="shape"):
-            effective_channel(diffraction_channel(baseline_scenario),
-                              np.ones((8, 2), dtype=complex))
+        """The codebook's beams go to the metrics as rows; its N x K
+        transpose, the analog matrix W_RF, is refused by name."""
+        beams = build_codebook(baseline_scenario, "trad_all")
+        h_eff = beam_responses(diffraction_channel(baseline_scenario), beams)
+        with pytest.raises(AirylinkError, match=r"C x 2 x N.*\(1, 64, 2\)"):
+            batch_metrics(h_eff[None], beams.T[None], 1.0, 0.1, 1e-3)
 
 
 class TestCalibration:
@@ -193,9 +196,9 @@ class TestCalibration:
         """Recompute the fit from the public pieces: the fitted constant is
         <H_d, H_g>/<H_d, H_d>, which makes the residual orthogonal to H_d."""
         c, _ = baseline_calibration
-        w = build_codebook(baseline_scenario, "trad_all")
-        h_g = effective_channel(greens_channel(baseline_scenario), w)
-        h_d = effective_channel(diffraction_channel(baseline_scenario), w)
+        beams = build_codebook(baseline_scenario, "trad_all")
+        h_g = beam_responses(greens_channel(baseline_scenario), beams)
+        h_d = beam_responses(diffraction_channel(baseline_scenario), beams)
         refit = np.vdot(h_d, h_g) / np.vdot(h_d, h_d).real
         assert refit == pytest.approx(c, rel=1e-12)
         leftover = np.vdot(h_d, h_g - c * h_d)
@@ -204,9 +207,9 @@ class TestCalibration:
     def test_per_entry_agreement_after_scaling(self, baseline_scenario,
                                                baseline_calibration):
         c, _ = baseline_calibration
-        w = build_codebook(baseline_scenario, "trad_all")
-        h_g = effective_channel(greens_channel(baseline_scenario), w)
-        h_d = effective_channel(c * diffraction_channel(baseline_scenario), w)
+        beams = build_codebook(baseline_scenario, "trad_all")
+        h_g = beam_responses(greens_channel(baseline_scenario), beams)
+        h_d = beam_responses(c * diffraction_channel(baseline_scenario), beams)
         mag_err = np.abs(np.abs(h_d) - np.abs(h_g)) / np.abs(h_g)
         phase_err = np.abs(np.angle(h_d / h_g))
         assert mag_err.max() <= 0.02

@@ -112,6 +112,19 @@ class TestArgumentHandling:
         assert message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [("--zmin", "nan"), ("--zmax", "inf"),
+                                             ("--zmin", "-inf")])
+    def test_non_finite_sweep_bound_is_a_config_error(self, tmp_path, capsys, flag, value):
+        """A NaN or infinite end of a range is one error line and exit code
+        1, not a traceback from the step count."""
+        rc = main(["fieldmap", "--config", SHADOW, "--strategy", "airy_geo", f"{flag}={value}",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "must have finite bounds" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, config, line", [
         ("baseline", BASELINE, "noise_power = 1e-3"),
         ("robustness", MIXED, "rzf_epsilon = 1e-10"),
@@ -308,6 +321,26 @@ class TestRobustnessCommand:
                             "gain_airy_opt_vs_trad"]
         assert [float(r[0]) for r in g_rows] == [-3.0, -1.5, 0.0, 1.5, 3.0]
         assert (tmp_path / "robustness.meta").exists()
+
+    def test_worst_case_pairs_mirrored_points(self, tmp_path):
+        """At a step of 0.1, -3 + i * 0.1 and its mirror 3 - i * 0.1 can
+        differ in the last bit; each |dx2| still gets one row, the worse of
+        its two signs in the per-strategy tables."""
+        assert main(["robustness", "--config", MIXED, "--out", str(tmp_path),
+                     "--step", "0.1"]) == 0
+        header, rows = read_rows(tmp_path / "robustness_worst_case.csv")
+        magnitudes = [float(r[0]) for r in rows]
+        assert len(rows) == 31
+        assert all(a < b for a, b in zip(magnitudes, magnitudes[1:]))
+        for column, strategy in enumerate(("trad_all", "airy_geo", "airy_opt"), start=1):
+            names, points = read_rows(tmp_path / f"robustness_vs_dx2_{strategy}.csv")
+            dx, rate = names.index("dx2_lambda"), names.index("sum_rate")
+            worst = {}
+            for point in points:
+                key = round(abs(float(point[dx])), 9)
+                worst[key] = min(worst.get(key, math.inf), float(point[rate]))
+            assert [float(r[column]) for r in rows] == [worst[round(m, 9)]
+                                                        for m in magnitudes]
 
 
 def csv_writer_bytes(path, header, rows) -> bytes:

@@ -27,7 +27,6 @@ from airylink import (
     airy_weights,
     build_codebook,
     diffraction_channel,
-    effective_channel,
     greens_channel,
     intensity_map,
     launch_aperture,
@@ -40,6 +39,7 @@ from airylink import (
     run_shadow_scan,
 )
 from airylink.beams import DESIGNS
+from airylink.channels import beam_responses
 from airylink.geometry import geometric_angle
 
 from batch_of_one import (baseline_points, beam_of_one, design_params, evaluate_candidate,
@@ -263,7 +263,7 @@ class TestRobustnessSweep:
                                                           robustness_result):
         scale, _ = remark1_calibration(mixed_scenario)
         book = build_codebook(mixed_scenario, "airy_geo")
-        h_eff = effective_channel(scale * diffraction_channel(mixed_scenario), book)
+        h_eff = beam_responses(scale * diffraction_channel(mixed_scenario), book)
         nominal = per_point_record(mixed_scenario, h_eff, book)
 
         i = list(robustness_result.values).index(0.0)
@@ -303,7 +303,7 @@ class TestFieldmap:
                          depth_start_lambda=50.0, depth_stop_lambda=350.0,
                          depth_step_lambda=100.0, with_obstacle=False)
         book = build_codebook(mixed_scenario, "trad_all")
-        launch = launch_aperture(book[:, 1], mixed_scenario.array,
+        launch = launch_aperture(book[1], mixed_scenario.array,
                                  mixed_scenario.grid, lam)
         manual = intensity_map(launch, None,
                                [d * lam for d in (50.0, 150.0, 250.0, 350.0)],
@@ -327,9 +327,9 @@ class TestFieldmap:
         assert not np.array_equal(maps[0], maps[1])
 
 
-def per_point_record(scenario, h_eff, w_rf) -> dict:
+def per_point_record(scenario, h_eff, beams) -> dict:
     """The metrics of one sweep point scored on its own, a batch of one."""
-    return metrics_of_one(h_eff, w_rf, scenario.tx_power, scenario.rzf_epsilon,
+    return metrics_of_one(h_eff, beams, scenario.tx_power, scenario.rzf_epsilon,
                           scenario.noise_power)
 
 
@@ -395,7 +395,7 @@ class TestOneMetricsPath:
         for x in sweep.values:
             s = moved_second_user(baseline_scenario, x * lam)
             book = build_codebook(s, "trad_all")
-            h_eff = effective_channel(greens_channel(s), book)
+            h_eff = beam_responses(greens_channel(s), book)
             expected.append({"trad_all": per_point_record(s, h_eff, book)})
         assert_same_records(sweep, expected)
 
@@ -408,7 +408,7 @@ class TestOneMetricsPath:
             point = {}
             for name in ("trad_all", "airy_geo"):
                 book = build_codebook(s, name)
-                h_eff = effective_channel(h_phys, book)
+                h_eff = beam_responses(h_phys, book)
                 point[name] = per_point_record(s, h_eff, book)
             expected.append(point)
         assert_same_records(shadow_sweep, expected)
@@ -424,7 +424,7 @@ class TestOneMetricsPath:
             s = moved_second_user(mixed_scenario, x2 + dx * lam)
             h_phys = scale * diffraction_channel(s)
             expected.append({
-                name: per_point_record(s, effective_channel(h_phys, book), book)
+                name: per_point_record(s, beam_responses(h_phys, book), book)
                 for name, book in books.items()
             })
         assert_same_records(robustness_result, expected)
@@ -441,10 +441,10 @@ class TestOneMetricsPath:
             params = AiryParams(best.bending, best.focal,
                                 theta_geo + math.radians(d))
             w1 = airy_weights(mixed_scenario.array, mixed_scenario.carrier, params)
-            w_rf = np.column_stack([w1, w2])
-            h_eff = effective_channel(h_phys, w_rf)
+            beams = np.array([w1, w2])
+            h_eff = beam_responses(h_phys, beams)
             expected.append({"airy_best_bf": per_point_record(mixed_scenario,
-                                                              h_eff, w_rf)})
+                                                              h_eff, beams)})
         assert_same_records(mixed_opt_result.dtheta_sweep, expected)
 
     @pytest.mark.parametrize("run, fixture", [
@@ -472,8 +472,8 @@ class TestOneMetricsPath:
         point: a 1e-6 error at the last point alone stops the sweep."""
         power = airylink.experiments.achieved_power
 
-        def perturbed(w, w_bb):
-            p = power(w, w_bb)
+        def perturbed(beams, w_bb):
+            p = power(beams, w_bb)
             p[-1] *= 1.0 + 1e-6
             return p
 
@@ -499,8 +499,8 @@ class TestOneMetricsPath:
             m["condition_number"][[2, 4]] = (0.5, 0.25)
             return m, w_bb
 
-        def perturbed(w, w_bb):
-            p = power(w, w_bb)
+        def perturbed(beams, w_bb):
+            p = power(beams, w_bb)
             p[power_at] *= 1.0 + 1e-6
             return p
 
@@ -553,9 +553,9 @@ class TestOneMetricsPath:
     def test_mixed_optimization_builds_the_bright_beam_once(self, mixed_scenario,
                                                             monkeypatch):
         """The search builds the 'airy_geo' codebook once and hands it over
-        (SearchOutcome.codebook): the angle sweep pairs every row with its
-        bright-user column, and the field cut takes its geometric column as
-        the reference. Counted in every airylink module that holds
+        (SearchOutcome.codebook): the angle sweep pairs every curved beam
+        with its bright-user row, and the field cut takes its geometric row
+        as the reference. Counted in every airylink module that holds
         build_codebook or airy_weights: one 'airy_geo' codebook beside the
         calibration's 'trad_all' one, focusing rows for the calibration's
         two users and the codebook's bright user only, and one airy_weights
@@ -578,7 +578,7 @@ class TestOneMetricsPath:
         assert one_beams == [result.search.best_params]
         monkeypatch.undo()
         w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
-        assert result.search.codebook[:, 1].tobytes() == w2.tobytes()
+        assert result.search.codebook[1].tobytes() == w2.tobytes()
 
     def test_mixed_optimization_fits_the_calibration_once(self, mixed_scenario,
                                                           monkeypatch):
@@ -668,18 +668,19 @@ class TestOneMetricsPath:
 
 
 def scored_channels(monkeypatch, run, scenario, **kwargs) -> tuple:
-    """(values, h_eff, w_rf) that one sweep hands to its scorer."""
+    """(values, h_eff, beams) of one sweep: its sweep values and the
+    effective channels and beam rows it hands to batch_metrics."""
     seen = []
-    scored = airylink.experiments._scored_sweep
+    scored = airylink.experiments.batch_metrics
 
-    def capture(scenario, variable, strategies, values, h_eff, w_rf):
-        seen.append((values, h_eff, w_rf))
-        return scored(scenario, variable, strategies, values, h_eff, w_rf)
+    def capture(h_eff, beams, *args):
+        seen.append((h_eff, beams))
+        return scored(h_eff, beams, *args)
 
-    monkeypatch.setattr(airylink.experiments, "_scored_sweep", capture)
-    run(scenario, **kwargs)
-    (values, h_eff, w_rf), = seen
-    return values, h_eff, w_rf
+    monkeypatch.setattr(airylink.experiments, "batch_metrics", capture)
+    values = run(scenario, **kwargs).values
+    (h_eff, beams), = seen
+    return values, h_eff, beams
 
 
 SWEEPS = [
@@ -710,10 +711,10 @@ class TestStackedSweeps:
         scenario = request.getfixturevalue(fixture)
         if jitter:
             scenario = jittered(scenario, rng, lam)
-        values, h_eff, w_rf = scored_channels(monkeypatch, run, scenario, **kwargs)
+        values, h_eff, beams = scored_channels(monkeypatch, run, scenario, **kwargs)
         want_h, want_w = reference(scenario, values)
         got_h = np.ascontiguousarray(h_eff, dtype=complex)
-        got_w = np.ascontiguousarray(w_rf, dtype=complex)
+        got_w = np.ascontiguousarray(beams, dtype=complex)
         assert got_h.shape == want_h.shape and got_w.shape == want_w.shape
         assert got_h.tobytes() == want_h.tobytes()
         assert got_w.tobytes() == want_w.tobytes()

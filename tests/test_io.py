@@ -191,8 +191,8 @@ class TestFloatRowsMatchPerCellWriter:
 
     def test_real_codebook(self, tmp_path, shadow_scenario):
         book = build_codebook(shadow_scenario, "airy_geo")
-        header = [f"beam_{j + 1}_phase_rad" for j in range(book.shape[1])]
-        phases = np.angle(book)
+        header = [f"beam_{j + 1}_phase_rad" for j in range(len(book))]
+        phases = np.angle(book).T
         write_table(tmp_path / "book.csv", header, phases)
         expected = per_cell_csv(tmp_path / "ref.csv", phases, header)
         assert (tmp_path / "book.csv").read_bytes() == expected

@@ -78,7 +78,7 @@ class TestSearchBox:
         """What lets the search skip grid checks and an infeasible stage:
         sorted axes of two points or more, positive fine focal lengths, and
         the geometric design ('airy_geo' of DESIGNS) on the coarse grid,
-        where it gets the bits of the codebook column that sets the floor,
+        where it gets the bits of the codebook row that sets the floor,
         so it always clears eta times that gain."""
         for axis in COARSE_AXES:
             assert len(axis) >= 2 and list(axis) == sorted(axis)
@@ -97,14 +97,14 @@ class TestSearchBox:
 
 class TestGeometricBaseline:
     def test_stock_design(self, mixed_scenario):
-        """The search's comparator is the 'airy_geo' codebook's column 0:
+        """The search's comparator is the 'airy_geo' codebook's row 0:
         bending -25 and focal 1.75 m, aimed at the shadowed user's
         geometric angle."""
         assert DESIGNS["airy_geo"] == (-25.0, 1.75, 0.0)
         stock = AiryParams(-25.0, 1.75, geometric_angle(mixed_scenario.users[0]))
         w = airy_weights(mixed_scenario.array, mixed_scenario.carrier, stock)
         book = coarse_to_fine_search(mixed_scenario).codebook
-        assert book[:, 0].tobytes() == w.tobytes()
+        assert book[0].tobytes() == w.tobytes()
 
 
 class TestEvaluateCandidate:
@@ -132,8 +132,7 @@ class TestEvaluateCandidate:
         w2 = focus_row(mixed_scenario.array, mixed_scenario.carrier, mixed_scenario.users[1])
         h1 = beam_column(mixed_scenario, w1)
         h_eff = np.column_stack([h1, fixed_h2])
-        w_rf = np.column_stack([w1, w2])
-        manual = metrics_of_one(h_eff, w_rf, mixed_scenario.tx_power,
+        manual = metrics_of_one(h_eff, np.array([w1, w2]), mixed_scenario.tx_power,
                                 mixed_scenario.rzf_epsilon,
                                 mixed_scenario.noise_power)["sum_rate"]
         assert rate == manual
@@ -192,11 +191,12 @@ class TestCoarseToFineSearch:
     def test_compares_against_the_airy_geo_codebook(self, name):
         """The search compares its candidates with build_codebook's
         'airy_geo' codebook, bit for bit, and sets the gain floor from that
-        codebook's column 0 on the rows it scores."""
+        2 x N codebook's row 0 on the rows it scores."""
         scenario = load_scenario(CONFIGS / f"{name}.cfg")
         outcome = coarse_to_fine_search(scenario)
+        assert outcome.codebook.shape == (2, scenario.array.n)
         assert outcome.codebook.tobytes() == build_codebook(scenario, "airy_geo").tobytes()
-        h = beam_responses(outcome.h_phys, outcome.codebook.T)
+        h = beam_responses(outcome.h_phys, outcome.codebook)
         assert outcome.baseline_gain == abs(h[0, 0]) ** 2
 
     @pytest.mark.parametrize("name, flags", [("mixed", (True, False, False)),
@@ -289,7 +289,7 @@ class TestSearchSkipsAchievedPower:
     def test_one_frobenius_norm_per_chunk(self, mixed_scenario, monkeypatch):
         """Only the closed-form RZF's ||H||_F^2 of the 2 x 2 effective
         channels is taken per chunk; the realized power ||W_RF W_BB||_F^2,
-        or any norm of a C x N x 2 product, is never computed."""
+        or any norm of a C x 2 x N product, is never computed."""
         calls, shapes = [], []
         frob = precoding._frobenius_sq
 
@@ -348,9 +348,9 @@ class TestScoreChunkH11Exact:
         assert h11_power.tobytes() == np.array(expected).tobytes()
 
 
-def analog_matrices(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """The C x N x 2 analog matrices [w1_c w2] of a chunk's beams."""
-    return np.ascontiguousarray(np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=-1))
+def beam_pairs(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The C x 2 x N beam rows [w1_c, w2] of a chunk's beams."""
+    return np.stack([w1, np.broadcast_to(w2, w1.shape)], axis=1)
 
 
 class TestRatePath:
@@ -363,7 +363,7 @@ class TestRatePath:
         link = (scenario.tx_power, epsilon, scenario.noise_power)
         for h, w1, w2 in chunks:
             rates = batch_sum_rates(h, w1, w2, *link)
-            metrics = batch_metrics(h, analog_matrices(w1, w2), *link)[0]
+            metrics = batch_metrics(h, beam_pairs(w1, w2), *link)[0]
             assert rates.tobytes() == metrics["sum_rate"].tobytes()
 
     def test_singular_candidate_raises_the_same_error(self, mixed_scenario, monkeypatch):
@@ -373,12 +373,12 @@ class TestRatePath:
         h = h.copy()
         h[40, :, 1] = h[40, :, 0]
         link = (mixed_scenario.tx_power, 0.0, mixed_scenario.noise_power)
-        expected = raised(batch_metrics, h, analog_matrices(w1, w2), *link)
+        expected = raised(batch_metrics, h, beam_pairs(w1, w2), *link)
         assert raised(batch_sum_rates, h, w1, w2, *link) == expected
         assert "singular" in expected[1]
 
     def test_zero_precoder_raises_the_same_error(self, mixed_scenario, monkeypatch):
-        """With epsilon > 0 an all-zero analog matrix leaves nothing to
+        """With epsilon > 0 an all-zero beam pair leaves nothing to
         normalize; the rate path takes the SVD to report the same sigma_min."""
         h, w1, w2 = recorded_chunks(monkeypatch, mixed_scenario)[1]
         w1 = w1.copy()
@@ -386,7 +386,7 @@ class TestRatePath:
         w2 = np.zeros_like(w2)
         link = (mixed_scenario.tx_power, mixed_scenario.rzf_epsilon,
                 mixed_scenario.noise_power)
-        expected = raised(batch_metrics, h, analog_matrices(w1, w2), *link)
+        expected = raised(batch_metrics, h, beam_pairs(w1, w2), *link)
         assert raised(batch_sum_rates, h, w1, w2, *link) == expected
         assert expected[2] > 0.0 and "normalize" in expected[1]
 

@@ -155,16 +155,16 @@ class TestEmbedAperture:
 
     @pytest.mark.parametrize("name", ["baseline", "shadow", "mixed"])
     def test_matches_the_per_element_loop(self, name, rng):
-        """Every codebook column of the bundled config, and random weights,
+        """Every codebook beam of the bundled config, and random weights,
         bit for bit."""
         from airylink import build_codebook
 
         scenario = load_scenario(CONFIGS / f"{name}.cfg")
-        columns = [*build_codebook(scenario, "trad_all").T,
-                   *build_codebook(scenario, "airy_geo").T,
-                   *build_codebook(scenario, "airy_opt").T,
-                   *(rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64)))]
-        for w in columns:
+        beams = [*build_codebook(scenario, "trad_all"),
+                 *build_codebook(scenario, "airy_geo"),
+                 *build_codebook(scenario, "airy_opt"),
+                 *(rng.standard_normal((8, 64)) + 1j * rng.standard_normal((8, 64)))]
+        for w in beams:
             got = embed_aperture(w, scenario.array, scenario.grid).samples
             assert got.tobytes() == self.per_element(w, scenario.array, scenario.grid).tobytes()
 
@@ -544,7 +544,7 @@ class TestIntensityMapCascade:
         from airylink import build_codebook
 
         book = build_codebook(shadow_scenario, "trad_all")
-        f = launch_aperture(book[:, 0], shadow_scenario.array,
+        f = launch_aperture(book[0], shadow_scenario.array,
                             shadow_scenario.grid, lam)
         obstacle = shadow_scenario.obstacle if blocked else None
         edge = shadow_scenario.obstacle.depth
@@ -565,7 +565,7 @@ class TestIntensityMapCascade:
         from airylink import build_codebook
 
         book = build_codebook(shadow_scenario, "trad_all")
-        f = launch_aperture(book[:, 0], shadow_scenario.array,
+        f = launch_aperture(book[0], shadow_scenario.array,
                             shadow_scenario.grid, lam)
         depths = [d * lam for d in range(10, 401, 2)]
         tracemalloc.start()
