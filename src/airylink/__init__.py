@@ -46,7 +46,6 @@ from .geometry import (
 )
 from .optimizer import SearchOutcome, SearchTrace, coarse_to_fine_search
 from .propagation import (
-    ComplexField,
     IntensityMap,
     band_limit,
     embed_aperture,

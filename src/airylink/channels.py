@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .beams import build_codebook
-from .errors import AirylinkError, ModelMismatchError
+from .errors import AirylinkError, ConfigError, ModelMismatchError
 from .geometry import ScenarioConfig
 from .propagation import Cascade, element_bins, sample_field_transpose
 
@@ -149,8 +149,12 @@ def remark1_calibration(scenario: ScenarioConfig) -> tuple[complex, float]:
 
     Returns (c*, residual) where residual is the relative Frobenius misfit
     after scaling. Callers multiply the scenario's diffraction rows by c*
-    so both models share one amplitude scale.
+    so both models share one amplitude scale. Fewer than two users are
+    refused: one constant always fits a 1 x 1 channel exactly, so the
+    residual would read 0 whatever the models do.
     """
+    if scenario.k < 2:
+        raise ConfigError(f"calibration needs at least two users, got {scenario.k}")
     free = scenario.without_obstacle()
     beams = build_codebook(free, "trad_all")
     h_greens = beam_responses(greens_channel(free), beams)

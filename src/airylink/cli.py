@@ -38,12 +38,7 @@ from .experiments import (
     run_shadow_scan,
 )
 from .geometry import ScenarioConfig, fraunhofer_distance, geometric_angle
-from .propagation import (
-    LAUNCH_CUTOFF_SINE,
-    ComplexField,
-    band_limit,
-    propagate_angular_spectrum,
-)
+from .propagation import LAUNCH_CUTOFF_SINE, band_limit, propagate_angular_spectrum
 
 __all__ = ["main"]
 
@@ -71,9 +66,23 @@ def _step_override(args) -> dict:
     return {} if args.step is None else {"step_lambda": args.step}
 
 
-def _report(paths) -> None:
+def _meta(out: Path, command: str, scenario: ScenarioConfig, run: dict, **sections) -> Path:
+    """Write the command's <command>.meta sidecar into `out` and return its
+    path: first [run], holding the command, the scenario hash and then
+    `run`'s keys, and after it the given sections in order."""
+    path = out / f"{command.replace('-', '_')}.meta"
+    aio.write_metadata(path, {
+        "run": {"command": command, "scenario": aio.scenario_hash(scenario), **run},
+        **sections,
+    })
+    return path
+
+
+def _wrote(paths) -> int:
+    """Print one `wrote` line per file written; the command's exit code."""
     for p in paths:
         print(f"wrote {p}")
+    return 0
 
 
 def _cmd_baseline(args) -> int:
@@ -88,16 +97,10 @@ def _cmd_baseline(args) -> int:
     theta_sweep = replace(sweep, sweep_variable="theta2_deg",
                           values=[math.degrees(math.atan2(x * lam, z2)) for x in sweep.values])
     paths += aio.write_sweep_csv(out, "baseline_vs_theta2", theta_sweep, scenario)
-    aio.write_metadata(out / "baseline.meta", {
-        "run": {
-            "command": "baseline",
-            "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.values),
-            "fraunhofer_m": fraunhofer_distance(scenario.array, scenario.carrier),
-        },
-    })
-    _report(paths + [out / "baseline.meta"])
-    return 0
+    return _wrote(paths + [_meta(out, "baseline", scenario, {
+        "points": len(sweep.values),
+        "fraunhofer_m": fraunhofer_distance(scenario.array, scenario.carrier),
+    })])
 
 
 def _cmd_shadow(args) -> int:
@@ -114,15 +117,8 @@ def _cmd_shadow(args) -> int:
     aio.write_table(angle_path, ["x2_lambda", "theta1_deg", "theta2_deg"], [
         (x, theta1, math.degrees(math.atan2(x * lam, z2))) for x in sweep.values
     ])
-    aio.write_metadata(out / "shadow.meta", {
-        "run": {
-            "command": "shadow",
-            "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.values),
-        },
-    })
-    _report(paths + [angle_path, out / "shadow.meta"])
-    return 0
+    return _wrote(paths + [angle_path,
+                           _meta(out, "shadow", scenario, {"points": len(sweep.values)})])
 
 
 def _cmd_mixed_opt(args) -> int:
@@ -146,40 +142,31 @@ def _cmd_mixed_opt(args) -> int:
     # Candidates past the launch cutoff or past 1 are flagged, not rejected.
     sines = airy_local_sine(scenario.array, trace.bending, trace.focal, theta_geo + trace.dtheta)
     best_sine = airy_local_sine(scenario.array, best.bending, best.focal, best.launch_angle)
-    aio.write_metadata(out / "mixed_opt.meta", {
-        "run": {
-            "command": "mixed-opt",
-            "scenario": aio.scenario_hash(scenario),
-        },
-        "search": {
-            "best_bending": best.bending,
-            "best_focal_m": best.focal,
-            "best_dtheta_deg": math.degrees(best.launch_angle - theta_geo),
-            "best_rate": search.best_rate,
-            "baseline_gain": search.baseline_gain,
-            "threshold": search.threshold,
-            "evaluations": search.evaluations,
-            "rejected_by_constraint": search.rejected_by_constraint,
-            **{f"{axis}_on_fine_edge": flag
-               for axis, flag in zip(("bending", "focal", "dtheta"), search.on_fine_edge)},
-            "local_sine_above_cutoff": int(np.count_nonzero(sines > LAUNCH_CUTOFF_SINE)),
-            "local_sine_above_one": int(np.count_nonzero(sines > 1.0)),
-            "best_local_sine": float(best_sine),
-        },
-        "calibration": {
-            "scale_re": search.calibration_scale.real,
-            "scale_im": search.calibration_scale.imag,
-            "residual": search.calibration_residual,
-        },
-        "field_cut": {
-            "cut_depth_m": result.field_cut.cut_depth,
-            "peak": result.field_cut.peak,
-            "gain_at_shadowed_db": result.field_cut.gain_at_shadowed_db,
-            "interference_change_db": result.field_cut.interference_change_db,
-        },
+    meta = _meta(out, "mixed-opt", scenario, {}, search={
+        "best_bending": best.bending,
+        "best_focal_m": best.focal,
+        "best_dtheta_deg": math.degrees(best.launch_angle - theta_geo),
+        "best_rate": search.best_rate,
+        "baseline_gain": search.baseline_gain,
+        "threshold": search.threshold,
+        "evaluations": search.evaluations,
+        "rejected_by_constraint": search.rejected_by_constraint,
+        **{f"{axis}_on_fine_edge": flag
+           for axis, flag in zip(("bending", "focal", "dtheta"), search.on_fine_edge)},
+        "local_sine_above_cutoff": int(np.count_nonzero(sines > LAUNCH_CUTOFF_SINE)),
+        "local_sine_above_one": int(np.count_nonzero(sines > 1.0)),
+        "best_local_sine": float(best_sine),
+    }, calibration={
+        "scale_re": search.calibration_scale.real,
+        "scale_im": search.calibration_scale.imag,
+        "residual": search.calibration_residual,
+    }, field_cut={
+        "cut_depth_m": result.field_cut.cut_depth,
+        "peak": result.field_cut.peak,
+        "gain_at_shadowed_db": result.field_cut.gain_at_shadowed_db,
+        "interference_change_db": result.field_cut.interference_change_db,
     })
-    _report([trace_path] + sweep_paths + [cut_path, out / "mixed_opt.meta"])
-    return 0
+    return _wrote([trace_path] + sweep_paths + [cut_path, meta])
 
 
 def _cmd_robustness(args) -> int:
@@ -203,15 +190,8 @@ def _cmd_robustness(args) -> int:
     aio.write_table(gain_path, ["dx2_lambda"] + [f"gain_{s}_vs_trad" for s in others], [
         [v] + [rates[s][i] - rates["trad_all"][i] for s in others] for i, v in enumerate(values)
     ])
-    aio.write_metadata(out / "robustness.meta", {
-        "run": {
-            "command": "robustness",
-            "scenario": aio.scenario_hash(scenario),
-            "points": len(sweep.values),
-        },
-    })
-    _report(paths + [wc_path, gain_path, out / "robustness.meta"])
-    return 0
+    return _wrote(paths + [wc_path, gain_path,
+                           _meta(out, "robustness", scenario, {"points": len(sweep.values)})])
 
 
 def _cmd_fieldmap(args) -> int:
@@ -229,8 +209,7 @@ def _cmd_fieldmap(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"fieldmap_{args.strategy}_beam{args.beam}.csv"
     aio.write_intensity_map(path, imap, scenario)
-    _report([path, Path(str(path) + ".meta")])
-    return 0
+    return _wrote([path, Path(str(path) + ".meta")])
 
 
 def _cmd_validate(args) -> int:
@@ -242,25 +221,27 @@ def _cmd_validate(args) -> int:
     rng = np.random.default_rng(2026)
     checks = []
 
+    def energy(samples):
+        return np.sum(np.abs(samples) ** 2) * bare.dx
+
     worst = 0.0
     for _ in range(20):
-        samples = rng.standard_normal(bare.nx) + 1j * rng.standard_normal(bare.nx)
-        field = ComplexField(samples, bare, 0.0)
-        out = propagate_angular_spectrum(field, 123.4 * lam, lam)
-        worst = max(worst, abs(out.energy - field.energy) / field.energy)
+        field = rng.standard_normal(bare.nx) + 1j * rng.standard_normal(bare.nx)
+        out = propagate_angular_spectrum(field, bare, 123.4 * lam, lam)
+        worst = max(worst, abs(energy(out) - energy(field)) / energy(field))
     checks.append(("energy conservation (20 random fields)", worst < 1e-10,
                    f"max rel drift {worst:.3e}"))
 
     worst = 0.0
     for _ in range(10):
         samples = rng.standard_normal(bare.nx) + 1j * rng.standard_normal(bare.nx)
-        field = band_limit(ComplexField(samples, bare, 0.0), wavelength=lam)
+        field = band_limit(samples, bare, lam)
         z1, z2 = (float(rng.uniform(20, 200)) * lam for _ in range(2))
-        once = propagate_angular_spectrum(field, z1 + z2, lam)
+        once = propagate_angular_spectrum(field, bare, z1 + z2, lam)
         twice = propagate_angular_spectrum(
-            propagate_angular_spectrum(field, z1, lam), z2, lam
+            propagate_angular_spectrum(field, bare, z1, lam), bare, z2, lam
         )
-        err = np.linalg.norm(once.samples - twice.samples) / np.linalg.norm(once.samples)
+        err = np.linalg.norm(once - twice) / np.linalg.norm(once)
         worst = max(worst, float(err))
     checks.append(("split-step composition (10 cases)", worst < 1e-9,
                    f"max rel err {worst:.3e}"))

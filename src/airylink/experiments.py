@@ -316,7 +316,7 @@ def _field_cut(
     for w in (reference, tuned):
         launch = launch_aperture(w, scenario.array, scenario.grid, lam)
         (out,) = cascade.fields(launch, [cut_depth])
-        profiles.append(np.abs(out.samples) ** 2)
+        profiles.append(np.abs(out) ** 2)
     peak = float(max(p.max() for p in profiles))
     if peak <= 0:
         raise AirylinkError("both field cuts are identically zero")
@@ -379,5 +379,5 @@ def run_fieldmap(
     lam = scenario.carrier.wavelength
     depths = [d * lam for d in _sweep_values(depth_start_lambda, depth_stop_lambda, depth_step_lambda)]
     launch = launch_aperture(beams[beam_index], scenario.array, scenario.grid, lam)
-    obstacle = scenario.obstacle if with_obstacle else None
-    return intensity_map(launch, obstacle, depths, lam)
+    cascade = Cascade(scenario.grid, lam, scenario.obstacle if with_obstacle else None)
+    return intensity_map(cascade, launch, depths)

@@ -17,10 +17,13 @@ must compose as a semigroup, and must agree with the quadrature oracle to
 better than 1e-3 -- only this pairing satisfies all three (a conjugated
 transfer function or a 1/sqrt(j) prefactor each break one of them).
 
-The knife-edge cascade (propagate to the obstacle plane, zero the blocked
-side, propagate on) is one Cascade per grid, wavelength and obstacle, run
-forward for fields (intensity_map is its map of many depths) and
-transposed for channel rows.
+A field is a plain complex array of grid.nx samples on the grid of the
+Cascade that propagates it (or of the `grid` argument where there is no
+Cascade); every entry point that takes samples from outside refuses any
+other shape with GridError. The knife-edge cascade (propagate to the
+obstacle plane, zero the blocked side, propagate on) is one Cascade per
+grid, wavelength and obstacle, run forward for fields from the array plane
+(intensity_map is its map of many depths) and transposed for channel rows.
 
 Boundary handling: a super-Gaussian absorber multiplies the field after
 every propagation step, eating energy that would otherwise wrap around the
@@ -40,7 +43,6 @@ from .errors import AirylinkError, GridError
 from .geometry import ArrayGeometry, GridSpec, KnifeEdgeObstacle
 
 __all__ = [
-    "ComplexField",
     "grid_x",
     "grid_fx",
     "embed_aperture",
@@ -64,26 +66,6 @@ _LAUNCH_ORDER = 8
 _APOD_ORDER = 8
 
 
-@dataclass(frozen=True)
-class ComplexField:
-    """Complex scalar field sampled on a uniform transverse grid at one depth."""
-
-    samples: np.ndarray
-    grid: GridSpec
-    depth: float
-
-    def __post_init__(self):
-        if self.samples.shape != (self.grid.nx,):
-            raise GridError(
-                f"field has {self.samples.shape} samples, grid expects ({self.grid.nx},)"
-            )
-
-    @property
-    def energy(self) -> float:
-        """Discrete field energy, sum |E|^2 dx."""
-        return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dx)
-
-
 def grid_x(grid: GridSpec) -> np.ndarray:
     """Sample x coordinates, centered so index nx//2 sits at x = 0."""
     return (np.arange(grid.nx) - grid.nx // 2) * grid.dx
@@ -92,6 +74,13 @@ def grid_x(grid: GridSpec) -> np.ndarray:
 def grid_fx(grid: GridSpec) -> np.ndarray:
     """Spatial frequencies matching numpy's FFT ordering."""
     return np.fft.fftfreq(grid.nx, d=grid.dx)
+
+
+def _spectrum(samples, grid: GridSpec) -> np.ndarray:
+    """FFT of a field's samples, refused unless there is one per grid point."""
+    if np.shape(samples) != (grid.nx,):
+        raise GridError(f"field has {np.shape(samples)} samples, grid expects ({grid.nx},)")
+    return np.fft.fft(samples)
 
 
 def _apodization(grid: GridSpec) -> np.ndarray | None:
@@ -123,7 +112,7 @@ def element_bins(array: ArrayGeometry, grid: GridSpec) -> np.ndarray:
     return np.rint(x / grid.dx).astype(int) + grid.nx // 2
 
 
-def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexField:
+def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> np.ndarray:
     """Deposit per-element complex weights onto the grid as unit-area spikes.
 
     Each weight lands on the nearest grid sample with amplitude weight/dx, so
@@ -136,7 +125,7 @@ def embed_aperture(weights, array: ArrayGeometry, grid: GridSpec) -> ComplexFiel
     samples = np.zeros(grid.nx, dtype=complex)
     # Unbuffered, so elements that share a bin add up as a loop over them would.
     np.add.at(samples, element_bins(array, grid), w / grid.dx)
-    return ComplexField(samples=samples, grid=grid, depth=0.0)
+    return samples
 
 
 def _launch_filter(grid: GridSpec, wavelength: float) -> np.ndarray:
@@ -161,7 +150,7 @@ def _clear_side(grid: GridSpec, obstacle: KnifeEdgeObstacle) -> np.ndarray:
     return ~obstacle.blocks(grid_x(grid))
 
 
-def band_limit(field: ComplexField, wavelength: float) -> ComplexField:
+def band_limit(samples, grid: GridSpec, wavelength: float) -> np.ndarray:
     """Launch-side angular acceptance filter.
 
     Nearest-bin spikes are spectrally white: most of their energy lies at
@@ -172,22 +161,24 @@ def band_limit(field: ComplexField, wavelength: float) -> ComplexField:
     LAUNCH_CUTOFF_SINE) and is applied once when a codebook beam is launched --
     the propagator itself stays exactly unitary.
     """
-    spectrum = np.fft.fft(field.samples)
-    spectrum *= _launch_filter(field.grid, wavelength)
-    return ComplexField(np.fft.ifft(spectrum), field.grid, field.depth)
+    spectrum = _spectrum(samples, grid)
+    spectrum *= _launch_filter(grid, wavelength)
+    return np.fft.ifft(spectrum)
 
 
 def launch_aperture(weights, array: ArrayGeometry, grid: GridSpec,
-                    wavelength: float) -> ComplexField:
+                    wavelength: float) -> np.ndarray:
     """Embed codebook weights and apply the launch filter in one step."""
-    return band_limit(embed_aperture(weights, array, grid), wavelength=wavelength)
+    return band_limit(embed_aperture(weights, array, grid), grid, wavelength)
 
 
 class Cascade:
     """The knife-edge cascade on one grid at one wavelength behind one
-    obstacle (or none). _past_mask is its one rule for which depths the
-    mask reaches. fields runs it forward from a launched aperture;
-    transpose runs it back to the aperture, launch filter included.
+    obstacle (or none). Every field it takes or yields is an array of
+    grid.nx samples on that grid. _past_mask is its one rule for which
+    depths the mask reaches. fields runs it forward from a launched
+    aperture on the array plane; transpose runs it back to the aperture,
+    launch filter included.
 
     The launch filter and the mask are built on first use. Only transposed
     legs keep their spectral factors, because channel rows share depths; a
@@ -242,22 +233,21 @@ class Cascade:
             self._spectral[key] = h * self._launch if launch else h
         return np.fft.fft(np.fft.ifft(v) * self._spectral[key])
 
-    def fields(self, aperture: ComplexField, depths):
-        """Yield the field launched as `aperture` at each of `depths`, one
-        at a time. The aperture spectrum is taken once, and so is the
-        masked obstacle-plane spectrum when some depth lies past the mask,
-        so every depth costs one inverse FFT."""
-        spectrum = np.fft.fft(aperture.samples)
+    def fields(self, aperture, depths):
+        """Yield the field launched as `aperture` on the array plane at each
+        of `depths`, one at a time. The aperture spectrum is taken once, and
+        so is the masked obstacle-plane spectrum when some depth lies past
+        the mask, so every depth costs one inverse FFT."""
+        spectrum = _spectrum(aperture, self.grid)
         masked = None
         for depth in depths:
             if not self._past_mask(depth):
-                out = self._forward(spectrum, depth - aperture.depth)
-            else:
-                if masked is None:
-                    at_edge = self._forward(spectrum, self.obstacle.depth - aperture.depth)
-                    masked = np.fft.fft(np.where(self._clear, at_edge, 0.0 + 0.0j))
-                out = self._forward(masked, depth - self.obstacle.depth)
-            yield ComplexField(out, self.grid, depth)
+                yield self._forward(spectrum, depth)
+                continue
+            if masked is None:
+                at_edge = self._forward(spectrum, self.obstacle.depth)
+                masked = np.fft.fft(np.where(self._clear, at_edge, 0.0 + 0.0j))
+            yield self._forward(masked, depth - self.obstacle.depth)
 
     def transpose(self, probe: np.ndarray, depth: float) -> np.ndarray:
         """Transpose of the launch cascade, band_limit then fields from
@@ -275,14 +265,12 @@ class Cascade:
         return self._backward(v, self.obstacle.depth, launch=True)
 
 
-def propagate_angular_spectrum(
-    field: ComplexField, distance: float, wavelength: float
-) -> ComplexField:
+def propagate_angular_spectrum(samples, grid: GridSpec, distance: float,
+                               wavelength: float) -> np.ndarray:
     """Fresnel propagation by FFT: transform, multiply by
     exp(-j k0 z) exp(+j pi lambda z f^2), transform back, apodize. One
     unobstructed leg of Cascade."""
-    out = Cascade(field.grid, wavelength, None)._forward(np.fft.fft(field.samples), distance)
-    return ComplexField(out, field.grid, field.depth + distance)
+    return Cascade(grid, wavelength, None)._forward(_spectrum(samples, grid), distance)
 
 
 def _interpolation(grid: GridSpec, x: float) -> tuple[int, float]:
@@ -321,27 +309,20 @@ class IntensityMap:
     floor_db: float
 
 
-def intensity_map(
-    aperture: ComplexField,
-    obstacle: KnifeEdgeObstacle | None,
-    depths,
-    wavelength: float,
-    floor_db: float = -60.0,
-) -> IntensityMap:
+def intensity_map(cascade: Cascade, aperture, depths, floor_db: float = -60.0) -> IntensityMap:
     """Propagated |E|^2 in dB over a list of depths (rows), normalized so the
     global maximum is exactly 0 dB and clipped at `floor_db`.
 
-    One Cascade.fields pass makes every row, one depth at a time.
+    One cascade.fields pass makes every row, one depth at a time.
     """
     depths = [float(d) for d in depths]
     if not depths:
         raise AirylinkError("intensity_map needs at least one depth")
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise AirylinkError("depths must be strictly increasing")
-    rows = np.empty((len(depths), aperture.grid.nx))
-    cascade = Cascade(aperture.grid, wavelength, obstacle)
+    rows = np.empty((len(depths), cascade.grid.nx))
     for row, field in zip(rows, cascade.fields(aperture, depths)):
-        np.square(np.abs(field.samples), out=row)
+        np.square(np.abs(field), out=row)
     peak = float(rows.max())
     if peak <= 0:
         raise AirylinkError("field is identically zero; cannot normalize the map")

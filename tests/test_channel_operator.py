@@ -46,7 +46,8 @@ def cascade_responses(scenario, users, w) -> np.ndarray:
     launch = launch_aperture(w, scenario.array, scenario.grid, lam)
     return np.array([
         _amplitude_conversion(lam, u.z)
-        * sample_field(two_stage(launch, scenario.obstacle, u.z, lam), u.x)
+        * sample_field(two_stage(launch, scenario.grid, scenario.obstacle, u.z, lam),
+                       scenario.grid, u.x)
         for u in users
     ])
 

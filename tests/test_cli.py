@@ -249,6 +249,22 @@ class TestValidate:
         assert rc == 0
         assert capsys.readouterr().out.count("PASS") == 3
 
+    def test_one_user_is_refused(self, tmp_path, capsys):
+        """One constant fits a one-user (1 x 1) effective channel exactly,
+        so the calibration residual would read 0 whatever the two models
+        do: validate refuses the scenario instead of passing it."""
+        text = Path(MIXED).read_text()
+        bright = "x = 3.5\nz = 300\nunit = lambda\n"
+        assert bright in text
+        one = tmp_path / "one_user.cfg"
+        one.write_text(text.replace(bright, ""))
+        assert load_scenario(one).k == 1
+        rc = main(["validate", "--config", str(one)])
+        assert rc == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert stderr.splitlines() == ["error: calibration needs at least two users, got 1"]
+
 
 class TestBaselineCommand:
     def test_outputs_and_reindexed_angles(self, tmp_path, capsys):
@@ -424,6 +440,27 @@ class TestRoles:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {who} needs user 0 shadowed and user 1 bright, got bright and shadowed"]
         assert not out.exists()
+
+
+class TestWroteLines:
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--config", BASELINE, "--step", "5"],
+        ["shadow", "--config", SHADOW, "--step", "7"],
+        ["mixed-opt", "--config", MIXED, "--step", "2.5"],
+        ["robustness", "--config", MIXED, "--step", "1"],
+        ["fieldmap", "--config", SHADOW, "--strategy", "airy_geo",
+         "--zmin", "100", "--zmax", "300", "--zstep", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_each_file_written_is_reported_once(self, tmp_path, capsys, argv):
+        """The `wrote` lines on stdout name exactly the files under --out,
+        each once, and stdout holds nothing else."""
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("wrote ") for line in lines)
+        reported = [Path(line.removeprefix("wrote ")) for line in lines]
+        assert len(set(reported)) == len(reported)
+        assert sorted(reported) == sorted(p for p in out.rglob("*") if p.is_file())
 
 
 class TestMixedOptCommand:

@@ -41,6 +41,7 @@ from airylink import (
 from airylink.beams import DESIGNS
 from airylink.channels import beam_responses
 from airylink.geometry import geometric_angle
+from airylink.propagation import Cascade
 
 from batch_of_one import (baseline_points, beam_of_one, design_params, evaluate_candidate,
                           focus_row, jittered, metrics_of_one, robustness_points,
@@ -305,9 +306,8 @@ class TestFieldmap:
         book = build_codebook(mixed_scenario, "trad_all")
         launch = launch_aperture(book[1], mixed_scenario.array,
                                  mixed_scenario.grid, lam)
-        manual = intensity_map(launch, None,
-                               [d * lam for d in (50.0, 150.0, 250.0, 350.0)],
-                               lam)
+        manual = intensity_map(Cascade(mixed_scenario.grid, lam, None), launch,
+                               [d * lam for d in (50.0, 150.0, 250.0, 350.0)])
         assert np.array_equal(m.db, manual.db)
 
     @pytest.mark.parametrize("strategy", ["airy_geo", "airy_opt"])
@@ -321,8 +321,8 @@ class TestFieldmap:
         maps = [run_fieldmap(scenario, strategy, beam_index=b, **depths).db for b in (0, 1)]
         own = beam_of_one(scenario, strategy, scenario.users[1])
         launch = launch_aperture(own, scenario.array, scenario.grid, lam)
-        manual = intensity_map(launch, scenario.obstacle,
-                               [d * lam for d in (200.0, 250.0, 300.0)], lam)
+        manual = intensity_map(Cascade(scenario.grid, lam, scenario.obstacle), launch,
+                               [d * lam for d in (200.0, 250.0, 300.0)])
         assert maps[1].tobytes() == manual.db.tobytes()
         assert not np.array_equal(maps[0], maps[1])
 

@@ -134,9 +134,10 @@ class TestWriteIntensityMap:
     def test_matrix_and_sidecar(self, tmp_path, baseline_scenario, array64,
                                  grid_std, lam):
         from airylink import intensity_map, launch_aperture
+        from airylink.propagation import Cascade
 
         f = launch_aperture(np.ones(64, dtype=complex), array64, grid_std, lam)
-        m = intensity_map(f, None, [100 * lam, 200 * lam], lam)
+        m = intensity_map(Cascade(grid_std, lam, None), f, [100 * lam, 200 * lam])
         path = tmp_path / "map.csv"
         write_intensity_map(path, m, baseline_scenario)
         lines = path.read_text().splitlines()

@@ -2,7 +2,8 @@
 
 The package propagates with the FFT angular-spectrum method and runs the
 knife-edge cascade as one propagation.Cascade. The functions here are the
-independent references the tests compare it with:
+independent references the tests compare it with; like the package, they
+take a field as its samples on a grid and return samples on that grid:
 
 * propagate_direct_fresnel: a direct O(Nx^2) quadrature of the Fresnel
   integral, FFT-free;
@@ -19,13 +20,12 @@ import math
 
 import numpy as np
 
-from airylink import AirylinkError, ComplexField, KnifeEdgeObstacle, propagate_angular_spectrum
+from airylink import AirylinkError, GridSpec, KnifeEdgeObstacle, propagate_angular_spectrum
 from airylink.propagation import _apodization, _clear_side, _interpolation
 
 
-def propagate_direct_fresnel(
-    field: ComplexField, distance: float, wavelength: float
-) -> ComplexField:
+def propagate_direct_fresnel(samples, grid: GridSpec, distance: float,
+                             wavelength: float) -> np.ndarray:
     """Brute-force quadrature of the Fresnel integral (the testing oracle).
 
     E(x) = sqrt(j/(lambda z)) e^{-j k0 z} * sum E0(x') e^{-j k0 (x-x')^2/(2z)} dx'
@@ -39,7 +39,6 @@ def propagate_direct_fresnel(
     """
     if distance <= 0:
         raise AirylinkError("direct Fresnel quadrature needs distance > 0; use the field as-is for z=0")
-    grid = field.grid
     nx = grid.nx
     k0 = 2.0 * math.pi / wavelength
     pref = np.sqrt(1j / (wavelength * distance)) * np.exp(-1j * k0 * distance) * grid.dx
@@ -48,7 +47,7 @@ def propagate_direct_fresnel(
     # kernel, reversed, is values[i : i + nx].
     values = np.exp(-1j * k0 * offsets**2 / (2.0 * distance))
     rows = np.lib.stride_tricks.sliding_window_view(values, nx)
-    reversed_samples = field.samples[::-1]
+    reversed_samples = samples[::-1]
     out = np.empty(nx, dtype=complex)
     block = 256
     for start in range(0, nx, block):
@@ -58,34 +57,28 @@ def propagate_direct_fresnel(
     apod = _apodization(grid)
     if apod is not None:
         out = out * apod
-    return ComplexField(out, grid, field.depth + distance)
+    return out
 
 
-def apply_mask(field: ComplexField, obstacle: KnifeEdgeObstacle) -> ComplexField:
-    """Zero the blocked half-line (edge bin included) at the obstacle plane."""
-    if abs(field.depth - obstacle.depth) > field.grid.dx:
-        raise AirylinkError(
-            f"mask applied at depth {field.depth:.6e} m but the obstacle sits at "
-            f"{obstacle.depth:.6e} m; propagate to the obstacle plane first"
-        )
-    keep = _clear_side(field.grid, obstacle)
-    return ComplexField(np.where(keep, field.samples, 0.0 + 0.0j), field.grid, field.depth)
+def apply_mask(samples, grid: GridSpec, obstacle: KnifeEdgeObstacle) -> np.ndarray:
+    """Zero the blocked half-line (edge bin included) of a field on the
+    obstacle plane."""
+    return np.where(_clear_side(grid, obstacle), samples, 0.0 + 0.0j)
 
 
-def two_stage(aperture: ComplexField, obstacle: KnifeEdgeObstacle | None, depth: float,
-              wavelength: float) -> ComplexField:
-    """The field at `depth`: propagate to the obstacle plane, mask, and
-    propagate on; one unmasked leg without an obstacle or at a depth on or
-    before its plane."""
+def two_stage(aperture, grid: GridSpec, obstacle: KnifeEdgeObstacle | None, depth: float,
+              wavelength: float) -> np.ndarray:
+    """The field at `depth` of an aperture on the array plane: propagate to
+    the obstacle plane, mask, and propagate on; one unmasked leg without an
+    obstacle or at a depth on or before its plane."""
     if obstacle is None or depth <= obstacle.depth:
-        return propagate_angular_spectrum(aperture, depth - aperture.depth, wavelength)
-    at_edge = propagate_angular_spectrum(aperture, obstacle.depth - aperture.depth, wavelength)
-    return propagate_angular_spectrum(apply_mask(at_edge, obstacle), depth - obstacle.depth,
-                                      wavelength)
+        return propagate_angular_spectrum(aperture, grid, depth, wavelength)
+    at_edge = propagate_angular_spectrum(aperture, grid, obstacle.depth, wavelength)
+    return propagate_angular_spectrum(apply_mask(at_edge, grid, obstacle), grid,
+                                      depth - obstacle.depth, wavelength)
 
 
-def sample_field(field: ComplexField, x: float) -> complex:
-    """Linear interpolation of the field at transverse position x (meters)."""
-    low, frac = _interpolation(field.grid, x)
-    s = field.samples
-    return complex((1.0 - frac) * s[low] + frac * s[low + 1])
+def sample_field(samples, grid: GridSpec, x: float) -> complex:
+    """Linear interpolation of a field at transverse position x (meters)."""
+    low, frac = _interpolation(grid, x)
+    return complex((1.0 - frac) * samples[low] + frac * samples[low + 1])
